@@ -1,20 +1,8 @@
 #include "sim/scheduler.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <utility>
 
 namespace mts::sim {
-
-namespace {
-
-/// An insert that walks past this many list nodes marks the calendar
-/// mis-sized and requests a re-fit.
-constexpr std::size_t kDisplacementLimit = 32;
-
-}  // namespace
-
-Scheduler::Scheduler() : buckets_(kMinBucketCount) {}
 
 const char* event_category_name(EventCategory c) {
   switch (c) {
@@ -52,316 +40,91 @@ std::uint32_t Scheduler::acquire_slot() {
 void Scheduler::release_slot(std::uint32_t s) {
   Slot& slot = slot_at(s);
   slot.fn.reset();
-  slot.live_key = kDeadKey;  // any remaining calendar entry tombstones
+  slot.live_key = kDeadKey;  // any remaining queue entry tombstones
   ++slot.gen;                // ids referring to this slot go stale here
   slot.next_free = free_head_;
   free_head_ = s;
 }
 
 // ---------------------------------------------------------------------------
-// Node arena.
+// 4-ary heap.
 // ---------------------------------------------------------------------------
 
-std::uint32_t Scheduler::node_alloc() const {
-  if (node_free_ != kNullIndex) {
-    const std::uint32_t n = node_free_;
-    node_free_ = node_at(n).next;
-    return n;
-  }
-  if ((node_count_ & (kChunkSize - 1)) == 0) {
-    node_chunks_.push_back(std::make_unique<Node[]>(kChunkSize));
-  }
-  return node_count_++;
-}
-
-void Scheduler::node_free(std::uint32_t n) const {
-  node_at(n).next = node_free_;
-  node_free_ = n;
-}
-
-// ---------------------------------------------------------------------------
-// Calendar.
-// ---------------------------------------------------------------------------
-
-void Scheduler::insert(Entry e) {
-  ++ops_since_rebuild_;
-  max_t_ns_ = std::max(max_t_ns_, e.t.nanoseconds());
-  if (vt_of(e.t) < base_vt_) {
-    // A quiet-stretch re-base (migrate_far) slid the coverage window up
-    // to the earliest far event, and this event — scheduled after a
-    // peek, legally >= now_ — lands below it.  Redistribute everything
-    // from a window re-anchored at now_ so the far/near split below
-    // matches the wheel's contents again; otherwise this event could
-    // park in far_ past the wheel minimum and pop out of order.
-    rebuild(buckets_.size(), shift_);
-  }
-  if (vt_of(e.t) >= horizon_vt()) {
-    // Beyond the wheel's coverage: park in the overflow heap until the
-    // window reaches it.  Keeps the one-lap invariant that makes the
-    // drain walk short (see the class comment).
-    far_.push_back(e);
-    std::push_heap(far_.begin(), far_.end(), far_after);
-    if (far_.size() >= far_compact_at_) far_compact();
-    return;
-  }
-  wheel_insert(e);
-}
-
-void Scheduler::wheel_insert(Entry e) const {
-  const std::int64_t vt = vt_of(e.t);
-  Bucket& bk = buckets_[static_cast<std::size_t>(vt) & (buckets_.size() - 1)];
-  const std::uint32_t n = node_alloc();
-  Node& node = node_at(n);
-  node.e = e;
-  node.next = kNullIndex;
-  if (bk.head == kNullIndex) {
-    bk.head = bk.tail = n;
-    bk.tail_e = e;
-  } else if (!e.before(bk.tail_e)) {
-    // Monotone times and same-tick bursts (fresh seq) append here; the
-    // cached tail key means the only touch of the old tail node is a
-    // non-blocking link store.
-    node_at(bk.tail).next = n;
-    bk.tail = n;
-    bk.tail_e = e;
-  } else if (e.before(node_at(bk.head).e)) {
-    node.next = bk.head;
-    bk.head = n;
-  } else {
-    std::uint32_t cur = bk.head;
-    std::size_t walked = 0;
-    while (node_at(cur).next != kNullIndex &&
-           !e.before(node_at(node_at(cur).next).e)) {
-      cur = node_at(cur).next;
-      ++walked;
-    }
-    node.next = node_at(cur).next;
-    node_at(cur).next = n;
-    // A long walk means this bucket mixes many distinct times — the
-    // calendar is mis-sized for the workload; ask for a re-fit.
-    if (walked > kDisplacementLimit) resize_requested_ = true;
-  }
-  ++bucket_entries_;
-  // An event landing behind the drain point re-anchors the walk.
-  if (vt < cur_vt_) cur_vt_ = vt;
-}
-
-void Scheduler::migrate_far() const {
-  // Slide the coverage window forward with time (a re-base may already
-  // have pushed it further; never pull it back here).
-  base_vt_ = std::max(base_vt_, vt_of(now_));
-  if (far_.empty()) return;
-  std::int64_t horizon = horizon_vt();
+void Scheduler::sift_down(std::size_t i, Entry e) const {
+  Entry* h = heap_.data();
+  const std::size_t n = heap_.size();
   for (;;) {
-    if (far_.empty()) return;
-    const Entry top = far_.front();
-    if (entry_dead(top) || vt_of(top.t) < horizon) {
-      std::pop_heap(far_.begin(), far_.end(), far_after);
-      far_.pop_back();
-      if (entry_dead(top)) {
-        --tombstones_;  // cancelled or re-armed while parked
-      } else {
-        wheel_insert(top);
+    const std::size_t c = 4 * i + 1;
+    if (c >= n) break;
+    std::size_t m = c;
+    if (c + 3 < n) {
+      // All four children exist: a two-round tournament.
+      const std::size_t a = h[c + 1].before(h[c]) ? c + 1 : c;
+      const std::size_t b = h[c + 3].before(h[c + 2]) ? c + 3 : c + 2;
+      m = h[b].before(h[a]) ? b : a;
+    } else {
+      for (std::size_t k = c + 1; k < n; ++k) {
+        if (h[k].before(h[m])) m = k;
       }
-      continue;
     }
-    if (bucket_entries_ != 0) return;
-    // The wheel ran dry and everything pending is far: re-base the
-    // coverage window (and the drain) at the earliest far event, so a
-    // quiet stretch costs one heap pop instead of a lap walk.
-    base_vt_ = vt_of(top.t);
-    horizon = horizon_vt();
-    cur_vt_ = base_vt_;
+    if (!h[m].before(e)) break;
+    h[i] = h[m];
+    i = m;
   }
+  h[i] = e;
 }
 
-void Scheduler::far_compact() {
-  std::size_t kept = 0;
-  for (const Entry& e : far_) {
-    if (entry_dead(e)) {
-      --tombstones_;
-      continue;
-    }
-    far_[kept++] = e;
-  }
-  far_.resize(kept);
-  std::make_heap(far_.begin(), far_.end(), far_after);
-  far_compact_at_ = std::max<std::size_t>(64, far_.size() * 2);
-}
-
-void Scheduler::pop_head(Bucket& bk) const {
-  const std::uint32_t n = bk.head;
-  bk.head = node_at(n).next;
-  if (bk.head == kNullIndex) bk.tail = kNullIndex;
-  node_free(n);
+void Scheduler::pop_top() const {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
 }
 
 bool Scheduler::peek_live() const {
-  for (;;) {
-    // After migration the wheel is non-empty unless nothing is pending
-    // at all (an empty wheel makes migrate_far re-base onto the earliest
-    // far event, so it only leaves both empty together).
-    migrate_far();
-    if (bucket_entries_ == 0) return false;
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t empty_steps = 0;
-    bool wheel_dry = false;
-    while (!wheel_dry) {
-      Bucket& bk = buckets_[static_cast<std::size_t>(cur_vt_) & mask];
-      while (bk.head != kNullIndex) {
-        const Entry& e = node_at(bk.head).e;
-        if (entry_dead(e)) {  // tombstone: cancelled, re-armed, or recycled
-          pop_head(bk);
-          --tombstones_;
-          if (--bucket_entries_ == 0) {
-            // All that was stored were tombstones; far_ may still hold
-            // live events — go back around and migrate.
-            wheel_dry = true;
-            break;
-          }
-          continue;
-        }
-        if (vt_of(e.t) == cur_vt_) return true;  // the global minimum
-        break;  // bucket's min belongs to a later lap of the calendar
-      }
-      if (wheel_dry) break;
-      ++cur_vt_;
-      if (++empty_steps > buckets_.size()) {
-        // A whole lap without a hit: jump straight to the minimum.
-        direct_search();
-        // The scan may have drained the last tombstones itself.
-        wheel_dry = bucket_entries_ == 0;
-        empty_steps = 0;
-      }
-    }
+  while (!heap_.empty()) {
+    if (!entry_dead(heap_.front())) return true;
+    pop_top();  // tombstone: cancelled, re-armed, or recycled
+    --tombstones_;
   }
-}
-
-void Scheduler::direct_search() const {
-  const Entry* best = nullptr;
-  for (Bucket& bk : buckets_) {
-    while (bk.head != kNullIndex && entry_dead(node_at(bk.head).e)) {
-      pop_head(bk);
-      --tombstones_;
-      --bucket_entries_;
-    }
-    if (bk.head == kNullIndex) continue;
-    const Entry& e = node_at(bk.head).e;
-    if (best == nullptr || e.before(*best)) best = &e;
-  }
-  if (best != nullptr) cur_vt_ = vt_of(best->t);
+  return false;
 }
 
 EventFn Scheduler::take_top() {
-  Bucket& bk = buckets_[static_cast<std::size_t>(cur_vt_) &
-                        (buckets_.size() - 1)];
-  const Entry e = node_at(bk.head).e;
-  pop_head(bk);
-  --bucket_entries_;
-  if (bk.head != kNullIndex) {
+  const Entry e = heap_.front();
+  // (time, seq) keys are unique and every new key is minted at or after
+  // now(), so pops must be strictly increasing.  Two compares against a
+  // register-hot value; cheap enough to check on every run.
+  require(last_pop_.before(e), "Scheduler: event popped out of order");
+  last_pop_ = e;
+  pop_top();
+  if (!heap_.empty()) {
     // Overlap the next event's slot line with this callback's execution.
-    __builtin_prefetch(
-        &slot_at(static_cast<std::uint32_t>(node_at(bk.head).e.key & kSlotMask)),
-        0, 1);
+    __builtin_prefetch(&slot_at(slot_of(heap_.front())), 0, 1);
   }
-  const auto s = static_cast<std::uint32_t>(e.key & kSlotMask);
+  const std::uint32_t s = slot_of(e);
   now_ = e.t;
-  base_vt_ = std::max(base_vt_, vt_of(now_));
   EventFn fn = std::move(slot_at(s).fn);
   ++executed_by_[static_cast<std::size_t>(slot_at(s).cat)];
   release_slot(s);  // the event's id dies before its callback runs
   --live_count_;
   ++executed_;
-  ++ops_since_rebuild_;
-  // Width estimator: EWMA of non-zero pop spacing.
-  const std::int64_t gap = e.t.nanoseconds() - last_pop_ns_;
-  last_pop_ns_ = e.t.nanoseconds();
-  if (gap > 0) ewma_gap_ns_ = (ewma_gap_ns_ * 7 + gap) / 8;
-  maybe_resize();
+  maybe_compact();
   return fn;
 }
 
-void Scheduler::rebuild(std::size_t new_bucket_count, int new_shift) {
-  std::vector<Entry>& live = rebuild_scratch_;
-  live.clear();
-  live.reserve(live_count_);
-  for (Bucket& bk : buckets_) {
-    for (std::uint32_t n = bk.head; n != kNullIndex; n = node_at(n).next) {
-      if (!entry_dead(node_at(n).e)) live.push_back(node_at(n).e);
-    }
+void Scheduler::compact() {
+  std::size_t kept = 0;
+  for (const Entry& e : heap_) {
+    if (!entry_dead(e)) heap_[kept++] = e;
   }
-  for (const Entry& e : far_) {
-    if (!entry_dead(e)) live.push_back(e);
-  }
-  far_.clear();
-  // Every node sits in some bucket, so the arena resets wholesale.
-  node_free_ = kNullIndex;
-  node_count_ = 0;
-  std::sort(live.begin(), live.end(),
-            [](const Entry& a, const Entry& b) { return a.before(b); });
-  buckets_.assign(new_bucket_count, Bucket{});
-  shift_ = new_shift;
+  heap_.resize(kept);
   tombstones_ = 0;
-  bucket_entries_ = 0;
-  ops_since_rebuild_ = 0;
-  base_vt_ = vt_of(now_);
-  cur_vt_ = base_vt_;
-  // Split by the new coverage window; within it, globally sorted input
-  // makes every relink a tail append.  If the wheel gets anything, the
-  // first entry it gets is the global minimum (the split is by time).
-  const std::int64_t horizon = horizon_vt();
-  const std::size_t mask = buckets_.size() - 1;
-  for (const Entry& e : live) {
-    const std::int64_t vt = vt_of(e.t);
-    if (vt >= horizon) {
-      far_.push_back(e);
-      continue;
-    }
-    Bucket& bk = buckets_[static_cast<std::size_t>(vt) & mask];
-    const std::uint32_t n = node_alloc();
-    Node& node = node_at(n);
-    node.e = e;
-    node.next = kNullIndex;
-    if (bk.head == kNullIndex) {
-      bk.head = bk.tail = n;
-    } else {
-      node_at(bk.tail).next = n;
-      bk.tail = n;
-    }
-    bk.tail_e = e;
-    if (bucket_entries_++ == 0) cur_vt_ = vt;
+  // Floyd's bottom-up heapify: sift every internal node, deepest first.
+  if (kept > 1) {
+    for (std::size_t i = (kept - 2) / 4 + 1; i-- > 0;) sift_down(i, heap_[i]);
   }
-  // Sorted append order already satisfies the heap property (front is
-  // the minimum under far_after), but make it explicit and cheap.
-  std::make_heap(far_.begin(), far_.end(), far_after);
-  far_compact_at_ = std::max<std::size_t>(64, far_.size() * 2);
-}
-
-void Scheduler::rebuild_fit() {
-  // Width targets ~1 event per bucket window, from the smaller of two
-  // estimators: the pop-to-pop spacing EWMA (steady state) and the
-  // pending span divided by occupancy (bulk pre-loading, before any
-  // pops have calibrated the EWMA).
-  const std::int64_t span = max_t_ns_ - now_.nanoseconds();
-  const std::int64_t per_event =
-      live_count_ > 0 ? span / static_cast<std::int64_t>(live_count_) : span;
-  const auto width = static_cast<std::uint64_t>(std::clamp<std::int64_t>(
-      std::min(ewma_gap_ns_, per_event), 1, std::int64_t{1} << 40));
-  const int new_shift = static_cast<int>(std::bit_width(width)) - 1;
-  const std::size_t new_buckets = std::min(
-      std::bit_ceil(std::max(live_count_ * 2, kMinBucketCount)),
-      kMaxBucketCount);
-  // A displacement-triggered re-fit rebuilds even at identical geometry:
-  // the rebuild itself compacts the lists and drops tombstones, which is
-  // often exactly what the long insert walk was tripping over.  The ops
-  // cooldown bounds the amortised cost when the distribution genuinely
-  // can't spread at this width (irreducible ties).
-  const bool forced =
-      resize_requested_ &&
-      ops_since_rebuild_ > std::max<std::size_t>(64, live_count_ / 8);
-  resize_requested_ = false;
-  if (!forced && new_buckets == buckets_.size() && new_shift == shift_) return;
-  rebuild(new_buckets, new_shift);
+  require(heap_.size() == live_count_ + tombstones_,
+          "Scheduler: queue lost or duplicated a live event");
 }
 
 // ---------------------------------------------------------------------------
@@ -374,27 +137,26 @@ bool Scheduler::reschedule(EventId id, Time t) {
   if (s == kNullIndex) return false;
   Slot& slot = slot_at(s);
   // Re-keying with a fresh seq orders the re-armed event exactly like a
-  // new schedule; the old calendar entry becomes a tombstone.  Count it
-  // before insert(): a below-base insert rebuilds, which drops the dead
-  // entry and zeroes the tombstone count.
+  // new schedule; the old heap entry becomes a tombstone.
   slot.live_key = next_key(s);
   ++tombstones_;
-  insert(Entry{t, slot.live_key});
-  maybe_resize();
+  push(Entry{t, slot.live_key});
+  maybe_compact();
   return true;
 }
 
 bool Scheduler::cancel(EventId id) {
   const std::uint32_t s = lookup_index(id);
   if (s == kNullIndex) return false;
-  release_slot(s);  // the calendar entry tombstones via the live_key reset
+  release_slot(s);  // the heap entry tombstones via the live_key reset
   ++tombstones_;
   --live_count_;
+  maybe_compact();
   return true;
 }
 
 Time Scheduler::next_event_time() const {
-  return peek_live() ? top().t : Time::max();
+  return peek_live() ? heap_.front().t : Time::max();
 }
 
 void Scheduler::run() {
@@ -408,7 +170,7 @@ void Scheduler::run_until(Time end) {
   require(end >= now_, "Scheduler: run_until into the past");
   stopped_ = false;
   while (!stopped_ && peek_live()) {
-    if (top().t > end) break;
+    if (heap_.front().t > end) break;
     take_top()();
   }
   if (now_ < end) now_ = end;

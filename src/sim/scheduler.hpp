@@ -58,33 +58,17 @@ inline constexpr EventId kInvalidEvent = 0;
 ///    `EventFn` — for every closure in the stack's hot paths the capture
 ///    lives inline in the slot and schedule/cancel allocate nothing.
 ///
-/// 2. A calendar queue (Brown 1988; the structure ns-2's scheduler
-///    used): an array of buckets, each covering one width-W window of
-///    simulated time, recycled modulo the bucket count.  Buckets are
-///    sorted intrusive lists over a chunked node arena, so schedule is
-///    a tail append for the common monotone case, pop-min is a head
-///    read, and same-tick bursts (SIFS responses, per-receiver channel
-///    fan-outs) cost O(1) each where a comparison heap pays O(lg n)
-///    sifts through cold cache lines.  Bucket width and count re-adapt
-///    to the observed event spacing; cancel is O(1) — the slot's live
-///    key is reset and the stale calendar node is discarded when the
-///    drain reaches it (the lazy deletion the old core also used, minus
-///    the hash map).
-///
-///    Large arenas make the pending set bimodal: microsecond-spaced
-///    receptions set the bucket width, while thousands of per-node
-///    timers sit seconds out — far past the wheel's one-lap coverage.
-///    Mapped modulo, those far entries used to alias into near buckets
-///    and the drain walked whole laps hunting the minimum (O(buckets)
-///    per quiet gap, the dominant cost at 1k+ nodes).  Events beyond
-///    the wheel's horizon therefore wait in an overflow min-heap and
-///    migrate into the wheel as time advances, restoring the invariant
-///    that every wheel entry lies within one lap of now: pop order is
-///    decided purely by (time, sequence), so residency never affects
-///    behaviour, only cost.
+/// 2. A 4-ary min-heap of 16-byte (time, key) entries.  Sifts move a
+///    hole instead of swapping, and a node's four children share one or
+///    two cache lines, so the tree is half as deep as a binary heap's at
+///    the same line traffic.  Cancel is O(1) and re-arm is one push: the
+///    slot's live key changes and the old entry stays behind as a
+///    tombstone, dropped when it reaches the top or when a compaction
+///    sweeps the heap once tombstones outnumber live entries (amortised
+///    O(1) per cancel or re-arm).
 class Scheduler {
  public:
-  Scheduler();
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -104,9 +88,8 @@ class Scheduler {
     slot.fn = std::move(fn);
     slot.cat = cat;
     slot.live_key = next_key(s);
-    insert(Entry{t, slot.live_key});
+    push(Entry{t, slot.live_key});
     ++live_count_;
-    maybe_resize();
     return make_id(s, slot.gen);
   }
 
@@ -121,8 +104,8 @@ class Scheduler {
   /// new sequence number).  Returns false if `id` already fired, was
   /// cancelled, or is invalid — the caller then schedules anew.  This is
   /// the Timer re-arm fast path: no closure is constructed and no slot
-  /// churns; the event is re-keyed in place and its stale calendar entry
-  /// evaporates lazily.
+  /// churns; the event is re-keyed in place and its stale queue entry
+  /// is left behind as a tombstone.
   bool reschedule(EventId id, Time t);
 
   /// Cancels a pending event.  Returns false if it already fired, was
@@ -165,6 +148,10 @@ class Scheduler {
     return heap_fallbacks_;
   }
 
+  /// Entries stored in the queue: live events plus tombstones.  Bounded
+  /// by 2 * pending_count() + kCompactFloor; tests pin that bound.
+  [[nodiscard]] std::size_t queued_entries() const { return heap_.size(); }
+
  private:
   static constexpr std::uint32_t kNullIndex = 0xffffffffu;
   /// Low 24 bits of a queue key name the slot; the high 40 bits are the
@@ -177,8 +164,8 @@ class Scheduler {
 
   struct Slot {
     EventFn fn;
-    /// Key of this slot's live calendar entry; entries whose key no
-    /// longer matches are tombstones discarded at drain time.
+    /// Key of this slot's live queue entry; entries whose key no longer
+    /// matches are tombstones.
     std::uint64_t live_key = kDeadKey;
     std::uint32_t gen = 1;   ///< bumped on release; validates EventIds
     std::uint32_t next_free = kNullIndex;
@@ -196,22 +183,6 @@ class Scheduler {
       if (t != other.t) return t < other.t;
       return key < other.key;
     }
-  };
-
-  /// Calendar list node, pooled in the node arena.
-  struct Node {
-    Entry e;
-    std::uint32_t next;
-  };
-
-  /// One calendar bucket: a (t, key)-sorted singly linked list.  The
-  /// tail's sort key is cached here so the append fast path compares
-  /// against the (hot) bucket line instead of loading the tail node —
-  /// the link write to that node is a non-blocking store.
-  struct Bucket {
-    std::uint32_t head = kNullIndex;
-    std::uint32_t tail = kNullIndex;
-    Entry tail_e{};
   };
 
   [[nodiscard]] static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
@@ -252,89 +223,48 @@ class Scheduler {
     return (next_seq_++ << kSlotBits) | s;
   }
 
-  /// Heap predicate for far_: std::push_heap et al. build a max-heap
-  /// with respect to the comparator, so inverting before() keeps the
-  /// earliest entry at front().
-  [[nodiscard]] static bool far_after(const Entry& a, const Entry& b) {
-    return b.before(a);
+  [[nodiscard]] static std::uint32_t slot_of(const Entry& e) {
+    return static_cast<std::uint32_t>(e.key & kSlotMask);
   }
 
   [[nodiscard]] bool entry_dead(const Entry& e) const {
-    return slot_at(static_cast<std::uint32_t>(e.key & kSlotMask)).live_key !=
-           e.key;
+    return slot_at(slot_of(e)).live_key != e.key;
   }
 
-  /// Bucket-window index of time `t` at the current width.
-  [[nodiscard]] std::int64_t vt_of(Time t) const {
-    return t.nanoseconds() >> shift_;
+  // --- 4-ary heap: children of i are 4i+1 .. 4i+4 ----------------------
+  /// Inserts `e`, moving the hole up from the new leaf.
+  void push(Entry e) {
+    std::size_t i = heap_.size();
+    heap_.push_back(e);
+    Entry* h = heap_.data();
+    while (i > 0) {
+      const std::size_t p = (i - 1) / 4;
+      if (!e.before(h[p])) break;
+      h[i] = h[p];
+      i = p;
+    }
+    h[i] = e;
   }
-
-  // --- node arena (chunked like the slots; const calendar walks recycle
-  // tombstone nodes, hence the const free path) ------------------------
-  [[nodiscard]] Node& node_at(std::uint32_t n) const {
-    return node_chunks_[n >> kChunkBits][n & (kChunkSize - 1)];
-  }
-  std::uint32_t node_alloc() const;
-  void node_free(std::uint32_t n) const;
-
-  void insert(Entry e);
-  /// Links `e` into its wheel bucket (must be within the horizon).
-  /// Const for the same reason the drain is: storage bookkeeping only.
-  void wheel_insert(Entry e) const;
-  /// The first bucket-window index past the wheel's coverage; entries
-  /// at or beyond it go to the overflow heap.  Coverage starts at
-  /// base_vt_, not vt_of(now_): an empty-wheel re-base (migrate_far)
-  /// can slide the window ahead of now_, and the far/near split must
-  /// use the same base the wheel's contents were routed by or a far
-  /// event earlier than the wheel minimum gets stranded past its turn.
-  [[nodiscard]] std::int64_t horizon_vt() const {
-    return base_vt_ + static_cast<std::int64_t>(buckets_.size());
-  }
-  /// Admits overflow entries that now fall inside the wheel's coverage;
-  /// when the wheel is empty, re-bases the window at the earliest
-  /// overflow entry so a quiet stretch costs one migration, not a scan.
-  void migrate_far() const;
-  /// Drops tombstoned overflow entries once they dominate the heap.
-  void far_compact();
-  /// Positions the drain on the minimum live entry.  Returns false when
-  /// the calendar is empty.  Logically const: only the drain point
-  /// advances and tombstones drop (observable state is unchanged).
+  /// Places `e` at or below hole `i`, moving the hole down.
+  void sift_down(std::size_t i, Entry e) const;
+  /// Removes the top entry.  Const for the same reason peek_live is.
+  void pop_top() const;
+  /// Drops tombstones off the top.  Returns false when nothing is
+  /// pending.  Logically const: only tombstones leave (observable state
+  /// is unchanged), so next_event_time() may call it.
   bool peek_live() const;
-  /// The minimum live entry; valid right after peek_live() == true.
-  [[nodiscard]] const Entry& top() const {
-    const Bucket& bk = buckets_[static_cast<std::size_t>(cur_vt_) &
-                                (buckets_.size() - 1)];
-    return node_at(bk.head).e;
-  }
-  /// Jump the walk to the global minimum (long empty stretches).
-  void direct_search() const;
-  /// Unlinks a bucket's head node and recycles it.
-  void pop_head(Bucket& bk) const;
   /// Detaches the live top event and hands back its callback; updates
   /// now_.  Pre-condition: peek_live() returned true.
   EventFn take_top();
 
-  /// Re-sizes/widths the calendar from live occupancy and the observed
-  /// inter-event spacing, redistributing all live entries.
-  void rebuild(std::size_t new_bucket_count, int new_shift);
-  /// Picks the new geometry and rebuilds; out-of-line slow path.
-  void rebuild_fit();
-  void maybe_resize() {
-    const std::size_t b = buckets_.size();
-    const bool grow = live_count_ > b * kResizeGrowFactor && b < kMaxBucketCount;
-    // Shrinking is pure walk-cost tuning; a cooldown stops a draining
-    // queue from re-fitting the calendar every few hundred pops.
-    const bool shrink = b > kMinBucketCount &&
-                        live_count_ < b / kResizeShrinkFactor &&
-                        ops_since_rebuild_ > b;
-    if (grow || shrink || resize_requested_) rebuild_fit();
+  /// Heaps holding fewer tombstones than this are never compacted.
+  static constexpr std::size_t kCompactFloor = 32;
+  void maybe_compact() {
+    if (tombstones_ > live_count_ && tombstones_ >= kCompactFloor) compact();
   }
-
-  /// Calendar geometry bounds (also used by the inline resize check).
-  static constexpr std::size_t kMinBucketCount = 16;
-  static constexpr std::size_t kMaxBucketCount = 1u << 16;
-  static constexpr std::size_t kResizeGrowFactor = 4;
-  static constexpr std::size_t kResizeShrinkFactor = 8;
+  /// Sweeps every tombstone out of the heap and re-heapifies: O(size),
+  /// paid for by the more-than-size/2 cancels and re-arms that made them.
+  void compact();
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;
@@ -343,44 +273,17 @@ class Scheduler {
   std::uint64_t heap_fallbacks_ = 0;
   std::size_t live_count_ = 0;
   bool stopped_ = false;
+  /// The last entry popped; every pop must order strictly after it.
+  Entry last_pop_{Time::zero(), 0};
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNullIndex;
 
-  /// Calendar state.  Mutable pieces let const peeks advance the drain
-  /// and drop tombstones (next_event_time()).
-  mutable std::vector<std::unique_ptr<Node[]>> node_chunks_;
-  mutable std::uint32_t node_count_ = 0;
-  mutable std::uint32_t node_free_ = kNullIndex;
-  mutable std::vector<Bucket> buckets_;   ///< size is a power of two
-  /// Overflow min-heap (by Entry::before) of events past the wheel's
-  /// horizon; migrated into the wheel as now() approaches them.
-  mutable std::vector<Entry> far_;
-  int shift_ = 10;                        ///< bucket width = 2^shift_ ns
-  /// First bucket window the wheel covers.  Tracks vt_of(now_) as time
-  /// advances, but jumps ahead of it when migrate_far re-bases an empty
-  /// wheel onto the earliest far event.  Invariant: every wheel entry
-  /// lies in [base_vt_, horizon_vt()) and every far_ entry at or beyond
-  /// horizon_vt() stays parked — insert() restores this by rebuilding
-  /// when a new event lands below the base.
-  mutable std::int64_t base_vt_ = 0;
-  mutable std::int64_t cur_vt_ = 0;       ///< bucket window being drained
-  mutable std::size_t bucket_entries_ = 0;  ///< live + tombstones stored
+  /// Mutable so const peeks can drop tombstones (next_event_time()).
+  /// Invariant: heap_.size() == live_count_ + tombstones_.
+  mutable std::vector<Entry> heap_;
   mutable std::size_t tombstones_ = 0;
-  /// EWMA of non-zero pop-to-pop gaps, the width estimator (ns).
-  std::int64_t ewma_gap_ns_ = 1 << 10;
-  std::int64_t last_pop_ns_ = 0;
-  std::int64_t max_t_ns_ = 0;  ///< latest timestamp ever scheduled
-  std::size_t ops_since_rebuild_ = 0;
-  /// far_ size that triggers a tombstone sweep; doubles after each sweep
-  /// so compaction stays amortised O(1) per insert.
-  std::size_t far_compact_at_ = 64;
-  /// An insert found its bucket mis-sized (mutable: migration inserts
-  /// run under the drain's const paths).
-  mutable bool resize_requested_ = false;
-  /// Scratch for rebuild(): persists so re-fits don't re-allocate.
-  std::vector<Entry> rebuild_scratch_;
 };
 
 }  // namespace mts::sim

@@ -545,7 +545,9 @@ TEST_F(CampaignCacheTest, TrafficAxisRoundTripsAndChangesTheKey) {
       EXPECT_EQ(got[i].sessions_started, want[i].sessions_started);
       EXPECT_EQ(got[i].sessions_completed, want[i].sessions_completed);
       EXPECT_EQ(got[i].sessions_rejected, want[i].sessions_rejected);
-      if (t == 0) EXPECT_EQ(want[i].sessions_started, 0u);
+      if (t == 0) {
+        EXPECT_EQ(want[i].sessions_started, 0u);
+      }
       for (std::size_t c = 0; c < traffic::kUserClassCount; ++c) {
         EXPECT_EQ(got[i].traffic_classes[c].flows_completed,
                   want[i].traffic_classes[c].flows_completed);

@@ -166,15 +166,14 @@ TEST(SchedulerTest, NextEventTimeOnEmptyIsMax) {
 }
 
 TEST(SchedulerTest, PeekThenEarlierScheduleKeepsPopOrder) {
-  // Regression: peeking an otherwise-empty queue whose only event is
-  // far in the future re-bases the calendar wheel onto it.  An event
-  // scheduled afterwards at an earlier time (but beyond the original
-  // wheel horizon) used to park in the overflow heap and pop AFTER the
-  // later wheel event, moving now() backwards.
+  // Regression: a peek at a queue whose only event is far in the future,
+  // then an earlier schedule.  A queue that caches anything about the
+  // minimum across a peek can pop the later event first and move now()
+  // backwards.
   Scheduler s;
   std::vector<int> order;
   s.schedule_at(Time::sec(10), [&] { order.push_back(10); });
-  EXPECT_EQ(s.next_event_time(), Time::sec(10));  // re-bases the wheel
+  EXPECT_EQ(s.next_event_time(), Time::sec(10));
   s.schedule_at(Time::sec(1), [&] { order.push_back(1); });
   EXPECT_EQ(s.next_event_time(), Time::sec(1));
   s.run();
@@ -188,7 +187,7 @@ TEST(SchedulerTest, RunUntilThenEarlierScheduleKeepsPopOrder) {
   Scheduler s;
   std::vector<Time> fired;
   s.schedule_at(Time::sec(30), [&] { fired.push_back(s.now()); });
-  s.run_until(Time::ms(1));  // peeks (re-bases), pops nothing
+  s.run_until(Time::ms(1));  // peeks, pops nothing
   s.schedule_at(Time::sec(2), [&] { fired.push_back(s.now()); });
   s.run();
   ASSERT_EQ(fired.size(), 2u);
@@ -352,8 +351,8 @@ TEST(SchedulerTest, RescheduleIntoPastThrows) {
 }
 
 TEST(SchedulerTest, WidelySpreadTimersStayOrdered) {
-  // Sparse events across six decades of time exercise the calendar's
-  // empty-stretch walk / direct-search path.
+  // Sparse events across six decades of time: ordering must not depend
+  // on the spacing between events.
   Scheduler s;
   std::vector<std::int64_t> fired_ns;
   for (std::int64_t ns : {1ll, 900ll, 40000ll, 2000000ll, 700000000ll,
@@ -367,9 +366,9 @@ TEST(SchedulerTest, WidelySpreadTimersStayOrdered) {
 
 TEST(SchedulerTest, BimodalNearAndFarEventsInterleaveCorrectly) {
   // The 10k-node shape: dense microsecond-spaced events next to timers
-  // parked seconds out (the overflow heap).  Every far event must fire
-  // in global (time, insertion) order as the wheel's window reaches it,
-  // including far events scheduled from inside near callbacks.
+  // parked seconds out.  Every far event must fire in global (time,
+  // insertion) order, including far events scheduled from inside near
+  // callbacks.
   Scheduler s;
   std::vector<std::int64_t> fired_ns;
   const auto record = [&s, &fired_ns] {
@@ -389,9 +388,9 @@ TEST(SchedulerTest, BimodalNearAndFarEventsInterleaveCorrectly) {
 }
 
 TEST(SchedulerTest, CancelAndRearmWhileParkedFar) {
-  // Events cancelled or re-armed while waiting in the overflow heap
-  // must neither fire at their stale time nor linger: the heap sweeps
-  // its tombstones and the survivors fire in order.
+  // Events cancelled or re-armed long before they are due must neither
+  // fire at their stale time nor linger: their tombstones are swept and
+  // the survivors fire in order.
   Scheduler s;
   std::vector<int> fired;
   std::vector<EventId> parked;
@@ -412,9 +411,9 @@ TEST(SchedulerTest, CancelAndRearmWhileParkedFar) {
 TEST(SchedulerTest, DifferentialStressAgainstReferenceModel) {
   // Randomised schedule/cancel/reschedule mix, mirrored into an ordered
   // std::map reference keyed (time, op-sequence): the scheduler must
-  // fire exactly the reference's order through every internal
-  // grow/shrink/re-fit of the calendar.  Time ties are frequent by
-  // construction (small time range, many events).
+  // fire exactly the reference's order through every tombstone drop and
+  // compaction.  Time ties are frequent by construction (small time
+  // range, many events).
   Scheduler s;
   std::mt19937_64 rng(0xC0FFEE);
   using Key = std::pair<std::int64_t, std::uint64_t>;  // (t_ns, seq)
@@ -430,8 +429,7 @@ TEST(SchedulerTest, DifferentialStressAgainstReferenceModel) {
   for (int round = 0; round < 3000; ++round) {
     const auto op = rng() % 10;
     if (op < 6 || by_id.empty()) {
-      // Mixed horizons: mostly near-future (dense ties), sometimes far
-      // (exercises the empty-stretch walk and direct search).
+      // Mixed horizons: mostly near-future (dense ties), sometimes far.
       const std::int64_t delay =
           (rng() % 8 == 0) ? rand_in(1000000, 100000000) : rand_in(0, 200);
       const Time at = s.now() + Time::ns(delay);
@@ -464,6 +462,74 @@ TEST(SchedulerTest, DifferentialStressAgainstReferenceModel) {
   for (const auto& [key, l] : ref) expected.push_back(l);
   EXPECT_EQ(fired, expected);
   EXPECT_EQ(s.pending_count(), 0u);
+}
+
+TEST(SchedulerTest, RearmCancelStormMatchesReferenceModel) {
+  // The timer-heavy shape: 100 timers, a million operations, over 90%
+  // of them re-arms and cancels, each leaving a tombstone behind.  Fire
+  // order must match the std::map reference at every pop, compaction
+  // must run many times, and stored entries must stay within
+  // 2 * pending + 64 throughout.
+  constexpr int kTimers = 100;
+  constexpr int kOps = 1000000;
+  Scheduler s;
+  std::mt19937_64 rng(0x5707);
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (t_ns, seq)
+  std::map<Key, int> ref;                              // pending -> timer
+  std::vector<EventId> ids(kTimers, kInvalidEvent);
+  std::vector<Key> keys(kTimers);
+  std::uint64_t seq = 0;
+  std::vector<int> fired;
+  int rearm_or_cancel = 0;
+  int compactions = 0;
+  const auto due = [&] {
+    // Coarse 40 ns grid: same-tick ties are common.
+    return s.now() + Time::ns(40 * static_cast<std::int64_t>(rng() % 64));
+  };
+  for (int op = 0; op < kOps; ++op) {
+    const auto h = static_cast<std::size_t>(rng() % kTimers);
+    const auto roll = rng() % 100;
+    const std::size_t tombs_before = s.queued_entries() - s.pending_count();
+    if (ids[h] == kInvalidEvent) {
+      const Time at = due();
+      const int timer = static_cast<int>(h);
+      ids[h] = s.schedule_at(at, [&fired, timer] { fired.push_back(timer); });
+      keys[h] = {at.nanoseconds(), seq++};
+      ref.emplace(keys[h], timer);
+    } else if (roll < 3) {
+      ASSERT_TRUE(s.cancel(ids[h]));
+      ref.erase(keys[h]);
+      ids[h] = kInvalidEvent;
+      ++rearm_or_cancel;
+    } else if (roll < 5) {
+      ASSERT_EQ(s.run_steps(1), 1u);
+      ASSERT_EQ(fired.back(), ref.begin()->second);
+      ASSERT_EQ(s.now().nanoseconds(), ref.begin()->first.first);
+      ids[static_cast<std::size_t>(fired.back())] = kInvalidEvent;
+      ref.erase(ref.begin());
+    } else {
+      const Time at = due();
+      ASSERT_TRUE(s.reschedule(ids[h], at));
+      ref.erase(keys[h]);
+      keys[h] = {at.nanoseconds(), seq++};
+      ref.emplace(keys[h], static_cast<int>(h));
+      ++rearm_or_cancel;
+    }
+    ASSERT_EQ(s.pending_count(), ref.size());
+    ASSERT_LE(s.queued_entries(), 2 * s.pending_count() + 64);
+    if (tombs_before >= 32 && s.queued_entries() == s.pending_count()) {
+      ++compactions;
+    }
+  }
+  EXPECT_GE(rearm_or_cancel, kOps * 9 / 10);
+  EXPECT_GT(compactions, 1000);
+  std::vector<int> expected;
+  for (const auto& [key, timer] : ref) expected.push_back(timer);
+  fired.clear();
+  s.run();
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_EQ(s.queued_entries(), 0u);
 }
 
 TEST(SchedulerTest, ManyTicksInterleavedScheduleCancelKeepsOrder) {
