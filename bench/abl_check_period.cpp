@@ -6,7 +6,7 @@
 // overhead; long periods let state go stale.
 #include <iostream>
 
-#include "harness/campaign_cache.hpp"
+#include "harness/supervisor.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
@@ -17,7 +17,8 @@ int main() {
   const std::vector<double> periods_s{1, 2, 3, 4, 6, 8};
 
   harness::CampaignConfig base;
-  harness::apply_bench_env(base);
+  harness::FabricConfig fab;
+  harness::apply_bench_env(base, fab);
   base.protocols = {harness::Protocol::kMts};
   base.speeds = {10};
 
@@ -31,7 +32,8 @@ int main() {
   for (double period : periods_s) {
     harness::CampaignConfig cfg = base;
     cfg.base.mts.check_period = sim::Time::seconds(period);
-    const harness::CampaignResult r = harness::CampaignCache::run(cfg, &std::cerr);
+    const harness::CampaignResult r =
+        harness::run_campaign_fabric(cfg, fab, &std::cerr).result;
     auto mean = [&](const std::function<double(const RunMetrics&)>& f) {
       return r.summarize(harness::Protocol::kMts, 10, f).mean();
     };

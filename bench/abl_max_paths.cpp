@@ -6,7 +6,7 @@
 // field saturates.
 #include <iostream>
 
-#include "harness/campaign_cache.hpp"
+#include "harness/supervisor.hpp"
 #include "stats/table.hpp"
 
 int main() {
@@ -16,7 +16,8 @@ int main() {
   const std::vector<std::size_t> caps{1, 2, 3, 5, 8};
 
   harness::CampaignConfig base;
-  harness::apply_bench_env(base);
+  harness::FabricConfig fab;
+  harness::apply_bench_env(base, fab);
   base.protocols = {harness::Protocol::kMts};
   base.speeds = {10};
 
@@ -29,7 +30,8 @@ int main() {
   for (std::size_t cap : caps) {
     harness::CampaignConfig cfg = base;
     cfg.base.mts.max_paths = cap;
-    const harness::CampaignResult r = harness::CampaignCache::run(cfg, &std::cerr);
+    const harness::CampaignResult r =
+        harness::run_campaign_fabric(cfg, fab, &std::cerr).result;
     auto mean = [&](const std::function<double(const RunMetrics&)>& f) {
       return r.summarize(harness::Protocol::kMts, 10, f).mean();
     };

@@ -25,13 +25,14 @@
 // plus MTS_BENCH_COALITIONS (comma list of coalition sizes, default
 // 1,2,4).
 //
-// Fabric flags (docs/architecture/campaign-fabric.md): --fabric runs the
-// sweep through the crash-resilient process-isolated supervisor;
+// The sweep runs through the campaign fabric
+// (docs/architecture/campaign-fabric.md): process-isolated workers,
+// per-unit shards, and a re-run resumes from the shards it finds.
 // --shard i/n executes only every n-th work unit (multi-host slicing);
-// --resume ingests complete shards from a previous (possibly killed)
-// invocation and runs only what is missing or failed; --timeout,
-// --max-retries, --workers and --cells-per-unit tune the supervisor;
-// --csv-out PATH exports the merged v10 CSV for diffing/archiving.
+// --resume / --no-resume override the default (resume unless
+// MTS_BENCH_NO_CACHE=1); --timeout, --max-retries, --workers and
+// --cells-per-unit tune the supervisor; --csv-out PATH exports the
+// merged CSV for diffing/archiving.
 //
 // --traffic adds the user-plane axis: every cell runs once with the
 // session workload off and once with it on, and the per-class delivery
@@ -49,7 +50,6 @@
 namespace {
 
 struct CliOptions {
-  bool fabric = false;
   bool traffic = false;
   mts::harness::FabricConfig fab;
   std::string csv_out;
@@ -66,13 +66,9 @@ bool parse_cli(int argc, char** argv, CliOptions& opt) {
       return argv[++i];
     };
     try {
-      if (arg == "--fabric") {
-        opt.fabric = true;
-      } else if (arg == "--resume") {
-        opt.fabric = true;
+      if (arg == "--resume") {
         opt.fab.resume = true;
       } else if (arg == "--no-resume") {
-        opt.fabric = true;
         opt.fab.resume = false;
       } else if (arg == "--shard") {
         const char* v = next_value("--shard");
@@ -83,7 +79,6 @@ bool parse_cli(int argc, char** argv, CliOptions& opt) {
           std::cerr << "error: --shard wants i/n (e.g. --shard 1/3)\n";
           return false;
         }
-        opt.fabric = true;
         opt.fab.shard_index =
             static_cast<std::uint32_t>(std::stoul(spec.substr(0, slash)));
         opt.fab.shard_count =
@@ -96,22 +91,18 @@ bool parse_cli(int argc, char** argv, CliOptions& opt) {
       } else if (arg == "--timeout") {
         const char* v = next_value("--timeout");
         if (v == nullptr) return false;
-        opt.fabric = true;
         opt.fab.unit_timeout_s = std::stod(v);
       } else if (arg == "--max-retries") {
         const char* v = next_value("--max-retries");
         if (v == nullptr) return false;
-        opt.fabric = true;
         opt.fab.max_retries = static_cast<std::uint32_t>(std::stoul(v));
       } else if (arg == "--workers") {
         const char* v = next_value("--workers");
         if (v == nullptr) return false;
-        opt.fabric = true;
         opt.fab.workers = static_cast<unsigned>(std::stoul(v));
       } else if (arg == "--cells-per-unit") {
         const char* v = next_value("--cells-per-unit");
         if (v == nullptr) return false;
-        opt.fabric = true;
         opt.fab.cells_per_unit = std::stoul(v);
       } else if (arg == "--traffic") {
         opt.traffic = true;
@@ -121,7 +112,7 @@ bool parse_cli(int argc, char** argv, CliOptions& opt) {
         opt.csv_out = v;
       } else if (arg == "--help" || arg == "-h") {
         std::cout
-            << "usage: ext_adversary_sweep [--fabric] [--shard i/n] "
+            << "usage: ext_adversary_sweep [--shard i/n] "
                "[--resume|--no-resume]\n"
                "         [--timeout S] [--max-retries N] [--workers N]\n"
                "         [--cells-per-unit K] [--csv-out PATH] [--traffic]\n";
@@ -143,9 +134,9 @@ bool parse_cli(int argc, char** argv, CliOptions& opt) {
 int main(int argc, char** argv) {
   using namespace mts;
   CliOptions opt;
-  if (!parse_cli(argc, argv, opt)) return 2;
   harness::CampaignConfig cfg;
-  harness::apply_bench_env(cfg);
+  harness::apply_bench_env(cfg, opt.fab);  // flags below override the env
+  if (!parse_cli(argc, argv, opt)) return 2;
   cfg.protocols = {harness::Protocol::kAodv, harness::Protocol::kMts};
   // Play the key-recovery game in every cell: each flow's session key is
   // Shamir-split across its paths (1-of-1 on unipath AODV, n-of-n on
@@ -222,9 +213,8 @@ int main(int argc, char** argv) {
   }
 
   // The optional user-plane axis: index 0 keeps every cell's workload
-  // identical to the pre-traffic sweep (and its cache entries), index 1
-  // layers the session generator on top so adversary exposure can be
-  // read per user class.
+  // identical to the pre-traffic sweep, index 1 layers the session
+  // generator on top so adversary exposure can be read per user class.
   if (opt.traffic) {
     traffic::TrafficSpec on;
     on.enabled = true;
@@ -241,29 +231,24 @@ int main(int argc, char** argv) {
             << cfg.repetitions << " reps, "
             << cfg.base.sim_time.to_seconds() << "s each\n";
 
-  harness::CampaignResult result;
-  if (opt.fabric) {
-    const harness::FabricReport report =
-        harness::run_campaign_fabric(cfg, opt.fab, &std::cerr);
-    result = std::move(report.result);
-    if (!report.failures.empty()) {
-      std::cout << "\n!!! " << report.failures.size()
-                << " work unit(s) degraded to failed rows (summaries below "
-                   "cover ok rows only):\n";
-      for (const harness::FailedUnit& f : report.failures) {
-        std::cout << "  unit " << (f.index + 1) << '/' << report.units_total
-                  << " after " << f.attempts << " attempts: " << f.error
-                  << "\n";
-      }
+  const harness::FabricReport report =
+      harness::run_campaign_fabric(cfg, opt.fab, &std::cerr);
+  const harness::CampaignResult& result = report.result;
+  if (!report.failures.empty()) {
+    std::cout << "\n!!! " << report.failures.size()
+              << " work unit(s) degraded to failed rows (summaries below "
+                 "cover ok rows only):\n";
+    for (const harness::FailedUnit& f : report.failures) {
+      std::cout << "  unit " << (f.index + 1) << '/' << report.units_total
+                << " after " << f.attempts << " attempts: " << f.error
+                << "\n";
     }
-    if (!report.complete) {
-      std::cout << "\n(grid incomplete: this invocation ran shard "
-                << opt.fab.shard_index << '/' << opt.fab.shard_count
-                << "; rerun with --resume once all shards finished to "
-                   "merge)\n";
-    }
-  } else {
-    result = harness::CampaignCache::run(cfg, &std::cerr);
+  }
+  if (!report.complete) {
+    std::cout << "\n(grid incomplete: this invocation ran shard "
+              << opt.fab.shard_index << '/' << opt.fab.shard_count
+              << "; rerun with --resume once all shards finished to "
+                 "merge)\n";
   }
   if (!opt.csv_out.empty()) {
     std::ofstream out(opt.csv_out, std::ios::trunc);

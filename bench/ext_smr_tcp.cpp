@@ -8,7 +8,7 @@
 // spurious fast retransmits across the paper's speed sweep.
 #include <iostream>
 
-#include "harness/campaign_cache.hpp"
+#include "harness/supervisor.hpp"
 
 int main() {
   using namespace mts;
@@ -16,14 +16,15 @@ int main() {
   using harness::RunMetrics;
 
   harness::CampaignConfig cfg;
-  harness::apply_bench_env(cfg);
+  harness::FabricConfig fab;
+  harness::apply_bench_env(cfg, fab);
   cfg.protocols = {Protocol::kDsr, Protocol::kSmr, Protocol::kMts};
 
   std::cout << "Extension D: SMR's concurrent multipath vs single-path vs "
                "MTS\n(expected: SMR underperforms DSR with TCP — the "
                "paper's §II claim via [7])\n";
   const harness::CampaignResult result =
-      harness::CampaignCache::run(cfg, &std::cerr);
+      harness::run_campaign_fabric(cfg, fab, &std::cerr).result;
 
   harness::print_figure(std::cout, result, cfg, "TCP throughput", "kb/s",
                         [](const RunMetrics& m) { return m.throughput_kbps; },

@@ -1,10 +1,12 @@
 // Protocol shootout: a miniature version of the paper's full evaluation
 // sweep — three protocols, a few speeds, TCP metrics side by side.
-// Shows how to drive `run_campaign` programmatically instead of through
-// the per-figure bench binaries.
+// Shows how to drive the campaign fabric (`run_campaign_fabric`)
+// programmatically instead of through the per-figure bench binaries.
+// Shards land under .mts_bench_cache/ (or $MTS_BENCH_CACHE_DIR), so a
+// second run resumes instead of simulating again.
 #include <iostream>
 
-#include "harness/campaign.hpp"
+#include "harness/supervisor.hpp"
 
 int main() {
   using namespace mts;
@@ -18,7 +20,8 @@ int main() {
   std::cout << "Shootout: " << cfg.speeds.size() << " speeds x 3 protocols x "
             << cfg.repetitions << " reps, "
             << cfg.base.sim_time.to_seconds() << "s each...\n";
-  const harness::CampaignResult result = harness::run_campaign(cfg);
+  const harness::CampaignResult result =
+      harness::run_campaign_fabric(cfg, harness::FabricConfig{}).result;
 
   harness::print_figure(std::cout, result, cfg, "Throughput", "kb/s",
                         [](const RunMetrics& m) { return m.throughput_kbps; },

@@ -1,16 +1,14 @@
 #include "harness/campaign.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
-#include <thread>
 
-#include "harness/progress.hpp"
-#include "sim/error.hpp"
+#include "harness/campaign_csv.hpp"
+#include "harness/supervisor.hpp"
+#include "sim/rng.hpp"
 #include "stats/table.hpp"
 
 namespace mts::harness {
@@ -61,6 +59,70 @@ std::string traffic_label(const traffic::TrafficSpec& spec) {
   return os.str();
 }
 
+std::string campaign_key(const CampaignConfig& cfg) {
+  // Hash the CSV header (a changed column set is a different
+  // campaign) and every result-affecting input.  Scenario knobs that
+  // the ablation benches vary must be included or they would collide.
+  std::ostringstream os;
+  os << csv::header() << '|' << cfg.repetitions << '|'
+     << cfg.seed_base << '|' << cfg.base.node_count << '|'
+     << cfg.base.sim_time.nanoseconds() << '|' << cfg.base.field.width << 'x'
+     << cfg.base.field.height << '|' << cfg.base.min_speed << '|'
+     << cfg.base.pause.nanoseconds() << '|' << cfg.base.radio_range << '|'
+     << cfg.base.flow_count << '|' << cfg.base.min_flow_distance << '|'
+     << cfg.base.tcp.segment_bytes << '|' << cfg.base.tcp.max_window << '|'
+     << static_cast<int>(cfg.base.tcp.variant) << '|'
+     << cfg.base.mts.max_paths << '|'
+     << cfg.base.mts.check_period.nanoseconds() << '|'
+     << cfg.base.mts.freshness_periods << '|'
+     << cfg.base.mac.rts_threshold_bytes << '|'
+     << cfg.base.channel.cs_range_factor << '|'
+     << cfg.base.dsr.cache_expiry.nanoseconds() << '|'
+     << cfg.base.aodv.active_route_timeout.nanoseconds() << '|'
+     << cfg.base.aodv.local_repair << '|'
+     << cfg.base.secrecy.enabled << ','
+     << static_cast<int>(cfg.base.secrecy.key_bytes) << ','
+     << cfg.base.secrecy.threshold << '|';
+  for (Protocol p : cfg.protocols) os << static_cast<int>(p) << ';';
+  os << '|';
+  for (double s : cfg.speeds) os << s << ';';
+  os << '|';
+  for (const security::AdversarySpec& a : cfg.adversaries) {
+    os << static_cast<int>(a.kind) << ',' << a.count << ',' << a.sniff_range
+       << ',' << a.min_speed << ',' << a.max_speed << ','
+       << a.pause.nanoseconds() << ',' << a.drop_prob << ','
+       << a.active_window.nanoseconds() << ','
+       << a.active_period.nanoseconds() << ',' << a.flood_rate << ','
+       << a.flood_start.nanoseconds() << ',';
+    for (net::NodeId m : a.members) os << m << '.';
+    os << ';';
+  }
+  os << '|';
+  for (const security::DefenseSpec& d : cfg.defenses) {
+    os << static_cast<int>(d.kind) << ','
+       << d.probe_period.nanoseconds() << ',' << d.ewma_alpha << ','
+       << d.demote_threshold << ',' << d.min_probes << ',' << d.leash_slack
+       << ',' << d.rreq_rate << ',' << d.rreq_burst << ';';
+  }
+  os << '|';
+  for (const traffic::TrafficSpec& t : cfg.traffics) {
+    os << t.enabled << ',' << t.gateway_count << ',' << t.user_pool << ','
+       << t.session_rate << ',' << t.diurnal_bucket.nanoseconds() << ','
+       << t.bulk_fraction << ',' << t.max_concurrent_flows << ',';
+    for (double w : t.diurnal) os << w << '.';
+    for (const traffic::ClassSpec* c : {&t.messaging, &t.bulk}) {
+      os << ',' << c->min_flows << '-' << c->max_flows << '-'
+         << c->min_segments << '-' << c->max_segments << '-' << c->think_min_s
+         << '-' << c->think_max_s << '-' << c->uplink;
+    }
+    os << ';';
+  }
+  const std::uint64_t h = sim::splitmix64(sim::fnv1a(os.str()));
+  std::ostringstream name;
+  name << std::hex << h;
+  return name.str();
+}
+
 void CampaignResult::add(RunMetrics m) {
   cells_[{static_cast<int>(m.protocol), speed_key(m.max_speed),
           m.adversary_index, m.defense_index, m.traffic_index}]
@@ -91,93 +153,6 @@ stats::Summary CampaignResult::summarize(
     s.add(metric(m));
   }
   return s;
-}
-
-CampaignResult run_campaign(const CampaignConfig& cfg,
-                            std::ostream* progress) {
-  struct Cell {
-    Protocol protocol;
-    double speed;
-    std::uint32_t adversary;
-    std::uint32_t defense;
-    std::uint32_t traffic;
-    std::uint64_t seed;
-  };
-  sim::require_config(!cfg.adversaries.empty(),
-                      "Campaign: adversaries list empty (use a kNone spec)");
-  sim::require_config(!cfg.defenses.empty(),
-                      "Campaign: defenses list empty (use a kNone spec)");
-  sim::require_config(!cfg.traffics.empty(),
-                      "Campaign: traffics list empty (use a disabled spec)");
-  std::vector<Cell> work;
-  for (Protocol p : cfg.protocols) {
-    for (double speed : cfg.speeds) {
-      for (std::uint32_t a = 0;
-           a < static_cast<std::uint32_t>(cfg.adversaries.size()); ++a) {
-        for (std::uint32_t d = 0;
-             d < static_cast<std::uint32_t>(cfg.defenses.size()); ++d) {
-          for (std::uint32_t t = 0;
-               t < static_cast<std::uint32_t>(cfg.traffics.size()); ++t) {
-            for (std::uint32_t r = 0; r < cfg.repetitions; ++r) {
-              // Same seed across protocols, adversaries, defenses and
-              // traffic specs for a given (speed, rep): paired
-              // comparisons see identical mobility and flow placement
-              // (passive adversaries don't perturb runs at all, so
-              // their cells differ only in what was observed).
-              work.push_back(Cell{p, speed, a, d, t, cfg.seed_base + r});
-            }
-          }
-        }
-      }
-    }
-  }
-  std::vector<RunMetrics> results(work.size());
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  ProgressSink sink(progress);
-
-  unsigned n_threads = cfg.threads != 0 ? cfg.threads
-                                        : std::max(1u, std::thread::hardware_concurrency());
-  n_threads = std::min<unsigned>(n_threads, static_cast<unsigned>(work.size()));
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= work.size()) return;
-      ScenarioConfig sc = cfg.base;
-      sc.protocol = work[i].protocol;
-      sc.max_speed = work[i].speed;
-      sc.seed = work[i].seed;
-      sc.adversary = cfg.adversaries[work[i].adversary];
-      sc.defense = cfg.defenses[work[i].defense];
-      sc.traffic = cfg.traffics[work[i].traffic];
-      results[i] = run_scenario(sc);
-      results[i].adversary_index = work[i].adversary;
-      results[i].defense_index = work[i].defense;
-      results[i].traffic_index = work[i].traffic;
-      const std::size_t d = done.fetch_add(1) + 1;
-      if (sink.enabled()) {
-        std::ostringstream os;
-        os << "  [" << d << "/" << work.size() << "] "
-           << protocol_name(work[i].protocol) << " speed=" << work[i].speed
-           << " adversary=" << adversary_label(cfg.adversaries[work[i].adversary])
-           << " defense=" << defense_label(cfg.defenses[work[i].defense]);
-        if (cfg.traffics.size() > 1) {
-          os << " traffic=" << traffic_label(cfg.traffics[work[i].traffic]);
-        }
-        os << " seed=" << work[i].seed;
-        sink.line(os.str());
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-
-  CampaignResult out;
-  for (RunMetrics& m : results) out.add(std::move(m));
-  return out;
 }
 
 void print_figure(std::ostream& os, const CampaignResult& result,
@@ -287,7 +262,7 @@ std::vector<double> parse_speeds(const char* s) {
 
 }  // namespace
 
-void apply_bench_env(CampaignConfig& cfg) {
+void apply_bench_env(CampaignConfig& cfg, FabricConfig& fab) {
   std::uint64_t n = 0;
   double d = 0.0;
   if (const char* v = std::getenv("MTS_BENCH_REPS")) {
@@ -305,15 +280,13 @@ void apply_bench_env(CampaignConfig& cfg) {
     if (!speeds.empty()) cfg.speeds = std::move(speeds);
   }
   if (const char* v = std::getenv("MTS_BENCH_THREADS")) {
-    if (parse_env_u64("MTS_BENCH_THREADS", v, 4096, n)) {
-      cfg.threads = static_cast<unsigned>(n);  // 0 = hardware concurrency
-    } else {
-      std::cerr << "warning: MTS_BENCH_THREADS falling back to hardware "
-                   "concurrency ("
-                << std::max(1u, std::thread::hardware_concurrency())
-                << " threads)\n";
-      cfg.threads = 0;
-    }
+    // 0, and any value that does not parse, = hardware concurrency.
+    fab.workers = parse_env_u64("MTS_BENCH_THREADS", v, 4096, n)
+                      ? static_cast<unsigned>(n)
+                      : 0;
+  }
+  if (const char* v = std::getenv("MTS_BENCH_NO_CACHE")) {
+    if (v[0] != '\0' && v[0] != '0') fab.resume = false;
   }
   if (const char* v = std::getenv("MTS_BENCH_NODES")) {
     if (parse_env_u64("MTS_BENCH_NODES", v, 100000, n) && n >= 2) {

@@ -25,13 +25,19 @@ struct CampaignConfig {
   std::vector<security::AdversarySpec> adversaries{security::AdversarySpec{}};
   std::vector<security::DefenseSpec> defenses{security::DefenseSpec{}};
   /// Traffic axis: user-plane workloads to sweep.  The default single
-  /// disabled spec keeps the grid (and every cached CSV key) the
-  /// pre-traffic one-cell product.
+  /// disabled spec keeps the grid the pre-traffic one-cell product.
   std::vector<traffic::TrafficSpec> traffics{traffic::TrafficSpec{}};
   std::uint32_t repetitions = 5;  ///< paper: "repeated for 5 times"
   std::uint64_t seed_base = 1;
-  unsigned threads = 0;  ///< 0 = hardware concurrency
 };
+
+struct FabricConfig;
+
+/// Stable content key for a campaign: a hash of every result-affecting
+/// input plus the CSV header, so a changed column set never reads old
+/// shards.  Names the campaign's shard directory and seeds its work
+/// unit ids.
+std::string campaign_key(const CampaignConfig& cfg);
 
 /// Short human label for an adversary spec ("none", "colluding x4", ...).
 std::string adversary_label(const security::AdversarySpec& spec);
@@ -100,12 +106,6 @@ class CampaignResult {
   std::size_t count_ = 0;
 };
 
-/// Runs the sweep.  Repetitions are embarrassingly parallel: each run
-/// owns an isolated simulator, so the pool shares nothing but the work
-/// queue (an atomic index) and writes results into pre-sized slots.
-CampaignResult run_campaign(const CampaignConfig& cfg,
-                            std::ostream* progress = nullptr);
-
 /// Prints one paper figure: rows = MAXSPEED, one column (mean +/- 95 % CI
 /// half-width) per protocol.
 void print_figure(std::ostream& os, const CampaignResult& result,
@@ -122,9 +122,10 @@ void print_adversary_figure(
     const std::string& title, const std::string& unit,
     const std::function<double(const RunMetrics&)>& metric, int precision = 3);
 
-/// Reads the standard bench environment overrides
-/// (MTS_BENCH_REPS, MTS_BENCH_SIM_TIME, MTS_BENCH_SPEEDS,
-///  MTS_BENCH_THREADS, MTS_BENCH_NODES) into `cfg`.
-void apply_bench_env(CampaignConfig& cfg);
+/// Reads the standard bench environment overrides: MTS_BENCH_REPS,
+/// MTS_BENCH_SIM_TIME, MTS_BENCH_SPEEDS and MTS_BENCH_NODES into `cfg`;
+/// MTS_BENCH_THREADS into `fab.workers`; MTS_BENCH_NO_CACHE=1 turns
+/// `fab.resume` off, so nothing from an earlier invocation is read.
+void apply_bench_env(CampaignConfig& cfg, FabricConfig& fab);
 
 }  // namespace mts::harness

@@ -1,19 +1,204 @@
 #include "harness/campaign_csv.hpp"
 
-#include <limits>
-#include <sstream>
+#include <array>
+#include <charconv>
+#include <concepts>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 namespace mts::harness::csv {
+namespace {
 
-std::optional<std::size_t> header_cells(const std::string& header) {
-  if (header == kHeader) return kCellsV10;
-  if (header == kHeaderV9) return kCellsV9;
-  if (header == kHeaderV8) return kCellsV8;
-  if (header == kHeaderV7) return kCellsV7;
-  if (header == kHeaderV6) return kCellsV6;
-  if (header == kHeaderV5) return kCellsV5;
-  return std::nullopt;
+/// One CSV column: its header name and the `RunMetrics` field it holds.
+template <class Get>
+struct Column {
+  std::string_view name;
+  Get get;  ///< `(auto& m) -> auto&`: the field, const or mutable
+};
+template <class Get>
+Column(std::string_view, Get) -> Column<Get>;
+
+#define MTS_COLUMN(name, field) \
+  Column { name, [](auto& m) -> auto& { return m.field; } }
+
+/// The schema, in row order.  Adding a metric is one line here plus its
+/// row in docs/metrics.md (`campaign_csv_test` checks the two agree).
+constexpr auto kColumns = std::make_tuple(
+    MTS_COLUMN("protocol", protocol),
+    MTS_COLUMN("speed", max_speed),
+    MTS_COLUMN("seed", seed),
+    MTS_COLUMN("participating", participating_nodes),
+    MTS_COLUMN("relay_stddev", relay_stddev),
+    MTS_COLUMN("alpha", alpha),
+    MTS_COLUMN("max_beta", max_beta),
+    MTS_COLUMN("highest_ri", highest_interception_ratio),
+    MTS_COLUMN("pe", pe),
+    MTS_COLUMN("pr", pr),
+    MTS_COLUMN("ri", interception_ratio),
+    MTS_COLUMN("delay_s", avg_delay_s),
+    MTS_COLUMN("thr_seg_s", throughput_seg_s),
+    MTS_COLUMN("thr_kbps", throughput_kbps),
+    MTS_COLUMN("delivery", delivery_rate),
+    MTS_COLUMN("delivered", segments_delivered),
+    MTS_COLUMN("data_sent", data_packets_sent),
+    MTS_COLUMN("retx", retransmits),
+    MTS_COLUMN("timeouts", timeouts),
+    MTS_COLUMN("acks_sent", acks_sent),
+    MTS_COLUMN("acks_recv", acks_received),
+    MTS_COLUMN("eavesdropper", eavesdropper),
+    MTS_COLUMN("ctrl", control_packets),
+    MTS_COLUMN("switches", route_switches),
+    MTS_COLUMN("checks", checks_sent),
+    MTS_COLUMN("events", events_executed),
+    MTS_COLUMN("adv_index", adversary_index),
+    MTS_COLUMN("adv_kind", adversary_kind),
+    MTS_COLUMN("adv_count", adversary_count),
+    MTS_COLUMN("adv_captured", coalition_captured),
+    MTS_COLUMN("adv_ri", coalition_interception_ratio),
+    MTS_COLUMN("adv_missing", fragments_missing),
+    MTS_COLUMN("adv_absorbed", blackhole_absorbed),
+    MTS_COLUMN("adv_tunneled", wormhole_tunneled),
+    MTS_COLUMN("adv_gray_absorbed", grayhole_absorbed),
+    MTS_COLUMN("adv_endpoint_acc", endpoint_inference_accuracy),
+    MTS_COLUMN("adv_flood_injected", flood_injected),
+    MTS_COLUMN("def_index", defense_index),
+    MTS_COLUMN("def_kind", defense_kind),
+    MTS_COLUMN("def_detect_s", detection_time_s),
+    MTS_COLUMN("def_quarantined", paths_quarantined),
+    MTS_COLUMN("def_recovery_s", recovery_time_s),
+    MTS_COLUMN("def_fpr", false_positive_rate),
+    MTS_COLUMN("def_suppressed", flood_suppressed),
+    MTS_COLUMN("def_probes", probes_sent),
+    MTS_COLUMN("sec_shares", secrecy_shares),
+    MTS_COLUMN("sec_threshold", secrecy_threshold),
+    MTS_COLUMN("sec_captured", shares_captured),
+    MTS_COLUMN("sec_keys", keys_recovered),
+    MTS_COLUMN("sec_recovery", key_recovery_rate),
+    MTS_COLUMN("tra_index", traffic_index),
+    MTS_COLUMN("tra_sessions", sessions_started),
+    MTS_COLUMN("tra_completed", sessions_completed),
+    MTS_COLUMN("tra_rejected", sessions_rejected),
+    MTS_COLUMN("tra_msg_flows", traffic_classes[0].flows_completed),
+    MTS_COLUMN("tra_msg_p50_ms", traffic_classes[0].delay_p50_ms),
+    MTS_COLUMN("tra_msg_p95_ms", traffic_classes[0].delay_p95_ms),
+    MTS_COLUMN("tra_msg_p99_ms", traffic_classes[0].delay_p99_ms),
+    MTS_COLUMN("tra_msg_goodput", traffic_classes[0].goodput_p50_seg_s),
+    MTS_COLUMN("tra_msg_exposure", traffic_classes[0].key_exposure),
+    MTS_COLUMN("tra_bulk_flows", traffic_classes[1].flows_completed),
+    MTS_COLUMN("tra_bulk_p50_ms", traffic_classes[1].delay_p50_ms),
+    MTS_COLUMN("tra_bulk_p95_ms", traffic_classes[1].delay_p95_ms),
+    MTS_COLUMN("tra_bulk_p99_ms", traffic_classes[1].delay_p99_ms),
+    MTS_COLUMN("tra_bulk_goodput", traffic_classes[1].goodput_p50_seg_s),
+    MTS_COLUMN("tra_bulk_exposure", traffic_classes[1].key_exposure),
+    MTS_COLUMN("run_status", run_status),
+    MTS_COLUMN("run_attempts", attempts),
+    MTS_COLUMN("run_error", run_error),
+    MTS_COLUMN("adv_members", adversary_members));
+
+#undef MTS_COLUMN
+
+constexpr std::size_t kColumnCount = std::tuple_size_v<decltype(kColumns)>;
+
+// --- one codec per cell type ----------------------------------------------
+
+/// Enums travel as their integer value; parsing rejects anything past
+/// the last enumerator.
+constexpr Protocol last_enumerator(Protocol) { return Protocol::kSmr; }
+constexpr security::AdversaryKind last_enumerator(security::AdversaryKind) {
+  return security::AdversaryKind::kRreqFlood;
+}
+constexpr security::DefenseKind last_enumerator(security::DefenseKind) {
+  return security::DefenseKind::kSuite;
+}
+
+template <class T>
+  requires std::integral<T> || std::floating_point<T>
+void put(std::string& out, T v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+template <class E>
+  requires std::is_enum_v<E>
+void put(std::string& out, E v) {
+  put(out, static_cast<unsigned>(v));
+}
+
+void put(std::string& out, RunStatus s) { out += run_status_name(s); }
+
+void put(std::string& out, const std::string& error) {
+  out += sanitize_error(error);
+}
+
+/// `.`-terminated ids; '-' when empty so the cell is never blank.
+void put(std::string& out, const std::vector<net::NodeId>& ids) {
+  if (ids.empty()) out += '-';
+  for (const net::NodeId id : ids) {
+    put(out, id);
+    out += '.';
+  }
+}
+
+template <class T>
+  requires std::integral<T> || std::floating_point<T>
+bool get(std::string_view cell, T& v) {
+  const char* end = cell.data() + cell.size();
+  const auto res = std::from_chars(cell.data(), end, v);
+  return res.ec == std::errc{} && res.ptr == end;
+}
+
+template <class E>
+  requires std::is_enum_v<E>
+bool get(std::string_view cell, E& v) {
+  unsigned n = 0;
+  if (!get(cell, n) || n > static_cast<unsigned>(last_enumerator(E{}))) {
+    return false;
+  }
+  v = static_cast<E>(n);
+  return true;
+}
+
+bool get(std::string_view cell, RunStatus& s) {
+  for (const RunStatus c : {RunStatus::kOk, RunStatus::kFailed}) {
+    if (cell == run_status_name(c)) {
+      s = c;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool get(std::string_view cell, std::string& error) {
+  if (cell != "-") error = cell;
+  return !cell.empty();
+}
+
+bool get(std::string_view cell, std::vector<net::NodeId>& ids) {
+  if (cell == "-") return true;
+  while (!cell.empty()) {
+    const std::size_t dot = cell.find('.');
+    if (dot == std::string_view::npos) return false;
+    net::NodeId id = 0;
+    if (!get(cell.substr(0, dot), id)) return false;
+    ids.push_back(id);
+    cell.remove_prefix(dot + 1);
+  }
+  return !ids.empty();
+}
+
+}  // namespace
+
+const std::string& header() {
+  static const std::string kHeader = [] {
+    std::string h;
+    std::apply([&](const auto&... col) { ((h += col.name, h += ','), ...); },
+               kColumns);
+    h.pop_back();
+    return h;
+  }();
+  return kHeader;
 }
 
 std::string sanitize_error(const std::string& msg) {
@@ -26,164 +211,40 @@ std::string sanitize_error(const std::string& msg) {
 }
 
 void write_row(std::ostream& os, const RunMetrics& m) {
-  // Round-trip exactly: the cache's contract is bit-for-bit replay, and
-  // the default 6 significant digits would truncate every double.
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << static_cast<int>(m.protocol) << ',' << m.max_speed << ',' << m.seed
-     << ',' << m.participating_nodes << ',' << m.relay_stddev << ','
-     << m.alpha << ',' << m.max_beta << ',' << m.highest_interception_ratio
-     << ',' << m.pe << ',' << m.pr << ',' << m.interception_ratio << ','
-     << m.avg_delay_s << ',' << m.throughput_seg_s << ','
-     << m.throughput_kbps << ',' << m.delivery_rate << ','
-     << m.segments_delivered << ',' << m.data_packets_sent << ','
-     << m.retransmits << ',' << m.timeouts << ',' << m.acks_sent << ','
-     << m.acks_received << ',' << m.eavesdropper << ',' << m.control_packets
-     << ',' << m.route_switches << ',' << m.checks_sent << ','
-     << m.events_executed << ',' << m.adversary_index << ','
-     << static_cast<int>(m.adversary_kind) << ',' << m.adversary_count << ','
-     << m.coalition_captured << ',' << m.coalition_interception_ratio << ','
-     << m.fragments_missing << ',' << m.blackhole_absorbed << ','
-     << m.wormhole_tunneled << ',' << m.grayhole_absorbed << ','
-     << m.endpoint_inference_accuracy << ',' << m.flood_injected << ','
-     << m.defense_index << ',' << static_cast<int>(m.defense_kind) << ','
-     << m.detection_time_s << ',' << m.paths_quarantined << ','
-     << m.recovery_time_s << ',' << m.false_positive_rate << ','
-     << m.flood_suppressed << ',' << m.probes_sent << ','
-     << m.secrecy_shares << ',' << m.secrecy_threshold << ','
-     << m.shares_captured << ',' << m.keys_recovered << ','
-     << m.key_recovery_rate << ',' << m.traffic_index << ','
-     << m.sessions_started << ',' << m.sessions_completed;
-  for (const auto& c : m.traffic_classes) {
-    os << ',' << c.flows_completed << ',' << c.delay_p50_ms << ','
-       << c.delay_p95_ms << ',' << c.delay_p99_ms << ','
-       << c.goodput_p50_seg_s << ',' << c.key_exposure;
-  }
-  os << ',' << run_status_name(m.run_status) << ',' << m.attempts << ','
-     << sanitize_error(m.run_error) << ',';
-  // '-' sentinel keeps the empty-members cell from being eaten by the
-  // trailing-delimiter behaviour of getline-based parsing.
-  if (m.adversary_members.empty()) {
-    os << '-';
-  } else {
-    for (net::NodeId id : m.adversary_members) os << id << '.';
-  }
-  os << '\n';
+  std::string row;
+  std::apply(
+      [&](const auto&... col) { ((put(row, col.get(m)), row += ','), ...); },
+      kColumns);
+  row.back() = '\n';
+  os << row;
 }
 
-std::optional<RunMetrics> parse_row(const std::string& line,
-                                    std::size_t expected_cells) {
-  std::stringstream ss(line);
-  std::string cell;
-  std::vector<std::string> cells;
-  while (std::getline(ss, cell, ',')) cells.push_back(cell);
-  if (cells.size() != expected_cells) return std::nullopt;
-  try {
-    RunMetrics m;
-    std::size_t i = 0;
-    m.protocol = static_cast<Protocol>(std::stoi(cells[i++]));
-    m.max_speed = std::stod(cells[i++]);
-    m.seed = std::stoull(cells[i++]);
-    m.participating_nodes = std::stoull(cells[i++]);
-    m.relay_stddev = std::stod(cells[i++]);
-    m.alpha = std::stoull(cells[i++]);
-    m.max_beta = std::stoull(cells[i++]);
-    m.highest_interception_ratio = std::stod(cells[i++]);
-    m.pe = std::stoull(cells[i++]);
-    m.pr = std::stoull(cells[i++]);
-    m.interception_ratio = std::stod(cells[i++]);
-    m.avg_delay_s = std::stod(cells[i++]);
-    m.throughput_seg_s = std::stod(cells[i++]);
-    m.throughput_kbps = std::stod(cells[i++]);
-    m.delivery_rate = std::stod(cells[i++]);
-    m.segments_delivered = std::stoull(cells[i++]);
-    m.data_packets_sent = std::stoull(cells[i++]);
-    m.retransmits = std::stoull(cells[i++]);
-    m.timeouts = std::stoull(cells[i++]);
-    m.acks_sent = std::stoull(cells[i++]);
-    m.acks_received = std::stoull(cells[i++]);
-    m.eavesdropper = static_cast<net::NodeId>(std::stoul(cells[i++]));
-    m.control_packets = std::stoull(cells[i++]);
-    m.route_switches = std::stoull(cells[i++]);
-    m.checks_sent = std::stoull(cells[i++]);
-    m.events_executed = std::stoull(cells[i++]);
-    m.adversary_index = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-    m.adversary_kind =
-        static_cast<security::AdversaryKind>(std::stoi(cells[i++]));
-    m.adversary_count = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-    m.coalition_captured = std::stoull(cells[i++]);
-    m.coalition_interception_ratio = std::stod(cells[i++]);
-    m.fragments_missing = std::stoull(cells[i++]);
-    m.blackhole_absorbed = std::stoull(cells[i++]);
-    if (cells.size() >= kCellsV6) {
-      m.wormhole_tunneled = std::stoull(cells[i++]);
-      m.grayhole_absorbed = std::stoull(cells[i++]);
-      m.endpoint_inference_accuracy = std::stod(cells[i++]);
-      m.flood_injected = std::stoull(cells[i++]);
-    }  // v5 rows: active-attack metrics stay zero
-    if (cells.size() >= kCellsV7) {
-      m.defense_index = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-      m.defense_kind =
-          static_cast<security::DefenseKind>(std::stoi(cells[i++]));
-      m.detection_time_s = std::stod(cells[i++]);
-      m.paths_quarantined = std::stoull(cells[i++]);
-      m.recovery_time_s = std::stod(cells[i++]);
-      m.false_positive_rate = std::stod(cells[i++]);
-      m.flood_suppressed = std::stoull(cells[i++]);
-      m.probes_sent = std::stoull(cells[i++]);
-    }  // v5/v6 rows: defense metrics stay zero
-    if (cells.size() >= kCellsV8) {
-      m.secrecy_shares = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-      m.secrecy_threshold = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-      m.shares_captured = std::stoull(cells[i++]);
-      m.keys_recovered = std::stoull(cells[i++]);
-      m.key_recovery_rate = std::stod(cells[i++]);
-    }  // v5/v6/v7 rows: the secrecy game did not exist — metrics stay zero
-    if (cells.size() >= kCellsV10) {
-      m.traffic_index = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-      m.sessions_started = std::stoull(cells[i++]);
-      m.sessions_completed = std::stoull(cells[i++]);
-      for (auto& c : m.traffic_classes) {
-        c.flows_completed = std::stoull(cells[i++]);
-        c.delay_p50_ms = std::stod(cells[i++]);
-        c.delay_p95_ms = std::stod(cells[i++]);
-        c.delay_p99_ms = std::stod(cells[i++]);
-        c.goodput_p50_seg_s = std::stod(cells[i++]);
-        c.key_exposure = std::stod(cells[i++]);
-      }
-    }  // v5..v9 rows predate the user plane — per-class columns stay zero
-    if (cells.size() >= kCellsV9) {
-      const std::string& status = cells[i++];
-      if (status == "ok") {
-        m.run_status = RunStatus::kOk;
-      } else if (status == "failed") {
-        m.run_status = RunStatus::kFailed;
-      } else {
-        return std::nullopt;
-      }
-      m.attempts = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-      if (cells[i] != "-") m.run_error = cells[i];
-      ++i;
-    }  // v5..v8 rows predate the fabric: status ok, attempts 1, no error
-    if (cells[i] != "-") {
-      std::stringstream ms(cells[i]);
-      std::string id;
-      while (std::getline(ms, id, '.')) {
-        if (!id.empty()) {
-          m.adversary_members.push_back(
-              static_cast<net::NodeId>(std::stoul(id)));
-        }
-      }
-    }
-    ++i;
-    return m;
-  } catch (const std::exception&) {
-    return std::nullopt;
+std::optional<RunMetrics> parse_row(std::string_view line) {
+  std::array<std::string_view, kColumnCount> cells;
+  std::size_t n = 0;
+  for (;;) {
+    if (n == kColumnCount) return std::nullopt;  // too many cells
+    const std::size_t comma = line.find(',');
+    cells[n++] = line.substr(0, comma);
+    if (comma == std::string_view::npos) break;
+    line.remove_prefix(comma + 1);
   }
+  if (n != kColumnCount) return std::nullopt;
+  RunMetrics m;
+  std::size_t i = 0;
+  bool ok = true;
+  std::apply(
+      [&](const auto&... col) {
+        ((ok = ok && get(cells[i++], col.get(m))), ...);
+      },
+      kColumns);
+  if (!ok) return std::nullopt;
+  return m;
 }
 
 void write_campaign(std::ostream& os, const CampaignConfig& cfg,
                     const CampaignResult& result) {
-  os << kHeader << '\n';
+  os << header() << '\n';
   for (Protocol p : cfg.protocols) {
     for (double s : cfg.speeds) {
       for (std::uint32_t a = 0;

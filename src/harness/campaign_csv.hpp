@@ -1,117 +1,40 @@
 #pragma once
 
-#include <cstddef>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "harness/campaign.hpp"
 
 namespace mts::harness::csv {
 
-/// The campaign CSV column machinery, shared by the disk cache
-/// (`CampaignCache`), the fabric's per-unit shard files and the
-/// `--csv-out` export: one row per run, columns versioned v5..v10.
-///
-/// v10 (current) inserts the user-traffic block — `tra_index`, session
-/// counts and the per-class percentile/exposure columns — between the
-/// secrecy block and the v9 fabric columns
-/// (`run_status,run_attempts,run_error`); the members list stays last
-/// so getline-based parsing never eats a trailing empty cell.  Older
-/// headers/widths are still parsed with the later metrics zeroed — the
-/// compatibility story `docs/metrics.md` documents and
-/// `tests/integration/campaign_cache_test.cpp` pins.
-inline constexpr int kVersion = 10;
+/// The campaign CSV: one row per run, shared by the fabric's per-unit
+/// shard files and the `--csv-out` export.  Header, writer and parser
+/// are all generated from one column table in `campaign_csv.cpp`, and
+/// `campaign_key` hashes the header, so a changed column set is a
+/// different campaign: old shards are never read, only recomputed.
 
-inline constexpr const char* kHeader =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-    "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-    "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-    "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
-    "tra_index,tra_sessions,tra_completed,tra_msg_flows,tra_msg_p50_ms,"
-    "tra_msg_p95_ms,tra_msg_p99_ms,tra_msg_goodput,tra_msg_exposure,"
-    "tra_bulk_flows,tra_bulk_p50_ms,tra_bulk_p95_ms,tra_bulk_p99_ms,"
-    "tra_bulk_goodput,tra_bulk_exposure,"
-    "run_status,run_attempts,run_error,adv_members";
+/// The header line (no terminator): every column name, comma-separated.
+const std::string& header();
 
-inline constexpr const char* kHeaderV9 =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-    "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-    "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-    "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
-    "run_status,run_attempts,run_error,adv_members";
-
-inline constexpr const char* kHeaderV8 =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-    "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-    "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-    "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
-    "adv_members";
-
-inline constexpr const char* kHeaderV7 =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-    "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-    "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-    "adv_members";
-
-inline constexpr const char* kHeaderV6 =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-    "adv_endpoint_acc,adv_flood_injected,adv_members";
-
-inline constexpr const char* kHeaderV5 =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_members";
-
-inline constexpr std::size_t kCellsV10 = 69;
-inline constexpr std::size_t kCellsV9 = 54;
-inline constexpr std::size_t kCellsV8 = 51;
-inline constexpr std::size_t kCellsV7 = 46;
-inline constexpr std::size_t kCellsV6 = 38;
-inline constexpr std::size_t kCellsV5 = 34;
-
-/// Cell count for a recognized header line; nullopt for anything else.
-std::optional<std::size_t> header_cells(const std::string& header);
-
-/// Writes one v10 row (doubles at max_digits10 so a round-trip is exact).
+/// Writes one row (doubles in shortest round-trip form, so a parse
+/// gives back the exact bits).
 void write_row(std::ostream& os, const RunMetrics& m);
 
-/// Parses one row of exactly `expected_cells` cells (one of the kCells*
-/// widths, normally from `header_cells`); metrics newer than the row's
-/// width default to zero.  nullopt on any malformed cell — callers
-/// treat that as corruption, never crash.
-std::optional<RunMetrics> parse_row(const std::string& line,
-                                    std::size_t expected_cells);
+/// Parses one row (no terminator).  Strict: exactly one cell per
+/// column, every cell consumed whole, integers range-checked against
+/// their field's type, enums against their last enumerator.  nullopt on
+/// any malformed cell — callers treat that as corruption, never crash.
+std::optional<RunMetrics> parse_row(std::string_view line);
 
 /// Collapses an arbitrary error message into a single CSV cell: commas,
 /// newlines and CRs become spaces, empty becomes the '-' sentinel.
 std::string sanitize_error(const std::string& msg);
 
-/// Writes the whole campaign (v10 header + one row per run, grid order:
+/// Writes the whole campaign (header + one row per run, grid order:
 /// protocol-major, then speed, adversary, defense, traffic, repetition)
-/// — the cache store format, doubling as the `--csv-out` user export.
+/// — the `--csv-out` export.
 void write_campaign(std::ostream& os, const CampaignConfig& cfg,
                     const CampaignResult& result);
 

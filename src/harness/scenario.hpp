@@ -172,7 +172,7 @@ struct RunMetrics {
   /// Forged route discoveries injected by kRreqFlood.
   std::uint64_t flood_injected = 0;
 
-  // --- secrecy game (keyshare plane, CSV v8) -----------------------------
+  // --- secrecy game (keyshare plane) -------------------------------------
   /// Shares each flow's session key is split into (0 = game off).
   std::uint32_t secrecy_shares = 0;
   /// Shares needed to reconstruct a key (t of n).
@@ -186,7 +186,7 @@ struct RunMetrics {
   /// keys_recovered / flows — the headline key-recovery rate.
   double key_recovery_rate = 0.0;
 
-  // --- defense (countermeasure subsystem, CSV v7) ------------------------
+  // --- defense (countermeasure subsystem) --------------------------------
   /// Index into `CampaignConfig::defenses` (0 outside campaigns).
   std::uint32_t defense_index = 0;
   security::DefenseKind defense_kind = security::DefenseKind::kNone;
@@ -208,20 +208,20 @@ struct RunMetrics {
   /// Acked-checking data-plane probes sent by all sources.
   std::uint64_t probes_sent = 0;
 
-  // --- fabric (campaign fabric, CSV v9) ----------------------------------
+  // --- fabric (campaign fabric) ------------------------------------------
   /// `kFailed` rows are placeholders for cells whose worker crashed,
   /// hung past its timeout, or trapped on every attempt; they carry the
   /// cell identity (protocol/speed/seed/adversary/defense) and zeros
   /// everywhere else.  `CampaignResult::summarize` skips them.
   RunStatus run_status = RunStatus::kOk;
-  /// Worker attempts this row consumed (1 = first try; in-process runs
-  /// are always 1).
+  /// Worker attempts this row consumed (1 = first try, and always 1
+  /// from a direct `run_scenario`).
   std::uint32_t attempts = 1;
   /// Why the cell failed ("signal 9", "timeout after 30s", a trap
   /// message); empty on `kOk` rows.  Sanitized to one CSV cell.
   std::string run_error;
 
-  // --- user-traffic plane (traffic axis, CSV v10) -------------------------
+  // --- user-traffic plane (traffic axis) ---------------------------------
   /// Index into `CampaignConfig::traffics` (0 outside campaigns).
   std::uint32_t traffic_index = 0;
   std::uint64_t sessions_started = 0;

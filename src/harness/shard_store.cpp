@@ -1,15 +1,17 @@
 #include "harness/shard_store.hpp"
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "harness/campaign_cache.hpp"
 #include "harness/campaign_csv.hpp"
 
 namespace mts::harness {
 
 std::filesystem::path ShardStore::dir_for(const CampaignConfig& cfg) {
-  return CampaignCache::directory() / "shards" / CampaignCache::key_of(cfg);
+  const char* root = std::getenv("MTS_BENCH_CACHE_DIR");
+  return std::filesystem::path(root != nullptr ? root : ".mts_bench_cache") /
+         "shards" / campaign_key(cfg);
 }
 
 std::filesystem::path ShardStore::path_of(const WorkUnit& unit) const {
@@ -42,7 +44,7 @@ bool ShardStore::write(const WorkUnit& unit,
       if (error != nullptr) *error = "cannot open " + tmp;
       return false;
     }
-    out << csv::kHeader << '\n';
+    out << csv::header() << '\n';
     for (const RunMetrics& m : rows) csv::write_row(out, m);
     out.flush();
     if (!out) {
@@ -76,12 +78,11 @@ ShardStore::State ShardStore::read(const WorkUnit& unit,
   if (valid) {
     std::istringstream lines(text);
     std::string line;
-    // Shards are always written at the current version; an old-format
-    // shard means an old binary's partition and must be re-run.
-    valid = std::getline(lines, line) && line == csv::kHeader;
+    // A header mismatch means another binary's column set: re-run.
+    valid = std::getline(lines, line) && line == csv::header();
     while (valid && std::getline(lines, line)) {
       if (line.empty()) continue;
-      auto m = csv::parse_row(line, csv::kCellsV10);
+      auto m = csv::parse_row(line);
       if (!m.has_value()) {
         valid = false;
         break;

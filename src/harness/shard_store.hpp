@@ -8,14 +8,15 @@
 
 namespace mts::harness {
 
-/// Per-unit shard files: the fabric's durable state.
+/// Per-unit shard files: the fabric's durable state, and the only
+/// thing a campaign persists.
 ///
-/// Each worker writes its unit's rows as one v9 CSV (`unit-<idhex>.csv`)
+/// Each worker writes its unit's rows as one CSV (`unit-<idhex>.csv`)
 /// in the campaign's shard directory — via a temp file and an atomic
 /// rename, so a shard either exists complete or not at all; a worker
 /// killed mid-write leaves only a `.tmp` the next supervisor sweeps
-/// away.  The directory is keyed by the campaign's cache key, so a
-/// config change can never resume from foreign shards.
+/// away.  The directory is named by the campaign key, so a config
+/// change can never resume from foreign shards.
 class ShardStore {
  public:
   /// What scanning a unit's shard found.
@@ -27,7 +28,8 @@ class ShardStore {
 
   explicit ShardStore(std::filesystem::path dir) : dir_(std::move(dir)) {}
 
-  /// Shard directory for a campaign, under the cache root:
+  /// Shard directory for a campaign, under the cache root
+  /// ($MTS_BENCH_CACHE_DIR, default `.mts_bench_cache`):
   /// `<cache>/shards/<campaign key>`.
   static std::filesystem::path dir_for(const CampaignConfig& cfg);
 
@@ -45,8 +47,8 @@ class ShardStore {
              std::string* error) const;
 
   /// Validates and loads a unit's shard.  A shard is complete when it
-  /// carries the v9 header, every row parses, the final line ends in a
-  /// newline, and the row count equals the unit's run count; a
+  /// carries the current header, every row parses, the final line ends
+  /// in a newline, and the row count equals the unit's run count; a
   /// truncated final line (mid-write kill on a filesystem without the
   /// rename guarantee) or any other corruption deletes the file and
   /// reports kMissing so the supervisor simply re-runs the unit.

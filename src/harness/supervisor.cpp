@@ -8,8 +8,6 @@
 #include <sstream>
 #include <thread>
 
-#include "harness/campaign_cache.hpp"
-#include "harness/progress.hpp"
 #include "harness/shard_store.hpp"
 #include "sim/error.hpp"
 
@@ -27,6 +25,28 @@ namespace mts::harness {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Progress lines for a sweep; a null stream makes it a no-op.  Only
+/// the supervisor writes (workers report through shards and exit
+/// codes), so each line goes out whole.
+class ProgressSink {
+ public:
+  explicit ProgressSink(std::ostream* os) : os_(os) {}
+
+  void line(const std::string& text) {
+    if (os_ != nullptr) (*os_) << text << '\n' << std::flush;
+  }
+
+  /// `line` with the "[unit k/N]" prefix so interleaved unit lifecycles
+  /// stay attributable in a sweep log.
+  void unit_line(std::size_t k, std::size_t n, const std::string& text) {
+    line("  [unit " + std::to_string(k) + '/' + std::to_string(n) + "] " +
+         text);
+  }
+
+ private:
+  std::ostream* os_;
+};
 
 std::filesystem::path error_path(const ShardStore& store, const WorkUnit& u) {
   auto p = store.path_of(u);
@@ -396,11 +416,6 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
       os << " (grid incomplete: other shards still pending)";
     }
     sink.line(os.str());
-  }
-  // Only a complete, failure-free grid becomes a campaign cache entry:
-  // anything less must stay shard-only so the next resume retries it.
-  if (report.complete && report.units_failed == 0) {
-    CampaignCache::store(cfg, report.result);
   }
   return report;
 }

@@ -10,9 +10,11 @@
 
 namespace mts::harness {
 
-/// Knobs of the fault-tolerant campaign fabric.
+/// Knobs of the fault-tolerant campaign fabric, the one campaign
+/// executor.
 struct FabricConfig {
-  /// Concurrent worker processes; 0 = hardware concurrency.
+  /// Concurrent worker processes; 0 = hardware concurrency
+  /// (MTS_BENCH_THREADS in the benches).
   unsigned workers = 0;
   /// Grid cells batched into one worker process (SoA batch mode): tiny
   /// cells amortize fork/pool/shard setup.  Part of the partition, so
@@ -34,7 +36,8 @@ struct FabricConfig {
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
   /// Ingest complete shards from a previous (possibly killed) run and
-  /// schedule only missing/failed units.  false recomputes this
+  /// schedule only missing/failed units — a re-run that finds every
+  /// shard is the campaign's cache hit.  false recomputes this
   /// invocation's slice from scratch.
   bool resume = true;
   /// Shard directory override; empty = `ShardStore::dir_for(cfg)`.
@@ -64,18 +67,17 @@ struct FabricReport {
   std::size_t units_failed = 0;   ///< units degraded to failed rows
   std::vector<FailedUnit> failures;
   /// Every unit of the grid has rows in `result` (all shards present).
-  /// Only a complete, failure-free grid is promoted into the campaign
-  /// cache; partial or degraded grids stay shard-only so a later resume
-  /// still retries them.
+  /// False on a `--shard` slice whose peers have not finished yet.
   bool complete = false;
 };
 
-/// Runs the campaign through the process-isolated fabric: partitions
-/// the grid into work units, ingests complete shards (resume), forks
-/// one worker process per remaining unit (bounded by `workers`), and
-/// supervises timeouts, bounded-backoff retries and graceful
-/// degradation to `failed` rows.  A crashing or hanging scenario takes
-/// down only its unit; the sweep always completes and reports.
+/// Runs the campaign: partitions the grid into work units, ingests
+/// complete shards (resume), forks one worker process per remaining
+/// unit (bounded by `workers`), and supervises timeouts,
+/// bounded-backoff retries and graceful degradation to `failed` rows.
+/// A crashing or hanging scenario takes down only its unit; the sweep
+/// always completes and reports.  With fork, the report's rows are read
+/// back from the shards, so only the CSV columns carry values.
 FabricReport run_campaign_fabric(const CampaignConfig& cfg,
                                  const FabricConfig& fab,
                                  std::ostream* progress = nullptr);

@@ -1,8 +1,5 @@
 #include "harness/work_unit.hpp"
 
-#include <sstream>
-
-#include "harness/campaign_cache.hpp"
 #include "sim/error.hpp"
 #include "sim/rng.hpp"
 
@@ -22,7 +19,7 @@ std::vector<WorkUnit> partition_campaign(const CampaignConfig& cfg,
   // campaigns can never be confused even if a shard directory is
   // (mis)shared.
   const std::uint64_t campaign_hash =
-      sim::fnv1a(CampaignCache::key_of(cfg));
+      sim::fnv1a(campaign_key(cfg));
   std::vector<WorkUnit> units;
   WorkUnit current;
   std::uint32_t ordinal = 0;
@@ -56,63 +53,6 @@ std::vector<WorkUnit> partition_campaign(const CampaignConfig& cfg,
   return units;
 }
 
-std::string work_unit_label(const CampaignConfig& cfg, const WorkUnit& unit,
-                            std::size_t unit_count) {
-  std::ostringstream os;
-  os << "unit " << (unit.index + 1) << '/' << unit_count << ':';
-  for (const WorkCell& c : unit.cells) {
-    os << ' ' << protocol_name(cfg.protocols[c.protocol])
-       << " speed=" << cfg.speeds[c.speed] << " adversary=" << c.adversary
-       << " defense=" << c.defense << " traffic=" << c.traffic << " reps "
-       << c.rep_begin << ".." << (c.rep_end == 0 ? 0 : c.rep_end - 1) << ';';
-  }
-  return os.str();
-}
-
-std::string encode_work_unit(const WorkUnit& unit) {
-  std::ostringstream os;
-  os << "wu2|" << std::hex << unit.id << std::dec << '|' << unit.index << '|';
-  for (const WorkCell& c : unit.cells) {
-    os << c.protocol << ':' << c.speed << ':' << c.adversary << ':'
-       << c.defense << ':' << c.traffic << ':' << c.rep_begin << ':'
-       << c.rep_end << ';';
-  }
-  return os.str();
-}
-
-std::optional<WorkUnit> decode_work_unit(const std::string& text) {
-  std::istringstream is(text);
-  std::string field;
-  if (!std::getline(is, field, '|') || field != "wu2") return std::nullopt;
-  WorkUnit unit;
-  try {
-    if (!std::getline(is, field, '|')) return std::nullopt;
-    unit.id = std::stoull(field, nullptr, 16);
-    if (!std::getline(is, field, '|')) return std::nullopt;
-    unit.index = static_cast<std::uint32_t>(std::stoul(field));
-    if (!std::getline(is, field, '|')) return std::nullopt;
-    std::istringstream cells(field);
-    std::string cell;
-    while (std::getline(cells, cell, ';')) {
-      if (cell.empty()) continue;
-      std::istringstream cs(cell);
-      std::string n;
-      std::uint32_t v[7];
-      for (std::uint32_t& slot : v) {
-        if (!std::getline(cs, n, ':')) return std::nullopt;
-        slot = static_cast<std::uint32_t>(std::stoul(n));
-      }
-      if (std::getline(cs, n, ':')) return std::nullopt;  // trailing junk
-      if (v[6] < v[5]) return std::nullopt;
-      unit.cells.push_back(WorkCell{v[0], v[1], v[2], v[3], v[4], v[5], v[6]});
-    }
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (unit.cells.empty()) return std::nullopt;
-  return unit;
-}
-
 ScenarioConfig cell_scenario(const CampaignConfig& cfg, const WorkCell& cell,
                              std::uint32_t rep) {
   sim::require_config(cell.protocol < cfg.protocols.size() &&
@@ -121,13 +61,13 @@ ScenarioConfig cell_scenario(const CampaignConfig& cfg, const WorkCell& cell,
                           cell.defense < cfg.defenses.size() &&
                           cell.traffic < cfg.traffics.size(),
                       "Fabric: work cell indexes outside the campaign grid "
-                      "(stale unit spec for a different config?)");
+                      "(a cell of a different config?)");
   ScenarioConfig sc = cfg.base;
   sc.protocol = cfg.protocols[cell.protocol];
   sc.max_speed = cfg.speeds[cell.speed];
   // Same seed across protocols/adversaries/defenses/traffics for a given
   // (speed, rep): paired comparisons see identical mobility and flow
-  // placement, exactly like the in-process pool.
+  // placement.
   sc.seed = cfg.seed_base + rep;
   sc.adversary = cfg.adversaries[cell.adversary];
   sc.defense = cfg.defenses[cell.defense];

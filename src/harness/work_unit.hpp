@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,13 +26,13 @@ struct WorkCell {
   bool operator==(const WorkCell&) const = default;
 };
 
-/// A serializable batch of cells one worker process executes and writes
-/// as one shard.  `cells_per_unit > 1` is the SoA batch mode: tiny
-/// cells share a single process setup (fork, pools, shard fsync)
-/// instead of paying it per cell.
+/// A batch of cells one worker process executes and writes as one
+/// shard.  `cells_per_unit > 1` is the SoA batch mode: tiny cells share
+/// a single process setup (fork, pools, shard fsync) instead of paying
+/// it per cell.
 struct WorkUnit {
-  /// Deterministic identity: a hash of the campaign's cache key, the
-  /// unit's first grid ordinal and its cell count.  Two invocations of
+  /// Deterministic identity: a hash of the campaign key, the unit's
+  /// first grid ordinal and its cell count.  Two invocations of
   /// the same (config, cells_per_unit) produce identical ids, so a
   /// resumed or sharded sweep finds exactly the shard files an earlier
   /// one wrote; any config change flips the campaign key and with it
@@ -55,17 +54,6 @@ struct WorkUnit {
 /// of its inputs: any two runs partition identically.
 std::vector<WorkUnit> partition_campaign(const CampaignConfig& cfg,
                                          std::size_t cells_per_unit);
-
-/// Human label: "unit 3/12: AODV speed=5 adversary=1 defense=0 reps 0..4".
-std::string work_unit_label(const CampaignConfig& cfg, const WorkUnit& unit,
-                            std::size_t unit_count);
-
-/// Wire form for handing a unit to a worker (`--work-unit` style):
-/// "wu2|<id hex>|<index>|p:s:a:d:t:rb:re;...".  (wu1, the pre-traffic
-/// 6-field form, is rejected: a stale unit spec must not silently run
-/// with a defaulted traffic axis.)
-std::string encode_work_unit(const WorkUnit& unit);
-std::optional<WorkUnit> decode_work_unit(const std::string& text);
 
 /// The ScenarioConfig for one run of a cell: cfg.base with the cell's
 /// protocol/speed/adversary/defense applied and seed = seed_base + rep.

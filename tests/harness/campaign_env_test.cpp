@@ -5,7 +5,7 @@
 
 #include <cstdlib>
 
-#include "harness/campaign.hpp"
+#include "harness/supervisor.hpp"
 
 namespace mts::harness {
 namespace {
@@ -15,7 +15,7 @@ class BenchEnvTest : public ::testing::Test {
   void TearDown() override {
     for (const char* name :
          {"MTS_BENCH_REPS", "MTS_BENCH_SIM_TIME", "MTS_BENCH_SPEEDS",
-          "MTS_BENCH_THREADS", "MTS_BENCH_NODES"}) {
+          "MTS_BENCH_THREADS", "MTS_BENCH_NODES", "MTS_BENCH_NO_CACHE"}) {
       unsetenv(name);
     }
   }
@@ -28,11 +28,13 @@ TEST_F(BenchEnvTest, ValidValuesApply) {
   setenv("MTS_BENCH_THREADS", "4", 1);
   setenv("MTS_BENCH_NODES", "30", 1);
   CampaignConfig cfg;
-  apply_bench_env(cfg);
+  FabricConfig fab;
+  apply_bench_env(cfg, fab);
   EXPECT_EQ(cfg.repetitions, 3u);
   EXPECT_EQ(cfg.base.sim_time, sim::Time::seconds(12.5));
   EXPECT_EQ(cfg.speeds, (std::vector<double>{2.0, 5.0, 10.0}));
-  EXPECT_EQ(cfg.threads, 4u);
+  EXPECT_EQ(fab.workers, 4u);
+  EXPECT_TRUE(fab.resume);
   EXPECT_EQ(cfg.base.node_count, 30u);
 }
 
@@ -43,7 +45,8 @@ TEST_F(BenchEnvTest, GarbageFallsBackToDefaultsWithoutThrowing) {
   setenv("MTS_BENCH_NODES", "-5", 1);
   CampaignConfig defaults;
   CampaignConfig cfg;
-  EXPECT_NO_THROW(apply_bench_env(cfg));
+  FabricConfig fab;
+  EXPECT_NO_THROW(apply_bench_env(cfg, fab));
   EXPECT_EQ(cfg.repetitions, defaults.repetitions);
   EXPECT_EQ(cfg.base.sim_time, defaults.base.sim_time);
   EXPECT_EQ(cfg.speeds, defaults.speeds);
@@ -53,9 +56,21 @@ TEST_F(BenchEnvTest, GarbageFallsBackToDefaultsWithoutThrowing) {
 TEST_F(BenchEnvTest, BadThreadsFallsBackToHardwareConcurrency) {
   setenv("MTS_BENCH_THREADS", "max", 1);
   CampaignConfig cfg;
-  cfg.threads = 7;  // pre-set: the fallback must override, not keep it
-  EXPECT_NO_THROW(apply_bench_env(cfg));
-  EXPECT_EQ(cfg.threads, 0u);  // 0 = "use hardware concurrency"
+  FabricConfig fab;
+  fab.workers = 7;  // pre-set: the fallback must override, not keep it
+  EXPECT_NO_THROW(apply_bench_env(cfg, fab));
+  EXPECT_EQ(fab.workers, 0u);  // 0 = "use hardware concurrency"
+}
+
+TEST_F(BenchEnvTest, NoCacheTurnsResumeOff) {
+  CampaignConfig cfg;
+  FabricConfig fab;
+  setenv("MTS_BENCH_NO_CACHE", "0", 1);
+  apply_bench_env(cfg, fab);
+  EXPECT_TRUE(fab.resume);
+  setenv("MTS_BENCH_NO_CACHE", "1", 1);
+  apply_bench_env(cfg, fab);
+  EXPECT_FALSE(fab.resume);
 }
 
 TEST_F(BenchEnvTest, OutOfRangeValuesRejected) {
@@ -64,9 +79,10 @@ TEST_F(BenchEnvTest, OutOfRangeValuesRejected) {
   setenv("MTS_BENCH_NODES", "1", 1);  // a 1-node network is not a sweep
   CampaignConfig defaults;
   CampaignConfig cfg;
-  EXPECT_NO_THROW(apply_bench_env(cfg));
+  FabricConfig fab;
+  EXPECT_NO_THROW(apply_bench_env(cfg, fab));
   EXPECT_EQ(cfg.repetitions, defaults.repetitions);
-  EXPECT_EQ(cfg.threads, 0u);
+  EXPECT_EQ(fab.workers, 0u);
   EXPECT_EQ(cfg.base.node_count, defaults.base.node_count);
 }
 
@@ -75,7 +91,8 @@ TEST_F(BenchEnvTest, TrailingJunkRejected) {
   setenv("MTS_BENCH_SIM_TIME", "10s", 1);
   CampaignConfig defaults;
   CampaignConfig cfg;
-  EXPECT_NO_THROW(apply_bench_env(cfg));
+  FabricConfig fab;
+  EXPECT_NO_THROW(apply_bench_env(cfg, fab));
   EXPECT_EQ(cfg.repetitions, defaults.repetitions);
   EXPECT_EQ(cfg.base.sim_time, defaults.base.sim_time);
 }

@@ -5,7 +5,9 @@
 // worse, mis-merge) work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <sstream>
 
 #include "harness/campaign_csv.hpp"
 #include "harness/work_unit.hpp"
@@ -64,11 +66,6 @@ TEST(WorkUnitTest, TrafficAxisIsInnermostBeforeRepetitions) {
     ASSERT_EQ(units[i].cells.size(), 1u);
     EXPECT_EQ(units[i].cells[0].traffic, i % 2) << "unit " << i;
   }
-  // The 7-field wire form round-trips the traffic index.
-  const auto back = decode_work_unit(encode_work_unit(units[3]));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->cells, units[3].cells);
-  EXPECT_EQ(back->cells[0].traffic, 1u);
 }
 
 TEST(WorkUnitTest, PartitionIsDeterministicAndKeyedByTheConfig) {
@@ -134,31 +131,6 @@ TEST(WorkUnitTest, ShardSlicesAreDisjointAndCover) {
   EXPECT_EQ(covered.size(), units.size());
 }
 
-TEST(WorkUnitTest, EncodeDecodeRoundTrips) {
-  const auto units = partition_campaign(tiny(), 3);
-  for (const WorkUnit& u : units) {
-    const auto back = decode_work_unit(encode_work_unit(u));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->id, u.id);
-    EXPECT_EQ(back->index, u.index);
-    EXPECT_EQ(back->cells, u.cells);
-  }
-}
-
-TEST(WorkUnitTest, DecodeRejectsJunk) {
-  EXPECT_FALSE(decode_work_unit("").has_value());
-  // The pre-traffic 6-field wu1 wire form is rejected outright: a stale
-  // unit spec must not silently run with a defaulted traffic axis.
-  EXPECT_FALSE(decode_work_unit("wu1|0|0|0:0:0:0:0:1;").has_value());
-  EXPECT_FALSE(decode_work_unit("wu2|0|0|").has_value());  // no cells
-  EXPECT_FALSE(decode_work_unit("wu2|zz|x|0:0:0:0:0:0:1;").has_value());
-  EXPECT_FALSE(decode_work_unit("wu2|0|0|0:0:0:0:0:1;").has_value())
-      << "a 6-field cell is one axis short";
-  EXPECT_FALSE(decode_work_unit("wu2|0|0|0:0:0:0:0:0:1:9;").has_value());
-  EXPECT_FALSE(decode_work_unit("wu2|0|0|0:0:0:0:0:5:1;").has_value())
-      << "rep_end < rep_begin must not decode";
-}
-
 TEST(WorkUnitTest, CellScenarioAppliesTheCellAndPairsSeeds) {
   const CampaignConfig cfg = tiny();
   const WorkCell mts{1, 1, 1, 0, 0, 0, 3};
@@ -194,13 +166,13 @@ TEST(WorkUnitTest, FailedRunMetricsCarryCellIdentityAndRoundTripAsCsv) {
   EXPECT_EQ(m.run_status, RunStatus::kFailed);
   EXPECT_EQ(m.attempts, 3u);
 
-  // A failed placeholder survives the v10 CSV round trip.
+  // A failed placeholder survives the CSV round trip.
   std::ostringstream os;
   csv::write_row(os, m);
   std::string line = os.str();
   ASSERT_FALSE(line.empty());
   line.pop_back();  // write_row appends the newline
-  const auto back = csv::parse_row(line, csv::kCellsV10);
+  const auto back = csv::parse_row(line);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->run_status, RunStatus::kFailed);
   EXPECT_EQ(back->attempts, 3u);
@@ -209,18 +181,59 @@ TEST(WorkUnitTest, FailedRunMetricsCarryCellIdentityAndRoundTripAsCsv) {
   EXPECT_EQ(back->seed, m.seed);
 }
 
+/// `row` with the cell under header column `column` replaced by `value`.
+std::string with_cell(const std::string& row, const std::string& column,
+                      const std::string& value) {
+  auto split = [](const std::string& line) {
+    std::vector<std::string> cells;
+    std::stringstream ss(line);
+    std::string cell;
+    while (std::getline(ss, cell, ',')) cells.push_back(cell);
+    return cells;
+  };
+  const std::vector<std::string> names = split(csv::header());
+  std::vector<std::string> cells = split(row);
+  EXPECT_EQ(cells.size(), names.size());
+  const auto it = std::find(names.begin(), names.end(), column);
+  EXPECT_NE(it, names.end()) << "no column " << column;
+  cells[static_cast<std::size_t>(it - names.begin())] = value;
+  std::string out;
+  for (const std::string& c : cells) out += c + ',';
+  out.pop_back();
+  return out;
+}
+
 TEST(WorkUnitTest, SanitizeErrorKeepsMessagesSingleCell) {
   EXPECT_EQ(csv::sanitize_error(""), "-");
   EXPECT_EQ(csv::sanitize_error("plain"), "plain");
   EXPECT_EQ(csv::sanitize_error("a,b\nc\rd"), "a b c d");
-  // An unknown status word must not parse as a row.
   std::ostringstream os;
   csv::write_row(os, RunMetrics{});
   std::string line = os.str();
   line.pop_back();
-  ASSERT_NE(line.find(",ok,"), std::string::npos);
-  line.replace(line.find(",ok,"), 4, ",maybe,");
-  EXPECT_FALSE(csv::parse_row(line, csv::kCellsV10).has_value());
+  ASSERT_TRUE(csv::parse_row(line).has_value());
+  // Malformed cells must not parse as a row: an unknown status word,
+  // enums past their last enumerator, trailing junk, a negative
+  // unsigned, a value that only fits after truncation to 32 bits, and
+  // rows one cell short or long.
+  for (const auto& [column, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"run_status", "maybe"},
+           {"protocol", "9"},
+           {"protocol", "1x"},
+           {"seed", "-1"},
+           {"adv_kind", "200"},
+           {"adv_index", "4294967297"},
+           {"def_kind", "5"},
+           {"speed", " 5"},
+           {"delivered", ""},
+           {"adv_members", "3.4"},
+       }) {
+    EXPECT_FALSE(csv::parse_row(with_cell(line, column, value)).has_value())
+        << column << "=" << value;
+  }
+  EXPECT_FALSE(csv::parse_row(line + ",0").has_value());
+  EXPECT_FALSE(csv::parse_row(line.substr(0, line.rfind(','))).has_value());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "harness/campaign.hpp"
 #include "harness/scenario.hpp"
+#include "integration/campaign_fixture.hpp"
 
 namespace mts::harness {
 namespace {
@@ -121,7 +122,7 @@ TEST(AdversaryScenarioTest, CampaignSweepsTheAdversaryAxis) {
   mobile.count = 2;
   cfg.adversaries = {security::AdversarySpec{}, colluding, mobile};
 
-  const CampaignResult result = run_campaign(cfg);
+  const CampaignResult result = run_test_campaign(cfg);
   EXPECT_EQ(result.total_runs(), 2u * 1u * 3u * 2u);
   for (Protocol p : cfg.protocols) {
     // Adversary index 0 is the paper grid: no adversary metrics.

@@ -1,14 +1,18 @@
-// The sweep cache must be a pure optimization: a cache round-trip has
-// to reproduce the campaign bit-for-bit, and any config change that
-// affects results must change the key.
+// Shards are the campaign cache: every run a campaign reports has been
+// through a shard file, so a shard round trip has to reproduce the
+// direct runs bit-for-bit, a re-run that finds every shard must resume
+// instead of simulating, anything short of a complete, current-header
+// shard must be a miss, and any config change that affects results
+// must change the campaign key.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
-#include "harness/campaign_cache.hpp"
+#include "harness/shard_store.hpp"
 #include "harness/work_unit.hpp"
+#include "integration/campaign_fixture.hpp"
 
 namespace mts::harness {
 namespace {
@@ -16,15 +20,12 @@ namespace {
 class CampaignCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("mts_cache_test_" + std::to_string(::getpid()));
-    setenv("MTS_BENCH_CACHE_DIR", dir_.c_str(), 1);
+    setenv("MTS_BENCH_CACHE_DIR", dir_.path().c_str(), 1);
     unsetenv("MTS_BENCH_NO_CACHE");
   }
   void TearDown() override {
     unsetenv("MTS_BENCH_CACHE_DIR");
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
+    unsetenv("MTS_BENCH_NO_CACHE");
   }
 
   static CampaignConfig tiny() {
@@ -37,17 +38,57 @@ class CampaignCacheTest : public ::testing::Test {
     return cfg;
   }
 
-  std::filesystem::path dir_;
+  static FabricConfig quick_fabric() {
+    FabricConfig fab;
+    fab.workers = 2;
+    return fab;
+  }
+
+  /// The campaign as the fabric reports it: every row read back from
+  /// its shard in the per-test cache directory.
+  static CampaignResult via_shards(const CampaignConfig& cfg) {
+    FabricReport report = run_campaign_fabric(cfg, quick_fabric());
+    EXPECT_TRUE(report.failures.empty());
+    return std::move(report.result);
+  }
+
+  /// The single unit of a one-cell campaign and its shard store.
+  static std::pair<WorkUnit, ShardStore> only_unit(const CampaignConfig& cfg) {
+    auto units = partition_campaign(cfg, 1);
+    EXPECT_EQ(units.size(), 1u);
+    return {units.front(), ShardStore(ShardStore::dir_for(cfg))};
+  }
+
+  static std::string slurp(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  }
+
+  static void overwrite(const std::filesystem::path& path,
+                        const std::string& text) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+
+  ScratchDir dir_;
 };
 
-TEST_F(CampaignCacheTest, MissThenHitRoundTripsAllMetrics) {
+TEST_F(CampaignCacheTest, SecondRunResumesEveryShardAndMatches) {
   const CampaignConfig cfg = tiny();
-  EXPECT_FALSE(CampaignCache::load(cfg).has_value());
-  const CampaignResult fresh = CampaignCache::run(cfg);
-  const auto cached = CampaignCache::load(cfg);
-  ASSERT_TRUE(cached.has_value());
+  const FabricReport first = run_campaign_fabric(cfg, quick_fabric());
+  EXPECT_EQ(first.units_run, first.units_total);
+  EXPECT_EQ(first.units_resumed, 0u);
+  // The re-run is the cache hit: every unit comes from its shard.
+  const FabricReport second = run_campaign_fabric(cfg, quick_fabric());
+  EXPECT_EQ(second.units_run, 0u);
+  EXPECT_EQ(second.units_resumed, second.units_total);
+  EXPECT_EQ(csv_of(cfg, second.result), csv_of(cfg, first.result));
+
+  const CampaignResult fresh = run_direct(cfg);
   const auto& a = fresh.runs(Protocol::kAodv, 5);
-  const auto& b = cached->runs(Protocol::kAodv, 5);
+  const auto& b = second.result.runs(Protocol::kAodv, 5);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].seed, b[i].seed);
@@ -63,28 +104,25 @@ TEST_F(CampaignCacheTest, KeyChangesWithResultAffectingKnobs) {
   const CampaignConfig base = tiny();
   CampaignConfig other = base;
   other.base.mts.check_period = sim::Time::sec(7);
-  EXPECT_NE(CampaignCache::key_of(base), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(base), campaign_key(other));
 
   other = base;
   other.base.tcp.max_window = 16;
-  EXPECT_NE(CampaignCache::key_of(base), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(base), campaign_key(other));
 
   other = base;
   other.repetitions = 3;
-  EXPECT_NE(CampaignCache::key_of(base), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(base), campaign_key(other));
 
   other = base;
   other.speeds = {5, 10};
-  EXPECT_NE(CampaignCache::key_of(base), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(base), campaign_key(other));
 
   other = base;
   other.base.aodv.local_repair = true;
-  EXPECT_NE(CampaignCache::key_of(base), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(base), campaign_key(other));
 
-  // Thread count must NOT change the key: it cannot affect results.
-  other = base;
-  other.threads = 7;
-  EXPECT_EQ(CampaignCache::key_of(base), CampaignCache::key_of(other));
+  EXPECT_EQ(campaign_key(base), campaign_key(tiny()));
 }
 
 TEST_F(CampaignCacheTest, AdversaryAxisRoundTripsAndChangesTheKey) {
@@ -97,14 +135,13 @@ TEST_F(CampaignCacheTest, AdversaryAxisRoundTripsAndChangesTheKey) {
   coalition.kind = security::AdversaryKind::kColluding;
   coalition.count = 2;
   cfg.adversaries = {security::AdversarySpec{}, coalition};
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(tiny()));
+  EXPECT_NE(campaign_key(cfg), campaign_key(tiny()));
 
-  const CampaignResult fresh = CampaignCache::run(cfg);
-  const auto cached = CampaignCache::load(cfg);
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(cached->total_runs(), fresh.total_runs());
+  const CampaignResult fresh = run_direct(cfg);
+  const CampaignResult cached = via_shards(cfg);
+  EXPECT_EQ(cached.total_runs(), fresh.total_runs());
   const auto& a = fresh.runs(Protocol::kAodv, 5, 1);
-  const auto& b = cached->runs(Protocol::kAodv, 5, 1);
+  const auto& b = cached.runs(Protocol::kAodv, 5, 1);
   ASSERT_EQ(a.size(), b.size());
   ASSERT_FALSE(a.empty());
   std::uint64_t delivered = 0;
@@ -119,7 +156,7 @@ TEST_F(CampaignCacheTest, AdversaryAxisRoundTripsAndChangesTheKey) {
     EXPECT_EQ(b[i].fragments_missing, a[i].fragments_missing);
     EXPECT_EQ(b[i].adversary_members, a[i].adversary_members);
     EXPECT_FALSE(a[i].adversary_members.empty());
-    // Exact: the CSV stores doubles at max_digits10.
+    // Exact: the CSV stores doubles in shortest round-trip form.
     EXPECT_DOUBLE_EQ(b[i].coalition_interception_ratio,
                      a[i].coalition_interception_ratio);
     EXPECT_DOUBLE_EQ(b[i].delivery_rate, a[i].delivery_rate);
@@ -131,10 +168,10 @@ TEST_F(CampaignCacheTest, AdversaryAxisRoundTripsAndChangesTheKey) {
   // A different coalition size is a different sweep.
   CampaignConfig other = cfg;
   other.adversaries[1].count = 3;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
 }
 
-TEST_F(CampaignCacheTest, ActiveAttackMetricsRoundTripInV6Columns) {
+TEST_F(CampaignCacheTest, ActiveAttackMetricsRoundTrip) {
   CampaignConfig cfg = tiny();
   cfg.base.field = {400.0, 400.0};
   cfg.base.sim_time = sim::Time::sec(5);
@@ -150,14 +187,13 @@ TEST_F(CampaignCacheTest, ActiveAttackMetricsRoundTripInV6Columns) {
   flood.flood_rate = 4.0;
   cfg.adversaries = {gray, flood};
 
-  const CampaignResult fresh = CampaignCache::run(cfg);
-  const auto cached = CampaignCache::load(cfg);
-  ASSERT_TRUE(cached.has_value());
+  const CampaignResult fresh = run_direct(cfg);
+  const CampaignResult cached = via_shards(cfg);
   std::uint64_t gray_absorbed = 0;
   std::uint64_t injected = 0;
   for (std::uint32_t a = 0; a < 2; ++a) {
     const auto& want = fresh.runs(Protocol::kAodv, 5, a);
-    const auto& got = cached->runs(Protocol::kAodv, 5, a);
+    const auto& got = cached.runs(Protocol::kAodv, 5, a);
     ASSERT_EQ(want.size(), got.size());
     ASSERT_FALSE(want.empty());
     for (std::size_t i = 0; i < want.size(); ++i) {
@@ -177,16 +213,16 @@ TEST_F(CampaignCacheTest, ActiveAttackMetricsRoundTripInV6Columns) {
   // The new knobs are result-affecting, so they must key the cache.
   CampaignConfig other = cfg;
   other.adversaries[0].drop_prob = 0.8;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.adversaries[1].flood_rate = 9.0;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.adversaries[0].active_period = sim::Time::sec(4);
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
 }
 
-TEST_F(CampaignCacheTest, DefenseMetricsRoundTripInV7Columns) {
+TEST_F(CampaignCacheTest, DefenseMetricsRoundTrip) {
   CampaignConfig cfg = tiny();
   cfg.base.field = {400.0, 400.0};
   cfg.base.sim_time = sim::Time::sec(5);
@@ -201,14 +237,13 @@ TEST_F(CampaignCacheTest, DefenseMetricsRoundTripInV7Columns) {
   acked.kind = security::DefenseKind::kAckedChecking;
   cfg.defenses = {security::DefenseSpec{}, acked};
 
-  const CampaignResult fresh = CampaignCache::run(cfg);
-  const auto cached = CampaignCache::load(cfg);
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(cached->total_runs(), fresh.total_runs());
+  const CampaignResult fresh = run_direct(cfg);
+  const CampaignResult cached = via_shards(cfg);
+  EXPECT_EQ(cached.total_runs(), fresh.total_runs());
   std::uint64_t probes = 0;
   for (std::uint32_t d = 0; d < 2; ++d) {
     const auto& want = fresh.runs(Protocol::kMts, 5, 0, d);
-    const auto& got = cached->runs(Protocol::kMts, 5, 0, d);
+    const auto& got = cached.runs(Protocol::kMts, 5, 0, d);
     ASSERT_EQ(want.size(), got.size());
     ASSERT_FALSE(want.empty());
     for (std::size_t i = 0; i < want.size(); ++i) {
@@ -229,19 +264,19 @@ TEST_F(CampaignCacheTest, DefenseMetricsRoundTripInV7Columns) {
   // The defense knobs are result-affecting, so they must key the cache.
   CampaignConfig other = cfg;
   other.defenses[1].probe_period = sim::Time::ms(900);
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.defenses[1].demote_threshold = 0.6;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.defenses[1].rreq_rate = 4.0;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.defenses.pop_back();
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
 }
 
-TEST_F(CampaignCacheTest, SecrecyMetricsRoundTripInV8Columns) {
+TEST_F(CampaignCacheTest, SecrecyMetricsRoundTrip) {
   CampaignConfig cfg = tiny();
   cfg.base.field = {400.0, 400.0};
   cfg.base.sim_time = sim::Time::sec(5);
@@ -252,11 +287,10 @@ TEST_F(CampaignCacheTest, SecrecyMetricsRoundTripInV8Columns) {
   coalition.count = 4;
   cfg.adversaries = {coalition};
 
-  const CampaignResult fresh = CampaignCache::run(cfg);
-  const auto cached = CampaignCache::load(cfg);
-  ASSERT_TRUE(cached.has_value());
+  const CampaignResult fresh = run_direct(cfg);
+  const CampaignResult cached = via_shards(cfg);
   const auto& want = fresh.runs(Protocol::kMts, 5, 0);
-  const auto& got = cached->runs(Protocol::kMts, 5, 0);
+  const auto& got = cached.runs(Protocol::kMts, 5, 0);
   ASSERT_EQ(want.size(), got.size());
   ASSERT_FALSE(want.empty());
   std::uint64_t shares = 0;
@@ -275,248 +309,32 @@ TEST_F(CampaignCacheTest, SecrecyMetricsRoundTripInV8Columns) {
   // The game knobs are result-affecting, so they must key the cache.
   CampaignConfig other = cfg;
   other.base.secrecy.enabled = false;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.base.secrecy.threshold = 2;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.base.secrecy.key_bytes = 32;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
 }
 
-TEST_F(CampaignCacheTest, V7RowsStillParseWithSecrecyMetricsZeroed) {
-  // Forward compatibility: a cache file written before the v8 columns
-  // (46 cells, v7 header) must load, with the five secrecy-game metrics
-  // defaulting to zero.  This is the exact v7 header and a row as the
-  // previous binary wrote them.
-  CampaignConfig cfg = tiny();
-  cfg.speeds = {5};
-  cfg.protocols = {Protocol::kAodv};
-  cfg.repetitions = 1;
-
-  const char* v7_header =
-      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-      "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-      "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-      "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-      "adv_members";
-  const char* v7_row =
-      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
-      "80,78,12,45,0,0,123456,0,4,2,10,0.1,70,5,17,3,0.5,40,0,1,2.5,3,4.5,"
-      "0.25,6,7,2.5.";
-
-  std::filesystem::create_directories(dir_);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  {
-    std::ofstream out(path);
-    out << v7_header << '\n' << v7_row << '\n';
-  }
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value()) << "v7 cache file rejected";
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  const RunMetrics& m = runs[0];
-  EXPECT_EQ(m.seed, 1u);
-  EXPECT_EQ(m.segments_delivered, 80u);
-  // The v7 defense columns parse...
-  EXPECT_EQ(m.defense_index, 0u);
-  EXPECT_DOUBLE_EQ(m.detection_time_s, 2.5);
-  EXPECT_EQ(m.paths_quarantined, 3u);
-  EXPECT_EQ(m.probes_sent, 7u);
-  EXPECT_EQ(m.adversary_members, (std::vector<net::NodeId>{2, 5}));
-  // ...and the v8-only secrecy metrics default.
-  EXPECT_EQ(m.secrecy_shares, 0u);
-  EXPECT_EQ(m.secrecy_threshold, 0u);
-  EXPECT_EQ(m.shares_captured, 0u);
-  EXPECT_EQ(m.keys_recovered, 0u);
-  EXPECT_DOUBLE_EQ(m.key_recovery_rate, 0.0);
-
-  // Storing refreshes the file to the v8 column set, which round-trips.
-  CampaignCache::store(cfg, *loaded);
-  const auto reloaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->runs(Protocol::kAodv, 5)[0].probes_sent, 7u);
-}
-
-TEST_F(CampaignCacheTest, V6RowsStillParseWithDefenseMetricsZeroed) {
-  // Forward compatibility: a cache file written before the v7 columns
-  // (38 cells, v6 header) must load, with the eight defense metrics
-  // defaulting to zero.  This is the exact v6 header and a row as the
-  // previous binary wrote them.
-  CampaignConfig cfg = tiny();
-  cfg.speeds = {5};
-  cfg.protocols = {Protocol::kAodv};
-  cfg.repetitions = 1;
-
-  const char* v6_header =
-      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-      "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-      "adv_endpoint_acc,adv_flood_injected,adv_members";
-  const char* v6_row =
-      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
-      "80,78,12,45,0,0,123456,0,4,2,10,0.1,70,5,17,3,0.5,40,2.5.";
-
-  std::filesystem::create_directories(dir_);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  {
-    std::ofstream out(path);
-    out << v6_header << '\n' << v6_row << '\n';
-  }
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value()) << "v6 cache file rejected";
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  const RunMetrics& m = runs[0];
-  EXPECT_EQ(m.seed, 1u);
-  EXPECT_EQ(m.segments_delivered, 80u);
-  // The v6 active-attack columns parse...
-  EXPECT_EQ(m.wormhole_tunneled, 17u);
-  EXPECT_EQ(m.grayhole_absorbed, 3u);
-  EXPECT_DOUBLE_EQ(m.endpoint_inference_accuracy, 0.5);
-  EXPECT_EQ(m.flood_injected, 40u);
-  EXPECT_EQ(m.adversary_members, (std::vector<net::NodeId>{2, 5}));
-  // ...and the v7-only defense metrics default.
-  EXPECT_EQ(m.defense_index, 0u);
-  EXPECT_EQ(m.defense_kind, security::DefenseKind::kNone);
-  EXPECT_DOUBLE_EQ(m.detection_time_s, 0.0);
-  EXPECT_EQ(m.paths_quarantined, 0u);
-  EXPECT_DOUBLE_EQ(m.recovery_time_s, 0.0);
-  EXPECT_DOUBLE_EQ(m.false_positive_rate, 0.0);
-  EXPECT_EQ(m.flood_suppressed, 0u);
-  EXPECT_EQ(m.probes_sent, 0u);
-
-  // Storing refreshes the file to the v7 column set, which round-trips.
-  CampaignCache::store(cfg, *loaded);
-  const auto reloaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->runs(Protocol::kAodv, 5)[0].wormhole_tunneled, 17u);
-}
-
-TEST_F(CampaignCacheTest, V5RowsStillParseWithActiveMetricsZeroed) {
-  // Forward compatibility: a cache file written before the v6 columns
-  // (34 cells, v5 header) must load, with the four active-attack
-  // metrics defaulting to zero.  This is the exact v5 header and a row
-  // as the previous binary wrote them.
-  CampaignConfig cfg = tiny();
-  cfg.speeds = {5};
-  cfg.protocols = {Protocol::kAodv};
-  cfg.repetitions = 1;
-
-  const char* v5_header =
-      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-      "adv_ri,adv_missing,adv_absorbed,adv_members";
-  const char* v5_row =
-      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
-      "80,78,12,45,0,0,123456,0,0,0,0,0,80,0,-";
-
-  std::filesystem::create_directories(dir_);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  {
-    std::ofstream out(path);
-    out << v5_header << '\n' << v5_row << '\n';
-  }
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value()) << "v5 cache file rejected";
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  const RunMetrics& m = runs[0];
-  EXPECT_EQ(m.seed, 1u);
-  EXPECT_EQ(m.segments_delivered, 80u);
-  EXPECT_EQ(m.events_executed, 123456u);
-  EXPECT_DOUBLE_EQ(m.delivery_rate, 0.93);
-  // The v6-only metrics default.
-  EXPECT_EQ(m.wormhole_tunneled, 0u);
-  EXPECT_EQ(m.grayhole_absorbed, 0u);
-  EXPECT_DOUBLE_EQ(m.endpoint_inference_accuracy, 0.0);
-  EXPECT_EQ(m.flood_injected, 0u);
-
-  // Storing refreshes the file to the v6 column set, which round-trips.
-  CampaignCache::store(cfg, *loaded);
-  const auto reloaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->runs(Protocol::kAodv, 5)[0].segments_delivered, 80u);
-}
-
-TEST_F(CampaignCacheTest, V8RowsStillParseWithFabricColumnsDefaulted) {
-  // Forward compatibility: a cache file written before the v9 fabric
-  // columns (51 cells, v8 header) must load with run_status ok,
-  // attempts 1 and no error — exactly what a pre-fabric binary meant.
-  CampaignConfig cfg = tiny();
-  cfg.speeds = {5};
-  cfg.protocols = {Protocol::kAodv};
-  cfg.repetitions = 1;
-
-  const char* v8_header =
-      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-      "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-      "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-      "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-      "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
-      "adv_members";
-  const char* v8_row =
-      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
-      "80,78,12,45,0,0,123456,0,4,2,10,0.1,70,5,17,3,0.5,40,0,1,2.5,3,4.5,"
-      "0.25,6,7,5,5,3,2,0.66,2.5.";
-
-  std::filesystem::create_directories(dir_);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  {
-    std::ofstream out(path);
-    out << v8_header << '\n' << v8_row << '\n';
-  }
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value()) << "v8 cache file rejected";
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  const RunMetrics& m = runs[0];
-  EXPECT_EQ(m.seed, 1u);
-  // The v8 secrecy columns parse...
-  EXPECT_EQ(m.secrecy_shares, 5u);
-  EXPECT_EQ(m.shares_captured, 3u);
-  EXPECT_DOUBLE_EQ(m.key_recovery_rate, 0.66);
-  EXPECT_EQ(m.adversary_members, (std::vector<net::NodeId>{2, 5}));
-  // ...and the v9-only fabric columns default to a clean run.
-  EXPECT_EQ(m.run_status, RunStatus::kOk);
-  EXPECT_EQ(m.attempts, 1u);
-  EXPECT_TRUE(m.run_error.empty());
-
-  // Storing refreshes the file to the v9 column set, which round-trips.
-  CampaignCache::store(cfg, *loaded);
-  const auto reloaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->runs(Protocol::kAodv, 5)[0].shares_captured, 3u);
-}
-
-TEST_F(CampaignCacheTest, FailedRowsRoundTripInV10Columns) {
+TEST_F(CampaignCacheTest, FailedRowsRoundTripThroughAShard) {
   CampaignConfig cfg = tiny();
   cfg.repetitions = 1;
-  CampaignResult result;
-  // A degraded fabric row: status/attempts/error must survive a store
-  // + load, with the error message collapsed to a single CSV cell.
-  RunMetrics m = failed_run_metrics(cfg, WorkCell{0, 0, 0, 0, 0, 0, 1}, 0, 3,
-                                    "timeout, then crash");
-  result.add(std::move(m));
-  CampaignCache::store(cfg, result);
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value());
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].run_status, RunStatus::kFailed);
-  EXPECT_EQ(runs[0].attempts, 3u);
-  EXPECT_EQ(runs[0].run_error, "timeout  then crash");
-  EXPECT_EQ(runs[0].seed, cfg.seed_base);
+  auto [unit, store] = only_unit(cfg);
+  ASSERT_TRUE(store.prepare());
+  // A degraded fabric row: status/attempts/error must survive a write
+  // + read, with the error message collapsed to a single CSV cell.
+  const std::vector<RunMetrics> rows{failed_run_metrics(
+      cfg, unit.cells.front(), 0, 3, "timeout, then crash")};
+  ASSERT_TRUE(store.write(unit, rows, nullptr));
+  std::vector<RunMetrics> back;
+  ASSERT_EQ(store.read(unit, back), ShardStore::State::kFailed);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].run_status, RunStatus::kFailed);
+  EXPECT_EQ(back[0].attempts, 3u);
+  EXPECT_EQ(back[0].run_error, "timeout  then crash");
+  EXPECT_EQ(back[0].seed, cfg.seed_base);
 }
 
 TEST_F(CampaignCacheTest, TrafficAxisRoundTripsAndChangesTheKey) {
@@ -528,16 +346,18 @@ TEST_F(CampaignCacheTest, TrafficAxisRoundTripsAndChangesTheKey) {
   on.gateway_count = 2;
   on.user_pool = 6;
   on.session_rate = 5.0;
+  // Two concurrent flows at most: later arrivals are shed, so the
+  // rejected-session count below is non-vacuous.
+  on.max_concurrent_flows = 2;
   cfg.traffics = {traffic::TrafficSpec{}, on};
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(tiny()));
+  EXPECT_NE(campaign_key(cfg), campaign_key(tiny()));
 
-  const CampaignResult fresh = CampaignCache::run(cfg);
-  const auto cached = CampaignCache::load(cfg);
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(cached->total_runs(), fresh.total_runs());
+  const CampaignResult fresh = run_direct(cfg);
+  const CampaignResult cached = via_shards(cfg);
+  EXPECT_EQ(cached.total_runs(), fresh.total_runs());
   for (std::uint32_t t = 0; t < 2; ++t) {
     const auto& want = fresh.runs(Protocol::kAodv, 5, 0, 0, t);
-    const auto& got = cached->runs(Protocol::kAodv, 5, 0, 0, t);
+    const auto& got = cached.runs(Protocol::kAodv, 5, 0, 0, t);
     ASSERT_EQ(want.size(), got.size());
     ASSERT_FALSE(want.empty());
     for (std::size_t i = 0; i < want.size(); ++i) {
@@ -551,7 +371,7 @@ TEST_F(CampaignCacheTest, TrafficAxisRoundTripsAndChangesTheKey) {
       for (std::size_t c = 0; c < traffic::kUserClassCount; ++c) {
         EXPECT_EQ(got[i].traffic_classes[c].flows_completed,
                   want[i].traffic_classes[c].flows_completed);
-        // Exact: the CSV stores doubles at max_digits10.
+        // Exact: the CSV stores doubles in shortest round-trip form.
         EXPECT_DOUBLE_EQ(got[i].traffic_classes[c].delay_p50_ms,
                          want[i].traffic_classes[c].delay_p50_ms);
         EXPECT_DOUBLE_EQ(got[i].traffic_classes[c].delay_p95_ms,
@@ -565,147 +385,100 @@ TEST_F(CampaignCacheTest, TrafficAxisRoundTripsAndChangesTheKey) {
       }
     }
   }
-  // Non-vacuous: the enabled half of the grid actually ran sessions.
+  // Non-vacuous: the enabled half of the grid actually ran sessions and
+  // shed some at the flow cap.
   std::uint64_t sessions = 0;
+  std::uint64_t rejected = 0;
   for (const RunMetrics& r : fresh.runs(Protocol::kAodv, 5, 0, 0, 1)) {
     sessions += r.sessions_started;
+    rejected += r.sessions_rejected;
   }
   EXPECT_GT(sessions, 0u) << "traffic-on cells started no session; vacuous";
+  EXPECT_GT(rejected, 0u) << "no session rejected; sessions_rejected vacuous";
 
   // The workload knobs are result-affecting, so they must key the cache.
   CampaignConfig other = cfg;
   other.traffics[1].session_rate = 9.0;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.traffics[1].bulk_fraction = 0.9;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.traffics[1].diurnal = {1.0, 2.0};
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.traffics[1].bulk.max_segments = 99;
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
   other = cfg;
   other.traffics.pop_back();
-  EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
+  EXPECT_NE(campaign_key(cfg), campaign_key(other));
 }
 
-TEST_F(CampaignCacheTest, V9RowsStillParseWithTrafficColumnsDefaulted) {
-  // Forward compatibility: a cache file written before the v10 traffic
-  // columns (54 cells, v9 header) must load with the fifteen user-plane
-  // metrics defaulting to zero.  This is the exact v9 header and a row
-  // as the previous binary wrote them.
-  CampaignConfig cfg = tiny();
-  cfg.speeds = {5};
-  cfg.protocols = {Protocol::kAodv};
-  cfg.repetitions = 1;
-
-  const char* v9_header =
-      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-      "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-      "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-      "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-      "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
-      "run_status,run_attempts,run_error,adv_members";
-  const char* v9_row =
-      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
-      "80,78,12,45,0,0,123456,0,4,2,10,0.1,70,5,17,3,0.5,40,0,1,2.5,3,4.5,"
-      "0.25,6,7,5,5,3,2,0.66,ok,2,-,2.5.";
-
-  std::filesystem::create_directories(dir_);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  {
-    std::ofstream out(path);
-    out << v9_header << '\n' << v9_row << '\n';
-  }
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value()) << "v9 cache file rejected";
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  const RunMetrics& m = runs[0];
-  EXPECT_EQ(m.seed, 1u);
-  // The v9 secrecy + fabric columns parse...
-  EXPECT_EQ(m.shares_captured, 3u);
-  EXPECT_DOUBLE_EQ(m.key_recovery_rate, 0.66);
-  EXPECT_EQ(m.run_status, RunStatus::kOk);
-  EXPECT_EQ(m.attempts, 2u);
-  EXPECT_EQ(m.adversary_members, (std::vector<net::NodeId>{2, 5}));
-  // ...and the v10-only user-plane metrics default: the row predates
-  // the traffic plane, so it can only mean "workload off".
-  EXPECT_EQ(m.traffic_index, 0u);
-  EXPECT_EQ(m.sessions_started, 0u);
-  EXPECT_EQ(m.sessions_completed, 0u);
-  EXPECT_EQ(m.sessions_rejected, 0u);
-  for (const auto& c : m.traffic_classes) {
-    EXPECT_EQ(c.flows_completed, 0u);
-    EXPECT_DOUBLE_EQ(c.delay_p50_ms, 0.0);
-    EXPECT_DOUBLE_EQ(c.delay_p99_ms, 0.0);
-    EXPECT_DOUBLE_EQ(c.key_exposure, 0.0);
-  }
-
-  // Storing refreshes the file to the v10 column set, which round-trips.
-  CampaignCache::store(cfg, *loaded);
-  const auto reloaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->runs(Protocol::kAodv, 5)[0].shares_captured, 3u);
-}
-
-TEST_F(CampaignCacheTest, TruncationAtEveryByteOfTheLastRowIsAFullMiss) {
-  // The crash-safety contract: `store` is atomic (tmp + rename), and
-  // even if a filesystem breaks that promise, `load` must reject a file
-  // cut at ANY byte offset of its last row — never serve a cache entry
-  // with a silently shortened row or a plausible-looking prefix.
+TEST_F(CampaignCacheTest, TruncationAtEveryByteOfTheLastRowIsAMiss) {
+  // The crash-safety contract: shard writes are atomic (tmp + rename),
+  // and even if a filesystem breaks that promise, `read` must reject a
+  // shard cut at ANY byte offset of its last row — never ingest a
+  // silently shortened row or a plausible-looking prefix.
   const CampaignConfig cfg = tiny();
-  CampaignCache::run(cfg);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
+  via_shards(cfg);
+  auto [unit, store] = only_unit(cfg);
+  const auto path = store.path_of(unit);
   ASSERT_TRUE(std::filesystem::exists(path));
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    text = buf.str();
-  }
+  const std::string text = slurp(path);
   ASSERT_FALSE(text.empty());
   ASSERT_EQ(text.back(), '\n');
   // Start of the last row: one past the previous newline.
-  const std::size_t last_row =
-      text.rfind('\n', text.size() - 2) + 1;
+  const std::size_t last_row = text.rfind('\n', text.size() - 2) + 1;
   ASSERT_GT(text.size() - last_row, 100u) << "last row implausibly short";
+  std::vector<RunMetrics> rows;
   for (std::size_t cut = last_row; cut < text.size(); ++cut) {
-    std::filesystem::resize_file(path, cut);
-    EXPECT_FALSE(CampaignCache::load(cfg).has_value())
+    overwrite(path, text.substr(0, cut));
+    EXPECT_EQ(store.read(unit, rows), ShardStore::State::kMissing)
         << "truncation to " << cut << " bytes (row byte "
-        << (cut - last_row) << ") was served from cache";
+        << (cut - last_row) << ") was ingested";
+    // A rejected shard is deleted so the supervisor re-runs the unit.
+    EXPECT_FALSE(std::filesystem::exists(path));
   }
   // Restoring the full file restores the hit.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-  }
-  EXPECT_TRUE(CampaignCache::load(cfg).has_value());
+  overwrite(path, text);
+  EXPECT_EQ(store.read(unit, rows), ShardStore::State::kOk);
 }
 
-TEST_F(CampaignCacheTest, CorruptFileIsAFullMiss) {
+TEST_F(CampaignCacheTest, CorruptOrForeignHeaderShardIsRecomputed) {
   const CampaignConfig cfg = tiny();
-  CampaignCache::run(cfg);
-  // Truncate the cached file: load must reject it.
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  ASSERT_TRUE(std::filesystem::exists(path));
+  const std::string want = csv_of(cfg, via_shards(cfg));
+  auto [unit, store] = only_unit(cfg);
+  const auto path = store.path_of(unit);
+  const std::string text = slurp(path);
+
+  // A header mismatch is a miss and is recomputed: here, the shard of a
+  // binary whose last column is missing.
+  const std::string old_header =
+      csv::header().substr(0, csv::header().rfind(','));
+  overwrite(path, old_header + text.substr(text.find('\n')));
+  FabricReport again = run_campaign_fabric(cfg, quick_fabric());
+  EXPECT_EQ(again.units_run, 1u);
+  EXPECT_EQ(again.units_resumed, 0u);
+  EXPECT_EQ(csv_of(cfg, again.result), want);
+
+  // Same for a shard cut short.
   std::filesystem::resize_file(path, 40);
-  EXPECT_FALSE(CampaignCache::load(cfg).has_value());
+  again = run_campaign_fabric(cfg, quick_fabric());
+  EXPECT_EQ(again.units_run, 1u);
+  EXPECT_EQ(csv_of(cfg, again.result), want);
 }
 
-TEST_F(CampaignCacheTest, NoCacheEnvBypasses) {
+TEST_F(CampaignCacheTest, NoCacheEnvRecomputesEveryUnit) {
   const CampaignConfig cfg = tiny();
-  CampaignCache::run(cfg);
+  via_shards(cfg);
   setenv("MTS_BENCH_NO_CACHE", "1", 1);
-  EXPECT_FALSE(CampaignCache::load(cfg).has_value());
-  unsetenv("MTS_BENCH_NO_CACHE");
-  EXPECT_TRUE(CampaignCache::load(cfg).has_value());
+  FabricConfig fab = quick_fabric();
+  CampaignConfig scratch = cfg;  // apply_bench_env also reads the grid knobs
+  apply_bench_env(scratch, fab);
+  EXPECT_FALSE(fab.resume);
+  const FabricReport report = run_campaign_fabric(cfg, fab);
+  EXPECT_EQ(report.units_resumed, 0u);
+  EXPECT_EQ(report.units_run, report.units_total);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "harness/campaign.hpp"
 #include "harness/scenario.hpp"
+#include "integration/campaign_fixture.hpp"
 
 namespace mts::harness {
 namespace {
@@ -264,7 +265,7 @@ TEST(DefenseScenarioTest, CampaignSweepsTheDefenseAxis) {
   suite.kind = security::DefenseKind::kSuite;
   cfg.defenses = {security::DefenseSpec{}, suite};
 
-  const CampaignResult result = run_campaign(cfg);
+  const CampaignResult result = run_test_campaign(cfg);
   EXPECT_EQ(result.total_runs(), 1u * 1u * 2u * 2u * 2u);
   // Cell (adversary 0, defense 0) is the paper grid; (1, 1) the defended
   // attack; all four cells must be populated and tagged.

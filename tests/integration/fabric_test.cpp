@@ -1,18 +1,16 @@
 // The fabric must be a pure reliability layer: a sweep run through
 // process-isolated workers — including one that crashes, hangs or is
-// resumed after a kill — has to produce the same merged CSV as the
-// plain in-process campaign, and a unit that can never finish must
-// degrade to marked `failed` rows instead of taking the sweep down.
+// resumed after a kill — has to produce the same merged CSV as running
+// every cell's scenarios directly, one after another, and a unit that
+// can never finish must degrade to marked `failed` rows instead of
+// taking the sweep down.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdlib>
-#include <filesystem>
 #include <sstream>
 
-#include "harness/campaign_cache.hpp"
-#include "harness/campaign_csv.hpp"
-#include "harness/supervisor.hpp"
+#include "integration/campaign_fixture.hpp"
 
 namespace mts::harness {
 namespace {
@@ -20,9 +18,7 @@ namespace {
 class FabricTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("mts_fabric_test_" + std::to_string(::getpid()));
-    setenv("MTS_BENCH_CACHE_DIR", dir_.c_str(), 1);
+    setenv("MTS_BENCH_CACHE_DIR", dir_.path().c_str(), 1);
     unsetenv("MTS_BENCH_NO_CACHE");
     unsetenv("MTS_FABRIC_TEST_HANG_UNIT");
     unsetenv("MTS_FABRIC_TEST_HANG_ATTEMPTS");
@@ -31,8 +27,6 @@ class FabricTest : public ::testing::Test {
     unsetenv("MTS_BENCH_CACHE_DIR");
     unsetenv("MTS_FABRIC_TEST_HANG_UNIT");
     unsetenv("MTS_FABRIC_TEST_HANG_ATTEMPTS");
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
   }
 
   /// 2 speeds x 2 reps of a small AODV grid: two 1-cell work units,
@@ -48,15 +42,6 @@ class FabricTest : public ::testing::Test {
     return cfg;
   }
 
-  /// Byte-identical merged output: the strongest equivalence we can
-  /// ask for, and exactly what the sharded-sweep CI job diffs.
-  static std::string csv_of(const CampaignConfig& cfg,
-                            const CampaignResult& r) {
-    std::ostringstream os;
-    csv::write_campaign(os, cfg, r);
-    return os.str();
-  }
-
   static FabricConfig quick_fabric() {
     FabricConfig fab;
     fab.workers = 2;
@@ -64,12 +49,12 @@ class FabricTest : public ::testing::Test {
     return fab;
   }
 
-  std::filesystem::path dir_;
+  ScratchDir dir_;
 };
 
-TEST_F(FabricTest, CleanFabricRunMatchesInProcessCampaignByteForByte) {
+TEST_F(FabricTest, CleanFabricRunMatchesDirectRunsByteForByte) {
   const CampaignConfig cfg = tiny();
-  const CampaignResult reference = run_campaign(cfg);
+  const CampaignResult reference = run_direct(cfg);
 
   const FabricReport report = run_campaign_fabric(cfg, quick_fabric());
   EXPECT_EQ(report.units_total, 2u);
@@ -80,15 +65,16 @@ TEST_F(FabricTest, CleanFabricRunMatchesInProcessCampaignByteForByte) {
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(csv_of(cfg, report.result), csv_of(cfg, reference));
 
-  // A complete, failure-free grid is promoted into the campaign cache.
-  const auto cached = CampaignCache::load(cfg);
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(csv_of(cfg, *cached), csv_of(cfg, reference));
+  // Re-running finds every shard: nothing is simulated again.
+  const FabricReport again = run_campaign_fabric(cfg, quick_fabric());
+  EXPECT_EQ(again.units_resumed, 2u);
+  EXPECT_EQ(again.units_run, 0u);
+  EXPECT_EQ(csv_of(cfg, again.result), csv_of(cfg, reference));
 }
 
 TEST_F(FabricTest, SigkilledWorkerIsRetriedAndTheSweepStillMatches) {
   const CampaignConfig cfg = tiny();
-  const CampaignResult reference = run_campaign(cfg);
+  const CampaignResult reference = run_direct(cfg);
 
   // Crash unit 0's worker (SIGKILL mid-unit, before it writes a shard)
   // on the first attempt only: the supervisor must see "killed by
@@ -122,7 +108,7 @@ TEST_F(FabricTest, SigkilledWorkerIsRetriedAndTheSweepStillMatches) {
 
 TEST_F(FabricTest, CrashedSweepResumesAndMergesByteIdentical) {
   const CampaignConfig cfg = tiny();
-  const CampaignResult reference = run_campaign(cfg);
+  const CampaignResult reference = run_direct(cfg);
 
   // Invocation 1 stands in for a host that died mid-sweep: unit 0's
   // worker is SIGKILLed on every attempt and no retries are granted, so
@@ -138,8 +124,6 @@ TEST_F(FabricTest, CrashedSweepResumesAndMergesByteIdentical) {
   EXPECT_TRUE(first.complete);  // degraded rows keep the grid complete
   ASSERT_EQ(first.failures.size(), 1u);
   EXPECT_EQ(first.failures[0].index, 0u);
-  // A degraded grid must NOT be promoted to the campaign cache.
-  EXPECT_FALSE(CampaignCache::load(cfg).has_value());
 
   // Invocation 2: resume without the fault.  Only the failed unit is
   // re-run; the intact shard is ingested from disk.
@@ -152,14 +136,11 @@ TEST_F(FabricTest, CrashedSweepResumesAndMergesByteIdentical) {
   // The merged result is byte-identical to an uninterrupted run (the
   // re-run starts a fresh attempt budget, so even attempts match).
   EXPECT_EQ(csv_of(cfg, second.result), csv_of(cfg, reference));
-  const auto cached = CampaignCache::load(cfg);
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(csv_of(cfg, *cached), csv_of(cfg, reference));
 }
 
 TEST_F(FabricTest, TimeoutKillsTheHangingWorkerAndTheRetrySucceeds) {
   const CampaignConfig cfg = tiny();
-  const CampaignResult reference = run_campaign(cfg);
+  const CampaignResult reference = run_direct(cfg);
 
   // Env-forced hang: unit 0's worker spins forever on attempt 1 and
   // behaves on attempt 2 — the supervisor must SIGKILL it at the
@@ -174,7 +155,7 @@ TEST_F(FabricTest, TimeoutKillsTheHangingWorkerAndTheRetrySucceeds) {
   EXPECT_EQ(report.units_ok, 2u);
   EXPECT_TRUE(report.complete);
   EXPECT_NE(log.str().find("timeout after"), std::string::npos) << log.str();
-  // Same results as in-process, modulo attempts=2 on the hung unit.
+  // Same results as the direct runs, modulo attempts=2 on the hung unit.
   for (const RunMetrics& got : report.result.runs(Protocol::kAodv, 5)) {
     EXPECT_EQ(got.run_status, RunStatus::kOk);
     EXPECT_EQ(got.attempts, 2u);
@@ -225,24 +206,21 @@ TEST_F(FabricTest, PermanentHangDegradesToFailedRowsAndStillCompletes) {
       Protocol::kAodv, 5,
       [](const RunMetrics& m) { return static_cast<double>(m.seed); });
   EXPECT_EQ(s.count(), 0u);
-  // And the degraded grid stays out of the campaign cache so the next
-  // resume retries it...
-  EXPECT_FALSE(CampaignCache::load(cfg).has_value());
-  // ...which it does: drop the fault and resume.
+  // The failed shard is not a cache hit: drop the fault and resume, and
+  // the unit runs again with a fresh retry budget.
   unsetenv("MTS_FABRIC_TEST_HANG_UNIT");
   const FabricReport retry = run_campaign_fabric(cfg, quick_fabric());
   EXPECT_EQ(retry.units_run, 1u);
+  EXPECT_EQ(retry.units_resumed, 0u);
   EXPECT_EQ(retry.units_failed, 0u);
-  EXPECT_TRUE(CampaignCache::load(cfg).has_value());
 }
 
 TEST_F(FabricTest, ShardSlicesMergeAcrossInvocations) {
   const CampaignConfig cfg = tiny();
-  const CampaignResult reference = run_campaign(cfg);
+  const CampaignResult reference = run_direct(cfg);
 
   // Two hosts, one slice each.  The first finisher's grid is
-  // incomplete (its peer's shard is still pending), so nothing is
-  // promoted to the campaign cache yet.
+  // incomplete: its peer's shard is still pending.
   FabricConfig shard0 = quick_fabric();
   shard0.shard_index = 0;
   shard0.shard_count = 2;
@@ -250,10 +228,9 @@ TEST_F(FabricTest, ShardSlicesMergeAcrossInvocations) {
   EXPECT_EQ(first.units_owned, 1u);
   EXPECT_EQ(first.units_run, 1u);
   EXPECT_FALSE(first.complete);
-  EXPECT_FALSE(CampaignCache::load(cfg).has_value());
 
   // The second shard runs its slice, ingests the first one's shard
-  // file, and merges the full grid byte-identical to in-process.
+  // file, and merges the full grid byte-identical to the direct runs.
   FabricConfig shard1 = quick_fabric();
   shard1.shard_index = 1;
   shard1.shard_count = 2;
@@ -262,7 +239,6 @@ TEST_F(FabricTest, ShardSlicesMergeAcrossInvocations) {
   EXPECT_EQ(second.units_run, 1u);
   EXPECT_TRUE(second.complete);
   EXPECT_EQ(csv_of(cfg, second.result), csv_of(cfg, reference));
-  EXPECT_TRUE(CampaignCache::load(cfg).has_value());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "harness/campaign.hpp"
 #include "harness/scenario.hpp"
+#include "integration/campaign_fixture.hpp"
 
 namespace mts::harness {
 namespace {
@@ -147,8 +148,7 @@ TEST(CampaignTest, RunsFullGridAndAggregates) {
   cfg.speeds = {2, 20};
   cfg.protocols = {Protocol::kAodv, Protocol::kMts};
   cfg.repetitions = 2;
-  cfg.threads = 2;
-  const CampaignResult r = run_campaign(cfg);
+  const CampaignResult r = run_test_campaign(cfg);
   EXPECT_EQ(r.total_runs(), 8u);
   for (Protocol p : cfg.protocols) {
     for (double v : cfg.speeds) {
@@ -168,7 +168,7 @@ TEST(CampaignTest, PairedSeedsAcrossProtocols) {
   cfg.speeds = {10};
   cfg.repetitions = 3;
   cfg.seed_base = 100;
-  const CampaignResult r = run_campaign(cfg);
+  const CampaignResult r = run_test_campaign(cfg);
   const auto& aodv = r.runs(Protocol::kAodv, 10);
   const auto& mts = r.runs(Protocol::kMts, 10);
   ASSERT_EQ(aodv.size(), 3u);
@@ -195,7 +195,7 @@ TEST(CampaignTest, PrintFigureProducesRowsPerSpeed) {
   cfg.speeds = {2, 20};
   cfg.protocols = {Protocol::kMts};
   cfg.repetitions = 1;
-  const CampaignResult r = run_campaign(cfg);
+  const CampaignResult r = run_test_campaign(cfg);
   std::ostringstream os;
   print_figure(os, r, cfg, "Test figure", "unit",
                [](const RunMetrics& m) { return m.delivery_rate; });
