@@ -29,10 +29,9 @@
 // (docs/architecture/campaign-fabric.md): process-isolated workers,
 // per-unit shards, and a re-run resumes from the shards it finds.
 // --shard i/n executes only every n-th work unit (multi-host slicing);
-// --resume / --no-resume override the default (resume unless
-// MTS_BENCH_NO_CACHE=1); --timeout, --max-retries, --workers and
-// --cells-per-unit tune the supervisor; --csv-out PATH exports the
-// merged CSV for diffing/archiving.
+// MTS_BENCH_NO_CACHE=1 recomputes instead of resuming; --timeout,
+// --max-retries, --workers and --cells-per-unit tune the supervisor;
+// --csv-out PATH exports the merged CSV for diffing/archiving.
 //
 // --traffic adds the user-plane axis: every cell runs once with the
 // session workload off and once with it on, and the per-class delivery
@@ -66,11 +65,7 @@ bool parse_cli(int argc, char** argv, CliOptions& opt) {
       return argv[++i];
     };
     try {
-      if (arg == "--resume") {
-        opt.fab.resume = true;
-      } else if (arg == "--no-resume") {
-        opt.fab.resume = false;
-      } else if (arg == "--shard") {
+      if (arg == "--shard") {
         const char* v = next_value("--shard");
         if (v == nullptr) return false;
         const std::string spec = v;
@@ -112,10 +107,10 @@ bool parse_cli(int argc, char** argv, CliOptions& opt) {
         opt.csv_out = v;
       } else if (arg == "--help" || arg == "-h") {
         std::cout
-            << "usage: ext_adversary_sweep [--shard i/n] "
-               "[--resume|--no-resume]\n"
-               "         [--timeout S] [--max-retries N] [--workers N]\n"
-               "         [--cells-per-unit K] [--csv-out PATH] [--traffic]\n";
+            << "usage: ext_adversary_sweep [--shard i/n] [--timeout S]\n"
+               "         [--max-retries N] [--workers N] "
+               "[--cells-per-unit K]\n"
+               "         [--csv-out PATH] [--traffic]\n";
         std::exit(0);
       } else {
         std::cerr << "error: unknown flag '" << arg << "' (try --help)\n";
@@ -247,7 +242,7 @@ int main(int argc, char** argv) {
   if (!report.complete) {
     std::cout << "\n(grid incomplete: this invocation ran shard "
               << opt.fab.shard_index << '/' << opt.fab.shard_count
-              << "; rerun with --resume once all shards finished to "
+              << "; rerun without --shard once all shards finished to "
                  "merge)\n";
   }
   if (!opt.csv_out.empty()) {

@@ -2,9 +2,13 @@
 // sweep — three protocols, a few speeds, TCP metrics side by side.
 // Shows how to drive the campaign fabric (`run_campaign_fabric`)
 // programmatically instead of through the per-figure bench binaries.
-// Shards land under .mts_bench_cache/ (or $MTS_BENCH_CACHE_DIR), so a
-// second run resumes instead of simulating again.
+// Its shards live in a temporary directory that is removed afterwards,
+// so every run simulates afresh.
+#include <unistd.h>
+
+#include <filesystem>
 #include <iostream>
+#include <string>
 
 #include "harness/supervisor.hpp"
 
@@ -20,8 +24,12 @@ int main() {
   std::cout << "Shootout: " << cfg.speeds.size() << " speeds x 3 protocols x "
             << cfg.repetitions << " reps, "
             << cfg.base.sim_time.to_seconds() << "s each...\n";
+  harness::FabricConfig fab;
+  fab.shard_dir = std::filesystem::temp_directory_path() /
+                  ("mts_shootout_" + std::to_string(::getpid()));
   const harness::CampaignResult result =
-      harness::run_campaign_fabric(cfg, harness::FabricConfig{}).result;
+      harness::run_campaign_fabric(cfg, fab).result;
+  std::filesystem::remove_all(fab.shard_dir);
 
   harness::print_figure(std::cout, result, cfg, "Throughput", "kb/s",
                         [](const RunMetrics& m) { return m.throughput_kbps; },

@@ -102,14 +102,15 @@ constexpr std::size_t kColumnCount = std::tuple_size_v<decltype(kColumns)>;
 
 // --- one codec per cell type ----------------------------------------------
 
-/// Enums travel as their integer value; parsing rejects anything past
-/// the last enumerator.
-constexpr Protocol last_enumerator(Protocol) { return Protocol::kSmr; }
-constexpr security::AdversaryKind last_enumerator(security::AdversaryKind) {
-  return security::AdversaryKind::kRreqFlood;
+/// Enums travel as their integer value; parsing accepts exactly the
+/// values the enum's name function knows.  Those are exhaustive
+/// switches, which -Wswitch flags when an enumerator is added.
+const char* enum_name(Protocol p) { return protocol_name(p); }
+const char* enum_name(security::AdversaryKind k) {
+  return security::adversary_kind_name(k);
 }
-constexpr security::DefenseKind last_enumerator(security::DefenseKind) {
-  return security::DefenseKind::kSuite;
+const char* enum_name(security::DefenseKind k) {
+  return security::defense_kind_name(k);
 }
 
 template <class T>
@@ -152,11 +153,9 @@ bool get(std::string_view cell, T& v) {
 template <class E>
   requires std::is_enum_v<E>
 bool get(std::string_view cell, E& v) {
-  unsigned n = 0;
-  if (!get(cell, n) || n > static_cast<unsigned>(last_enumerator(E{}))) {
-    return false;
-  }
-  v = static_cast<E>(n);
+  std::underlying_type_t<E> n = 0;
+  if (!get(cell, n) || std::string_view(enum_name(E{n})) == "?") return false;
+  v = E{n};
   return true;
 }
 

@@ -24,8 +24,9 @@ void write_row(std::ostream& os, const RunMetrics& m);
 
 /// Parses one row (no terminator).  Strict: exactly one cell per
 /// column, every cell consumed whole, integers range-checked against
-/// their field's type, enums against their last enumerator.  nullopt on
-/// any malformed cell — callers treat that as corruption, never crash.
+/// their field's type, enums against the values their name function
+/// knows.  nullopt on any malformed cell — callers treat that as
+/// corruption, never crash.
 std::optional<RunMetrics> parse_row(std::string_view line);
 
 /// Collapses an arbitrary error message into a single CSV cell: commas,

@@ -190,6 +190,10 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
     Clock::time_point not_before;
   };
   std::deque<Pending> pending;
+  // Rows per unit, added to the result in partition order at the end:
+  // a cell split over several units then lists its runs in repetition
+  // order whichever unit finished first.
+  std::vector<std::vector<RunMetrics>> unit_rows(units.size());
   std::vector<char> have(units.size(), 0);
   std::vector<char> spawned(units.size(), 0);
 
@@ -206,7 +210,7 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
     }
     switch (st) {
       case ShardStore::State::kOk:
-        for (RunMetrics& m : rows) report.result.add(std::move(m));
+        unit_rows[u.index] = std::move(rows);
         have[u.index] = 1;
         ++report.units_ok;
         if (owned) {
@@ -226,7 +230,7 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
           // Another host's slice: report its failure as recorded.
           report.failures.push_back(FailedUnit{
               u.id, u.index, rows.front().attempts, rows.front().run_error});
-          for (RunMetrics& m : rows) report.result.add(std::move(m));
+          unit_rows[u.index] = std::move(rows);
           have[u.index] = 1;
           ++report.units_failed;
         }
@@ -261,7 +265,7 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
     }
     std::string werr;
     store.write(u, rows, &werr);  // best effort: the report is the truth
-    for (RunMetrics& m : rows) report.result.add(std::move(m));
+    unit_rows[u.index] = std::move(rows);
     have[u.index] = 1;
     ++report.units_failed;
     report.failures.push_back(FailedUnit{u.id, u.index, attempt, error});
@@ -273,7 +277,7 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
   auto on_success = [&](const WorkUnit& u, std::vector<RunMetrics> rows) {
     sink.unit_line(u.index + 1, total,
                    "ok (" + std::to_string(rows.size()) + " runs)");
-    for (RunMetrics& m : rows) report.result.add(std::move(m));
+    unit_rows[u.index] = std::move(rows);
     have[u.index] = 1;
     ++report.units_ok;
   };
@@ -403,8 +407,9 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
 #endif
 
   report.complete = true;
-  for (const char h : have) {
-    if (!h) report.complete = false;
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    if (!have[i]) report.complete = false;
+    for (RunMetrics& m : unit_rows[i]) report.result.add(std::move(m));
   }
   {
     std::ostringstream os;

@@ -16,9 +16,9 @@ struct FabricConfig {
   /// Concurrent worker processes; 0 = hardware concurrency
   /// (MTS_BENCH_THREADS in the benches).
   unsigned workers = 0;
-  /// Grid cells batched into one worker process (SoA batch mode): tiny
-  /// cells amortize fork/pool/shard setup.  Part of the partition, so
-  /// resume requires the same value.
+  /// Work cells (see `partition_campaign`) batched into one worker
+  /// process (SoA batch mode): tiny cells amortize fork/pool/shard
+  /// setup.  Part of the partition, so resume requires the same value.
   std::size_t cells_per_unit = 1;
   /// Per-unit wall-clock timeout in seconds; a worker past it is
   /// SIGKILLed and the attempt counts as failed.  0 = no timeout.
@@ -32,13 +32,13 @@ struct FabricConfig {
   /// Multi-host slicing (`--shard i/n`): this invocation executes only
   /// units whose index ≡ shard_index (mod shard_count), but ingests
   /// every complete shard it finds, so the last finisher (or a final
-  /// `--resume` pass) merges the whole grid.
+  /// pass without `--shard`) merges the whole grid.
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
   /// Ingest complete shards from a previous (possibly killed) run and
   /// schedule only missing/failed units — a re-run that finds every
-  /// shard is the campaign's cache hit.  false recomputes this
-  /// invocation's slice from scratch.
+  /// shard is the campaign's cache hit.  false (MTS_BENCH_NO_CACHE=1
+  /// in the benches) recomputes this invocation's slice from scratch.
   bool resume = true;
   /// Shard directory override; empty = `ShardStore::dir_for(cfg)`.
   std::filesystem::path shard_dir;

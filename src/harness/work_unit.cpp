@@ -1,5 +1,7 @@
 #include "harness/work_unit.hpp"
 
+#include <algorithm>
+
 #include "sim/error.hpp"
 #include "sim/rng.hpp"
 
@@ -33,17 +35,26 @@ std::vector<WorkUnit> partition_campaign(const CampaignConfig& cfg,
     units.push_back(std::move(current));
     current = WorkUnit{};
   };
+  const std::size_t grid_cells = cfg.protocols.size() * cfg.speeds.size() *
+                                 cfg.adversaries.size() *
+                                 cfg.defenses.size() * cfg.traffics.size();
+  const std::uint32_t reps_per_cell =
+      grid_cells < kWideGridCells ? 1 : cfg.repetitions;
   std::uint32_t batch_first = 0;
   for (std::uint32_t p = 0; p < cfg.protocols.size(); ++p) {
     for (std::uint32_t s = 0; s < cfg.speeds.size(); ++s) {
       for (std::uint32_t a = 0; a < cfg.adversaries.size(); ++a) {
         for (std::uint32_t d = 0; d < cfg.defenses.size(); ++d) {
           for (std::uint32_t t = 0; t < cfg.traffics.size(); ++t) {
-            if (current.cells.empty()) batch_first = ordinal;
-            current.cells.push_back(
-                WorkCell{p, s, a, d, t, 0, cfg.repetitions});
-            if (current.cells.size() >= cells_per_unit) flush(batch_first);
-            ++ordinal;
+            for (std::uint32_t r = 0; r < cfg.repetitions;
+                 r += reps_per_cell) {
+              if (current.cells.empty()) batch_first = ordinal;
+              current.cells.push_back(WorkCell{
+                  p, s, a, d, t, r,
+                  std::min(r + reps_per_cell, cfg.repetitions)});
+              if (current.cells.size() >= cells_per_unit) flush(batch_first);
+              ++ordinal;
+            }
           }
         }
       }

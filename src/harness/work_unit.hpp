@@ -26,13 +26,13 @@ struct WorkCell {
   bool operator==(const WorkCell&) const = default;
 };
 
-/// A batch of cells one worker process executes and writes as one
+/// A batch of work cells one worker process executes and writes as one
 /// shard.  `cells_per_unit > 1` is the SoA batch mode: tiny cells share
 /// a single process setup (fork, pools, shard fsync) instead of paying
 /// it per cell.
 struct WorkUnit {
   /// Deterministic identity: a hash of the campaign key, the unit's
-  /// first grid ordinal and its cell count.  Two invocations of
+  /// first work-cell ordinal and its cell count.  Two invocations of
   /// the same (config, cells_per_unit) produce identical ids, so a
   /// resumed or sharded sweep finds exactly the shard files an earlier
   /// one wrote; any config change flips the campaign key and with it
@@ -48,10 +48,19 @@ struct WorkUnit {
   }
 };
 
+/// Grids with at least this many cells give each work cell a whole
+/// repetition range, paying the per-unit fork/poll/shard cost once for
+/// all of a cell's runs; that many cells already keep as many workers
+/// busy.  A narrower grid gives every repetition its own work cell, so
+/// a one-cell ablation still spreads its runs over the workers.
+inline constexpr std::size_t kWideGridCells = 32;
+
 /// Splits the campaign grid (protocol x speed x adversary x defense x
-/// traffic, row-major in that order, full repetition range per cell) into units
-/// of `cells_per_unit` consecutive cells (0 acts as 1).  Pure function
-/// of its inputs: any two runs partition identically.
+/// traffic, row-major in that order, then repetitions) into work cells
+/// — one per grid cell, or one per run below `kWideGridCells` — and
+/// batches `cells_per_unit` consecutive work cells into a unit (0 acts
+/// as 1).  Pure function of its inputs: any two runs partition
+/// identically, on any host and with any worker count.
 std::vector<WorkUnit> partition_campaign(const CampaignConfig& cfg,
                                          std::size_t cells_per_unit);
 

@@ -26,13 +26,20 @@ CampaignConfig tiny() {
   return cfg;
 }
 
-TEST(WorkUnitTest, PartitionCoversTheGridOnceInRowMajorOrder) {
+/// tiny() with enough speeds to reach `kWideGridCells` cells.
+CampaignConfig wide() {
+  CampaignConfig cfg = tiny();
+  cfg.speeds = {1, 2, 3, 4, 5, 6, 7, 8};  // 2 x 8 x 2 = 32 cells
+  return cfg;
+}
+
+TEST(WorkUnitTest, NarrowGridGetsOneUnitPerRunInRowMajorOrder) {
   const CampaignConfig cfg = tiny();
   const auto units = partition_campaign(cfg, 1);
   // 2 protocols x 2 speeds x 2 adversaries x 1 defense x 1 traffic
-  // = 8 cells.
-  ASSERT_EQ(units.size(), 8u);
-  std::uint32_t expect_p = 0, expect_s = 0, expect_a = 0;
+  // = 8 cells, below kWideGridCells: one unit per (cell, repetition).
+  ASSERT_EQ(units.size(), 8u * cfg.repetitions);
+  std::uint32_t expect_p = 0, expect_s = 0, expect_a = 0, expect_r = 0;
   for (std::size_t i = 0; i < units.size(); ++i) {
     EXPECT_EQ(units[i].index, i);
     ASSERT_EQ(units[i].cells.size(), 1u);
@@ -42,9 +49,11 @@ TEST(WorkUnitTest, PartitionCoversTheGridOnceInRowMajorOrder) {
     EXPECT_EQ(c.adversary, expect_a);
     EXPECT_EQ(c.defense, 0u);
     EXPECT_EQ(c.traffic, 0u);
-    EXPECT_EQ(c.rep_begin, 0u);
-    EXPECT_EQ(c.rep_end, cfg.repetitions);
-    EXPECT_EQ(units[i].total_runs(), cfg.repetitions);
+    EXPECT_EQ(c.rep_begin, expect_r);
+    EXPECT_EQ(c.rep_end, expect_r + 1);
+    EXPECT_EQ(units[i].total_runs(), 1u);
+    if (++expect_r < cfg.repetitions) continue;
+    expect_r = 0;
     if (++expect_a == 2) {
       expect_a = 0;
       if (++expect_s == 2) {
@@ -55,53 +64,73 @@ TEST(WorkUnitTest, PartitionCoversTheGridOnceInRowMajorOrder) {
   }
 }
 
+TEST(WorkUnitTest, WideGridGetsOneUnitPerCellWithEveryRepetition) {
+  const CampaignConfig cfg = wide();
+  const auto units = partition_campaign(cfg, 1);
+  ASSERT_EQ(units.size(), kWideGridCells);
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    ASSERT_EQ(units[i].cells.size(), 1u);
+    const WorkCell& c = units[i].cells[0];
+    EXPECT_EQ(c.protocol, i / 16);
+    EXPECT_EQ(c.speed, (i / 2) % 8);
+    EXPECT_EQ(c.adversary, i % 2);
+    EXPECT_EQ(c.rep_begin, 0u);
+    EXPECT_EQ(c.rep_end, cfg.repetitions);
+  }
+}
+
 TEST(WorkUnitTest, TrafficAxisIsInnermostBeforeRepetitions) {
   CampaignConfig cfg = tiny();
   traffic::TrafficSpec on;
   on.enabled = true;
   cfg.traffics = {traffic::TrafficSpec{}, on};
   const auto units = partition_campaign(cfg, 1);
-  ASSERT_EQ(units.size(), 16u);  // the 8-cell grid doubled by traffic
+  // The 8-cell grid doubled by traffic, one unit per repetition.
+  ASSERT_EQ(units.size(), 16u * cfg.repetitions);
   for (std::size_t i = 0; i < units.size(); ++i) {
     ASSERT_EQ(units[i].cells.size(), 1u);
-    EXPECT_EQ(units[i].cells[0].traffic, i % 2) << "unit " << i;
+    EXPECT_EQ(units[i].cells[0].traffic, (i / cfg.repetitions) % 2)
+        << "unit " << i;
+    EXPECT_EQ(units[i].cells[0].rep_begin, i % cfg.repetitions)
+        << "unit " << i;
   }
 }
 
 TEST(WorkUnitTest, PartitionIsDeterministicAndKeyedByTheConfig) {
-  const CampaignConfig cfg = tiny();
-  const auto a = partition_campaign(cfg, 1);
-  const auto b = partition_campaign(cfg, 1);
-  ASSERT_EQ(a.size(), b.size());
-  std::set<std::uint64_t> ids;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id) << "unit " << i;
-    EXPECT_EQ(a[i].cells, b[i].cells) << "unit " << i;
-    ids.insert(a[i].id);
-  }
-  EXPECT_EQ(ids.size(), a.size()) << "unit ids collide within the campaign";
+  for (const CampaignConfig& cfg : {tiny(), wide()}) {
+    const auto a = partition_campaign(cfg, 1);
+    const auto b = partition_campaign(cfg, 1);
+    ASSERT_EQ(a.size(), b.size());
+    std::set<std::uint64_t> ids;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id) << "unit " << i;
+      EXPECT_EQ(a[i].cells, b[i].cells) << "unit " << i;
+      ids.insert(a[i].id);
+    }
+    EXPECT_EQ(ids.size(), a.size()) << "unit ids collide within the campaign";
 
-  // Any result-affecting change flips the campaign key and every id:
-  // stale shards of the old sweep can never be mistaken for new ones.
-  CampaignConfig other = cfg;
-  other.repetitions = 4;
-  const auto c = partition_campaign(other, 1);
-  ASSERT_EQ(c.size(), a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NE(c[i].id, a[i].id) << "unit " << i;
+    // Any result-affecting change flips the campaign key and every id:
+    // stale shards of the old sweep can never be mistaken for new ones.
+    CampaignConfig other = cfg;
+    other.seed_base += 1;
+    const auto c = partition_campaign(other, 1);
+    ASSERT_EQ(c.size(), a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_NE(c[i].id, a[i].id) << "unit " << i;
+    }
   }
 }
 
-TEST(WorkUnitTest, BatchModeGroupsConsecutiveCells) {
+TEST(WorkUnitTest, BatchModeGroupsConsecutiveWorkCells) {
   const CampaignConfig cfg = tiny();
-  const auto units = partition_campaign(cfg, 3);  // 8 cells -> 3,3,2
-  ASSERT_EQ(units.size(), 3u);
-  EXPECT_EQ(units[0].cells.size(), 3u);
-  EXPECT_EQ(units[1].cells.size(), 3u);
-  EXPECT_EQ(units[2].cells.size(), 2u);
-  EXPECT_EQ(units[0].total_runs(), 9u);
-  EXPECT_EQ(units[2].total_runs(), 6u);
-  // The flat cell sequence is the same as the unbatched partition.
+  const auto units = partition_campaign(cfg, 5);  // 24 work cells -> 5x4 + 4
+  ASSERT_EQ(units.size(), 5u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(units[i].cells.size(), 5u);
+    EXPECT_EQ(units[i].total_runs(), 5u);
+  }
+  EXPECT_EQ(units[4].cells.size(), 4u);
+  // The flat work-cell sequence is the same as the unbatched partition.
   const auto flat = partition_campaign(cfg, 1);
   std::size_t k = 0;
   for (const WorkUnit& u : units) {
@@ -110,10 +139,15 @@ TEST(WorkUnitTest, BatchModeGroupsConsecutiveCells) {
       ++k;
     }
   }
+  EXPECT_EQ(k, flat.size());
   // 0 acts as 1; a different batch size is a different partition with
   // different ids (resume requires the same cells_per_unit).
-  EXPECT_EQ(partition_campaign(cfg, 0).size(), 8u);
+  EXPECT_EQ(partition_campaign(cfg, 0).size(), flat.size());
   EXPECT_NE(units[0].id, flat[0].id);
+  // Batching a wide grid groups whole cells.
+  const auto wide_units = partition_campaign(wide(), 3);
+  ASSERT_EQ(wide_units.size(), 11u);  // 32 cells -> 10x3 + 2
+  EXPECT_EQ(wide_units[0].total_runs(), 3u * cfg.repetitions);
 }
 
 TEST(WorkUnitTest, ShardSlicesAreDisjointAndCover) {
@@ -213,7 +247,7 @@ TEST(WorkUnitTest, SanitizeErrorKeepsMessagesSingleCell) {
   line.pop_back();
   ASSERT_TRUE(csv::parse_row(line).has_value());
   // Malformed cells must not parse as a row: an unknown status word,
-  // enums past their last enumerator, trailing junk, a negative
+  // enum values without a name, trailing junk, a negative
   // unsigned, a value that only fits after truncation to 32 bits, and
   // rows one cell short or long.
   for (const auto& [column, value] :
@@ -234,6 +268,43 @@ TEST(WorkUnitTest, SanitizeErrorKeepsMessagesSingleCell) {
   }
   EXPECT_FALSE(csv::parse_row(line + ",0").has_value());
   EXPECT_FALSE(csv::parse_row(line.substr(0, line.rfind(','))).has_value());
+}
+
+// Every value of an enum column's underlying type: the named ones (all
+// enumerators, however many an enum grows to) must survive write_row ->
+// parse_row, and no other value may parse.
+template <class E, class Field, class Name>
+void expect_enum_cells_round_trip(Field field, Name name) {
+  std::size_t named = 0;
+  for (unsigned n = 0; n <= 0xff; ++n) {
+    const E v{static_cast<std::underlying_type_t<E>>(n)};
+    RunMetrics m;
+    field(m) = v;
+    std::ostringstream os;
+    csv::write_row(os, m);
+    std::string line = os.str();
+    line.pop_back();
+    const auto parsed = csv::parse_row(line);
+    if (std::string(name(v)) == "?") {
+      EXPECT_FALSE(parsed.has_value()) << "value " << n;
+      continue;
+    }
+    ++named;
+    ASSERT_TRUE(parsed.has_value()) << name(v);
+    EXPECT_EQ(field(*parsed), v) << name(v);
+  }
+  EXPECT_GE(named, 2u);
+}
+
+TEST(WorkUnitTest, EveryEnumeratorRoundTripsAndNothingElseParses) {
+  expect_enum_cells_round_trip<Protocol>(
+      [](auto& m) -> auto& { return m.protocol; }, protocol_name);
+  expect_enum_cells_round_trip<security::AdversaryKind>(
+      [](auto& m) -> auto& { return m.adversary_kind; },
+      security::adversary_kind_name);
+  expect_enum_cells_round_trip<security::DefenseKind>(
+      [](auto& m) -> auto& { return m.defense_kind; },
+      security::defense_kind_name);
 }
 
 }  // namespace

@@ -52,10 +52,11 @@ class CampaignCacheTest : public ::testing::Test {
     return std::move(report.result);
   }
 
-  /// The single unit of a one-cell campaign and its shard store.
-  static std::pair<WorkUnit, ShardStore> only_unit(const CampaignConfig& cfg) {
+  /// The first unit of a campaign (its first run: the grid is narrow)
+  /// and its shard store.
+  static std::pair<WorkUnit, ShardStore> first_unit(const CampaignConfig& cfg) {
     auto units = partition_campaign(cfg, 1);
-    EXPECT_EQ(units.size(), 1u);
+    EXPECT_EQ(units.size(), cfg.repetitions);
     return {units.front(), ShardStore(ShardStore::dir_for(cfg))};
   }
 
@@ -321,7 +322,7 @@ TEST_F(CampaignCacheTest, SecrecyMetricsRoundTrip) {
 TEST_F(CampaignCacheTest, FailedRowsRoundTripThroughAShard) {
   CampaignConfig cfg = tiny();
   cfg.repetitions = 1;
-  auto [unit, store] = only_unit(cfg);
+  auto [unit, store] = first_unit(cfg);
   ASSERT_TRUE(store.prepare());
   // A degraded fabric row: status/attempts/error must survive a write
   // + read, with the error message collapsed to a single CSV cell.
@@ -421,7 +422,7 @@ TEST_F(CampaignCacheTest, TruncationAtEveryByteOfTheLastRowIsAMiss) {
   // silently shortened row or a plausible-looking prefix.
   const CampaignConfig cfg = tiny();
   via_shards(cfg);
-  auto [unit, store] = only_unit(cfg);
+  auto [unit, store] = first_unit(cfg);
   const auto path = store.path_of(unit);
   ASSERT_TRUE(std::filesystem::exists(path));
   const std::string text = slurp(path);
@@ -447,7 +448,7 @@ TEST_F(CampaignCacheTest, TruncationAtEveryByteOfTheLastRowIsAMiss) {
 TEST_F(CampaignCacheTest, CorruptOrForeignHeaderShardIsRecomputed) {
   const CampaignConfig cfg = tiny();
   const std::string want = csv_of(cfg, via_shards(cfg));
-  auto [unit, store] = only_unit(cfg);
+  auto [unit, store] = first_unit(cfg);
   const auto path = store.path_of(unit);
   const std::string text = slurp(path);
 
@@ -458,7 +459,7 @@ TEST_F(CampaignCacheTest, CorruptOrForeignHeaderShardIsRecomputed) {
   overwrite(path, old_header + text.substr(text.find('\n')));
   FabricReport again = run_campaign_fabric(cfg, quick_fabric());
   EXPECT_EQ(again.units_run, 1u);
-  EXPECT_EQ(again.units_resumed, 0u);
+  EXPECT_EQ(again.units_resumed, again.units_total - 1);
   EXPECT_EQ(csv_of(cfg, again.result), want);
 
   // Same for a shard cut short.

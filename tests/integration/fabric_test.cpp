@@ -5,6 +5,7 @@
 // can never finish must degrade to marked `failed` rows instead of
 // taking the sweep down.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <cstdlib>
@@ -29,9 +30,10 @@ class FabricTest : public ::testing::Test {
     unsetenv("MTS_FABRIC_TEST_HANG_ATTEMPTS");
   }
 
-  /// 2 speeds x 2 reps of a small AODV grid: two 1-cell work units,
-  /// four scenario runs — big enough to have an innocent bystander unit
-  /// next to the faulty one, small enough to fork repeatedly.
+  /// 2 speeds x 2 reps of a small AODV grid: a narrow grid, so four
+  /// one-run work units (unit 2k+r is speed k, repetition r) — big
+  /// enough to have innocent bystander units next to the faulty one,
+  /// small enough to fork repeatedly.
   static CampaignConfig tiny() {
     CampaignConfig cfg;
     cfg.base.node_count = 15;
@@ -57,31 +59,48 @@ TEST_F(FabricTest, CleanFabricRunMatchesDirectRunsByteForByte) {
   const CampaignResult reference = run_direct(cfg);
 
   const FabricReport report = run_campaign_fabric(cfg, quick_fabric());
-  EXPECT_EQ(report.units_total, 2u);
-  EXPECT_EQ(report.units_owned, 2u);
-  EXPECT_EQ(report.units_run, 2u);
-  EXPECT_EQ(report.units_ok, 2u);
+  EXPECT_EQ(report.units_total, 4u);
+  EXPECT_EQ(report.units_owned, 4u);
+  EXPECT_EQ(report.units_run, 4u);
+  EXPECT_EQ(report.units_ok, 4u);
   EXPECT_EQ(report.units_failed, 0u);
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(csv_of(cfg, report.result), csv_of(cfg, reference));
 
   // Re-running finds every shard: nothing is simulated again.
   const FabricReport again = run_campaign_fabric(cfg, quick_fabric());
-  EXPECT_EQ(again.units_resumed, 2u);
+  EXPECT_EQ(again.units_resumed, 4u);
   EXPECT_EQ(again.units_run, 0u);
   EXPECT_EQ(csv_of(cfg, again.result), csv_of(cfg, reference));
+}
+
+TEST_F(FabricTest, SplitCellListsItsRunsInRepetitionOrder) {
+  const CampaignConfig cfg = tiny();
+  const CampaignResult reference = run_direct(cfg);
+
+  // Repetition 0 of the first cell finishes last: its worker (unit 0)
+  // stalls while unit 1, repetition 1 of the same cell, completes.  The
+  // merged rows must still follow the repetitions, not completion.
+  FabricConfig fab = quick_fabric();
+  fab.test_child_hook = [](const WorkUnit& u, std::uint32_t) {
+    if (u.index == 0) ::usleep(300'000);
+  };
+  const FabricReport report = run_campaign_fabric(cfg, fab);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(csv_of(cfg, report.result), csv_of(cfg, reference));
 }
 
 TEST_F(FabricTest, SigkilledWorkerIsRetriedAndTheSweepStillMatches) {
   const CampaignConfig cfg = tiny();
   const CampaignResult reference = run_direct(cfg);
 
-  // Crash unit 0's worker (SIGKILL mid-unit, before it writes a shard)
-  // on the first attempt only: the supervisor must see "killed by
-  // signal", back off, re-fork, and the retry succeeds.
+  // Crash the workers of the speed-5 cell's units (SIGKILL mid-unit,
+  // before they write a shard) on the first attempt only: the
+  // supervisor must see "killed by signal", back off, re-fork, and the
+  // retries succeed.
   FabricConfig fab = quick_fabric();
   fab.test_child_hook = [](const WorkUnit& u, std::uint32_t attempt) {
-    if (u.index == 0 && attempt == 1) ::raise(SIGKILL);
+    if (u.cells.front().speed == 0 && attempt == 1) ::raise(SIGKILL);
   };
   std::ostringstream log;
   const FabricReport report = run_campaign_fabric(cfg, fab, &log);
@@ -112,7 +131,7 @@ TEST_F(FabricTest, CrashedSweepResumesAndMergesByteIdentical) {
 
   // Invocation 1 stands in for a host that died mid-sweep: unit 0's
   // worker is SIGKILLed on every attempt and no retries are granted, so
-  // its shard ends up failed while unit 1 completes normally.
+  // its shard ends up failed while units 1-3 complete normally.
   FabricConfig crash = quick_fabric();
   crash.max_retries = 0;
   crash.test_child_hook = [](const WorkUnit& u, std::uint32_t) {
@@ -120,15 +139,15 @@ TEST_F(FabricTest, CrashedSweepResumesAndMergesByteIdentical) {
   };
   const FabricReport first = run_campaign_fabric(cfg, crash);
   EXPECT_EQ(first.units_failed, 1u);
-  EXPECT_EQ(first.units_ok, 1u);
+  EXPECT_EQ(first.units_ok, 3u);
   EXPECT_TRUE(first.complete);  // degraded rows keep the grid complete
   ASSERT_EQ(first.failures.size(), 1u);
   EXPECT_EQ(first.failures[0].index, 0u);
 
   // Invocation 2: resume without the fault.  Only the failed unit is
-  // re-run; the intact shard is ingested from disk.
+  // re-run; the intact shards are ingested from disk.
   const FabricReport second = run_campaign_fabric(cfg, quick_fabric());
-  EXPECT_EQ(second.units_resumed, 1u);
+  EXPECT_EQ(second.units_resumed, 3u);
   EXPECT_EQ(second.units_run, 1u);
   EXPECT_EQ(second.units_failed, 0u);
   EXPECT_TRUE(second.complete);
@@ -142,9 +161,9 @@ TEST_F(FabricTest, TimeoutKillsTheHangingWorkerAndTheRetrySucceeds) {
   const CampaignConfig cfg = tiny();
   const CampaignResult reference = run_direct(cfg);
 
-  // Env-forced hang: unit 0's worker spins forever on attempt 1 and
-  // behaves on attempt 2 — the supervisor must SIGKILL it at the
-  // deadline and the retry completes the unit.
+  // Env-forced hang: unit 0's worker (speed 5, repetition 0) spins
+  // forever on attempt 1 and behaves on attempt 2 — the supervisor must
+  // SIGKILL it at the deadline and the retry completes the unit.
   setenv("MTS_FABRIC_TEST_HANG_UNIT", "0", 1);
   setenv("MTS_FABRIC_TEST_HANG_ATTEMPTS", "1", 1);
   FabricConfig fab = quick_fabric();
@@ -152,13 +171,13 @@ TEST_F(FabricTest, TimeoutKillsTheHangingWorkerAndTheRetrySucceeds) {
   std::ostringstream log;
   const FabricReport report = run_campaign_fabric(cfg, fab, &log);
   EXPECT_EQ(report.units_failed, 0u);
-  EXPECT_EQ(report.units_ok, 2u);
+  EXPECT_EQ(report.units_ok, 4u);
   EXPECT_TRUE(report.complete);
   EXPECT_NE(log.str().find("timeout after"), std::string::npos) << log.str();
   // Same results as the direct runs, modulo attempts=2 on the hung unit.
   for (const RunMetrics& got : report.result.runs(Protocol::kAodv, 5)) {
     EXPECT_EQ(got.run_status, RunStatus::kOk);
-    EXPECT_EQ(got.attempts, 2u);
+    EXPECT_EQ(got.attempts, got.seed == cfg.seed_base ? 2u : 1u);
   }
   EXPECT_EQ(report.result.summarize(
                           Protocol::kAodv, 5,
@@ -172,13 +191,13 @@ TEST_F(FabricTest, TimeoutKillsTheHangingWorkerAndTheRetrySucceeds) {
 }
 
 TEST_F(FabricTest, PermanentHangDegradesToFailedRowsAndStillCompletes) {
-  // A 1-cell grid whose only unit hangs on every attempt: after
+  // A 1-run grid whose only unit hangs on every attempt: after
   // 1 + max_retries timeouts the fabric must give up, emit failed
   // placeholder rows carrying the full cell identity, and return a
   // complete report — graceful degradation, not a wedged sweep.
   CampaignConfig cfg = tiny();
   cfg.speeds = {5};
-  cfg.repetitions = 2;
+  cfg.repetitions = 1;
   setenv("MTS_FABRIC_TEST_HANG_UNIT", "0", 1);
   FabricConfig fab = quick_fabric();
   fab.unit_timeout_s = 0.4;
@@ -192,7 +211,7 @@ TEST_F(FabricTest, PermanentHangDegradesToFailedRowsAndStillCompletes) {
   EXPECT_NE(report.failures[0].error.find("timeout"), std::string::npos);
 
   const auto& rows = report.result.runs(Protocol::kAodv, 5);
-  ASSERT_EQ(rows.size(), 2u);
+  ASSERT_EQ(rows.size(), 1u);
   for (const RunMetrics& m : rows) {
     EXPECT_EQ(m.run_status, RunStatus::kFailed);
     EXPECT_EQ(m.attempts, 2u);
@@ -225,8 +244,8 @@ TEST_F(FabricTest, ShardSlicesMergeAcrossInvocations) {
   shard0.shard_index = 0;
   shard0.shard_count = 2;
   const FabricReport first = run_campaign_fabric(cfg, shard0);
-  EXPECT_EQ(first.units_owned, 1u);
-  EXPECT_EQ(first.units_run, 1u);
+  EXPECT_EQ(first.units_owned, 2u);
+  EXPECT_EQ(first.units_run, 2u);
   EXPECT_FALSE(first.complete);
 
   // The second shard runs its slice, ingests the first one's shard
@@ -235,8 +254,8 @@ TEST_F(FabricTest, ShardSlicesMergeAcrossInvocations) {
   shard1.shard_index = 1;
   shard1.shard_count = 2;
   const FabricReport second = run_campaign_fabric(cfg, shard1);
-  EXPECT_EQ(second.units_owned, 1u);
-  EXPECT_EQ(second.units_run, 1u);
+  EXPECT_EQ(second.units_owned, 2u);
+  EXPECT_EQ(second.units_run, 2u);
   EXPECT_TRUE(second.complete);
   EXPECT_EQ(csv_of(cfg, second.result), csv_of(cfg, reference));
 }
