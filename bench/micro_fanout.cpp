@@ -1,6 +1,8 @@
 // Microbenchmarks of the packet plane (google-benchmark): broadcast
-// fan-out through the channel, interface-queue churn, and trace-record
-// emission — the three places a packet is copied per transmission.
+// fan-out through the channel (one reception wave per transmission,
+// one frame copy per receiver into its reception record),
+// interface-queue churn, and trace-record emission — the three places
+// a packet is copied per transmission.
 // These bound the per-packet cost that macro_packetplane measures
 // end-to-end; BENCH_packetplane.json records before/after medians.
 #include <benchmark/benchmark.h>
@@ -42,8 +44,9 @@ net::Packet make_routed_packet(std::size_t hops) {
   return p;
 }
 
-/// One broadcast radiated to `k` in-range receivers: every receiver gets
-/// an in-flight copy, then a decode.  This is the RREQ-flood hot loop.
+/// One broadcast radiated to `k` in-range receivers: the wave walks
+/// every arrival and every reception end, each receiver keeps a copy
+/// until its decode.  This is the RREQ-flood hot loop.
 void BM_BroadcastFanout(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   sim::Scheduler sched;

@@ -32,10 +32,11 @@ namespace {
 
 /// Thread-local pool of packet bodies: chunked storage (stable
 /// addresses) threaded through an intrusive free list, mirroring the
-/// scheduler's event slot pool.  Thread-local because the campaign
-/// harness runs concurrent scenarios on worker threads; within one
-/// scenario every packet lives and dies on the same thread, so refcount
-/// traffic needs no atomics.
+/// scheduler's event slot pool.  Campaigns run concurrent scenarios in
+/// forked worker processes, each with its own pool; thread-local keeps
+/// any threads a host program adds apart too.  Within one scenario
+/// every packet lives and dies on the same thread, so refcount traffic
+/// needs no atomics.
 class PacketPool {
  public:
   static PacketPool& local() {

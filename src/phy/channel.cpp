@@ -74,6 +74,8 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
   const sim::Time now = sched_->now();
   const double decode_r = prop_->max_range();
   const double cs_r = decode_r * cfg_.cs_range_factor;
+  const std::uint32_t w = acquire_wave();
+  Wave& wave = waves_[w];
 
   auto offer = [&](net::NodeId id) {
     if (id == sender) return;
@@ -81,25 +83,12 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
     const double d2 = mobility::distance_sq(sp, rp);
     if (d2 > cs_r * cs_r) return;
     const bool decodable = prop_->link_up(sender, sp, id, rp, now);
-    Radio* rx = entries_[id].radio;
     const double d = std::sqrt(d2);
     // Two-ray path-loss surrogate (power ~ d^-4) for the capture rule;
     // clamped below 1 m to keep it finite.
     const double p = std::pow(std::max(d, 1.0), -4.0);
-    const sim::Time delay = propagation_delay(d);
-    // Park the frame per receiver in a pooled in-flight record: the
-    // payload body is shared (refcount bump, no deep copy even for a
-    // k-receiver broadcast), and the delivery closure stays two
-    // pointers wide (no per-packet allocation).
-    const std::uint32_t slot = acquire_rx_slot();
-    PendingRx& pr = rx_pool_[slot];
-    pr.frame = frame;
-    pr.radio = rx;
-    pr.airtime = airtime;
-    pr.decodable = decodable;
-    pr.power = p;
-    sched_->schedule_in(delay, [this, slot] { deliver_rx(slot); },
-                        sim::EventCategory::kChannel);
+    wave.arrivals.push_back(Wave::Arrival{now + propagation_delay(d), 0,
+                                          entries_[id].radio, p, decodable});
   };
 
   if (index_ != nullptr) {
@@ -107,32 +96,92 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
   } else {
     for (net::NodeId id = 0; id < entries_.size(); ++id) offer(id);
   }
-}
-
-std::uint32_t Channel::acquire_rx_slot() {
-  if (rx_free_ != kNoRxSlot) {
-    const std::uint32_t slot = rx_free_;
-    rx_free_ = rx_pool_[slot].next_free;
-    return slot;
+  if (wave.arrivals.empty()) {
+    free_waves_.push_back(w);
+    return;
   }
-  rx_pool_.emplace_back();
-  return static_cast<std::uint32_t>(rx_pool_.size() - 1);
+  // One sequence number per receiver, drawn in candidate order: each
+  // arrival orders exactly as an event of its own scheduled here would.
+  std::uint64_t seq = sched_->reserve_seqs(wave.arrivals.size());
+  for (Wave::Arrival& a : wave.arrivals) a.seq = seq++;
+  std::sort(wave.arrivals.begin(), wave.arrivals.end(),
+            [](const Wave::Arrival& x, const Wave::Arrival& y) {
+              return x.t != y.t ? x.t < y.t : x.seq < y.seq;
+            });
+  // Every end (t_i + airtime, reserved later) then orders after the
+  // last arrival, so the wave's items are one sorted run.
+  sim::require(wave.arrivals.back().t - wave.arrivals.front().t <= airtime,
+               "Channel: propagation spread exceeds the airtime");
+  // The frame is shared (a refcount bump, no deep copy even for a
+  // k-receiver broadcast), and the wave's closure stays two words wide.
+  wave.frame = frame;
+  wave.airtime = airtime;
+  const Wave::Arrival& first = wave.arrivals.front();
+  sched_->schedule_reserved(first.t, first.seq, [this, w] { step_wave(w); },
+                            sim::EventCategory::kChannel);
 }
 
-void Channel::deliver_rx(std::uint32_t slot) {
-  // Move the frame out before handing it over: begin_reception may kick
-  // off activity that grows the pool and would invalidate a reference.
-  // The moved-from slot holds no payload reference, so a recycled slot
-  // never pins a packet body (which would both delay its return to the
-  // body pool and force spurious CoW clones downstream).
-  Frame frame = std::move(rx_pool_[slot].frame);
-  Radio* radio = rx_pool_[slot].radio;
-  const sim::Time airtime = rx_pool_[slot].airtime;
-  const bool decodable = rx_pool_[slot].decodable;
-  const double power = rx_pool_[slot].power;
-  radio->begin_reception(frame, airtime, decodable, power);
-  rx_pool_[slot].next_free = rx_free_;
-  rx_free_ = slot;
+std::uint32_t Channel::acquire_wave() {
+  if (!free_waves_.empty()) {
+    const std::uint32_t w = free_waves_.back();
+    free_waves_.pop_back();
+    return w;
+  }
+  waves_.emplace_back();
+  return static_cast<std::uint32_t>(waves_.size() - 1);
+}
+
+void Channel::arrive(std::uint32_t w, std::uint32_t i) {
+  const Wave::Arrival a = waves_[w].arrivals[i];
+  const sim::Time airtime = waves_[w].airtime;
+  // begin_reception copies the frame before its callbacks can grow the
+  // pool, so the reference into it is safe.
+  const std::optional<Radio::ReceptionEnd> end =
+      a.radio->begin_reception(waves_[w].frame, airtime, a.decodable, a.power);
+  Wave& wave = waves_[w];
+  if (end) {
+    wave.ends.push_back(Wave::End{a.t + airtime, end->seq, a.radio, end->slot});
+  }
+  // A wave waiting on its ends pins no packet body.
+  if (i + 1 == wave.arrivals.size()) wave.frame = Frame{};
+}
+
+void Channel::step_wave(std::uint32_t w) {
+  for (;;) {
+    const std::uint32_t i = waves_[w].next++;
+    const auto arrivals =
+        static_cast<std::uint32_t>(waves_[w].arrivals.size());
+    if (i < arrivals) {
+      arrive(w, i);
+    } else {
+      const Wave::End e = waves_[w].ends[i - arrivals];
+      e.radio->end_reception(e.slot);
+    }
+    Wave& wave = waves_[w];
+    const std::uint32_t k = wave.next;
+    sim::Time t;
+    std::uint64_t seq;
+    sim::EventCategory cat;
+    if (k < arrivals) {
+      t = wave.arrivals[k].t;
+      seq = wave.arrivals[k].seq;
+      cat = sim::EventCategory::kChannel;
+    } else if (k - arrivals < wave.ends.size()) {
+      t = wave.ends[k - arrivals].t;
+      seq = wave.ends[k - arrivals].seq;
+      cat = sim::EventCategory::kPhy;
+    } else {
+      wave.arrivals.clear();
+      wave.ends.clear();
+      wave.next = 0;
+      free_waves_.push_back(w);
+      return;
+    }
+    if (!sched_->step_inline(t, seq, cat)) {
+      sched_->schedule_reserved(t, seq, [this, w] { step_wave(w); }, cat);
+      return;
+    }
+  }
 }
 
 void Channel::neighbors_of(net::NodeId id, sim::Time t,

@@ -96,24 +96,43 @@ class Channel {
     const mobility::MobilityModel* mobility;
   };
 
-  /// An in-flight per-receiver frame record, pooled so the propagation
-  /// delivery event captures only {this, slot} — the per-packet fan-out
-  /// never builds a Frame-sized closure.  The frame's payload handle
-  /// shares the transmitted packet body; delivery clears it so recycled
-  /// slots never pin a body in the packet pool.
-  struct PendingRx {
+  /// One transmission's reception fan-out, pooled: a single scheduler
+  /// event walks it item by item in exact (t, seq) order — every
+  /// arrival, then every reception end the arrivals started — stepping
+  /// inline while the next item is the scheduler's next event and
+  /// re-parking at that item's reserved (t, seq) otherwise.  Fire order
+  /// and event counts are those of one event per item.  The frame's
+  /// payload shares the transmitted packet body; the last arrival drops
+  /// it, so a wave waiting on its ends pins no body.
+  struct Wave {
+    struct Arrival {
+      sim::Time t;
+      std::uint64_t seq;
+      Radio* radio;
+      double power;
+      bool decodable;
+    };
+    struct End {
+      sim::Time t;
+      std::uint64_t seq;
+      Radio* radio;
+      std::uint32_t slot;
+    };
     Frame frame;
-    Radio* radio = nullptr;
     sim::Time airtime;
-    bool decodable = false;
-    double power = 0.0;
-    std::uint32_t next_free = 0;
+    std::vector<Arrival> arrivals;  ///< sorted by (t, seq)
+    std::vector<End> ends;          ///< in arrival order, so (t, seq) too
+    std::uint32_t next = 0;         ///< next item: arrivals, then ends
   };
 
-  std::uint32_t acquire_rx_slot();
-  void deliver_rx(std::uint32_t slot);
-  /// Shared fan-out of transmit() and inject(): schedules one reception
-  /// per radio within carrier-sense range of `sp`.
+  std::uint32_t acquire_wave();
+  /// Runs wave `w`'s next item and every following one that is the
+  /// scheduler's next event; parks the wave at the item after that.
+  void step_wave(std::uint32_t w);
+  /// Starts arrival `i` of wave `w`, recording the reception end.
+  void arrive(std::uint32_t w, std::uint32_t i);
+  /// Shared fan-out of transmit() and inject(): launches one wave with
+  /// a reception per radio within carrier-sense range of `sp`.
   void radiate(net::NodeId sender, const mobility::Vec2& sp,
                const Frame& frame, sim::Time airtime);
 
@@ -125,9 +144,10 @@ class Channel {
   std::unique_ptr<NeighborIndex> index_;
   double max_speed_ = 0.0;
 
-  std::vector<PendingRx> rx_pool_;
-  std::uint32_t rx_free_ = kNoRxSlot;
-  static constexpr std::uint32_t kNoRxSlot = 0xffffffffu;
+  /// Callbacks run by a wave can radiate and grow the pool, so waves
+  /// are named by index and looked up afresh after every callback.
+  std::vector<Wave> waves_;
+  std::vector<std::uint32_t> free_waves_;
 };
 
 }  // namespace mts::phy

@@ -36,12 +36,12 @@ void Radio::tx_done() {
   medium_edge(/*was_busy=*/true);
 }
 
-void Radio::begin_reception(const Frame& frame, sim::Time airtime,
-                            bool decodable, double rx_power) {
+std::optional<Radio::ReceptionEnd> Radio::begin_reception(
+    const Frame& frame, sim::Time airtime, bool decodable, double rx_power) {
   if (transmitting()) {
     // Deaf while keyed up; the energy passes unnoticed (it also cannot
     // corrupt anything: we are not receiving).
-    return;
+    return std::nullopt;
   }
   const bool was_busy = medium_busy();
   // Capture (ns-2 WirelessPhy): the newcomer is noise to any ongoing
@@ -65,9 +65,9 @@ void Radio::begin_reception(const Frame& frame, sim::Time airtime,
   slots_[slot] =
       Reception{frame, sched_->now() + airtime, corrupt, decodable, rx_power};
   active_.push_back(slot);
-  sched_->schedule_in(airtime, [this, slot] { end_reception(slot); },
-                      sim::EventCategory::kPhy);
+  const ReceptionEnd end{slot, sched_->reserve_seqs(1)};
   if (!was_busy) medium_edge(false);
+  return end;
 }
 
 void Radio::end_reception(std::uint32_t slot) {

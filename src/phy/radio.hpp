@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "net/counters.hpp"
@@ -15,9 +16,11 @@ class Channel;
 
 /// Half-duplex radio transceiver attached to one node.
 ///
-/// Reception model (no capture): any temporal overlap of two receptions
-/// corrupts both; transmitting makes the radio deaf; starting to
-/// transmit corrupts anything being received.  Physical carrier sense is
+/// Reception model (ns-2 capture): an arrival during an ongoing
+/// reception is itself undecodable, and corrupts the ongoing one unless
+/// that one is at least the capture threshold stronger (10 dB);
+/// transmitting makes the radio deaf; starting to transmit corrupts
+/// anything being received.  Physical carrier sense is
 /// `busy = transmitting || any reception in progress`, reported to the
 /// MAC via edge-triggered callbacks.
 ///
@@ -61,12 +64,27 @@ class Radio {
   /// are corrupted (half duplex).
   void start_transmit(const Frame& frame, sim::Time airtime);
 
+  /// A started reception's end: the caller runs end_reception(slot) at
+  /// now() + airtime in scheduler sequence `seq`.  begin_reception
+  /// reserves `seq` before its callbacks run, so the end orders exactly
+  /// as an event scheduled at that point would.
+  struct ReceptionEnd {
+    std::uint32_t slot;
+    std::uint64_t seq;
+  };
+
   /// Channel-facing: energy begins arriving.  `decodable` is false for
   /// frames inside carrier-sense range but beyond decode range.
   /// `rx_power` is a relative received-power figure (the channel's
-  /// path-loss surrogate) used for the capture rule.
-  void begin_reception(const Frame& frame, sim::Time airtime, bool decodable,
-                       double rx_power);
+  /// path-loss surrogate) used for the capture rule.  Returns the
+  /// reception's end, or nullopt when the radio is deaf (transmitting).
+  /// `frame` is copied before any callback runs.
+  std::optional<ReceptionEnd> begin_reception(const Frame& frame,
+                                              sim::Time airtime,
+                                              bool decodable, double rx_power);
+
+  /// Channel-facing: the reception begun in `slot` ends.
+  void end_reception(std::uint32_t slot);
 
   /// ns-2 `WirelessPhy` capture rule: an ongoing reception survives a
   /// new arrival iff it is at least this power ratio stronger (10 dB);
@@ -87,7 +105,6 @@ class Radio {
   };
 
   void tx_done();
-  void end_reception(std::uint32_t slot);
   void medium_edge(bool was_busy);
 
   sim::Scheduler* sched_;
@@ -104,9 +121,9 @@ class Radio {
   /// Reception records live in a stable slot pool: freed slots are
   /// recycled through `free_` and the (tiny) set of in-flight
   /// receptions is tracked by index in `active_`, so the per-frame
-  /// receive path stops allocating once the pool has warmed up.  A
-  /// slot's end event is the only thing that releases it, so an index
-  /// captured by that event stays valid for the slot's whole lifetime.
+  /// receive path stops allocating once the pool has warmed up.  Only
+  /// end_reception() releases a slot, so the index handed out by
+  /// begin_reception() stays valid for the slot's whole lifetime.
   std::vector<Reception> slots_;
   std::vector<std::uint32_t> free_;
   std::vector<std::uint32_t> active_;

@@ -138,7 +138,7 @@ bool Scheduler::reschedule(EventId id, Time t) {
   Slot& slot = slot_at(s);
   // Re-keying with a fresh seq orders the re-armed event exactly like a
   // new schedule; the old heap entry becomes a tombstone.
-  slot.live_key = next_key(s);
+  slot.live_key = (reserve_seqs(1) << kSlotBits) | s;
   ++tombstones_;
   push(Entry{t, slot.live_key});
   maybe_compact();
@@ -159,7 +159,21 @@ Time Scheduler::next_event_time() const {
   return peek_live() ? heap_.front().t : Time::max();
 }
 
+class Scheduler::InlineWindow {
+ public:
+  InlineWindow(Scheduler& s, Time end)
+      : s_(s), saved_(std::exchange(s.inline_end_, end)) {}
+  ~InlineWindow() { s_.inline_end_ = saved_; }
+  InlineWindow(const InlineWindow&) = delete;
+  InlineWindow& operator=(const InlineWindow&) = delete;
+
+ private:
+  Scheduler& s_;
+  Time saved_;
+};
+
 void Scheduler::run() {
+  const InlineWindow window(*this, Time::max());
   stopped_ = false;
   while (!stopped_ && peek_live()) {
     take_top()();
@@ -168,6 +182,7 @@ void Scheduler::run() {
 
 void Scheduler::run_until(Time end) {
   require(end >= now_, "Scheduler: run_until into the past");
+  const InlineWindow window(*this, end);
   stopped_ = false;
   while (!stopped_ && peek_live()) {
     if (heap_.front().t > end) break;
@@ -177,6 +192,7 @@ void Scheduler::run_until(Time end) {
 }
 
 std::size_t Scheduler::run_steps(std::size_t n) {
+  const InlineWindow window(*this, kNoInline);
   stopped_ = false;
   std::size_t done = 0;
   while (done < n && !stopped_ && peek_live()) {

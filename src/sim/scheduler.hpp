@@ -18,8 +18,8 @@ namespace mts::sim {
 /// schedules land in kOther.
 enum class EventCategory : std::uint8_t {
   kOther = 0,   ///< untagged (tests, harness glue)
-  kChannel,     ///< per-receiver propagation deliveries
-  kPhy,         ///< radio tx-done / reception-end
+  kChannel,     ///< reception starts (a delivery wave's arrivals)
+  kPhy,         ///< radio tx-done, reception ends (a wave's ends)
   kMac,         ///< 802.11 access / backoff / response / SIFS timers
   kRouting,     ///< discovery timers, jittered rebroadcasts, purges
   kTransport,   ///< TCP RTO / start timers
@@ -66,6 +66,14 @@ inline constexpr EventId kInvalidEvent = 0;
 ///    tombstone, dropped when it reaches the top or when a compaction
 ///    sweeps the heap once tombstones outnumber live entries (amortised
 ///    O(1) per cancel or re-arm).
+///
+/// Batched fan-out: a caller that knows a run of future events up front
+/// (the channel's reception waves) reserves their sequence numbers in
+/// one block, parks one event at the first item's reserved (t, seq),
+/// and from inside it steps the rest with step_inline() while each is
+/// the queue's next event anyway, re-parking itself with
+/// schedule_reserved() when it is not.  Fire order, now() and the
+/// executed counts are exactly those of one event per item.
 class Scheduler {
  public:
   Scheduler() = default;
@@ -81,22 +89,52 @@ class Scheduler {
   EventId schedule_at(Time t, EventFn fn,
                       EventCategory cat = EventCategory::kOther) {
     require(t >= now_, "Scheduler: cannot schedule into the past");
-    require(static_cast<bool>(fn), "Scheduler: empty callback");
-    if (!fn.is_inline()) ++heap_fallbacks_;
-    const std::uint32_t s = acquire_slot();
-    Slot& slot = slot_at(s);
-    slot.fn = std::move(fn);
-    slot.cat = cat;
-    slot.live_key = next_key(s);
-    push(Entry{t, slot.live_key});
-    ++live_count_;
-    return make_id(s, slot.gen);
+    return insert(t, reserve_seqs(1), std::move(fn), cat);
   }
 
   /// Schedules `fn` after `delay` (must be >= 0).
   EventId schedule_in(Time delay, EventFn fn,
                       EventCategory cat = EventCategory::kOther) {
     return schedule_at(now_ + delay, std::move(fn), cat);
+  }
+
+  /// Reserves `n` consecutive insertion sequence numbers and returns the
+  /// first.  Each orders like a schedule_at() made now, and each may be
+  /// used once, by schedule_reserved() or step_inline().
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    require(n <= kSeqLimit - next_seq_, "Scheduler: sequence space exhausted");
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedules `fn` at (t, seq), `seq` from reserve_seqs().  (t, seq)
+  /// must order after every event already executed.
+  EventId schedule_reserved(Time t, std::uint64_t seq, EventFn fn,
+                            EventCategory cat) {
+    require(seq < next_seq_, "Scheduler: sequence number not reserved");
+    require(t >= now_ && last_pop_.before(Entry{t, seq << kSlotBits}),
+            "Scheduler: cannot schedule into the past");
+    return insert(t, seq, std::move(fn), cat);
+  }
+
+  /// Executes the reserved item (t, seq) in place, from inside the
+  /// running event, iff it is the next event run()/run_until() would
+  /// execute: it orders before every queued event, stop() was not
+  /// called, and t is not past run_until()'s end.  Then now() moves to
+  /// t, one event of `cat` counts as executed, and it returns true: the
+  /// caller runs the item.  Otherwise nothing changes.  Always false
+  /// outside run()/run_until(), so run_steps(n) executes exactly n.
+  bool step_inline(Time t, std::uint64_t seq, EventCategory cat) {
+    const Entry e{t, seq << kSlotBits};
+    if (stopped_ || t > inline_end_) return false;
+    if (peek_live() && !e.before(heap_.front())) return false;
+    require(last_pop_.before(e), "Scheduler: event stepped out of order");
+    last_pop_ = e;
+    now_ = t;
+    ++executed_by_[static_cast<std::size_t>(cat)];
+    ++executed_;
+    return true;
   }
 
   /// Moves a pending event to absolute time `t` (>= now()), keeping its
@@ -159,6 +197,7 @@ class Scheduler {
   /// events per scheduler lifetime — both enforced.
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+  static constexpr std::uint64_t kSeqLimit = 1ull << 40;
   /// A live_key value no real key uses ("slot has no pending entry").
   static constexpr std::uint64_t kDeadKey = ~0ull;
 
@@ -216,11 +255,19 @@ class Scheduler {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t s);
 
-  /// Mints the queue key for slot `s`: fresh insertion sequence in the
-  /// high bits (the tie-break), slot index packed low.
-  [[nodiscard]] std::uint64_t next_key(std::uint32_t s) {
-    require(next_seq_ < (1ull << 40), "Scheduler: sequence space exhausted");
-    return (next_seq_++ << kSlotBits) | s;
+  /// Queues `fn` at (t, seq): the insertion sequence in the key's high
+  /// bits (the tie-break), its slot index packed low.
+  EventId insert(Time t, std::uint64_t seq, EventFn fn, EventCategory cat) {
+    require(static_cast<bool>(fn), "Scheduler: empty callback");
+    if (!fn.is_inline()) ++heap_fallbacks_;
+    const std::uint32_t s = acquire_slot();
+    Slot& slot = slot_at(s);
+    slot.fn = std::move(fn);
+    slot.cat = cat;
+    slot.live_key = (seq << kSlotBits) | s;
+    push(Entry{t, slot.live_key});
+    ++live_count_;
+    return make_id(s, slot.gen);
   }
 
   [[nodiscard]] static std::uint32_t slot_of(const Entry& e) {
@@ -273,7 +320,15 @@ class Scheduler {
   std::uint64_t heap_fallbacks_ = 0;
   std::size_t live_count_ = 0;
   bool stopped_ = false;
-  /// The last entry popped; every pop must order strictly after it.
+  /// step_inline() refuses items later than this: run_until()'s end,
+  /// Time::max() in run(), before time zero outside both.
+  Time inline_end_ = kNoInline;
+  static constexpr Time kNoInline = Time::ns(-1);
+  /// Sets inline_end_ for one run(), run_until() or run_steps() call
+  /// and restores the enclosing value on exit, exceptions included.
+  class InlineWindow;
+  /// The last entry popped or stepped inline; every later one must
+  /// order strictly after it.
   Entry last_pop_{Time::zero(), 0};
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "mobility/mobility_model.hpp"
+#include "net/packet.hpp"
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
 
@@ -52,7 +55,7 @@ class RadioChannelTest : public ::testing::Test {
   }
 
   sim::Scheduler sched_;
-  net::Counters counters_[8];
+  net::Counters counters_[17];
   std::unique_ptr<UnitDiskPropagation> prop_;
   std::unique_ptr<Channel> channel_;
   std::vector<std::unique_ptr<mobility::MobilityModel>> mobility_;
@@ -254,6 +257,85 @@ TEST_F(RadioChannelTest, InFlightBroadcastSiblingsSurviveReceiverMutation) {
   EXPECT_TRUE(std::get<net::DsrRreqHeader>(far.routing()).record.empty());
   // The sender's handle is intact too.
   EXPECT_EQ(f.payload.hop().ttl, 32);
+}
+
+TEST_F(RadioChannelTest, BroadcastIsOneWaveEvent) {
+  // 16 receivers on a ring: the whole fan-out waits in the scheduler as
+  // one wave next to the sender's tx-done, not one event per receiver.
+  std::vector<mobility::Vec2> pos{{0, 0}};
+  for (int i = 0; i < 16; ++i) {
+    const double a = 2.0 * 3.141592653589793 * i / 16.0;
+    pos.push_back({(50.0 + 10.0 * i) * std::cos(a),
+                   (50.0 + 10.0 * i) * std::sin(a)});
+  }
+  build(pos);
+  radios_[0]->start_transmit(frame(0, net::kBroadcastId), sim::Time::ms(1));
+  EXPECT_EQ(sched_.pending_count(), 2u);
+  sched_.run();
+  for (std::size_t i = 1; i < pos.size(); ++i) {
+    EXPECT_EQ(received_[i].size(), 1u) << "receiver " << i;
+  }
+  // Logical events still count one per arrival and one per end.
+  EXPECT_EQ(sched_.executed_count(sim::EventCategory::kChannel), 16u);
+  EXPECT_EQ(sched_.executed_count(sim::EventCategory::kPhy), 17u);
+}
+
+TEST_F(RadioChannelTest, ProbeBetweenArrivalsInterleavesInOrder) {
+  // Arrivals at 100 m and 200 m land at 334 ns and 667 ns.  Events at
+  // those ticks order by sequence: the one scheduled before the
+  // transmission goes first, the ones scheduled after go after.
+  build({{0, 0}, {100, 0}, {200, 0}});
+  std::vector<std::pair<std::size_t, std::size_t>> seen;
+  const auto probe = [&] {
+    seen.emplace_back(busy_log_[1].size(), busy_log_[2].size());
+  };
+  sched_.schedule_at(sim::Time::ns(667), probe);
+  radios_[0]->start_transmit(frame(0, net::kBroadcastId), sim::Time::ms(1));
+  sched_.schedule_at(sim::Time::ns(334), probe);
+  sched_.schedule_at(sim::Time::ns(500), probe);
+  sched_.schedule_at(sim::Time::ns(667), probe);
+  sched_.run();
+  using Seen = std::vector<std::pair<std::size_t, std::size_t>>;
+  EXPECT_EQ(seen, (Seen{{1, 0}, {1, 0}, {1, 0}, {1, 1}}));
+}
+
+TEST_F(RadioChannelTest, ReceiverKeyingUpMidWaveGetsNoReceptionEnd) {
+  // Radio 2 starts transmitting after the wave reached radio 1 but
+  // before it reaches radio 2, so radio 2 is deaf to it.
+  build({{0, 0}, {100, 0}, {200, 0}});
+  radios_[0]->start_transmit(frame(0, net::kBroadcastId), sim::Time::ms(1));
+  sched_.schedule_at(sim::Time::ns(500), [&] {
+    radios_[2]->start_transmit(frame(2, net::kBroadcastId),
+                               sim::Time::us(50));
+  });
+  sched_.run();
+  EXPECT_TRUE(received_[2].empty());
+  EXPECT_EQ(radios_[2]->collisions(), 0u);
+  // Arrivals: radio 0's frame at 1 and 2, radio 2's at 1 and 0.  Ends:
+  // two tx-dones plus radio 1's two receptions; radio 2 (keyed up) and
+  // radio 0 (transmitting) start none.
+  EXPECT_EQ(sched_.executed_count(sim::EventCategory::kChannel), 4u);
+  EXPECT_EQ(sched_.executed_count(sim::EventCategory::kPhy), 4u);
+  EXPECT_EQ(radios_[1]->collisions(), 2u);
+  EXPECT_EQ(sched_.pending_count(), 0u);
+}
+
+TEST_F(RadioChannelTest, FinishedWavePinsNoPacketBody) {
+  build({{0, 0}, {100, 0}, {200, 0}, {300, 0}},
+        /*range=*/250.0, /*cs_factor=*/2.2);
+  for (auto& r : radios_) r->set_callbacks(Radio::Callbacks{});
+  const std::uint64_t before = net::packet_pool_stats().live();
+  {
+    Frame f = frame(0, net::kBroadcastId);
+    f.payload.mutable_common().kind = net::PacketKind::kDsrRreq;
+    radios_[0]->start_transmit(f, sim::Time::ms(1));
+  }
+  // The sender dropped its handle; the in-flight wave still holds it.
+  EXPECT_EQ(net::packet_pool_stats().live(), before + 1);
+  sched_.run();
+  EXPECT_EQ(radios_[3]->frames_decoded(), 0u);  // 300 m: energy only
+  EXPECT_EQ(radios_[2]->frames_decoded(), 1u);
+  EXPECT_EQ(net::packet_pool_stats().live(), before);
 }
 
 TEST_F(RadioChannelTest, StatsCountDecodes) {

@@ -532,6 +532,247 @@ TEST(SchedulerTest, RearmCancelStormMatchesReferenceModel) {
   EXPECT_EQ(s.queued_entries(), 0u);
 }
 
+/// Drives a scheduler and a std::map reference holding one entry per
+/// logical event, keyed (t_ns, seq).  Plain events are scheduled,
+/// re-armed and cancelled; a wave reserves one sequence number per item
+/// and is walked by a single event that steps inline while its next
+/// item is the scheduler's next event and re-parks otherwise.  Every
+/// fire must be the reference's first entry.
+class WaveModel {
+ public:
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+
+  explicit WaveModel(std::uint64_t seed) : rng_(seed) {}
+
+  Scheduler s;
+  std::map<Key, int> ref;
+  std::vector<int> fired;
+  std::uint64_t inline_steps = 0;
+  std::uint64_t parks = 0;
+
+  std::int64_t rand_in(std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(
+                    rng_() % static_cast<std::uint64_t>(hi - lo));
+  }
+
+  void plain(Time at) {
+    const int l = label_++;
+    const EventId id = s.schedule_at(at, [this, l] { fire(l); });
+    plain_.emplace(l, std::make_pair(id, Key{at.nanoseconds(), seq_}));
+    ref.emplace(Key{at.nanoseconds(), seq_++}, l);
+  }
+
+  void launch_wave(Time base, int k) {
+    const std::uint64_t first = s.reserve_seqs(static_cast<std::uint64_t>(k));
+    ASSERT_EQ(first, seq_);  // the block is the next k sequence numbers
+    Wave w;
+    for (int i = 0; i < k; ++i) {
+      w.items.push_back(
+          Item{base + Time::ns(rand_in(0, 200)), seq_++, label_++});
+    }
+    std::sort(w.items.begin(), w.items.end(),
+              [](const Item& a, const Item& b) {
+                return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+              });
+    for (const Item& it : w.items) {
+      ref.emplace(Key{it.t.nanoseconds(), it.seq}, it.label);
+    }
+    waves_.push_back(std::move(w));
+    const std::size_t wi = waves_.size() - 1;
+    const Item& head = waves_[wi].items.front();
+    s.schedule_reserved(head.t, head.seq, [this, wi] { walk(wi); },
+                        EventCategory::kChannel);
+  }
+
+  void cancel_random() {
+    auto it = random_plain();
+    ASSERT_TRUE(s.cancel(it->second.first));
+    ref.erase(it->second.second);
+    plain_.erase(it);
+  }
+
+  void rearm_random(Time at) {
+    auto it = random_plain();
+    ASSERT_TRUE(s.reschedule(it->second.first, at));
+    ref.erase(it->second.second);
+    it->second.second = Key{at.nanoseconds(), seq_++};
+    ref.emplace(it->second.second, it->first);
+  }
+
+  [[nodiscard]] bool has_plain() const { return !plain_.empty(); }
+
+ private:
+  struct Item {
+    Time t;
+    std::uint64_t seq;
+    int label;
+  };
+  struct Wave {
+    std::vector<Item> items;
+    std::size_t next = 0;
+  };
+
+  std::map<int, std::pair<EventId, Key>>::iterator random_plain() {
+    auto it = plain_.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng_() % plain_.size()));
+    return it;
+  }
+
+  void fire(int l) {
+    ASSERT_FALSE(ref.empty());
+    ASSERT_EQ(l, ref.begin()->second);
+    ASSERT_EQ(s.now().nanoseconds(), ref.begin()->first.first);
+    ref.erase(ref.begin());
+    plain_.erase(l);
+    fired.push_back(l);
+    // Items react like receivers: some schedule a follow-up, some start
+    // a wave of their own (which grows the wave pool mid-walk).
+    const auto roll = rng_() % 16;
+    if (roll < 4) plain(s.now() + Time::ns(rand_in(0, 300)));
+    if (roll == 4) {
+      launch_wave(s.now() + Time::ns(rand_in(0, 100)),
+                  1 + static_cast<int>(rng_() % 8));
+    }
+  }
+
+  void walk(std::size_t wi) {
+    for (;;) {
+      const Item it = waves_[wi].items[waves_[wi].next++];
+      fire(it.label);
+      if (waves_[wi].next == waves_[wi].items.size()) return;
+      const Item n = waves_[wi].items[waves_[wi].next];
+      if (!s.step_inline(n.t, n.seq, EventCategory::kChannel)) {
+        ++parks;
+        s.schedule_reserved(n.t, n.seq, [this, wi] { walk(wi); },
+                            EventCategory::kChannel);
+        return;
+      }
+      ++inline_steps;
+    }
+  }
+
+  std::mt19937_64 rng_;
+  std::uint64_t seq_ = 1;  // the scheduler's first sequence number
+  int label_ = 0;
+  std::map<int, std::pair<EventId, Key>> plain_;  // label -> (id, key)
+  std::vector<Wave> waves_;
+};
+
+TEST(SchedulerTest, WavesMatchOneEventPerItemReferenceModel) {
+  WaveModel m(0x3A7E);
+  for (int op = 0; op < 20000; ++op) {
+    const auto roll = m.rand_in(0, 100);
+    const Time soon = m.s.now() + Time::ns(m.rand_in(0, 400));
+    if (roll < 30 || !m.has_plain()) {
+      m.plain(soon);
+    } else if (roll < 45) {
+      m.launch_wave(soon, static_cast<int>(m.rand_in(1, 24)));
+    } else if (roll < 55) {
+      m.cancel_random();
+    } else if (roll < 75) {
+      m.rearm_random(soon);
+    } else if (roll < 85) {
+      ASSERT_LE(m.s.run_steps(static_cast<std::size_t>(m.rand_in(1, 4))), 3u);
+    } else {
+      m.s.run_until(m.s.now() + Time::ns(m.rand_in(0, 300)));
+    }
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+  m.s.run();
+  EXPECT_TRUE(m.ref.empty());
+  EXPECT_EQ(m.s.pending_count(), 0u);
+  EXPECT_EQ(m.s.executed_count(), m.fired.size());
+  // Both wave paths were exercised, many times.
+  EXPECT_GT(m.inline_steps, 1000u);
+  EXPECT_GT(m.parks, 1000u);
+}
+
+TEST(SchedulerTest, StepInlineRefusesOutsideItsWindow) {
+  Scheduler s;
+  // Outside run()/run_until().
+  EXPECT_FALSE(s.step_inline(Time::ns(1), s.reserve_seqs(1),
+                             EventCategory::kPhy));
+
+  // Inside run_steps: every step is one queued event.
+  bool refused = false;
+  s.schedule_at(Time::ns(5), [&] {
+    refused = !s.step_inline(Time::ns(6), s.reserve_seqs(1),
+                             EventCategory::kPhy);
+  });
+  EXPECT_EQ(s.run_steps(1), 1u);
+  EXPECT_TRUE(refused);
+
+  // After stop().
+  refused = false;
+  s.schedule_at(Time::ns(10), [&] {
+    s.stop();
+    refused = !s.step_inline(Time::ns(11), s.reserve_seqs(1),
+                             EventCategory::kPhy);
+  });
+  s.run();
+  EXPECT_TRUE(refused);
+
+  // Past run_until's end, but not at it.
+  bool at_end = false;
+  refused = false;
+  s.schedule_at(Time::ns(15), [&] {
+    refused = !s.step_inline(Time::ns(21), s.reserve_seqs(1),
+                             EventCategory::kPhy);
+    at_end = s.step_inline(Time::ns(20), s.reserve_seqs(1),
+                           EventCategory::kPhy);
+  });
+  s.run_until(Time::ns(20));
+  EXPECT_TRUE(refused);
+  EXPECT_TRUE(at_end);
+
+  // An earlier entry is queued: a later time, or the same time with a
+  // later sequence number, must wait for it; an earlier seq goes first.
+  bool later_time = true;
+  bool later_seq = true;
+  bool earlier_seq = false;
+  s.schedule_at(Time::ns(30), [&] {
+    const std::uint64_t early = s.reserve_seqs(1);
+    s.schedule_at(Time::ns(32), [] {});
+    const std::uint64_t late = s.reserve_seqs(2);
+    later_time = s.step_inline(Time::ns(33), late + 1, EventCategory::kPhy);
+    later_seq = s.step_inline(Time::ns(32), late, EventCategory::kPhy);
+    earlier_seq = s.step_inline(Time::ns(32), early, EventCategory::kPhy);
+  });
+  s.run();
+  EXPECT_FALSE(later_time);
+  EXPECT_FALSE(later_seq);
+  EXPECT_TRUE(earlier_seq);
+}
+
+TEST(SchedulerTest, InlineStepsCountAsExecutedEvents) {
+  Scheduler s;
+  Time seen;
+  s.schedule_at(Time::ns(5), [&] {
+    const std::uint64_t seq = s.reserve_seqs(1);
+    ASSERT_TRUE(s.step_inline(Time::ns(9), seq, EventCategory::kPhy));
+    seen = s.now();
+  });
+  s.run();
+  EXPECT_EQ(seen, Time::ns(9));
+  EXPECT_EQ(s.executed_count(), 2u);
+  EXPECT_EQ(s.executed_count(EventCategory::kOther), 1u);
+  EXPECT_EQ(s.executed_count(EventCategory::kPhy), 1u);
+}
+
+TEST(SchedulerTest, ScheduleReservedRejectsUnreservedAndPastKeys) {
+  Scheduler s;
+  const std::uint64_t seq = s.reserve_seqs(2);
+  EXPECT_THROW(s.schedule_reserved(Time::ns(1), seq + 2, [] {},
+                                   EventCategory::kOther),
+               SimError);
+  s.schedule_reserved(Time::ns(4), seq + 1, [] {}, EventCategory::kOther);
+  s.run();
+  // seq orders before the event that just ran at the same time.
+  EXPECT_THROW(s.schedule_reserved(Time::ns(4), seq, [] {},
+                                   EventCategory::kOther),
+               SimError);
+}
+
 TEST(SchedulerTest, ManyTicksInterleavedScheduleCancelKeepsOrder) {
   // A torture mix of schedule/cancel across several ticks: execution
   // order must equal (time, insertion order) over the survivors.
