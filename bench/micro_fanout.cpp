@@ -1,6 +1,6 @@
 // Microbenchmarks of the packet plane (google-benchmark): broadcast
 // fan-out through the channel (one reception wave per transmission,
-// one frame copy per receiver into its reception record),
+// whose one frame copy every receiver's reception end reads),
 // interface-queue churn, and trace-record emission — the three places
 // a packet is copied per transmission.
 // These bound the per-packet cost that macro_packetplane measures

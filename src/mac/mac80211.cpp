@@ -14,6 +14,7 @@ Mac80211::Mac80211(sim::Scheduler& sched, phy::Radio& radio, MacConfig cfg,
     : sched_(&sched),
       radio_(&radio),
       cfg_(cfg),
+      eifs_(cfg_.sifs + ack_airtime() + cfg_.difs),
       rng_(rng),
       counters_(counters),
       queue_(cfg.queue_capacity),
@@ -46,7 +47,7 @@ Mac80211::Mac80211(sim::Scheduler& sched, phy::Radio& radio, MacConfig cfg,
         // EIFS (802.11 §9.2.3.4): after an undecodable reception, defer
         // long enough for the frame's possible ACK to complete — the
         // hidden-ACK protection basic access depends on.
-        eifs_until_ = sched_->now() + cfg_.sifs + ack_airtime() + cfg_.difs;
+        eifs_until_ = sched_->now() + eifs_;
       },
   });
 }

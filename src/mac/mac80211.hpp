@@ -151,6 +151,8 @@ class Mac80211 {
   sim::Scheduler* sched_;
   phy::Radio* radio_;
   MacConfig cfg_;
+  /// EIFS deferral past an undecodable reception: SIFS + ACK + DIFS.
+  sim::Time eifs_;
   sim::Rng rng_;
   net::Counters* counters_;
   Callbacks cb_;

@@ -84,11 +84,8 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
     if (d2 > cs_r * cs_r) return;
     const bool decodable = prop_->link_up(sender, sp, id, rp, now);
     const double d = std::sqrt(d2);
-    // Two-ray path-loss surrogate (power ~ d^-4) for the capture rule;
-    // clamped below 1 m to keep it finite.
-    const double p = std::pow(std::max(d, 1.0), -4.0);
     wave.arrivals.push_back(Wave::Arrival{now + propagation_delay(d), 0,
-                                          entries_[id].radio, p, decodable});
+                                          entries_[id].radio, d, decodable});
   };
 
   if (index_ != nullptr) {
@@ -131,33 +128,23 @@ std::uint32_t Channel::acquire_wave() {
   return static_cast<std::uint32_t>(waves_.size() - 1);
 }
 
-void Channel::arrive(std::uint32_t w, std::uint32_t i) {
-  const Wave::Arrival a = waves_[w].arrivals[i];
-  const sim::Time airtime = waves_[w].airtime;
-  // begin_reception copies the frame before its callbacks can grow the
-  // pool, so the reference into it is safe.
-  const std::optional<Radio::ReceptionEnd> end =
-      a.radio->begin_reception(waves_[w].frame, airtime, a.decodable, a.power);
-  Wave& wave = waves_[w];
-  if (end) {
-    wave.ends.push_back(Wave::End{a.t + airtime, end->seq, a.radio, end->slot});
-  }
-  // A wave waiting on its ends pins no packet body.
-  if (i + 1 == wave.arrivals.size()) wave.frame = Frame{};
-}
-
 void Channel::step_wave(std::uint32_t w) {
+  Wave& wave = waves_[w];
+  const auto arrivals = static_cast<std::uint32_t>(wave.arrivals.size());
   for (;;) {
-    const std::uint32_t i = waves_[w].next++;
-    const auto arrivals =
-        static_cast<std::uint32_t>(waves_[w].arrivals.size());
+    const std::uint32_t i = wave.next++;
     if (i < arrivals) {
-      arrive(w, i);
+      const Wave::Arrival a = wave.arrivals[i];
+      const std::optional<Radio::ReceptionEnd> end =
+          a.radio->begin_reception(a.decodable, a.distance);
+      if (end) {
+        wave.ends.push_back(
+            Wave::End{a.t + wave.airtime, end->seq, a.radio, end->id});
+      }
     } else {
-      const Wave::End e = waves_[w].ends[i - arrivals];
-      e.radio->end_reception(e.slot);
+      const Wave::End e = wave.ends[i - arrivals];
+      e.radio->end_reception(e.id, wave.frame);
     }
-    Wave& wave = waves_[w];
     const std::uint32_t k = wave.next;
     sim::Time t;
     std::uint64_t seq;
@@ -171,6 +158,8 @@ void Channel::step_wave(std::uint32_t w) {
       seq = wave.ends[k - arrivals].seq;
       cat = sim::EventCategory::kPhy;
     } else {
+      // The last item: a finished wave pins no packet body.
+      wave.frame = Frame{};
       wave.arrivals.clear();
       wave.ends.clear();
       wave.next = 0;

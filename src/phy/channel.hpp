@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -102,21 +103,21 @@ class Channel {
   /// inline while the next item is the scheduler's next event and
   /// re-parking at that item's reserved (t, seq) otherwise.  Fire order
   /// and event counts are those of one event per item.  The frame's
-  /// payload shares the transmitted packet body; the last arrival drops
-  /// it, so a wave waiting on its ends pins no body.
+  /// payload shares the transmitted packet body; every reception end
+  /// reads this one copy, and the wave drops it with its last item.
   struct Wave {
     struct Arrival {
       sim::Time t;
       std::uint64_t seq;
       Radio* radio;
-      double power;
+      double distance;
       bool decodable;
     };
     struct End {
       sim::Time t;
       std::uint64_t seq;
       Radio* radio;
-      std::uint32_t slot;
+      std::uint32_t id;
     };
     Frame frame;
     sim::Time airtime;
@@ -129,8 +130,6 @@ class Channel {
   /// Runs wave `w`'s next item and every following one that is the
   /// scheduler's next event; parks the wave at the item after that.
   void step_wave(std::uint32_t w);
-  /// Starts arrival `i` of wave `w`, recording the reception end.
-  void arrive(std::uint32_t w, std::uint32_t i);
   /// Shared fan-out of transmit() and inject(): launches one wave with
   /// a reception per radio within carrier-sense range of `sp`.
   void radiate(net::NodeId sender, const mobility::Vec2& sp,
@@ -144,9 +143,10 @@ class Channel {
   std::unique_ptr<NeighborIndex> index_;
   double max_speed_ = 0.0;
 
-  /// Callbacks run by a wave can radiate and grow the pool, so waves
-  /// are named by index and looked up afresh after every callback.
-  std::vector<Wave> waves_;
+  /// Callbacks run by a wave can radiate and grow the pool; a deque
+  /// never moves a wave, so the frame a reception end hands up stays
+  /// valid for the whole callback.
+  std::deque<Wave> waves_;
   std::vector<std::uint32_t> free_waves_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "phy/channel.hpp"
+#include "phy/propagation.hpp"
 #include "sim/error.hpp"
 
 namespace mts::phy {
@@ -22,7 +23,7 @@ void Radio::start_transmit(const Frame& frame, sim::Time airtime) {
   sim::require(!transmitting(), "Radio: start_transmit while transmitting");
   const bool was_busy = medium_busy();
   // Half duplex: anything being received is lost the instant we key up.
-  for (const std::uint32_t idx : active_) slots_[idx].corrupt = true;
+  for (Reception& rx : rx_) rx.corrupt = true;
   tx_end_ = sched_->now() + airtime;
   ++sent_;
   if (counters_ != nullptr) ++counters_->mac_tx_frames;
@@ -36,8 +37,8 @@ void Radio::tx_done() {
   medium_edge(/*was_busy=*/true);
 }
 
-std::optional<Radio::ReceptionEnd> Radio::begin_reception(
-    const Frame& frame, sim::Time airtime, bool decodable, double rx_power) {
+std::optional<Radio::ReceptionEnd> Radio::begin_reception(bool decodable,
+                                                          double distance) {
   if (transmitting()) {
     // Deaf while keyed up; the energy passes unnoticed (it also cannot
     // corrupt anything: we are not receiving).
@@ -48,40 +49,33 @@ std::optional<Radio::ReceptionEnd> Radio::begin_reception(
   // reception that is >= capture_threshold_ stronger; such receptions
   // survive.  Weaker or comparable ongoing receptions are corrupted.
   // The newcomer itself is decodable only if the medium was clear.
-  bool corrupt = false;
-  for (const std::uint32_t idx : active_) {
-    corrupt = true;
-    Reception& rx = slots_[idx];
-    if (rx.power < rx_power * capture_threshold_) rx.corrupt = true;
+  // Powers are read only here, so each is computed on first need and
+  // kept; corruption is final, so a corrupt reception needs none.
+  const bool corrupt = !rx_.empty();
+  double power = -1.0;
+  for (Reception& rx : rx_) {
+    if (rx.corrupt) continue;
+    if (power < 0.0) power = capture_power(distance);
+    if (rx.power < 0.0) rx.power = capture_power(rx.distance);
+    if (rx.power < power * capture_threshold_) rx.corrupt = true;
   }
-  std::uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-  }
-  slots_[slot] =
-      Reception{frame, sched_->now() + airtime, corrupt, decodable, rx_power};
-  active_.push_back(slot);
-  const ReceptionEnd end{slot, sched_->reserve_seqs(1)};
+  const std::uint32_t id = next_rx_id_++;
+  rx_.push_back(Reception{distance, power, id, corrupt, decodable});
+  const ReceptionEnd end{id, sched_->reserve_seqs(1)};
   if (!was_busy) medium_edge(false);
   return end;
 }
 
-void Radio::end_reception(std::uint32_t slot) {
-  auto it = std::find(active_.begin(), active_.end(), slot);
-  sim::require(it != active_.end(), "Radio: reception record lost");
-  // Swap-remove from the active list, move the record out, and recycle
-  // the slot *before* running callbacks: a callback may re-enter
-  // begin_reception (MAC responses), which must see a consistent pool.
-  // The move empties the slot's packet handle, so the pooled body is
-  // released the moment the reception ends, not when the slot recycles.
-  *it = active_.back();
-  active_.pop_back();
-  const Reception rec = std::move(slots_[slot]);
-  free_.push_back(slot);
+void Radio::end_reception(std::uint32_t id, const Frame& frame) {
+  Reception* it = std::find_if(rx_.begin(), rx_.end(),
+                               [id](const Reception& r) { return r.id == id; });
+  sim::require(it != rx_.end(), "Radio: reception record lost");
+  // Swap-remove the record *before* running callbacks: a callback may
+  // re-enter begin_reception (MAC responses), which must see a
+  // consistent set.
+  const Reception rec = *it;
+  *it = rx_.back();
+  rx_.pop_back();
   if (rec.corrupt) {
     ++collisions_;
     if (counters_ != nullptr) counters_->drop(net::DropReason::kCollision);
@@ -89,7 +83,7 @@ void Radio::end_reception(std::uint32_t slot) {
   } else if (rec.decodable && !transmitting()) {
     ++decoded_;
     if (counters_ != nullptr) ++counters_->mac_rx_frames;
-    if (cb_.on_frame) cb_.on_frame(rec.frame);
+    if (cb_.on_frame) cb_.on_frame(frame);
   } else if (!rec.decodable) {
     if (cb_.on_rx_garbage) cb_.on_rx_garbage();
   }

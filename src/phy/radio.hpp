@@ -3,9 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "net/counters.hpp"
+#include "net/small_vec.hpp"
 #include "phy/frame.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
@@ -55,7 +55,7 @@ class Radio {
 
   /// Physical carrier: busy while transmitting or any energy arrives.
   [[nodiscard]] bool medium_busy() const {
-    return transmitting() || !active_.empty();
+    return transmitting() || !rx_.empty();
   }
   [[nodiscard]] bool transmitting() const { return sched_->now() < tx_end_; }
 
@@ -64,27 +64,26 @@ class Radio {
   /// are corrupted (half duplex).
   void start_transmit(const Frame& frame, sim::Time airtime);
 
-  /// A started reception's end: the caller runs end_reception(slot) at
-  /// now() + airtime in scheduler sequence `seq`.  begin_reception
+  /// A started reception's end: the caller runs end_reception(id, ...)
+  /// one airtime later in scheduler sequence `seq`.  begin_reception
   /// reserves `seq` before its callbacks run, so the end orders exactly
   /// as an event scheduled at that point would.
   struct ReceptionEnd {
-    std::uint32_t slot;
+    std::uint32_t id;
     std::uint64_t seq;
   };
 
-  /// Channel-facing: energy begins arriving.  `decodable` is false for
-  /// frames inside carrier-sense range but beyond decode range.
-  /// `rx_power` is a relative received-power figure (the channel's
-  /// path-loss surrogate) used for the capture rule.  Returns the
+  /// Channel-facing: energy begins arriving from `distance` metres away.
+  /// `decodable` is false for frames inside carrier-sense range but
+  /// beyond decode range.  The capture rule compares capture_power() of
+  /// the distances, computed only when receptions overlap.  Returns the
   /// reception's end, or nullopt when the radio is deaf (transmitting).
-  /// `frame` is copied before any callback runs.
-  std::optional<ReceptionEnd> begin_reception(const Frame& frame,
-                                              sim::Time airtime,
-                                              bool decodable, double rx_power);
+  std::optional<ReceptionEnd> begin_reception(bool decodable,
+                                              double distance);
 
-  /// Channel-facing: the reception begun in `slot` ends.
-  void end_reception(std::uint32_t slot);
+  /// Channel-facing: reception `id` ends; `frame` is what it carried and
+  /// must stay valid until the call returns.
+  void end_reception(std::uint32_t id, const Frame& frame);
 
   /// ns-2 `WirelessPhy` capture rule: an ongoing reception survives a
   /// new arrival iff it is at least this power ratio stronger (10 dB);
@@ -97,11 +96,11 @@ class Radio {
 
  private:
   struct Reception {
-    Frame frame;
-    sim::Time end;
+    double distance;
+    double power;  ///< capture_power(distance) once read; < 0 until then
+    std::uint32_t id;
     bool corrupt;
     bool decodable;
-    double power;
   };
 
   void tx_done();
@@ -118,15 +117,10 @@ class Radio {
   sim::Timer tx_done_timer_;
   sim::Time tx_end_ = sim::Time::zero();
   double capture_threshold_ = 10.0;
-  /// Reception records live in a stable slot pool: freed slots are
-  /// recycled through `free_` and the (tiny) set of in-flight
-  /// receptions is tracked by index in `active_`, so the per-frame
-  /// receive path stops allocating once the pool has warmed up.  Only
-  /// end_reception() releases a slot, so the index handed out by
-  /// begin_reception() stays valid for the slot's whole lifetime.
-  std::vector<Reception> slots_;
-  std::vector<std::uint32_t> free_;
-  std::vector<std::uint32_t> active_;
+  /// The (tiny) set of in-flight receptions, inline, keyed by a
+  /// per-radio id; the frames themselves stay in the channel's wave.
+  net::SmallVec<Reception, 4> rx_;
+  std::uint32_t next_rx_id_ = 0;
   std::uint64_t collisions_ = 0;
   std::uint64_t decoded_ = 0;
   std::uint64_t sent_ = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "net/packet.hpp"
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
+#include "sim/rng.hpp"
 
 namespace mts::phy {
 namespace {
@@ -52,6 +54,13 @@ class RadioChannelTest : public ::testing::Test {
     f.receiver = rx;
     f.bytes = 100;
     return f;
+  }
+
+  /// Radio `tx` sends a frame to radio 1 at `at` for `airtime`.
+  void key_up_at(sim::Time at, net::NodeId tx, sim::Time airtime) {
+    sched_.schedule_at(at, [this, tx, airtime] {
+      radios_[tx]->start_transmit(frame(tx, 1), airtime);
+    });
   }
 
   sim::Scheduler sched_;
@@ -129,6 +138,44 @@ TEST_F(RadioChannelTest, NoCaptureWhenComparablePower) {
   radios_[2]->start_transmit(frame(2, 1), sim::Time::ms(1));
   sched_.run();
   EXPECT_TRUE(received_[1].empty());
+}
+
+TEST_F(RadioChannelTest, CaptureKeepsFirstFrameAcrossTwoWeakArrivals) {
+  // Receiver 1 locks onto sender 0 at 50 m; radios 2 and 3, 200 m from
+  // it (256x weaker), overlap each other and the reception.
+  build({{0, 0}, {50, 0}, {250, 0}, {50, 200}});
+  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  key_up_at(sim::Time::us(100), 2, sim::Time::us(200));
+  key_up_at(sim::Time::us(150), 3, sim::Time::us(200));
+  sched_.run();
+  ASSERT_EQ(received_[1].size(), 1u);
+  EXPECT_EQ(received_[1][0].transmitter, 0u);
+  EXPECT_EQ(radios_[1]->collisions(), 2u);
+}
+
+TEST_F(RadioChannelTest, ComparableThirdArrivalCorruptsACapturedFrame) {
+  // The same two weak arrivals, then radio 4 from 60 m (2.1x weaker).
+  build({{0, 0}, {50, 0}, {250, 0}, {50, 200}, {50, -60}});
+  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  key_up_at(sim::Time::us(100), 2, sim::Time::us(200));
+  key_up_at(sim::Time::us(150), 3, sim::Time::us(200));
+  key_up_at(sim::Time::us(400), 4, sim::Time::us(50));
+  sched_.run();
+  EXPECT_TRUE(received_[1].empty());
+  EXPECT_EQ(radios_[1]->collisions(), 4u);
+}
+
+TEST_F(RadioChannelTest, MuchStrongerNewcomerCorruptsAndIsCorrupt) {
+  // Receiver 1 hears 0 from 200 m; radio 2 then keys up 50 m away,
+  // 256x stronger.  Capture only ever protects the reception in flight:
+  // the first frame is corrupted and the newcomer is noise too.
+  build({{0, 0}, {200, 0}, {250, 0}});
+  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  sched_.run_until(sim::Time::us(100));
+  radios_[2]->start_transmit(frame(2, 1), sim::Time::us(100));
+  sched_.run();
+  EXPECT_TRUE(received_[1].empty());
+  EXPECT_EQ(radios_[1]->collisions(), 2u);
 }
 
 TEST_F(RadioChannelTest, LateWeakFrameNeverDecodedEvenAfterStrongEnds) {
@@ -336,6 +383,124 @@ TEST_F(RadioChannelTest, FinishedWavePinsNoPacketBody) {
   EXPECT_EQ(radios_[3]->frames_decoded(), 0u);  // 300 m: energy only
   EXPECT_EQ(radios_[2]->frames_decoded(), 1u);
   EXPECT_EQ(net::packet_pool_stats().live(), before);
+}
+
+TEST_F(RadioChannelTest, DeliveredFrameOutlivesWavePoolGrowth) {
+  // Receiver 1's on_frame callback keys up 15 other radios, each
+  // launching a wave of its own, so the pool grows well past its size
+  // while the delivered frame — the wave's one copy — is still in use.
+  std::vector<mobility::Vec2> pos{{0, 0}};
+  for (int i = 1; i < 17; ++i) {
+    const double a = 2.0 * 3.141592653589793 * i / 16.0;
+    pos.push_back({60.0 * std::cos(a), 60.0 * std::sin(a)});
+  }
+  build(pos);
+  bool checked = false;
+  radios_[1]->set_callbacks(Radio::Callbacks{
+      [&](const Frame& f) {
+        if (checked) return;
+        for (std::size_t k = 2; k < radios_.size(); ++k) {
+          radios_[k]->start_transmit(
+              frame(static_cast<net::NodeId>(k), net::kBroadcastId),
+              sim::Time::us(50));
+        }
+        EXPECT_EQ(f.transmitter, 0u);
+        EXPECT_EQ(f.receiver, 1u);
+        EXPECT_EQ(f.bytes, 100u);
+        EXPECT_EQ(f.seq, 7u);
+        ASSERT_TRUE(f.has_payload());
+        EXPECT_EQ(f.payload.common().kind, net::PacketKind::kDsrRreq);
+        EXPECT_EQ(f.payload.hop().ttl, 32);
+        checked = true;
+      },
+      nullptr,
+      nullptr,
+      nullptr,
+  });
+  Frame f = frame(0, 1);
+  f.seq = 7;
+  f.payload.mutable_common().kind = net::PacketKind::kDsrRreq;
+  f.payload.mutable_hop().ttl = 32;
+  radios_[0]->start_transmit(f, sim::Time::ms(1));
+  sched_.run();
+  EXPECT_TRUE(checked);
+}
+
+/// The capture rule with every arrival's power computed up front — the
+/// reference the radio's lazy, overlap-only powers must agree with.
+struct EagerReception {
+  std::uint32_t id;
+  double power;
+  bool corrupt;
+  bool decodable;
+  bool overlapped;
+};
+
+TEST(RadioCaptureTest, LazyPowerMatchesEagerReferenceModel) {
+  sim::Scheduler sched;
+  Radio radio(sched, 0, nullptr);
+  enum class Outcome { kNone, kDecoded, kGarbage };
+  Outcome got = Outcome::kNone;
+  std::uint16_t got_seq = 0;
+  radio.set_callbacks(Radio::Callbacks{
+      [&](const Frame& f) {
+        got = Outcome::kDecoded;
+        got_seq = f.seq;
+      },
+      nullptr,
+      nullptr,
+      [&] { got = Outcome::kGarbage; },
+  });
+  sim::Rng rng(15);
+  std::vector<EagerReception> ref;
+  std::uint64_t collisions = 0;
+  std::uint64_t captured = 0;  // decoded despite an overlap
+  std::uint64_t decoded = 0;
+  for (int step = 0; step < 50'000; ++step) {
+    if (ref.empty() || (ref.size() < 6 && rng.uniform() < 0.5)) {
+      double d;
+      switch (rng.uniform_int(0, 3)) {
+        case 0: d = rng.uniform(0.0, 2.0); break;  // the 1 m clamp
+        case 1: d = 25.0 * static_cast<double>(rng.uniform_int(1, 8)); break;
+        default: d = rng.uniform(1.0, 550.0); break;
+      }
+      const bool decodable = rng.uniform() < 0.8;
+      const double p = std::pow(std::max(d, 1.0), -4.0);
+      const bool corrupt = !ref.empty();
+      for (EagerReception& r : ref) {
+        r.overlapped = true;
+        if (r.power < p * 10.0) r.corrupt = true;
+      }
+      const auto end = radio.begin_reception(decodable, d);
+      ASSERT_TRUE(end.has_value());
+      ref.push_back(EagerReception{end->id, p, corrupt, decodable, corrupt});
+    } else {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ref.size()) - 1));
+      const EagerReception r = ref[k];
+      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(k));
+      Frame f;
+      f.seq = static_cast<std::uint16_t>(step);
+      got = Outcome::kNone;
+      radio.end_reception(r.id, f);
+      const Outcome want =
+          r.corrupt || !r.decodable ? Outcome::kGarbage : Outcome::kDecoded;
+      ASSERT_EQ(got, want) << "step " << step;
+      if (want == Outcome::kDecoded) {
+        EXPECT_EQ(got_seq, f.seq);
+        ++decoded;
+        if (r.overlapped) ++captured;
+      }
+      if (r.corrupt) ++collisions;
+    }
+    ASSERT_EQ(radio.medium_busy(), !ref.empty());
+  }
+  EXPECT_EQ(radio.collisions(), collisions);
+  EXPECT_EQ(radio.frames_decoded(), decoded);
+  // The walk reached every branch of the rule, captures included.
+  EXPECT_GT(captured, 100u);
+  EXPECT_GT(collisions, 1000u);
+  EXPECT_GT(decoded - captured, 1000u);
 }
 
 TEST_F(RadioChannelTest, StatsCountDecodes) {
