@@ -39,20 +39,11 @@ Mac80211::Mac80211(sim::Scheduler& sched, phy::Radio& radio, MacConfig cfg,
                       "MacConfig: bad contention window");
   sim::require_config(cfg.data_rate_bps > 0 && cfg.basic_rate_bps > 0,
                       "MacConfig: bad rates");
-  radio_->set_callbacks(phy::Radio::Callbacks{
-      [this](const Frame& f) { on_frame(f); },
-      [this](bool busy) { on_medium(busy); },
-      [this] { on_tx_done(); },
-      [this] {
-        // EIFS (802.11 §9.2.3.4): after an undecodable reception, defer
-        // long enough for the frame's possible ACK to complete — the
-        // hidden-ACK protection basic access depends on.
-        eifs_until_ = sched_->now() + eifs_;
-      },
-  });
+  radio_->set_listener(this);
 }
 
 bool Mac80211::enqueue(net::Packet packet, net::NodeId next_hop) {
+  radio_->set_edge_calls(true);  // work to do: carrier sense matters now
   auto dropped = queue_.enqueue(net::QueueItem{std::move(packet), next_hop});
   if (dropped.has_value()) {
     if (counters_ != nullptr) counters_->drop(net::DropReason::kQueueFull);
@@ -87,6 +78,12 @@ void Mac80211::kick() {
     auto next = queue_.dequeue();
     if (!next.has_value()) {
       state_ = State::kIdle;
+      // Nothing to contend for: an edge could only rewrite marks the
+      // radio keeps anyway, until `enqueue` brings work.
+      sim::require(phase_ == AccessPhase::kNone &&
+                       !access_timer_.is_pending() && !current_.has_value(),
+                   "Mac: going quiet with contention pending");
+      radio_->set_edge_calls(false);
       return;
     }
     current_ = std::move(next);
@@ -108,8 +105,14 @@ void Mac80211::kick() {
     access_timer_.schedule_at(nav_end_);
     return;
   }
-  const sim::Time idle_start = std::max(idle_since_, nav_end_);
-  const sim::Time difs_end = std::max(idle_start + cfg_.difs, eifs_until_);
+  const sim::Time idle_start = std::max(radio_->idle_since(), nav_end_);
+  sim::Time difs_end = idle_start + cfg_.difs;
+  if (const auto garbage = radio_->undecodable_end()) {
+    // EIFS (802.11 §9.2.3.4): after an undecodable reception, defer
+    // long enough for the frame's possible ACK to complete — the
+    // hidden-ACK protection basic access depends on.
+    difs_end = std::max(difs_end, *garbage + eifs_);
+  }
   if (bo_slots_ < 0) {
     // No backoff pending: transmit as soon as the medium has been idle
     // for a full DIFS (802.11 immediate access).
@@ -153,7 +156,7 @@ void Mac80211::access_timer_fired() {
   }
 }
 
-void Mac80211::on_medium(bool busy) {
+void Mac80211::on_medium_busy(bool busy) {
   if (busy) {
     if (phase_ == AccessPhase::kBackoff) {
       // Freeze: bank the fully elapsed slots.
@@ -167,7 +170,6 @@ void Mac80211::on_medium(bool busy) {
       phase_ = AccessPhase::kNone;
     }
   } else {
-    idle_since_ = sched_->now();
     kick();
   }
 }
@@ -284,7 +286,6 @@ void Mac80211::finish_current() {
 // --------------------------------------------------------------------------
 
 void Mac80211::on_frame(const Frame& f) {
-  eifs_until_ = sim::Time::zero();  // a clean decode ends any EIFS penalty
   const bool for_me = f.receiver == id() || f.is_broadcast();
   if (!for_me) {
     // Virtual carrier sense: honour the transmitter's reservation.
@@ -376,7 +377,7 @@ void Mac80211::send_response(FrameType type, net::NodeId to, sim::Time nav) {
   f.bytes = type == FrameType::kAck ? cfg_.ack_bytes : cfg_.cts_bytes;
   f.nav = nav;
   // Responses interrupt any pending access timer implicitly: the radio
-  // goes busy, and on_medium(true) freezes the backoff.
+  // goes busy, and on_medium_busy(true) freezes the backoff.
   const TxKind saved = tx_kind_;
   tx_kind_ = TxKind::kResponse;
   radio_->start_transmit(f, airtime(f.bytes, cfg_.basic_rate_bps));

@@ -43,15 +43,24 @@ struct MacConfig {
 /// IEEE 802.11 DCF over a `phy::Radio`.
 ///
 /// Implements: physical + virtual (NAV) carrier sense, DIFS deferral,
-/// freezing binary-exponential backoff, post-transmission backoff,
-/// unicast DATA->ACK with retry limit and link-failure callback,
-/// optional RTS/CTS, broadcast without ACK, a priority interface queue,
-/// and receive-side duplicate filtering.
+/// EIFS deferral after an undecodable reception, freezing
+/// binary-exponential backoff, post-transmission backoff, unicast
+/// DATA->ACK with retry limit and link-failure callback, optional
+/// RTS/CTS, broadcast without ACK, a priority interface queue, and
+/// receive-side duplicate filtering.
 ///
-/// Not modelled (documented simplifications): EIFS after corrupted
-/// receptions, fragmentation, and rate adaptation — none of which the
-/// paper's 2005 study models either.
-class Mac80211 {
+/// Carrier-sense marks live in the radio, not here: the radio records
+/// the last busy->idle edge and the end of the last undecodable
+/// reception (cleared by a clean decode), and `kick` derives the DIFS
+/// start and `mark + EIFS` from them when it contends.  So the MAC
+/// needs edge up-calls only while it has work — a current frame, a
+/// queued packet or an access phase: `enqueue` switches them on and
+/// `kick` switches them off once the MAC falls idle.  Decoded frames
+/// and the end of our own transmissions always reach it.
+///
+/// Not modelled (documented simplifications): fragmentation and rate
+/// adaptation — neither of which the paper's 2005 study models either.
+class Mac80211 : private phy::Radio::Listener {
  public:
   struct Callbacks {
     /// A decoded frame addressed to this node (or broadcast) carried a
@@ -112,9 +121,9 @@ class Mac80211 {
   enum class AccessPhase : std::uint8_t { kNone, kNav, kDifs, kBackoff };
 
   // Radio-facing handlers.
-  void on_frame(const phy::Frame& f);
-  void on_medium(bool busy);
-  void on_tx_done();
+  void on_frame(const phy::Frame& f) final;
+  void on_medium_busy(bool busy) final;
+  void on_tx_done() final;
 
   void handle_data(const phy::Frame& f);
   void handle_ack(const phy::Frame& f);
@@ -167,9 +176,7 @@ class Mac80211 {
   std::uint32_t retries_ = 0;
   std::uint32_t cw_;
   std::int32_t bo_slots_ = -1;  ///< -1: no backoff pending
-  sim::Time idle_since_ = sim::Time::zero();
   sim::Time nav_end_ = sim::Time::zero();
-  sim::Time eifs_until_ = sim::Time::zero();
   sim::Time backoff_countdown_start_ = sim::Time::zero();
 
   sim::Timer access_timer_;

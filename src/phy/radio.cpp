@@ -33,7 +33,7 @@ void Radio::start_transmit(const Frame& frame, sim::Time airtime) {
 }
 
 void Radio::tx_done() {
-  if (cb_.on_tx_done) cb_.on_tx_done();
+  if (listener_ != nullptr) listener_->on_tx_done();
   medium_edge(/*was_busy=*/true);
 }
 
@@ -79,20 +79,26 @@ void Radio::end_reception(std::uint32_t id, const Frame& frame) {
   if (rec.corrupt) {
     ++collisions_;
     if (counters_ != nullptr) counters_->drop(net::DropReason::kCollision);
-    if (cb_.on_rx_garbage) cb_.on_rx_garbage();
+    undecodable_end_ = sched_->now();
   } else if (rec.decodable && !transmitting()) {
     ++decoded_;
     if (counters_ != nullptr) ++counters_->mac_rx_frames;
-    if (cb_.on_frame) cb_.on_frame(frame);
+    undecodable_end_.reset();  // a clean decode ends any EIFS deferral
+    if (listener_ != nullptr) listener_->on_frame(frame);
   } else if (!rec.decodable) {
-    if (cb_.on_rx_garbage) cb_.on_rx_garbage();
+    undecodable_end_ = sched_->now();
   }
   medium_edge(/*was_busy=*/true);
 }
 
 void Radio::medium_edge(bool was_busy) {
   const bool busy = medium_busy();
-  if (busy != was_busy && cb_.on_medium_busy) cb_.on_medium_busy(busy);
+  if (busy == was_busy) return;
+  if (!busy) idle_since_ = sched_->now();
+  if (edge_calls_ && listener_ != nullptr) {
+    ++edges_reported_;
+    listener_->on_medium_busy(busy);
+  }
 }
 
 }  // namespace mts::phy

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "net/counters.hpp"
@@ -21,21 +20,33 @@ class Channel;
 /// that one is at least the capture threshold stronger (10 dB);
 /// transmitting makes the radio deaf; starting to transmit corrupts
 /// anything being received.  Physical carrier sense is
-/// `busy = transmitting || any reception in progress`, reported to the
-/// MAC via edge-triggered callbacks.
+/// `busy = transmitting || any reception in progress`.
 ///
-/// The radio delivers *every* cleanly decoded frame to the MAC,
+/// The radio keeps the two carrier-sense marks the MAC's deferral needs:
+/// the time of the last busy->idle edge (DIFS counts from it) and the
+/// end of the last undecodable reception — a collision, or energy from
+/// beyond decode range — since the last clean decode (EIFS counts from
+/// it).  It updates both on every reception, but reports edges to its
+/// listener only while the listener asked for them
+/// (`set_edge_calls`): the MAC asks only while it has something to
+/// send, so the idle majority of a large field hears no edges at all
+/// and reads the marks when it next contends.
+///
+/// The radio delivers *every* cleanly decoded frame to its listener,
 /// including frames addressed elsewhere — the MAC needs them for NAV,
-/// and the security layer's promiscuous tap hangs off the same path.
+/// and the security layer's promiscuous tap hangs off the same path —
+/// and always reports the end of its own transmissions.
 class Radio {
  public:
-  struct Callbacks {
-    std::function<void(const Frame&)> on_frame;     ///< any decoded frame
-    std::function<void(bool)> on_medium_busy;       ///< physical CS edges
-    std::function<void()> on_tx_done;               ///< our frame finished
-    /// A reception ended that could not be decoded (collision, or energy
-    /// from beyond decode range) — the MAC's EIFS trigger.
-    std::function<void()> on_rx_garbage;
+  /// The radio's one client (the MAC).
+  class Listener {
+   public:
+    virtual void on_frame(const Frame& f) = 0;   ///< any decoded frame
+    virtual void on_medium_busy(bool busy) = 0;  ///< CS edges, if asked
+    virtual void on_tx_done() = 0;               ///< our frame finished
+
+   protected:
+    ~Listener() = default;
   };
 
   Radio(sim::Scheduler& sched, net::NodeId id, net::Counters* counters)
@@ -49,7 +60,9 @@ class Radio {
   Radio& operator=(const Radio&) = delete;
 
   void set_channel(Channel* ch) { channel_ = ch; }
-  void set_callbacks(Callbacks cb) { cb_ = std::move(cb); }
+  void set_listener(Listener* l) { listener_ = l; }
+  /// Whether carrier-sense edges reach the listener (off at start).
+  void set_edge_calls(bool on) { edge_calls_ = on; }
 
   [[nodiscard]] net::NodeId id() const { return id_; }
 
@@ -58,6 +71,14 @@ class Radio {
     return transmitting() || !rx_.empty();
   }
   [[nodiscard]] bool transmitting() const { return sched_->now() < tx_end_; }
+
+  /// Time of the last busy->idle edge (zero before the first).
+  [[nodiscard]] sim::Time idle_since() const { return idle_since_; }
+  /// End of the last undecodable reception, unless a clean decode has
+  /// happened since.
+  [[nodiscard]] std::optional<sim::Time> undecodable_end() const {
+    return undecodable_end_;
+  }
 
   /// MAC-facing: radiate `frame` for `airtime`.  Pre-condition: not
   /// already transmitting (the MAC's job to ensure).  Ongoing receptions
@@ -93,6 +114,8 @@ class Radio {
   [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
   [[nodiscard]] std::uint64_t frames_decoded() const { return decoded_; }
   [[nodiscard]] std::uint64_t frames_sent() const { return sent_; }
+  /// Carrier-sense edges passed up to the listener.
+  [[nodiscard]] std::uint64_t edges_reported() const { return edges_reported_; }
 
  private:
   struct Reception {
@@ -110,12 +133,15 @@ class Radio {
   net::NodeId id_;
   net::Counters* counters_;
   Channel* channel_ = nullptr;
-  Callbacks cb_;
+  Listener* listener_ = nullptr;
+  bool edge_calls_ = false;
 
   /// Preallocated member timer for the end of our own transmission —
   /// one per radio instead of a fresh closure per frame.
   sim::Timer tx_done_timer_;
   sim::Time tx_end_ = sim::Time::zero();
+  sim::Time idle_since_ = sim::Time::zero();
+  std::optional<sim::Time> undecodable_end_;
   double capture_threshold_ = 10.0;
   /// The (tiny) set of in-flight receptions, inline, keyed by a
   /// per-radio id; the frames themselves stay in the channel's wave.
@@ -124,6 +150,7 @@ class Radio {
   std::uint64_t collisions_ = 0;
   std::uint64_t decoded_ = 0;
   std::uint64_t sent_ = 0;
+  std::uint64_t edges_reported_ = 0;
 };
 
 }  // namespace mts::phy

@@ -281,6 +281,138 @@ TEST_F(MacTest, SmallFramesBypassRtsThreshold) {
   EXPECT_EQ(stations_[0].radio->frames_sent(), 1u);
 }
 
+// --- carrier-sense marks kept by the radio -------------------------------
+
+/// Runs single events until `done()` holds; the marks are read at the
+/// exact tick they change.
+template <typename Pred>
+void step_until(sim::Scheduler& sched, Pred done) {
+  while (!done()) ASSERT_EQ(sched.run_steps(1), 1u);
+}
+
+TEST_F(MacTest, EifsDefersTheFirstTransmissionAfterAnUndecodableReception) {
+  // Station 1 at 400 m is inside carrier-sense range (550 m) but beyond
+  // decode range: its broadcast reaches idle station 0 as energy only.
+  build({{0, 0}, {400, 0}});
+  const MacConfig& cfg = stations_[0].mac->config();
+  const sim::Time eifs = cfg.sifs + stations_[0].mac->airtime(
+                                        cfg.ack_bytes, cfg.basic_rate_bps) +
+                         cfg.difs;
+  stations_[1].mac->enqueue(data_packet(1, net::kBroadcastId, 1, 100),
+                            net::kBroadcastId);
+  phy::Radio& radio = *stations_[0].radio;
+  step_until(sched_, [&] { return radio.undecodable_end().has_value(); });
+  const sim::Time mark = *radio.undecodable_end();
+  EXPECT_EQ(sched_.now(), mark);
+  EXPECT_EQ(radio.idle_since(), mark);  // the same reception's end
+  stations_[0].mac->enqueue(data_packet(0, 1, 2, 100), 1);
+  // DIFS alone would release the frame at mark + 50 us.
+  sched_.run_until(mark + eifs - sim::Time::ns(1));
+  EXPECT_EQ(radio.frames_sent(), 0u);
+  EXPECT_FALSE(radio.transmitting());
+  sched_.run_until(mark + eifs);
+  EXPECT_EQ(radio.frames_sent(), 1u);
+  EXPECT_TRUE(radio.transmitting());
+}
+
+TEST_F(MacTest, CleanDecodeCancelsTheEifsDeferral) {
+  // As above, but station 2 (200 m from 0, 600 m from 1, so deaf to
+  // 1's frame) broadcasts right after the undecodable end and station 0
+  // decodes it cleanly.  A long ACK widens EIFS so that the clean
+  // frame fits inside it: only the cleared mark lets DIFS decide.
+  MacConfig cfg;
+  cfg.ack_bytes = 250;
+  build({{0, 0}, {400, 0}, {-200, 0}}, cfg);
+  const sim::Time eifs =
+      cfg.sifs + stations_[0].mac->airtime(cfg.ack_bytes, cfg.basic_rate_bps) +
+      cfg.difs;
+  stations_[1].mac->enqueue(data_packet(1, net::kBroadcastId, 1, 100),
+                            net::kBroadcastId);
+  phy::Radio& radio = *stations_[0].radio;
+  step_until(sched_, [&] { return radio.undecodable_end().has_value(); });
+  const sim::Time mark = *radio.undecodable_end();
+  stations_[2].mac->enqueue(data_packet(2, net::kBroadcastId, 2, 20),
+                            net::kBroadcastId);
+  step_until(sched_, [&] { return !radio.undecodable_end().has_value(); });
+  const sim::Time decoded = sched_.now();
+  ASSERT_EQ(radio.frames_decoded(), 1u);
+  EXPECT_EQ(radio.idle_since(), decoded);
+  ASSERT_LT(decoded + cfg.difs, mark + eifs);  // the test can tell them apart
+  stations_[0].mac->enqueue(data_packet(0, 2, 3, 100), 2);
+  sched_.run_until(decoded + cfg.difs - sim::Time::ns(1));
+  EXPECT_EQ(radio.frames_sent(), 0u);
+  sched_.run_until(decoded + cfg.difs);
+  EXPECT_EQ(radio.frames_sent(), 1u);
+}
+
+TEST_F(MacTest, IdleMacHearsNoCarrierSenseEdges) {
+  // Stations 0 and 1 exchange DATA/ACK; station 2 overhears all of it
+  // with nothing to send, so its radio keeps the marks and stays quiet.
+  build({{0, 0}, {150, 0}, {75, 100}});
+  for (std::uint32_t i = 1; i <= 5; ++i) {
+    stations_[0].mac->enqueue(data_packet(0, 1, i), 1);
+  }
+  sched_.run_until(sim::Time::sec(1));
+  ASSERT_EQ(stations_[1].received.size(), 5u);
+  const phy::Radio& idle = *stations_[2].radio;
+  EXPECT_EQ(idle.edges_reported(), 0u);
+  EXPECT_GT(idle.frames_decoded(), 0u);
+  EXPECT_GT(idle.idle_since(), sim::Time::zero());  // edges were seen
+  EXPECT_EQ(stations_[2].sniffed.size(), 5u);  // decoded frames still rise
+  // The sender contended, so it heard edges; the receiver only ACKed.
+  const std::uint64_t sender_edges = stations_[0].radio->edges_reported();
+  EXPECT_GT(sender_edges, 0u);
+  EXPECT_EQ(stations_[1].radio->edges_reported(), 0u);
+  // Once its queue ran dry the sender went quiet too: the reverse
+  // exchange reaches it as decoded frames only.
+  for (std::uint32_t i = 1; i <= 5; ++i) {
+    stations_[1].mac->enqueue(data_packet(1, 0, 10 + i), 0);
+  }
+  sched_.run_until(sim::Time::sec(2));
+  ASSERT_EQ(stations_[0].received.size(), 5u);
+  EXPECT_EQ(stations_[0].radio->edges_reported(), sender_edges);
+  EXPECT_EQ(idle.edges_reported(), 0u);
+}
+
+TEST_F(MacTest, BackoffFreezesOnABusyEdgeAndBanksElapsedSlots) {
+  build({{0, 0}, {150, 0}});
+  const MacConfig& cfg = stations_[0].mac->config();
+  // Station 0's first broadcast leaves a post-transmission backoff: the
+  // first draw from its seeded stream (the fixture seeds station i with
+  // 100 + i).
+  sim::Rng twin(100);
+  const auto slots = static_cast<std::int64_t>(
+      twin.uniform_int(0, static_cast<std::int64_t>(cfg.cw_min)));
+  ASSERT_GE(slots, 3) << "pick a seed whose backoff outlasts the probe";
+  stations_[0].mac->enqueue(data_packet(0, net::kBroadcastId, 1, 100),
+                            net::kBroadcastId);
+  sched_.run_until(sim::Time::ms(10));
+  ASSERT_EQ(stations_[0].radio->frames_sent(), 1u);
+  const std::uint64_t edges_idle = stations_[0].radio->edges_reported();
+
+  // The countdown starts at once (the medium has been idle for long);
+  // station 1's frame lands 2.5 slots in, so two slots are banked.
+  const sim::Time start = sched_.now();
+  stations_[0].mac->enqueue(data_packet(0, 1, 2, 100), 1);
+  sched_.run_until(start + cfg.slot * std::int64_t{5} / std::int64_t{2});
+  stations_[1].mac->enqueue(data_packet(1, net::kBroadcastId, 3, 100),
+                            net::kBroadcastId);
+  phy::Radio& radio = *stations_[0].radio;
+  step_until(sched_, [&] { return radio.medium_busy(); });
+  EXPECT_EQ(radio.edges_reported(), edges_idle + 1);  // the busy edge
+  step_until(sched_, [&] { return !radio.medium_busy(); });
+  const sim::Time idle = sched_.now();
+  ASSERT_EQ(radio.idle_since(), idle);
+  ASSERT_FALSE(radio.undecodable_end().has_value());
+  // Resume after DIFS with the slots left over; an unfrozen countdown
+  // would instead have expired mid-frame and restarted all of them.
+  const sim::Time due = idle + cfg.difs + cfg.slot * (slots - 2);
+  sched_.run_until(due - sim::Time::ns(1));
+  EXPECT_EQ(radio.frames_sent(), 1u);
+  sched_.run_until(due);
+  EXPECT_EQ(radio.frames_sent(), 2u);
+}
+
 TEST_F(MacTest, ConfigValidation) {
   build({{0, 0}});
   MacConfig bad;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -14,6 +15,19 @@
 
 namespace mts::phy {
 namespace {
+
+/// Adapts the radio's listener interface to per-test lambdas.
+struct StubListener final : Radio::Listener {
+  std::function<void(const Frame&)> frame;
+  std::function<void(bool)> busy;
+  void on_frame(const Frame& f) override {
+    if (frame) frame(f);
+  }
+  void on_medium_busy(bool b) override {
+    if (busy) busy(b);
+  }
+  void on_tx_done() override {}
+};
 
 /// Three radios on a line; positions chosen per test.
 class RadioChannelTest : public ::testing::Test {
@@ -37,12 +51,11 @@ class RadioChannelTest : public ::testing::Test {
       busy_log_.emplace_back();
       auto* rx = &received_.back();
       auto* busy = &busy_log_.back();
-      radios_.back()->set_callbacks(Radio::Callbacks{
-          [rx](const Frame& f) { rx->push_back(f); },
-          [busy](bool b) { busy->push_back(b); },
-          nullptr,
-          nullptr,
-      });
+      listeners_.push_back(std::make_unique<StubListener>());
+      listeners_.back()->frame = [rx](const Frame& f) { rx->push_back(f); };
+      listeners_.back()->busy = [busy](bool b) { busy->push_back(b); };
+      radios_.back()->set_listener(listeners_.back().get());
+      radios_.back()->set_edge_calls(true);
       channel_->attach(radios_.back().get(), mobility_.back().get());
     }
     channel_->finalize();
@@ -69,6 +82,7 @@ class RadioChannelTest : public ::testing::Test {
   std::unique_ptr<Channel> channel_;
   std::vector<std::unique_ptr<mobility::MobilityModel>> mobility_;
   std::vector<std::unique_ptr<Radio>> radios_;
+  std::vector<std::unique_ptr<StubListener>> listeners_;
   std::vector<std::vector<Frame>> received_;
   std::vector<std::vector<bool>> busy_log_;
 };
@@ -275,17 +289,11 @@ TEST_F(RadioChannelTest, InFlightBroadcastSiblingsSurviveReceiverMutation) {
   // sender's own handle must keep seeing the original body.
   build({{0, 0}, {100, 0}, {200, 0}});
   net::Packet fwd;
-  radios_[1]->set_callbacks(Radio::Callbacks{
-      [&fwd](const Frame& f) {
-        fwd = f.payload;  // refcount bump, as the MAC/routing seam does
-        --fwd.mutable_hop().ttl;
-        std::get<net::DsrRreqHeader>(fwd.mutable_routing())
-            .record.push_back(1);
-      },
-      nullptr,
-      nullptr,
-      nullptr,
-  });
+  listeners_[1]->frame = [&fwd](const Frame& f) {
+    fwd = f.payload;  // refcount bump, as the MAC/routing seam does
+    --fwd.mutable_hop().ttl;
+    std::get<net::DsrRreqHeader>(fwd.mutable_routing()).record.push_back(1);
+  };
   Frame f = frame(0, net::kBroadcastId);
   f.payload.mutable_common().kind = net::PacketKind::kDsrRreq;
   f.payload.mutable_hop().ttl = 32;
@@ -370,7 +378,7 @@ TEST_F(RadioChannelTest, ReceiverKeyingUpMidWaveGetsNoReceptionEnd) {
 TEST_F(RadioChannelTest, FinishedWavePinsNoPacketBody) {
   build({{0, 0}, {100, 0}, {200, 0}, {300, 0}},
         /*range=*/250.0, /*cs_factor=*/2.2);
-  for (auto& r : radios_) r->set_callbacks(Radio::Callbacks{});
+  for (auto& r : radios_) r->set_listener(nullptr);
   const std::uint64_t before = net::packet_pool_stats().live();
   {
     Frame f = frame(0, net::kBroadcastId);
@@ -396,27 +404,22 @@ TEST_F(RadioChannelTest, DeliveredFrameOutlivesWavePoolGrowth) {
   }
   build(pos);
   bool checked = false;
-  radios_[1]->set_callbacks(Radio::Callbacks{
-      [&](const Frame& f) {
-        if (checked) return;
-        for (std::size_t k = 2; k < radios_.size(); ++k) {
-          radios_[k]->start_transmit(
-              frame(static_cast<net::NodeId>(k), net::kBroadcastId),
-              sim::Time::us(50));
-        }
-        EXPECT_EQ(f.transmitter, 0u);
-        EXPECT_EQ(f.receiver, 1u);
-        EXPECT_EQ(f.bytes, 100u);
-        EXPECT_EQ(f.seq, 7u);
-        ASSERT_TRUE(f.has_payload());
-        EXPECT_EQ(f.payload.common().kind, net::PacketKind::kDsrRreq);
-        EXPECT_EQ(f.payload.hop().ttl, 32);
-        checked = true;
-      },
-      nullptr,
-      nullptr,
-      nullptr,
-  });
+  listeners_[1]->frame = [&](const Frame& f) {
+    if (checked) return;
+    for (std::size_t k = 2; k < radios_.size(); ++k) {
+      radios_[k]->start_transmit(
+          frame(static_cast<net::NodeId>(k), net::kBroadcastId),
+          sim::Time::us(50));
+    }
+    EXPECT_EQ(f.transmitter, 0u);
+    EXPECT_EQ(f.receiver, 1u);
+    EXPECT_EQ(f.bytes, 100u);
+    EXPECT_EQ(f.seq, 7u);
+    ASSERT_TRUE(f.has_payload());
+    EXPECT_EQ(f.payload.common().kind, net::PacketKind::kDsrRreq);
+    EXPECT_EQ(f.payload.hop().ttl, 32);
+    checked = true;
+  };
   Frame f = frame(0, 1);
   f.seq = 7;
   f.payload.mutable_common().kind = net::PacketKind::kDsrRreq;
@@ -442,15 +445,12 @@ TEST(RadioCaptureTest, LazyPowerMatchesEagerReferenceModel) {
   enum class Outcome { kNone, kDecoded, kGarbage };
   Outcome got = Outcome::kNone;
   std::uint16_t got_seq = 0;
-  radio.set_callbacks(Radio::Callbacks{
-      [&](const Frame& f) {
-        got = Outcome::kDecoded;
-        got_seq = f.seq;
-      },
-      nullptr,
-      nullptr,
-      [&] { got = Outcome::kGarbage; },
-  });
+  StubListener listener;
+  listener.frame = [&](const Frame& f) {
+    got = Outcome::kDecoded;
+    got_seq = f.seq;
+  };
+  radio.set_listener(&listener);
   sim::Rng rng(15);
   std::vector<EagerReception> ref;
   std::uint64_t collisions = 0;
@@ -483,6 +483,11 @@ TEST(RadioCaptureTest, LazyPowerMatchesEagerReferenceModel) {
       f.seq = static_cast<std::uint16_t>(step);
       got = Outcome::kNone;
       radio.end_reception(r.id, f);
+      // Every end either decodes (clearing the EIFS mark) or is garbage
+      // (setting it).
+      if (got == Outcome::kNone && radio.undecodable_end().has_value()) {
+        got = Outcome::kGarbage;
+      }
       const Outcome want =
           r.corrupt || !r.decodable ? Outcome::kGarbage : Outcome::kDecoded;
       ASSERT_EQ(got, want) << "step " << step;
