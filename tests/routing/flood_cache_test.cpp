@@ -114,20 +114,6 @@ TEST(FloodCacheTest, ProbeRunsWrapPastTheTableEnd) {
   EXPECT_EQ(c.size(), 3u);
 }
 
-TEST(FloodCacheTest, ZeroAndAllOnesKeysAreOrdinaryEntries) {
-  FloodCache c(2);
-  EXPECT_FALSE(c.contains(0, 0));
-  EXPECT_TRUE(c.check_and_insert(0, 0));
-  EXPECT_FALSE(c.check_and_insert(0, 0));
-  EXPECT_TRUE(c.check_and_insert(0xFFFFFFFF, 0xFFFFFFFF));
-  EXPECT_TRUE(c.contains(0, 0));
-  EXPECT_EQ(c.size(), 2u);
-  EXPECT_TRUE(c.check_and_insert(0, 1));  // evicts (0, 0)
-  EXPECT_FALSE(c.contains(0, 0));
-  EXPECT_TRUE(c.contains(0xFFFFFFFF, 0xFFFFFFFF));
-  EXPECT_TRUE(c.check_and_insert(0, 0));  // new again
-}
-
 TEST(FloodCacheTest, StorageGrowsWithEntriesNotCapacity) {
   FloodCache c(4096);
   EXPECT_EQ(c.bucket_count(), 0u);  // nothing allocated until a flood
