@@ -7,7 +7,6 @@
 // end-to-end; BENCH_packetplane.json records before/after medians.
 #include <benchmark/benchmark.h>
 
-#include "mobility/mobility_model.hpp"
 #include "net/headers.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
@@ -52,14 +51,13 @@ void BM_BroadcastFanout(benchmark::State& state) {
   sim::Scheduler sched;
   phy::UnitDiskPropagation prop(250.0);
   phy::Channel channel(sched, prop);
-  std::vector<std::unique_ptr<mobility::StaticMobility>> mob;
   std::vector<std::unique_ptr<phy::Radio>> radios;
   for (std::uint32_t i = 0; i <= k; ++i) {
     // All nodes inside decode range of node 0 (and of each other).
-    mob.push_back(std::make_unique<mobility::StaticMobility>(
-        mobility::Vec2{static_cast<double>(i % 8), static_cast<double>(i / 8)}));
     radios.push_back(std::make_unique<phy::Radio>(sched, i, nullptr));
-    channel.attach(radios.back().get(), mob.back().get());
+    channel.attach(radios.back().get(),
+                   mobility::Trajectory(mobility::Vec2{
+                       static_cast<double>(i % 8), static_cast<double>(i / 8)}));
   }
   channel.finalize();
 

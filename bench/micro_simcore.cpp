@@ -5,7 +5,7 @@
 // against regressions in the hot paths.
 #include <benchmark/benchmark.h>
 
-#include "mobility/random_waypoint.hpp"
+#include "mobility/trajectory.hpp"
 #include "net/queue.hpp"
 #include "phy/neighbor_index.hpp"
 #include "security/relay_census.hpp"
@@ -120,7 +120,7 @@ BENCHMARK(BM_NeighborIndexQuery)->Arg(50)->Arg(500);
 void BM_RandomWaypointQuery(benchmark::State& state) {
   mobility::RandomWaypointConfig cfg;
   cfg.max_speed = 20.0;
-  mobility::RandomWaypoint rwp(cfg, sim::Rng(3));
+  mobility::Trajectory rwp(cfg, sim::Rng(3));
   std::int64_t t = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(rwp.position_at(sim::Time::ms(t % 200000)));

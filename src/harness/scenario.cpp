@@ -38,7 +38,6 @@ namespace {
 /// MAC before routing; destruction (reverse order) cancels all timers
 /// before anything they reference dies.
 struct Node {
-  std::unique_ptr<mobility::MobilityModel> mobility;
   net::Counters counters;
   std::unique_ptr<phy::Radio> radio;
   std::unique_ptr<mac::Mac80211> mac;
@@ -101,32 +100,24 @@ class Simulation {
 
   void build_nodes() {
     if (cfg_.fading_enabled) {
-      phy::FadingConfig fc = cfg_.fading;
-      fc.range_m = cfg_.radio_range;
       prop_ = std::make_unique<phy::FadingPropagation>(
-          fc, master_.substream("fading").seed());
+          cfg_.radio_range, cfg_.fading, master_.substream("fading").seed());
     } else {
       prop_ = std::make_unique<phy::UnitDiskPropagation>(cfg_.radio_range);
     }
     channel_ = std::make_unique<phy::Channel>(sched_, *prop_, cfg_.channel);
+    channel_->reserve(cfg_.node_count);
     nodes_.resize(cfg_.node_count);
     sim::Rng mob_rng = master_.substream("mobility");
+    mobility::RandomWaypointConfig rwp;
+    rwp.field = cfg_.field;
+    rwp.min_speed = cfg_.min_speed;
+    rwp.max_speed = cfg_.max_speed;
+    rwp.pause = cfg_.pause;
     sim::Rng mac_rng = master_.substream("mac");
     sim::Rng proto_rng = master_.substream("routing");
     for (net::NodeId i = 0; i < cfg_.node_count; ++i) {
       Node& n = nodes_[i];
-      if (!cfg_.static_positions.empty()) {
-        n.mobility = std::make_unique<mobility::StaticMobility>(
-            cfg_.static_positions[i]);
-      } else {
-        mobility::RandomWaypointConfig rc;
-        rc.field = cfg_.field;
-        rc.min_speed = cfg_.min_speed;
-        rc.max_speed = cfg_.max_speed;
-        rc.pause = cfg_.pause;
-        n.mobility =
-            std::make_unique<mobility::RandomWaypoint>(rc, mob_rng.substream(i));
-      }
       n.radio = std::make_unique<phy::Radio>(sched_, i, &n.counters);
       n.mac = std::make_unique<mac::Mac80211>(sched_, *n.radio, cfg_.mac,
                                               mac_rng.substream(i), &n.counters);
@@ -162,7 +153,13 @@ class Simulation {
               std::move(ctx), cfg_.smr, proto_rng.substream(i));
           break;
       }
-      channel_->attach(n.radio.get(), n.mobility.get());
+      if (!cfg_.static_positions.empty()) {
+        channel_->attach(n.radio.get(),
+                         mobility::Trajectory(cfg_.static_positions[i]));
+      } else {
+        channel_->attach(n.radio.get(),
+                         mobility::Trajectory(rwp, mob_rng.substream(i)));
+      }
     }
     channel_->finalize();
   }
@@ -189,8 +186,8 @@ class Simulation {
         // number of tries (tiny fields have no distant pairs).
         for (int tries = 0; tries < 200; ++tries) {
           const double d = mobility::distance(
-              nodes_[src].mobility->position_at(sim::Time::zero()),
-              nodes_[dst].mobility->position_at(sim::Time::zero()));
+              channel_->position_of(src, sim::Time::zero()),
+              channel_->position_of(dst, sim::Time::zero()));
           if (d >= cfg_.min_flow_distance) break;
           dst = draw_unused();
         }
@@ -243,14 +240,15 @@ class Simulation {
   }
 
   /// Plumbing both security factories share (`SecurityContext`): radio
-  /// range, the lazy position oracle (nodes_ is filled by the time any
-  /// hook runs), the scheduler, and the secrecy plane when the game is
-  /// on.  Filled once here so the two factory call sites can't drift.
+  /// range, the lazy position oracle (the channel owns every trajectory
+  /// by the time any hook runs), the scheduler, and the secrecy plane
+  /// when the game is on.  Filled once here so the two factory call
+  /// sites can't drift.
   [[nodiscard]] security::SecurityContext security_base() {
     security::SecurityContext base;
     base.radio_range = cfg_.radio_range;
     base.position_of = [this](net::NodeId id, sim::Time t) {
-      return nodes_[id].mobility->position_at(t);
+      return channel_->position_of(id, t);
     };
     base.sched = &sched_;
     base.secrecy = secrecy_.get();
@@ -400,14 +398,12 @@ class Simulation {
       m.events_by_category[c] =
           sched_.executed_count(static_cast<sim::EventCategory>(c));
     }
-    const mobility::MobilityStats mob = channel_->mobility_stats();
+    const mobility::Trajectory::Stats mob = channel_->mobility_stats();
     m.mobility_legs_generated = mob.generated;
     m.mobility_legs_pruned = mob.pruned;
     m.mobility_peak_live_legs = mob.peak_live;
-    if (const phy::NeighborIndex* idx = channel_->index(); idx != nullptr) {
-      m.neighbor_rebuilds = idx->rebuild_count();
-      m.neighbor_rebuild_allocs = idx->alloc_count();
-    }
+    m.neighbor_rebuilds = channel_->index().rebuild_count();
+    m.neighbor_rebuild_allocs = channel_->index().alloc_count();
 
     // Relay census over intermediate nodes (flow endpoints excluded —
     // they originate/terminate, they don't "participate" as relays).

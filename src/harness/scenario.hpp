@@ -8,7 +8,7 @@
 #include "mac/mac80211.hpp"
 #include "phy/fading.hpp"
 #include "routing/smr/smr.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/trajectory.hpp"
 #include "net/trace.hpp"
 #include "phy/channel.hpp"
 #include "routing/aodv/aodv.hpp"

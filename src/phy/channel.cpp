@@ -14,40 +14,44 @@ Channel::Channel(sim::Scheduler& sched, const PropagationModel& prop,
                       "Channel: cs_range_factor < 1");
 }
 
-void Channel::attach(Radio* radio, const mobility::MobilityModel* mobility) {
-  sim::require(radio != nullptr && mobility != nullptr,
-               "Channel: null attach");
-  sim::require(radio->id() == entries_.size(),
+void Channel::reserve(std::size_t n) {
+  radios_.reserve(n);
+  trajectories_.reserve(n);
+}
+
+void Channel::attach(Radio* radio, mobility::Trajectory trajectory) {
+  sim::require(radio != nullptr, "Channel: null attach");
+  sim::require(radio->id() == radios_.size(),
                "Channel: radio ids must be dense and in attach order");
-  entries_.push_back(Entry{radio, mobility});
+  max_speed_ = std::max(max_speed_, trajectory.max_speed());
+  radios_.push_back(radio);
+  trajectories_.push_back(std::move(trajectory));
   radio->set_channel(this);
-  max_speed_ = std::max(max_speed_, mobility->max_speed());
 }
 
 void Channel::finalize() {
-  if (!cfg_.use_spatial_index || entries_.empty()) return;
   const double cell = prop_->max_range() * cfg_.cs_range_factor;
   index_ = std::make_unique<NeighborIndex>(
-      static_cast<std::uint32_t>(entries_.size()), cell, max_speed_,
-      cfg_.index_rebuild_period,
-      [this](std::uint32_t id, sim::Time t) {
-        return entries_[id].mobility->position_at(t);
+      static_cast<std::uint32_t>(radios_.size()), cell, max_speed_,
+      kIndexRebuildPeriod, [this](std::uint32_t id, sim::Time t) {
+        return trajectories_[id].position_at(t);
       });
   // Every live query — radiate/neighbors_of at scheduler-now, the next
   // snapshot itself — happens at or after the previous snapshot time, so
   // each rebuild retires the trajectory history behind the one before it
   // (one rebuild period of slack).  This is what keeps mobility memory
-  // flat over long runs: without it every model's leg list grows
-  // O(sim-time).
+  // flat over long runs: without it every leg list grows O(sim-time).
   index_->set_snapshot_hook([this](sim::Time prev, sim::Time /*now*/) {
-    for (const Entry& e : entries_) e.mobility->trim_history_before(prev);
+    for (const mobility::Trajectory& tr : trajectories_) {
+      tr.trim_history_before(prev);
+    }
   });
 }
 
-mobility::MobilityStats Channel::mobility_stats() const {
-  mobility::MobilityStats total;
-  for (const Entry& e : entries_) {
-    const mobility::MobilityStats s = e.mobility->stats();
+mobility::Trajectory::Stats Channel::mobility_stats() const {
+  mobility::Trajectory::Stats total;
+  for (const mobility::Trajectory& tr : trajectories_) {
+    const mobility::Trajectory::Stats& s = tr.stats();
     total.generated += s.generated;
     total.pruned += s.pruned;
     total.live += s.live;
@@ -71,27 +75,21 @@ void Channel::inject(net::NodeId as_sender, const mobility::Vec2& from_pos,
 
 void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
                       const Frame& frame, sim::Time airtime) {
+  sim::require(index_ != nullptr, "Channel: radiate before finalize()");
   const sim::Time now = sched_->now();
   const double decode_r = prop_->max_range();
   const double cs_r = decode_r * cfg_.cs_range_factor;
   const std::uint32_t w = acquire_wave();
   Wave& wave = waves_[w];
-
-  auto offer = [&](net::NodeId id) {
-    if (id == sender) return;
+  for (net::NodeId id : index_->candidates(sp, cs_r, now)) {
+    if (id == sender) continue;
     const mobility::Vec2 rp = position_of(id, now);
     const double d2 = mobility::distance_sq(sp, rp);
-    if (d2 > cs_r * cs_r) return;
+    if (d2 > cs_r * cs_r) continue;
     const bool decodable = prop_->link_up(sender, sp, id, rp, now);
     const double d = std::sqrt(d2);
     wave.arrivals.push_back(Wave::Arrival{now + propagation_delay(d), 0,
-                                          entries_[id].radio, d, decodable});
-  };
-
-  if (index_ != nullptr) {
-    for (net::NodeId id : index_->candidates(sp, cs_r, now)) offer(id);
-  } else {
-    for (net::NodeId id = 0; id < entries_.size(); ++id) offer(id);
+                                          radios_[id], d, decodable});
   }
   if (wave.arrivals.empty()) {
     free_waves_.push_back(w);
@@ -175,25 +173,17 @@ void Channel::step_wave(std::uint32_t w) {
 
 void Channel::neighbors_of(net::NodeId id, sim::Time t,
                            NeighborVec& out) const {
+  sim::require(index_ != nullptr, "Channel: neighbors_of before finalize()");
   out.clear();
   const mobility::Vec2 p = position_of(id, t);
-  const auto consider = [&](net::NodeId other) {
-    if (other == id) return;
-    if (prop_->in_range(p, position_of(other, t))) out.push_back(other);
-  };
-  if (index_ != nullptr) {
-    // The grid returns a superset (snapshot positions + staleness
-    // margin) in bucket order; re-filter with exact positions and sort
-    // so callers see the same ascending ids as the O(N) scan.
-    for (net::NodeId other : index_->candidates(p, prop_->max_range(), t)) {
-      consider(other);
-    }
-    std::sort(out.begin(), out.end());
-  } else {
-    for (net::NodeId other = 0; other < entries_.size(); ++other) {
-      consider(other);
+  // The grid returns a superset (snapshot positions + staleness margin)
+  // in bucket order; re-filter with exact positions and sort by id.
+  for (net::NodeId other : index_->candidates(p, prop_->max_range(), t)) {
+    if (other != id && prop_->in_range(p, position_of(other, t))) {
+      out.push_back(other);
     }
   }
+  std::sort(out.begin(), out.end());
 }
 
 }  // namespace mts::phy

@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "mobility/mobility_model.hpp"
+#include "mobility/trajectory.hpp"
 #include "net/small_vec.hpp"
 #include "phy/frame.hpp"
 #include "phy/neighbor_index.hpp"
@@ -24,24 +24,29 @@ struct ChannelConfig {
   /// 1.0, two-hop chains collapse into hidden-terminal collision storms
   /// that the paper's substrate never exhibited.
   double cs_range_factor = 2.2;
-  /// Use the spatial grid (O(neighbours)) instead of scanning all nodes.
-  bool use_spatial_index = true;
-  /// How stale the grid snapshot may get.
-  sim::Time index_rebuild_period = sim::Time::ms(500);
 };
 
 /// The shared wireless medium: fans a transmission out to every radio
 /// within range of the transmitter at the moment the first bit leaves.
+/// It owns every node's trajectory, so positions have one home.
 class Channel {
  public:
+  /// How stale the neighbour grid's position snapshot may get.
+  static constexpr sim::Time kIndexRebuildPeriod = sim::Time::ms(500);
+
   Channel(sim::Scheduler& sched, const PropagationModel& prop,
           ChannelConfig cfg = {});
 
-  /// Registers a radio and the mobility model giving its position.  The
-  /// radio's NodeId must equal its registration order (dense ids).
-  void attach(Radio* radio, const mobility::MobilityModel* mobility);
+  /// Sizes the node arrays for `n` attach() calls up front, so a large
+  /// population is never copied through a doubling vector.
+  void reserve(std::size_t n);
 
-  /// Must be called once after all attach() calls (builds the index).
+  /// Registers a radio and the trajectory giving its position.  The
+  /// radio's NodeId must equal its registration order (dense ids).
+  void attach(Radio* radio, mobility::Trajectory trajectory);
+
+  /// Must be called once after all attach() calls and before any
+  /// transmission or neighbour query (builds the neighbour grid).
   void finalize();
 
   /// Global promiscuous tap: observes every frame at radiation time with
@@ -70,9 +75,9 @@ class Channel {
               const Frame& frame, sim::Time airtime);
 
   [[nodiscard]] mobility::Vec2 position_of(net::NodeId id, sim::Time t) const {
-    return entries_[id].mobility->position_at(t);
+    return trajectories_[id].position_at(t);
   }
-  [[nodiscard]] std::size_t node_count() const { return entries_.size(); }
+  [[nodiscard]] std::size_t node_count() const { return radios_.size(); }
   [[nodiscard]] double decode_range() const { return prop_->max_range(); }
 
   /// Caller-owned neighbour list: inline up to 16 entries, so the
@@ -81,22 +86,17 @@ class Channel {
 
   /// Fills `out` with the nodes within decode range of `id` at time
   /// `t`, ascending (any previous contents are discarded).  Exact: the
-  /// spatial index (when built) only pre-filters candidates, which are
-  /// then re-checked against live positions.
+  /// spatial index only pre-filters candidates, which are then
+  /// re-checked against live positions.
   void neighbors_of(net::NodeId id, sim::Time t, NeighborVec& out) const;
 
-  /// The spatial index, or nullptr when disabled / not yet finalized.
-  [[nodiscard]] const NeighborIndex* index() const { return index_.get(); }
+  /// The neighbour grid; finalize() builds it.
+  [[nodiscard]] const NeighborIndex& index() const { return *index_; }
 
-  /// Aggregate trajectory-history counters over all attached models.
-  [[nodiscard]] mobility::MobilityStats mobility_stats() const;
+  /// Aggregate history counters over all attached trajectories.
+  [[nodiscard]] mobility::Trajectory::Stats mobility_stats() const;
 
  private:
-  struct Entry {
-    Radio* radio;
-    const mobility::MobilityModel* mobility;
-  };
-
   /// One transmission's reception fan-out, pooled: a single scheduler
   /// event walks it item by item in exact (t, seq) order — every
   /// arrival, then every reception end the arrivals started — stepping
@@ -139,7 +139,8 @@ class Channel {
   const PropagationModel* prop_;
   ChannelConfig cfg_;
   Sniffer sniffer_;
-  std::vector<Entry> entries_;
+  std::vector<Radio*> radios_;
+  std::vector<mobility::Trajectory> trajectories_;  ///< parallel to radios_
   std::unique_ptr<NeighborIndex> index_;
   double max_speed_ = 0.0;
 

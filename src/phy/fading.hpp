@@ -23,7 +23,6 @@ namespace mts::phy {
 /// the master seed + pair + epoch, so runs remain reproducible and two
 /// queries in the same epoch agree.
 struct FadingConfig {
-  double range_m = 250.0;           ///< nominal decode range
   double faded_fraction = 0.7;      ///< faded range = fraction * nominal
   double fade_probability = 0.2;    ///< chance a link is faded per epoch
   sim::Time coherence_time = sim::Time::sec(3);
@@ -31,9 +30,11 @@ struct FadingConfig {
 
 class FadingPropagation final : public PropagationModel {
  public:
-  FadingPropagation(const FadingConfig& cfg, std::uint64_t seed)
-      : cfg_(cfg), seed_(seed) {
-    sim::require_config(cfg.range_m > 0, "Fading: range <= 0");
+  /// `range_m` is the nominal (unfaded) decode range.
+  FadingPropagation(double range_m, const FadingConfig& cfg,
+                    std::uint64_t seed)
+      : range_(range_m), cfg_(cfg), seed_(seed) {
+    sim::require_config(range_m > 0, "Fading: range <= 0");
     sim::require_config(cfg.faded_fraction > 0 && cfg.faded_fraction <= 1,
                         "Fading: faded_fraction out of (0,1]");
     sim::require_config(cfg.fade_probability >= 0 && cfg.fade_probability <= 1,
@@ -46,9 +47,9 @@ class FadingPropagation final : public PropagationModel {
   /// index bound); fading applies in the time-aware overload below.
   [[nodiscard]] bool in_range(mobility::Vec2 a,
                               mobility::Vec2 b) const override {
-    return mobility::distance_sq(a, b) <= cfg_.range_m * cfg_.range_m;
+    return mobility::distance_sq(a, b) <= range_ * range_;
   }
-  [[nodiscard]] double max_range() const override { return cfg_.range_m; }
+  [[nodiscard]] double max_range() const override { return range_; }
 
   /// Whether the link (ia, ib) decodes at time `t` given positions.
   [[nodiscard]] bool link_up(std::uint32_t ia, mobility::Vec2 a,
@@ -61,8 +62,7 @@ class FadingPropagation final : public PropagationModel {
   /// The decode range of link (ia, ib) in the epoch containing `t`.
   [[nodiscard]] double effective_range(std::uint32_t ia, std::uint32_t ib,
                                        sim::Time t) const {
-    return is_faded(ia, ib, t) ? cfg_.range_m * cfg_.faded_fraction
-                               : cfg_.range_m;
+    return is_faded(ia, ib, t) ? range_ * cfg_.faded_fraction : range_;
   }
 
   [[nodiscard]] bool is_faded(std::uint32_t ia, std::uint32_t ib,
@@ -83,6 +83,7 @@ class FadingPropagation final : public PropagationModel {
   [[nodiscard]] const FadingConfig& config() const { return cfg_; }
 
  private:
+  double range_;
   FadingConfig cfg_;
   std::uint64_t seed_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mobility/random_waypoint.hpp"
 #include "phy/channel.hpp"
 #include "sim/error.hpp"
 
@@ -140,9 +139,9 @@ MobileEavesdroppers::MobileEavesdroppers(std::uint32_t count,
   rc.min_speed = spec.min_speed;
   rc.max_speed = spec.max_speed;
   rc.pause = spec.pause;
+  trajectories_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    trajectories_.push_back(
-        std::make_unique<mobility::RandomWaypoint>(rc, rng.substream(i)));
+    trajectories_.emplace_back(rc, rng.substream(i));
   }
 }
 
@@ -150,8 +149,8 @@ void MobileEavesdroppers::on_transmission(const Transmission& tx,
                                           const phy::Frame& f) {
   if (!sniffable(f)) return;
   const double r2 = sniff_range_ * sniff_range_;
-  for (const auto& traj : trajectories_) {
-    const mobility::Vec2 p = traj->position_at(tx.now);
+  for (const mobility::Trajectory& traj : trajectories_) {
+    const mobility::Vec2 p = traj.position_at(tx.now);
     if (mobility::distance_sq(p, tx.sender_pos) > r2) continue;
     pool_.capture(f.payload);
   }
@@ -160,7 +159,7 @@ void MobileEavesdroppers::on_transmission(const Transmission& tx,
 mobility::Vec2 MobileEavesdroppers::position_of_member(std::size_t i,
                                                        sim::Time t) const {
   sim::require(i < trajectories_.size(), "Adversary: member index");
-  return trajectories_[i]->position_at(t);
+  return trajectories_[i].position_at(t);
 }
 
 // --- BlackholeAttacker -----------------------------------------------------

@@ -10,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "mobility/mobility_model.hpp"
+#include "mobility/trajectory.hpp"
 #include "net/packet.hpp"
 #include "phy/frame.hpp"
 #include "security/context.hpp"
@@ -297,7 +297,7 @@ class MobileEavesdroppers final : public PooledAdversary {
                                                   sim::Time t) const;
 
  private:
-  std::vector<std::unique_ptr<mobility::MobilityModel>> trajectories_;
+  std::vector<mobility::Trajectory> trajectories_;
   double sniff_range_;
 };
 

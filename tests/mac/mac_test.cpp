@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "mobility/mobility_model.hpp"
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
 
@@ -16,7 +15,6 @@ namespace {
 class MacTest : public ::testing::Test {
  protected:
   struct Station {
-    std::unique_ptr<mobility::StaticMobility> mobility;
     net::Counters counters;
     std::unique_ptr<phy::Radio> radio;
     std::unique_ptr<Mac80211> mac;
@@ -28,14 +26,10 @@ class MacTest : public ::testing::Test {
 
   void build(std::vector<mobility::Vec2> positions, MacConfig cfg = {}) {
     prop_ = std::make_unique<phy::UnitDiskPropagation>(250.0);
-    phy::ChannelConfig cc;
-    cc.use_spatial_index = false;
-    cc.cs_range_factor = 2.2;
-    channel_ = std::make_unique<phy::Channel>(sched_, *prop_, cc);
+    channel_ = std::make_unique<phy::Channel>(sched_, *prop_);
     stations_.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       Station& st = stations_[i];
-      st.mobility = std::make_unique<mobility::StaticMobility>(positions[i]);
       st.radio = std::make_unique<phy::Radio>(
           sched_, static_cast<net::NodeId>(i), &st.counters);
       st.mac = std::make_unique<Mac80211>(sched_, *st.radio, cfg,
@@ -52,7 +46,7 @@ class MacTest : public ::testing::Test {
       };
       cb.on_sniff = [&st](const phy::Frame& f) { st.sniffed.push_back(f); };
       st.mac->set_callbacks(std::move(cb));
-      channel_->attach(st.radio.get(), st.mobility.get());
+      channel_->attach(st.radio.get(), mobility::Trajectory(positions[i]));
     }
     channel_->finalize();
   }

@@ -7,7 +7,6 @@ namespace {
 
 FadingConfig cfg() {
   FadingConfig c;
-  c.range_m = 250.0;
   c.faded_fraction = 0.7;
   c.fade_probability = 0.25;
   c.coherence_time = sim::Time::sec(3);
@@ -15,14 +14,14 @@ FadingConfig cfg() {
 }
 
 TEST(FadingTest, NominalDiskForPositionOnlyQueries) {
-  FadingPropagation p(cfg(), 1);
+  FadingPropagation p(250.0, cfg(), 1);
   EXPECT_TRUE(p.in_range({0, 0}, {250, 0}));
   EXPECT_FALSE(p.in_range({0, 0}, {251, 0}));
   EXPECT_DOUBLE_EQ(p.max_range(), 250.0);
 }
 
 TEST(FadingTest, DeterministicWithinAnEpoch) {
-  FadingPropagation p(cfg(), 7);
+  FadingPropagation p(250.0, cfg(), 7);
   for (int pair = 0; pair < 50; ++pair) {
     const auto a = static_cast<std::uint32_t>(pair);
     const bool at_start = p.is_faded(a, a + 1, sim::Time::ms(1));
@@ -32,7 +31,7 @@ TEST(FadingTest, DeterministicWithinAnEpoch) {
 }
 
 TEST(FadingTest, SymmetricPerLink) {
-  FadingPropagation p(cfg(), 7);
+  FadingPropagation p(250.0, cfg(), 7);
   for (std::uint32_t i = 0; i < 40; ++i) {
     EXPECT_EQ(p.is_faded(i, i + 9, sim::Time::sec(1)),
               p.is_faded(i + 9, i, sim::Time::sec(1)));
@@ -40,7 +39,7 @@ TEST(FadingTest, SymmetricPerLink) {
 }
 
 TEST(FadingTest, RedrawsAcrossEpochs) {
-  FadingPropagation p(cfg(), 7);
+  FadingPropagation p(250.0, cfg(), 7);
   int changes = 0;
   for (std::uint32_t i = 0; i < 200; ++i) {
     const bool e0 = p.is_faded(i, i + 1, sim::Time::sec(1));
@@ -51,7 +50,7 @@ TEST(FadingTest, RedrawsAcrossEpochs) {
 }
 
 TEST(FadingTest, FadeProbabilityApproximatelyHonoured) {
-  FadingPropagation p(cfg(), 11);
+  FadingPropagation p(250.0, cfg(), 11);
   int faded = 0;
   const int n = 4000;
   for (int i = 0; i < n; ++i) {
@@ -65,7 +64,7 @@ TEST(FadingTest, FadeProbabilityApproximatelyHonoured) {
 }
 
 TEST(FadingTest, FadedLinkShrinksRange) {
-  FadingPropagation p(cfg(), 3);
+  FadingPropagation p(250.0, cfg(), 3);
   // Find one faded and one clear pair in epoch 0.
   std::uint32_t faded_pair = 0, clear_pair = 0;
   bool have_faded = false, have_clear = false;
@@ -88,7 +87,7 @@ TEST(FadingTest, FadedLinkShrinksRange) {
 }
 
 TEST(FadingTest, DifferentSeedsDifferentPatterns) {
-  FadingPropagation p1(cfg(), 1), p2(cfg(), 2);
+  FadingPropagation p1(250.0, cfg(), 1), p2(250.0, cfg(), 2);
   int diff = 0;
   for (std::uint32_t i = 0; i < 200; ++i) {
     if (p1.is_faded(i, i + 1, sim::Time::sec(1)) !=
@@ -100,15 +99,13 @@ TEST(FadingTest, DifferentSeedsDifferentPatterns) {
 }
 
 TEST(FadingTest, ConfigValidation) {
+  EXPECT_THROW(FadingPropagation(0.0, cfg(), 1), sim::ConfigError);
   FadingConfig bad = cfg();
-  bad.range_m = 0;
-  EXPECT_THROW(FadingPropagation(bad, 1), sim::ConfigError);
-  bad = cfg();
   bad.faded_fraction = 1.5;
-  EXPECT_THROW(FadingPropagation(bad, 1), sim::ConfigError);
+  EXPECT_THROW(FadingPropagation(250.0, bad, 1), sim::ConfigError);
   bad = cfg();
   bad.coherence_time = sim::Time::zero();
-  EXPECT_THROW(FadingPropagation(bad, 1), sim::ConfigError);
+  EXPECT_THROW(FadingPropagation(250.0, bad, 1), sim::ConfigError);
 }
 
 }  // namespace

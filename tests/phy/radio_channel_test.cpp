@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "mobility/mobility_model.hpp"
 #include "net/packet.hpp"
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
@@ -33,18 +32,15 @@ struct StubListener final : Radio::Listener {
 class RadioChannelTest : public ::testing::Test {
  protected:
   void build(std::vector<mobility::Vec2> positions, double range = 250.0,
-             double cs_factor = 1.0, bool use_index = false) {
+             double cs_factor = 1.0) {
     prop_ = std::make_unique<UnitDiskPropagation>(range);
     ChannelConfig cc;
     cc.cs_range_factor = cs_factor;
-    cc.use_spatial_index = use_index;
     channel_ = std::make_unique<Channel>(sched_, *prop_, cc);
     // Callbacks capture element addresses: size the containers up front.
     received_.reserve(positions.size());
     busy_log_.reserve(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
-      mobility_.push_back(
-          std::make_unique<mobility::StaticMobility>(positions[i]));
       radios_.push_back(std::make_unique<Radio>(
           sched_, static_cast<net::NodeId>(i), &counters_[i]));
       received_.emplace_back();
@@ -56,7 +52,7 @@ class RadioChannelTest : public ::testing::Test {
       listeners_.back()->busy = [busy](bool b) { busy->push_back(b); };
       radios_.back()->set_listener(listeners_.back().get());
       radios_.back()->set_edge_calls(true);
-      channel_->attach(radios_.back().get(), mobility_.back().get());
+      channel_->attach(radios_.back().get(), mobility::Trajectory(positions[i]));
     }
     channel_->finalize();
   }
@@ -80,7 +76,6 @@ class RadioChannelTest : public ::testing::Test {
   net::Counters counters_[17];
   std::unique_ptr<UnitDiskPropagation> prop_;
   std::unique_ptr<Channel> channel_;
-  std::vector<std::unique_ptr<mobility::MobilityModel>> mobility_;
   std::vector<std::unique_ptr<Radio>> radios_;
   std::vector<std::unique_ptr<StubListener>> listeners_;
   std::vector<std::vector<Frame>> received_;
@@ -260,26 +255,69 @@ TEST_F(RadioChannelTest, TransmitterSeesOwnBusyPeriod) {
 }
 
 TEST_F(RadioChannelTest, NeighborsOfReportsExact) {
+  // The grid pre-filters candidates; the result is exact membership in
+  // ascending id order.
   build({{0, 0}, {100, 0}, {240, 0}, {600, 0}});
-  Channel::NeighborVec n;
-  channel_->neighbors_of(0, sim::Time::zero(), n);
-  EXPECT_EQ(n, (std::vector<net::NodeId>{1, 2}));
-  channel_->neighbors_of(3, sim::Time::zero(), n);
-  EXPECT_TRUE(n.empty());  // refilling must discard the previous result
-}
-
-TEST_F(RadioChannelTest, NeighborsOfThroughTheSpatialIndexMatchesTheScan) {
-  // Same topology, index enabled: the grid pre-filters candidates but
-  // the result (exact membership, ascending order) must be identical.
-  build({{0, 0}, {100, 0}, {240, 0}, {600, 0}}, 250.0, 1.0,
-        /*use_index=*/true);
   Channel::NeighborVec n;
   channel_->neighbors_of(0, sim::Time::zero(), n);
   EXPECT_EQ(n, (std::vector<net::NodeId>{1, 2}));
   channel_->neighbors_of(2, sim::Time::zero(), n);
   EXPECT_EQ(n, (std::vector<net::NodeId>{0, 1}));
   channel_->neighbors_of(3, sim::Time::zero(), n);
-  EXPECT_TRUE(n.empty());
+  EXPECT_TRUE(n.empty());  // refilling must discard the previous result
+}
+
+TEST(ChannelTrajectoryTest, OwnedTrajectoriesMatchUntrimmedTwinsThroughRebuilds) {
+  // 200 moving nodes queried at non-decreasing times: every grid rebuild
+  // runs the snapshot hook, which trims the channel's trajectories.  Each
+  // answer must equal a twin built from the same substream and never
+  // trimmed, and neighbors_of must equal an all-pairs scan of the twins.
+  constexpr std::uint32_t kNodes = 200;
+  mobility::RandomWaypointConfig rc;
+  rc.field = mobility::Field{2000, 2000};
+  rc.max_speed = 20.0;
+  rc.pause = sim::Time::ms(200);
+  const sim::Rng mob = sim::Rng(42).substream("mobility");
+  sim::Scheduler sched;
+  UnitDiskPropagation prop(250.0);
+  Channel channel(sched, prop);
+  channel.reserve(kNodes);
+  std::vector<std::unique_ptr<Radio>> radios;
+  std::vector<mobility::Trajectory> twins;
+  for (net::NodeId i = 0; i < kNodes; ++i) {
+    radios.push_back(std::make_unique<Radio>(sched, i, nullptr));
+    channel.attach(radios.back().get(),
+                   mobility::Trajectory(rc, mob.substream(i)));
+    twins.emplace_back(rc, mob.substream(i));
+  }
+  channel.finalize();
+
+  Channel::NeighborVec got;
+  std::vector<net::NodeId> want;
+  for (int step = 0; step <= 1200; ++step) {
+    const sim::Time t = sim::Time::ms(100 * step);
+    const net::NodeId probe = static_cast<net::NodeId>(step) % kNodes;
+    channel.neighbors_of(probe, t, got);  // refreshes a stale grid
+    want.clear();
+    const mobility::Vec2 p = twins[probe].position_at(t);
+    for (net::NodeId j = 0; j < kNodes; ++j) {
+      if (j != probe && prop.in_range(p, twins[j].position_at(t))) {
+        want.push_back(j);
+      }
+    }
+    ASSERT_EQ(got, want) << "probe " << probe << " at step " << step;
+    for (net::NodeId i = 0; i < kNodes; ++i) {
+      ASSERT_EQ(channel.position_of(i, t), twins[i].position_at(t))
+          << "node " << i << " at step " << step;
+    }
+  }
+  EXPECT_GE(channel.index().rebuild_count(), 150u);
+  std::size_t twin_live = 0;
+  for (const mobility::Trajectory& tw : twins) twin_live += tw.stats().live;
+  const mobility::Trajectory::Stats s = channel.mobility_stats();
+  EXPECT_GT(s.pruned, 0u);
+  EXPECT_EQ(s.live, s.generated - s.pruned);
+  EXPECT_LT(s.live, twin_live);
 }
 
 TEST_F(RadioChannelTest, InFlightBroadcastSiblingsSurviveReceiverMutation) {

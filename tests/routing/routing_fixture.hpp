@@ -10,7 +10,6 @@
 
 #include "core/mts.hpp"
 #include "mac/mac80211.hpp"
-#include "mobility/mobility_model.hpp"
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
 #include "routing/aodv/aodv.hpp"
@@ -20,7 +19,6 @@
 namespace mts::testing {
 
 struct TestNode {
-  std::unique_ptr<mobility::MobilityModel> mobility;
   net::Counters counters;
   std::unique_ptr<phy::Radio> radio;
   std::unique_ptr<mac::Mac80211> mac;
@@ -37,14 +35,10 @@ class RoutingBench {
                routing::dsr::DsrConfig dsr_cfg = {},
                core::MtsConfig mts_cfg = {}) {
     prop_ = std::make_unique<phy::UnitDiskPropagation>(250.0);
-    phy::ChannelConfig cc;
-    cc.use_spatial_index = false;
-    cc.cs_range_factor = 2.2;
-    channel_ = std::make_unique<phy::Channel>(sched, *prop_, cc);
+    channel_ = std::make_unique<phy::Channel>(sched, *prop_);
     nodes_.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       TestNode& n = nodes_[i];
-      n.mobility = std::make_unique<mobility::StaticMobility>(positions[i]);
       n.radio = std::make_unique<phy::Radio>(
           sched, static_cast<net::NodeId>(i), &n.counters);
       n.mac = std::make_unique<mac::Mac80211>(sched, *n.radio, mac::MacConfig{},
@@ -73,7 +67,7 @@ class RoutingBench {
                                                   sim::Rng(2000 + i));
           break;
       }
-      channel_->attach(n.radio.get(), n.mobility.get());
+      channel_->attach(n.radio.get(), mobility::Trajectory(positions[i]));
     }
     channel_->finalize();
     for (auto& n : nodes_) {

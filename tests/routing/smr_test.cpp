@@ -18,14 +18,10 @@ class SmrBench {
   explicit SmrBench(std::vector<mobility::Vec2> positions,
                     SmrConfig cfg = {}) {
     prop_ = std::make_unique<phy::UnitDiskPropagation>(250.0);
-    phy::ChannelConfig cc;
-    cc.use_spatial_index = false;
-    cc.cs_range_factor = 2.2;
-    channel_ = std::make_unique<phy::Channel>(sched, *prop_, cc);
+    channel_ = std::make_unique<phy::Channel>(sched, *prop_);
     nodes_.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       auto& n = nodes_[i];
-      n.mobility = std::make_unique<mobility::StaticMobility>(positions[i]);
       n.radio = std::make_unique<phy::Radio>(
           sched, static_cast<net::NodeId>(i), &n.counters);
       n.mac = std::make_unique<mac::Mac80211>(sched, *n.radio,
@@ -41,7 +37,7 @@ class SmrBench {
         n.delivered.push_back(std::move(p));
       };
       n.smr = std::make_unique<Smr>(std::move(ctx), cfg, sim::Rng(2000 + i));
-      channel_->attach(n.radio.get(), n.mobility.get());
+      channel_->attach(n.radio.get(), mobility::Trajectory(positions[i]));
     }
     channel_->finalize();
     for (auto& n : nodes_) {
@@ -75,7 +71,6 @@ class SmrBench {
   }
 
   struct N {
-    std::unique_ptr<mobility::StaticMobility> mobility;
     net::Counters counters;
     std::unique_ptr<phy::Radio> radio;
     std::unique_ptr<mac::Mac80211> mac;
