@@ -54,10 +54,9 @@ void BM_BroadcastFanout(benchmark::State& state) {
   std::vector<std::unique_ptr<phy::Radio>> radios;
   for (std::uint32_t i = 0; i <= k; ++i) {
     // All nodes inside decode range of node 0 (and of each other).
-    radios.push_back(std::make_unique<phy::Radio>(sched, i, nullptr));
-    channel.attach(radios.back().get(),
-                   mobility::Trajectory(mobility::Vec2{
-                       static_cast<double>(i % 8), static_cast<double>(i / 8)}));
+    channel.attach(mobility::Trajectory(mobility::Vec2{
+        static_cast<double>(i % 8), static_cast<double>(i / 8)}));
+    radios.push_back(std::make_unique<phy::Radio>(channel, i));
   }
   channel.finalize();
 

@@ -118,7 +118,12 @@ class Simulation {
     sim::Rng proto_rng = master_.substream("routing");
     for (net::NodeId i = 0; i < cfg_.node_count; ++i) {
       Node& n = nodes_[i];
-      n.radio = std::make_unique<phy::Radio>(sched_, i, &n.counters);
+      if (!cfg_.static_positions.empty()) {
+        channel_->attach(mobility::Trajectory(cfg_.static_positions[i]));
+      } else {
+        channel_->attach(mobility::Trajectory(rwp, mob_rng.substream(i)));
+      }
+      n.radio = std::make_unique<phy::Radio>(*channel_, i);
       n.mac = std::make_unique<mac::Mac80211>(sched_, *n.radio, cfg_.mac,
                                               mac_rng.substream(i), &n.counters);
       routing::RoutingContext ctx;
@@ -152,13 +157,6 @@ class Simulation {
           n.routing = std::make_unique<routing::smr::Smr>(
               std::move(ctx), cfg_.smr, proto_rng.substream(i));
           break;
-      }
-      if (!cfg_.static_positions.empty()) {
-        channel_->attach(n.radio.get(),
-                         mobility::Trajectory(cfg_.static_positions[i]));
-      } else {
-        channel_->attach(n.radio.get(),
-                         mobility::Trajectory(rwp, mob_rng.substream(i)));
       }
     }
     channel_->finalize();
@@ -572,6 +570,10 @@ class Simulation {
                                : static_cast<double>(events) /
                                      static_cast<double>(opportunities);
       }
+    }
+    for (net::NodeId i = 0; i < cfg_.node_count; ++i) {
+      m.drops[static_cast<std::size_t>(net::DropReason::kCollision)] +=
+          channel_->receiver(i).collisions();
     }
     for (const Node& n : nodes_) {
       m.control_packets += n.counters.control_transmissions();

@@ -79,7 +79,7 @@ void Mac80211::kick() {
     if (!next.has_value()) {
       state_ = State::kIdle;
       // Nothing to contend for: an edge could only rewrite marks the
-      // radio keeps anyway, until `enqueue` brings work.
+      // receiver record keeps anyway, until `enqueue` brings work.
       sim::require(phase_ == AccessPhase::kNone &&
                        !access_timer_.is_pending() && !current_.has_value(),
                    "Mac: going quiet with contention pending");

@@ -49,8 +49,8 @@ struct MacConfig {
 /// RTS/CTS, broadcast without ACK, a priority interface queue, and
 /// receive-side duplicate filtering.
 ///
-/// Carrier-sense marks live in the radio, not here: the radio records
-/// the last busy->idle edge and the end of the last undecodable
+/// Carrier-sense marks live in the node's receiver record, not here: it
+/// records the last busy->idle edge and the end of the last undecodable
 /// reception (cleared by a clean decode), and `kick` derives the DIFS
 /// start and `mark + EIFS` from them when it contends.  So the MAC
 /// needs edge up-calls only while it has work — a current frame, a
@@ -60,7 +60,7 @@ struct MacConfig {
 ///
 /// Not modelled (documented simplifications): fragmentation and rate
 /// adaptation — neither of which the paper's 2005 study models either.
-class Mac80211 : private phy::Radio::Listener {
+class Mac80211 : private phy::RadioListener {
  public:
   struct Callbacks {
     /// A decoded frame addressed to this node (or broadcast) carried a

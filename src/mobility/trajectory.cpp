@@ -12,7 +12,7 @@ Trajectory::Trajectory(Vec2 fixed) : rng_(0) {
   // Pushed directly, not through push_leg: a fixed node generates no
   // legs, so its stats stay zero.
   legs_.push_back(Leg{sim::Time::zero(), sim::Time::zero(), sim::Time::max(),
-                      fixed, fixed, 0.0});
+                      fixed, fixed});
 }
 
 Trajectory::Trajectory(const RandomWaypointConfig& cfg, sim::Rng rng)
@@ -31,10 +31,10 @@ Trajectory::Trajectory(const RandomWaypointConfig& cfg, sim::Rng rng)
   first.from = start;
   first.to = Vec2{rng_.uniform(0.0, cfg_.field.width),
                   rng_.uniform(0.0, cfg_.field.height)};
-  first.speed = rng_.uniform(cfg_.min_speed, cfg_.max_speed);
+  const double speed = rng_.uniform(cfg_.min_speed, cfg_.max_speed);
   first.start = cfg_.pause;  // initial pause before first movement
   const double dist = distance(first.from, first.to);
-  first.arrive = first.start + sim::Time::seconds(dist / first.speed);
+  first.arrive = first.start + sim::Time::seconds(dist / speed);
   first.depart = first.arrive + cfg_.pause;
   push_leg(first);
 }
@@ -59,16 +59,16 @@ void Trajectory::extend_until(sim::Time t) const {
     next.from = prev.to;
     next.to = Vec2{rng_.uniform(0.0, cfg_.field.width),
                    rng_.uniform(0.0, cfg_.field.height)};
-    next.speed = rng_.uniform(cfg_.min_speed, cfg_.max_speed);
+    const double speed = rng_.uniform(cfg_.min_speed, cfg_.max_speed);
     next.start = prev.depart;
     const double dist = distance(next.from, next.to);
-    next.arrive = next.start + sim::Time::seconds(dist / next.speed);
+    next.arrive = next.start + sim::Time::seconds(dist / speed);
     next.depart = next.arrive + cfg_.pause;
     push_leg(next);
   }
 }
 
-Vec2 Trajectory::position_at(sim::Time t) const {
+Leg Trajectory::covering_leg(sim::Time t) const {
   extend_until(t);
   // The channel queries at non-decreasing sim times, so the covering leg
   // is at or just past the cursor; arbitrary (test/metric) queries fall
@@ -86,16 +86,15 @@ Vec2 Trajectory::position_at(sim::Time t) const {
       // leg would silently resolve to that leg's origin — wrong data.
       // Only the un-pruned initial pause legitimately lands here.
       sim::require(stats_.pruned == 0,
-                   "Trajectory: position_at precedes pruned history");
-      return legs_.front().from;  // initial pause
+                   "Trajectory: query precedes pruned history");
+      const Leg& first = legs_.front();
+      return Leg{sim::Time::zero(), sim::Time::zero(), first.start, first.from,
+                 first.from};  // initial pause
     }
     i = static_cast<std::size_t>(it - legs_.begin()) - 1;
   }
   cursor_ = i;
-  const Leg& leg = legs_[i];
-  if (t >= leg.arrive) return leg.to;  // paused at the waypoint
-  const double frac = (t - leg.start) / (leg.arrive - leg.start);
-  return leg.from + (leg.to - leg.from) * frac;
+  return legs_[i];
 }
 
 void Trajectory::trim_history_before(sim::Time mark) const {

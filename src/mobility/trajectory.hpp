@@ -27,6 +27,27 @@ struct RandomWaypointConfig {
   sim::Time pause = sim::Time::sec(1);
 };
 
+/// One movement leg: the node leaves `from` at `start`, moves in a
+/// straight line at constant speed to reach `to` at `arrive`, and waits
+/// there until `depart`, when the next leg starts.  A leg fills one
+/// cache line, so reading a position from a table of legs touches one.
+struct alignas(64) Leg {
+  sim::Time start;   ///< movement begins (after the previous pause)
+  sim::Time arrive;  ///< reaches `to`
+  sim::Time depart;  ///< arrive + pause: next leg starts
+  Vec2 from;
+  Vec2 to;
+
+  /// The position at `t` in [start, depart].  The one place a position
+  /// is interpolated: every holder of a leg answers to the bit what the
+  /// trajectory would.
+  [[nodiscard]] Vec2 at(sim::Time t) const {
+    if (t >= arrive) return to;  // paused at the waypoint
+    const double frac = (t - start) / (arrive - start);
+    return from + (to - from) * frac;
+  }
+};
+
 /// One node's position as a function of time: a list of movement legs,
 /// extended lazily as later times are queried.
 ///
@@ -52,21 +73,20 @@ class Trajectory {
     std::size_t peak_live = 0;  ///< high-water mark of `live`
   };
 
-  struct Leg {
-    sim::Time start;      ///< movement begins (after the previous pause)
-    sim::Time arrive;     ///< reaches `to`
-    sim::Time depart;     ///< arrive + pause: next leg starts
-    Vec2 from;
-    Vec2 to;
-    double speed = 0.0;   ///< m/s
-  };
-
   /// A node that never moves.
   explicit Trajectory(Vec2 fixed);
   /// A random-waypoint node: uniform start, initial pause, then legs.
   Trajectory(const RandomWaypointConfig& cfg, sim::Rng rng);
 
-  [[nodiscard]] Vec2 position_at(sim::Time t) const;
+  [[nodiscard]] Vec2 position_at(sim::Time t) const {
+    return covering_leg(t).at(t);
+  }
+
+  /// The leg covering `t`: the last one starting at or before `t`, or,
+  /// during the initial pause, a one-point leg holding the start
+  /// position from zero until the first leg starts.  Its at(t) is
+  /// position_at(t) for every t in [start, depart].
+  [[nodiscard]] Leg covering_leg(sim::Time t) const;
 
   /// Upper bound on instantaneous speed (m/s); the neighbour grid uses
   /// it to size its staleness margin.

@@ -33,8 +33,6 @@ struct Counters {
   std::uint64_t forwarded_ack = 0;    ///< TCP ACK packets relayed
   std::uint64_t sent_control = 0;     ///< routing packets originated here
   std::uint64_t forwarded_control = 0;
-  std::uint64_t mac_tx_frames = 0;
-  std::uint64_t mac_rx_frames = 0;
   std::uint64_t mac_retries = 0;     ///< unicast retransmission attempts
   std::array<std::uint64_t, static_cast<std::size_t>(DropReason::kCount)>
       drops{};

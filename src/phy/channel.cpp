@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "phy/radio.hpp"
 #include "sim/error.hpp"
 
 namespace mts::phy {
@@ -15,27 +14,32 @@ Channel::Channel(sim::Scheduler& sched, const PropagationModel& prop,
 }
 
 void Channel::reserve(std::size_t n) {
-  radios_.reserve(n);
+  receivers_.reserve(n);
+  legs_.reserve(n);
   trajectories_.reserve(n);
 }
 
-void Channel::attach(Radio* radio, mobility::Trajectory trajectory) {
-  sim::require(radio != nullptr, "Channel: null attach");
-  sim::require(radio->id() == radios_.size(),
-               "Channel: radio ids must be dense and in attach order");
+net::NodeId Channel::attach(mobility::Trajectory trajectory) {
+  // Records must not move once waves and radios hold node ids into them.
+  sim::require(index_ == nullptr, "Channel: attach after finalize()");
+  const auto id = static_cast<net::NodeId>(receivers_.size());
   max_speed_ = std::max(max_speed_, trajectory.max_speed());
-  radios_.push_back(radio);
+  receivers_.emplace_back();
+  legs_.push_back(trajectory.covering_leg(sim::Time::zero()));
   trajectories_.push_back(std::move(trajectory));
-  radio->set_channel(this);
+  return id;
+}
+
+void Channel::refresh_leg(net::NodeId id, sim::Time t) const {
+  legs_[id] = trajectories_[id].covering_leg(t);
 }
 
 void Channel::finalize() {
   const double cell = prop_->max_range() * cfg_.cs_range_factor;
   index_ = std::make_unique<NeighborIndex>(
-      static_cast<std::uint32_t>(radios_.size()), cell, max_speed_,
-      kIndexRebuildPeriod, [this](std::uint32_t id, sim::Time t) {
-        return trajectories_[id].position_at(t);
-      });
+      static_cast<std::uint32_t>(receivers_.size()), cell, max_speed_,
+      kIndexRebuildPeriod,
+      [this](std::uint32_t id, sim::Time t) { return position_of(id, t); });
   // Every live query — radiate/neighbors_of at scheduler-now, the next
   // snapshot itself — happens at or after the previous snapshot time, so
   // each rebuild retires the trajectory history behind the one before it
@@ -88,8 +92,8 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
     if (d2 > cs_r * cs_r) continue;
     const bool decodable = prop_->link_up(sender, sp, id, rp, now);
     const double d = std::sqrt(d2);
-    wave.arrivals.push_back(Wave::Arrival{now + propagation_delay(d), 0,
-                                          radios_[id], d, decodable});
+    wave.arrivals.push_back(
+        Wave::Arrival{now + propagation_delay(d), 0, d, id, decodable});
   }
   if (wave.arrivals.empty()) {
     free_waves_.push_back(w);
@@ -133,15 +137,15 @@ void Channel::step_wave(std::uint32_t w) {
     const std::uint32_t i = wave.next++;
     if (i < arrivals) {
       const Wave::Arrival a = wave.arrivals[i];
-      const std::optional<Radio::ReceptionEnd> end =
-          a.radio->begin_reception(a.decodable, a.distance);
+      const std::optional<Receiver::ReceptionEnd> end =
+          receivers_[a.node].begin_reception(*sched_, a.decodable, a.distance);
       if (end) {
         wave.ends.push_back(
-            Wave::End{a.t + wave.airtime, end->seq, a.radio, end->id});
+            Wave::End{a.t + wave.airtime, end->seq, a.node, end->id});
       }
     } else {
       const Wave::End e = wave.ends[i - arrivals];
-      e.radio->end_reception(e.id, wave.frame);
+      receivers_[e.node].end_reception(sched_->now(), e.id, wave.frame);
     }
     const std::uint32_t k = wave.next;
     sim::Time t;

@@ -11,11 +11,10 @@
 #include "phy/frame.hpp"
 #include "phy/neighbor_index.hpp"
 #include "phy/propagation.hpp"
+#include "phy/receiver.hpp"
 #include "sim/scheduler.hpp"
 
 namespace mts::phy {
-
-class Radio;
 
 struct ChannelConfig {
   /// Decode range multiplier giving the carrier-sense/interference range.
@@ -26,9 +25,15 @@ struct ChannelConfig {
   double cs_range_factor = 2.2;
 };
 
-/// The shared wireless medium: fans a transmission out to every radio
+/// The shared wireless medium: fans a transmission out to every node
 /// within range of the transmitter at the moment the first bit leaves.
-/// It owns every node's trajectory, so positions have one home.
+///
+/// It owns two flat tables indexed by node id.  The receiver table holds
+/// each node's reception state (`Receiver`), which every wave step
+/// reads and writes.  The leg table holds the trajectory leg covering
+/// each node's last position read; a read evaluates it and asks the
+/// node's trajectory for another leg only when the time falls outside
+/// it.  The trajectories themselves, RNG and leg history, are cold.
 class Channel {
  public:
   /// How stale the neighbour grid's position snapshot may get.
@@ -41,9 +46,9 @@ class Channel {
   /// population is never copied through a doubling vector.
   void reserve(std::size_t n);
 
-  /// Registers a radio and the trajectory giving its position.  The
-  /// radio's NodeId must equal its registration order (dense ids).
-  void attach(Radio* radio, mobility::Trajectory trajectory);
+  /// Registers the next node (ids are dense, in attach order) with the
+  /// trajectory giving its position, and returns its id.
+  net::NodeId attach(mobility::Trajectory trajectory);
 
   /// Must be called once after all attach() calls and before any
   /// transmission or neighbour query (builds the neighbour grid).
@@ -74,10 +79,18 @@ class Channel {
   void inject(net::NodeId as_sender, const mobility::Vec2& from_pos,
               const Frame& frame, sim::Time airtime);
 
+  /// Node `id`'s position at `t`: bit-identical to its trajectory's
+  /// position_at(t).
   [[nodiscard]] mobility::Vec2 position_of(net::NodeId id, sim::Time t) const {
-    return trajectories_[id].position_at(t);
+    const mobility::Leg& leg = legs_[id];
+    if (t < leg.start || leg.depart < t) refresh_leg(id, t);
+    return leg.at(t);
   }
-  [[nodiscard]] std::size_t node_count() const { return radios_.size(); }
+  [[nodiscard]] std::size_t node_count() const { return receivers_.size(); }
+  [[nodiscard]] sim::Scheduler& scheduler() const { return *sched_; }
+
+  /// Node `id`'s reception state.  Records never move after finalize().
+  [[nodiscard]] Receiver& receiver(net::NodeId id) { return receivers_[id]; }
   [[nodiscard]] double decode_range() const { return prop_->max_range(); }
 
   /// Caller-owned neighbour list: inline up to 16 entries, so the
@@ -109,14 +122,14 @@ class Channel {
     struct Arrival {
       sim::Time t;
       std::uint64_t seq;
-      Radio* radio;
       double distance;
+      net::NodeId node;
       bool decodable;
     };
     struct End {
       sim::Time t;
       std::uint64_t seq;
-      Radio* radio;
+      net::NodeId node;
       std::uint32_t id;
     };
     Frame frame;
@@ -134,13 +147,16 @@ class Channel {
   /// a reception per radio within carrier-sense range of `sp`.
   void radiate(net::NodeId sender, const mobility::Vec2& sp,
                const Frame& frame, sim::Time airtime);
+  /// Replaces node `id`'s leg-table entry with the leg covering `t`.
+  void refresh_leg(net::NodeId id, sim::Time t) const;
 
   sim::Scheduler* sched_;
   const PropagationModel* prop_;
   ChannelConfig cfg_;
   Sniffer sniffer_;
-  std::vector<Radio*> radios_;
-  std::vector<mobility::Trajectory> trajectories_;  ///< parallel to radios_
+  std::vector<Receiver> receivers_;
+  mutable std::vector<mobility::Leg> legs_;         ///< parallel to receivers_
+  std::vector<mobility::Trajectory> trajectories_;  ///< parallel to receivers_
   std::unique_ptr<NeighborIndex> index_;
   double max_speed_ = 0.0;
 

@@ -183,7 +183,10 @@ TEST(MtsTest, ConfigValidation) {
   sim::Scheduler sched;
   net::Counters c;
   net::UidSource uids;
-  phy::Radio radio(sched, 0, &c);
+  phy::UnitDiskPropagation prop;
+  phy::Channel channel(sched, prop);
+  channel.attach(mobility::Trajectory(mobility::Vec2{0, 0}));
+  phy::Radio radio(channel, 0);
   mac::Mac80211 mac(sched, radio, {}, sim::Rng(1), &c);
   routing::RoutingContext ctx;
   ctx.self = 0;

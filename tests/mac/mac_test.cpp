@@ -30,8 +30,9 @@ class MacTest : public ::testing::Test {
     stations_.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       Station& st = stations_[i];
-      st.radio = std::make_unique<phy::Radio>(
-          sched_, static_cast<net::NodeId>(i), &st.counters);
+      channel_->attach(mobility::Trajectory(positions[i]));
+      st.radio = std::make_unique<phy::Radio>(*channel_,
+                                              static_cast<net::NodeId>(i));
       st.mac = std::make_unique<Mac80211>(sched_, *st.radio, cfg,
                                           sim::Rng(100 + i), &st.counters);
       Mac80211::Callbacks cb;
@@ -46,7 +47,6 @@ class MacTest : public ::testing::Test {
       };
       cb.on_sniff = [&st](const phy::Frame& f) { st.sniffed.push_back(f); };
       st.mac->set_callbacks(std::move(cb));
-      channel_->attach(st.radio.get(), mobility::Trajectory(positions[i]));
     }
     channel_->finalize();
   }
@@ -163,8 +163,7 @@ TEST_F(MacTest, ReceiverDeduplicatesMacRetransmissions) {
   }
   sched_.run_until(sim::Time::sec(1));
   EXPECT_EQ(stations_[1].received.size(), 3u);
-  EXPECT_EQ(stations_[1].counters.mac_rx_frames,
-            stations_[1].radio->frames_decoded());
+  EXPECT_EQ(stations_[1].radio->frames_decoded(), 3u);  // RTS off: DATA only
 }
 
 TEST_F(MacTest, TwoContendersBothGetThrough) {
@@ -341,7 +340,8 @@ TEST_F(MacTest, CleanDecodeCancelsTheEifsDeferral) {
 
 TEST_F(MacTest, IdleMacHearsNoCarrierSenseEdges) {
   // Stations 0 and 1 exchange DATA/ACK; station 2 overhears all of it
-  // with nothing to send, so its radio keeps the marks and stays quiet.
+  // with nothing to send, so its receiver record keeps the marks and the
+  // MAC stays quiet.
   build({{0, 0}, {150, 0}, {75, 100}});
   for (std::uint32_t i = 1; i <= 5; ++i) {
     stations_[0].mac->enqueue(data_packet(0, 1, i), 1);
@@ -412,8 +412,8 @@ TEST_F(MacTest, ConfigValidation) {
   MacConfig bad;
   bad.cw_min = 0;
   net::Counters c;
-  phy::Radio r(sched_, 7, &c);
-  EXPECT_THROW(Mac80211(sched_, r, bad, sim::Rng(1), &c), sim::ConfigError);
+  EXPECT_THROW(Mac80211(sched_, *stations_[0].radio, bad, sim::Rng(1), &c),
+               sim::ConfigError);
 }
 
 }  // namespace

@@ -88,8 +88,13 @@ TEST(RandomWaypointTest, LegSpeedsWithinConfiguredBand) {
   Trajectory rwp(c, sim::Rng(13));
   (void)rwp.position_at(sim::Time::sec(500));  // force leg generation
   for (const auto& leg : rwp.legs()) {
-    EXPECT_GE(leg.speed, 2.0);
-    EXPECT_LE(leg.speed, 12.0);
+    // The leg's speed, recovered from its length and its duration (the
+    // arrival time is rounded to the nanosecond).
+    const double secs = (leg.arrive - leg.start).to_seconds();
+    ASSERT_GT(secs, 0.0);
+    const double speed = distance(leg.from, leg.to) / secs;
+    EXPECT_GE(speed, 2.0 * (1.0 - 1e-6));
+    EXPECT_LE(speed, 12.0 * (1.0 + 1e-6));
   }
 }
 

@@ -16,7 +16,7 @@ namespace mts::phy {
 namespace {
 
 /// Adapts the radio's listener interface to per-test lambdas.
-struct StubListener final : Radio::Listener {
+struct StubListener final : RadioListener {
   std::function<void(const Frame&)> frame;
   std::function<void(bool)> busy;
   void on_frame(const Frame& f) override {
@@ -41,8 +41,9 @@ class RadioChannelTest : public ::testing::Test {
     received_.reserve(positions.size());
     busy_log_.reserve(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
-      radios_.push_back(std::make_unique<Radio>(
-          sched_, static_cast<net::NodeId>(i), &counters_[i]));
+      const net::NodeId id =
+          channel_->attach(mobility::Trajectory(positions[i]));
+      radios_.push_back(std::make_unique<Radio>(*channel_, id));
       received_.emplace_back();
       busy_log_.emplace_back();
       auto* rx = &received_.back();
@@ -52,7 +53,6 @@ class RadioChannelTest : public ::testing::Test {
       listeners_.back()->busy = [busy](bool b) { busy->push_back(b); };
       radios_.back()->set_listener(listeners_.back().get());
       radios_.back()->set_edge_calls(true);
-      channel_->attach(radios_.back().get(), mobility::Trajectory(positions[i]));
     }
     channel_->finalize();
   }
@@ -73,7 +73,6 @@ class RadioChannelTest : public ::testing::Test {
   }
 
   sim::Scheduler sched_;
-  net::Counters counters_[17];
   std::unique_ptr<UnitDiskPropagation> prop_;
   std::unique_ptr<Channel> channel_;
   std::vector<std::unique_ptr<Radio>> radios_;
@@ -282,12 +281,9 @@ TEST(ChannelTrajectoryTest, OwnedTrajectoriesMatchUntrimmedTwinsThroughRebuilds)
   UnitDiskPropagation prop(250.0);
   Channel channel(sched, prop);
   channel.reserve(kNodes);
-  std::vector<std::unique_ptr<Radio>> radios;
   std::vector<mobility::Trajectory> twins;
   for (net::NodeId i = 0; i < kNodes; ++i) {
-    radios.push_back(std::make_unique<Radio>(sched, i, nullptr));
-    channel.attach(radios.back().get(),
-                   mobility::Trajectory(rc, mob.substream(i)));
+    channel.attach(mobility::Trajectory(rc, mob.substream(i)));
     twins.emplace_back(rc, mob.substream(i));
   }
   channel.finalize();
@@ -468,7 +464,8 @@ TEST_F(RadioChannelTest, DeliveredFrameOutlivesWavePoolGrowth) {
 }
 
 /// The capture rule with every arrival's power computed up front — the
-/// reference the radio's lazy, overlap-only powers must agree with.
+/// reference the receiver record's lazy, overlap-only powers must agree
+/// with.
 struct EagerReception {
   std::uint32_t id;
   double power;
@@ -479,7 +476,7 @@ struct EagerReception {
 
 TEST(RadioCaptureTest, LazyPowerMatchesEagerReferenceModel) {
   sim::Scheduler sched;
-  Radio radio(sched, 0, nullptr);
+  Receiver rec;
   enum class Outcome { kNone, kDecoded, kGarbage };
   Outcome got = Outcome::kNone;
   std::uint16_t got_seq = 0;
@@ -488,12 +485,13 @@ TEST(RadioCaptureTest, LazyPowerMatchesEagerReferenceModel) {
     got = Outcome::kDecoded;
     got_seq = f.seq;
   };
-  radio.set_listener(&listener);
+  rec.set_listener(&listener);
   sim::Rng rng(15);
   std::vector<EagerReception> ref;
   std::uint64_t collisions = 0;
   std::uint64_t captured = 0;  // decoded despite an overlap
   std::uint64_t decoded = 0;
+  std::uint64_t spilled = 0;  // steps with more in flight than held inline
   for (int step = 0; step < 50'000; ++step) {
     if (ref.empty() || (ref.size() < 6 && rng.uniform() < 0.5)) {
       double d;
@@ -509,7 +507,7 @@ TEST(RadioCaptureTest, LazyPowerMatchesEagerReferenceModel) {
         r.overlapped = true;
         if (r.power < p * 10.0) r.corrupt = true;
       }
-      const auto end = radio.begin_reception(decodable, d);
+      const auto end = rec.begin_reception(sched, decodable, d);
       ASSERT_TRUE(end.has_value());
       ref.push_back(EagerReception{end->id, p, corrupt, decodable, corrupt});
     } else {
@@ -520,10 +518,10 @@ TEST(RadioCaptureTest, LazyPowerMatchesEagerReferenceModel) {
       Frame f;
       f.seq = static_cast<std::uint16_t>(step);
       got = Outcome::kNone;
-      radio.end_reception(r.id, f);
+      rec.end_reception(sched.now(), r.id, f);
       // Every end either decodes (clearing the EIFS mark) or is garbage
       // (setting it).
-      if (got == Outcome::kNone && radio.undecodable_end().has_value()) {
+      if (got == Outcome::kNone && rec.undecodable_end().has_value()) {
         got = Outcome::kGarbage;
       }
       const Outcome want =
@@ -536,11 +534,22 @@ TEST(RadioCaptureTest, LazyPowerMatchesEagerReferenceModel) {
       }
       if (r.corrupt) ++collisions;
     }
-    ASSERT_EQ(radio.medium_busy(), !ref.empty());
+    ASSERT_EQ(rec.busy(sched.now()), !ref.empty());
+    // Past the inline capacity the receptions live on the heap, and only
+    // until the node falls quiet.
+    if (ref.size() > Receiver::kInlineReceptions) {
+      ASSERT_TRUE(rec.receptions_on_heap()) << "step " << step;
+      ++spilled;
+    }
+    if (ref.empty()) {
+      ASSERT_FALSE(rec.receptions_on_heap()) << "step " << step;
+    }
   }
-  EXPECT_EQ(radio.collisions(), collisions);
-  EXPECT_EQ(radio.frames_decoded(), decoded);
-  // The walk reached every branch of the rule, captures included.
+  EXPECT_EQ(rec.collisions(), collisions);
+  EXPECT_EQ(rec.frames_decoded(), decoded);
+  // The walk reached every branch of the rule, captures and spills
+  // included.
+  EXPECT_GT(spilled, 1000u);
   EXPECT_GT(captured, 100u);
   EXPECT_GT(collisions, 1000u);
   EXPECT_GT(decoded - captured, 1000u);

@@ -39,8 +39,9 @@ class RoutingBench {
     nodes_.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       TestNode& n = nodes_[i];
-      n.radio = std::make_unique<phy::Radio>(
-          sched, static_cast<net::NodeId>(i), &n.counters);
+      channel_->attach(mobility::Trajectory(positions[i]));
+      n.radio = std::make_unique<phy::Radio>(*channel_,
+                                             static_cast<net::NodeId>(i));
       n.mac = std::make_unique<mac::Mac80211>(sched, *n.radio, mac::MacConfig{},
                                               sim::Rng(1000 + i), &n.counters);
       routing::RoutingContext ctx;
@@ -67,7 +68,6 @@ class RoutingBench {
                                                   sim::Rng(2000 + i));
           break;
       }
-      channel_->attach(n.radio.get(), mobility::Trajectory(positions[i]));
     }
     channel_->finalize();
     for (auto& n : nodes_) {

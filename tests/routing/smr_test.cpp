@@ -22,8 +22,9 @@ class SmrBench {
     nodes_.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       auto& n = nodes_[i];
-      n.radio = std::make_unique<phy::Radio>(
-          sched, static_cast<net::NodeId>(i), &n.counters);
+      channel_->attach(mobility::Trajectory(positions[i]));
+      n.radio = std::make_unique<phy::Radio>(*channel_,
+                                             static_cast<net::NodeId>(i));
       n.mac = std::make_unique<mac::Mac80211>(sched, *n.radio,
                                               mac::MacConfig{},
                                               sim::Rng(1000 + i), &n.counters);
@@ -37,7 +38,6 @@ class SmrBench {
         n.delivered.push_back(std::move(p));
       };
       n.smr = std::make_unique<Smr>(std::move(ctx), cfg, sim::Rng(2000 + i));
-      channel_->attach(n.radio.get(), mobility::Trajectory(positions[i]));
     }
     channel_->finalize();
     for (auto& n : nodes_) {
