@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,112 @@ constexpr std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
+/// Exactly the std::mt19937_64 sequence, from 40 bytes of state instead
+/// of 2,504.
+///
+/// MT19937-64 seeds its 312 words by the recurrence
+///
+///   x[0] = seed,   x[i] = f * (x[i-1] ^ x[i-1] >> 62) + i,
+///
+/// and its first twist rewrites word k < 156 as x[k+156] ^ twist(x[k],
+/// x[k+1]), reading only seed words it has not rewritten yet.  So output
+/// i < 156 is temper(x[i+156] ^ twist(x[i], x[i+1])): two running cursors
+/// of the recurrence, at x[i] and x[i+156], give each of those outputs in
+/// O(1) with no state array.  The cursors are set up on the first draw,
+/// so a stream that is never drawn costs nothing but its constructor.
+///
+/// From output 156 on, each output reads the twisted first block.  So the
+/// 157th draw builds one heap std::mt19937_64 from the same seed, discards
+/// the 156 outputs already given, and delegates to it from then on.  A copy
+/// deep-copies that engine; a move hands it over and leaves the source
+/// unusable: a draw from a moved-from stream fails a require.
+class CompactMt64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit CompactMt64(result_type seed) : seed_(seed) {}
+  CompactMt64(const CompactMt64& o)
+      : seed_(o.seed_), lo_(o.lo_), hi_(o.hi_), drawn_(o.drawn_),
+        tail_(o.tail_ ? std::make_unique<std::mt19937_64>(*o.tail_) : nullptr) {}
+  CompactMt64(CompactMt64&& o) noexcept
+      : seed_(o.seed_), lo_(o.lo_), hi_(o.hi_), drawn_(o.drawn_),
+        tail_(std::move(o.tail_)) {
+    o.drawn_ = kMovedFrom;
+  }
+  CompactMt64& operator=(const CompactMt64& o) {
+    if (this != &o) *this = CompactMt64(o);
+    return *this;
+  }
+  CompactMt64& operator=(CompactMt64&& o) noexcept {
+    if (this != &o) {
+      seed_ = o.seed_;
+      lo_ = o.lo_;
+      hi_ = o.hi_;
+      drawn_ = o.drawn_;
+      tail_ = std::move(o.tail_);
+      o.drawn_ = kMovedFrom;
+    }
+    return *this;
+  }
+
+  result_type operator()() {
+    if (drawn_ >= kBlock) {
+      if (!tail_) start_tail();
+      return (*tail_)();
+    }
+    if (drawn_ == 0) start_cursors();
+    const std::uint64_t next = step(lo_, drawn_ + 1);  // x[i+1]
+    const std::uint64_t y = (lo_ & kUpperMask) | (next & kLowerMask);
+    const std::uint64_t z = hi_ ^ (y >> 1) ^ ((y & 1) ? kXorMask : 0);
+    lo_ = next;
+    hi_ = step(hi_, drawn_ + kBlock + 1);  // x[i+157]
+    ++drawn_;
+    return temper(z);
+  }
+
+ private:
+  // MT19937-64's parameters (n = 312, m = 156, r = 31).
+  static constexpr std::uint32_t kBlock = 156;  ///< n - m: outputs before the hand-over
+  static constexpr std::uint32_t kMovedFrom = ~std::uint32_t{0};
+  static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
+  static constexpr std::uint64_t kXorMask = 0xB5026F5AA96619E9ULL;
+  static constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+  static constexpr std::uint64_t kLowerMask = ~kUpperMask;
+
+  static constexpr std::uint64_t step(std::uint64_t x, std::uint64_t i) {
+    return kMultiplier * (x ^ (x >> 62)) + i;
+  }
+  static constexpr std::uint64_t temper(std::uint64_t z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  // Both set-ups run once per stream.  Out of line, they keep the draw
+  // short where every distribution inlines it; inline, they made a draw
+  // after the hand-over slower than std::mt19937_64's (see
+  // docs/architecture/scale.md, "Compact RNG substreams").
+  [[gnu::noinline]] void start_cursors() {
+    lo_ = seed_;
+    hi_ = seed_;
+    for (std::uint64_t i = 1; i <= kBlock; ++i) hi_ = step(hi_, i);
+  }
+  [[gnu::noinline]] void start_tail() {
+    require(drawn_ == kBlock, "Rng: draw from a moved-from stream");
+    tail_ = std::make_unique<std::mt19937_64>(seed_);
+    tail_->discard(kBlock);
+  }
+
+  std::uint64_t seed_;
+  std::uint64_t lo_ = 0;     ///< x[i] for the next output i < 156
+  std::uint64_t hi_ = 0;     ///< x[i+156]
+  std::uint32_t drawn_ = 0;  ///< outputs given, saturating at kBlock; kMovedFrom once moved from
+  std::unique_ptr<std::mt19937_64> tail_;  ///< the engine from output 156 on
+};
+
 /// Deterministic random source with named substreams.
 ///
 /// Every stochastic component takes its own substream, derived from the
@@ -36,6 +143,10 @@ constexpr std::uint64_t fnv1a(std::string_view s) {
 /// component sees never depends on how often another component draws.
 /// This is what makes protocol A vs protocol B comparisons paired: both
 /// see the same mobility, same placement, same TCP start times.
+///
+/// The sequence is std::mt19937_64's, seeded with splitmix64(seed), so
+/// every distribution below draws the values it would from that engine.
+/// The stream holds no state array until its 157th draw (CompactMt64).
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : gen_(splitmix64(seed)), seed_(seed) {}
@@ -89,11 +200,11 @@ class Rng {
     std::shuffle(first, last, gen_);
   }
 
-  std::mt19937_64& engine() { return gen_; }
-
  private:
-  std::mt19937_64 gen_;
+  CompactMt64 gen_;
   std::uint64_t seed_;
 };
+static_assert(sizeof(Rng) <= 64,
+              "Rng: every node holds several; keep it within one cache line");
 
 }  // namespace mts::sim

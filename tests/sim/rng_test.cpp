@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <random>
 #include <set>
+#include <utility>
 
 namespace mts::sim {
 namespace {
@@ -130,6 +133,114 @@ TEST(RngTest, ShuffleIsAPermutation) {
   auto resorted = v;
   std::sort(resorted.begin(), resorted.end());
   EXPECT_EQ(resorted, sorted);
+}
+
+// --- Differential tests against std::mt19937_64 --------------------------
+//
+// CompactMt64 claims to be std::mt19937_64 bit for bit.  Its first 156
+// outputs come from two cursors of the seeding recurrence and the rest
+// from a heap engine built at draw 157, so every comparison below runs
+// well past that hand-over.
+
+constexpr int kDraws = 2000;
+
+std::vector<std::uint64_t> differential_seeds() {
+  std::vector<std::uint64_t> seeds{0, 1, 42, 0xdeadbeef, ~std::uint64_t{0}};
+  std::uint64_t s = 0x5EED;
+  for (int i = 0; i < 8; ++i) seeds.push_back(s = splitmix64(s));
+  return seeds;
+}
+
+TEST(CompactMt64Test, RawDrawsMatchReference) {
+  for (const std::uint64_t seed : differential_seeds()) {
+    CompactMt64 eng(splitmix64(seed));
+    std::mt19937_64 ref(splitmix64(seed));
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(eng(), ref()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+// The distributions read the engine's range, so it must be the reference's.
+static_assert(CompactMt64::min() == std::mt19937_64::min());
+static_assert(CompactMt64::max() == std::mt19937_64::max());
+
+// Each Rng method against the same distribution on the reference engine.
+TEST(RngDifferentialTest, EveryMethodMatchesReference) {
+  const std::vector<int> pool{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5};
+  for (const std::uint64_t seed : differential_seeds()) {
+    Rng r(seed);
+    std::mt19937_64 ref(splitmix64(seed));
+    std::vector<int> a(23), b(23);
+    for (int i = 0; i < kDraws / 8; ++i) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " round " << i);
+      ASSERT_EQ(r.uniform(), std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+      ASSERT_EQ(r.uniform(-3.0, 7.5),
+                std::uniform_real_distribution<double>(-3.0, 7.5)(ref));
+      ASSERT_EQ(r.uniform_int(-5, 1000),
+                std::uniform_int_distribution<std::int64_t>(-5, 1000)(ref));
+      ASSERT_EQ(r.exponential(0.25),
+                std::exponential_distribution<double>(4.0)(ref));
+      ASSERT_EQ(r.normal(1.0, 2.0), std::normal_distribution<double>(1.0, 2.0)(ref));
+      ASSERT_EQ(r.bernoulli(0.3), std::bernoulli_distribution(0.3)(ref));
+      ASSERT_EQ(r.pick(pool),
+                pool[static_cast<std::size_t>(std::uniform_int_distribution<std::int64_t>(
+                    0, static_cast<std::int64_t>(pool.size()) - 1)(ref))]);
+      std::iota(a.begin(), a.end(), 0);
+      std::iota(b.begin(), b.end(), 0);
+      r.shuffle(a.begin(), a.end());
+      std::shuffle(b.begin(), b.end(), ref);
+      ASSERT_EQ(a, b);
+    }
+  }
+}
+
+// Copies and moves at, around and past the 156-draw hand-over continue
+// the reference sequence.
+TEST(CompactMt64Test, CopyAndMoveContinueReference) {
+  for (const int before : {0, 1, 155, 156, 157, 1000}) {
+    SCOPED_TRACE(testing::Message() << "after " << before << " draws");
+    const std::uint64_t seed = splitmix64(before);
+    CompactMt64 eng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < before; ++i) ASSERT_EQ(eng(), ref());
+
+    CompactMt64 copy(eng);
+    CompactMt64 assigned(0);
+    assigned = eng;
+    std::mt19937_64 ref_copy = ref;
+    std::mt19937_64 ref_assigned = ref;
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(copy(), ref_copy());
+      ASSERT_EQ(assigned(), ref_assigned());
+    }
+    CompactMt64 moved(std::move(eng));
+    CompactMt64 move_assigned(0);
+    move_assigned = std::move(copy);
+    std::mt19937_64 ref_moved = ref;
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(moved(), ref_moved());
+      ASSERT_EQ(move_assigned(), ref_copy());
+    }
+  }
+}
+
+// A moved-from stream must not quietly replay or skip part of the
+// sequence its successor now owns.
+TEST(RngDifferentialTest, DrawFromMovedFromStreamThrows) {
+  for (const int before : {0, 1, 155, 156, 157, 1000}) {
+    SCOPED_TRACE(testing::Message() << "after " << before << " draws");
+    Rng r(7);
+    for (int i = 0; i < before; ++i) r.uniform();
+    Rng taken = std::move(r);
+    EXPECT_THROW(r.uniform(), SimError);  // NOLINT(bugprone-use-after-move)
+    EXPECT_THROW(r.uniform_int(0, 9), SimError);
+    // Its seed survives, and assigning a live stream revives it.
+    EXPECT_EQ(r.seed(), 7u);
+    r = Rng(7);
+    EXPECT_EQ(r.uniform(), Rng(7).uniform());
+    EXPECT_NO_THROW(taken.uniform());
+  }
 }
 
 TEST(SplitMix64Test, AdjacentInputsDisperse) {
