@@ -14,6 +14,7 @@
 #include "phy/radio.hpp"
 #include "routing/aodv/aodv.hpp"
 #include "routing/dsr/dsr.hpp"
+#include "routing/smr/smr.hpp"
 #include "sim/scheduler.hpp"
 
 namespace mts::testing {
@@ -28,12 +29,13 @@ struct TestNode {
 
 class RoutingBench {
  public:
-  enum class Proto { kAodv, kDsr, kMts };
+  enum class Proto { kAodv, kDsr, kMts, kSmr };
 
   RoutingBench(Proto proto, std::vector<mobility::Vec2> positions,
                routing::aodv::AodvConfig aodv_cfg = {},
                routing::dsr::DsrConfig dsr_cfg = {},
-               core::MtsConfig mts_cfg = {}) {
+               core::MtsConfig mts_cfg = {},
+               routing::smr::SmrConfig smr_cfg = {}) {
     prop_ = std::make_unique<phy::UnitDiskPropagation>(250.0);
     channel_ = std::make_unique<phy::Channel>(sched, *prop_);
     nodes_.resize(positions.size());
@@ -66,6 +68,10 @@ class RoutingBench {
         case Proto::kMts:
           n.routing = std::make_unique<core::Mts>(std::move(ctx), mts_cfg,
                                                   sim::Rng(2000 + i));
+          break;
+        case Proto::kSmr:
+          n.routing = std::make_unique<routing::smr::Smr>(
+              std::move(ctx), smr_cfg, sim::Rng(2000 + i));
           break;
       }
     }
