@@ -24,8 +24,9 @@ Mac80211::Mac80211(sim::Scheduler& sched, phy::Radio& radio, MacConfig cfg,
       response_timer_(
           sched,
           [this] {
-            if (state_ == State::kWaitAck) ack_timeout();
-            else if (state_ == State::kWaitCts) cts_timeout();
+            if (state_ == State::kWaitAck || state_ == State::kWaitCts) {
+              retry_or_fail();
+            }
           },
           sim::EventCategory::kMac),
       tx_defer_timer_(
@@ -47,7 +48,6 @@ bool Mac80211::enqueue(net::Packet packet, net::NodeId next_hop) {
   auto dropped = queue_.enqueue(net::QueueItem{std::move(packet), next_hop});
   if (dropped.has_value()) {
     if (counters_ != nullptr) counters_->drop(net::DropReason::kQueueFull);
-    if (cb_.on_drop) cb_.on_drop(dropped->packet, net::DropReason::kQueueFull);
   }
   kick();
   // "Accepted" unless the offered packet itself was the victim.
@@ -220,9 +220,7 @@ void Mac80211::on_tx_done() {
   tx_kind_ = TxKind::kNone;
   switch (kind) {
     case TxKind::kBroadcast:
-      if (cb_.on_unicast_success) {
-        // Broadcasts are fire-and-forget; no callback.
-      }
+      // Broadcasts are fire-and-forget; no callback.
       finish_current();
       return;
     case TxKind::kData:
@@ -241,20 +239,10 @@ void Mac80211::on_tx_done() {
   }
 }
 
-void Mac80211::ack_timeout() {
-  retry_or_fail("data");
-}
-
-void Mac80211::cts_timeout() {
-  retry_or_fail("rts");
-}
-
-void Mac80211::retry_or_fail(const char* /*what*/) {
+void Mac80211::retry_or_fail() {
   ++retries_;
-  ++retries_total_;
   if (counters_ != nullptr) ++counters_->mac_retries;
   if (retries_ > cfg_.retry_limit) {
-    ++failures_;
     if (counters_ != nullptr)
       counters_->drop(net::DropReason::kMacRetryExceeded);
     net::QueueItem failed = std::move(*current_);

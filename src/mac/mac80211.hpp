@@ -73,8 +73,6 @@ class Mac80211 : private phy::RadioListener {
     /// Unicast acknowledged by the next hop.
     std::function<void(const net::Packet&, net::NodeId next_hop)>
         on_unicast_success;
-    /// Packet dropped inside the MAC (queue overflow etc.).
-    std::function<void(const net::Packet&, net::DropReason)> on_drop;
     /// Every cleanly decoded DATA frame, regardless of its addressee —
     /// promiscuous tap for the eavesdropper / relay census.
     std::function<void(const phy::Frame&)> on_sniff;
@@ -92,7 +90,7 @@ class Mac80211 : private phy::RadioListener {
   [[nodiscard]] const MacConfig& config() const { return cfg_; }
 
   /// Hands a packet to the link layer.  Returns false if it was dropped
-  /// immediately (queue overflow) — the drop callback fires either way.
+  /// immediately (queue overflow); a queue drop is counted either way.
   bool enqueue(net::Packet packet, net::NodeId next_hop);
 
   /// Pulls every queued packet whose next hop is `hop` out of the
@@ -110,10 +108,6 @@ class Mac80211 : private phy::RadioListener {
     return cfg_.plcp_overhead +
            sim::Time::seconds(static_cast<double>(mac_bytes) * 8.0 / rate);
   }
-
-  // --- statistics -----------------------------------------------------
-  [[nodiscard]] std::uint64_t retries_total() const { return retries_total_; }
-  [[nodiscard]] std::uint64_t unicast_failures() const { return failures_; }
 
  private:
   enum class State : std::uint8_t { kIdle, kAccess, kWaitCts, kWaitAck };
@@ -138,9 +132,8 @@ class Mac80211 : private phy::RadioListener {
   void send_data_frame();
   void send_response(phy::FrameType type, net::NodeId to, sim::Time nav);
   void response_due(const phy::Frame& f);
-  void ack_timeout();
-  void cts_timeout();
-  void retry_or_fail(const char* what);
+  /// ACK or CTS timeout: back off and retry, or give up on the frame.
+  void retry_or_fail();
   void finish_current();
   void draw_backoff() {
     bo_slots_ = static_cast<std::int32_t>(rng_.uniform_int(0, cw_));
@@ -186,9 +179,6 @@ class Mac80211 : private phy::RadioListener {
   /// Receive-side duplicate filter: last MAC seq per transmitter, in a
   /// fixed open-addressed table (no heap on the per-frame path).
   RxDupCache rx_seq_cache_;
-
-  std::uint64_t retries_total_ = 0;
-  std::uint64_t failures_ = 0;
 };
 
 }  // namespace mts::mac
