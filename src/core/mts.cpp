@@ -33,13 +33,9 @@ NodeId walk_pos(const PathNodes& nodes, NodeId src, NodeId dst,
 }  // namespace
 
 Mts::Mts(routing::RoutingContext ctx, MtsConfig cfg, sim::Rng rng)
-    : RoutingProtocol(std::move(ctx)),
+    : RoutingProtocol(std::move(ctx), rng, RetryPolicy::kGiveUpAfterThree),
       cfg_(cfg),
-      rng_(rng),
-      buffer_(cfg.buffer_capacity, cfg.buffer_max_age),
       check_timer_(*ctx_.sched, [this] { check_tick(); },
-                   sim::EventCategory::kRouting),
-      purge_timer_(*ctx_.sched, [this] { purge(); },
                    sim::EventCategory::kRouting),
       probe_timer_(*ctx_.sched, [this] { probe_tick(); },
                    sim::EventCategory::kRouting) {
@@ -54,8 +50,7 @@ void Mts::start() {
   // Stagger the first tick per node so destinations never beat in phase.
   check_timer_.start(cfg_.check_period,
                      cfg_.check_period * rng_.uniform(0.5, 1.0));
-  purge_timer_.start(cfg_.purge_period,
-                     cfg_.purge_period + sim::Time::seconds(rng_.uniform(0.0, 0.1)));
+  RoutingProtocol::start();  // purge tick: draws its jitter second
   if (ctx_.defense != nullptr) {
     const sim::Time period = ctx_.defense->probe_period();
     if (period > sim::Time::zero()) {
@@ -149,82 +144,31 @@ void Mts::send_from_transport(Packet packet) {
       return;
     }
   }
-  if (auto evicted = buffer_.push(std::move(packet), now())) {
-    drop(*evicted, net::DropReason::kSendBufferFull);
-  }
-  auto& ss = as_source_[dst];
-  if (!ss.discovering) start_discovery(dst);
-}
-
-void Mts::flush_buffer(NodeId dst) {
-  buffer_.take_for(dst, take_scratch_);
-  for (Packet& p : take_scratch_) {
-    send_from_transport(std::move(p));
-  }
+  buffer_and_discover(std::move(packet));
 }
 
 // ---------------------------------------------------------------------------
 // Route discovery (§III-B).
 // ---------------------------------------------------------------------------
 
-void Mts::start_discovery(NodeId dst) {
-  SourceState& ss = as_source_[dst];
-  // New generation: drop the stale path set (the destination flushes its
-  // side when our higher broadcast id reaches it).
-  ss.paths.clear();
-  ss.current = -1;
-  ss.discovering = true;
-  ss.retries = 0;
-  send_rreq(dst);
-}
-
-void Mts::send_rreq(NodeId dst) {
+void Mts::send_rreq(NodeId dst, bool first) {
+  if (first) {
+    // New generation: drop the stale path set (the destination flushes
+    // its side when our higher broadcast id reaches it).
+    SourceState& ss = as_source_[dst];
+    ss.paths.clear();
+    ss.current = -1;
+  }
   ++bcast_id_;
   MtsRreqHeader h;
   h.bcast_id = bcast_id_;
   h.orig = self();
   h.dst = dst;
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kMtsRreq;
-  common.src = self();
-  common.dst = net::kBroadcastId;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.net_diameter_ttl;
+  Packet p = originate(PacketKind::kMtsRreq, net::kBroadcastId,
+                       cfg_.net_diameter_ttl);
   p.mutable_routing() = h;
   rreq_seen_.check_and_insert(self(), h.bcast_id);
   send_to_mac(std::move(p), net::kBroadcastId, /*originated_here=*/true);
-
-  SourceState& ss = as_source_[dst];
-  ss.rreq_timer = ctx_.sched->schedule_in(
-      cfg_.rrep_wait * (std::int64_t{1} << ss.retries),
-      [this, dst] { discovery_timeout(dst); }, sim::EventCategory::kRouting);
-}
-
-void Mts::discovery_timeout(NodeId dst) {
-  auto it = as_source_.find(dst);
-  if (it == as_source_.end() || !it->second.discovering) return;
-  SourceState& ss = it->second;
-  // An RREP or check got through meanwhile — but only a *usable* path
-  // counts as success (leash-quarantined entries also live in the map).
-  const bool any_usable = std::any_of(
-      ss.paths.begin(), ss.paths.end(),
-      [](const auto& kv) { return kv.second.alive && !kv.second.quarantined; });
-  if (any_usable) {
-    ss.discovering = false;
-    return;
-  }
-  if (ss.retries + 1 >= cfg_.rreq_retries) {
-    ss.discovering = false;
-    buffer_.take_for(dst, take_scratch_);
-    for (Packet& p : take_scratch_) {
-      drop(p, net::DropReason::kNoRoute);
-    }
-    return;
-  }
-  ++ss.retries;
-  send_rreq(dst);
 }
 
 void Mts::handle_rreq(Packet&& p, NodeId from) {
@@ -263,7 +207,7 @@ void Mts::handle_rreq(Packet&& p, NodeId from) {
   (void)from;
   // "Even in the case where an intermediate node has a fresh route to
   // the destination node, it has to relay the received RREQ" (§III-B).
-  rebroadcast_jittered(std::move(p), rng_);
+  rebroadcast_jittered(std::move(p));
 }
 
 void Mts::accept_path_at_destination(NodeId src, PathNodes nodes,
@@ -323,14 +267,7 @@ void Mts::send_rrep(NodeId src, const PathNodes& nodes) {
   h.hop_count = static_cast<std::uint8_t>(nodes.size() + 1);
   h.nodes = nodes;
   const NodeId next = walk_pos(nodes, src, self(), 1);
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kMtsRrep;
-  common.src = self();
-  common.dst = src;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.net_diameter_ttl;
+  Packet p = originate(PacketKind::kMtsRrep, src, cfg_.net_diameter_ttl);
   p.mutable_hop().cursor = 1;  // walk position of the first receiver
   p.mutable_routing() = std::move(h);
   send_to_mac(std::move(p), next, /*originated_here=*/true);
@@ -367,7 +304,7 @@ void Mts::source_path_confirmed(NodeId dst, std::uint16_t path_id,
     return;
   }
   if (ctx_.defense != nullptr &&
-      ctx_.defense->probe_period() > sim::Time::zero() && ss.discovering &&
+      ctx_.defense->probe_period() > sim::Time::zero() && discovering(dst) &&
       switch_allowed) {
     // Quarantining a source's *only* path restarts discovery, which
     // clears the path map — including the quarantine marker.  A stale
@@ -408,10 +345,6 @@ void Mts::source_path_confirmed(NodeId dst, std::uint16_t path_id,
   sp.nodes = nodes;
   sp.last_confirmed = now();
   sp.alive = true;
-  if (ss.discovering) {
-    ss.discovering = false;
-    ctx_.sched->cancel(ss.rreq_timer);
-  }
   if (ss.current < 0) {
     ss.current = path_id;
   } else if (switch_allowed && round > ss.last_switch_round) {
@@ -436,7 +369,7 @@ void Mts::source_path_confirmed(NodeId dst, std::uint16_t path_id,
       }
     }
   }
-  flush_buffer(dst);
+  flush(dst);
 }
 
 // ---------------------------------------------------------------------------
@@ -483,14 +416,7 @@ void Mts::send_check(NodeId src, DestState& ds, std::uint16_t path_id) {
   h.hop_count = static_cast<std::uint8_t>(ds.paths[path_id].size() + 1);
   h.nodes = ds.paths[path_id];
   const NodeId next = walk_pos(h.nodes, src, self(), 1);
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kMtsCheck;
-  common.src = self();
-  common.dst = src;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.net_diameter_ttl;
+  Packet p = originate(PacketKind::kMtsCheck, src, cfg_.net_diameter_ttl);
   p.mutable_hop().cursor = 1;  // walk position of the first receiver
   p.mutable_routing() = std::move(h);
   ++checks_sent_;
@@ -536,14 +462,8 @@ void Mts::send_check_error(const MtsCheckHeader& failed,
   }
   if (h.nodes.empty()) return;
   const NodeId next = h.nodes[0];
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kMtsCheckError;
-  common.src = self();
-  common.dst = failed.checker;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.net_diameter_ttl;
+  Packet p = originate(PacketKind::kMtsCheckError, failed.checker,
+                       cfg_.net_diameter_ttl);
   p.mutable_hop().cursor = 0;  // return-route index of the reporter
   p.mutable_routing() = std::move(h);
   send_to_mac(std::move(p), next, /*originated_here=*/true);
@@ -643,7 +563,7 @@ void Mts::handle_data(Packet&& p, NodeId from) {
 void Mts::probe_tick() {
   if (ctx_.defense == nullptr) return;
   // Collect verdicts under a stable view first: quarantining can cascade
-  // into start_discovery(), which clears the very path map being walked.
+  // into a new discovery, which clears the very path map being walked.
   std::vector<std::pair<NodeId, std::uint16_t>> suspects;
   std::vector<std::pair<NodeId, std::uint16_t>> healthy;
   for (auto& [dst, ss] : as_source_) {
@@ -677,14 +597,8 @@ void Mts::send_probe(NodeId dst, std::uint16_t path_id, const SourcePath& sp) {
   h.path_id = path_id;
   h.probe_id = ++probe_seq_;
   h.echo = false;
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kTcpData;  // data-plane camouflage
-  common.src = self();
-  common.dst = dst;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.net_diameter_ttl;
+  // kTcpData: data-plane camouflage.
+  Packet p = originate(PacketKind::kTcpData, dst, cfg_.net_diameter_ttl);
   p.mutable_routing() = h;
   const HopEntry* hop = any_hop(dst, path_id);
   const NodeId next = hop != nullptr ? hop->next_hop : first_hop(sp.nodes, dst);
@@ -712,14 +626,7 @@ void Mts::handle_probe(const MtsProbeHeader& h, NodeId peer) {
   e.path_id = h.path_id;
   e.probe_id = h.probe_id;
   e.echo = true;
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kTcpData;
-  common.src = self();
-  common.dst = peer;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.net_diameter_ttl;
+  Packet p = originate(PacketKind::kTcpData, peer, cfg_.net_diameter_ttl);
   p.mutable_routing() = e;
   send_to_mac(std::move(p), back->next_hop, /*originated_here=*/true);
 }
@@ -755,14 +662,7 @@ void Mts::send_rerr_to_source(NodeId src, NodeId dst, std::uint16_t path_id,
   h.path_id = path_id;
   h.broken_from = broken_from;
   h.broken_to = broken_to;
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kMtsRerr;
-  common.src = self();
-  common.dst = src;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.net_diameter_ttl;
+  Packet p = originate(PacketKind::kMtsRerr, src, cfg_.net_diameter_ttl);
   p.mutable_routing() = h;
   send_to_mac(std::move(p), back->next_hop, /*originated_here=*/true);
 }
@@ -798,9 +698,7 @@ void Mts::mark_source_path_dead(NodeId dst, std::uint16_t path_id) {
     // fresh_source_path() fails over to the best remaining live path on
     // the next send; if none, discovery restarts (§III-E: "the source
     // node then triggers a new route discovery procedure").
-    if (SourcePath* alt = fresh_source_path(dst); alt == nullptr) {
-      if (!ss.discovering) start_discovery(dst);
-    }
+    if (fresh_source_path(dst) == nullptr) discover(dst);
   }
 }
 
@@ -852,9 +750,6 @@ void Mts::on_link_failure(const Packet& packet, NodeId next_hop) {
 // ---------------------------------------------------------------------------
 
 void Mts::purge() {
-  buffer_.expire(now(), [this](const Packet& p) {
-    drop(p, net::DropReason::kSendBufferTimeout);
-  });
   // Destinations stop probing a source that has been silent a long time.
   for (auto it = as_dest_.begin(); it != as_dest_.end();) {
     if (!it->second.paths.empty() &&

@@ -8,7 +8,6 @@
 #include "core/disjoint.hpp"
 #include "routing/flood_cache.hpp"
 #include "routing/protocol.hpp"
-#include "routing/send_buffer.hpp"
 #include "sim/timer.hpp"
 
 namespace mts::core {
@@ -26,11 +25,6 @@ struct MtsConfig {
   /// confirmation is younger than this many check periods.
   double freshness_periods = 2.5;
   std::uint8_t net_diameter_ttl = 32;
-  sim::Time rrep_wait = sim::Time::sec(1);
-  std::uint32_t rreq_retries = 3;
-  std::size_t buffer_capacity = 64;
-  sim::Time buffer_max_age = sim::Time::sec(30);
-  sim::Time purge_period = sim::Time::sec(1);
 };
 
 /// Multipath TCP Security (the paper's contribution).
@@ -99,9 +93,6 @@ class Mts final : public routing::RoutingProtocol {
     std::map<std::uint16_t, SourcePath> paths;  ///< by path id
     int current = -1;                           ///< active path id
     std::uint32_t last_switch_round = 0;        ///< check round already honoured
-    std::uint32_t retries = 0;
-    sim::EventId rreq_timer = sim::kInvalidEvent;
-    bool discovering = false;
   };
 
   // -- destination-side state --------------------------------------------
@@ -131,9 +122,7 @@ class Mts final : public routing::RoutingProtocol {
   void handle_rerr(net::Packet&& p, net::NodeId from);
   void handle_data(net::Packet&& p, net::NodeId from);
 
-  void start_discovery(net::NodeId dst);
-  void send_rreq(net::NodeId dst);
-  void discovery_timeout(net::NodeId dst);
+  void send_rreq(net::NodeId dst, bool first) override;
   void accept_path_at_destination(net::NodeId src, PathNodes nodes,
                                   std::uint32_t bcast_id);
   void send_rrep(net::NodeId src, const PathNodes& nodes);
@@ -149,7 +138,6 @@ class Mts final : public routing::RoutingProtocol {
   void send_rerr_to_source(net::NodeId src, net::NodeId dst,
                            std::uint16_t path_id, net::NodeId broken_from,
                            net::NodeId broken_to);
-  void flush_buffer(net::NodeId dst);
   void source_path_confirmed(net::NodeId dst, std::uint16_t path_id,
                              const PathNodes& nodes, std::uint32_t round,
                              bool switch_allowed);
@@ -165,10 +153,10 @@ class Mts final : public routing::RoutingProtocol {
     return cfg_.check_period * cfg_.freshness_periods;
   }
   [[nodiscard]] SourcePath* fresh_source_path(net::NodeId dst);
-  void purge();
+  /// Purge tick: ages out silent sources and long-stale hop entries.
+  void purge() override;
 
   MtsConfig cfg_;
-  sim::Rng rng_;
   std::uint32_t bcast_id_ = 0;   ///< our RREQ generation counter
   std::uint32_t rrep_id_ = 0;
 
@@ -181,10 +169,7 @@ class Mts final : public routing::RoutingProtocol {
   /// Destination-side flood generations the rate limiter refused: later
   /// copies of a suppressed generation must not re-drain the bucket.
   routing::FloodCache suppressed_gens_;
-  routing::SendBuffer buffer_;
-  std::vector<net::Packet> take_scratch_;  ///< reused by flush paths
   sim::PeriodicTimer check_timer_;
-  sim::PeriodicTimer purge_timer_;
   /// Acked-checking data-plane probes (armed only when the defense asks).
   sim::PeriodicTimer probe_timer_;
 

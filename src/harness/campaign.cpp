@@ -79,7 +79,6 @@ std::string campaign_key(const CampaignConfig& cfg) {
      << cfg.base.channel.cs_range_factor << '|'
      << cfg.base.dsr.cache_expiry.nanoseconds() << '|'
      << cfg.base.aodv.active_route_timeout.nanoseconds() << '|'
-     << cfg.base.aodv.local_repair << '|'
      << cfg.base.secrecy.enabled << ','
      << static_cast<int>(cfg.base.secrecy.key_bytes) << ','
      << cfg.base.secrecy.threshold << '|';

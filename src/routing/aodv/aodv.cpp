@@ -12,18 +12,8 @@ using net::Packet;
 using net::PacketKind;
 
 Aodv::Aodv(RoutingContext ctx, AodvConfig cfg, sim::Rng rng)
-    : RoutingProtocol(std::move(ctx)),
-      cfg_(cfg),
-      rng_(rng),
-      buffer_(cfg.buffer_capacity, cfg.buffer_max_age),
-      purge_timer_(*ctx_.sched, [this] { purge_expired(); },
-                   sim::EventCategory::kRouting) {}
-
-void Aodv::start() {
-  // Small desync so all nodes don't purge on the same tick.
-  purge_timer_.start(cfg_.purge_period,
-                     cfg_.purge_period + sim::Time::seconds(rng_.uniform(0.0, 0.1)));
-}
+    : RoutingProtocol(std::move(ctx), rng, RetryPolicy::kGiveUpAfterThree),
+      cfg_(cfg) {}
 
 // ---------------------------------------------------------------------------
 // Route table.
@@ -87,13 +77,10 @@ void Aodv::refresh(NodeId dst) {
   }
 }
 
-void Aodv::purge_expired() {
+void Aodv::purge() {
   for (auto& [dst, e] : routes_) {
     if (e.valid && e.expires < now()) e.valid = false;
   }
-  buffer_.expire(now(), [this](const Packet& p) {
-    drop(p, net::DropReason::kSendBufferTimeout);
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -111,18 +98,10 @@ void Aodv::send_from_transport(Packet packet) {
     ctx_.mac->enqueue(std::move(packet), e->next_hop);
     return;
   }
-  if (auto evicted = buffer_.push(std::move(packet), now())) {
-    drop(*evicted, net::DropReason::kSendBufferFull);
-  }
-  if (!pending_.contains(dst)) start_discovery(dst);
+  buffer_and_discover(std::move(packet));
 }
 
-void Aodv::start_discovery(NodeId dst) {
-  pending_[dst] = PendingDiscovery{};
-  send_rreq(dst);
-}
-
-void Aodv::send_rreq(NodeId dst) {
+void Aodv::send_rreq(NodeId dst, bool /*first*/) {
   ++seq_;  // RFC 3561 §6.1: increment own seq before an RREQ
   ++rreq_id_;
   AodvRreqHeader h;
@@ -134,51 +113,11 @@ void Aodv::send_rreq(NodeId dst) {
     h.dst_seq = e->dst_seq;
     h.dst_seq_known = true;
   }
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kAodvRreq;
-  common.src = self();
-  common.dst = net::kBroadcastId;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.net_diameter_ttl;
+  Packet p = originate(PacketKind::kAodvRreq, net::kBroadcastId,
+                       cfg_.net_diameter_ttl);
   p.mutable_routing() = h;
   rreq_seen_.check_and_insert(self(), h.rreq_id);  // don't accept our own flood
   send_to_mac(std::move(p), net::kBroadcastId, /*originated_here=*/true);
-
-  auto& pd = pending_[dst];
-  pd.timer = ctx_.sched->schedule_in(cfg_.rrep_wait * (std::int64_t{1} << pd.retries),
-                                     [this, dst] { discovery_timeout(dst); },
-                                     sim::EventCategory::kRouting);
-}
-
-void Aodv::discovery_timeout(NodeId dst) {
-  auto it = pending_.find(dst);
-  if (it == pending_.end()) return;
-  if (it->second.retries + 1 >= cfg_.rreq_retries) {
-    pending_.erase(it);
-    buffer_.take_for(dst, take_scratch_);
-    for (Packet& p : take_scratch_) {
-      drop(p, net::DropReason::kNoRoute);
-    }
-    return;
-  }
-  ++it->second.retries;
-  send_rreq(dst);
-}
-
-void Aodv::flush_buffer(NodeId dst) {
-  if (auto it = pending_.find(dst); it != pending_.end()) {
-    ctx_.sched->cancel(it->second.timer);
-    pending_.erase(it);
-  }
-  RouteEntry* e = find_valid(dst);
-  if (e == nullptr) return;
-  buffer_.take_for(dst, take_scratch_);
-  for (Packet& p : take_scratch_) {
-    refresh(dst);
-    ctx_.mac->enqueue(std::move(p), e->next_hop);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -243,7 +182,7 @@ void Aodv::handle_rreq(Packet&& p, NodeId from) {
   // body is shared by every relay without a clone.
   --p.mutable_hop().ttl;
   p.mutable_hop().hops = hop_count;
-  rebroadcast_jittered(std::move(p), rng_);
+  rebroadcast_jittered(std::move(p));
 }
 
 void Aodv::send_rrep_as_destination(const AodvRreqHeader& req) {
@@ -254,14 +193,7 @@ void Aodv::send_rrep_as_destination(const AodvRreqHeader& req) {
   h.dst = self();
   h.dst_seq = seq_;
   h.lifetime = cfg_.active_route_timeout;
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kAodvRrep;
-  common.src = self();
-  common.dst = req.orig;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.net_diameter_ttl;
+  Packet p = originate(PacketKind::kAodvRrep, req.orig, cfg_.net_diameter_ttl);
   p.mutable_hop().hops = 0;  // hop count: the destination itself
   p.mutable_routing() = h;
   RouteEntry* back = find_valid(req.orig);
@@ -276,14 +208,7 @@ void Aodv::send_rrep_from_route(const AodvRreqHeader& req,
   h.dst = req.dst;
   h.dst_seq = route.dst_seq;
   h.lifetime = route.expires - now();
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kAodvRrep;
-  common.src = self();
-  common.dst = req.orig;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.net_diameter_ttl;
+  Packet p = originate(PacketKind::kAodvRrep, req.orig, cfg_.net_diameter_ttl);
   p.mutable_hop().hops = route.hop_count;  // distance we already know
   p.mutable_routing() = h;
   RouteEntry* back = find_valid(req.orig);
@@ -301,7 +226,7 @@ void Aodv::handle_rrep(Packet&& p, NodeId from) {
     update_route(from, from, 1, 0, false, cfg_.active_route_timeout);
   }
   if (h.orig == self()) {
-    flush_buffer(h.dst);
+    flush(h.dst);
     return;
   }
   const NodeId orig = h.orig;
@@ -363,15 +288,8 @@ void Aodv::handle_data(Packet&& p, NodeId from) {
 void Aodv::send_rerr(AodvRerrHeader::List lost) {
   AodvRerrHeader h;
   h.unreachable = std::move(lost);
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kAodvRerr;
-  common.src = self();
-  common.dst = net::kBroadcastId;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
   // RERRs travel hop by hop, re-issued by each upstream.
-  p.mutable_hop().ttl = 1;
+  Packet p = originate(PacketKind::kAodvRerr, net::kBroadcastId, 1);
   p.mutable_routing() = std::move(h);
   send_to_mac(std::move(p), net::kBroadcastId, /*originated_here=*/true);
 }
@@ -387,11 +305,10 @@ void Aodv::on_link_failure(const Packet& packet, NodeId next_hop) {
       lost.push_back({dst, e.dst_seq});
     }
   }
-  // Rescue the failed frame and everything queued behind it: buffer the
-  // data and re-discover (RFC 3561 §6.12 local repair at intermediates;
-  // plain rediscovery at the source).  Without this, one MAC-level
+  // Rescue the failed frame and everything queued behind it: the source
+  // buffers its own data and re-discovers.  Without this, one MAC-level
   // failure kills a whole in-flight TCP window and stalls Reno for an
-  // RTO — ns-2's AODV repairs locally for exactly this reason.
+  // RTO.
   auto rescue = [this](Packet&& p) {
     if (p.hop().ttl <= 1) {
       drop(p, net::DropReason::kTtlExpired);
@@ -409,16 +326,13 @@ void Aodv::on_link_failure(const Packet& packet, NodeId next_hop) {
       ctx_.mac->enqueue(std::move(p), e->next_hop);
       return;
     }
-    if (p.common().src != self() && !cfg_.local_repair) {
-      // Plain RFC behaviour: intermediates drop; the RERR below tells
-      // the source to re-discover.
+    if (p.common().src != self()) {
+      // Intermediates drop; the RERR below tells the source to
+      // re-discover.
       drop(p, net::DropReason::kNoRoute);
       return;
     }
-    if (auto evicted = buffer_.push(std::move(p), now())) {
-      drop(*evicted, net::DropReason::kSendBufferFull);
-    }
-    if (!pending_.contains(dst)) start_discovery(dst);
+    buffer_and_discover(std::move(p));
   };
   {
     Packet failed = packet;

@@ -5,27 +5,14 @@
 
 #include "routing/flood_cache.hpp"
 #include "routing/protocol.hpp"
-#include "routing/send_buffer.hpp"
-#include "sim/timer.hpp"
 
 namespace mts::routing::aodv {
 
 /// Tunables, at ns-2 / RFC 3561 defaults used by 2005-era MANET studies.
 struct AodvConfig {
   sim::Time active_route_timeout = sim::Time::sec(10);
-  sim::Time rrep_wait = sim::Time::sec(1);     ///< per RREQ attempt
-  std::uint32_t rreq_retries = 3;
   std::uint8_t net_diameter_ttl = 32;
   bool intermediate_reply = true;              ///< reply-from-route (RFC default)
-  /// RFC 3561 §6.12 local repair (optional in the RFC): intermediates
-  /// buffer data hitting a broken link and re-discover the destination
-  /// themselves.  Off by default — the 2005-era ns-2 AODV the paper
-  /// compared against drops + RERRs, and that difference is part of why
-  /// MTS wins Figs. 5/9/11 there.  The ablation benches flip this.
-  bool local_repair = false;
-  std::size_t buffer_capacity = 64;
-  sim::Time buffer_max_age = sim::Time::sec(30);
-  sim::Time purge_period = sim::Time::sec(1);  ///< expired-route sweep
 };
 
 /// Ad hoc On-demand Distance Vector routing (RFC 3561 subset).
@@ -41,7 +28,6 @@ class Aodv final : public RoutingProtocol {
  public:
   Aodv(RoutingContext ctx, AodvConfig cfg, sim::Rng rng);
 
-  void start() override;
   void send_from_transport(net::Packet packet) override;
   void receive_from_mac(net::Packet packet, net::NodeId from) override;
   void on_link_failure(const net::Packet& packet,
@@ -59,27 +45,18 @@ class Aodv final : public RoutingProtocol {
   };
   [[nodiscard]] const RouteEntry* route_to(net::NodeId dst) const;
   [[nodiscard]] std::uint32_t own_seq() const { return seq_; }
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
 
  private:
-  struct PendingDiscovery {
-    std::uint32_t retries = 0;
-    sim::EventId timer = sim::kInvalidEvent;
-  };
-
   void handle_rreq(net::Packet&& p, net::NodeId from);
   void handle_rrep(net::Packet&& p, net::NodeId from);
   void handle_rerr(net::Packet&& p, net::NodeId from);
   void handle_data(net::Packet&& p, net::NodeId from);
 
-  void start_discovery(net::NodeId dst);
-  void send_rreq(net::NodeId dst);
-  void discovery_timeout(net::NodeId dst);
+  void send_rreq(net::NodeId dst, bool first) override;
   void send_rrep_as_destination(const net::AodvRreqHeader& req);
   void send_rrep_from_route(const net::AodvRreqHeader& req,
                             const RouteEntry& route);
   void send_rerr(net::AodvRerrHeader::List lost);
-  void flush_buffer(net::NodeId dst);
 
   /// Installs/updates a route if the new information is fresher (higher
   /// seq) or equally fresh and shorter.  Returns true when updated.
@@ -88,18 +65,14 @@ class Aodv final : public RoutingProtocol {
                     sim::Time lifetime);
   void refresh(net::NodeId dst);
   RouteEntry* find_valid(net::NodeId dst);
-  void purge_expired();
+  /// Purge tick: invalidates expired routes.
+  void purge() override;
 
   AodvConfig cfg_;
-  sim::Rng rng_;
   std::uint32_t seq_ = 0;       ///< own sequence number
   std::uint32_t rreq_id_ = 0;
   std::unordered_map<net::NodeId, RouteEntry> routes_;
-  std::unordered_map<net::NodeId, PendingDiscovery> pending_;
   FloodCache rreq_seen_;
-  SendBuffer buffer_;
-  std::vector<net::Packet> take_scratch_;  ///< reused by flush paths
-  sim::PeriodicTimer purge_timer_;
 };
 
 }  // namespace mts::routing::aodv

@@ -28,24 +28,10 @@ bool has_loop(const net::RouteVec& path) {
 }  // namespace
 
 Dsr::Dsr(RoutingContext ctx, DsrConfig cfg, sim::Rng rng)
-    : RoutingProtocol(std::move(ctx)),
+    : RoutingProtocol(std::move(ctx), rng,
+                      RetryPolicy::kPersistWhileBuffered),
       cfg_(cfg),
-      rng_(rng),
-      cache_(cfg.cache_capacity, cfg.cache_expiry),
-      buffer_(cfg.buffer_capacity, cfg.buffer_max_age),
-      purge_timer_(*ctx_.sched, [this] { purge(); },
-                   sim::EventCategory::kRouting) {}
-
-void Dsr::start() {
-  purge_timer_.start(cfg_.purge_period,
-                     cfg_.purge_period + sim::Time::seconds(rng_.uniform(0.0, 0.1)));
-}
-
-void Dsr::purge() {
-  buffer_.expire(now(), [this](const Packet& p) {
-    drop(p, net::DropReason::kSendBufferTimeout);
-  });
-}
+      cache_(cfg.cache_capacity, cfg.cache_expiry) {}
 
 // ---------------------------------------------------------------------------
 // Sending.
@@ -76,68 +62,20 @@ void Dsr::send_from_transport(Packet packet) {
   // route_and_send consumes the packet only on success; on failure the
   // rvalue reference leaves it intact for buffering.
   if (route_and_send(std::move(packet), /*originated_here=*/true)) return;
-  if (auto evicted = buffer_.push(std::move(packet), now())) {
-    drop(*evicted, net::DropReason::kSendBufferFull);
-  }
-  if (!pending_.contains(dst)) start_discovery(dst);
+  buffer_and_discover(std::move(packet));
 }
 
-void Dsr::start_discovery(NodeId dst) {
-  pending_[dst] = PendingDiscovery{};
-  send_rreq(dst);
-}
-
-void Dsr::send_rreq(NodeId dst) {
+void Dsr::send_rreq(NodeId dst, bool /*first*/) {
   ++rreq_id_;
   DsrRreqHeader h;
   h.rreq_id = rreq_id_;
   h.orig = self();
   h.target = dst;
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kDsrRreq;
-  common.src = self();
-  common.dst = net::kBroadcastId;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.max_route_len;
+  Packet p = originate(PacketKind::kDsrRreq, net::kBroadcastId,
+                       cfg_.max_route_len);
   p.mutable_routing() = h;
   rreq_seen_.check_and_insert(self(), h.rreq_id);
   send_to_mac(std::move(p), net::kBroadcastId, /*originated_here=*/true);
-
-  auto& pd = pending_[dst];
-  sim::Time wait = cfg_.rreq_initial_wait * (std::int64_t{1} << pd.attempts);
-  wait = std::min(wait, cfg_.rreq_max_wait);
-  pd.timer =
-      ctx_.sched->schedule_in(wait, [this, dst] { discovery_timeout(dst); },
-                              sim::EventCategory::kRouting);
-}
-
-void Dsr::discovery_timeout(NodeId dst) {
-  auto it = pending_.find(dst);
-  if (it == pending_.end()) return;
-  ++it->second.attempts;
-  if (!buffer_.has_packet_for(dst)) {
-    // Nothing waiting any more; stop querying.
-    pending_.erase(it);
-    return;
-  }
-  // DSR keeps retrying with exponential backoff while the send buffer
-  // holds packets (the buffer's own age limit bounds this).
-  send_rreq(dst);
-}
-
-void Dsr::flush_buffer(NodeId dst) {
-  if (auto it = pending_.find(dst); it != pending_.end()) {
-    ctx_.sched->cancel(it->second.timer);
-    pending_.erase(it);
-  }
-  buffer_.take_for(dst, take_scratch_);
-  for (Packet& p : take_scratch_) {
-    if (!route_and_send(std::move(p), /*originated_here=*/true)) {
-      drop(p, net::DropReason::kNoRoute);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -204,7 +142,7 @@ void Dsr::handle_rreq(Packet&& p, NodeId from) {
   // from here on; do not use it).
   --p.mutable_hop().ttl;
   p.mutable_header<DsrRreqHeader>().record.push_back(self());
-  rebroadcast_jittered(std::move(p), rng_);
+  rebroadcast_jittered(std::move(p));
 }
 
 void Dsr::reply_as_target(const DsrRreqHeader& h) {
@@ -240,14 +178,7 @@ void Dsr::send_rrep(net::RouteVec full_route) {
   const std::size_t my_idx = static_cast<std::size_t>(me - h.route.begin());
   if (my_idx == 0) return;  // degenerate: we are the orig
   const NodeId next = h.route[my_idx - 1];
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kDsrRrep;
-  common.src = self();
-  common.dst = h.orig;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.max_route_len;
+  Packet p = originate(PacketKind::kDsrRrep, h.orig, cfg_.max_route_len);
   p.mutable_hop().cursor = static_cast<std::uint16_t>(my_idx - 1);
   p.mutable_routing() = std::move(h);
   send_to_mac(std::move(p), next, /*originated_here=*/true);
@@ -266,7 +197,7 @@ void Dsr::handle_rrep(Packet&& p, NodeId from) {
                            h.route.end()),
              now());
   if (h.orig == self()) {
-    flush_buffer(h.target);
+    flush(h.target);
     return;
   }
   if (pos == 0) {
@@ -395,14 +326,7 @@ void Dsr::send_rerr(NodeId notify, NodeId broken_to,
   h.back_path = std::move(back_path);
   if (h.back_path.size() < 2) return;  // nowhere to go
   const NodeId next = h.back_path[1];
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kDsrRerr;
-  common.src = self();
-  common.dst = notify;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.max_route_len;
+  Packet p = originate(PacketKind::kDsrRerr, notify, cfg_.max_route_len);
   p.mutable_hop().cursor = 0;  // back_path index of the reporter
   p.mutable_routing() = std::move(h);
   send_to_mac(std::move(p), next, /*originated_here=*/true);

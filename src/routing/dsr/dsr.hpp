@@ -1,13 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "routing/dsr/route_cache.hpp"
 #include "routing/flood_cache.hpp"
 #include "routing/protocol.hpp"
-#include "routing/send_buffer.hpp"
-#include "sim/timer.hpp"
 
 namespace mts::routing::dsr {
 
@@ -15,14 +12,9 @@ struct DsrConfig {
   std::size_t cache_capacity = 64;
   /// 0 = never expire (ns-2 default; the staleness the paper exploits).
   sim::Time cache_expiry = sim::Time::zero();
-  std::size_t buffer_capacity = 64;
-  sim::Time buffer_max_age = sim::Time::sec(30);
-  sim::Time rreq_initial_wait = sim::Time::ms(500);
-  sim::Time rreq_max_wait = sim::Time::sec(10);  ///< backoff cap
   std::uint8_t max_route_len = 16;
   bool reply_from_cache = true;   ///< intermediate nodes answer RREQs
   std::uint32_t max_salvage = 1;  ///< salvage attempts per packet
-  sim::Time purge_period = sim::Time::sec(1);
 };
 
 /// Dynamic Source Routing (Johnson/Maltz), ns-2 flavoured.
@@ -37,7 +29,6 @@ class Dsr final : public RoutingProtocol {
  public:
   Dsr(RoutingContext ctx, DsrConfig cfg, sim::Rng rng);
 
-  void start() override;
   void send_from_transport(net::Packet packet) override;
   void receive_from_mac(net::Packet packet, net::NodeId from) override;
   void on_link_failure(const net::Packet& packet,
@@ -45,22 +36,14 @@ class Dsr final : public RoutingProtocol {
   [[nodiscard]] const char* name() const override { return "DSR"; }
 
   [[nodiscard]] const RouteCache& cache() const { return cache_; }
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
 
  private:
-  struct PendingDiscovery {
-    std::uint32_t attempts = 0;
-    sim::EventId timer = sim::kInvalidEvent;
-  };
-
   void handle_rreq(net::Packet&& p, net::NodeId from);
   void handle_rrep(net::Packet&& p, net::NodeId from);
   void handle_rerr(net::Packet&& p, net::NodeId from);
   void handle_data(net::Packet&& p, net::NodeId from);
 
-  void start_discovery(net::NodeId dst);
-  void send_rreq(net::NodeId dst);
-  void discovery_timeout(net::NodeId dst);
+  void send_rreq(net::NodeId dst, bool first) override;
   void reply_as_target(const net::DsrRreqHeader& h);
   void reply_from_cache(const net::DsrRreqHeader& h,
                         const net::RouteVec& suffix);
@@ -69,21 +52,14 @@ class Dsr final : public RoutingProtocol {
   void send_rerr(net::NodeId notify, net::NodeId broken_to,
                  net::RouteVec back_path);
   void forward_rerr(net::Packet&& p);
-  void flush_buffer(net::NodeId dst);
   /// Attaches a source route and queues the packet; false if no route.
   bool route_and_send(net::Packet&& p, bool originated_here);
   bool salvage(net::Packet&& p);
-  void purge();
 
   DsrConfig cfg_;
-  sim::Rng rng_;
   std::uint32_t rreq_id_ = 0;
   RouteCache cache_;
   FloodCache rreq_seen_;
-  SendBuffer buffer_;
-  std::vector<net::Packet> take_scratch_;  ///< reused by flush_buffer
-  std::unordered_map<net::NodeId, PendingDiscovery> pending_;
-  sim::PeriodicTimer purge_timer_;
 };
 
 }  // namespace mts::routing::dsr

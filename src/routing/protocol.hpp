@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -9,8 +10,10 @@
 #include "net/packet.hpp"
 #include "net/trace.hpp"
 #include "routing/defense_hooks.hpp"
+#include "routing/send_buffer.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 
 namespace mts::routing {
 
@@ -32,22 +35,41 @@ struct RoutingContext {
   std::function<void(net::Packet&&, net::NodeId prev_hop)> deliver;
 };
 
-/// The contract between a node and its routing protocol.
+/// The contract between a node and its routing protocol, and the
+/// route-discovery core all four on-demand protocols share.
 ///
 /// A protocol receives: packets the local transport wants routed,
 /// packets arriving from the MAC (control or data, addressed here or to
 /// be forwarded), and link-failure signals from the MAC's retry logic.
 /// It emits packets via `ctx.mac->enqueue(...)` and delivers local
 /// traffic via `ctx.deliver`.
+///
+/// Discovery core (the ns-2 scaffolding DSR, AODV, SMR and MTS have in
+/// common): a packet with no route waits in the one `SendBuffer`, one
+/// pending record per destination carries the RREQ retry timer, and a
+/// jittered purge tick ages the buffer.  A protocol supplies what
+/// differs: its RREQ (`send_rreq`), its retry policy, and whatever its
+/// purge tick does beyond ageing the buffer (`purge`).
 class RoutingProtocol {
  public:
-  explicit RoutingProtocol(RoutingContext ctx) : ctx_(std::move(ctx)) {}
+  /// How a discovery that gets no answer is retried.
+  enum class RetryPolicy : std::uint8_t {
+    /// DSR, SMR: wait min(500 ms * 2^n, 10 s) after the n-th RREQ and
+    /// keep querying while anything is buffered for the destination.
+    kPersistWhileBuffered,
+    /// AODV, MTS: wait 1 s * 2^n; after the third RREQ goes unanswered,
+    /// drop what is buffered for the destination as `kNoRoute`.
+    kGiveUpAfterThree,
+  };
+
+  RoutingProtocol(RoutingContext ctx, sim::Rng rng, RetryPolicy retry);
   virtual ~RoutingProtocol() = default;
   RoutingProtocol(const RoutingProtocol&) = delete;
   RoutingProtocol& operator=(const RoutingProtocol&) = delete;
 
-  /// Called once when the simulation starts (arm periodic timers here).
-  virtual void start() {}
+  /// Called once when the simulation starts: arms the purge tick, its
+  /// first firing jittered from the protocol's own stream.
+  virtual void start();
 
   /// Transport-originated packet that needs a route.
   virtual void send_from_transport(net::Packet packet) = 0;
@@ -62,9 +84,53 @@ class RoutingProtocol {
 
   [[nodiscard]] virtual const char* name() const = 0;
 
+  /// Packets waiting in the send buffer for a route.
+  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+
  protected:
+  static constexpr sim::Time kPurgePeriod = sim::Time::sec(1);
+  static constexpr sim::Time kPersistInitialWait = sim::Time::ms(500);
+  static constexpr sim::Time kPersistMaxWait = sim::Time::sec(10);
+  static constexpr sim::Time kGiveUpWait = sim::Time::sec(1);
+  static constexpr std::uint32_t kGiveUpAttempts = 3;
+
   [[nodiscard]] net::NodeId self() const { return ctx_.self; }
   [[nodiscard]] sim::Time now() const { return ctx_.sched->now(); }
+
+  /// Builds and sends one RREQ for `dst`; `first` marks the opening
+  /// query of a discovery (retries pass false).  The core arms the retry
+  /// timer after this returns.
+  virtual void send_rreq(net::NodeId dst, bool first) = 0;
+  /// Purge-tick housekeeping beyond ageing the send buffer.
+  virtual void purge() {}
+
+  /// Buffers a packet that has no route (evicting the oldest as
+  /// `kSendBufferFull` when full) and discovers its destination.
+  void buffer_and_discover(net::Packet packet);
+  /// Starts a discovery for `dst` unless one is already pending.
+  void discover(net::NodeId dst);
+  [[nodiscard]] bool discovering(net::NodeId dst) const {
+    return std::any_of(pending_.begin(), pending_.end(),
+                       [dst](const PendingDiscovery& d) { return d.dst == dst; });
+  }
+  /// A route to `dst` arrived: ends its discovery, then hands everything
+  /// buffered for it back to `send_from_transport`.
+  void flush(net::NodeId dst);
+
+  /// A packet this node originates: kind, src = self, dst, a fresh uid,
+  /// originated = now, and the hop cell's TTL.
+  [[nodiscard]] net::Packet originate(net::PacketKind kind, net::NodeId dst,
+                                      std::uint8_t ttl) {
+    net::Packet p;
+    auto& common = p.mutable_common();
+    common.kind = kind;
+    common.src = self();
+    common.dst = dst;
+    common.uid = ctx_.uids->next();
+    common.originated = now();
+    p.mutable_hop().ttl = ttl;
+    return p;
+  }
 
   /// Queues a packet at the link layer, maintaining the control/data
   /// transmission counters the figures are computed from.
@@ -94,9 +160,9 @@ class RoutingProtocol {
   /// The packet parks in a pooled slot so the deferred event captures
   /// only {this, slot}: a Packet-sized closure would overflow the
   /// scheduler's inline storage and put an allocation on the flood path.
-  void rebroadcast_jittered(net::Packet packet, sim::Rng& rng,
+  void rebroadcast_jittered(net::Packet packet,
                             sim::Time max_jitter = sim::Time::ms(10)) {
-    const sim::Time jitter = max_jitter * rng.uniform();
+    const sim::Time jitter = max_jitter * rng_.uniform();
     std::uint32_t slot;
     if (rebroadcast_free_.empty()) {
       slot = static_cast<std::uint32_t>(rebroadcast_pool_.size());
@@ -137,8 +203,29 @@ class RoutingProtocol {
   }
 
   RoutingContext ctx_;
+  sim::Rng rng_;
 
  private:
+  struct PendingDiscovery {
+    net::NodeId dst = net::kNoNode;
+    std::uint32_t attempts = 0;  ///< RREQs sent before the latest one
+    sim::EventId timer = sim::kInvalidEvent;
+  };
+
+  [[nodiscard]] PendingDiscovery* pending_for(net::NodeId dst);
+  /// Sends the next RREQ for a pending discovery and arms its retry.
+  void query(net::NodeId dst, bool first);
+  void discovery_timeout(net::NodeId dst);
+  /// Forgets a discovery (its timer is fired or already cancelled).
+  void forget(PendingDiscovery& d);
+
+  RetryPolicy retry_;
+  SendBuffer buffer_;
+  std::vector<net::Packet> take_scratch_;  ///< reused by flush and give-up
+  /// In-flight discoveries; a node runs a handful at a time, so a
+  /// linear scan beats hashing.
+  std::vector<PendingDiscovery> pending_;
+  sim::PeriodicTimer purge_timer_;
   /// Parking slots for jitter-deferred rebroadcast packets (see
   /// rebroadcast_jittered); recycled LIFO so header buffers get reused.
   std::vector<net::Packet> rebroadcast_pool_;

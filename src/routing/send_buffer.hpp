@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -13,8 +14,9 @@ namespace mts::routing {
 /// Holds data packets while route discovery runs.
 ///
 /// Mirrors ns-2's DSR "send buffer": bounded capacity, per-packet age
-/// limit, FIFO drop of the oldest when full.  All three on-demand
-/// protocols share it.
+/// limit, FIFO drop of the oldest when full.  The discovery core in
+/// `RoutingProtocol` owns one at the defaults (64 packets, 30 s) for
+/// each of DSR, AODV, SMR and MTS.
 class SendBuffer {
  public:
   explicit SendBuffer(std::size_t capacity = 64,

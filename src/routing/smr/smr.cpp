@@ -41,24 +41,10 @@ bool has_loop(const net::RouteVec& path) {
 }  // namespace
 
 Smr::Smr(RoutingContext ctx, SmrConfig cfg, sim::Rng rng)
-    : RoutingProtocol(std::move(ctx)),
-      cfg_(cfg),
-      rng_(rng),
-      buffer_(cfg.buffer_capacity, cfg.buffer_max_age),
-      purge_timer_(
-          *ctx_.sched,
-          [this] {
-            buffer_.expire(now(), [this](const Packet& p) {
-              drop(p, net::DropReason::kSendBufferTimeout);
-            });
-          },
-          sim::EventCategory::kRouting) {
+    : RoutingProtocol(std::move(ctx), rng,
+                      RetryPolicy::kPersistWhileBuffered),
+      cfg_(cfg) {
   sim::require_config(cfg.route_count >= 1, "SmrConfig: route_count < 1");
-}
-
-void Smr::start() {
-  purge_timer_.start(cfg_.purge_period,
-                     cfg_.purge_period + sim::Time::seconds(rng_.uniform(0.0, 0.1)));
 }
 
 // ---------------------------------------------------------------------------
@@ -97,75 +83,25 @@ void Smr::send_from_transport(Packet packet) {
     ctx_.mac->enqueue(std::move(packet), next_hop);
     return;
   }
-  if (auto evicted = buffer_.push(std::move(packet), now())) {
-    drop(*evicted, net::DropReason::kSendBufferFull);
+  buffer_and_discover(std::move(packet));
+}
+
+void Smr::send_rreq(NodeId dst, bool first) {
+  if (first) {
+    FlowRoutes& fr = flows_[dst];
+    fr.routes.clear();
+    fr.next = 0;
   }
-  if (!flows_[dst].discovering) start_discovery(dst);
-}
-
-void Smr::start_discovery(NodeId dst) {
-  FlowRoutes& fr = flows_[dst];
-  fr.routes.clear();
-  fr.next = 0;
-  fr.discovering = true;
-  fr.attempts = 0;
-  send_rreq(dst);
-}
-
-void Smr::send_rreq(NodeId dst) {
   ++rreq_id_;
   DsrRreqHeader h;
   h.rreq_id = rreq_id_;
   h.orig = self();
   h.target = dst;
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kDsrRreq;
-  common.src = self();
-  common.dst = net::kBroadcastId;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.max_route_len;
+  Packet p = originate(PacketKind::kDsrRreq, net::kBroadcastId,
+                       cfg_.max_route_len);
   p.mutable_routing() = h;
   dup_forwards_[flood_key(self(), h.rreq_id)] = cfg_.max_dup_forwards;
   send_to_mac(std::move(p), net::kBroadcastId, /*originated_here=*/true);
-
-  FlowRoutes& fr = flows_[dst];
-  sim::Time wait = cfg_.rreq_initial_wait * (std::int64_t{1} << fr.attempts);
-  wait = std::min(wait, cfg_.rreq_max_wait);
-  fr.rreq_timer =
-      ctx_.sched->schedule_in(wait, [this, dst] { discovery_timeout(dst); },
-                              sim::EventCategory::kRouting);
-}
-
-void Smr::discovery_timeout(NodeId dst) {
-  auto it = flows_.find(dst);
-  if (it == flows_.end() || !it->second.discovering) return;
-  FlowRoutes& fr = it->second;
-  if (!fr.routes.empty()) {
-    fr.discovering = false;
-    return;
-  }
-  ++fr.attempts;
-  if (!buffer_.has_packet_for(dst)) {
-    fr.discovering = false;
-    return;
-  }
-  send_rreq(dst);
-}
-
-void Smr::flush_buffer(NodeId dst) {
-  auto it = flows_.find(dst);
-  if (it != flows_.end() && it->second.discovering) {
-    ctx_.sched->cancel(it->second.rreq_timer);
-    it->second.discovering = false;
-  }
-  buffer_.take_for(dst, take_scratch_);
-  for (Packet& p : take_scratch_) {
-    if (!stripe_and_send(std::move(p))) {
-      drop(p, net::DropReason::kNoRoute);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -198,7 +134,7 @@ void Smr::handle_rreq(Packet&& p, NodeId from) {
     full.insert(full.end(), h.record.begin(), h.record.end());
     full.push_back(self());
     if (has_loop(full)) return;
-    auto [it, fresh] = pending_.try_emplace(h.orig);
+    auto [it, fresh] = selects_.try_emplace(h.orig);
     PendingSelect& sel = it->second;
     if (sel.suppressed && !fresh && sel.rreq_id == h.rreq_id) {
       return;  // straggler of a rate-limited generation
@@ -280,14 +216,14 @@ void Smr::handle_rreq(Packet&& p, NodeId from) {
   // from here on; do not use it).
   --p.mutable_hop().ttl;
   p.mutable_header<DsrRreqHeader>().record.push_back(self());
-  rebroadcast_jittered(std::move(p), rng_);
+  rebroadcast_jittered(std::move(p));
 }
 
 void Smr::select_second_route(NodeId orig) {
-  auto it = pending_.find(orig);
-  if (it == pending_.end()) return;
+  auto it = selects_.find(orig);
+  if (it == selects_.end()) return;
   PendingSelect sel = std::move(it->second);
-  pending_.erase(it);
+  selects_.erase(it);
   if (sel.candidates.empty()) return;
   // Maximally disjoint from the first: minimize shared interior nodes,
   // break ties by shorter route.
@@ -309,14 +245,7 @@ void Smr::send_rrep_for(net::RouteVec full_route) {
   h.route = std::move(full_route);
   const std::size_t my_idx = h.route.size() - 1;  // we are the target
   const NodeId next = h.route[my_idx - 1];
-  Packet p;
-  auto& common = p.mutable_common();
-  common.kind = PacketKind::kDsrRrep;
-  common.src = self();
-  common.dst = h.orig;
-  common.uid = ctx_.uids->next();
-  common.originated = now();
-  p.mutable_hop().ttl = cfg_.max_route_len;
+  Packet p = originate(PacketKind::kDsrRrep, h.orig, cfg_.max_route_len);
   p.mutable_hop().cursor = static_cast<std::uint16_t>(my_idx - 1);
   p.mutable_routing() = std::move(h);
   send_to_mac(std::move(p), next, /*originated_here=*/true);
@@ -338,7 +267,7 @@ void Smr::handle_rrep(Packet&& p, NodeId from) {
         fr.routes.push_back(h.route);
       }
     }
-    flush_buffer(h.target);
+    flush(h.target);
     return;
   }
   if (pos == 0) {
@@ -412,14 +341,8 @@ void Smr::on_link_failure(const Packet& packet, NodeId next_hop) {
       h.back_path.insert(h.back_path.begin(), self());
       if (h.back_path.size() >= 2) {
         const NodeId next = h.back_path[1];
-        Packet rerr;
-        auto& common = rerr.mutable_common();
-        common.kind = PacketKind::kDsrRerr;
-        common.src = self();
-        common.dst = src;
-        common.uid = ctx_.uids->next();
-        common.originated = now();
-        rerr.mutable_hop().ttl = cfg_.max_route_len;
+        Packet rerr =
+            originate(PacketKind::kDsrRerr, src, cfg_.max_route_len);
         rerr.mutable_hop().cursor = 0;  // back_path index of the reporter
         rerr.mutable_routing() = std::move(h);
         send_to_mac(std::move(rerr), next, /*originated_here=*/true);

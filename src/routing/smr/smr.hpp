@@ -6,8 +6,6 @@
 #include "routing/dsr/route_cache.hpp"
 #include "routing/flood_cache.hpp"
 #include "routing/protocol.hpp"
-#include "routing/send_buffer.hpp"
-#include "sim/timer.hpp"
 
 namespace mts::routing::smr {
 
@@ -21,11 +19,6 @@ struct SmrConfig {
   /// incoming link; this caps how many copies one node re-forwards.
   std::uint32_t max_dup_forwards = 2;
   std::uint8_t max_route_len = 16;
-  std::size_t buffer_capacity = 64;
-  sim::Time buffer_max_age = sim::Time::sec(30);
-  sim::Time rreq_initial_wait = sim::Time::ms(500);
-  sim::Time rreq_max_wait = sim::Time::sec(10);
-  sim::Time purge_period = sim::Time::sec(1);
 };
 
 /// Split Multipath Routing (Lee & Gerla, ICC 2001) — the paper's
@@ -51,7 +44,6 @@ class Smr final : public RoutingProtocol {
  public:
   Smr(RoutingContext ctx, SmrConfig cfg, sim::Rng rng);
 
-  void start() override;
   void send_from_transport(net::Packet packet) override;
   void receive_from_mac(net::Packet packet, net::NodeId from) override;
   void on_link_failure(const net::Packet& packet,
@@ -66,9 +58,6 @@ class Smr final : public RoutingProtocol {
   struct FlowRoutes {
     std::vector<net::RouteVec> routes;             ///< full src..dst paths
     std::uint32_t next = 0;                        ///< round-robin cursor
-    std::uint32_t attempts = 0;
-    sim::EventId rreq_timer = sim::kInvalidEvent;
-    bool discovering = false;
   };
   struct PendingSelect {
     net::RouteVec first;                 ///< route answered immediately
@@ -85,26 +74,19 @@ class Smr final : public RoutingProtocol {
   void handle_rerr(net::Packet&& p, net::NodeId from);
   void handle_data(net::Packet&& p, net::NodeId from);
 
-  void start_discovery(net::NodeId dst);
-  void send_rreq(net::NodeId dst);
-  void discovery_timeout(net::NodeId dst);
+  void send_rreq(net::NodeId dst, bool first) override;
   void select_second_route(net::NodeId orig);
   void send_rrep_for(net::RouteVec full_route);
-  void flush_buffer(net::NodeId dst);
   bool stripe_and_send(net::Packet&& p);
 
   SmrConfig cfg_;
-  sim::Rng rng_;
   std::uint32_t rreq_id_ = 0;
   std::unordered_map<net::NodeId, FlowRoutes> flows_;       ///< as source
-  std::unordered_map<net::NodeId, PendingSelect> pending_;  ///< as dest
+  std::unordered_map<net::NodeId, PendingSelect> selects_;  ///< as dest
   /// (orig, rreq_id) -> how many copies forwarded; incoming links seen.
   std::unordered_map<std::uint64_t, std::uint32_t> dup_forwards_;
   std::unordered_map<std::uint64_t, net::NodeId> first_link_;
   dsr::RouteCache reverse_cache_;  ///< for replying to the peer's data
-  SendBuffer buffer_;
-  std::vector<net::Packet> take_scratch_;  ///< reused by flush_buffer
-  sim::PeriodicTimer purge_timer_;
 };
 
 }  // namespace mts::routing::smr

@@ -154,11 +154,10 @@ TEST(MtsTest, NewDiscoveryFlushesStoredPaths) {
 }
 
 TEST(MtsTest, UnreachableDestinationGivesUp) {
-  MtsConfig cfg;
-  cfg.rrep_wait = sim::Time::ms(100);
-  testing_bench b(Proto::kMts, {{0, 0}, {200, 0}, {5000, 0}}, {}, {}, cfg);
+  // Three RREQs wait 1 + 2 + 4 s before the buffered packet is dropped.
+  testing_bench b(Proto::kMts, {{0, 0}, {200, 0}, {5000, 0}});
   b.send_data(0, 2);
-  b.sched.run_until(sim::Time::sec(5));
+  b.sched.run_until(sim::Time::sec(8));
   EXPECT_TRUE(b.node(2).delivered.empty());
   EXPECT_GT(b.node(0).counters.dropped(net::DropReason::kNoRoute), 0u);
 }

@@ -119,10 +119,6 @@ TEST_F(CampaignCacheTest, KeyChangesWithResultAffectingKnobs) {
   other.speeds = {5, 10};
   EXPECT_NE(campaign_key(base), campaign_key(other));
 
-  other = base;
-  other.base.aodv.local_repair = true;
-  EXPECT_NE(campaign_key(base), campaign_key(other));
-
   EXPECT_EQ(campaign_key(base), campaign_key(tiny()));
 }
 

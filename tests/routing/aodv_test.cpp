@@ -53,12 +53,10 @@ TEST(AodvTest, BuffersUntilRouteFound) {
 }
 
 TEST(AodvTest, UnreachableDestinationDropsAfterRetries) {
-  AodvConfig cfg;
-  cfg.rrep_wait = sim::Time::ms(100);
-  // Node 2 is beyond everyone's range.
-  testing_bench b(Proto::kAodv, {{0, 0}, {200, 0}, {5000, 0}}, cfg);
+  // Node 2 is beyond everyone's range.  Three RREQs wait 1 + 2 + 4 s.
+  testing_bench b(Proto::kAodv, {{0, 0}, {200, 0}, {5000, 0}});
   b.send_data(0, 2);
-  b.sched.run_until(sim::Time::sec(5));
+  b.sched.run_until(sim::Time::sec(8));
   EXPECT_TRUE(b.node(2).delivered.empty());
   EXPECT_EQ(b.protocol<Aodv>(0)->buffered(), 0u);  // gave up, dropped
   EXPECT_GT(b.node(0).counters.dropped(net::DropReason::kNoRoute), 0u);

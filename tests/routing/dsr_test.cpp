@@ -102,12 +102,10 @@ TEST(DsrTest, StaleCacheRouteFailsThenRecovers) {
 }
 
 TEST(DsrTest, UnreachableDestinationGivesUpViaBufferTimeout) {
-  DsrConfig cfg;
-  cfg.buffer_max_age = sim::Time::sec(3);
-  cfg.rreq_initial_wait = sim::Time::ms(200);
-  testing_bench b(Proto::kDsr, {{0, 0}, {200, 0}, {5000, 0}}, {}, cfg);
+  // The packet ages out of the send buffer after 30 s.
+  testing_bench b(Proto::kDsr, {{0, 0}, {200, 0}, {5000, 0}});
   b.send_data(0, 2);
-  b.sched.run_until(sim::Time::sec(10));
+  b.sched.run_until(sim::Time::sec(35));
   EXPECT_TRUE(b.node(2).delivered.empty());
   EXPECT_EQ(b.protocol<Dsr>(0)->buffered(), 0u);
   EXPECT_GT(b.node(0).counters.dropped(net::DropReason::kSendBufferTimeout),
