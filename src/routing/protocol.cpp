@@ -2,6 +2,32 @@
 
 namespace mts::routing {
 
+namespace {
+
+constexpr sim::Time kPurgePeriod = sim::Time::sec(1);
+constexpr sim::Time kPersistInitialWait = sim::Time::ms(500);
+constexpr sim::Time kPersistMaxWait = sim::Time::sec(10);
+constexpr sim::Time kGiveUpWait = sim::Time::sec(1);
+constexpr std::uint32_t kGiveUpAttempts = 3;
+
+/// How long to wait for a reply to the RREQ sent after `attempts`
+/// unanswered ones.
+sim::Time retry_wait(RoutingProtocol::RetryPolicy policy,
+                     std::uint32_t attempts) {
+  if (policy == RoutingProtocol::RetryPolicy::kGiveUpAfterThree) {
+    return kGiveUpWait * (std::int64_t{1} << attempts);
+  }
+  // Double only up to the cap: doubling on regardless overflows int64
+  // nanoseconds once a destination has been queried for ~5 minutes.
+  sim::Time wait = kPersistInitialWait;
+  for (; attempts > 0 && wait < kPersistMaxWait; --attempts) {
+    wait = wait * std::int64_t{2};
+  }
+  return std::min(wait, kPersistMaxWait);
+}
+
+}  // namespace
+
 RoutingProtocol::RoutingProtocol(RoutingContext ctx, sim::Rng rng,
                                  RetryPolicy retry)
     : ctx_(std::move(ctx)),
@@ -52,28 +78,18 @@ void RoutingProtocol::discover(net::NodeId dst) {
 
 void RoutingProtocol::query(net::NodeId dst, bool first) {
   send_rreq(dst, first);
-  // Looked up again: the hook may have grown `pending_`.
+  // Found after the hook runs, so no reference into `pending_` is held
+  // across protocol code.
   PendingDiscovery& d = *pending_for(dst);
-  sim::Time wait;
-  if (retry_ == RetryPolicy::kGiveUpAfterThree) {
-    wait = kGiveUpWait * (std::int64_t{1} << d.attempts);
-  } else {
-    // Double only up to the cap: an unbounded shift overflows after a
-    // few hundred seconds of persisting.
-    wait = kPersistInitialWait;
-    for (std::uint32_t n = d.attempts; n > 0 && wait < kPersistMaxWait; --n) {
-      wait = wait * std::int64_t{2};
-    }
-    wait = std::min(wait, kPersistMaxWait);
-  }
   d.timer = ctx_.sched->schedule_in(
-      wait, [this, dst] { discovery_timeout(dst); },
+      retry_wait(retry_, d.attempts), [this, dst] { discovery_timeout(dst); },
       sim::EventCategory::kRouting);
 }
 
 void RoutingProtocol::discovery_timeout(net::NodeId dst) {
+  // Still pending: only this timeout forgets a discovery without first
+  // cancelling its timer.
   PendingDiscovery* d = pending_for(dst);
-  if (d == nullptr) return;
   if (retry_ == RetryPolicy::kGiveUpAfterThree) {
     if (d->attempts + 1 >= kGiveUpAttempts) {
       forget(*d);
@@ -87,8 +103,7 @@ void RoutingProtocol::discovery_timeout(net::NodeId dst) {
   } else {
     ++d->attempts;
     if (!buffer_.has_packet_for(dst)) {
-      // Nothing waiting any more; stop querying.  The buffer's own age
-      // limit bounds how long a destination is queried.
+      // Nothing waiting any more; stop querying.
       forget(*d);
       return;
     }

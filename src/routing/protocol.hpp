@@ -88,12 +88,6 @@ class RoutingProtocol {
   [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
 
  protected:
-  static constexpr sim::Time kPurgePeriod = sim::Time::sec(1);
-  static constexpr sim::Time kPersistInitialWait = sim::Time::ms(500);
-  static constexpr sim::Time kPersistMaxWait = sim::Time::sec(10);
-  static constexpr sim::Time kGiveUpWait = sim::Time::sec(1);
-  static constexpr std::uint32_t kGiveUpAttempts = 3;
-
   [[nodiscard]] net::NodeId self() const { return ctx_.self; }
   [[nodiscard]] sim::Time now() const { return ctx_.sched->now(); }
 
@@ -110,8 +104,9 @@ class RoutingProtocol {
   /// Starts a discovery for `dst` unless one is already pending.
   void discover(net::NodeId dst);
   [[nodiscard]] bool discovering(net::NodeId dst) const {
-    return std::any_of(pending_.begin(), pending_.end(),
-                       [dst](const PendingDiscovery& d) { return d.dst == dst; });
+    return std::any_of(
+        pending_.begin(), pending_.end(),
+        [dst](const PendingDiscovery& d) { return d.dst == dst; });
   }
   /// A route to `dst` arrived: ends its discovery, then hands everything
   /// buffered for it back to `send_from_transport`.

@@ -398,8 +398,8 @@ class WormholeAttacker final : public PooledAdversary {
   /// legitimate same-uid reappearance: MAC retries and far-end
   /// rebroadcasts are milliseconds, and a packet parked in a routing
   /// send buffer keeps its uid for up to the buffer's 30 s age limit
-  /// (`routing::SendBuffer`) before re-entering the air.  Thirty seconds covers all of those —
-  /// so short-run behaviour is identical to the old unbounded set —
+  /// (`routing::SendBuffer`) before re-entering the air.  Thirty
+  /// seconds covers all of those — so short-run behaviour is identical to the old unbounded set —
   /// while keeping the dedup state bounded by recent tunnel throughput
   /// on long runs instead of growing one entry per packet forever.
   static constexpr sim::Time kUidFreshness = sim::Time::sec(30);
