@@ -137,4 +137,36 @@ inline std::vector<mobility::Vec2> chain(std::size_t n,
   return out;
 }
 
+/// `packet` as the MAC of `route[cursor]` holds it after that node sent
+/// it on along `route`: what a link failure hands back to routing.
+inline net::Packet source_routed(net::Packet packet, net::RouteVec route,
+                                 std::uint16_t cursor) {
+  net::DsrSourceRoute sr;
+  sr.route = std::move(route);
+  packet.mutable_routing() = std::move(sr);
+  packet.mutable_hop().cursor = cursor;
+  return packet;
+}
+
+/// The RERR `back_path.front()` sends when its link to `broken_to` dies:
+/// addressed to `back_path.back()`, travelling `back_path` (reporter
+/// first), as `back_path[1]` receives it.
+inline net::Packet rerr(net::UidSource& uids, net::NodeId broken_to,
+                        net::RouteVec back_path) {
+  net::DsrRerrHeader h;
+  h.notify = back_path.back();
+  h.from = back_path.front();
+  h.to = broken_to;
+  h.back_path = std::move(back_path);
+  net::Packet p;
+  auto& common = p.mutable_common();
+  common.kind = net::PacketKind::kDsrRerr;
+  common.src = h.from;
+  common.dst = h.notify;
+  common.uid = uids.next();
+  p.mutable_hop().cursor = 0;  // back_path index of the reporter
+  p.mutable_routing() = std::move(h);
+  return p;
+}
+
 }  // namespace mts::testing
