@@ -77,7 +77,6 @@ std::string campaign_key(const CampaignConfig& cfg) {
      << cfg.base.mts.freshness_periods << '|'
      << cfg.base.mac.rts_threshold_bytes << '|'
      << cfg.base.channel.cs_range_factor << '|'
-     << cfg.base.dsr.cache_expiry.nanoseconds() << '|'
      << cfg.base.aodv.active_route_timeout.nanoseconds() << '|'
      << cfg.base.secrecy.enabled << ','
      << static_cast<int>(cfg.base.secrecy.key_bytes) << ','

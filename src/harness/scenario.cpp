@@ -6,6 +6,8 @@
 #include "phy/channel.hpp"
 #include "phy/propagation.hpp"
 #include "phy/radio.hpp"
+#include "routing/dsr/dsr.hpp"
+#include "routing/smr/smr.hpp"
 #include "security/eavesdropper.hpp"
 #include "security/relay_census.hpp"
 #include "sim/scheduler.hpp"
@@ -140,7 +142,7 @@ class Simulation {
       switch (cfg_.protocol) {
         case Protocol::kDsr:
           n.routing = std::make_unique<routing::dsr::Dsr>(
-              std::move(ctx), cfg_.dsr, proto_rng.substream(i));
+              std::move(ctx), proto_rng.substream(i));
           break;
         case Protocol::kAodv:
           n.routing = std::make_unique<routing::aodv::Aodv>(
@@ -155,7 +157,7 @@ class Simulation {
         }
         case Protocol::kSmr:
           n.routing = std::make_unique<routing::smr::Smr>(
-              std::move(ctx), cfg_.smr, proto_rng.substream(i));
+              std::move(ctx), proto_rng.substream(i));
           break;
       }
     }

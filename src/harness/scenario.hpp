@@ -7,12 +7,10 @@
 #include "core/mts.hpp"
 #include "mac/mac80211.hpp"
 #include "phy/fading.hpp"
-#include "routing/smr/smr.hpp"
 #include "mobility/trajectory.hpp"
 #include "net/trace.hpp"
 #include "phy/channel.hpp"
 #include "routing/aodv/aodv.hpp"
-#include "routing/dsr/dsr.hpp"
 #include "security/adversary.hpp"
 #include "security/defense/defense.hpp"
 #include "security/keyshare.hpp"
@@ -113,8 +111,6 @@ struct ScenarioConfig {
   mac::MacConfig mac;
   core::MtsConfig mts;
   routing::aodv::AodvConfig aodv;
-  routing::dsr::DsrConfig dsr;
-  routing::smr::SmrConfig smr;
   phy::ChannelConfig channel;
 };
 

@@ -1,14 +1,13 @@
-#include "routing/dsr/route_cache.hpp"
+#include "routing/route_cache.hpp"
 
 #include <algorithm>
 
-namespace mts::routing::dsr {
+namespace mts::routing {
 
 void RouteCache::add(net::RouteVec path, sim::Time now) {
   if (path.size() < 2) return;
   for (auto& e : paths_) {
     if (e.path == path) {
-      e.added = now;
       e.last_used = now;
       return;
     }
@@ -20,14 +19,13 @@ void RouteCache::add(net::RouteVec path, sim::Time now) {
                                 });
     paths_.erase(lru);
   }
-  paths_.push_back(Entry{std::move(path), now, now});
+  paths_.push_back(Entry{std::move(path), now});
 }
 
 std::optional<net::RouteVec> RouteCache::find(net::NodeId dst,
-                                                         sim::Time now) const {
+                                              sim::Time now) const {
   const Entry* best = nullptr;
   for (auto& e : paths_) {
-    if (expired(e, now)) continue;
     if (e.path.back() != dst) {
       // A prefix of a longer path also reaches intermediate nodes.
       auto it = std::find(e.path.begin(), e.path.end(), dst);
@@ -74,4 +72,4 @@ const std::vector<net::RouteVec> RouteCache::snapshot() const {
   return out;
 }
 
-}  // namespace mts::routing::dsr
+}  // namespace mts::routing

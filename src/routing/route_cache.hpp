@@ -8,26 +8,24 @@
 #include "net/node_id.hpp"
 #include "sim/time.hpp"
 
-namespace mts::routing::dsr {
+namespace mts::routing {
 
-/// DSR path cache: full source routes rooted at this node.
+/// Source-route path cache: full routes rooted at this node.
 ///
 /// Deliberately has *no timeout* (the ns-2 DSR default): routes leave
-/// the cache only when a RERR names one of their links.  This is the
-/// property behind the paper's Fig. 10 — at high node speed, cached
-/// routes go stale faster than errors can evict them, and DSR's delivery
-/// rate collapses.  An optional expiry is available for ablations.
+/// the cache only when a RERR or a link failure names one of their
+/// links.  This is the property behind the paper's Fig. 10 — at high
+/// node speed, cached routes go stale faster than errors can evict
+/// them, and DSR's delivery rate collapses.
 class RouteCache {
  public:
-  explicit RouteCache(std::size_t capacity = 64,
-                      sim::Time expiry = sim::Time::zero())
-      : capacity_(capacity), expiry_(expiry) {}
+  explicit RouteCache(std::size_t capacity = 64) : capacity_(capacity) {}
 
   /// Inserts a path (`self .. dst`, endpoints inclusive).  Duplicate
   /// paths refresh; capacity evicts least-recently-used.
   void add(net::RouteVec path, sim::Time now);
 
-  /// Shortest usable cached path to `dst` (self first, dst last).
+  /// Shortest cached path to `dst` (self first, dst last).
   [[nodiscard]] std::optional<net::RouteVec> find(
       net::NodeId dst, sim::Time now) const;
 
@@ -43,16 +41,11 @@ class RouteCache {
  private:
   struct Entry {
     net::RouteVec path;
-    sim::Time added;
     sim::Time last_used;
   };
-  [[nodiscard]] bool expired(const Entry& e, sim::Time now) const {
-    return expiry_ > sim::Time::zero() && now - e.added > expiry_;
-  }
 
   std::size_t capacity_;
-  sim::Time expiry_;
   mutable std::vector<Entry> paths_;
 };
 
-}  // namespace mts::routing::dsr
+}  // namespace mts::routing

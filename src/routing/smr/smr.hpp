@@ -2,24 +2,11 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
-#include "routing/dsr/route_cache.hpp"
-#include "routing/flood_cache.hpp"
-#include "routing/protocol.hpp"
+#include "routing/source_route.hpp"
 
 namespace mts::routing::smr {
-
-struct SmrConfig {
-  /// How long the destination collects RREQ copies before choosing the
-  /// maximally-disjoint second route (Lee & Gerla use a short window).
-  sim::Time select_window = sim::Time::ms(100);
-  /// Number of concurrent routes data is striped over.
-  std::uint32_t route_count = 2;
-  /// A duplicate RREQ is re-forwarded when it arrived over a different
-  /// incoming link; this caps how many copies one node re-forwards.
-  std::uint32_t max_dup_forwards = 2;
-  std::uint8_t max_route_len = 16;
-};
 
 /// Split Multipath Routing (Lee & Gerla, ICC 2001) — the paper's
 /// related-work baseline [6].
@@ -39,15 +26,20 @@ struct SmrConfig {
 /// replies to the copy maximally disjoint from the first; the source
 /// stripes data round-robin over the discovered routes; link failures
 /// prune the affected route (DSR-style RERR back to the source) and the
-/// flow falls back to the surviving route until a re-discovery.
-class Smr final : public RoutingProtocol {
+/// flow falls back to the surviving route until a re-discovery.  The
+/// packet plane is `SourceRouting`'s; this class is SMR's policy.
+class Smr final : public SourceRouting {
  public:
-  Smr(RoutingContext ctx, SmrConfig cfg, sim::Rng rng);
+  /// How long the destination collects RREQ copies before choosing the
+  /// maximally-disjoint second route (Lee & Gerla use a short window).
+  static constexpr sim::Time kSelectWindow = sim::Time::ms(100);
+  /// Number of concurrent routes data is striped over.
+  static constexpr std::uint32_t kRouteCount = 2;
+  /// Duplicate RREQ copies (over a new incoming link) a relay re-forwards.
+  static constexpr std::uint32_t kMaxDupForwards = 2;
 
-  void send_from_transport(net::Packet packet) override;
-  void receive_from_mac(net::Packet packet, net::NodeId from) override;
-  void on_link_failure(const net::Packet& packet,
-                       net::NodeId next_hop) override;
+  using SourceRouting::SourceRouting;
+
   [[nodiscard]] const char* name() const override { return "SMR"; }
 
   /// Routes the source currently stripes over (for tests).
@@ -56,8 +48,8 @@ class Smr final : public RoutingProtocol {
 
  private:
   struct FlowRoutes {
-    std::vector<net::RouteVec> routes;             ///< full src..dst paths
-    std::uint32_t next = 0;                        ///< round-robin cursor
+    std::vector<net::RouteVec> routes;  ///< full src..dst paths
+    std::uint32_t next = 0;             ///< round-robin cursor
   };
   struct PendingSelect {
     net::RouteVec first;                 ///< route answered immediately
@@ -68,25 +60,30 @@ class Smr final : public RoutingProtocol {
     /// same id are ignored without re-draining the origin's bucket.
     bool suppressed = false;
   };
+  /// One RREQ flood this node relayed.
+  struct RelayedFlood {
+    net::NodeId first_link = net::kNoNode;  ///< neighbour of the first copy
+    std::uint32_t budget = 0;               ///< duplicates still re-forwarded
+  };
 
-  void handle_rreq(net::Packet&& p, net::NodeId from);
-  void handle_rrep(net::Packet&& p, net::NodeId from);
-  void handle_rerr(net::Packet&& p, net::NodeId from);
-  void handle_data(net::Packet&& p, net::NodeId from);
+  std::optional<net::RouteVec> route_to(net::NodeId dst) override;
+  void rreq_sent(net::NodeId dst, bool first, std::uint32_t id) override;
+  bool take_rreq(const net::Packet& p, net::NodeId from) override;
+  void learn_rrep(const net::DsrRrepHeader& h, std::size_t pos) override;
+  void learn_rerr(const net::DsrRerrHeader& h) override;
+  void packet_failed(const net::Packet& packet, net::NodeId next_hop) override;
+  void salvage(net::Packet&& p) override;
 
-  void send_rreq(net::NodeId dst, bool first) override;
+  /// The destination's side of a flood: answer the first copy, collect
+  /// the rest for the selection window.
+  void collect(const net::Packet& p);
   void select_second_route(net::NodeId orig);
-  void send_rrep_for(net::RouteVec full_route);
-  bool stripe_and_send(net::Packet&& p);
 
-  SmrConfig cfg_;
-  std::uint32_t rreq_id_ = 0;
   std::unordered_map<net::NodeId, FlowRoutes> flows_;       ///< as source
   std::unordered_map<net::NodeId, PendingSelect> selects_;  ///< as dest
-  /// (orig, rreq_id) -> how many copies forwarded; incoming links seen.
-  std::unordered_map<std::uint64_t, std::uint32_t> dup_forwards_;
-  std::unordered_map<std::uint64_t, net::NodeId> first_link_;
-  dsr::RouteCache reverse_cache_;  ///< for replying to the peer's data
+  /// As relay, by (orig << 32 | rreq_id).  Never pruned: stragglers of
+  /// an origin's older flood can still arrive after its newer one.
+  std::unordered_map<std::uint64_t, RelayedFlood> relayed_;
 };
 
 }  // namespace mts::routing::smr

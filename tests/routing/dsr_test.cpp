@@ -14,7 +14,7 @@ using mts::testing::rerr;
 using mts::testing::source_routed;
 
 TEST(DsrTest, DiscoversSourceRouteAndDelivers) {
-  testing_bench b(Proto::kDsr, chain(4), {}, {});
+  testing_bench b(Proto::kDsr, chain(4));
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(2));
   ASSERT_EQ(b.node(3).delivered.size(), 1u);
@@ -26,7 +26,7 @@ TEST(DsrTest, DiscoversSourceRouteAndDelivers) {
 }
 
 TEST(DsrTest, SourceCachesDiscoveredRoute) {
-  testing_bench b(Proto::kDsr, chain(4), {}, {});
+  testing_bench b(Proto::kDsr, chain(4));
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(2));
   auto r = b.protocol<Dsr>(0)->cache().find(3, b.sched.now());
@@ -35,7 +35,7 @@ TEST(DsrTest, SourceCachesDiscoveredRoute) {
 }
 
 TEST(DsrTest, SecondSendUsesCacheWithoutNewFlood) {
-  testing_bench b(Proto::kDsr, chain(4), {}, {});
+  testing_bench b(Proto::kDsr, chain(4));
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(2));
   const auto ctrl_before = b.node(0).counters.sent_control;
@@ -46,7 +46,7 @@ TEST(DsrTest, SecondSendUsesCacheWithoutNewFlood) {
 }
 
 TEST(DsrTest, DestinationLearnsReverseRouteForAcks) {
-  testing_bench b(Proto::kDsr, chain(4), {}, {});
+  testing_bench b(Proto::kDsr, chain(4));
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(2));
   auto back = b.protocol<Dsr>(3)->cache().find(0, b.sched.now());
@@ -59,7 +59,7 @@ TEST(DsrTest, DestinationLearnsReverseRouteForAcks) {
 }
 
 TEST(DsrTest, IntermediateNodesLearnFromRreqAndRrep) {
-  testing_bench b(Proto::kDsr, chain(4), {}, {});
+  testing_bench b(Proto::kDsr, chain(4));
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(2));
   // Node 1 saw the RREP pass: it knows a suffix route to 3.
@@ -69,10 +69,7 @@ TEST(DsrTest, IntermediateNodesLearnFromRreqAndRrep) {
 }
 
 TEST(DsrTest, ReplyFromCacheAnswersForeignDiscovery) {
-  DsrConfig cfg;
-  cfg.reply_from_cache = true;
-  testing_bench b(Proto::kDsr, {{0, 0}, {200, 0}, {400, 0}, {200, 200}}, {},
-                  cfg);
+  testing_bench b(Proto::kDsr, {{0, 0}, {200, 0}, {400, 0}, {200, 200}});
   // Prime node 1's cache with a route to 2.
   b.send_data(1, 2);
   b.sched.run_until(sim::Time::sec(1));
@@ -170,19 +167,26 @@ TEST(DsrTest, UnreachableDestinationGivesUpViaBufferTimeout) {
             0u);
 }
 
-TEST(DsrTest, RouteLengthCappedByConfig) {
-  DsrConfig cfg;
-  cfg.max_route_len = 3;  // chain of 6 needs 5 hops: discovery must fail
-  testing_bench b(Proto::kDsr, chain(6), {}, cfg);
-  b.send_data(0, 5);
-  b.sched.run_until(sim::Time::sec(5));
-  EXPECT_TRUE(b.node(5).delivered.empty());
+TEST(DsrTest, RouteLengthCappedAtSixteenHops) {
+  // The RREQ leaves with TTL 16 and a 16-node record limit: a 17-node
+  // chain (16 hops) is the longest that discovery still spans.
+  testing_bench fits(Proto::kDsr, chain(17));
+  fits.send_data(0, 16);
+  fits.sched.run_until(sim::Time::sec(10));
+  EXPECT_EQ(fits.node(16).delivered.size(), 1u);
+
+  testing_bench beyond(Proto::kDsr, chain(19));  // 17 relays > the record
+  beyond.send_data(0, 18);
+  beyond.sched.run_until(sim::Time::sec(10));
+  EXPECT_TRUE(beyond.node(18).delivered.empty());
+  EXPECT_GT(beyond.node(16).counters.dropped(net::DropReason::kTtlExpired),
+            0u);
 }
 
 TEST(DsrTest, DataCarriesGrowingHeaderCost) {
   // Source-routed data pays 4 bytes per hop in the header: verify the
   // wire size of the delivered packet reflects the 4-node route.
-  testing_bench b(Proto::kDsr, chain(4), {}, {});
+  testing_bench b(Proto::kDsr, chain(4));
   b.send_data(0, 3, 100);
   b.sched.run_until(sim::Time::sec(2));
   ASSERT_EQ(b.node(3).delivered.size(), 1u);

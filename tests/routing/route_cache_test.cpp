@@ -1,8 +1,8 @@
-#include "routing/dsr/route_cache.hpp"
+#include "routing/route_cache.hpp"
 
 #include <gtest/gtest.h>
 
-namespace mts::routing::dsr {
+namespace mts::routing {
 namespace {
 
 const sim::Time t0 = sim::Time::zero();
@@ -58,25 +58,21 @@ TEST(RouteCacheTest, RemoveLinkIsDirected) {
   EXPECT_TRUE(c.find(2, t0).has_value());
 }
 
-TEST(RouteCacheTest, NoExpiryByDefault) {
-  RouteCache c;  // expiry = 0 => never stale (the paper's DSR)
+TEST(RouteCacheTest, PathsNeverExpire) {
+  RouteCache c;  // the paper's DSR: only RERRs and link failures evict
   c.add({0, 1, 2}, t0);
   EXPECT_TRUE(c.find(2, sim::Time::sec(100000)).has_value());
 }
 
-TEST(RouteCacheTest, OptionalExpiryHidesOldPaths) {
-  RouteCache c(64, sim::Time::sec(30));
-  c.add({0, 1, 2}, t0);
-  EXPECT_TRUE(c.find(2, sim::Time::sec(29)).has_value());
-  EXPECT_FALSE(c.find(2, sim::Time::sec(31)).has_value());
-}
-
 TEST(RouteCacheTest, DuplicateAddRefreshes) {
-  RouteCache c(64, sim::Time::sec(30));
-  c.add({0, 1, 2}, t0);
-  c.add({0, 1, 2}, sim::Time::sec(20));  // refresh
-  EXPECT_TRUE(c.find(2, sim::Time::sec(45)).has_value());
-  EXPECT_EQ(c.size(), 1u);
+  RouteCache c(2);
+  c.add({0, 1}, t0);
+  c.add({0, 2}, sim::Time::sec(1));
+  c.add({0, 1}, sim::Time::sec(2));  // refresh: {0,2} is now the LRU
+  EXPECT_EQ(c.size(), 2u);
+  c.add({0, 3}, sim::Time::sec(3));
+  EXPECT_TRUE(c.find(1, sim::Time::sec(4)).has_value());
+  EXPECT_FALSE(c.find(2, sim::Time::sec(4)).has_value());
 }
 
 TEST(RouteCacheTest, CapacityEvictsLeastRecentlyUsed) {
@@ -97,4 +93,4 @@ TEST(RouteCacheTest, RejectsDegeneratePaths) {
 }
 
 }  // namespace
-}  // namespace mts::routing::dsr
+}  // namespace mts::routing

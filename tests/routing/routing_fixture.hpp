@@ -33,9 +33,7 @@ class RoutingBench {
 
   RoutingBench(Proto proto, std::vector<mobility::Vec2> positions,
                routing::aodv::AodvConfig aodv_cfg = {},
-               routing::dsr::DsrConfig dsr_cfg = {},
-               core::MtsConfig mts_cfg = {},
-               routing::smr::SmrConfig smr_cfg = {}) {
+               core::MtsConfig mts_cfg = {}) {
     prop_ = std::make_unique<phy::UnitDiskPropagation>(250.0);
     channel_ = std::make_unique<phy::Channel>(sched, *prop_);
     nodes_.resize(positions.size());
@@ -63,7 +61,7 @@ class RoutingBench {
           break;
         case Proto::kDsr:
           n.routing = std::make_unique<routing::dsr::Dsr>(
-              std::move(ctx), dsr_cfg, sim::Rng(2000 + i));
+              std::move(ctx), sim::Rng(2000 + i));
           break;
         case Proto::kMts:
           n.routing = std::make_unique<core::Mts>(std::move(ctx), mts_cfg,
@@ -71,7 +69,7 @@ class RoutingBench {
           break;
         case Proto::kSmr:
           n.routing = std::make_unique<routing::smr::Smr>(
-              std::move(ctx), smr_cfg, sim::Rng(2000 + i));
+              std::move(ctx), sim::Rng(2000 + i));
           break;
       }
     }
