@@ -5,10 +5,6 @@ namespace mts::routing::dsr {
 using net::NodeId;
 using net::Packet;
 
-std::optional<net::RouteVec> Dsr::route_to(NodeId dst) {
-  return cache_.find(dst, now());
-}
-
 void Dsr::rreq_sent(NodeId /*dst*/, bool /*first*/, std::uint32_t id) {
   rreq_seen_.check_and_insert(self(), id);
 }
@@ -63,10 +59,6 @@ void Dsr::learn_rerr(const net::DsrRerrHeader& h) {
   // Everyone who sees the RERR prunes the dead link; the notified source
   // re-discovers on its next send.
   cache_.remove_link(h.from, h.to);
-}
-
-void Dsr::packet_failed(const Packet& packet, NodeId /*next_hop*/) {
-  salvage(Packet(packet));
 }
 
 void Dsr::salvage(Packet&& p) {

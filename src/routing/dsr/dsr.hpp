@@ -21,13 +21,11 @@ class Dsr final : public SourceRouting {
   [[nodiscard]] const char* name() const override { return "DSR"; }
 
  private:
-  std::optional<net::RouteVec> route_to(net::NodeId dst) override;
   void rreq_sent(net::NodeId dst, bool first, std::uint32_t id) override;
   bool take_rreq(const net::Packet& p, net::NodeId from) override;
   bool reply_from_cache(const net::DsrRreqHeader& h) override;
   void learn_rrep(const net::DsrRrepHeader& h, std::size_t pos) override;
   void learn_rerr(const net::DsrRerrHeader& h) override;
-  void packet_failed(const net::Packet& packet, net::NodeId next_hop) override;
   void salvage(net::Packet&& p) override;
 
   FloodCache rreq_seen_;

@@ -10,6 +10,14 @@ using net::Packet;
 
 namespace {
 
+/// How long the destination collects RREQ copies before choosing the
+/// maximally-disjoint second route (Lee & Gerla use a short window).
+constexpr sim::Time kSelectWindow = sim::Time::ms(100);
+/// Number of concurrent routes data is striped over.
+constexpr std::uint32_t kRouteCount = 2;
+/// Duplicate RREQ copies (over a new incoming link) a relay re-forwards.
+constexpr std::uint32_t kMaxDupForwards = 2;
+
 /// Number of shared intermediate nodes — the "maximally disjoint"
 /// selection minimizes this against the first route.
 std::size_t overlap(const net::RouteVec& a, const net::RouteVec& b) {
@@ -42,7 +50,7 @@ std::optional<net::RouteVec> Smr::route_to(NodeId dst) {
     return fr.routes[fr.next++ % fr.routes.size()];
   }
   // Sink side: reply along the reversed route of received data.
-  return cache_.find(dst, now());
+  return SourceRouting::route_to(dst);
 }
 
 void Smr::rreq_sent(NodeId dst, bool first, std::uint32_t /*id*/) {

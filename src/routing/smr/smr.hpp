@@ -30,14 +30,6 @@ namespace mts::routing::smr {
 /// packet plane is `SourceRouting`'s; this class is SMR's policy.
 class Smr final : public SourceRouting {
  public:
-  /// How long the destination collects RREQ copies before choosing the
-  /// maximally-disjoint second route (Lee & Gerla use a short window).
-  static constexpr sim::Time kSelectWindow = sim::Time::ms(100);
-  /// Number of concurrent routes data is striped over.
-  static constexpr std::uint32_t kRouteCount = 2;
-  /// Duplicate RREQ copies (over a new incoming link) a relay re-forwards.
-  static constexpr std::uint32_t kMaxDupForwards = 2;
-
   using SourceRouting::SourceRouting;
 
   [[nodiscard]] const char* name() const override { return "SMR"; }
@@ -48,8 +40,8 @@ class Smr final : public SourceRouting {
 
  private:
   struct FlowRoutes {
-    std::vector<net::RouteVec> routes;  ///< full src..dst paths
-    std::uint32_t next = 0;             ///< round-robin cursor
+    std::vector<net::RouteVec> routes;             ///< full src..dst paths
+    std::uint32_t next = 0;                        ///< round-robin cursor
   };
   struct PendingSelect {
     net::RouteVec first;                 ///< route answered immediately

@@ -13,6 +13,9 @@ using net::NodeId;
 using net::Packet;
 using net::PacketKind;
 
+/// Longest RREQ record, and the TTL of every control packet.
+constexpr std::uint8_t kMaxRouteLen = 16;
+
 bool has_loop(const net::RouteVec& path) {
   std::unordered_set<NodeId> seen;
   for (NodeId n : path) {
@@ -40,6 +43,10 @@ void SourceRouting::send_from_transport(Packet packet) {
     return;
   }
   buffer_and_discover(std::move(packet));
+}
+
+std::optional<net::RouteVec> SourceRouting::route_to(NodeId dst) {
+  return cache_.find(dst, now());
 }
 
 void SourceRouting::send_along(Packet&& p, net::RouteVec route,
@@ -230,6 +237,10 @@ void SourceRouting::handle_data(Packet&& p, NodeId from) {
 // ---------------------------------------------------------------------------
 // Link failure.
 // ---------------------------------------------------------------------------
+
+void SourceRouting::packet_failed(const Packet& packet, NodeId /*next_hop*/) {
+  salvage(Packet(packet));
+}
 
 void SourceRouting::on_link_failure(const Packet& packet, NodeId next_hop) {
   cache_.remove_link(self(), next_hop);

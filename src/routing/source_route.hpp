@@ -24,9 +24,6 @@ namespace mts::routing {
 /// failure does to the packets that were heading over the dead link.
 class SourceRouting : public RoutingProtocol {
  public:
-  /// Longest RREQ record, and the TTL of every control packet.
-  static constexpr std::uint8_t kMaxRouteLen = 16;
-
   SourceRouting(RoutingContext ctx, sim::Rng rng);
 
   void send_from_transport(net::Packet packet) final;
@@ -41,8 +38,8 @@ class SourceRouting : public RoutingProtocol {
 
  protected:
   /// Route (self first) for a packet this node originates to `dst`, or
-  /// none to buffer it and discover.
-  virtual std::optional<net::RouteVec> route_to(net::NodeId dst) = 0;
+  /// none to buffer it and discover.  By default, the cache's shortest.
+  virtual std::optional<net::RouteVec> route_to(net::NodeId dst);
   /// This node's RREQ number `id` for `dst` is about to go out.
   virtual void rreq_sent(net::NodeId dst, bool first, std::uint32_t id) = 0;
   /// An RREQ copy from another origin arrived from neighbour `from`.
@@ -58,9 +55,9 @@ class SourceRouting : public RoutingProtocol {
   virtual void learn_rrep(const net::DsrRrepHeader& h, std::size_t pos) = 0;
   /// A RERR arrived (addressed here or passing through).
   virtual void learn_rerr(const net::DsrRerrHeader& h) = 0;
-  /// The MAC gave up on `packet` over the link to `next_hop`.
-  virtual void packet_failed(const net::Packet& packet,
-                             net::NodeId next_hop) = 0;
+  /// The MAC gave up on `packet` over the link to `next_hop`.  By
+  /// default it is salvaged like the packets queued behind it.
+  virtual void packet_failed(const net::Packet& packet, net::NodeId next_hop);
   /// A data packet that was queued behind a broken link.
   virtual void salvage(net::Packet&& p) = 0;
 
