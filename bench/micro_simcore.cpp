@@ -59,16 +59,20 @@ BENCHMARK(BM_SchedulerCancelHeavy)->Arg(10000);
 void BM_SchedulerTimerRearm(benchmark::State& state) {
   // The ACK/RTO/backoff idiom: a member timer is re-armed over and over,
   // firing only rarely relative to how often it is restarted.
+  struct Counter {
+    std::uint64_t fired = 0;
+    void fire() { ++fired; }
+  };
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Scheduler sched;
-    std::uint64_t fired = 0;
-    sim::Timer timer(sched, [&fired] { ++fired; });
+    Counter counter;
+    sim::Timer timer(sched, sim::bind<&Counter::fire>(&counter));
     for (std::size_t i = 0; i < n; ++i) {
       timer.schedule_in(sim::Time::us(100));
     }
     sched.run();
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(counter.fired);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));

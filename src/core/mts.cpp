@@ -32,12 +32,12 @@ NodeId walk_pos(const PathNodes& nodes, NodeId src, NodeId dst,
 
 }  // namespace
 
-Mts::Mts(routing::RoutingContext ctx, MtsConfig cfg, sim::Rng rng)
+Mts::Mts(routing::RoutingContext ctx, const MtsConfig& cfg, sim::Rng rng)
     : RoutingProtocol(std::move(ctx), rng, RetryPolicy::kGiveUpAfterThree),
-      cfg_(cfg),
-      check_timer_(*ctx_.sched, [this] { check_tick(); },
+      cfg_(&cfg),
+      check_timer_(*ctx_.sched, sim::bind<&Mts::check_tick>(this),
                    sim::EventCategory::kRouting),
-      probe_timer_(*ctx_.sched, [this] { probe_tick(); },
+      probe_timer_(*ctx_.sched, sim::bind<&Mts::probe_tick>(this),
                    sim::EventCategory::kRouting) {
   sim::require_config(cfg.max_paths >= 1, "MtsConfig: max_paths < 1");
   sim::require_config(cfg.check_period > sim::Time::zero(),
@@ -48,8 +48,8 @@ Mts::Mts(routing::RoutingContext ctx, MtsConfig cfg, sim::Rng rng)
 
 void Mts::start() {
   // Stagger the first tick per node so destinations never beat in phase.
-  check_timer_.start(cfg_.check_period,
-                     cfg_.check_period * rng_.uniform(0.5, 1.0));
+  check_timer_.start(cfg_->check_period,
+                     cfg_->check_period * rng_.uniform(0.5, 1.0));
   RoutingProtocol::start();  // purge tick: draws its jitter second
   if (ctx_.defense != nullptr) {
     const sim::Time period = ctx_.defense->probe_period();
@@ -122,7 +122,7 @@ Mts::SourcePath* Mts::fresh_source_path(NodeId dst) {
 void Mts::send_from_transport(Packet packet) {
   const NodeId dst = packet.common().dst;
   if (dst == self()) {
-    ctx_.deliver(std::move(packet), self());
+    ctx_.deliver->deliver_local(self(), std::move(packet), self());
     return;
   }
   // Preferred: we are an MTS source for this destination.
@@ -165,7 +165,7 @@ void Mts::send_rreq(NodeId dst, bool first) {
   h.orig = self();
   h.dst = dst;
   Packet p = originate(PacketKind::kMtsRreq, net::kBroadcastId,
-                       cfg_.net_diameter_ttl);
+                       cfg_->net_diameter_ttl);
   p.mutable_routing() = h;
   rreq_seen_.check_and_insert(self(), h.bcast_id);
   send_to_mac(std::move(p), net::kBroadcastId, /*originated_here=*/true);
@@ -249,7 +249,7 @@ void Mts::accept_path_at_destination(NodeId src, PathNodes nodes,
     send_rrep(src, nodes);
     return;
   }
-  if (ds.paths.size() >= cfg_.max_paths) return;
+  if (ds.paths.size() >= cfg_->max_paths) return;
   if (!admissible(ds.paths, nodes, src, self())) return;
   if (ctx_.defense != nullptr &&
       !ctx_.defense->admit_path(src, self(), nodes, now())) {
@@ -267,7 +267,7 @@ void Mts::send_rrep(NodeId src, const PathNodes& nodes) {
   h.hop_count = static_cast<std::uint8_t>(nodes.size() + 1);
   h.nodes = nodes;
   const NodeId next = walk_pos(nodes, src, self(), 1);
-  Packet p = originate(PacketKind::kMtsRrep, src, cfg_.net_diameter_ttl);
+  Packet p = originate(PacketKind::kMtsRrep, src, cfg_->net_diameter_ttl);
   p.mutable_hop().cursor = 1;  // walk position of the first receiver
   p.mutable_routing() = std::move(h);
   send_to_mac(std::move(p), next, /*originated_here=*/true);
@@ -392,7 +392,7 @@ void Mts::check_tick() {
     rng_.shuffle(order.begin(), order.end());
     const net::NodeId source = src;
     for (std::uint16_t pid : order) {
-      const sim::Time jitter = cfg_.check_jitter * rng_.uniform();
+      const sim::Time jitter = cfg_->check_jitter * rng_.uniform();
       ctx_.sched->schedule_in(
           jitter,
           [this, source, pid] {
@@ -416,7 +416,7 @@ void Mts::send_check(NodeId src, DestState& ds, std::uint16_t path_id) {
   h.hop_count = static_cast<std::uint8_t>(ds.paths[path_id].size() + 1);
   h.nodes = ds.paths[path_id];
   const NodeId next = walk_pos(h.nodes, src, self(), 1);
-  Packet p = originate(PacketKind::kMtsCheck, src, cfg_.net_diameter_ttl);
+  Packet p = originate(PacketKind::kMtsCheck, src, cfg_->net_diameter_ttl);
   p.mutable_hop().cursor = 1;  // walk position of the first receiver
   p.mutable_routing() = std::move(h);
   ++checks_sent_;
@@ -463,7 +463,7 @@ void Mts::send_check_error(const MtsCheckHeader& failed,
   if (h.nodes.empty()) return;
   const NodeId next = h.nodes[0];
   Packet p = originate(PacketKind::kMtsCheckError, failed.checker,
-                       cfg_.net_diameter_ttl);
+                       cfg_->net_diameter_ttl);
   p.mutable_hop().cursor = 0;  // return-route index of the reporter
   p.mutable_routing() = std::move(h);
   send_to_mac(std::move(p), next, /*originated_here=*/true);
@@ -523,7 +523,7 @@ void Mts::handle_data(Packet&& p, NodeId from) {
       it->second.last_activity = now();
     }
     trace(net::TraceOp::kDeliver, p);
-    ctx_.deliver(std::move(p), from);
+    ctx_.deliver->deliver_local(self(), std::move(p), from);
     return;
   }
   if (p.hop().ttl <= 1) {
@@ -598,7 +598,7 @@ void Mts::send_probe(NodeId dst, std::uint16_t path_id, const SourcePath& sp) {
   h.probe_id = ++probe_seq_;
   h.echo = false;
   // kTcpData: data-plane camouflage.
-  Packet p = originate(PacketKind::kTcpData, dst, cfg_.net_diameter_ttl);
+  Packet p = originate(PacketKind::kTcpData, dst, cfg_->net_diameter_ttl);
   p.mutable_routing() = h;
   const HopEntry* hop = any_hop(dst, path_id);
   const NodeId next = hop != nullptr ? hop->next_hop : first_hop(sp.nodes, dst);
@@ -626,7 +626,7 @@ void Mts::handle_probe(const MtsProbeHeader& h, NodeId peer) {
   e.path_id = h.path_id;
   e.probe_id = h.probe_id;
   e.echo = true;
-  Packet p = originate(PacketKind::kTcpData, peer, cfg_.net_diameter_ttl);
+  Packet p = originate(PacketKind::kTcpData, peer, cfg_->net_diameter_ttl);
   p.mutable_routing() = e;
   send_to_mac(std::move(p), back->next_hop, /*originated_here=*/true);
 }
@@ -662,7 +662,7 @@ void Mts::send_rerr_to_source(NodeId src, NodeId dst, std::uint16_t path_id,
   h.path_id = path_id;
   h.broken_from = broken_from;
   h.broken_to = broken_to;
-  Packet p = originate(PacketKind::kMtsRerr, src, cfg_.net_diameter_ttl);
+  Packet p = originate(PacketKind::kMtsRerr, src, cfg_->net_diameter_ttl);
   p.mutable_routing() = h;
   send_to_mac(std::move(p), back->next_hop, /*originated_here=*/true);
 }

@@ -50,7 +50,10 @@ struct MtsConfig {
 ///    every stored path (§III-D).
 class Mts final : public routing::RoutingProtocol {
  public:
-  Mts(routing::RoutingContext ctx, MtsConfig cfg, sim::Rng rng);
+  /// `cfg` is shared, not copied: one config serves every node of a run
+  /// and must outlive the protocol.
+  Mts(routing::RoutingContext ctx, const MtsConfig& cfg, sim::Rng rng);
+  Mts(routing::RoutingContext, const MtsConfig&&, sim::Rng) = delete;
 
   void start() override;
   void send_from_transport(net::Packet packet) override;
@@ -150,13 +153,13 @@ class Mts final : public routing::RoutingProtocol {
   [[nodiscard]] const HopEntry* any_hop(net::NodeId final_dst,
                                         std::uint16_t path_id) const;
   [[nodiscard]] sim::Time freshness_limit() const {
-    return cfg_.check_period * cfg_.freshness_periods;
+    return cfg_->check_period * cfg_->freshness_periods;
   }
   [[nodiscard]] SourcePath* fresh_source_path(net::NodeId dst);
   /// Purge tick: ages out silent sources and long-stale hop entries.
   void purge() override;
 
-  MtsConfig cfg_;
+  const MtsConfig* cfg_;
   std::uint32_t bcast_id_ = 0;   ///< our RREQ generation counter
   std::uint32_t rrep_id_ = 0;
 
@@ -181,5 +184,9 @@ class Mts final : public routing::RoutingProtocol {
   std::uint64_t probe_echoes_ = 0;
   std::uint64_t paths_quarantined_ = 0;
 };
+
+static_assert(sizeof(Mts) <= 928,
+              "core::Mts grew: one per node, so per-node state must stay "
+              "small (share the config, bind timers to member functions)");
 
 }  // namespace mts::core

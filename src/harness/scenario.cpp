@@ -41,6 +41,8 @@ namespace {
 /// before anything they reference dies.
 struct Node {
   net::Counters counters;
+  /// An insider attacker: transit data dies between its MAC and routing.
+  bool insider = false;
   std::unique_ptr<phy::Radio> radio;
   std::unique_ptr<mac::Mac80211> mac;
   std::unique_ptr<routing::RoutingProtocol> routing;
@@ -57,7 +59,10 @@ struct Flow {
   std::unique_ptr<tcp::TcpSink> sink;
 };
 
-class Simulation {
+/// Also every node's MAC and delivery listener: each up-call names its
+/// node, so one object serves them all.
+class Simulation final : private mac::MacListener,
+                         private routing::DeliveryListener {
  public:
   explicit Simulation(const ScenarioConfig& cfg, net::TraceHub* trace)
       : cfg_(cfg), master_(cfg.seed), external_trace_(trace) {
@@ -136,9 +141,7 @@ class Simulation {
       ctx.trace = external_trace_;
       ctx.uids = &uids_;
       ctx.defense = defense_.get();
-      ctx.deliver = [this, i](net::Packet&& p, net::NodeId from) {
-        deliver_to_transport(i, std::move(p), from);
-      };
+      ctx.deliver = this;
       switch (cfg_.protocol) {
         case Protocol::kDsr:
           n.routing = std::make_unique<routing::dsr::Dsr>(
@@ -349,35 +352,37 @@ class Simulation {
   void wire() {
     for (net::NodeId i = 0; i < cfg_.node_count; ++i) {
       Node& n = nodes_[i];
-      mac::Mac80211::Callbacks cb;
-      const bool insider =
-          adversary_ != nullptr && adversary_->is_member(i);
-      cb.on_receive = [this, i, insider](net::Packet&& p, net::NodeId from) {
-        // Insider attackers sit between the MAC and the routing layer:
-        // the MAC already ACKed the frame (upstream believes the hop
-        // succeeded), then transit data silently dies here.
-        if (insider && adversary_->absorbs(i, p, sched_.now())) {
-          adversary_->on_absorb(i, p);
-          nodes_[i].counters.drop(net::DropReason::kAdversary);
-          return;
-        }
-        nodes_[i].routing->receive_from_mac(std::move(p), from);
-      };
-      cb.on_unicast_failure = [this, i](const net::Packet& p,
-                                        net::NodeId next_hop) {
-        nodes_[i].routing->on_link_failure(p, next_hop);
-      };
-      if (eavesdropper_ != nullptr && eavesdropper_->node() == i) {
-        cb.on_sniff = [e = eavesdropper_.get()](const phy::Frame& f) {
-          e->on_sniff(f);
-        };
-      }
-      n.mac->set_callbacks(std::move(cb));
+      n.insider = adversary_ != nullptr && adversary_->is_member(i);
+      n.mac->set_listener(
+          this, eavesdropper_ != nullptr && eavesdropper_->node() == i);
     }
   }
 
-  void deliver_to_transport(net::NodeId node, net::Packet&& p,
-                            net::NodeId /*from*/) {
+  void on_mac_receive(net::NodeId i, net::Packet&& p,
+                      net::NodeId from) override {
+    Node& n = nodes_[i];
+    // Insider attackers sit between the MAC and the routing layer: the
+    // MAC already ACKed the frame (upstream believes the hop succeeded),
+    // then transit data silently dies here.
+    if (n.insider && adversary_->absorbs(i, p, sched_.now())) {
+      adversary_->on_absorb(i, p);
+      n.counters.drop(net::DropReason::kAdversary);
+      return;
+    }
+    n.routing->receive_from_mac(std::move(p), from);
+  }
+
+  void on_unicast_failure(net::NodeId i, const net::Packet& p,
+                          net::NodeId next_hop) override {
+    nodes_[i].routing->on_link_failure(p, next_hop);
+  }
+
+  void on_sniff(net::NodeId /*self*/, const phy::Frame& f) override {
+    eavesdropper_->on_sniff(f);
+  }
+
+  void deliver_local(net::NodeId node, net::Packet&& p,
+                     net::NodeId /*from*/) override {
     if (traffic_ != nullptr && traffic_->deliver(node, p)) return;
     Node& n = nodes_[node];
     if (p.common().kind == net::PacketKind::kTcpData) {

@@ -27,6 +27,7 @@ class RxDupCache {
  public:
   /// Records `seq` as the most recent from `from` and reports whether
   /// the frame is a duplicate under the rule above.
+  /// `from` is a transmitter's id, never `kNoNode` (the empty mark).
   bool is_duplicate_and_update(net::NodeId from, std::uint16_t seq,
                                bool retry) {
     ++tick_;
@@ -36,8 +37,8 @@ class RxDupCache {
     std::uint32_t victim_age = 0;
     for (std::uint32_t i = 0; i < kProbe; ++i) {
       Slot& s = slots_[(h + i) & (kSlots - 1)];
-      if (!s.used) {
-        s = Slot{from, seq, tick_, true};
+      if (s.node == net::kNoNode) {
+        s = Slot{from, seq, tick_};
         return false;
       }
       if (s.node == from) {
@@ -52,7 +53,7 @@ class RxDupCache {
         victim = (h + i) & (kSlots - 1);
       }
     }
-    slots_[victim] = Slot{from, seq, tick_, true};  // recycle the stalest
+    slots_[victim] = Slot{from, seq, tick_};  // recycle the stalest
     return false;
   }
 
@@ -61,13 +62,14 @@ class RxDupCache {
     tick_ = 0;
   }
 
-  /// True while `from` still owns a slot (introspection for tests).
+  /// True while `from` still owns a slot (introspection for tests;
+  /// `from` != kNoNode).
   [[nodiscard]] bool contains(net::NodeId from) const {
     const std::uint32_t h =
         (static_cast<std::uint32_t>(from) * 2654435761u) & (kSlots - 1);
     for (std::uint32_t i = 0; i < kProbe; ++i) {
       const Slot& s = slots_[(h + i) & (kSlots - 1)];
-      if (s.used && s.node == from) return true;
+      if (s.node == from) return true;
     }
     return false;
   }
@@ -75,13 +77,17 @@ class RxDupCache {
   static constexpr std::uint32_t kSlots = 64;  ///< power of two
   static constexpr std::uint32_t kProbe = 8;   ///< linear probe window
 
- private:
+  /// One transmitter's entry; `node == kNoNode` marks an empty slot.
   struct Slot {
     net::NodeId node = net::kNoNode;
     std::uint16_t seq = 0;
     std::uint32_t stamp = 0;
-    bool used = false;
   };
+  static_assert(sizeof(Slot) == 12,
+                "RxDupCache::Slot must stay 12 B: 64 of them sit in every "
+                "node's MAC");
+
+ private:
   std::array<Slot, kSlots> slots_{};
   std::uint32_t tick_ = 0;
 };

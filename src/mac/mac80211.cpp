@@ -9,33 +9,24 @@ namespace mts::mac {
 using phy::Frame;
 using phy::FrameType;
 
-Mac80211::Mac80211(sim::Scheduler& sched, phy::Radio& radio, MacConfig cfg,
-                   sim::Rng rng, net::Counters* counters)
+Mac80211::Mac80211(sim::Scheduler& sched, phy::Radio& radio,
+                   const MacConfig& cfg, sim::Rng rng, net::Counters* counters)
     : sched_(&sched),
       radio_(&radio),
-      cfg_(cfg),
-      eifs_(cfg_.sifs + ack_airtime() + cfg_.difs),
+      cfg_(&cfg),
+      eifs_(cfg.sifs + ack_airtime() + cfg.difs),
       rng_(rng),
       counters_(counters),
       queue_(cfg.queue_capacity),
       cw_(cfg.cw_min),
-      access_timer_(sched, [this] { access_timer_fired(); },
+      access_timer_(sched, sim::bind<&Mac80211::access_timer_fired>(this),
                     sim::EventCategory::kMac),
-      response_timer_(
-          sched,
-          [this] {
-            if (state_ == State::kWaitAck || state_ == State::kWaitCts) {
-              retry_or_fail();
-            }
-          },
-          sim::EventCategory::kMac),
-      tx_defer_timer_(
-          sched,
-          [this] {
-            if (!current_.has_value() || radio_->transmitting()) return;
-            send_data_frame();
-          },
-          sim::EventCategory::kMac) {
+      response_timer_(sched,
+                      sim::bind<&Mac80211::response_timer_fired>(this),
+                      sim::EventCategory::kMac),
+      tx_defer_timer_(sched,
+                      sim::bind<&Mac80211::tx_defer_timer_fired>(this),
+                      sim::EventCategory::kMac) {
   sim::require_config(cfg.cw_min > 0 && cfg.cw_max >= cfg.cw_min,
                       "MacConfig: bad contention window");
   sim::require_config(cfg.data_rate_bps > 0 && cfg.basic_rate_bps > 0,
@@ -56,15 +47,16 @@ bool Mac80211::enqueue(net::Packet packet, net::NodeId next_hop) {
 
 std::vector<net::QueueItem> Mac80211::take_queued_for(net::NodeId hop) {
   std::vector<net::QueueItem> out;
-  queue_.drain_next_hop(hop,
-                        [&out](net::QueueItem&& i) { out.push_back(std::move(i)); });
+  queue_.extract_if(
+      [hop](const net::QueueItem& i) { return i.next_hop == hop; },
+      [&out](net::QueueItem&& i) { out.push_back(std::move(i)); });
   return out;
 }
 
 bool Mac80211::uses_rts(const net::QueueItem& item) const {
-  if (cfg_.rts_threshold_bytes == 0) return false;
+  if (cfg_->rts_threshold_bytes == 0) return false;
   if (item.next_hop == net::kBroadcastId) return false;
-  return frame_bytes(item.packet) >= cfg_.rts_threshold_bytes;
+  return frame_bytes(item.packet) >= cfg_->rts_threshold_bytes;
 }
 
 // --------------------------------------------------------------------------
@@ -88,7 +80,7 @@ void Mac80211::kick() {
     }
     current_ = std::move(next);
     retries_ = 0;
-    cw_ = cfg_.cw_min;
+    cw_ = cfg_->cw_min;
   }
   state_ = State::kAccess;
 
@@ -106,7 +98,7 @@ void Mac80211::kick() {
     return;
   }
   const sim::Time idle_start = std::max(radio_->idle_since(), nav_end_);
-  sim::Time difs_end = idle_start + cfg_.difs;
+  sim::Time difs_end = idle_start + cfg_->difs;
   if (const auto garbage = radio_->undecodable_end()) {
     // EIFS (802.11 §9.2.3.4): after an undecodable reception, defer
     // long enough for the frame's possible ACK to complete — the
@@ -128,7 +120,7 @@ void Mac80211::kick() {
   const sim::Time resume = std::max(now, difs_end);
   backoff_countdown_start_ = resume;
   phase_ = AccessPhase::kBackoff;
-  access_timer_.schedule_at(resume + cfg_.slot * std::int64_t{bo_slots_});
+  access_timer_.schedule_at(resume + cfg_->slot * std::int64_t{bo_slots_});
 }
 
 void Mac80211::access_timer_fired() {
@@ -156,13 +148,22 @@ void Mac80211::access_timer_fired() {
   }
 }
 
+void Mac80211::response_timer_fired() {
+  if (state_ == State::kWaitAck || state_ == State::kWaitCts) retry_or_fail();
+}
+
+void Mac80211::tx_defer_timer_fired() {
+  if (!current_.has_value() || radio_->transmitting()) return;
+  send_data_frame();
+}
+
 void Mac80211::on_medium_busy(bool busy) {
   if (busy) {
     if (phase_ == AccessPhase::kBackoff) {
       // Freeze: bank the fully elapsed slots.
       const sim::Time elapsed = sched_->now() - backoff_countdown_start_;
       const auto consumed = static_cast<std::int32_t>(
-          elapsed.nanoseconds() / cfg_.slot.nanoseconds());
+          elapsed.nanoseconds() / cfg_->slot.nanoseconds());
       bo_slots_ = std::max(0, bo_slots_ - consumed);
     }
     if (phase_ != AccessPhase::kNone) {
@@ -185,14 +186,14 @@ void Mac80211::transmit_current() {
     rts.type = FrameType::kRts;
     rts.transmitter = id();
     rts.receiver = current_->next_hop;
-    rts.bytes = cfg_.rts_bytes;
+    rts.bytes = cfg_->rts_bytes;
     // NAV covers CTS + DATA + ACK and the three SIFS gaps.
-    rts.nav = cfg_.sifs * std::int64_t{3} + cts_airtime() +
-              airtime(frame_bytes(current_->packet), cfg_.data_rate_bps) +
+    rts.nav = cfg_->sifs * std::int64_t{3} + cts_airtime() +
+              airtime(frame_bytes(current_->packet), cfg_->data_rate_bps) +
               ack_airtime();
     tx_kind_ = TxKind::kRts;
     state_ = State::kWaitCts;
-    radio_->start_transmit(rts, airtime(cfg_.rts_bytes, cfg_.basic_rate_bps));
+    radio_->start_transmit(rts, airtime(cfg_->rts_bytes, cfg_->basic_rate_bps));
     return;
   }
   send_data_frame();
@@ -208,8 +209,8 @@ void Mac80211::send_data_frame() {
   f.seq = (retries_ > 0) ? tx_seq_ : ++tx_seq_;
   f.retry = retries_ > 0;
   f.payload = current_->packet;
-  const double rate = broadcast ? cfg_.basic_rate_bps : cfg_.data_rate_bps;
-  if (!broadcast) f.nav = cfg_.sifs + ack_airtime();
+  const double rate = broadcast ? cfg_->basic_rate_bps : cfg_->data_rate_bps;
+  if (!broadcast) f.nav = cfg_->sifs + ack_airtime();
   tx_kind_ = broadcast ? TxKind::kBroadcast : TxKind::kData;
   if (!broadcast) state_ = State::kWaitAck;
   radio_->start_transmit(f, airtime(f.bytes, rate));
@@ -225,12 +226,12 @@ void Mac80211::on_tx_done() {
       return;
     case TxKind::kData:
       // Wait for the ACK: SIFS + ACK airtime + slack.
-      response_timer_.schedule_in(cfg_.sifs + ack_airtime() +
-                                  cfg_.timeout_slack);
+      response_timer_.schedule_in(cfg_->sifs + ack_airtime() +
+                                  cfg_->timeout_slack);
       return;
     case TxKind::kRts:
-      response_timer_.schedule_in(cfg_.sifs + cts_airtime() +
-                                  cfg_.timeout_slack);
+      response_timer_.schedule_in(cfg_->sifs + cts_airtime() +
+                                  cfg_->timeout_slack);
       return;
     case TxKind::kResponse:
     case TxKind::kNone:
@@ -242,20 +243,20 @@ void Mac80211::on_tx_done() {
 void Mac80211::retry_or_fail() {
   ++retries_;
   if (counters_ != nullptr) ++counters_->mac_retries;
-  if (retries_ > cfg_.retry_limit) {
+  if (retries_ > cfg_->retry_limit) {
     if (counters_ != nullptr)
       counters_->drop(net::DropReason::kMacRetryExceeded);
     net::QueueItem failed = std::move(*current_);
     current_.reset();
     state_ = State::kIdle;
-    cw_ = cfg_.cw_min;
+    cw_ = cfg_->cw_min;
     draw_backoff();
-    if (cb_.on_unicast_failure)
-      cb_.on_unicast_failure(failed.packet, failed.next_hop);
+    if (listener_ != nullptr)
+      listener_->on_unicast_failure(id(), failed.packet, failed.next_hop);
     kick();
     return;
   }
-  cw_ = std::min((cw_ + 1) * 2 - 1, cfg_.cw_max);
+  cw_ = std::min((cw_ + 1) * 2 - 1, cfg_->cw_max);
   draw_backoff();
   state_ = State::kAccess;
   kick();
@@ -264,7 +265,7 @@ void Mac80211::retry_or_fail() {
 void Mac80211::finish_current() {
   current_.reset();
   state_ = State::kIdle;
-  cw_ = cfg_.cw_min;
+  cw_ = cfg_->cw_min;
   draw_backoff();  // post-transmission backoff
   kick();
 }
@@ -280,8 +281,8 @@ void Mac80211::on_frame(const Frame& f) {
     if (f.nav > sim::Time::zero()) {
       nav_end_ = std::max(nav_end_, sched_->now() + f.nav);
     }
-    if (f.type == FrameType::kData && f.has_payload() && cb_.on_sniff) {
-      cb_.on_sniff(f);
+    if (f.type == FrameType::kData && f.has_payload() && promiscuous_) {
+      listener_->on_sniff(id(), f);
     }
     return;
   }
@@ -301,11 +302,10 @@ void Mac80211::handle_data(const Frame& f) {
       return;
     }
   }
-  if (cb_.on_sniff && f.has_payload()) cb_.on_sniff(f);
-  if (cb_.on_receive && f.has_payload()) {
-    net::Packet copy = f.payload;
-    cb_.on_receive(std::move(copy), f.transmitter);
-  }
+  if (listener_ == nullptr || !f.has_payload()) return;
+  if (promiscuous_) listener_->on_sniff(id(), f);
+  net::Packet copy = f.payload;
+  listener_->on_mac_receive(id(), std::move(copy), f.transmitter);
 }
 
 void Mac80211::handle_ack(const Frame& f) {
@@ -316,8 +316,8 @@ void Mac80211::handle_ack(const Frame& f) {
   net::QueueItem done = std::move(*current_);
   current_.reset();
   state_ = State::kIdle;
-  if (cb_.on_unicast_success)
-    cb_.on_unicast_success(done.packet, done.next_hop);
+  if (listener_ != nullptr)
+    listener_->on_unicast_success(id(), done.packet, done.next_hop);
   finish_current();
 }
 
@@ -334,7 +334,7 @@ void Mac80211::handle_cts(const Frame& f) {
   // DATA follows one SIFS after the CTS; the preallocated member timer
   // replaces a per-exchange closure (only one RTS/CTS exchange can be
   // outstanding — we are its initiator).
-  tx_defer_timer_.schedule_in(cfg_.sifs);
+  tx_defer_timer_.schedule_in(cfg_->sifs);
   state_ = State::kWaitAck;  // send_data_frame keeps kWaitAck
 }
 
@@ -348,11 +348,11 @@ void Mac80211::response_due(const Frame& request) {
   sim::Time nav = sim::Time::zero();
   if (type == FrameType::kCts) {
     // Remaining reservation: the RTS told us how long the exchange runs.
-    nav = request.nav - cfg_.sifs - cts_airtime();
+    nav = request.nav - cfg_->sifs - cts_airtime();
     if (nav < sim::Time::zero()) nav = sim::Time::zero();
   }
   sched_->schedule_in(
-      cfg_.sifs, [this, type, to, nav] { send_response(type, to, nav); },
+      cfg_->sifs, [this, type, to, nav] { send_response(type, to, nav); },
       sim::EventCategory::kMac);
 }
 
@@ -362,13 +362,13 @@ void Mac80211::send_response(FrameType type, net::NodeId to, sim::Time nav) {
   f.type = type;
   f.transmitter = id();
   f.receiver = to;
-  f.bytes = type == FrameType::kAck ? cfg_.ack_bytes : cfg_.cts_bytes;
+  f.bytes = type == FrameType::kAck ? cfg_->ack_bytes : cfg_->cts_bytes;
   f.nav = nav;
   // Responses interrupt any pending access timer implicitly: the radio
   // goes busy, and on_medium_busy(true) freezes the backoff.
   const TxKind saved = tx_kind_;
   tx_kind_ = TxKind::kResponse;
-  radio_->start_transmit(f, airtime(f.bytes, cfg_.basic_rate_bps));
+  radio_->start_transmit(f, airtime(f.bytes, cfg_->basic_rate_bps));
   // If we clobbered a pending data tx marker something is wrong.
   sim::require(saved == TxKind::kNone, "Mac: response while frame on air");
 }

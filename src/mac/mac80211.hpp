@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -40,6 +39,31 @@ struct MacConfig {
   sim::Time timeout_slack = sim::Time::us(30);
 };
 
+/// Up-calls from a node's MAC to the layer above.  One listener may
+/// serve every node of a run: each call names the MAC's own node.
+class MacListener {
+ public:
+  /// A decoded frame addressed to `self` (or broadcast) carried a network
+  /// packet; `from` is the MAC-level transmitter.
+  virtual void on_mac_receive(net::NodeId self, net::Packet&& packet,
+                              net::NodeId from) = 0;
+  /// Unicast abandoned after the retry limit — the routing protocol's
+  /// link-failure signal (paper §III-E "feedback from the MAC layer").
+  virtual void on_unicast_failure(net::NodeId self, const net::Packet& packet,
+                                  net::NodeId next_hop) = 0;
+  /// Unicast acknowledged by the next hop.
+  virtual void on_unicast_success(net::NodeId /*self*/,
+                                  const net::Packet& /*packet*/,
+                                  net::NodeId /*next_hop*/) {}
+  /// Every cleanly decoded DATA frame, regardless of its addressee —
+  /// promiscuous tap for the eavesdropper / relay census.  Called only
+  /// by a MAC whose listener was set with `promiscuous`.
+  virtual void on_sniff(net::NodeId /*self*/, const phy::Frame& /*frame*/) {}
+
+ protected:
+  ~MacListener() = default;
+};
+
 /// IEEE 802.11 DCF over a `phy::Radio`.
 ///
 /// Implements: physical + virtual (NAV) carrier sense, DIFS deferral,
@@ -62,32 +86,25 @@ struct MacConfig {
 /// adaptation — neither of which the paper's 2005 study models either.
 class Mac80211 : private phy::RadioListener {
  public:
-  struct Callbacks {
-    /// A decoded frame addressed to this node (or broadcast) carried a
-    /// network packet; `from` is the MAC-level transmitter.
-    std::function<void(net::Packet&&, net::NodeId from)> on_receive;
-    /// Unicast abandoned after the retry limit — the routing protocol's
-    /// link-failure signal (paper §III-E "feedback from the MAC layer").
-    std::function<void(const net::Packet&, net::NodeId next_hop)>
-        on_unicast_failure;
-    /// Unicast acknowledged by the next hop.
-    std::function<void(const net::Packet&, net::NodeId next_hop)>
-        on_unicast_success;
-    /// Every cleanly decoded DATA frame, regardless of its addressee —
-    /// promiscuous tap for the eavesdropper / relay census.
-    std::function<void(const phy::Frame&)> on_sniff;
-  };
-
-  Mac80211(sim::Scheduler& sched, phy::Radio& radio, MacConfig cfg,
+  /// `cfg` is shared, not copied: one config serves every node of a run
+  /// and must outlive the MAC.
+  Mac80211(sim::Scheduler& sched, phy::Radio& radio, const MacConfig& cfg,
            sim::Rng rng, net::Counters* counters);
+  Mac80211(sim::Scheduler&, phy::Radio&, const MacConfig&&, sim::Rng,
+           net::Counters*) = delete;
 
   Mac80211(const Mac80211&) = delete;
   Mac80211& operator=(const Mac80211&) = delete;
 
-  void set_callbacks(Callbacks cb) { cb_ = std::move(cb); }
+  /// Sets the up-call target (null: decoded packets go nowhere).  A
+  /// `promiscuous` MAC also reports every DATA frame it decodes.
+  void set_listener(MacListener* listener, bool promiscuous = false) {
+    listener_ = listener;
+    promiscuous_ = promiscuous && listener != nullptr;
+  }
 
   [[nodiscard]] net::NodeId id() const { return radio_->id(); }
-  [[nodiscard]] const MacConfig& config() const { return cfg_; }
+  [[nodiscard]] const MacConfig& config() const { return *cfg_; }
 
   /// Hands a packet to the link layer.  Returns false if it was dropped
   /// immediately (queue overflow); a queue drop is counted either way.
@@ -105,7 +122,7 @@ class Mac80211 : private phy::RadioListener {
 
   /// Airtime of a MAC frame of `mac_bytes` total bytes at `rate`.
   [[nodiscard]] sim::Time airtime(std::uint32_t mac_bytes, double rate) const {
-    return cfg_.plcp_overhead +
+    return cfg_->plcp_overhead +
            sim::Time::seconds(static_cast<double>(mac_bytes) * 8.0 / rate);
   }
 
@@ -128,6 +145,8 @@ class Mac80211 : private phy::RadioListener {
   /// that gates transmission may have changed.
   void kick();
   void access_timer_fired();
+  void response_timer_fired();
+  void tx_defer_timer_fired();
   void transmit_current();
   void send_data_frame();
   void send_response(phy::FrameType type, net::NodeId to, sim::Time nav);
@@ -141,29 +160,30 @@ class Mac80211 : private phy::RadioListener {
 
   [[nodiscard]] bool uses_rts(const net::QueueItem& item) const;
   [[nodiscard]] sim::Time ack_airtime() const {
-    return airtime(cfg_.ack_bytes, cfg_.basic_rate_bps);
+    return airtime(cfg_->ack_bytes, cfg_->basic_rate_bps);
   }
   [[nodiscard]] sim::Time cts_airtime() const {
-    return airtime(cfg_.cts_bytes, cfg_.basic_rate_bps);
+    return airtime(cfg_->cts_bytes, cfg_->basic_rate_bps);
   }
   [[nodiscard]] std::uint32_t frame_bytes(const net::Packet& p) const {
-    return p.wire_bytes() + cfg_.data_header_bytes;
+    return p.wire_bytes() + cfg_->data_header_bytes;
   }
 
   sim::Scheduler* sched_;
   phy::Radio* radio_;
-  MacConfig cfg_;
+  const MacConfig* cfg_;
   /// EIFS deferral past an undecodable reception: SIFS + ACK + DIFS.
   sim::Time eifs_;
   sim::Rng rng_;
   net::Counters* counters_;
-  Callbacks cb_;
+  MacListener* listener_ = nullptr;
 
   net::PriQueue queue_;
   std::optional<net::QueueItem> current_;
   State state_ = State::kIdle;
   TxKind tx_kind_ = TxKind::kNone;
   AccessPhase phase_ = AccessPhase::kNone;
+  bool promiscuous_ = false;
 
   std::uint16_t tx_seq_ = 0;
   std::uint32_t retries_ = 0;
@@ -180,5 +200,9 @@ class Mac80211 : private phy::RadioListener {
   /// fixed open-addressed table (no heap on the per-frame path).
   RxDupCache rx_seq_cache_;
 };
+
+static_assert(sizeof(Mac80211) <= 1280,
+              "Mac80211 grew: one per node, so per-node state must stay "
+              "small (share configs, bind timers to member functions)");
 
 }  // namespace mts::mac

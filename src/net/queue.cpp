@@ -13,8 +13,7 @@ std::optional<QueueItem> PriQueue::enqueue(QueueItem item) {
   if (control && !data_.empty()) {
     // Evict the newest data packet; control must get through (it is what
     // will eventually fix whatever is congesting us).
-    QueueItem victim = std::move(data_.back());
-    data_.pop_back();
+    QueueItem victim = data_.pop_back();
     control_.push_back(std::move(item));
     return victim;
   }
@@ -22,52 +21,9 @@ std::optional<QueueItem> PriQueue::enqueue(QueueItem item) {
 }
 
 std::optional<QueueItem> PriQueue::dequeue() {
-  if (!control_.empty()) {
-    QueueItem item = std::move(control_.front());
-    control_.pop_front();
-    return item;
-  }
-  if (!data_.empty()) {
-    QueueItem item = std::move(data_.front());
-    data_.pop_front();
-    return item;
-  }
+  if (!control_.empty()) return control_.pop_front();
+  if (!data_.empty()) return data_.pop_front();
   return std::nullopt;
-}
-
-namespace {
-
-template <typename Pred>
-std::size_t drain_if(std::deque<QueueItem>& q, Pred pred,
-                     const std::function<void(QueueItem&&)>& sink) {
-  std::size_t n = 0;
-  for (auto it = q.begin(); it != q.end();) {
-    if (pred(*it)) {
-      QueueItem item = std::move(*it);
-      it = q.erase(it);
-      ++n;
-      sink(std::move(item));
-    } else {
-      ++it;
-    }
-  }
-  return n;
-}
-
-}  // namespace
-
-std::size_t PriQueue::drain_next_hop(
-    NodeId hop, const std::function<void(QueueItem&&)>& sink) {
-  auto pred = [hop](const QueueItem& i) { return i.next_hop == hop; };
-  return drain_if(control_, pred, sink) + drain_if(data_, pred, sink);
-}
-
-std::size_t PriQueue::drain_dst(NodeId dst,
-                                const std::function<void(QueueItem&&)>& sink) {
-  auto pred = [dst](const QueueItem& i) {
-    return !i.packet.is_control() && i.packet.common().dst == dst;
-  };
-  return drain_if(data_, pred, sink);
 }
 
 }  // namespace mts::net

@@ -1,12 +1,11 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <functional>
 #include <optional>
 
 #include "net/node_id.hpp"
 #include "net/packet.hpp"
+#include "net/ring.hpp"
 
 namespace mts::net {
 
@@ -27,9 +26,13 @@ struct QueueItem {
 ///  * arriving control      -> the *newest data* packet is evicted to
 ///                             make room; if the queue is all control,
 ///                             the arriving packet is dropped.
+///
+/// Both bands are `Ring`s: a queue that never carries a packet never
+/// allocates.
 class PriQueue {
  public:
-  explicit PriQueue(std::size_t capacity = 50) : capacity_(capacity) {}
+  explicit PriQueue(std::size_t capacity = 50)
+      : capacity_(capacity), control_(capacity), data_(capacity) {}
 
   /// Attempts to enqueue.  Returns the packet that was dropped to make
   /// room (which may be the offered one), or nullopt when nothing was
@@ -40,15 +43,13 @@ class PriQueue {
   /// a band.  Returns nullopt when empty.
   std::optional<QueueItem> dequeue();
 
-  /// Removes all queued items whose next hop is `hop`, invoking `sink`
-  /// on each (used when a link is declared broken).  Returns the count.
-  std::size_t drain_next_hop(NodeId hop,
-                             const std::function<void(QueueItem&&)>& sink);
-
-  /// Removes queued *data* items addressed (end-to-end) to `dst`,
-  /// invoking `sink` on each.  Used by DSR salvaging.
-  std::size_t drain_dst(NodeId dst,
-                        const std::function<void(QueueItem&&)>& sink);
+  /// Removes every queued item satisfying `pred` and hands it to `sink`:
+  /// the control band first, then data, each in FIFO order (e.g. every
+  /// item bound for a next hop declared broken).  Returns the count.
+  template <typename Pred, typename Sink>
+  std::size_t extract_if(Pred pred, Sink sink) {
+    return control_.extract_if(pred, sink) + data_.extract_if(pred, sink);
+  }
 
   [[nodiscard]] std::size_t size() const {
     return control_.size() + data_.size();
@@ -57,11 +58,15 @@ class PriQueue {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t control_size() const { return control_.size(); }
   [[nodiscard]] std::size_t data_size() const { return data_.size(); }
+  /// Slots the two bands hold allocated (0 until the first enqueue).
+  [[nodiscard]] std::size_t reserved() const {
+    return control_.capacity() + data_.capacity();
+  }
 
  private:
   std::size_t capacity_;
-  std::deque<QueueItem> control_;
-  std::deque<QueueItem> data_;
+  Ring<QueueItem> control_;
+  Ring<QueueItem> data_;
 };
 
 }  // namespace mts::net

@@ -18,7 +18,7 @@ Radio::Radio(Channel& channel, net::NodeId id)
     : channel_(&channel),
       sched_(&channel.scheduler()),
       id_(id),
-      tx_done_timer_(*sched_, [this] { tx_done(); },
+      tx_done_timer_(*sched_, sim::bind<&Radio::tx_done>(this),
                      sim::EventCategory::kPhy) {
   sim::require(id < channel.node_count(), "Radio: node not attached");
 }

@@ -90,7 +90,7 @@ void Aodv::purge() {
 void Aodv::send_from_transport(Packet packet) {
   const NodeId dst = packet.common().dst;
   if (dst == self()) {
-    ctx_.deliver(std::move(packet), self());
+    ctx_.deliver->deliver_local(self(), std::move(packet), self());
     return;
   }
   if (RouteEntry* e = find_valid(dst)) {
@@ -265,7 +265,7 @@ void Aodv::handle_data(Packet&& p, NodeId from) {
   if (from != p.common().src) refresh(from);
   if (p.common().dst == self()) {
     trace(net::TraceOp::kDeliver, p);
-    ctx_.deliver(std::move(p), from);
+    ctx_.deliver->deliver_local(self(), std::move(p), from);
     return;
   }
   if (p.hop().ttl <= 1) {

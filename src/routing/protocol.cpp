@@ -33,15 +33,16 @@ RoutingProtocol::RoutingProtocol(RoutingContext ctx, sim::Rng rng,
     : ctx_(std::move(ctx)),
       rng_(rng),
       retry_(retry),
-      purge_timer_(
-          *ctx_.sched,
-          [this] {
-            buffer_.expire(now(), [this](const net::Packet& p) {
-              drop(p, net::DropReason::kSendBufferTimeout);
-            });
-            purge();
-          },
-          sim::EventCategory::kRouting) {}
+      purge_timer_(*ctx_.sched,
+                   sim::bind<&RoutingProtocol::purge_tick>(this),
+                   sim::EventCategory::kRouting) {}
+
+void RoutingProtocol::purge_tick() {
+  buffer_.expire(now(), [this](const net::Packet& p) {
+    drop(p, net::DropReason::kSendBufferTimeout);
+  });
+  purge();
+}
 
 void RoutingProtocol::start() {
   // Small desync so all nodes don't purge on the same tick.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mac/mac80211.hpp"
@@ -17,6 +16,18 @@
 
 namespace mts::routing {
 
+/// Receives packets whose final destination is the node that routed
+/// them.  One listener may serve every node of a run.
+class DeliveryListener {
+ public:
+  /// Hands `packet`, addressed to `self`, to the local transport agent.
+  virtual void deliver_local(net::NodeId self, net::Packet&& packet,
+                             net::NodeId prev_hop) = 0;
+
+ protected:
+  ~DeliveryListener() = default;
+};
+
 /// Everything a routing protocol instance needs from its host node.
 /// Plain pointers: the harness guarantees the node outlives its protocol.
 struct RoutingContext {
@@ -30,9 +41,8 @@ struct RoutingContext {
   /// Protocols consult it for RREQ admission, path admission, and —
   /// MTS only — data-plane probe cadence and verdicts.
   DefenseHooks* defense = nullptr;
-  /// Hands a packet whose final destination is this node to the local
-  /// transport agent.
-  std::function<void(net::Packet&&, net::NodeId prev_hop)> deliver;
+  /// Takes the packets whose final destination is this node.
+  DeliveryListener* deliver = nullptr;
 };
 
 /// The contract between a node and its routing protocol, and the
@@ -42,7 +52,7 @@ struct RoutingContext {
 /// packets arriving from the MAC (control or data, addressed here or to
 /// be forwarded), and link-failure signals from the MAC's retry logic.
 /// It emits packets via `ctx.mac->enqueue(...)` and delivers local
-/// traffic via `ctx.deliver`.
+/// traffic via `ctx.deliver` (`deliver_local`).
 ///
 /// Discovery core (the ns-2 scaffolding DSR, AODV, SMR and MTS have in
 /// common): a packet with no route waits in the one `SendBuffer`, one
@@ -208,6 +218,8 @@ class RoutingProtocol {
   };
 
   [[nodiscard]] PendingDiscovery* pending_for(net::NodeId dst);
+  /// Purge tick: ages the send buffer, then the protocol's `purge`.
+  void purge_tick();
   /// Sends the next RREQ for a pending discovery and arms its retry.
   void query(net::NodeId dst, bool first);
   void discovery_timeout(net::NodeId dst);

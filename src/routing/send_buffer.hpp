@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/ring.hpp"
 #include "sim/time.hpp"
 
 namespace mts::routing {
@@ -16,19 +16,19 @@ namespace mts::routing {
 /// Mirrors ns-2's DSR "send buffer": bounded capacity, per-packet age
 /// limit, FIFO drop of the oldest when full.  The discovery core in
 /// `RoutingProtocol` owns one at the defaults (64 packets, 30 s) for
-/// each of DSR, AODV, SMR and MTS.
+/// each of DSR, AODV, SMR and MTS.  The entries live in a `Ring`, so a
+/// node that never waits for a route never allocates one.
 class SendBuffer {
  public:
   explicit SendBuffer(std::size_t capacity = 64,
                       sim::Time max_age = sim::Time::sec(30))
-      : capacity_(capacity), max_age_(max_age) {}
+      : capacity_(capacity), max_age_(max_age), entries_(capacity) {}
 
   /// Adds a packet; returns the evicted oldest packet when full.
   std::optional<net::Packet> push(net::Packet p, sim::Time now) {
     std::optional<net::Packet> evicted;
     if (entries_.size() >= capacity_) {
-      evicted = std::move(entries_.front().packet);
-      entries_.pop_front();
+      evicted = entries_.pop_front().packet;
     }
     entries_.push_back(Entry{std::move(p), now});
     return evicted;
@@ -40,34 +40,30 @@ class SendBuffer {
   /// returning a fresh vector each time would allocate on that path.
   void take_for(net::NodeId dst, std::vector<net::Packet>& out) {
     out.clear();
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->packet.common().dst == dst) {
-        out.push_back(std::move(it->packet));
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    entries_.extract_if(
+        [dst](const Entry& e) { return e.packet.common().dst == dst; },
+        [&out](Entry&& e) { out.push_back(std::move(e.packet)); });
   }
 
   /// Drops packets older than the age limit, reporting each.
   void expire(sim::Time now,
               const std::function<void(const net::Packet&)>& on_expired) {
     while (!entries_.empty() && now - entries_.front().queued_at > max_age_) {
-      on_expired(entries_.front().packet);
-      entries_.pop_front();
+      on_expired(entries_.pop_front().packet);
     }
   }
 
   [[nodiscard]] bool has_packet_for(net::NodeId dst) const {
-    for (const auto& e : entries_) {
-      if (e.packet.common().dst == dst) return true;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].packet.common().dst == dst) return true;
     }
     return false;
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
+  /// Entry slots allocated (0 until the first push).
+  [[nodiscard]] std::size_t reserved() const { return entries_.capacity(); }
 
  private:
   struct Entry {
@@ -76,7 +72,7 @@ class SendBuffer {
   };
   std::size_t capacity_;
   sim::Time max_age_;
-  std::deque<Entry> entries_;
+  net::Ring<Entry> entries_;
 };
 
 }  // namespace mts::routing

@@ -35,7 +35,7 @@ SourceRouting::SourceRouting(RoutingContext ctx, sim::Rng rng)
 void SourceRouting::send_from_transport(Packet packet) {
   const NodeId dst = packet.common().dst;
   if (dst == self()) {
-    ctx_.deliver(std::move(packet), self());
+    ctx_.deliver->deliver_local(self(), std::move(packet), self());
     return;
   }
   if (auto route = route_to(dst)) {
@@ -209,7 +209,7 @@ void SourceRouting::handle_data(Packet&& p, NodeId from) {
       cache_.add(net::RouteVec(sr->route.rbegin(), sr->route.rend()), now());
     }
     trace(net::TraceOp::kDeliver, p);
-    ctx_.deliver(std::move(p), from);
+    ctx_.deliver->deliver_local(self(), std::move(p), from);
     return;
   }
   if (sr == nullptr) {

@@ -1,43 +1,38 @@
 #pragma once
 
-#include <utility>
-
 #include "sim/scheduler.hpp"
 
 namespace mts::sim {
 
-/// RAII one-shot timer bound to a fixed callback.
-///
-/// Protocol modules own Timers as members; destruction cancels any
-/// pending expiry, so a dying node can never fire a dangling callback.
-///
-/// The timer is intrusive in the scheduler's event pool: re-arming an
-/// armed timer *moves* its existing heap entry (Scheduler::reschedule)
-/// instead of cancelling and building a fresh closure — the hot
-/// "restart the timeout" idiom in the MAC (backoff freezes, ACK/CTS
-/// timeouts) and TCP (RTO restarts) costs two heap sifts and nothing
-/// else.  The expiry closure itself is a `this` capture, built at most
-/// once per arming cycle and stored inline in the event slot.
-class Timer {
+/// A member function of a timer's owner, held as an `{owner, thunk}`
+/// pair: two pointers, no stored closure.  Made by `bind`.
+struct Callback {
+  void* owner = nullptr;
+  void (*thunk)(void*) = nullptr;
+
+  void operator()() const { thunk(owner); }
+};
+
+/// Binds `Method` (a `void()` member function) to `owner`:
+///   sim::bind<&Mac80211::access_timer_fired>(this)
+template <auto Method, typename Owner>
+[[nodiscard]] Callback bind(Owner* owner) {
+  return Callback{owner,
+                  [](void* o) { (static_cast<Owner*>(o)->*Method)(); }};
+}
+
+namespace detail {
+
+/// What one-shot and periodic timers share: the scheduler, the owner's
+/// callback, the pending event and its category.  Destruction cancels
+/// any pending expiry, so a dying owner can never be called back.
+class TimerBase {
  public:
-  Timer(Scheduler& sched, EventFn on_expire,
-        EventCategory cat = EventCategory::kOther)
-      : sched_(&sched), on_expire_(std::move(on_expire)), cat_(cat) {}
-
-  ~Timer() { cancel(); }
-  Timer(const Timer&) = delete;
-  Timer& operator=(const Timer&) = delete;
-
-  /// Arms (or re-arms) the timer to fire `delay` from now.
-  void schedule_in(Time delay) { schedule_at(sched_->now() + delay); }
-
-  /// Arms (or re-arms) the timer to fire at absolute time `t`.  A
-  /// re-arm orders among same-tick events exactly like a fresh
-  /// schedule (it draws a new sequence number).
-  void schedule_at(Time t) {
-    if (id_ != kInvalidEvent && sched_->reschedule(id_, t)) return;
-    id_ = sched_->schedule_at(t, [this] { fire(); }, cat_);
-  }
+  TimerBase(Scheduler& sched, Callback cb, EventCategory cat)
+      : sched_(&sched), cb_(cb), cat_(cat) {}
+  ~TimerBase() { cancel(); }
+  TimerBase(const TimerBase&) = delete;
+  TimerBase& operator=(const TimerBase&) = delete;
 
   /// Disarms; no-op if not pending.
   void cancel() {
@@ -47,32 +42,76 @@ class Timer {
     }
   }
 
+ protected:
+  /// Arms (or re-arms) the expiry at `t`.  A re-arm *moves* the existing
+  /// heap entry (Scheduler::reschedule) and keeps its closure; only a
+  /// fresh arming stores `on_fire`, a `this` capture that lives inline
+  /// in the event slot.  Either way the expiry orders among same-tick
+  /// events exactly like a fresh schedule (it draws a new sequence
+  /// number).
+  template <typename F>
+  void arm_at(Time t, F on_fire) {
+    if (id_ != kInvalidEvent && sched_->reschedule(id_, t)) return;
+    id_ = sched_->schedule_at(t, on_fire, cat_);
+  }
+
+  Scheduler* sched_;
+  Callback cb_;
+  EventId id_ = kInvalidEvent;
+  EventCategory cat_;
+};
+
+}  // namespace detail
+
+/// RAII one-shot timer bound to a member function of its owner.
+///
+/// Protocol modules own Timers as members; destruction cancels any
+/// pending expiry.  Re-arming an armed timer moves its heap entry — the
+/// hot "restart the timeout" idiom in the MAC (backoff freezes, ACK/CTS
+/// timeouts) and TCP (RTO restarts) costs two heap sifts and nothing
+/// else.
+class Timer : private detail::TimerBase {
+ public:
+  Timer(Scheduler& sched, Callback on_expire,
+        EventCategory cat = EventCategory::kOther)
+      : TimerBase(sched, on_expire, cat) {}
+
+  using TimerBase::cancel;
+
+  /// Arms (or re-arms) the timer to fire `delay` from now.
+  void schedule_in(Time delay) { schedule_at(sched_->now() + delay); }
+
+  /// Arms (or re-arms) the timer to fire at absolute time `t`.
+  void schedule_at(Time t) {
+    arm_at(t, [this] { fire(); });
+  }
+
   [[nodiscard]] bool is_pending() const { return id_ != kInvalidEvent; }
 
  private:
   void fire() {
     id_ = kInvalidEvent;  // not pending inside the callback; re-arm works
-    on_expire_();
+    cb_();
   }
-
-  Scheduler* sched_;
-  EventFn on_expire_;
-  EventId id_ = kInvalidEvent;
-  EventCategory cat_;
 };
 
-/// Periodic timer: fires every `period` until cancelled.  The first
+static_assert(sizeof(Timer) <= 40,
+              "sim::Timer grew: it is one per MAC, radio, TCP agent and "
+              "session, so keep it to the scheduler, the owner callback, "
+              "the event id and the category");
+
+/// Periodic timer: fires every `period` until stopped.  The first
 /// firing is one period after start() (plus optional initial jitter).
-class PeriodicTimer {
+class PeriodicTimer : private detail::TimerBase {
  public:
-  PeriodicTimer(Scheduler& sched, EventFn on_tick,
+  PeriodicTimer(Scheduler& sched, Callback on_tick,
                 EventCategory cat = EventCategory::kOther)
-      : timer_(sched, [this] { tick(); }, cat), on_tick_(std::move(on_tick)) {}
+      : TimerBase(sched, on_tick, cat) {}
 
   void start(Time period, Time initial_delay) {
     require(period > Time::zero(), "PeriodicTimer: period must be positive");
     period_ = period;
-    timer_.schedule_in(initial_delay);
+    arm_at(sched_->now() + initial_delay, [this] { tick(); });
   }
   void start(Time period) { start(period, period); }
 
@@ -81,18 +120,21 @@ class PeriodicTimer {
     period_ = period;
   }
 
-  void stop() { timer_.cancel(); }
-  [[nodiscard]] bool is_running() const { return timer_.is_pending(); }
+  void stop() { cancel(); }
+  [[nodiscard]] bool is_running() const { return id_ != kInvalidEvent; }
 
  private:
   void tick() {
-    timer_.schedule_in(period_);  // re-arm first: on_tick_ may stop()
-    on_tick_();
+    // Re-arm first: the callback may stop().
+    id_ = sched_->schedule_at(sched_->now() + period_, [this] { tick(); },
+                              cat_);
+    cb_();
   }
 
-  Timer timer_;
-  EventFn on_tick_;
   Time period_ = Time::sec(1);
 };
+
+static_assert(sizeof(PeriodicTimer) <= 48,
+              "sim::PeriodicTimer grew past one Timer plus its period");
 
 }  // namespace mts::sim

@@ -30,8 +30,9 @@ TcpSource::TcpSource(sim::Scheduler& sched, SendFn send, net::NodeId self,
       stats_(stats),
       ssthresh_(cfg.max_window),
       rtt_(cfg_),
-      rto_timer_(sched, [this] { on_rto(); }, sim::EventCategory::kTransport),
-      start_timer_(sched, [this] { send_window(); },
+      rto_timer_(sched, sim::bind<&TcpSource::on_rto>(this),
+                 sim::EventCategory::kTransport),
+      start_timer_(sched, sim::bind<&TcpSource::send_window>(this),
                    sim::EventCategory::kTransport) {
   sim::require_config(cfg.segment_bytes > 0, "TcpConfig: segment_bytes == 0");
   sim::require_config(cfg.max_window >= 2, "TcpConfig: max_window < 2");

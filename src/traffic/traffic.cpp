@@ -66,10 +66,16 @@ sim::Time ArrivalProcess::next_after(sim::Time t) {
 /// think time elapses, so the completion callback never destroys the
 /// TcpSource from inside its own ACK processing.
 struct TrafficPlane::Session {
-  Session(TrafficPlane* plane, std::size_t slot, sim::Scheduler& sched)
-      : think(
-            sched, [plane, slot] { plane->advance(slot); },
-            sim::EventCategory::kTransport) {}
+  Session(TrafficPlane* owner, std::size_t index, sim::Scheduler& sched)
+      : plane(owner),
+        slot(index),
+        think(sched, sim::bind<&Session::on_think>(this),
+              sim::EventCategory::kTransport) {}
+
+  void on_think() { plane->advance(slot); }
+
+  TrafficPlane* plane;
+  std::size_t slot;
 
   UserClass cls = UserClass::kMessaging;
   net::NodeId gateway = 0;
@@ -113,9 +119,8 @@ TrafficPlane::TrafficPlane(const TrafficSpec& spec, TrafficContext ctx,
       rng_(rng.substream("sessions")),
       arrivals_(spec.session_rate, spec.diurnal, spec.diurnal_bucket,
                 rng.substream("arrivals")),
-      arrival_timer_(
-          *ctx_.sched, [this] { on_arrival(); },
-          sim::EventCategory::kTransport),
+      arrival_timer_(*ctx_.sched, sim::bind<&TrafficPlane::on_arrival>(this),
+                     sim::EventCategory::kTransport),
       next_fresh_id_(ctx_.first_flow_id) {
   sim::require_config(ctx_.sched != nullptr && ctx_.uids != nullptr &&
                           ctx_.send != nullptr && ctx_.counters_of != nullptr,

@@ -186,14 +186,14 @@ TEST(MtsTest, ConfigValidation) {
   phy::Channel channel(sched, prop);
   channel.attach(mobility::Trajectory(mobility::Vec2{0, 0}));
   phy::Radio radio(channel, 0);
-  mac::Mac80211 mac(sched, radio, {}, sim::Rng(1), &c);
+  const mac::MacConfig mac_cfg;
+  mac::Mac80211 mac(sched, radio, mac_cfg, sim::Rng(1), &c);
   routing::RoutingContext ctx;
   ctx.self = 0;
   ctx.sched = &sched;
   ctx.mac = &mac;
   ctx.counters = &c;
   ctx.uids = &uids;
-  ctx.deliver = [](net::Packet&&, net::NodeId) {};
   EXPECT_THROW(Mts(std::move(ctx), bad, sim::Rng(1)), sim::ConfigError);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -11,13 +12,16 @@
 namespace mts::mac {
 namespace {
 
-/// A small bench of full MAC stacks over a real channel.
-class MacTest : public ::testing::Test {
+/// A small bench of full MAC stacks over a real channel.  The fixture
+/// is every station's (promiscuous) MAC listener.
+class MacTest : public ::testing::Test, public MacListener {
  protected:
   struct Station {
     net::Counters counters;
     std::unique_ptr<phy::Radio> radio;
     std::unique_ptr<Mac80211> mac;
+    /// Runs on each received packet before it is recorded.
+    std::function<void(net::Packet&)> on_receive;
     std::vector<net::Packet> received;
     std::vector<std::pair<net::Packet, net::NodeId>> failures;
     std::vector<net::Packet> successes;
@@ -25,6 +29,7 @@ class MacTest : public ::testing::Test {
   };
 
   void build(std::vector<mobility::Vec2> positions, MacConfig cfg = {}) {
+    cfg_ = cfg;  // the MACs share it, so it lives as long as they do
     prop_ = std::make_unique<phy::UnitDiskPropagation>(250.0);
     channel_ = std::make_unique<phy::Channel>(sched_, *prop_);
     stations_.resize(positions.size());
@@ -33,22 +38,29 @@ class MacTest : public ::testing::Test {
       channel_->attach(mobility::Trajectory(positions[i]));
       st.radio = std::make_unique<phy::Radio>(*channel_,
                                               static_cast<net::NodeId>(i));
-      st.mac = std::make_unique<Mac80211>(sched_, *st.radio, cfg,
+      st.mac = std::make_unique<Mac80211>(sched_, *st.radio, cfg_,
                                           sim::Rng(100 + i), &st.counters);
-      Mac80211::Callbacks cb;
-      cb.on_receive = [&st](net::Packet&& p, net::NodeId) {
-        st.received.push_back(std::move(p));
-      };
-      cb.on_unicast_failure = [&st](const net::Packet& p, net::NodeId hop) {
-        st.failures.emplace_back(p, hop);
-      };
-      cb.on_unicast_success = [&st](const net::Packet& p, net::NodeId) {
-        st.successes.push_back(p);
-      };
-      cb.on_sniff = [&st](const phy::Frame& f) { st.sniffed.push_back(f); };
-      st.mac->set_callbacks(std::move(cb));
+      st.mac->set_listener(this, /*promiscuous=*/true);
     }
     channel_->finalize();
+  }
+
+  void on_mac_receive(net::NodeId self, net::Packet&& p,
+                      net::NodeId) override {
+    Station& st = stations_[self];
+    if (st.on_receive) st.on_receive(p);
+    st.received.push_back(std::move(p));
+  }
+  void on_unicast_failure(net::NodeId self, const net::Packet& p,
+                          net::NodeId hop) override {
+    stations_[self].failures.emplace_back(p, hop);
+  }
+  void on_unicast_success(net::NodeId self, const net::Packet& p,
+                          net::NodeId) override {
+    stations_[self].successes.push_back(p);
+  }
+  void on_sniff(net::NodeId self, const phy::Frame& f) override {
+    stations_[self].sniffed.push_back(f);
   }
 
   static net::Packet data_packet(net::NodeId src, net::NodeId dst,
@@ -65,6 +77,7 @@ class MacTest : public ::testing::Test {
   }
 
   sim::Scheduler sched_;
+  MacConfig cfg_;
   std::unique_ptr<phy::UnitDiskPropagation> prop_;
   std::unique_ptr<phy::Channel> channel_;
   std::vector<Station> stations_;
@@ -86,12 +99,7 @@ TEST_F(MacTest, ReceiverMutationDoesNotPerturbTheSendersRetryBuffer) {
   // would.  The sender's MAC still holds the frame in its retry buffer
   // (awaiting the ACK); copy-on-write must shield that sibling, or a
   // retransmission would carry the receiver's mutation.
-  Mac80211::Callbacks cb;
-  cb.on_receive = [this](net::Packet&& p, net::NodeId) {
-    --p.mutable_hop().ttl;
-    stations_[1].received.push_back(std::move(p));
-  };
-  stations_[1].mac->set_callbacks(std::move(cb));
+  stations_[1].on_receive = [](net::Packet& p) { --p.mutable_hop().ttl; };
   net::Packet p = data_packet(0, 1);
   p.mutable_hop().ttl = 32;
   stations_[0].mac->enqueue(std::move(p), 1);

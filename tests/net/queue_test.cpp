@@ -70,27 +70,32 @@ TEST(PriQueueTest, ControlDroppedWhenFullOfControl) {
   EXPECT_EQ(dropped->packet.common().uid, 3u);
 }
 
-TEST(PriQueueTest, DrainNextHopRemovesBothBands) {
+TEST(PriQueueTest, ExtractIfRemovesFromBothBands) {
   PriQueue q(10);
   q.enqueue({data_packet(9, 1), 5});
   q.enqueue({data_packet(9, 2), 6});
   q.enqueue({control_packet(3), 5});
   std::vector<std::uint32_t> drained;
-  const std::size_t n = q.drain_next_hop(
-      5, [&](QueueItem&& item) { drained.push_back(item.packet.common().uid); });
+  const std::size_t n = q.extract_if(
+      [](const QueueItem& item) { return item.next_hop == 5; },
+      [&](QueueItem&& item) { drained.push_back(item.packet.common().uid); });
   EXPECT_EQ(n, 2u);
   EXPECT_EQ(drained, (std::vector<std::uint32_t>{3, 1}));  // control first
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST(PriQueueTest, DrainDstIsDataOnly) {
+TEST(PriQueueTest, ExtractIfCanSelectDataOnly) {
   PriQueue q(10);
   q.enqueue({data_packet(7, 1), 5});
   q.enqueue({data_packet(8, 2), 5});
   Packet ctl = control_packet(3);
   ctl.mutable_common().dst = 7;
   q.enqueue({ctl, 5});
-  std::size_t n = q.drain_dst(7, [](QueueItem&&) {});
+  std::size_t n = q.extract_if(
+      [](const QueueItem& i) {
+        return !i.packet.is_control() && i.packet.common().dst == 7;
+      },
+      [](QueueItem&&) {});
   EXPECT_EQ(n, 1u);  // the control packet to 7 stays
   EXPECT_EQ(q.size(), 2u);
 }

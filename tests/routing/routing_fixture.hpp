@@ -27,13 +27,15 @@ struct TestNode {
   std::vector<net::Packet> delivered;
 };
 
-class RoutingBench {
+/// Also every node's MAC and delivery listener.
+class RoutingBench : public mac::MacListener, public routing::DeliveryListener {
  public:
   enum class Proto { kAodv, kDsr, kMts, kSmr };
 
   RoutingBench(Proto proto, std::vector<mobility::Vec2> positions,
                routing::aodv::AodvConfig aodv_cfg = {},
-               core::MtsConfig mts_cfg = {}) {
+               core::MtsConfig mts_cfg = {})
+      : mts_cfg_(mts_cfg) {
     prop_ = std::make_unique<phy::UnitDiskPropagation>(250.0);
     channel_ = std::make_unique<phy::Channel>(sched, *prop_);
     nodes_.resize(positions.size());
@@ -42,7 +44,7 @@ class RoutingBench {
       channel_->attach(mobility::Trajectory(positions[i]));
       n.radio = std::make_unique<phy::Radio>(*channel_,
                                              static_cast<net::NodeId>(i));
-      n.mac = std::make_unique<mac::Mac80211>(sched, *n.radio, mac::MacConfig{},
+      n.mac = std::make_unique<mac::Mac80211>(sched, *n.radio, mac_cfg_,
                                               sim::Rng(1000 + i), &n.counters);
       routing::RoutingContext ctx;
       ctx.self = static_cast<net::NodeId>(i);
@@ -51,9 +53,7 @@ class RoutingBench {
       ctx.counters = &n.counters;
       ctx.trace = nullptr;
       ctx.uids = &uids;
-      ctx.deliver = [&n](net::Packet&& p, net::NodeId) {
-        n.delivered.push_back(std::move(p));
-      };
+      ctx.deliver = this;
       switch (proto) {
         case Proto::kAodv:
           n.routing = std::make_unique<routing::aodv::Aodv>(
@@ -64,7 +64,7 @@ class RoutingBench {
               std::move(ctx), sim::Rng(2000 + i));
           break;
         case Proto::kMts:
-          n.routing = std::make_unique<core::Mts>(std::move(ctx), mts_cfg,
+          n.routing = std::make_unique<core::Mts>(std::move(ctx), mts_cfg_,
                                                   sim::Rng(2000 + i));
           break;
         case Proto::kSmr:
@@ -75,17 +75,22 @@ class RoutingBench {
     }
     channel_->finalize();
     for (auto& n : nodes_) {
-      mac::Mac80211::Callbacks cb;
-      auto* r = n.routing.get();
-      cb.on_receive = [r](net::Packet&& p, net::NodeId from) {
-        r->receive_from_mac(std::move(p), from);
-      };
-      cb.on_unicast_failure = [r](const net::Packet& p, net::NodeId hop) {
-        r->on_link_failure(p, hop);
-      };
-      n.mac->set_callbacks(std::move(cb));
+      n.mac->set_listener(this);
       n.routing->start();
     }
+  }
+
+  void on_mac_receive(net::NodeId self, net::Packet&& p,
+                      net::NodeId from) override {
+    nodes_[self].routing->receive_from_mac(std::move(p), from);
+  }
+  void on_unicast_failure(net::NodeId self, const net::Packet& p,
+                          net::NodeId hop) override {
+    nodes_[self].routing->on_link_failure(p, hop);
+  }
+  void deliver_local(net::NodeId self, net::Packet&& p,
+                     net::NodeId) override {
+    nodes_[self].delivered.push_back(std::move(p));
   }
 
   /// Injects one transport data packet at `src` addressed to `dst`.
@@ -120,6 +125,9 @@ class RoutingBench {
   net::UidSource uids;
 
  private:
+  /// Shared by every node's MAC and MTS instance: declared before them.
+  mac::MacConfig mac_cfg_;
+  core::MtsConfig mts_cfg_;
   std::unique_ptr<phy::UnitDiskPropagation> prop_;
   std::unique_ptr<phy::Channel> channel_;
   std::vector<TestNode> nodes_;
