@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "security/defense/defense.hpp"
+
 namespace mts::core {
 
 using net::MtsCheckErrorHeader;
@@ -555,7 +557,7 @@ void Mts::handle_data(Packet&& p, NodeId from) {
 // period is installed, the *source* additionally probes every stored
 // path on the data plane: probes are kTcpData to the veto seam, so an
 // attacker that eats the stream eats the probes, and the destination's
-// echo completes the end-to-end loop.  The defense model owns the
+// echo completes the end-to-end loop.  The defense owns the
 // per-path delivery estimator; this code sends probes, routes echoes,
 // and honours demotion verdicts by quarantining paths.
 // ---------------------------------------------------------------------------
@@ -570,7 +572,7 @@ void Mts::probe_tick() {
     for (auto& [path_id, sp] : ss.paths) {
       if (!sp.alive || sp.quarantined) continue;
       if (now() - sp.last_confirmed > freshness_limit()) continue;
-      if (ctx_.defense->path_suspect(self(), dst, path_id, now())) {
+      if (ctx_.defense->path_suspect(self(), dst, path_id)) {
         suspects.emplace_back(dst, path_id);
       } else {
         healthy.emplace_back(dst, path_id);
@@ -603,7 +605,7 @@ void Mts::send_probe(NodeId dst, std::uint16_t path_id, const SourcePath& sp) {
   const HopEntry* hop = any_hop(dst, path_id);
   const NodeId next = hop != nullptr ? hop->next_hop : first_hop(sp.nodes, dst);
   ++probes_sent_;
-  ctx_.defense->on_probe_sent(self(), dst, path_id, now());
+  ctx_.defense->on_probe_sent(self(), dst, path_id);
   send_to_mac(std::move(p), next, /*originated_here=*/true);
 }
 
@@ -612,7 +614,7 @@ void Mts::handle_probe(const MtsProbeHeader& h, NodeId peer) {
     // We are the prober: the destination's ack closed the loop.
     ++probe_echoes_;
     if (ctx_.defense != nullptr) {
-      ctx_.defense->on_probe_echo(self(), peer, h.path_id, now());
+      ctx_.defense->on_probe_echo(self(), peer, h.path_id);
     }
     return;
   }

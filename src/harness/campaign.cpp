@@ -61,26 +61,47 @@ std::string traffic_label(const traffic::TrafficSpec& spec) {
 
 std::string campaign_key(const CampaignConfig& cfg) {
   // Hash the CSV header (a changed column set is a different
-  // campaign) and every result-affecting input.  Scenario knobs that
-  // the ablation benches vary must be included or they would collide.
+  // campaign) and every result-affecting input, doubles at full
+  // precision.  A knob left out here lets two campaigns share a shard
+  // directory, and the second would resume the first one's rows.
+  const ScenarioConfig& b = cfg.base;
   std::ostringstream os;
-  os << csv::header() << '|' << cfg.repetitions << '|'
-     << cfg.seed_base << '|' << cfg.base.node_count << '|'
-     << cfg.base.sim_time.nanoseconds() << '|' << cfg.base.field.width << 'x'
-     << cfg.base.field.height << '|' << cfg.base.min_speed << '|'
-     << cfg.base.pause.nanoseconds() << '|' << cfg.base.radio_range << '|'
-     << cfg.base.flow_count << '|' << cfg.base.min_flow_distance << '|'
-     << cfg.base.tcp.segment_bytes << '|' << cfg.base.tcp.max_window << '|'
-     << static_cast<int>(cfg.base.tcp.variant) << '|'
-     << cfg.base.mts.max_paths << '|'
-     << cfg.base.mts.check_period.nanoseconds() << '|'
-     << cfg.base.mts.freshness_periods << '|'
-     << cfg.base.mac.rts_threshold_bytes << '|'
-     << cfg.base.channel.cs_range_factor << '|'
-     << cfg.base.aodv.active_route_timeout.nanoseconds() << '|'
-     << cfg.base.secrecy.enabled << ','
-     << static_cast<int>(cfg.base.secrecy.key_bytes) << ','
-     << cfg.base.secrecy.threshold << '|';
+  os.precision(17);
+  os << csv::header() << '|' << cfg.repetitions << '|' << cfg.seed_base << '|'
+     << b.node_count << '|' << b.sim_time.nanoseconds() << '|'
+     << b.field.width << 'x' << b.field.height << '|' << b.min_speed << '|'
+     << b.pause.nanoseconds() << '|' << b.radio_range << '|' << b.flow_count
+     << '|' << b.min_flow_distance << '|' << b.eavesdropper_enabled << '|'
+     << b.fading_enabled << ',' << b.fading.faded_fraction << ','
+     << b.fading.fade_probability << ','
+     << b.fading.coherence_time.nanoseconds() << '|';
+  for (const FlowSpec& f : b.explicit_flows) {
+    os << f.src << '>' << f.dst << '@' << f.start.nanoseconds() << ';';
+  }
+  os << '|';
+  for (const mobility::Vec2& v : b.static_positions) {
+    os << v.x << ',' << v.y << ';';
+  }
+  const tcp::TcpConfig& t = b.tcp;
+  os << '|' << t.segment_bytes << ',' << t.max_window << ','
+     << static_cast<int>(t.variant) << ',' << t.dupack_threshold << ','
+     << t.initial_rto.nanoseconds() << ',' << t.min_rto.nanoseconds() << ','
+     << t.max_rto.nanoseconds() << ',' << t.rtt_alpha << ',' << t.rtt_beta
+     << '|' << b.mts.max_paths << ',' << b.mts.check_period.nanoseconds()
+     << ',' << b.mts.check_jitter.nanoseconds() << ','
+     << b.mts.freshness_periods << ','
+     << static_cast<int>(b.mts.net_diameter_ttl) << '|';
+  const mac::MacConfig& m = b.mac;
+  os << m.data_rate_bps << ',' << m.basic_rate_bps << ','
+     << m.slot.nanoseconds() << ',' << m.sifs.nanoseconds() << ','
+     << m.difs.nanoseconds() << ',' << m.plcp_overhead.nanoseconds() << ','
+     << m.cw_min << ',' << m.cw_max << ',' << m.retry_limit << ','
+     << m.data_header_bytes << ',' << m.ack_bytes << ',' << m.rts_bytes << ','
+     << m.cts_bytes << ',' << m.queue_capacity << ','
+     << m.rts_threshold_bytes << ',' << m.timeout_slack.nanoseconds() << '|'
+     << b.channel.cs_range_factor << '|' << b.secrecy.enabled << ','
+     << static_cast<int>(b.secrecy.key_bytes) << ',' << b.secrecy.threshold
+     << '|';
   for (Protocol p : cfg.protocols) os << static_cast<int>(p) << ';';
   os << '|';
   for (double s : cfg.speeds) os << s << ';';

@@ -6,6 +6,7 @@
 #include "phy/channel.hpp"
 #include "phy/propagation.hpp"
 #include "phy/radio.hpp"
+#include "routing/aodv/aodv.hpp"
 #include "routing/dsr/dsr.hpp"
 #include "routing/smr/smr.hpp"
 #include "security/eavesdropper.hpp"
@@ -149,7 +150,7 @@ class Simulation final : private mac::MacListener,
           break;
         case Protocol::kAodv:
           n.routing = std::make_unique<routing::aodv::Aodv>(
-              std::move(ctx), cfg_.aodv, proto_rng.substream(i));
+              std::move(ctx), proto_rng.substream(i));
           break;
         case Protocol::kMts: {
           auto mts = std::make_unique<core::Mts>(std::move(ctx), cfg_.mts,
@@ -260,9 +261,8 @@ class Simulation final : private mac::MacListener,
 
   void build_defense() {
     if (!cfg_.defense.enabled()) return;
-    security::DefenseContext ctx;
-    static_cast<security::SecurityContext&>(ctx) = security_base();
-    defense_ = security::make_defense(cfg_.defense, ctx);
+    defense_ =
+        std::make_unique<security::Defense>(cfg_.defense, security_base());
   }
 
   void build_secrecy() {
@@ -541,11 +541,12 @@ class Simulation final : private mac::MacListener,
       }
     }
     if (defense_ != nullptr) {
+      const security::DefenseCounters& dc = defense_->counters();
       m.defense_kind = defense_->kind();
-      m.paths_quarantined = defense_->paths_quarantined();
-      m.flood_suppressed = defense_->flood_suppressed();
-      m.probes_sent = defense_->probes_sent();
-      const sim::Time det = defense_->detection_time();
+      m.paths_quarantined = dc.quarantined;
+      m.flood_suppressed = dc.suppressed;
+      m.probes_sent = dc.probes_sent;
+      const sim::Time det = dc.first_detection;
       m.detection_time_s = det.to_seconds();
       if (det > sim::Time::zero()) {
         // Recovery at the 1-s resolution of the delivery histogram: the
@@ -567,11 +568,9 @@ class Simulation final : private mac::MacListener,
       }
       if (!cfg_.adversary.enabled()) {
         // No attacker: every quarantine/suppression is a false alarm.
-        const std::uint64_t events =
-            defense_->paths_quarantined() + defense_->flood_suppressed();
-        const std::uint64_t opportunities = defense_->paths_validated() +
-                                            defense_->rreqs_seen() +
-                                            defense_->probes_sent();
+        const std::uint64_t events = dc.quarantined + dc.suppressed;
+        const std::uint64_t opportunities =
+            dc.validated + dc.rreqs_seen + dc.probes_sent;
         m.false_positive_rate =
             opportunities == 0 ? 0.0
                                : static_cast<double>(events) /
@@ -603,8 +602,8 @@ class Simulation final : private mac::MacListener,
   std::unique_ptr<phy::PropagationModel> prop_;
   std::unique_ptr<phy::Channel> channel_;
   /// Declared before nodes_: every routing context holds a raw pointer,
-  /// so the model must outlive the protocols (reverse destruction).
-  std::unique_ptr<security::DefenseModel> defense_;
+  /// so the defense must outlive the protocols (reverse destruction).
+  std::unique_ptr<security::Defense> defense_;
   std::vector<Node> nodes_;
   std::vector<std::unique_ptr<Flow>> flows_;
   /// Declared after nodes_: the plane's timers and agents call back into

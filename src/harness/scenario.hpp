@@ -10,7 +10,6 @@
 #include "mobility/trajectory.hpp"
 #include "net/trace.hpp"
 #include "phy/channel.hpp"
-#include "routing/aodv/aodv.hpp"
 #include "security/adversary.hpp"
 #include "security/defense/defense.hpp"
 #include "security/keyshare.hpp"
@@ -110,7 +109,6 @@ struct ScenarioConfig {
   tcp::TcpConfig tcp;
   mac::MacConfig mac;
   core::MtsConfig mts;
-  routing::aodv::AodvConfig aodv;
   phy::ChannelConfig channel;
 };
 
@@ -251,7 +249,7 @@ struct RunMetrics {
   std::uint64_t acks_sent = 0;
   std::uint64_t acks_received = 0;
   /// Per-flow congestion-window evolution, recorded when
-  /// `tcp.trace_cwnd` is set (diagnostics + cwnd ablation bench).
+  /// `tcp.trace_cwnd` is set (diagnostics).
   std::vector<std::vector<std::pair<sim::Time, double>>> cwnd_traces;
   std::vector<std::uint32_t> deliveries_per_second;
 
@@ -274,8 +272,8 @@ struct RunMetrics {
   /// inline storage onto the heap.  The whole stack is written to keep
   /// this at zero; the integration suite pins that invariant.
   std::uint64_t heap_fallback_closures = 0;
-  /// Executed events attributed per subsystem (indexed by EventCategory)
-  /// — the raw material for the per-layer profiling in bench/macro_scale.
+  /// Executed events attributed per subsystem (indexed by EventCategory);
+  /// `perf/` reports them as its per-layer event counts.
   std::array<std::uint64_t, sim::kEventCategoryCount> events_by_category{};
   [[nodiscard]] std::uint64_t executed(sim::EventCategory c) const {
     return events_by_category[static_cast<std::size_t>(c)];

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "security/defense/defense.hpp"
+
 namespace mts::routing::aodv {
 
 using net::AodvRerrHeader;
@@ -11,9 +13,14 @@ using net::NodeId;
 using net::Packet;
 using net::PacketKind;
 
-Aodv::Aodv(RoutingContext ctx, AodvConfig cfg, sim::Rng rng)
-    : RoutingProtocol(std::move(ctx), rng, RetryPolicy::kGiveUpAfterThree),
-      cfg_(cfg) {}
+/// Lifetime of a route after its last use (RFC 3561 ACTIVE_ROUTE_TIMEOUT
+/// as ns-2 sets it).
+constexpr sim::Time kActiveRouteTimeout = sim::Time::sec(10);
+/// TTL of every originated RREQ and RREP.
+constexpr std::uint8_t kNetDiameterTtl = 32;
+
+Aodv::Aodv(RoutingContext ctx, sim::Rng rng)
+    : RoutingProtocol(std::move(ctx), rng, RetryPolicy::kGiveUpAfterThree) {}
 
 // ---------------------------------------------------------------------------
 // Route table.
@@ -73,7 +80,7 @@ void Aodv::refresh(NodeId dst) {
   auto it = routes_.find(dst);
   if (it != routes_.end() && it->second.valid) {
     it->second.expires =
-        std::max(it->second.expires, now() + cfg_.active_route_timeout);
+        std::max(it->second.expires, now() + kActiveRouteTimeout);
   }
 }
 
@@ -114,7 +121,7 @@ void Aodv::send_rreq(NodeId dst, bool /*first*/) {
     h.dst_seq_known = true;
   }
   Packet p = originate(PacketKind::kAodvRreq, net::kBroadcastId,
-                       cfg_.net_diameter_ttl);
+                       kNetDiameterTtl);
   p.mutable_routing() = h;
   rreq_seen_.check_and_insert(self(), h.rreq_id);  // don't accept our own flood
   send_to_mac(std::move(p), net::kBroadcastId, /*originated_here=*/true);
@@ -156,23 +163,21 @@ void Aodv::handle_rreq(Packet&& p, NodeId from) {
   const auto hop_count = static_cast<std::uint8_t>(p.hop().hops + 1);
   // Reverse route toward the originator through `from`.
   update_route(h.orig, from, hop_count, h.orig_seq, /*seq_known=*/true,
-               cfg_.active_route_timeout);
+               kActiveRouteTimeout);
   if (from != h.orig) {
     update_route(from, from, 1, 0, /*seq_known=*/false,
-                 cfg_.active_route_timeout);
+                 kActiveRouteTimeout);
   }
 
   if (h.dst == self()) {
     send_rrep_as_destination(h);
     return;
   }
-  if (cfg_.intermediate_reply) {
-    if (RouteEntry* e = find_valid(h.dst);
-        e != nullptr && e->valid_seq && h.dst_seq_known &&
-        e->dst_seq >= h.dst_seq) {
-      send_rrep_from_route(h, *e);
-      return;
-    }
+  if (RouteEntry* e = find_valid(h.dst);
+      e != nullptr && e->valid_seq && h.dst_seq_known &&
+      e->dst_seq >= h.dst_seq) {
+    send_rrep_from_route(h, *e);
+    return;
   }
   if (p.hop().ttl <= 1) {
     drop(p, net::DropReason::kTtlExpired);
@@ -192,8 +197,8 @@ void Aodv::send_rrep_as_destination(const AodvRreqHeader& req) {
   h.orig = req.orig;
   h.dst = self();
   h.dst_seq = seq_;
-  h.lifetime = cfg_.active_route_timeout;
-  Packet p = originate(PacketKind::kAodvRrep, req.orig, cfg_.net_diameter_ttl);
+  h.lifetime = kActiveRouteTimeout;
+  Packet p = originate(PacketKind::kAodvRrep, req.orig, kNetDiameterTtl);
   p.mutable_hop().hops = 0;  // hop count: the destination itself
   p.mutable_routing() = h;
   RouteEntry* back = find_valid(req.orig);
@@ -208,7 +213,7 @@ void Aodv::send_rrep_from_route(const AodvRreqHeader& req,
   h.dst = req.dst;
   h.dst_seq = route.dst_seq;
   h.lifetime = route.expires - now();
-  Packet p = originate(PacketKind::kAodvRrep, req.orig, cfg_.net_diameter_ttl);
+  Packet p = originate(PacketKind::kAodvRrep, req.orig, kNetDiameterTtl);
   p.mutable_hop().hops = route.hop_count;  // distance we already know
   p.mutable_routing() = h;
   RouteEntry* back = find_valid(req.orig);
@@ -223,7 +228,7 @@ void Aodv::handle_rrep(Packet&& p, NodeId from) {
   update_route(h.dst, from, hop_count, h.dst_seq, /*seq_known=*/true,
                h.lifetime);
   if (from != h.dst) {
-    update_route(from, from, 1, 0, false, cfg_.active_route_timeout);
+    update_route(from, from, 1, 0, false, kActiveRouteTimeout);
   }
   if (h.orig == self()) {
     flush(h.dst);

@@ -8,25 +8,19 @@
 
 namespace mts::routing::aodv {
 
-/// Tunables, at ns-2 / RFC 3561 defaults used by 2005-era MANET studies.
-struct AodvConfig {
-  sim::Time active_route_timeout = sim::Time::sec(10);
-  std::uint8_t net_diameter_ttl = 32;
-  bool intermediate_reply = true;              ///< reply-from-route (RFC default)
-};
-
 /// Ad hoc On-demand Distance Vector routing (RFC 3561 subset).
 ///
 /// Implemented: RREQ flood with (orig, id) dedup, destination sequence
 /// numbers, reverse/forward route installation, intermediate RREP from a
 /// fresh-enough route, RERR on link failure (detected via MAC feedback,
 /// not HELLOs — matching the paper's setup), active-route lifetime
-/// refresh on use, bounded send buffer with RREQ retry/backoff.
+/// refresh on use, bounded send buffer with RREQ retry/backoff.  Timers
+/// and TTLs are the ns-2 / RFC 3561 defaults of 2005-era MANET studies.
 /// Omitted (not exercised by the paper): expanding-ring search,
 /// gratuitous RREP, local repair, multicast.
 class Aodv final : public RoutingProtocol {
  public:
-  Aodv(RoutingContext ctx, AodvConfig cfg, sim::Rng rng);
+  Aodv(RoutingContext ctx, sim::Rng rng);
 
   void send_from_transport(net::Packet packet) override;
   void receive_from_mac(net::Packet packet, net::NodeId from) override;
@@ -68,7 +62,6 @@ class Aodv final : public RoutingProtocol {
   /// Purge tick: invalidates expired routes.
   void purge() override;
 
-  AodvConfig cfg_;
   std::uint32_t seq_ = 0;       ///< own sequence number
   std::uint32_t rreq_id_ = 0;
   std::unordered_map<net::NodeId, RouteEntry> routes_;

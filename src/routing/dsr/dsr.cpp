@@ -1,5 +1,7 @@
 #include "routing/dsr/dsr.hpp"
 
+#include "security/defense/defense.hpp"
+
 namespace mts::routing::dsr {
 
 using net::NodeId;

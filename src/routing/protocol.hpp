@@ -8,11 +8,14 @@
 #include "net/counters.hpp"
 #include "net/packet.hpp"
 #include "net/trace.hpp"
-#include "routing/defense_hooks.hpp"
 #include "routing/send_buffer.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
+
+namespace mts::security {
+class Defense;
+}
 
 namespace mts::routing {
 
@@ -37,10 +40,10 @@ struct RoutingContext {
   net::Counters* counters = nullptr;
   net::TraceHub* trace = nullptr;
   net::UidSource* uids = nullptr;
-  /// Shared countermeasure model (`ScenarioConfig::defense`), or null.
+  /// Shared countermeasure (`ScenarioConfig::defense`), or null.
   /// Protocols consult it for RREQ admission, path admission, and —
   /// MTS only — data-plane probe cadence and verdicts.
-  DefenseHooks* defense = nullptr;
+  security::Defense* defense = nullptr;
   /// Takes the packets whose final destination is this node.
   DeliveryListener* deliver = nullptr;
 };

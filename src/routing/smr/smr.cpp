@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "security/defense/defense.hpp"
+
 namespace mts::routing::smr {
 
 using net::NodeId;

@@ -15,11 +15,10 @@ namespace mts::security {
 
 class SecrecyPlane;
 
-/// Plumbing shared by every security-model factory (adversaries and
-/// defenses): the harness fills one of these and both `AdversaryContext`
-/// and `DefenseContext` inherit it, so the radio range / position oracle
-/// / scheduler / RNG wiring exists in exactly one place instead of being
-/// duplicated per factory.
+/// Plumbing shared by the adversary factory and the defense: the
+/// harness fills one of these, `AdversaryContext` inherits it and
+/// `Defense` is built from it, so the radio range / position oracle /
+/// scheduler / RNG wiring exists in exactly one place.
 struct SecurityContext {
   double radio_range = 250.0;
   /// Position oracle (bound to node mobility by the harness).

@@ -17,97 +17,74 @@ const char* defense_kind_name(DefenseKind k) {
   return "?";
 }
 
-// --- AckedCheckingDefense --------------------------------------------------
-
-AckedCheckingDefense::AckedCheckingDefense(const DefenseSpec& spec)
-    : period_(spec.probe_period),
+Defense::Defense(const DefenseSpec& spec, const SecurityContext& ctx)
+    : kind_(spec.kind),
+      leashed_(kind_ == DefenseKind::kWormholeLeash ||
+               kind_ == DefenseKind::kSuite),
+      limiting_(kind_ == DefenseKind::kFloodRateLimit ||
+                kind_ == DefenseKind::kSuite),
       alpha_(spec.ewma_alpha),
       threshold_(spec.demote_threshold),
-      min_probes_(spec.min_probes) {
-  sim::require_config(period_ > sim::Time::zero(),
-                      "Defense: probe_period <= 0");
-  sim::require_config(alpha_ > 0.0 && alpha_ <= 1.0,
-                      "Defense: ewma_alpha outside (0, 1]");
-  sim::require_config(threshold_ > 0.0 && threshold_ < 1.0,
-                      "Defense: demote_threshold outside (0, 1)");
-  sim::require_config(min_probes_ >= 1, "Defense: min_probes < 1");
-}
-
-void AckedCheckingDefense::on_path_established(net::NodeId self,
-                                               net::NodeId dst,
-                                               std::uint16_t path_id) {
-  // Path ids restart per discovery generation; a fresh path must not
-  // inherit the estimator of the dead one that wore the id before it.
-  estimators_.erase(Key{self, dst, path_id});
-}
-
-void AckedCheckingDefense::on_probe_sent(net::NodeId self, net::NodeId dst,
-                                         std::uint16_t path_id,
-                                         sim::Time /*now*/) {
-  Estimator& e = estimators_[Key{self, dst, path_id}];
-  if (e.outstanding) {
-    // The previous probe never echoed within a full period: a loss.
-    e.ewma = (1.0 - alpha_) * e.ewma;
+      min_probes_(spec.min_probes),
+      limit_sq_(ctx.radio_range * spec.leash_slack * ctx.radio_range *
+                spec.leash_slack),
+      rate_(spec.rreq_rate),
+      burst_(spec.rreq_burst) {
+  if (kind_ == DefenseKind::kAckedChecking || kind_ == DefenseKind::kSuite) {
+    period_ = spec.probe_period;
+    sim::require_config(period_ > sim::Time::zero(),
+                        "Defense: probe_period <= 0");
+    sim::require_config(alpha_ > 0.0 && alpha_ <= 1.0,
+                        "Defense: ewma_alpha outside (0, 1]");
+    sim::require_config(threshold_ > 0.0 && threshold_ < 1.0,
+                        "Defense: demote_threshold outside (0, 1)");
+    sim::require_config(min_probes_ >= 1, "Defense: min_probes < 1");
   }
-  e.outstanding = true;
-  ++e.probes;
-  ++sent_;
-}
-
-void AckedCheckingDefense::on_probe_echo(net::NodeId self, net::NodeId dst,
-                                         std::uint16_t path_id,
-                                         sim::Time /*now*/) {
-  auto it = estimators_.find(Key{self, dst, path_id});
-  if (it == estimators_.end() || !it->second.outstanding) {
-    return;  // duplicate or post-quarantine echo: no estimator to feed
+  if (leashed_) {
+    position_of_ = ctx.position_of;
+    sim::require_config(ctx.radio_range > 0, "Defense: radio_range <= 0");
+    sim::require_config(spec.leash_slack >= 1.0, "Defense: leash_slack < 1");
+    sim::require_config(static_cast<bool>(position_of_),
+                        "Defense: leash needs a position lookup");
   }
-  Estimator& e = it->second;
-  e.outstanding = false;
-  e.ewma = (1.0 - alpha_) * e.ewma + alpha_;
-  ++echoes_;
+  if (limiting_) {
+    sim::require_config(rate_ > 0, "Defense: rreq_rate <= 0");
+    sim::require_config(burst_ >= 1.0, "Defense: rreq_burst < 1");
+  }
 }
 
-bool AckedCheckingDefense::path_suspect(net::NodeId self, net::NodeId dst,
-                                        std::uint16_t path_id,
-                                        sim::Time /*now*/) {
-  auto it = estimators_.find(Key{self, dst, path_id});
-  if (it == estimators_.end()) return false;
-  const Estimator& e = it->second;
-  return e.probes >= min_probes_ && e.ewma < threshold_;
+void Defense::detected(sim::Time now) {
+  if (counters_.first_detection.is_zero()) counters_.first_detection = now;
 }
 
-void AckedCheckingDefense::on_path_quarantined(net::NodeId self,
-                                               net::NodeId dst,
-                                               std::uint16_t path_id,
-                                               sim::Time now) {
-  ++quarantined_;
-  if (first_detection_.is_zero()) first_detection_ = now;
-  estimators_.erase(Key{self, dst, path_id});
+// --- flood rate limiting ---------------------------------------------------
+
+bool Defense::admit_rreq(net::NodeId self, net::NodeId origin, sim::Time now) {
+  if (!limiting_) return true;
+  ++counters_.rreqs_seen;
+  auto [it, fresh] =
+      buckets_.try_emplace({self, origin}, Bucket{burst_, now});
+  Bucket& b = it->second;
+  if (!fresh) {
+    b.tokens =
+        std::min(burst_, b.tokens + (now - b.last).to_seconds() * rate_);
+    b.last = now;
+  }
+  if (b.tokens >= 1.0) {
+    b.tokens -= 1.0;
+    return true;
+  }
+  ++counters_.suppressed;
+  detected(now);
+  return false;
 }
 
-double AckedCheckingDefense::ewma(net::NodeId self, net::NodeId dst,
-                                  std::uint16_t path_id) const {
-  auto it = estimators_.find(Key{self, dst, path_id});
-  return it == estimators_.end() ? 1.0 : it->second.ewma;
-}
+// --- wormhole leash --------------------------------------------------------
 
-// --- WormholeLeashDefense --------------------------------------------------
-
-WormholeLeashDefense::WormholeLeashDefense(
-    double radio_range, double slack,
-    std::function<mobility::Vec2(net::NodeId, sim::Time)> position_of)
-    : limit_sq_(radio_range * slack * radio_range * slack),
-      position_of_(std::move(position_of)) {
-  sim::require_config(radio_range > 0, "Defense: radio_range <= 0");
-  sim::require_config(slack >= 1.0, "Defense: leash_slack < 1");
-  sim::require_config(static_cast<bool>(position_of_),
-                      "Defense: leash needs a position lookup");
-}
-
-bool WormholeLeashDefense::admit_path(net::NodeId src, net::NodeId dst,
-                                      const net::RouteVec& intermediates,
-                                      sim::Time now) {
-  ++validated_;
+bool Defense::admit_path(net::NodeId src, net::NodeId dst,
+                         const net::RouteVec& intermediates, sim::Time now) {
+  if (!leashed_) return true;
+  ++counters_.validated;
   mobility::Vec2 prev = position_of_(src, now);
   bool feasible = true;
   for (net::NodeId n : intermediates) {
@@ -123,170 +100,69 @@ bool WormholeLeashDefense::admit_path(net::NodeId src, net::NodeId dst,
     feasible = false;
   }
   if (!feasible) {
-    ++quarantined_;
-    if (first_detection_.is_zero()) first_detection_ = now;
+    ++counters_.quarantined;
+    detected(now);
   }
   return feasible;
 }
 
-// --- FloodRateLimitDefense -------------------------------------------------
+// --- acked checking ----------------------------------------------------------
+// Probing is off when `period_` is zero.  Then `on_probe_sent` and
+// `on_path_quarantined` return at once, no estimator is ever created,
+// and the other hooks find none.
 
-FloodRateLimitDefense::FloodRateLimitDefense(double rate, double burst)
-    : rate_(rate), burst_(burst) {
-  sim::require_config(rate_ > 0, "Defense: rreq_rate <= 0");
-  sim::require_config(burst_ >= 1.0, "Defense: rreq_burst < 1");
+void Defense::on_path_established(net::NodeId self, net::NodeId dst,
+                                  std::uint16_t path_id) {
+  // Path ids restart per discovery generation; a fresh path must not
+  // inherit the estimator of the dead one that wore the id before it.
+  estimators_.erase(PathKey{self, dst, path_id});
 }
 
-bool FloodRateLimitDefense::admit_rreq(net::NodeId self, net::NodeId origin,
-                                       sim::Time now) {
-  ++seen_;
-  auto [it, fresh] =
-      buckets_.try_emplace({self, origin}, Bucket{burst_, now});
-  Bucket& b = it->second;
-  if (!fresh) {
-    b.tokens =
-        std::min(burst_, b.tokens + (now - b.last).to_seconds() * rate_);
-    b.last = now;
+void Defense::on_probe_sent(net::NodeId self, net::NodeId dst,
+                            std::uint16_t path_id) {
+  if (period_.is_zero()) return;
+  Estimator& e = estimators_[PathKey{self, dst, path_id}];
+  if (e.outstanding) {
+    // The previous probe never echoed within a full period: a loss.
+    e.ewma = (1.0 - alpha_) * e.ewma;
   }
-  if (b.tokens >= 1.0) {
-    b.tokens -= 1.0;
-    return true;
+  e.outstanding = true;
+  ++e.probes;
+  ++counters_.probes_sent;
+}
+
+void Defense::on_probe_echo(net::NodeId self, net::NodeId dst,
+                            std::uint16_t path_id) {
+  auto it = estimators_.find(PathKey{self, dst, path_id});
+  if (it == estimators_.end() || !it->second.outstanding) {
+    return;  // duplicate or post-quarantine echo: no estimator to feed
   }
-  ++suppressed_;
-  if (first_detection_.is_zero()) first_detection_ = now;
-  return false;
+  Estimator& e = it->second;
+  e.outstanding = false;
+  e.ewma = (1.0 - alpha_) * e.ewma + alpha_;
+  ++counters_.echoes;
 }
 
-// --- DefenseSuite ----------------------------------------------------------
-
-DefenseSuite::DefenseSuite(std::vector<std::unique_ptr<DefenseModel>> members)
-    : members_(std::move(members)) {
-  sim::require_config(!members_.empty(), "Defense: empty suite");
+bool Defense::path_suspect(net::NodeId self, net::NodeId dst,
+                           std::uint16_t path_id) const {
+  auto it = estimators_.find(PathKey{self, dst, path_id});
+  if (it == estimators_.end()) return false;
+  const Estimator& e = it->second;
+  return e.probes >= min_probes_ && e.ewma < threshold_;
 }
 
-bool DefenseSuite::admit_rreq(net::NodeId self, net::NodeId origin,
-                              sim::Time now) {
-  bool ok = true;
-  for (auto& m : members_) ok = m->admit_rreq(self, origin, now) && ok;
-  return ok;
+void Defense::on_path_quarantined(net::NodeId self, net::NodeId dst,
+                                  std::uint16_t path_id, sim::Time now) {
+  if (period_.is_zero()) return;
+  ++counters_.quarantined;
+  detected(now);
+  estimators_.erase(PathKey{self, dst, path_id});
 }
 
-bool DefenseSuite::admit_path(net::NodeId src, net::NodeId dst,
-                              const net::RouteVec& intermediates,
-                              sim::Time now) {
-  bool ok = true;
-  for (auto& m : members_) ok = m->admit_path(src, dst, intermediates, now) && ok;
-  return ok;
-}
-
-sim::Time DefenseSuite::probe_period() const {
-  for (const auto& m : members_) {
-    if (m->probe_period() > sim::Time::zero()) return m->probe_period();
-  }
-  return sim::Time::zero();
-}
-
-void DefenseSuite::on_path_established(net::NodeId self, net::NodeId dst,
-                                       std::uint16_t path_id) {
-  for (auto& m : members_) m->on_path_established(self, dst, path_id);
-}
-
-void DefenseSuite::on_probe_sent(net::NodeId self, net::NodeId dst,
-                                 std::uint16_t path_id, sim::Time now) {
-  for (auto& m : members_) m->on_probe_sent(self, dst, path_id, now);
-}
-
-void DefenseSuite::on_probe_echo(net::NodeId self, net::NodeId dst,
-                                 std::uint16_t path_id, sim::Time now) {
-  for (auto& m : members_) m->on_probe_echo(self, dst, path_id, now);
-}
-
-bool DefenseSuite::path_suspect(net::NodeId self, net::NodeId dst,
-                                std::uint16_t path_id, sim::Time now) {
-  bool suspect = false;
-  for (auto& m : members_) {
-    suspect = m->path_suspect(self, dst, path_id, now) || suspect;
-  }
-  return suspect;
-}
-
-void DefenseSuite::on_path_quarantined(net::NodeId self, net::NodeId dst,
-                                       std::uint16_t path_id, sim::Time now) {
-  for (auto& m : members_) m->on_path_quarantined(self, dst, path_id, now);
-}
-
-sim::Time DefenseSuite::detection_time() const {
-  sim::Time first = sim::Time::zero();
-  for (const auto& m : members_) {
-    const sim::Time t = m->detection_time();
-    if (t.is_zero()) continue;
-    if (first.is_zero() || t < first) first = t;
-  }
-  return first;
-}
-
-std::uint64_t DefenseSuite::paths_quarantined() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members_) n += m->paths_quarantined();
-  return n;
-}
-
-std::uint64_t DefenseSuite::paths_validated() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members_) n += m->paths_validated();
-  return n;
-}
-
-std::uint64_t DefenseSuite::flood_suppressed() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members_) n += m->flood_suppressed();
-  return n;
-}
-
-std::uint64_t DefenseSuite::rreqs_seen() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members_) n += m->rreqs_seen();
-  return n;
-}
-
-std::uint64_t DefenseSuite::probes_sent() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members_) n += m->probes_sent();
-  return n;
-}
-
-std::uint64_t DefenseSuite::probe_echoes() const {
-  std::uint64_t n = 0;
-  for (const auto& m : members_) n += m->probe_echoes();
-  return n;
-}
-
-// --- factory ---------------------------------------------------------------
-
-std::unique_ptr<DefenseModel> make_defense(const DefenseSpec& spec,
-                                           const DefenseContext& ctx) {
-  switch (spec.kind) {
-    case DefenseKind::kNone:
-      return nullptr;
-    case DefenseKind::kAckedChecking:
-      return std::make_unique<AckedCheckingDefense>(spec);
-    case DefenseKind::kWormholeLeash:
-      return std::make_unique<WormholeLeashDefense>(
-          ctx.radio_range, spec.leash_slack, ctx.position_of);
-    case DefenseKind::kFloodRateLimit:
-      return std::make_unique<FloodRateLimitDefense>(spec.rreq_rate,
-                                                     spec.rreq_burst);
-    case DefenseKind::kSuite: {
-      std::vector<std::unique_ptr<DefenseModel>> members;
-      members.push_back(std::make_unique<AckedCheckingDefense>(spec));
-      members.push_back(std::make_unique<WormholeLeashDefense>(
-          ctx.radio_range, spec.leash_slack, ctx.position_of));
-      members.push_back(std::make_unique<FloodRateLimitDefense>(
-          spec.rreq_rate, spec.rreq_burst));
-      return std::make_unique<DefenseSuite>(std::move(members));
-    }
-  }
-  return nullptr;
+double Defense::ewma(net::NodeId self, net::NodeId dst,
+                     std::uint16_t path_id) const {
+  auto it = estimators_.find(PathKey{self, dst, path_id});
+  return it == estimators_.end() ? 1.0 : it->second.ewma;
 }
 
 }  // namespace mts::security

@@ -3,15 +3,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <tuple>
 #include <utility>
-#include <vector>
 
 #include "mobility/vec2.hpp"
 #include "net/headers.hpp"
 #include "net/node_id.hpp"
-#include "routing/defense_hooks.hpp"
 #include "security/context.hpp"
 #include "sim/time.hpp"
 
@@ -87,223 +84,129 @@ struct DefenseSpec {
   [[nodiscard]] bool enabled() const { return kind != DefenseKind::kNone; }
 };
 
-/// Pluggable countermeasure, mirroring `AdversaryModel`: one shared
-/// instance per scenario, consulted by every node through the routing
-/// layer's `DefenseHooks` seam.  Concrete models override only the
-/// hooks they implement and keep their own metrics; the harness reads
-/// them into `RunMetrics` after the run.
-class DefenseModel : public routing::DefenseHooks {
- public:
-  [[nodiscard]] virtual DefenseKind kind() const = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-
-  // --- metrics ----------------------------------------------------------
+/// What a defense did over a run; the harness reads it into
+/// `RunMetrics`.  Each part counts only its own events.
+struct DefenseCounters {
   /// Time of the first quarantine/suppression; zero = never fired.
-  [[nodiscard]] virtual sim::Time detection_time() const {
-    return sim::Time::zero();
-  }
+  sim::Time first_detection;
   /// Paths demoted by the estimator or rejected by the leash.
-  [[nodiscard]] virtual std::uint64_t paths_quarantined() const { return 0; }
-  /// Path admissions evaluated (leash denominators).
-  [[nodiscard]] virtual std::uint64_t paths_validated() const { return 0; }
-  /// Route discoveries suppressed by the rate limiter.
-  [[nodiscard]] virtual std::uint64_t flood_suppressed() const { return 0; }
-  /// Route discoveries evaluated by the rate limiter.
-  [[nodiscard]] virtual std::uint64_t rreqs_seen() const { return 0; }
+  std::uint64_t quarantined = 0;
+  /// Path admissions evaluated by the leash.
+  std::uint64_t validated = 0;
+  /// Route discoveries suppressed / evaluated by the rate limiter.
+  std::uint64_t suppressed = 0;
+  std::uint64_t rreqs_seen = 0;
   /// Data-plane probes sent / echoes received end-to-end.
-  [[nodiscard]] virtual std::uint64_t probes_sent() const { return 0; }
-  [[nodiscard]] virtual std::uint64_t probe_echoes() const { return 0; }
+  std::uint64_t probes_sent = 0;
+  std::uint64_t echoes = 0;
 };
 
-/// (a) End-to-end acked checking: the per-(source, destination, path)
-/// delivery estimator behind MTS's data-plane probing.  The protocol
-/// sends the probes and honours the verdicts; this model owns the EWMA
-/// state, so "what counts as a dead path" is defense policy, not
-/// protocol logic.
-class AckedCheckingDefense final : public DefenseModel {
+/// The scenario's countermeasure: one shared instance, consulted by
+/// every node through `RoutingContext::defense` at three points:
+///
+///  * `admit_rreq` — per-origin route-discovery rate limiting.  Called
+///    once per *novel* (origin, id) flood a node processes — after the
+///    protocol's own duplicate suppression, so copies of one genuine
+///    discovery never drain the origin's token budget.
+///  * `admit_path` — path admission (wormhole leash).  Called when a
+///    node is about to store or start using an advertised node list;
+///    false quarantines the path.
+///  * the probe family — MTS's end-to-end acked checking.  The source
+///    probes each stored path on the data plane (`probe_period`),
+///    reports sends and echoes, and asks `path_suspect` whether the
+///    per-path delivery estimator has demoted the path.
+///
+/// The spec's kind switches on up to three parts: the probe estimator
+/// (kAckedChecking), the leash (kWormholeLeash) and the token buckets
+/// (kFloodRateLimit); kSuite switches on all three.  A hook whose part
+/// is off answers as if no defense were present: admit, probe period
+/// zero, never suspect, no-op.
+class Defense {
  public:
-  explicit AckedCheckingDefense(const DefenseSpec& spec);
+  /// Validates the spec fields of the parts `spec.kind` switches on.
+  /// The leash takes the radio range and position oracle from `ctx`
+  /// (the harness binds node mobility, as it does for the adversary
+  /// context) — nodes knowing their own loosely synchronized positions
+  /// is the assumption geographical packet leashes make.
+  Defense(const DefenseSpec& spec, const SecurityContext& ctx);
 
-  [[nodiscard]] DefenseKind kind() const override {
-    return DefenseKind::kAckedChecking;
-  }
-  [[nodiscard]] const char* name() const override { return "acked-checking"; }
+  [[nodiscard]] DefenseKind kind() const { return kind_; }
+  [[nodiscard]] const DefenseCounters& counters() const { return counters_; }
 
-  [[nodiscard]] sim::Time probe_period() const override { return period_; }
+  // --- flood rate limiting ---------------------------------------------
+  /// Should `self` process a route discovery originated by `origin`?
+  /// False = suppress (drop as kRateLimited, do not rebroadcast/reply).
+  [[nodiscard]] bool admit_rreq(net::NodeId self, net::NodeId origin,
+                                sim::Time now);
+
+  // --- path admission (wormhole leash) ----------------------------------
+  /// Is the advertised path src -> intermediates -> dst physically
+  /// plausible?  False = quarantine (do not store / do not use).
+  [[nodiscard]] bool admit_path(net::NodeId src, net::NodeId dst,
+                                const net::RouteVec& intermediates,
+                                sim::Time now);
+
+  // --- end-to-end acked checking (MTS data-plane probes) ---------------
+  /// Probe cadence; zero disables probing entirely.
+  [[nodiscard]] sim::Time probe_period() const { return period_; }
+  /// A fresh path entry was (re)established at `self`; any estimator
+  /// state left over from a previous discovery generation is stale.
   void on_path_established(net::NodeId self, net::NodeId dst,
-                           std::uint16_t path_id) override;
-  void on_probe_sent(net::NodeId self, net::NodeId dst, std::uint16_t path_id,
-                     sim::Time now) override;
-  void on_probe_echo(net::NodeId self, net::NodeId dst, std::uint16_t path_id,
-                     sim::Time now) override;
+                           std::uint16_t path_id);
+  /// `self` put a probe toward `dst` on path `path_id` on the wire.
+  void on_probe_sent(net::NodeId self, net::NodeId dst,
+                     std::uint16_t path_id);
+  /// The destination's echo for a probe came back end-to-end.
+  void on_probe_echo(net::NodeId self, net::NodeId dst,
+                     std::uint16_t path_id);
+  /// Has the per-path delivery estimator demoted this path?
   [[nodiscard]] bool path_suspect(net::NodeId self, net::NodeId dst,
-                                  std::uint16_t path_id,
-                                  sim::Time now) override;
+                                  std::uint16_t path_id) const;
+  /// The protocol honoured a `path_suspect` verdict and quarantined.
   void on_path_quarantined(net::NodeId self, net::NodeId dst,
-                           std::uint16_t path_id, sim::Time now) override;
-
-  [[nodiscard]] sim::Time detection_time() const override {
-    return first_detection_;
-  }
-  [[nodiscard]] std::uint64_t paths_quarantined() const override {
-    return quarantined_;
-  }
-  [[nodiscard]] std::uint64_t probes_sent() const override { return sent_; }
-  [[nodiscard]] std::uint64_t probe_echoes() const override { return echoes_; }
+                           std::uint16_t path_id, sim::Time now);
 
   /// Current EWMA for one path (introspection / tests); 1.0 if unseen.
   [[nodiscard]] double ewma(net::NodeId self, net::NodeId dst,
                             std::uint16_t path_id) const;
 
  private:
+  void detected(sim::Time now);
+
   struct Estimator {
     double ewma = 1.0;
     std::uint32_t probes = 0;
     bool outstanding = false;  ///< last probe not yet echoed
   };
-  using Key = std::tuple<net::NodeId, net::NodeId, std::uint16_t>;
+  using PathKey = std::tuple<net::NodeId, net::NodeId, std::uint16_t>;
+  struct Bucket {
+    double tokens;
+    sim::Time last;
+  };
 
+  DefenseKind kind_;
+  bool leashed_;
+  bool limiting_;
+
+  // --- acked checking (on iff period_ > 0) --------------------------------
   sim::Time period_;
   double alpha_;
   double threshold_;
   std::uint32_t min_probes_;
   /// Ordered map: consulted once per probe tick per path, never on the
   /// per-packet path — no hashing needed.
-  std::map<Key, Estimator> estimators_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t echoes_ = 0;
-  std::uint64_t quarantined_ = 0;
-  sim::Time first_detection_;
-};
+  std::map<PathKey, Estimator> estimators_;
 
-/// (b) Wormhole leash: geometric path admission.  Needs a position
-/// oracle (the harness binds node mobility, exactly as it does for the
-/// adversary context) — this models nodes knowing their own loosely
-/// synchronized positions, the assumption geographical packet leashes
-/// make.
-class WormholeLeashDefense final : public DefenseModel {
- public:
-  WormholeLeashDefense(
-      double radio_range, double slack,
-      std::function<mobility::Vec2(net::NodeId, sim::Time)> position_of);
-
-  [[nodiscard]] DefenseKind kind() const override {
-    return DefenseKind::kWormholeLeash;
-  }
-  [[nodiscard]] const char* name() const override { return "wormhole-leash"; }
-
-  [[nodiscard]] bool admit_path(net::NodeId src, net::NodeId dst,
-                                const net::RouteVec& intermediates,
-                                sim::Time now) override;
-
-  [[nodiscard]] sim::Time detection_time() const override {
-    return first_detection_;
-  }
-  [[nodiscard]] std::uint64_t paths_quarantined() const override {
-    return quarantined_;
-  }
-  [[nodiscard]] std::uint64_t paths_validated() const override {
-    return validated_;
-  }
-
- private:
+  // --- wormhole leash ---------------------------------------------------
   double limit_sq_;
   std::function<mobility::Vec2(net::NodeId, sim::Time)> position_of_;
-  std::uint64_t validated_ = 0;
-  std::uint64_t quarantined_ = 0;
-  sim::Time first_detection_;
-};
 
-/// (c) Flood rate limiting: one token bucket per (node, origin) pair —
-/// every node polices every origin independently, as a deployed filter
-/// would.  Buckets start full so genuine discovery bursts (retries with
-/// backoff) pass; a flooder's forged ids drain the bucket at its first
-/// honest hop and the amplification dies there.
-class FloodRateLimitDefense final : public DefenseModel {
- public:
-  FloodRateLimitDefense(double rate, double burst);
-
-  [[nodiscard]] DefenseKind kind() const override {
-    return DefenseKind::kFloodRateLimit;
-  }
-  [[nodiscard]] const char* name() const override { return "flood-limit"; }
-
-  [[nodiscard]] bool admit_rreq(net::NodeId self, net::NodeId origin,
-                                sim::Time now) override;
-
-  [[nodiscard]] sim::Time detection_time() const override {
-    return first_detection_;
-  }
-  [[nodiscard]] std::uint64_t flood_suppressed() const override {
-    return suppressed_;
-  }
-  [[nodiscard]] std::uint64_t rreqs_seen() const override { return seen_; }
-
- private:
-  struct Bucket {
-    double tokens;
-    sim::Time last;
-  };
-
+  // --- flood rate limiting: one bucket per (node, origin) pair ----------
   double rate_;
   double burst_;
   std::map<std::pair<net::NodeId, net::NodeId>, Bucket> buckets_;
-  std::uint64_t seen_ = 0;
-  std::uint64_t suppressed_ = 0;
-  sim::Time first_detection_;
+
+  DefenseCounters counters_;
 };
-
-/// (d) The full suite: every hook fans out to all three members (no
-/// short-circuiting — each model keeps honest denominators), admission
-/// verdicts AND together, and the metrics aggregate.
-class DefenseSuite final : public DefenseModel {
- public:
-  explicit DefenseSuite(std::vector<std::unique_ptr<DefenseModel>> members);
-
-  [[nodiscard]] DefenseKind kind() const override {
-    return DefenseKind::kSuite;
-  }
-  [[nodiscard]] const char* name() const override { return "suite"; }
-
-  [[nodiscard]] bool admit_rreq(net::NodeId self, net::NodeId origin,
-                                sim::Time now) override;
-  [[nodiscard]] bool admit_path(net::NodeId src, net::NodeId dst,
-                                const net::RouteVec& intermediates,
-                                sim::Time now) override;
-  [[nodiscard]] sim::Time probe_period() const override;
-  void on_path_established(net::NodeId self, net::NodeId dst,
-                           std::uint16_t path_id) override;
-  void on_probe_sent(net::NodeId self, net::NodeId dst, std::uint16_t path_id,
-                     sim::Time now) override;
-  void on_probe_echo(net::NodeId self, net::NodeId dst, std::uint16_t path_id,
-                     sim::Time now) override;
-  [[nodiscard]] bool path_suspect(net::NodeId self, net::NodeId dst,
-                                  std::uint16_t path_id,
-                                  sim::Time now) override;
-  void on_path_quarantined(net::NodeId self, net::NodeId dst,
-                           std::uint16_t path_id, sim::Time now) override;
-
-  [[nodiscard]] sim::Time detection_time() const override;
-  [[nodiscard]] std::uint64_t paths_quarantined() const override;
-  [[nodiscard]] std::uint64_t paths_validated() const override;
-  [[nodiscard]] std::uint64_t flood_suppressed() const override;
-  [[nodiscard]] std::uint64_t rreqs_seen() const override;
-  [[nodiscard]] std::uint64_t probes_sent() const override;
-  [[nodiscard]] std::uint64_t probe_echoes() const override;
-
- private:
-  std::vector<std::unique_ptr<DefenseModel>> members_;
-};
-
-/// Context the factory needs to instantiate a model for one scenario.
-/// All plumbing the defenses use (radio range for the leash, the
-/// position oracle) comes from the shared `SecurityContext`; the alias
-/// exists so `make_defense` keeps its signature and future
-/// defense-specific hooks have a home.
-struct DefenseContext : SecurityContext {};
-
-/// Builds the model described by `spec`, or nullptr for kNone.
-std::unique_ptr<DefenseModel> make_defense(const DefenseSpec& spec,
-                                           const DefenseContext& ctx);
 
 }  // namespace mts::security

@@ -7,7 +7,7 @@
 namespace mts::tcp {
 
 /// Congestion-control variant.  The paper uses Reno; Tahoe and NewReno
-/// are included for the ablation benches.
+/// are the alternatives.
 enum class TcpVariant : std::uint8_t { kTahoe, kReno, kNewReno };
 
 const char* tcp_variant_name(TcpVariant v);
@@ -25,7 +25,7 @@ struct TcpConfig {
   sim::Time max_rto = sim::Time::sec(64);
   double rtt_alpha = 0.125;  ///< srtt gain  (RFC 6298)
   double rtt_beta = 0.25;    ///< rttvar gain
-  /// Record (time, cwnd) samples for diagnostics/ablations.
+  /// Record (time, cwnd) samples for diagnostics.
   bool trace_cwnd = false;
 };
 

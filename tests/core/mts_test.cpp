@@ -46,7 +46,7 @@ TEST(MtsTest, DestinationStoresDisjointPathsOnDiamond) {
 TEST(MtsTest, DestinationRespectsMaxPathsCap) {
   MtsConfig cfg;
   cfg.max_paths = 1;
-  testing_bench b(Proto::kMts, diamond(), {}, cfg);
+  testing_bench b(Proto::kMts, diamond(), cfg);
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(2));
   EXPECT_EQ(b.protocol<Mts>(3)->stored_paths_for(0).size(), 1u);
@@ -73,7 +73,7 @@ TEST(MtsTest, NonDisjointAlternateRejected) {
 TEST(MtsTest, ChecksFlowPeriodicaly) {
   MtsConfig cfg;
   cfg.check_period = sim::Time::ms(500);
-  testing_bench b(Proto::kMts, diamond(), {}, cfg);
+  testing_bench b(Proto::kMts, diamond(), cfg);
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(5));
   auto* dest = b.protocol<Mts>(3);
@@ -85,7 +85,7 @@ TEST(MtsTest, ChecksFlowPeriodicaly) {
 TEST(MtsTest, SourceHoldsCurrentPathAndSwitchesOnChecks) {
   MtsConfig cfg;
   cfg.check_period = sim::Time::ms(300);
-  testing_bench b(Proto::kMts, diamond(), {}, cfg);
+  testing_bench b(Proto::kMts, diamond(), cfg);
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(10));
   auto* src = b.protocol<Mts>(0);
@@ -97,7 +97,7 @@ TEST(MtsTest, SourceHoldsCurrentPathAndSwitchesOnChecks) {
 TEST(MtsTest, SpreadsDataAcrossBothDiamondRelays) {
   MtsConfig cfg;
   cfg.check_period = sim::Time::ms(300);
-  testing_bench b(Proto::kMts, diamond(), {}, cfg);
+  testing_bench b(Proto::kMts, diamond(), cfg);
   // A steady packet stream across many check rounds.
   for (int t = 0; t < 100; ++t) {
     b.sched.schedule_at(sim::Time::ms(50 * t) + sim::Time::ms(1),
@@ -112,7 +112,7 @@ TEST(MtsTest, SpreadsDataAcrossBothDiamondRelays) {
 TEST(MtsTest, AcksRouteBackAlongDataPath) {
   MtsConfig cfg;
   cfg.check_period = sim::Time::sec(100);  // quiesce checks: floods only
-  testing_bench b(Proto::kMts, chain(4), {}, cfg);
+  testing_bench b(Proto::kMts, chain(4), cfg);
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(2));
   ASSERT_EQ(b.node(3).delivered.size(), 1u);
@@ -139,7 +139,7 @@ TEST(MtsTest, NewDiscoveryFlushesStoredPaths) {
   MtsConfig cfg;
   cfg.freshness_periods = 1.01;      // paths go stale quickly
   cfg.check_period = sim::Time::sec(100);  // no checks to refresh them
-  testing_bench b(Proto::kMts, diamond(), {}, cfg);
+  testing_bench b(Proto::kMts, diamond(), cfg);
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(2));
   const auto first_gen = b.protocol<Mts>(3)->stored_paths_for(0);

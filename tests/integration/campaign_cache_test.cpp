@@ -102,24 +102,56 @@ TEST_F(CampaignCacheTest, SecondRunResumesEveryShardAndMatches) {
 }
 
 TEST_F(CampaignCacheTest, KeyChangesWithResultAffectingKnobs) {
-  const CampaignConfig base = tiny();
-  CampaignConfig other = base;
-  other.base.mts.check_period = sim::Time::sec(7);
-  EXPECT_NE(campaign_key(base), campaign_key(other));
-
-  other = base;
-  other.base.tcp.max_window = 16;
-  EXPECT_NE(campaign_key(base), campaign_key(other));
-
-  other = base;
-  other.repetitions = 3;
-  EXPECT_NE(campaign_key(base), campaign_key(other));
-
-  other = base;
-  other.speeds = {5, 10};
-  EXPECT_NE(campaign_key(base), campaign_key(other));
-
-  EXPECT_EQ(campaign_key(base), campaign_key(tiny()));
+  // One mutator per result-affecting knob; each must move the key.
+#define MUTATE(field, value) \
+  {#field, [](CampaignConfig& c) { c.field = value; }}
+  const std::pair<const char*, void (*)(CampaignConfig&)> mutators[] = {
+      MUTATE(repetitions, 3),
+      MUTATE(speeds, (std::vector<double>{5, 10})),
+      MUTATE(base.eavesdropper_enabled, false),
+      MUTATE(base.explicit_flows, (std::vector<FlowSpec>{{2, 3}})),
+      MUTATE(base.static_positions, (std::vector<mobility::Vec2>{{1, 2}})),
+      MUTATE(base.fading_enabled, true),
+      MUTATE(base.fading.faded_fraction, 0.5),
+      MUTATE(base.fading.fade_probability, 0.4),
+      MUTATE(base.fading.coherence_time, sim::Time::sec(5)),
+      MUTATE(base.tcp.max_window, 16),
+      MUTATE(base.tcp.dupack_threshold, 4),
+      MUTATE(base.tcp.initial_rto, sim::Time::sec(2)),
+      MUTATE(base.tcp.min_rto, sim::Time::ms(200)),
+      MUTATE(base.tcp.max_rto, sim::Time::sec(32)),
+      MUTATE(base.tcp.rtt_alpha, 0.2),
+      MUTATE(base.tcp.rtt_beta, 0.3),
+      // Past the default six significant digits of a stream.
+      MUTATE(base.tcp.rtt_alpha, 0.1250001),
+      MUTATE(base.mts.check_period, sim::Time::sec(7)),
+      MUTATE(base.mts.check_jitter, sim::Time::ms(30)),
+      MUTATE(base.mts.net_diameter_ttl, 16),
+      MUTATE(base.mac.data_rate_bps, 11e6),
+      MUTATE(base.mac.basic_rate_bps, 1e6),
+      MUTATE(base.mac.slot, sim::Time::us(9)),
+      MUTATE(base.mac.sifs, sim::Time::us(16)),
+      MUTATE(base.mac.difs, sim::Time::us(34)),
+      MUTATE(base.mac.plcp_overhead, sim::Time::us(96)),
+      MUTATE(base.mac.cw_min, 15),
+      MUTATE(base.mac.cw_max, 255),
+      MUTATE(base.mac.retry_limit, 4),
+      MUTATE(base.mac.data_header_bytes, 30),
+      MUTATE(base.mac.ack_bytes, 16),
+      MUTATE(base.mac.rts_bytes, 22),
+      MUTATE(base.mac.cts_bytes, 16),
+      MUTATE(base.mac.queue_capacity, 64),
+      MUTATE(base.mac.rts_threshold_bytes, 500),
+      MUTATE(base.mac.timeout_slack, sim::Time::us(50)),
+  };
+#undef MUTATE
+  const std::string base = campaign_key(tiny());
+  for (const auto& [field, mutate] : mutators) {
+    CampaignConfig other = tiny();
+    mutate(other);
+    EXPECT_NE(campaign_key(other), base) << field;
+  }
+  EXPECT_EQ(base, campaign_key(tiny()));
 }
 
 TEST_F(CampaignCacheTest, AdversaryAxisRoundTripsAndChangesTheKey) {

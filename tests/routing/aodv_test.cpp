@@ -71,9 +71,7 @@ TEST(AodvTest, SequenceNumberIncreasesWithActivity) {
 }
 
 TEST(AodvTest, IntermediateReplyFromFreshRoute) {
-  AodvConfig cfg;
-  cfg.intermediate_reply = true;
-  testing_bench b(Proto::kAodv, chain(4), cfg);
+  testing_bench b(Proto::kAodv, chain(4));
   // Prime node 1 with a route to 3 via a first discovery 0->3.
   b.send_data(0, 3);
   b.sched.run_until(sim::Time::sec(1));
@@ -87,29 +85,26 @@ TEST(AodvTest, IntermediateReplyFromFreshRoute) {
   EXPECT_EQ(b.node(3).delivered.size(), 2u);
 }
 
+// The active-route timeout is 10 s.
 TEST(AodvTest, RouteExpiresWithoutUse) {
-  AodvConfig cfg;
-  cfg.active_route_timeout = sim::Time::sec(2);
-  testing_bench b(Proto::kAodv, chain(3), cfg);
+  testing_bench b(Proto::kAodv, chain(3));
   b.send_data(0, 2);
-  b.sched.run_until(sim::Time::sec(1));
+  b.sched.run_until(sim::Time::sec(5));
   ASSERT_NE(b.protocol<Aodv>(0)->route_to(2), nullptr);
   EXPECT_TRUE(b.protocol<Aodv>(0)->route_to(2)->valid);
-  b.sched.run_until(sim::Time::sec(5));
+  b.sched.run_until(sim::Time::sec(25));
   const auto* e = b.protocol<Aodv>(0)->route_to(2);
   ASSERT_NE(e, nullptr);
   EXPECT_FALSE(e->valid);  // purged by the periodic sweep
 }
 
 TEST(AodvTest, ActiveTrafficKeepsRouteAlive) {
-  AodvConfig cfg;
-  cfg.active_route_timeout = sim::Time::sec(2);
-  testing_bench b(Proto::kAodv, chain(3), cfg);
+  testing_bench b(Proto::kAodv, chain(3));
   for (int t = 0; t < 8; ++t) {
-    b.sched.schedule_at(sim::Time::sec(t) + sim::Time::ms(1),
+    b.sched.schedule_at(sim::Time::sec(5 * t) + sim::Time::ms(1),
                         [&b] { b.send_data(0, 2); });
   }
-  b.sched.run_until(sim::Time::sec(8));
+  b.sched.run_until(sim::Time::sec(40));
   const auto* e = b.protocol<Aodv>(0)->route_to(2);
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->valid);

@@ -33,7 +33,6 @@ class RoutingBench : public mac::MacListener, public routing::DeliveryListener {
   enum class Proto { kAodv, kDsr, kMts, kSmr };
 
   RoutingBench(Proto proto, std::vector<mobility::Vec2> positions,
-               routing::aodv::AodvConfig aodv_cfg = {},
                core::MtsConfig mts_cfg = {})
       : mts_cfg_(mts_cfg) {
     prop_ = std::make_unique<phy::UnitDiskPropagation>(250.0);
@@ -57,7 +56,7 @@ class RoutingBench : public mac::MacListener, public routing::DeliveryListener {
       switch (proto) {
         case Proto::kAodv:
           n.routing = std::make_unique<routing::aodv::Aodv>(
-              std::move(ctx), aodv_cfg, sim::Rng(2000 + i));
+              std::move(ctx), sim::Rng(2000 + i));
           break;
         case Proto::kDsr:
           n.routing = std::make_unique<routing::dsr::Dsr>(
