@@ -177,8 +177,10 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
       partition_campaign(cfg, fab.cells_per_unit);
   ShardStore store(fab.shard_dir.empty() ? ShardStore::dir_for(cfg)
                                          : fab.shard_dir);
-  sim::require_config(store.prepare(), "Fabric: cannot create shard dir " +
-                                           store.dir().string());
+  if (!store.prepare()) {
+    throw sim::ConfigError("Fabric: cannot create shard dir " +
+                           store.dir().string());
+  }
 
   FabricReport report;
   report.units_total = units.size();

@@ -116,6 +116,10 @@ class Mac80211 : private phy::RadioListener {
   [[nodiscard]] std::vector<net::QueueItem> take_queued_for(net::NodeId hop);
 
   [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
+  /// The receive-side duplicate filter (read-only introspection).
+  [[nodiscard]] const RxDupCache& rx_dup_cache() const {
+    return rx_seq_cache_;
+  }
   [[nodiscard]] bool idle() const {
     return state_ == State::kIdle && queue_.empty();
   }
@@ -197,12 +201,14 @@ class Mac80211 : private phy::RadioListener {
   sim::Timer tx_defer_timer_;  ///< SIFS gap between CTS arrival and DATA
 
   /// Receive-side duplicate filter: last MAC seq per transmitter, in a
-  /// fixed open-addressed table (no heap on the per-frame path).
+  /// fixed open-addressed table allocated on the first unicast DATA
+  /// reception (no heap on the per-frame path after that).
   RxDupCache rx_seq_cache_;
 };
 
-static_assert(sizeof(Mac80211) <= 1280,
+static_assert(sizeof(Mac80211) <= 400,
               "Mac80211 grew: one per node, so per-node state must stay "
-              "small (share configs, bind timers to member functions)");
+              "small (share configs, bind timers to member functions, "
+              "keep tables most nodes never use behind a pointer)");
 
 }  // namespace mts::mac

@@ -26,7 +26,9 @@ inline void require(bool cond, const char* msg) {
   if (!cond) throw SimError(msg);
 }
 
-inline void require_config(bool cond, const std::string& msg) {
+/// Configuration check; like `require`, the message string is built
+/// only when the check fails.
+inline void require_config(bool cond, const char* msg) {
   if (!cond) throw ConfigError(msg);
 }
 

@@ -90,5 +90,27 @@ TEST(RxDupCacheTest, ClearForgetsEverything) {
   EXPECT_FALSE(c.is_duplicate_and_update(9, 1, true));
 }
 
+TEST(RxDupCacheTest, AFreshCacheOwnsNoTableAndContainsAllocatesNone) {
+  RxDupCache c;
+  EXPECT_FALSE(c.has_table());
+  EXPECT_FALSE(c.contains(9));
+  EXPECT_FALSE(c.has_table());
+  c.clear();
+  EXPECT_FALSE(c.has_table());
+}
+
+TEST(RxDupCacheTest, TheFirstUpdateAllocatesTheTableAndClearReleasesIt) {
+  RxDupCache c;
+  EXPECT_FALSE(c.is_duplicate_and_update(9, 1, false));
+  EXPECT_TRUE(c.has_table());
+  c.clear();
+  EXPECT_FALSE(c.has_table());
+  EXPECT_FALSE(c.contains(9));
+  // The next update allocates a fresh table and the rule runs again.
+  EXPECT_FALSE(c.is_duplicate_and_update(9, 1, true));
+  EXPECT_TRUE(c.has_table());
+  EXPECT_TRUE(c.is_duplicate_and_update(9, 1, true));
+}
+
 }  // namespace
 }  // namespace mts::mac

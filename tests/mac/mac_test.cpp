@@ -174,6 +174,34 @@ TEST_F(MacTest, ReceiverDeduplicatesMacRetransmissions) {
   EXPECT_EQ(stations_[1].radio->frames_decoded(), 3u);  // RTS off: DATA only
 }
 
+TEST_F(MacTest, DupFilterTableIsAllocatedByTheFirstUnicastReception) {
+  // Three stations in mutual range: broadcasts reach everyone, and the
+  // unicast to 1 is ACKed by 1 and overheard by 2.
+  build({{0, 0}, {150, 0}, {75, 100}});
+  for (std::uint32_t i = 1; i <= 3; ++i) {
+    net::Packet p = data_packet(0, net::kBroadcastId, i);
+    p.mutable_common().kind = net::PacketKind::kAodvRreq;
+    stations_[0].mac->enqueue(std::move(p), net::kBroadcastId);
+  }
+  sched_.run_until(sim::Time::ms(100));
+  ASSERT_EQ(stations_[1].received.size(), 3u);
+  ASSERT_EQ(stations_[2].received.size(), 3u);
+  for (const Station& st : stations_) {
+    EXPECT_FALSE(st.mac->rx_dup_cache().has_table());
+  }
+
+  stations_[0].mac->enqueue(data_packet(0, 1, 4), 1);
+  sched_.run_until(sim::Time::ms(200));
+  ASSERT_EQ(stations_[1].received.size(), 4u);
+  ASSERT_EQ(stations_[0].successes.size(), 1u);
+  EXPECT_TRUE(stations_[1].mac->rx_dup_cache().has_table());
+  EXPECT_TRUE(stations_[1].mac->rx_dup_cache().contains(0));
+  // The sender heard only an ACK and the bystander a frame for another
+  // station: neither is a unicast DATA reception.
+  EXPECT_FALSE(stations_[0].mac->rx_dup_cache().has_table());
+  EXPECT_FALSE(stations_[2].mac->rx_dup_cache().has_table());
+}
+
 TEST_F(MacTest, TwoContendersBothGetThrough) {
   build({{0, 0}, {150, 0}, {75, 100}});
   // 0 and 2 both in range of each other and of 1: carrier sense works.
