@@ -185,7 +185,7 @@ class Mts final : public routing::RoutingProtocol {
   std::uint64_t paths_quarantined_ = 0;
 };
 
-static_assert(sizeof(Mts) <= 928,
+static_assert(sizeof(Mts) <= 752,
               "core::Mts grew: one per node, so per-node state must stay "
               "small (share the config, bind timers to member functions)");
 

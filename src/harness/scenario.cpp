@@ -60,10 +60,12 @@ struct Flow {
   std::unique_ptr<tcp::TcpSink> sink;
 };
 
-/// Also every node's MAC and delivery listener: each up-call names its
-/// node, so one object serves them all.
+/// Also every node's MAC and delivery listener, and the static flows'
+/// transport listener: each up-call names its node, so one object
+/// serves them all.
 class Simulation final : private mac::MacListener,
-                         private routing::DeliveryListener {
+                         private routing::DeliveryListener,
+                         private tcp::TransportListener {
  public:
   explicit Simulation(const ScenarioConfig& cfg, net::TraceHub* trace)
       : cfg_(cfg), master_(cfg.seed), external_trace_(trace) {
@@ -200,6 +202,7 @@ class Simulation final : private mac::MacListener,
             src, dst, sim::Time::sec(1) + sim::Time::seconds(frng.uniform(0.0, 1.0))});
       }
     }
+    tcp::TransportListener& transport = *this;
     std::uint16_t next_id = 1;
     for (const FlowSpec& spec : specs) {
       auto flow = std::make_unique<Flow>();
@@ -208,19 +211,11 @@ class Simulation final : private mac::MacListener,
       Node& src_node = nodes_[spec.src];
       Node& dst_node = nodes_[spec.dst];
       flow->source = std::make_unique<tcp::TcpSource>(
-          sched_,
-          [r = src_node.routing.get()](net::Packet&& p) {
-            r->send_from_transport(std::move(p));
-          },
-          spec.src, spec.dst, flow->id, cfg_.tcp, &uids_, &src_node.counters,
-          &flow->stats);
+          sched_, transport, spec.src, spec.dst, flow->id, cfg_.tcp, &uids_,
+          &src_node.counters, &flow->stats);
       flow->sink = std::make_unique<tcp::TcpSink>(
-          sched_,
-          [r = dst_node.routing.get()](net::Packet&& p) {
-            r->send_from_transport(std::move(p));
-          },
-          spec.dst, spec.src, flow->id, &uids_, &dst_node.counters,
-          &flow->stats);
+          sched_, transport, spec.dst, spec.src, flow->id, &uids_,
+          &dst_node.counters, &flow->stats);
       src_node.sources.push_back(flow->source.get());
       dst_node.sinks.push_back(flow->sink.get());
       flows_.push_back(std::move(flow));
@@ -332,7 +327,7 @@ class Simulation final : private mac::MacListener,
     ctx.first_flow_id = static_cast<std::uint16_t>(flows_.size() + 1);
     ctx.tcp = cfg_.tcp;
     ctx.send = [this](net::NodeId node, net::Packet&& p) {
-      nodes_[node].routing->send_from_transport(std::move(p));
+      send(node, std::move(p));
     };
     ctx.counters_of = [this](net::NodeId node) {
       return &nodes_[node].counters;
@@ -379,6 +374,10 @@ class Simulation final : private mac::MacListener,
 
   void on_sniff(net::NodeId /*self*/, const phy::Frame& f) override {
     eavesdropper_->on_sniff(f);
+  }
+
+  void send(net::NodeId from, net::Packet&& p) override {
+    nodes_[from].routing->send_from_transport(std::move(p));
   }
 
   void deliver_local(net::NodeId node, net::Packet&& p,

@@ -68,4 +68,8 @@ class Aodv final : public RoutingProtocol {
   FloodCache rreq_seen_;
 };
 
+static_assert(sizeof(Aodv) <= 400,
+              "routing::aodv::Aodv grew: one per node, so per-node state must "
+              "stay small");
+
 }  // namespace mts::routing::aodv

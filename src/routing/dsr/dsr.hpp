@@ -31,4 +31,8 @@ class Dsr final : public SourceRouting {
   FloodCache rreq_seen_;
 };
 
+static_assert(sizeof(Dsr) <= 376,
+              "routing::dsr::Dsr grew: one per node, so per-node state must "
+              "stay small");
+
 }  // namespace mts::routing::dsr

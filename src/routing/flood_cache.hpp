@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 
 #include "net/node_id.hpp"
 #include "sim/error.hpp"
@@ -15,17 +17,19 @@ namespace mts::routing {
 /// entries age out by insertion order, which is safe because broadcast
 /// ids are monotonically increasing per originator.
 ///
-/// Storage is flat, in one allocation: an open-addressed table of keys
-/// (linear probing, backward-shift deletion, at most half full) and a
-/// ring holding the same keys in insertion order, which picks the
-/// eviction victim.  Both start small and double on demand up to
-/// `capacity`, so a node that hears a few dozen floods holds a few
-/// dozen slots, not `capacity` (a 10k-node MTS field holds 20k caches).
-/// Key 0 — originator 0's flood 0 — doubles as the table's empty
-/// marker, so its presence is a flag instead of a slot.
+/// Storage is flat, in one allocation: a ring holding each key once, in
+/// insertion order (it picks the eviction victim), followed by an
+/// open-addressed index of 16-bit ring positions (linear probing,
+/// backward-shift deletion, at most half full).  A ring slot costs 8 B
+/// of key plus two 2 B index slots, 12 B in all.  Both start small and
+/// double on demand up to `capacity`, so a node that hears a few dozen
+/// floods holds a few dozen slots, not `capacity` (a 10k-node MTS field
+/// holds 20k caches).  Positions are 16-bit, so capacity is capped at
+/// 65,535 and position 0xFFFF marks an empty index slot.
 class FloodCache {
  public:
-  explicit FloodCache(std::size_t capacity = 4096) : capacity_(capacity) {
+  explicit FloodCache(std::size_t capacity = 4096)
+      : capacity_(static_cast<std::uint16_t>(capacity)) {
     sim::require(capacity > 0 && capacity <= kMaxCapacity,
                  "FloodCache: capacity out of range");
   }
@@ -33,40 +37,40 @@ class FloodCache {
   /// Returns true if (orig, id) was new — and records it.
   bool check_and_insert(net::NodeId orig, std::uint32_t id) {
     const std::uint64_t key = key_of(orig, id);
-    if (key == 0) {
-      if (has_zero_) return false;
-      make_room();
-      has_zero_ = true;
-      push_order(0);
-      return true;
-    }
     std::uint32_t i = 0;
     if (buckets_ != 0) {
       i = probe(key);
-      if (table()[i] == key) return false;
+      if (index()[i] != kEmpty) return false;
     }
     if (count_ == ring_cap_) {
       make_room();
-      i = probe(key);  // growth or eviction reshaped the table
+      i = probe(key);  // growth or eviction reshaped the index
     }
-    table()[i] = key;
-    push_order(key);
+    std::uint32_t tail = std::uint32_t{head_} + count_;
+    if (tail >= ring_cap_) tail -= ring_cap_;
+    ring()[tail] = key;
+    index()[i] = static_cast<std::uint16_t>(tail);
+    ++count_;
     return true;
   }
 
   [[nodiscard]] bool contains(net::NodeId orig, std::uint32_t id) const {
-    const std::uint64_t key = key_of(orig, id);
-    if (key == 0) return has_zero_;
-    return buckets_ != 0 && table()[probe(key)] == key;
+    return buckets_ != 0 && index()[probe(key_of(orig, id))] != kEmpty;
   }
 
   [[nodiscard]] std::size_t size() const { return count_; }
 
-  /// Table slots allocated so far: twice the ring, which grows with the
+  /// Index slots allocated so far: twice the ring, which grows with the
   /// entries held, not with `capacity`.
   [[nodiscard]] std::size_t bucket_count() const { return buckets_; }
 
-  /// Slot where `key`'s probe starts in a table of `buckets` slots (a
+  /// Bytes of the one allocation: the ring's keys plus the index.
+  [[nodiscard]] std::size_t storage_bytes() const {
+    return std::size_t{ring_cap_} * sizeof(std::uint64_t) +
+           std::size_t{buckets_} * sizeof(std::uint16_t);
+  }
+
+  /// Slot where `key`'s probe starts in an index of `buckets` slots (a
   /// power of two, at least 2); Fibonacci hashing mixes both halves of
   /// the key into the top bits.
   [[nodiscard]] static std::uint32_t home(std::uint64_t key,
@@ -76,93 +80,98 @@ class FloodCache {
   }
 
  private:
-  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 30;
+  static constexpr std::size_t kMaxCapacity = 0xFFFF;
+  static constexpr std::uint16_t kEmpty = 0xFFFF;
   static constexpr std::uint32_t kFirstRing = 8;
 
   static std::uint64_t key_of(net::NodeId orig, std::uint32_t id) {
     return (static_cast<std::uint64_t>(orig) << 32) | std::uint64_t{id};
   }
 
-  std::uint64_t* table() const { return slots_.get(); }
-  std::uint64_t* ring() const { return slots_.get() + buckets_; }
+  // The block holds `ring_cap_` keys, then `buckets_` positions; both
+  // arrays were created in it by `grow`.
+  std::uint64_t* ring() const {
+    return std::launder(reinterpret_cast<std::uint64_t*>(block_.get()));
+  }
+  std::uint16_t* index() const {
+    return std::launder(reinterpret_cast<std::uint16_t*>(
+        block_.get() + std::size_t{ring_cap_} * sizeof(std::uint64_t)));
+  }
   std::uint32_t next(std::uint32_t i) const { return (i + 1) & (buckets_ - 1); }
 
-  /// Slot holding nonzero `key`, or the empty slot ending its probe run.
+  /// Index slot pointing at `key`, or the empty slot ending its probe run.
   std::uint32_t probe(std::uint64_t key) const {
+    const std::uint64_t* r = ring();
+    const std::uint16_t* t = index();
     std::uint32_t i = home(key, buckets_);
-    while (table()[i] != 0 && table()[i] != key) i = next(i);
+    while (t[i] != kEmpty && r[t[i]] != key) i = next(i);
     return i;
   }
 
-  /// Ensures one more key fits: grows the ring (and table) below
-  /// capacity, else evicts the oldest key.
+  /// Makes room for one more key in a full ring: grows the ring (and
+  /// index) below capacity, else evicts the oldest key.
   void make_room() {
-    if (count_ < ring_cap_) return;
     if (ring_cap_ < capacity_) {
       grow();
       return;
     }
-    const std::uint64_t oldest = ring()[head_];
+    erase(probe(ring()[head_]));
     head_ = head_ + 1 == ring_cap_ ? 0 : head_ + 1;
     --count_;
-    if (oldest == 0) {
-      has_zero_ = false;
-    } else {
-      erase(oldest);
-    }
   }
 
-  void push_order(std::uint64_t key) {
-    std::uint32_t tail = head_ + count_;
-    if (tail >= ring_cap_) tail -= ring_cap_;
-    ring()[tail] = key;
-    ++count_;
-  }
-
-  /// Doubles the ring (up to capacity) and re-inserts every key, oldest
-  /// first, into a table twice the ring's size.
+  /// Doubles the ring (up to capacity) and re-indexes every key, oldest
+  /// first at position 0, in an index twice the ring's size.
   void grow() {
-    const std::unique_ptr<std::uint64_t[]> old = std::move(slots_);
-    const std::uint32_t old_ring = buckets_;  // the ring follows the table
+    const std::unique_ptr<std::byte[]> old = std::move(block_);
+    const auto* old_ring = std::launder(
+        reinterpret_cast<const std::uint64_t*>(old.get()));
     const std::uint32_t old_cap = ring_cap_;
-    ring_cap_ = static_cast<std::uint32_t>(std::min<std::size_t>(
-        old_cap == 0 ? kFirstRing : std::size_t{old_cap} * 2, capacity_));
-    buckets_ = std::bit_ceil(ring_cap_ * 2);
-    slots_.reset(new std::uint64_t[buckets_ + ring_cap_]());
+    ring_cap_ = static_cast<std::uint16_t>(std::min<std::uint32_t>(
+        old_cap == 0 ? kFirstRing : old_cap * 2, capacity_));
+    buckets_ = std::bit_ceil(std::uint32_t{ring_cap_} * 2);
+    block_.reset(new std::byte[storage_bytes()]);
+    // Start the lifetimes of both arrays in the fresh bytes: the keys
+    // are filled below, every index slot starts empty.
+    std::uint64_t* r = new (block_.get()) std::uint64_t[ring_cap_];
+    std::uint16_t* t = index();
+    std::uninitialized_fill_n(t, buckets_, kEmpty);
     for (std::uint32_t k = 0; k < count_; ++k) {
-      std::uint32_t at = head_ + k;
+      std::uint32_t at = std::uint32_t{head_} + k;
       if (at >= old_cap) at -= old_cap;
-      const std::uint64_t key = old[old_ring + at];
-      ring()[k] = key;
-      if (key != 0) table()[probe(key)] = key;
+      r[k] = old_ring[at];
+      t[probe(r[k])] = static_cast<std::uint16_t>(k);
     }
     head_ = 0;
   }
 
-  /// Removes `key` (present, nonzero) and shifts its probe run back so
-  /// no later key is cut off from its home slot.
-  void erase(std::uint64_t key) {
-    std::uint64_t* t = table();
+  /// Empties index slot `gap` and shifts its probe run back so no later
+  /// key is cut off from its home slot.
+  void erase(std::uint32_t gap) {
+    const std::uint64_t* r = ring();
+    std::uint16_t* t = index();
     const std::uint32_t mask = buckets_ - 1;
-    std::uint32_t gap = probe(key);
-    for (std::uint32_t j = next(gap); t[j] != 0; j = next(j)) {
+    for (std::uint32_t j = next(gap); t[j] != kEmpty; j = next(j)) {
       // The key at j may fill the gap iff the gap lies on its probe
       // path: its home is at least as far behind j as the gap is.
-      if (((j - home(t[j], buckets_)) & mask) >= ((j - gap) & mask)) {
+      if (((j - home(r[t[j]], buckets_)) & mask) >= ((j - gap) & mask)) {
         t[gap] = t[j];
         gap = j;
       }
     }
-    t[gap] = 0;
+    t[gap] = kEmpty;
   }
 
-  std::size_t capacity_;
-  std::unique_ptr<std::uint64_t[]> slots_;  ///< table, then ring
+  std::unique_ptr<std::byte[]> block_;  ///< ring keys, then the index
   std::uint32_t buckets_ = 0;
-  std::uint32_t ring_cap_ = 0;
-  std::uint32_t head_ = 0;   ///< oldest key's ring index
-  std::uint32_t count_ = 0;  ///< keys held, key 0 included
-  bool has_zero_ = false;
+  std::uint16_t capacity_;
+  std::uint16_t ring_cap_ = 0;
+  std::uint16_t head_ = 0;   ///< oldest key's ring position
+  std::uint16_t count_ = 0;  ///< keys held
 };
+
+static_assert(sizeof(FloodCache) <= 32,
+              "routing::FloodCache grew: DSR and AODV hold one per node, "
+              "MTS two");
 
 }  // namespace mts::routing

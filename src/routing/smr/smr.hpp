@@ -78,4 +78,8 @@ class Smr final : public SourceRouting {
   std::unordered_map<std::uint64_t, RelayedFlood> relayed_;
 };
 
+static_assert(sizeof(Smr) <= 520,
+              "routing::smr::Smr grew: one per node, so per-node state must "
+              "stay small");
+
 }  // namespace mts::routing::smr

@@ -431,9 +431,9 @@ class WormholeAttacker final : public PooledAdversary {
   phy::Channel* channel_;
   sim::Rng rng_;
   /// uid -> first-seen time, aged out after kUidFreshness via the
-  /// insertion-ordered queue (same shape as routing::FloodCache, but
-  /// time-based: uids are not monotone, so a pure FIFO cap could evict
-  /// a uid whose retries are still in flight).
+  /// insertion-ordered queue.  Unlike routing::FloodCache's FIFO ring
+  /// this ages by time, not by count: uids are not monotone, so a pure
+  /// FIFO cap could evict a uid whose retries are still in flight.
   std::unordered_map<std::uint64_t, sim::Time> tunneled_uids_;
   std::deque<std::pair<std::uint64_t, sim::Time>> tunneled_order_;
   std::vector<PendingReplay> replay_pool_;

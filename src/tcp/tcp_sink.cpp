@@ -21,7 +21,7 @@ void TcpSink::on_data(const net::Packet& data) {
     stats_->first_delivery = std::min(stats_->first_delivery, sched_->now());
     stats_->last_delivery = std::max(stats_->last_delivery, sched_->now());
     stats_->record_delivery_second(sched_->now());
-    if (on_delivery_) on_delivery_(delay);
+    listener_->delivered(flow_id_, delay);
     ooo_.insert(seq);
     while (ooo_.contains(rcv_nxt_)) {
       ooo_.erase(rcv_nxt_);
@@ -48,7 +48,7 @@ void TcpSink::send_ack(const net::TcpHeader& triggering) {
   p.mutable_tcp() = h;
   ++stats_->acks_sent;
   if (counters_ != nullptr) ++counters_->sent_data;
-  send_(std::move(p));
+  listener_->send(self_, std::move(p));
 }
 
 }  // namespace mts::tcp

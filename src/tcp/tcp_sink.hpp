@@ -1,29 +1,28 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <set>
 
 #include "net/counters.hpp"
 #include "net/packet.hpp"
 #include "sim/scheduler.hpp"
 #include "tcp/flow_stats.hpp"
-#include "tcp/tcp_config.hpp"
+#include "tcp/transport_listener.hpp"
 
 namespace mts::tcp {
 
 /// One-way TCP receiver (ns-2 `Agent/TCPSink`): buffers out-of-order
 /// segments, acknowledges every arriving data packet with the current
 /// cumulative ACK, and echoes the sender's timestamp for RTT sampling.
+/// ACKs leave through `listener.send`, and every fresh delivery is
+/// reported to `listener.delivered`.
 class TcpSink {
  public:
-  using SendFn = std::function<void(net::Packet&&)>;
-
-  TcpSink(sim::Scheduler& sched, SendFn send, net::NodeId self,
-          net::NodeId peer, std::uint16_t flow_id, net::UidSource* uids,
-          net::Counters* counters, FlowStats* stats)
+  TcpSink(sim::Scheduler& sched, TransportListener& listener,
+          net::NodeId self, net::NodeId peer, std::uint16_t flow_id,
+          net::UidSource* uids, net::Counters* counters, FlowStats* stats)
       : sched_(&sched),
-        send_(std::move(send)),
+        listener_(&listener),
         self_(self),
         peer_(peer),
         flow_id_(flow_id),
@@ -34,13 +33,6 @@ class TcpSink {
   /// Handles a data packet routed to this node.
   void on_data(const net::Packet& data);
 
-  /// Observer invoked with the end-to-end delay of every *fresh*
-  /// delivery (duplicates excluded) — feeds the traffic plane's
-  /// percentile digests without widening FlowStats.
-  void set_delivery_observer(std::function<void(sim::Time)> fn) {
-    on_delivery_ = std::move(fn);
-  }
-
   [[nodiscard]] std::uint32_t rcv_nxt() const { return rcv_nxt_; }
   [[nodiscard]] std::size_t ooo_buffered() const { return ooo_.size(); }
 
@@ -48,7 +40,7 @@ class TcpSink {
   void send_ack(const net::TcpHeader& triggering);
 
   sim::Scheduler* sched_;
-  SendFn send_;
+  TransportListener* listener_;
   net::NodeId self_;
   net::NodeId peer_;
   std::uint16_t flow_id_;
@@ -58,7 +50,10 @@ class TcpSink {
 
   std::uint32_t rcv_nxt_ = 1;    ///< next expected segment
   std::set<std::uint32_t> ooo_;  ///< buffered out-of-order segments
-  std::function<void(sim::Time)> on_delivery_;
 };
+
+static_assert(sizeof(TcpSink) <= 120,
+              "tcp::TcpSink grew: the user plane holds one per open "
+              "session (share up-calls through the listener)");
 
 }  // namespace mts::tcp

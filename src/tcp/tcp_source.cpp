@@ -15,21 +15,21 @@ const char* tcp_variant_name(TcpVariant v) {
   return "?";
 }
 
-TcpSource::TcpSource(sim::Scheduler& sched, SendFn send, net::NodeId self,
-                     net::NodeId dst, std::uint16_t flow_id, TcpConfig cfg,
-                     net::UidSource* uids, net::Counters* counters,
-                     FlowStats* stats)
+TcpSource::TcpSource(sim::Scheduler& sched, TransportListener& listener,
+                     net::NodeId self, net::NodeId dst, std::uint16_t flow_id,
+                     const TcpConfig& cfg, net::UidSource* uids,
+                     net::Counters* counters, FlowStats* stats)
     : sched_(&sched),
-      send_(std::move(send)),
+      listener_(&listener),
       self_(self),
       dst_(dst),
       flow_id_(flow_id),
-      cfg_(cfg),
+      cfg_(&cfg),
       uids_(uids),
       counters_(counters),
       stats_(stats),
       ssthresh_(cfg.max_window),
-      rtt_(cfg_),
+      rtt_(cfg),
       rto_timer_(sched, sim::bind<&TcpSource::on_rto>(this),
                  sim::EventCategory::kTransport),
       start_timer_(sched, sim::bind<&TcpSource::send_window>(this),
@@ -42,11 +42,9 @@ TcpSource::TcpSource(sim::Scheduler& sched, SendFn send, net::NodeId self,
 
 void TcpSource::start(sim::Time at) { start_timer_.schedule_at(at); }
 
-void TcpSource::set_transfer(std::uint32_t segments,
-                             std::function<void()> done) {
+void TcpSource::set_transfer(std::uint32_t segments) {
   sim::require_config(segments >= 1, "TcpSource: zero-length transfer");
   limit_ = segments;
-  on_done_ = std::move(done);
 }
 
 void TcpSource::send_window() {
@@ -68,7 +66,7 @@ void TcpSource::transmit_segment(std::uint32_t seq) {
   common.src = self_;
   common.dst = dst_;
   common.uid = uids_->next();
-  common.payload_bytes = cfg_.segment_bytes;
+  common.payload_bytes = cfg_->segment_bytes;
   common.originated = sched_->now();
   net::TcpHeader h;
   h.seq = seq;
@@ -79,7 +77,7 @@ void TcpSource::transmit_segment(std::uint32_t seq) {
   ++stats_->data_packets_sent;
   if (is_retx) ++stats_->retransmits;
   if (counters_ != nullptr) ++counters_->sent_data;
-  send_(std::move(p));
+  listener_->send(self_, std::move(p));
 }
 
 void TcpSource::on_ack(const net::Packet& ack) {
@@ -101,7 +99,7 @@ void TcpSource::on_new_ack(std::uint32_t ack, const net::TcpHeader& h) {
     rtt_.sample(sched_->now() - h.ts);
   }
   if (in_fr_) {
-    if (cfg_.variant == TcpVariant::kNewReno && ack <= recover_) {
+    if (cfg_->variant == TcpVariant::kNewReno && ack <= recover_) {
       // Partial ACK: the next hole is lost too.  Retransmit it, deflate
       // by the amount acked, keep recovering.
       const double acked = ack - snd_una_;
@@ -124,7 +122,7 @@ void TcpSource::on_new_ack(std::uint32_t ack, const net::TcpHeader& h) {
       cwnd_ += static_cast<double>(ack - snd_una_) / cwnd_;  // AIMD
     }
   }
-  cwnd_ = std::min(cwnd_, static_cast<double>(cfg_.max_window));
+  cwnd_ = std::min(cwnd_, static_cast<double>(cfg_->max_window));
   snd_una_ = ack;
   if (flight_size() == 0) {
     rto_timer_.cancel();
@@ -141,20 +139,20 @@ void TcpSource::maybe_complete() {
   // that advances snd_una_ past the limit.
   if (limit_ == 0 || done_fired_ || snd_una_ <= limit_) return;
   done_fired_ = true;
-  if (on_done_) on_done_();
+  listener_->transfer_done(flow_id_);
 }
 
 void TcpSource::on_dup_ack() {
   ++dupacks_;
   if (in_fr_) {
-    if (cfg_.variant != TcpVariant::kTahoe) {
+    if (cfg_->variant != TcpVariant::kTahoe) {
       cwnd_ += 1.0;  // window inflation while recovering
-      cwnd_ = std::min(cwnd_, static_cast<double>(cfg_.max_window) +
-                                  cfg_.dupack_threshold);
+      cwnd_ = std::min(cwnd_, static_cast<double>(cfg_->max_window) +
+                                  cfg_->dupack_threshold);
     }
     return;
   }
-  if (dupacks_ == cfg_.dupack_threshold) enter_fast_retransmit();
+  if (dupacks_ == cfg_->dupack_threshold) enter_fast_retransmit();
 }
 
 void TcpSource::enter_fast_retransmit() {
@@ -162,11 +160,11 @@ void TcpSource::enter_fast_retransmit() {
   ssthresh_ = std::max<std::uint32_t>(flight_size() / 2, 2);
   recover_ = snd_nxt_ - 1;
   transmit_segment(snd_una_);
-  if (cfg_.variant == TcpVariant::kTahoe) {
+  if (cfg_->variant == TcpVariant::kTahoe) {
     cwnd_ = 1.0;
     dupacks_ = 0;
   } else {
-    cwnd_ = static_cast<double>(ssthresh_) + cfg_.dupack_threshold;
+    cwnd_ = static_cast<double>(ssthresh_) + cfg_->dupack_threshold;
     in_fr_ = true;
   }
   arm_rto();

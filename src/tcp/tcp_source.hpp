@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "tcp/flow_stats.hpp"
 #include "tcp/rtt_estimator.hpp"
 #include "tcp/tcp_config.hpp"
+#include "tcp/transport_listener.hpp"
 
 namespace mts::tcp {
 
@@ -23,23 +23,27 @@ namespace mts::tcp {
 /// recovery, or NewReno partial-ACK recovery.  RTO per RFC 6298 with
 /// Karn's algorithm (timestamps echoed by the sink carry a retransmit
 /// flag that suppresses the sample).
+///
+/// Segments leave through `listener.send`.  `cfg` is shared, not
+/// copied: it must outlive the source.
 class TcpSource {
  public:
-  using SendFn = std::function<void(net::Packet&&)>;
-
-  TcpSource(sim::Scheduler& sched, SendFn send, net::NodeId self,
-            net::NodeId dst, std::uint16_t flow_id, TcpConfig cfg,
-            net::UidSource* uids, net::Counters* counters, FlowStats* stats);
+  TcpSource(sim::Scheduler& sched, TransportListener& listener,
+            net::NodeId self, net::NodeId dst, std::uint16_t flow_id,
+            const TcpConfig& cfg, net::UidSource* uids,
+            net::Counters* counters, FlowStats* stats);
+  TcpSource(sim::Scheduler&, TransportListener&, net::NodeId, net::NodeId,
+            std::uint16_t, TcpConfig&&, net::UidSource*, net::Counters*,
+            FlowStats*) = delete;  // the source would outlive its config
 
   /// Begins transmitting at absolute time `at`.
   void start(sim::Time at);
 
   /// Caps the backlog at `segments` (sequence numbers 1..segments) and
-  /// fires `done` exactly once, when the final segment is cumulatively
-  /// acknowledged.  Without it the source keeps its ns-2 infinite-FTP
-  /// behavior.  `done` runs from inside ACK processing: it must not
-  /// destroy this source synchronously.
-  void set_transfer(std::uint32_t segments, std::function<void()> done);
+  /// calls `listener.transfer_done` exactly once, when the final segment
+  /// is cumulatively acknowledged.  Without it the source keeps its ns-2
+  /// infinite-FTP behavior.
+  void set_transfer(std::uint32_t segments);
 
   /// Hands an ACK packet (routed to this node) to the sender.
   void on_ack(const net::Packet& ack);
@@ -70,22 +74,22 @@ class TcpSource {
   void arm_rto();
   void maybe_complete();
   void note_cwnd() {
-    if (cfg_.trace_cwnd) cwnd_trace_.emplace_back(sched_->now(), cwnd_);
+    if (cfg_->trace_cwnd) cwnd_trace_.emplace_back(sched_->now(), cwnd_);
   }
   [[nodiscard]] std::uint32_t window() const {
     const auto w = static_cast<std::uint32_t>(cwnd_);
-    return std::min(w, cfg_.max_window);
+    return std::min(w, cfg_->max_window);
   }
   [[nodiscard]] std::uint32_t flight_size() const {
     return snd_nxt_ - snd_una_;
   }
 
   sim::Scheduler* sched_;
-  SendFn send_;
+  TransportListener* listener_;
   net::NodeId self_;
   net::NodeId dst_;
   std::uint16_t flow_id_;
-  TcpConfig cfg_;
+  const TcpConfig* cfg_;
   net::UidSource* uids_;
   net::Counters* counters_;
   FlowStats* stats_;
@@ -102,12 +106,15 @@ class TcpSource {
   std::uint32_t recover_ = 0;  ///< NewReno recovery point
   std::uint32_t limit_ = 0;    ///< last segment of a finite transfer; 0 = FTP
   bool done_fired_ = false;
-  std::function<void()> on_done_;
 
   RttEstimator rtt_;
   sim::Timer rto_timer_;
   sim::Timer start_timer_;  ///< defers the first window to `start(at)`
   std::vector<std::pair<sim::Time, double>> cwnd_trace_;
 };
+
+static_assert(sizeof(TcpSource) <= 272,
+              "tcp::TcpSource grew: the user plane holds one per open "
+              "session (share the config, up-call through the listener)");
 
 }  // namespace mts::tcp

@@ -1,6 +1,7 @@
 #include "traffic/traffic.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "sim/error.hpp"
 #include "tcp/tcp_sink.hpp"
@@ -61,10 +62,11 @@ sim::Time ArrivalProcess::next_after(sim::Time t) {
 // TrafficPlane
 // ---------------------------------------------------------------------------
 
-/// One live user session.  The think timer doubles as the flow-teardown
-/// trigger: a finished transfer's agents stay alive (idle) until the
-/// think time elapses, so the completion callback never destroys the
-/// TcpSource from inside its own ACK processing.
+/// One live user session, holding its current flow's agents in place
+/// (one allocation per session).  The think timer doubles as the
+/// flow-teardown trigger: a finished transfer's agents stay alive (idle)
+/// until the think time elapses, so the completion up-call never
+/// destroys the TcpSource from inside its own ACK processing.
 struct TrafficPlane::Session {
   Session(TrafficPlane* owner, std::size_t index, sim::Scheduler& sched)
       : plane(owner),
@@ -89,8 +91,8 @@ struct TrafficPlane::Session {
   net::NodeId flow_dst = 0;
   sim::Time flow_start = sim::Time::zero();
   tcp::FlowStats stats;
-  std::unique_ptr<tcp::TcpSource> source;
-  std::unique_ptr<tcp::TcpSink> sink;
+  std::optional<tcp::TcpSource> source;
+  std::optional<tcp::TcpSink> sink;
 
   sim::Timer think;
 };
@@ -251,22 +253,12 @@ void TrafficPlane::start_flow(std::size_t slot) {
   s.stats = tcp::FlowStats{};
   s.flow_start = ctx_.sched->now();
 
-  const net::NodeId src = s.flow_src;
-  const net::NodeId dst = s.flow_dst;
-  s.source = std::make_unique<tcp::TcpSource>(
-      *ctx_.sched,
-      [this, src](net::Packet&& p) { ctx_.send(src, std::move(p)); }, src,
-      dst, id, ctx_.tcp, ctx_.uids, ctx_.counters_of(src), &s.stats);
-  s.source->set_transfer(segments, [this, slot] { on_flow_done(slot); });
-  s.sink = std::make_unique<tcp::TcpSink>(
-      *ctx_.sched,
-      [this, dst](net::Packet&& p) { ctx_.send(dst, std::move(p)); }, dst,
-      src, id, ctx_.uids, ctx_.counters_of(dst), &s.stats);
-  s.sink->set_delivery_observer(
-      [this, cls = static_cast<std::size_t>(s.cls),
-       gi = s.gateway_index](sim::Time delay) {
-        agg_[cls].delay_ms_by_gateway[gi].add(delay.to_seconds() * 1000.0);
-      });
+  tcp::TransportListener& transport = *this;
+  s.source.emplace(*ctx_.sched, transport, s.flow_src, s.flow_dst, id,
+                   ctx_.tcp, ctx_.uids, ctx_.counters_of(s.flow_src), &s.stats);
+  s.source->set_transfer(segments);
+  s.sink.emplace(*ctx_.sched, transport, s.flow_dst, s.flow_src, id, ctx_.uids,
+                 ctx_.counters_of(s.flow_dst), &s.stats);
 
   by_flow_[id] = slot;
   ++live_flows_;
@@ -277,10 +269,27 @@ void TrafficPlane::start_flow(std::size_t slot) {
   s.source->start(ctx_.sched->now());
 }
 
-void TrafficPlane::on_flow_done(std::size_t slot) {
+void TrafficPlane::send(net::NodeId from, net::Packet&& p) {
+  ctx_.send(from, std::move(p));
+}
+
+TrafficPlane::Session& TrafficPlane::owner_of(std::uint16_t flow_id) {
+  const auto it = by_flow_.find(flow_id);
+  sim::require(it != by_flow_.end(), "TrafficPlane: up-call from a dead lane");
+  return *slots_[it->second];
+}
+
+void TrafficPlane::delivered(std::uint16_t flow_id, sim::Time delay) {
+  const Session& s = owner_of(flow_id);
+  agg_[static_cast<std::size_t>(s.cls)]
+      .delay_ms_by_gateway[s.gateway_index]
+      .add(delay.to_seconds() * 1000.0);
+}
+
+void TrafficPlane::transfer_done(std::uint16_t flow_id) {
   // Invoked from inside TcpSource::on_ack — record, then defer the
   // teardown to the think timer (see Session).
-  Session& s = *slots_[slot];
+  Session& s = owner_of(flow_id);
   ClassAgg& a = agg_[static_cast<std::size_t>(s.cls)];
   ++a.flows_completed;
   const double duration = (ctx_.sched->now() - s.flow_start).to_seconds();
@@ -326,10 +335,10 @@ bool TrafficPlane::deliver(net::NodeId node, const net::Packet& p) {
   Session* s = slots_[it->second].get();
   if (s == nullptr) return false;
   if (kind == net::PacketKind::kTcpData) {
-    if (s->sink == nullptr || node != s->flow_dst) return false;
+    if (!s->sink || node != s->flow_dst) return false;
     s->sink->on_data(p);
   } else {
-    if (s->source == nullptr || node != s->flow_src) return false;
+    if (!s->source || node != s->flow_src) return false;
     s->source->on_ack(p);
   }
   return true;

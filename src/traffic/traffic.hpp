@@ -18,11 +18,7 @@
 #include "stats/digest.hpp"
 #include "tcp/flow_stats.hpp"
 #include "tcp/tcp_config.hpp"
-
-namespace mts::tcp {
-class TcpSource;
-class TcpSink;
-}  // namespace mts::tcp
+#include "tcp/transport_listener.hpp"
 
 namespace mts::traffic {
 
@@ -133,7 +129,7 @@ struct TrafficContext {
   /// First flow id the plane may use (static scenario flows own
   /// 1..first_flow_id-1); lanes recycle FIFO above it.
   std::uint16_t first_flow_id = 1;
-  tcp::TcpConfig tcp;
+  tcp::TcpConfig tcp;  ///< shared by every session's agents
   /// Hands a transport packet to `node`'s routing layer.
   std::function<void(net::NodeId, net::Packet&&)> send;
   std::function<net::Counters*(net::NodeId)> counters_of;
@@ -163,7 +159,9 @@ struct TrafficReport {
   std::vector<std::uint64_t> arrivals_per_bucket;
 };
 
-class TrafficPlane {
+/// Also every session agent's transport listener: the up-calls name
+/// the flow lane, and `by_flow_` finds the session that owns it now.
+class TrafficPlane final : private tcp::TransportListener {
  public:
   TrafficPlane(const TrafficSpec& spec, TrafficContext ctx, sim::Rng rng);
   ~TrafficPlane();
@@ -194,10 +192,14 @@ class TrafficPlane {
  private:
   struct Session;
 
+  void send(net::NodeId from, net::Packet&& p) override;
+  void transfer_done(std::uint16_t flow_id) override;
+  void delivered(std::uint16_t flow_id, sim::Time delay) override;
+  [[nodiscard]] Session& owner_of(std::uint16_t flow_id);
+
   void on_arrival();
   void schedule_next_arrival();
   void start_flow(std::size_t slot);
-  void on_flow_done(std::size_t slot);
   void advance(std::size_t slot);
   void teardown_flow(Session& s);
   [[nodiscard]] std::uint16_t alloc_flow_id();

@@ -51,23 +51,26 @@ namespace mts::harness {
 namespace {
 
 /// Measured on x86-64 (GCC 12, glibc): 2,000 MTS nodes at the paper's
-/// density peak at 1,872 heap bytes per node.  A 1 ms run executes no
+/// density peak at 1,839 heap bytes per node.  A 1 ms run executes no
 /// event, so this is what building a node costs: its radio, MAC and MTS
 /// instance, its receiver record, trajectory and neighbour-index share.
-/// Before each MAC's duplicate filter moved behind a pointer allocated
-/// on its first unicast reception it was 2,640 B; before the interface
+/// Before the flood caches shrank to 24 B it was 1,872 B; before each
+/// MAC's duplicate filter moved behind a pointer allocated on its first
+/// unicast reception, 2,640 B; before the interface
 /// queue and send buffer became lazily allocated rings and the per-node
 /// closures and config copies went, 5,720 B.
-constexpr double kMeasuredBytesPerNode = 1872.0;
+constexpr double kMeasuredBytesPerNode = 1839.0;
 
-/// The same scenario run until 2 s peaks at 2,738 B per node.  Its ten
+/// The same scenario run until 2 s peaks at 2,579 B per node.  Its ten
 /// flows start at 1 s, so this covers one simulated second of route
 /// discovery floods that reach most nodes, then replies and TCP data
 /// along a few paths.  Per-node state that a broadcast reception
 /// allocates shows up here and not in the build-only figure above: a
 /// MAC duplicate filter allocated on broadcast receptions too, not
-/// only on unicast ones, read 3,446 B.
-constexpr double kMeasuredRunBytesPerNode = 2738.0;
+/// only on unicast ones, read 3,446 B.  Flood caches that kept a second
+/// copy of each key in their index (24 B per ring slot, not 12) read
+/// 2,738 B.
+constexpr double kMeasuredRunBytesPerNode = 2579.0;
 
 ScenarioConfig mts_field(sim::Time sim_time) {
   ScenarioConfig cfg;

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/error.hpp"
 #include "sim/rng.hpp"
 
 namespace mts::routing {
@@ -124,9 +125,50 @@ TEST(FloodCacheTest, StorageGrowsWithEntriesNotCapacity) {
   EXPECT_EQ(c.bucket_count(), 8192u);  // at most half full
 }
 
+TEST(FloodCacheTest, StorageIsTwelveBytesPerRingSlot) {
+  // Each key once in the ring, plus two 16-bit index slots per ring
+  // slot; the ring doubles from 8 keys, so check every size it passes.
+  FloodCache c;
+  EXPECT_EQ(c.storage_bytes(), 0u);
+  for (std::uint32_t id = 1; id <= 4096; ++id) {
+    c.check_and_insert(5, id);
+    if ((id & (id - 1)) == 0 && id >= 8) {
+      EXPECT_LE(c.storage_bytes(), 12 * c.size()) << id << " keys";
+    }
+  }
+  EXPECT_EQ(c.storage_bytes(), 12u * 4096);
+}
+
+TEST(FloodCacheTest, CapacityIsBoundedBySixteenBitPositions) {
+  EXPECT_NO_THROW(FloodCache(65'535));
+  EXPECT_THROW(FloodCache(65'536), sim::SimError);
+  EXPECT_THROW(FloodCache(0), sim::SimError);
+}
+
+TEST(FloodCacheTest, LastRingPositionRoundTripsAtMaximumCapacity) {
+  FloodCache c(65'535);
+  for (std::uint32_t id = 0; id < 65'535; ++id) {
+    ASSERT_TRUE(c.check_and_insert(9, id)) << id;
+  }
+  // Key 65,534 sits at ring position 65,534, the last one below the
+  // empty marker.
+  EXPECT_TRUE(c.contains(9, 65'534));
+  EXPECT_FALSE(c.check_and_insert(9, 65'534));
+  // The next key evicts key 0 and takes its position.
+  EXPECT_TRUE(c.check_and_insert(9, 65'535));
+  EXPECT_FALSE(c.contains(9, 0));
+  EXPECT_TRUE(c.contains(9, 65'534));
+  EXPECT_TRUE(c.contains(9, 65'535));
+  EXPECT_EQ(c.size(), 65'535u);
+  EXPECT_EQ(c.bucket_count(), 131'072u);
+}
+
 TEST(FloodCacheTest, MatchesReferenceUnderRandomOperations) {
+  // 65,535 is the largest capacity: the ring's last position, 65,534,
+  // is in use and wraps back to 0 while eviction runs.
   for (const std::size_t capacity : {std::size_t{1}, std::size_t{3},
-                                     std::size_t{4096}}) {
+                                     std::size_t{4096},
+                                     std::size_t{65'535}}) {
     // The key pool outnumbers the capacity so eviction runs all along,
     // and mixes wrap-around runs, first-slot runs, dense ids from a few
     // originators, and the extreme keys.

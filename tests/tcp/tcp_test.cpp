@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -11,21 +11,37 @@
 namespace mts::tcp {
 namespace {
 
-/// Deterministic two-way pipe between a TcpSource and TcpSink with
-/// configurable one-way delay and scripted loss.
-class TcpPipeTest : public ::testing::Test {
+/// Deterministic two-way pipe between a TcpSource (node 0) and a
+/// TcpSink (node 1) with configurable one-way delay and scripted loss.
+/// The fixture is both agents' listener: it carries what each sends and
+/// records the completion and delivery up-calls.
+class TcpPipeTest : public ::testing::Test, public TransportListener {
  protected:
   void build(TcpConfig cfg = {}, sim::Time delay = sim::Time::ms(50)) {
     cfg_ = cfg;
     delay_ = delay;
-    source_ = std::make_unique<TcpSource>(
-        sched_,
-        [this](net::Packet&& p) { carry_to_sink(std::move(p)); }, 0, 1, 1,
-        cfg_, &uids_, nullptr, &stats_);
-    sink_ = std::make_unique<TcpSink>(
-        sched_,
-        [this](net::Packet&& p) { carry_to_source(std::move(p)); }, 1, 0, 1,
-        &uids_, nullptr, &stats_);
+    source_ = std::make_unique<TcpSource>(sched_, *this, 0, 1, 1, cfg_,
+                                          &uids_, nullptr, &stats_);
+    sink_ = std::make_unique<TcpSink>(sched_, *this, 1, 0, 1, &uids_,
+                                      nullptr, &stats_);
+  }
+
+  void send(net::NodeId from, net::Packet&& p) override {
+    if (from == 0) {
+      carry_to_sink(std::move(p));
+    } else {
+      carry_to_source(std::move(p));
+    }
+  }
+
+  void transfer_done(std::uint16_t flow_id) override {
+    EXPECT_EQ(flow_id, 1u);
+    done_at_.push_back(sched_.now());
+  }
+
+  void delivered(std::uint16_t flow_id, sim::Time delay) override {
+    EXPECT_EQ(flow_id, 1u);
+    delays_.push_back(delay);
   }
 
   void carry_to_sink(net::Packet&& p) {
@@ -48,6 +64,8 @@ class TcpPipeTest : public ::testing::Test {
   std::unique_ptr<TcpSink> sink_;
   std::function<bool(std::uint32_t)> drop_data_;
   std::function<bool(std::uint32_t)> drop_ack_;
+  std::vector<sim::Time> done_at_;  ///< one entry per transfer_done
+  std::vector<sim::Time> delays_;   ///< one entry per fresh delivery
 };
 
 TEST_F(TcpPipeTest, LosslessPipeIsWindowLimited) {
@@ -226,6 +244,49 @@ TEST_F(TcpPipeTest, KarnNoRttSampleFromRetransmits) {
   EXPECT_NEAR(source_->rtt().srtt().to_millis(), 200.0, 50.0);
 }
 
+TEST_F(TcpPipeTest, DeliveredReportsEachFreshSegmentOnce) {
+  build({}, sim::Time::ms(80));
+  // A lost segment makes later ones arrive out of order; a lost window
+  // of ACKs forces a timeout whose go-back-N resends segments the sink
+  // already holds.  Each segment is reported once, when fresh.
+  bool dropped = false;
+  drop_data_ = [&dropped](std::uint32_t seq) {
+    if (seq == 20 && !dropped) {
+      dropped = true;
+      return true;
+    }
+    return false;
+  };
+  int acks_to_drop = 32;
+  drop_ack_ = [&acks_to_drop](std::uint32_t ack) {
+    if (ack >= 100 && acks_to_drop > 0) {
+      --acks_to_drop;
+      return true;
+    }
+    return false;
+  };
+  source_->start(sim::Time::zero());
+  sched_.run_until(sim::Time::sec(5));
+  ASSERT_TRUE(dropped);
+  ASSERT_GE(stats_.timeouts, 1u);
+  EXPECT_GT(stats_.data_packets_received, stats_.unique_segments_delivered);
+  EXPECT_EQ(delays_.size(), stats_.unique_segments_delivered);
+  for (const sim::Time d : delays_) EXPECT_GE(d, sim::Time::ms(80));
+  EXPECT_TRUE(done_at_.empty());  // an infinite FTP backlog never ends
+}
+
+TEST_F(TcpPipeTest, FiniteTransferReportsDoneOnceOnTheFinalAck) {
+  build();
+  source_->set_transfer(10);
+  source_->start(sim::Time::zero());
+  sched_.run_until(sim::Time::sec(5));
+  ASSERT_EQ(done_at_.size(), 1u);
+  EXPECT_EQ(source_->snd_una(), 11u);
+  EXPECT_EQ(stats_.unique_segments_delivered, 10u);
+  // 1 + 2 + 4 + 3 segments: the final ACK closes the fourth round trip.
+  EXPECT_EQ(done_at_[0], sim::Time::ms(400));
+}
+
 TEST_F(TcpPipeTest, FlowIdMismatchIgnored) {
   build();
   net::Packet alien;
@@ -241,14 +302,13 @@ TEST_F(TcpPipeTest, FlowIdMismatchIgnored) {
 TEST_F(TcpPipeTest, ConfigValidation) {
   TcpConfig bad;
   bad.segment_bytes = 0;
-  EXPECT_THROW(TcpSource(sched_, [](net::Packet&&) {}, 0, 1, 1, bad, &uids_,
-                         nullptr, &stats_),
+  EXPECT_THROW(TcpSource(sched_, *this, 0, 1, 1, bad, &uids_, nullptr, &stats_),
                sim::ConfigError);
   TcpConfig bad2;
   bad2.max_window = 1;
-  EXPECT_THROW(TcpSource(sched_, [](net::Packet&&) {}, 0, 1, 1, bad2, &uids_,
-                         nullptr, &stats_),
-               sim::ConfigError);
+  EXPECT_THROW(
+      TcpSource(sched_, *this, 0, 1, 1, bad2, &uids_, nullptr, &stats_),
+      sim::ConfigError);
 }
 
 class TcpVariantTest : public TcpPipeTest,

@@ -5,6 +5,7 @@
 // without the mesh stack underneath.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <vector>
@@ -28,6 +29,7 @@ struct Loopback {
     ctx.uids = &uids;
     ctx.node_count = static_cast<std::uint32_t>(counters.size());
     ctx.send = [this](net::NodeId, net::Packet&& p) {
+      if (tap) tap(p);
       const net::NodeId dst = p.common().dst;
       sched.schedule_in(sim::Time::ms(1),
                         [this, dst, pkt = std::move(p)]() mutable {
@@ -46,6 +48,8 @@ struct Loopback {
   std::vector<net::Counters> counters;
   std::vector<std::uint16_t> fresh_lanes;
   TrafficPlane* plane = nullptr;
+  /// Sees every packet the plane's agents send, before it is carried.
+  std::function<void(const net::Packet&)> tap;
 };
 
 TrafficSpec small_spec() {
@@ -162,6 +166,64 @@ TEST(TrafficPlaneTest, DeliverIgnoresForeignAndStalePackets) {
   net::Packet q;
   q.mutable_common().kind = net::PacketKind::kDsrRreq;
   EXPECT_FALSE(plane.deliver(0, q));
+}
+
+TEST(TrafficPlaneTest, RecycledLaneUpCallsReachOnlyItsCurrentSession) {
+  // One lane, one (user, gateway) pair, one 4-segment uplink flow per
+  // session: every admitted session reuses the lane between the same
+  // two nodes, so a stale packet of the lane's previous owner reaches
+  // the agents of the session that owns it now.
+  Loopback net(6);
+  TrafficSpec spec = small_spec();
+  spec.gateway_count = 1;
+  spec.user_pool = 1;
+  spec.bulk_fraction = 0.0;
+  spec.max_concurrent_flows = 1;
+  spec.messaging.min_flows = spec.messaging.max_flows = 1;
+  spec.messaging.min_segments = spec.messaging.max_segments = 4;
+  TrafficPlane plane(spec, net.context(), sim::Rng(11).substream("traffic"));
+  net.plane = &plane;
+
+  // Hold back the first flow's second segment and its final ACK; release
+  // both 1 ms after the lane's next owner sends its first segment.
+  std::vector<net::Packet> held;
+  int flows_seen = 0;
+  int stale_consumed = 0;
+  net.tap = [&](const net::Packet& p) {
+    const net::TcpHeader& h = p.tcp();
+    if (p.common().kind == net::PacketKind::kTcpData && h.seq == 1 &&
+        !h.retransmit && ++flows_seen == 2) {
+      ASSERT_EQ(held.size(), 2u);
+      net.sched.schedule_in(sim::Time::ms(1), [&] {
+        for (const net::Packet& stale : held) {
+          if (plane.deliver(stale.common().dst, stale)) ++stale_consumed;
+        }
+      });
+    }
+    if (flows_seen != 1) return;
+    if ((p.common().kind == net::PacketKind::kTcpData && h.seq == 2 &&
+         !h.retransmit) ||
+        (p.common().kind == net::PacketKind::kTcpAck && h.ack == 5)) {
+      held.push_back(p);
+    }
+  };
+  plane.start(sim::Time::sec(30));
+  net.sched.run_until(sim::Time::sec(60));
+
+  ASSERT_GE(flows_seen, 2);
+  // Same endpoints, same lane: the current owner's sink and source took
+  // both stale packets (the lane id is all TCP has to tell them apart).
+  EXPECT_EQ(stale_consumed, 2);
+  const TrafficReport r = plane.report();
+  EXPECT_EQ(r.sessions_started, r.sessions_completed + r.sessions_rejected);
+  EXPECT_GE(r.sessions_completed, 2u);
+  // transfer_done reached each admitted session exactly once, even the
+  // one whose completion the stale final ACK triggered...
+  EXPECT_EQ(r.classes[0].flows_completed, r.sessions_completed);
+  // ...and delivered was counted once per fresh segment of the owning
+  // flow: the stale second segment stood in for the genuine one.
+  EXPECT_EQ(r.classes[0].delay_samples, 4 * r.classes[0].flows_completed);
+  EXPECT_EQ(r.classes[1].sessions, 0u);
 }
 
 TEST(TrafficPlaneTest, ArrivalsPerBucketCoverTheHorizonOnly) {
