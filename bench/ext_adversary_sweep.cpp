@@ -43,6 +43,7 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "harness/campaign.hpp"
 #include "harness/campaign_csv.hpp"
 #include "harness/supervisor.hpp"
 
@@ -145,7 +146,14 @@ int main(int argc, char** argv) {
     std::stringstream ss(v);
     std::string item;
     while (std::getline(ss, item, ',')) {
-      if (!item.empty()) sizes.push_back(static_cast<std::uint32_t>(std::stoul(item)));
+      if (item.empty()) continue;
+      std::uint64_t k = 0;
+      if (!harness::parse_env_u64("MTS_BENCH_COALITIONS", item.c_str(),
+                                  100000, k)) {
+        sizes.clear();  // one bad element invalidates the list
+        break;
+      }
+      sizes.push_back(static_cast<std::uint32_t>(k));
     }
     if (!sizes.empty()) coalition_sizes = std::move(sizes);
   }

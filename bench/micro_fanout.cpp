@@ -3,8 +3,8 @@
 // whose one frame copy every receiver's reception end reads),
 // interface-queue churn, and trace-record emission — the three places
 // a packet is copied per transmission.
-// These bound the per-packet cost that macro_packetplane measures
-// end-to-end; BENCH_packetplane.json records before/after medians.
+// These bound the per-packet cost that perf/run.py's paper50 workload
+// measures end-to-end.
 #include <benchmark/benchmark.h>
 
 #include "net/headers.hpp"

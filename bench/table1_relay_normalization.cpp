@@ -7,8 +7,10 @@
 // re-normalized through our implementation (validating the math against
 // the published alpha = 30486 and sigma = 19.60 %), and (b) the same
 // table produced live from one simulated DSR run.
+#include <cstdlib>
 #include <iostream>
 
+#include "harness/campaign.hpp"
 #include "harness/scenario.hpp"
 #include "security/relay_census.hpp"
 #include "stats/table.hpp"
@@ -48,7 +50,10 @@ int main() {
   cfg.max_speed = 2.0;
   cfg.seed = 1;
   if (const char* v = std::getenv("MTS_BENCH_SIM_TIME")) {
-    cfg.sim_time = sim::Time::seconds(std::stod(v));
+    double seconds = 0.0;
+    if (harness::parse_env_double("MTS_BENCH_SIM_TIME", v, seconds)) {
+      cfg.sim_time = sim::Time::seconds(seconds);
+    }
   }
   const harness::RunMetrics m = harness::run_scenario(cfg);
   print_report(security::analyze_relays(m.betas));

@@ -5,7 +5,8 @@ Scans README.md and every *.md under docs/ for inline links and ensures
 each relative target exists on disk (anchors are stripped; external
 schemes and pure in-page anchors are skipped).  It also checks every
 backticked repo path outside fenced code (`src/...`, `tests/...`,
-`bench/...`, `scripts/...`, `examples/...`): braces expand
+`bench/...`, `scripts/...`, `examples/...`, `perf/...`,
+`.github/...`): braces expand
 (`x.{hpp,cpp}`), globs must match something, a `:line` suffix is
 dropped, `<placeholder>` paths are skipped, and a bench binary name
 `bench/x` resolves through `bench/x.cpp`.  Exits non-zero listing every
@@ -21,7 +22,8 @@ from pathlib import Path
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
-PATH_RE = re.compile(r"`((?:src|tests|bench|scripts|examples)/[^`\s]*)`")
+PATH_RE = re.compile(
+    r"`((?:src|tests|bench|scripts|examples|perf|\.github)/[^`\s]*)`")
 
 
 def expand_braces(path: str) -> list[str]:

@@ -226,12 +226,6 @@ void print_adversary_figure(
   }
 }
 
-namespace {
-
-/// Strict unsigned-integer env parse.  `std::stoul` would throw (and
-/// kill the bench with an unhelpful backtrace) on junk like
-/// `MTS_BENCH_THREADS=max`; instead a malformed or out-of-range value
-/// warns on stderr and reports failure so the caller keeps its default.
 bool parse_env_u64(const char* name, const char* v, std::uint64_t max,
                    std::uint64_t& out) {
   errno = 0;
@@ -246,10 +240,6 @@ bool parse_env_u64(const char* name, const char* v, std::uint64_t max,
   return true;
 }
 
-/// Strict positive-double env parse with the same warn-and-fall-back
-/// contract.  Rejects non-finite values and anything above 1e9: the
-/// consumers multiply by 1e9 (Time::seconds) or feed mobility speeds,
-/// and an `inf`/1e15 would turn into int64 overflow UB downstream.
 bool parse_env_double(const char* name, const char* v, double& out) {
   errno = 0;
   char* end = nullptr;
@@ -263,6 +253,8 @@ bool parse_env_double(const char* name, const char* v, double& out) {
   out = d;
   return true;
 }
+
+namespace {
 
 std::vector<double> parse_speeds(const char* s) {
   std::vector<double> out;

@@ -122,6 +122,20 @@ void print_adversary_figure(
     const std::string& title, const std::string& unit,
     const std::function<double(const RunMetrics&)>& metric, int precision = 3);
 
+/// Strict unsigned-integer env parse of value `v` of variable `name`.
+/// `std::stoul` would throw (and kill the bench with an unhelpful
+/// backtrace) on junk like `MTS_BENCH_THREADS=max`; instead a malformed
+/// value or one above `max` warns on stderr and returns false, so the
+/// caller keeps its default.
+bool parse_env_u64(const char* name, const char* v, std::uint64_t max,
+                   std::uint64_t& out);
+
+/// Strict positive-double env parse with the same warn-and-fall-back
+/// contract.  Rejects non-finite values and anything above 1e9: the
+/// consumers multiply by 1e9 (Time::seconds) or feed mobility speeds,
+/// and an `inf`/1e15 would turn into int64 overflow UB downstream.
+bool parse_env_double(const char* name, const char* v, double& out);
+
 /// Reads the standard bench environment overrides: MTS_BENCH_REPS,
 /// MTS_BENCH_SIM_TIME, MTS_BENCH_SPEEDS and MTS_BENCH_NODES into `cfg`;
 /// MTS_BENCH_THREADS into `fab.workers`; MTS_BENCH_NO_CACHE=1 turns

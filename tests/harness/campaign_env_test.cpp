@@ -1,10 +1,12 @@
-// apply_bench_env must never throw on malformed environment values —
-// a typo'd MTS_BENCH_* variable warns and falls back instead of killing
-// a multi-hour campaign at startup.
+// apply_bench_env and the env parsers it shares with the benches must
+// never throw on malformed environment values — a typo'd MTS_BENCH_*
+// variable warns and falls back instead of killing a multi-hour
+// campaign at startup.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
+#include "harness/campaign.hpp"
 #include "harness/supervisor.hpp"
 
 namespace mts::harness {
@@ -95,6 +97,30 @@ TEST_F(BenchEnvTest, TrailingJunkRejected) {
   EXPECT_NO_THROW(apply_bench_env(cfg, fab));
   EXPECT_EQ(cfg.repetitions, defaults.repetitions);
   EXPECT_EQ(cfg.base.sim_time, defaults.base.sim_time);
+}
+
+// The parsers the benches with their own knobs call directly
+// (table1_relay_normalization's MTS_BENCH_SIM_TIME,
+// ext_adversary_sweep's MTS_BENCH_COALITIONS): junk, non-finite and
+// out-of-range values leave `out` alone instead of throwing.
+TEST(BenchEnvParseTest, JunkInfAndOutOfRangeKeepTheDefault) {
+  double d = 7.0;
+  for (const char* bad : {"abc", "", "10s", "inf", "nan", "-3", "0", "1e10",
+                          "1e999"}) {
+    EXPECT_FALSE(parse_env_double("MTS_BENCH_SIM_TIME", bad, d)) << bad;
+    EXPECT_EQ(d, 7.0) << bad;
+  }
+  EXPECT_TRUE(parse_env_double("MTS_BENCH_SIM_TIME", "12.5", d));
+  EXPECT_EQ(d, 12.5);
+
+  std::uint64_t n = 3;
+  for (const char* bad : {"two", "", "2x", "-1", "100001",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(parse_env_u64("MTS_BENCH_COALITIONS", bad, 100000, n)) << bad;
+    EXPECT_EQ(n, 3u) << bad;
+  }
+  EXPECT_TRUE(parse_env_u64("MTS_BENCH_COALITIONS", "100000", 100000, n));
+  EXPECT_EQ(n, 100000u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // stop allocating once the CSR buffers are sized, and — because both
 // mechanisms only drop history that no live query can reach — every
 // fixed-seed fingerprint replays bit-identically (the 20-node pins live
-// in packet_plane_test.cpp; the 50-node pins from BENCH_packetplane.json
+// in packet_plane_test.cpp; the 50-node pins of the paper's scenario
 // live here).
 #include <gtest/gtest.h>
 
@@ -15,8 +15,8 @@
 namespace mts::harness {
 namespace {
 
-/// The macro_packetplane bench configuration (50 nodes, 40 s, seed 42,
-/// MAXSPEED 10) whose fingerprints BENCH_packetplane.json records.
+/// The paper's 50-node scenario (40 s, seed 42, MAXSPEED 10) whose
+/// fingerprints kPinned50 holds.
 ScenarioConfig bench_like(Protocol p) {
   ScenarioConfig cfg;
   cfg.protocol = p;
@@ -67,8 +67,9 @@ struct Fingerprint {
   std::uint64_t pe;
 };
 
-// BENCH_packetplane.json, "fingerprints_seed42_50n_40s" (captured from
-// the pre-refactor packet plane; unchanged by every refactor since).
+// Captured from the pre-refactor packet plane and unchanged by every
+// refactor since; perf/run.py's paper50 workload times the same
+// scenario over the paper's full 200 s.
 constexpr Fingerprint kPinned50[] = {
     {Protocol::kDsr, 200471, 151, 118, 1},
     {Protocol::kAodv, 1786206, 1406, 241, 446},

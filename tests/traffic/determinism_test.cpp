@@ -60,7 +60,7 @@ TEST(TrafficDeterminismTest, DisabledTrafficReplaysThePinned20NodeRun) {
 }
 
 TEST(TrafficDeterminismTest, DisabledTrafficReplaysThePinned50NodeRun) {
-  // The scale_test DSR pin (BENCH_packetplane.json).
+  // The scale_test DSR pin (kPinned50).
   const RunMetrics m = run_scenario(bench_like(Protocol::kDsr));
   EXPECT_EQ(m.events_executed, 200471u);
   EXPECT_EQ(m.segments_delivered, 151u);
