@@ -5,6 +5,8 @@
 // against regressions in the hot paths.
 #include <benchmark/benchmark.h>
 
+#include <deque>
+
 #include "mobility/trajectory.hpp"
 #include "net/queue.hpp"
 #include "phy/neighbor_index.hpp"
@@ -78,6 +80,41 @@ void BM_SchedulerTimerRearm(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SchedulerTimerRearm)->Arg(10000);
+
+void BM_SchedulerParkRearm(benchmark::State& state) {
+  // The MAC access-timer shape: each of K timers is armed about 300 us
+  // ahead and parked again (a busy edge freezes the backoff) before it
+  // fires, over a background of 10k far-future events.  One iteration
+  // is one such cycle of every timer, then 10 us of simulated time.
+  struct Counter {
+    std::uint64_t fired = 0;
+    void fire() { ++fired; }
+  };
+  const auto k = static_cast<std::size_t>(state.range(0));
+  sim::Scheduler sched;
+  for (std::int64_t i = 0; i < 10000; ++i) {
+    sched.schedule_at(sim::Time::sec(1000) + sim::Time::us(i), [] {});
+  }
+  Counter counter;
+  std::deque<sim::Timer> timers;
+  for (std::size_t i = 0; i < k; ++i) {
+    timers.emplace_back(sched, sim::bind<&Counter::fire>(&counter),
+                        sim::EventCategory::kMac);
+  }
+  for (auto _ : state) {
+    std::int64_t jitter = 0;
+    for (sim::Timer& t : timers) {
+      t.schedule_in(sim::Time::us(300 + jitter));
+      t.cancel();
+      jitter = (jitter + 7) % 20;
+    }
+    sched.run_until(sched.now() + sim::Time::us(10));
+  }
+  benchmark::DoNotOptimize(counter.fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(k));
+}
+BENCHMARK(BM_SchedulerParkRearm)->Arg(16)->Arg(1000);
 
 void BM_RngUniform(benchmark::State& state) {
   sim::Rng rng(1);

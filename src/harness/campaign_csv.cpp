@@ -51,6 +51,7 @@ constexpr auto kColumns = std::make_tuple(
     MTS_COLUMN("switches", route_switches),
     MTS_COLUMN("checks", checks_sent),
     MTS_COLUMN("events", events_executed),
+    MTS_COLUMN("events_hash", event_order_hash),
     MTS_COLUMN("adv_index", adversary_index),
     MTS_COLUMN("adv_kind", adversary_kind),
     MTS_COLUMN("adv_count", adversary_count),

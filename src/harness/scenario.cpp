@@ -397,6 +397,7 @@ class Simulation final : private mac::MacListener,
     m.max_speed = cfg_.max_speed;
     m.seed = cfg_.seed;
     m.events_executed = sched_.executed_count();
+    m.event_order_hash = sched_.order_hash();
     m.heap_fallback_closures = sched_.heap_fallback_count();
     for (std::size_t c = 0; c < sim::kEventCategoryCount; ++c) {
       m.events_by_category[c] =

@@ -268,6 +268,10 @@ struct RunMetrics {
 
   // --- engine -------------------------------------------------------------
   std::uint64_t events_executed = 0;
+  /// Order-sensitive digest of every executed event's (time, category)
+  /// (`Scheduler::order_hash`): equal counts can hide a reordering, this
+  /// cannot.
+  std::uint64_t event_order_hash = 0;
   /// Scheduled closures whose captures overflowed the event core's
   /// inline storage onto the heap.  The whole stack is written to keep
   /// this at zero; the integration suite pins that invariant.

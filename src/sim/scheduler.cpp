@@ -40,8 +40,9 @@ std::uint32_t Scheduler::acquire_slot() {
 void Scheduler::release_slot(std::uint32_t s) {
   Slot& slot = slot_at(s);
   slot.fn.reset();
-  slot.live_key = kDeadKey;  // any remaining queue entry tombstones
-  ++slot.gen;                // ids referring to this slot go stale here
+  slot.live.key = kDeadKey;
+  slot.queued.key = kDeadKey;  // any remaining queue entry goes stale
+  ++slot.gen;                  // ids referring to this slot go stale here
   slot.next_free = free_head_;
   free_head_ = s;
 }
@@ -50,7 +51,7 @@ void Scheduler::release_slot(std::uint32_t s) {
 // 4-ary heap.
 // ---------------------------------------------------------------------------
 
-void Scheduler::sift_down(std::size_t i, Entry e) const {
+void Scheduler::sift_down(std::size_t i, Entry e) {
   Entry* h = heap_.data();
   const std::size_t n = heap_.size();
   for (;;) {
@@ -74,17 +75,30 @@ void Scheduler::sift_down(std::size_t i, Entry e) const {
   h[i] = e;
 }
 
-void Scheduler::pop_top() const {
+void Scheduler::pop_top() {
   const Entry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0, last);
 }
 
-bool Scheduler::peek_live() const {
+bool Scheduler::peek_live(Time until) {
   while (!heap_.empty()) {
-    if (!entry_dead(heap_.front())) return true;
-    pop_top();  // tombstone: cancelled, re-armed, or recycled
-    --tombstones_;
+    const Entry top = heap_.front();
+    if (top.t > until) return false;
+    const std::uint32_t s = slot_of(top);
+    Slot& slot = slot_at(s);
+    if (slot.queued.key != top.key) {
+      pop_top();  // stale: cancelled, fired, or re-armed earlier
+    } else if (slot.live.key == top.key) {
+      return true;
+    } else if (slot.live.key == kDeadKey) {
+      pop_top();  // parked, and nothing re-armed it before it came due
+      release_slot(s);
+    } else {
+      // Re-armed later: forward the entry to the live key.
+      slot.queued = slot.live;
+      sift_down(0, slot.live);
+    }
   }
   return false;
 }
@@ -104,27 +118,65 @@ EventFn Scheduler::take_top() {
   const std::uint32_t s = slot_of(e);
   now_ = e.t;
   EventFn fn = std::move(slot_at(s).fn);
-  ++executed_by_[static_cast<std::size_t>(slot_at(s).cat)];
+  count_executed(slot_at(s).cat);
   release_slot(s);  // the event's id dies before its callback runs
   --live_count_;
-  ++executed_;
   maybe_compact();
   return fn;
 }
 
 void Scheduler::compact() {
   std::size_t kept = 0;
-  for (const Entry& e : heap_) {
-    if (!entry_dead(e)) heap_[kept++] = e;
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const std::uint32_t s = slot_of(heap_[i]);
+    Slot& slot = slot_at(s);
+    if (slot.queued.key != heap_[i].key) continue;  // stale
+    if (slot.live.key == kDeadKey) {
+      release_slot(s);  // parked
+      continue;
+    }
+    slot.queued = slot.live;
+    heap_[kept++] = slot.live;
   }
   heap_.resize(kept);
-  tombstones_ = 0;
   // Floyd's bottom-up heapify: sift every internal node, deepest first.
   if (kept > 1) {
     for (std::size_t i = (kept - 2) / 4 + 1; i-- > 0;) sift_down(i, heap_[i]);
   }
-  require(heap_.size() == live_count_ + tombstones_,
+  require(heap_.size() == live_count_,
           "Scheduler: queue lost or duplicated a live event");
+}
+
+void Scheduler::check_invariants() const {
+  const std::size_t n = heap_.size();
+  for (std::size_t i = 1; i < n; ++i) {
+    require(!heap_[i].before(heap_[(i - 1) / 4]), "Scheduler: heap disorder");
+  }
+  std::vector<std::uint8_t> entries(slot_count_, 0);
+  for (const Entry& e : heap_) {
+    const std::uint32_t s = slot_of(e);
+    require(s < slot_count_, "Scheduler: entry names no slot");
+    const Slot& slot = slot_at(s);
+    if (slot.queued.key != e.key) continue;  // stale
+    require(slot.queued.t == e.t, "Scheduler: queued entry time mismatch");
+    require(++entries[s] == 1, "Scheduler: slot queued twice");
+  }
+  std::size_t pending = 0;
+  for (std::uint32_t s = 0; s < slot_count_; ++s) {
+    const Slot& slot = slot_at(s);
+    if (slot.queued.key == kDeadKey) {
+      require(slot.live.key == kDeadKey, "Scheduler: pending slot unqueued");
+      continue;  // free
+    }
+    require(entries[s] == 1, "Scheduler: held slot has no queued entry");
+    if (slot.live.key == kDeadKey) continue;  // parked
+    ++pending;
+    require(!slot.live.before(slot.queued),
+            "Scheduler: queued entry orders after its live key");
+  }
+  require(pending == live_count_, "Scheduler: pending count mismatch");
+  require(n <= 2 * live_count_ + kCompactFloor,
+          "Scheduler: dead entries outgrew their bound");
 }
 
 // ---------------------------------------------------------------------------
@@ -135,12 +187,27 @@ bool Scheduler::reschedule(EventId id, Time t) {
   require(t >= now_, "Scheduler: cannot reschedule into the past");
   const std::uint32_t s = lookup_index(id);
   if (s == kNullIndex) return false;
+  // A fresh seq orders the re-armed event exactly like a new schedule.
+  const std::uint64_t key = (reserve_seqs(1) << kSlotBits) | s;
   Slot& slot = slot_at(s);
-  // Re-keying with a fresh seq orders the re-armed event exactly like a
-  // new schedule; the old heap entry becomes a tombstone.
-  slot.live_key = (reserve_seqs(1) << kSlotBits) | s;
-  ++tombstones_;
-  push(Entry{t, slot.live_key});
+  if (slot.live.key == kDeadKey) ++live_count_;  // a parked event re-arms
+  slot.live = Entry{t, key};
+  // At or after the queued entry's time, that entry still orders first
+  // and is forwarded when it surfaces.  Earlier, a new entry goes in and
+  // the old one goes stale.
+  if (t < slot.queued.t) {
+    slot.queued = slot.live;
+    push(slot.live);
+    maybe_compact();
+  }
+  return true;
+}
+
+bool Scheduler::park(EventId id) {
+  const std::uint32_t s = lookup_index(id);
+  if (s == kNullIndex || slot_at(s).live.key == kDeadKey) return false;
+  slot_at(s).live.key = kDeadKey;  // the queued entry stays for a re-arm
+  --live_count_;
   maybe_compact();
   return true;
 }
@@ -148,14 +215,14 @@ bool Scheduler::reschedule(EventId id, Time t) {
 bool Scheduler::cancel(EventId id) {
   const std::uint32_t s = lookup_index(id);
   if (s == kNullIndex) return false;
-  release_slot(s);  // the heap entry tombstones via the live_key reset
-  ++tombstones_;
-  --live_count_;
+  const bool pending = slot_at(s).live.key != kDeadKey;
+  release_slot(s);  // the queued entry goes stale
+  if (pending) --live_count_;
   maybe_compact();
-  return true;
+  return pending;
 }
 
-Time Scheduler::next_event_time() const {
+Time Scheduler::next_event_time() {
   return peek_live() ? heap_.front().t : Time::max();
 }
 
@@ -184,8 +251,7 @@ void Scheduler::run_until(Time end) {
   require(end >= now_, "Scheduler: run_until into the past");
   const InlineWindow window(*this, end);
   stopped_ = false;
-  while (!stopped_ && peek_live()) {
-    if (heap_.front().t > end) break;
+  while (!stopped_ && peek_live(end)) {
     take_top()();
   }
   if (now_ < end) now_ = end;

@@ -61,11 +61,24 @@ inline constexpr EventId kInvalidEvent = 0;
 /// 2. A 4-ary min-heap of 16-byte (time, key) entries.  Sifts move a
 ///    hole instead of swapping, and a node's four children share one or
 ///    two cache lines, so the tree is half as deep as a binary heap's at
-///    the same line traffic.  Cancel is O(1) and re-arm is one push: the
-///    slot's live key changes and the old entry stays behind as a
-///    tombstone, dropped when it reaches the top or when a compaction
-///    sweeps the heap once tombstones outnumber live entries (amortised
-///    O(1) per cancel or re-arm).
+///    the same line traffic.
+///
+/// Cancel and re-arm touch the heap as little as they can.  A slot
+/// records its live (time, key) and, apart from it, the one queued entry
+/// that stands for it, which never orders after the live key:
+///
+/// - A re-arm to the queued entry's time or later only rewrites the
+///   slot's live key.  When that entry reaches the top, it is forwarded
+///   to the live key with one replace-top sift.  A re-arm to an earlier
+///   time pushes a new entry; the old one goes stale.
+/// - park() disarms an event but keeps its slot and id, so a later
+///   reschedule() re-arms it in place.  The slot is released once its
+///   entry comes due at the top, or a compaction sweeps it; the id then
+///   goes stale and a re-arm schedules anew.  Timer::cancel() parks.
+/// - cancel() releases the slot at once; its entry goes stale.
+/// - Stale and parked entries are dropped at the top, or by a
+///   compaction once they outnumber pending events (amortised O(1) per
+///   cancel, park or re-arm).
 ///
 /// Batched fan-out: a caller that knows a run of future events up front
 /// (the channel's reception waves) reserves their sequence numbers in
@@ -128,31 +141,43 @@ class Scheduler {
   bool step_inline(Time t, std::uint64_t seq, EventCategory cat) {
     const Entry e{t, seq << kSlotBits};
     if (stopped_ || t > inline_end_) return false;
-    if (peek_live() && !e.before(heap_.front())) return false;
+    // The top entry orders at or before every pending event, so an item
+    // ahead of it is next without settling the top.
+    if (!heap_.empty() && heap_.front().before(e)) {
+      if (peek_live(t) && heap_.front().before(e)) return false;
+    }
     require(last_pop_.before(e), "Scheduler: event stepped out of order");
     last_pop_ = e;
     now_ = t;
-    ++executed_by_[static_cast<std::size_t>(cat)];
-    ++executed_;
+    count_executed(cat);
     return true;
   }
 
-  /// Moves a pending event to absolute time `t` (>= now()), keeping its
-  /// callback and id but ordering it like a fresh schedule (it draws a
-  /// new sequence number).  Returns false if `id` already fired, was
-  /// cancelled, or is invalid — the caller then schedules anew.  This is
-  /// the Timer re-arm fast path: no closure is constructed and no slot
-  /// churns; the event is re-keyed in place and its stale queue entry
-  /// is left behind as a tombstone.
+  /// Arms a pending or parked event at absolute time `t` (>= now()),
+  /// keeping its callback and id but ordering it like a fresh schedule
+  /// (it draws a new sequence number).  Returns false if `id` already
+  /// fired, was cancelled, was released while parked, or is invalid —
+  /// the caller then schedules anew.  This is the Timer re-arm fast
+  /// path: no closure is constructed and no slot churns, and a re-arm
+  /// to the queued entry's time or later touches no heap entry.
   bool reschedule(EventId id, Time t);
 
-  /// Cancels a pending event.  Returns false if it already fired, was
-  /// already cancelled, or `id` is invalid.
+  /// Disarms a pending event but keeps its slot and id for a later
+  /// reschedule().  Returns false if `id` is not pending.  The scheduler
+  /// releases the slot on its own once the event's queued entry comes
+  /// due at the top or a compaction sweeps it; cancel() releases it
+  /// earlier.
+  bool park(EventId id);
+
+  /// Cancels a pending event, or releases a parked one, and frees its
+  /// slot.  Returns true only if an event was pending: false if it
+  /// already fired, was cancelled or parked, or `id` is invalid.
   bool cancel(EventId id);
 
   /// Returns true iff `id` is pending (scheduled and not yet fired).
   [[nodiscard]] bool is_pending(EventId id) const {
-    return lookup_index(id) != kNullIndex;
+    const std::uint32_t s = lookup_index(id);
+    return s != kNullIndex && slot_at(s).live.key != kDeadKey;
   }
 
   /// Runs events until the queue drains or stop() is called.
@@ -176,8 +201,15 @@ class Scheduler {
     return executed_by_[static_cast<std::size_t>(cat)];
   }
 
+  /// Order-sensitive 64-bit digest of every executed event's (time,
+  /// category), folded in execution order.  Two runs with equal counts
+  /// that execute their events in a different order differ here.
+  [[nodiscard]] std::uint64_t order_hash() const { return order_hash_; }
+
   /// Timestamp of the earliest pending event, or Time::max() when empty.
-  Time next_event_time() const;
+  /// Not const: it drops stale entries off the top and releases the
+  /// slots of parked events that surface there.
+  Time next_event_time();
 
   /// Number of scheduled callbacks whose captures overflowed EventFn's
   /// inline buffer onto the heap.  The simulation data path is expected
@@ -186,9 +218,17 @@ class Scheduler {
     return heap_fallbacks_;
   }
 
-  /// Entries stored in the queue: live events plus tombstones.  Bounded
-  /// by 2 * pending_count() + kCompactFloor; tests pin that bound.
+  /// Entries stored in the queue: one per pending event, plus stale and
+  /// parked ones.  Bounded by 2 * pending_count() + kCompactFloor; tests
+  /// pin that bound.
   [[nodiscard]] std::size_t queued_entries() const { return heap_.size(); }
+
+  /// Throws SimError unless the queue's structural invariants hold: the
+  /// heap is ordered, every pending slot has exactly one queued entry at
+  /// or before its live key, every parked slot has exactly one, free
+  /// slots have none, and queued_entries() is within its bound.
+  /// O(queue + slots); for tests.
+  void check_invariants() const;
 
  private:
   static constexpr std::uint32_t kNullIndex = 0xffffffffu;
@@ -198,18 +238,8 @@ class Scheduler {
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   static constexpr std::uint64_t kSeqLimit = 1ull << 40;
-  /// A live_key value no real key uses ("slot has no pending entry").
+  /// A key no real key uses: an unset live or queued key in a slot.
   static constexpr std::uint64_t kDeadKey = ~0ull;
-
-  struct Slot {
-    EventFn fn;
-    /// Key of this slot's live queue entry; entries whose key no longer
-    /// matches are tombstones.
-    std::uint64_t live_key = kDeadKey;
-    std::uint32_t gen = 1;   ///< bumped on release; validates EventIds
-    std::uint32_t next_free = kNullIndex;
-    EventCategory cat = EventCategory::kOther;
-  };
 
   /// Keyed (t, seq): ordering compares are two integer compares.  seq is
   /// globally unique, so `key` never ties and doubles as the (seq, slot)
@@ -224,12 +254,29 @@ class Scheduler {
     }
   };
 
+  /// A slot is free (both keys dead), pending (both set, `queued` never
+  /// after `live`) or parked (`live` dead, `queued` set).
+  struct Slot {
+    EventFn fn;
+    /// When the event fires; key kDeadKey when free or parked.
+    Entry live{Time::zero(), kDeadKey};
+    /// The one heap entry that stands for this slot; key kDeadKey when
+    /// free.  Heap entries with any other key are stale.
+    Entry queued{Time::zero(), kDeadKey};
+    std::uint32_t gen = 1;   ///< bumped on release; validates EventIds
+    std::uint32_t next_free = kNullIndex;
+    EventCategory cat = EventCategory::kOther;
+  };
+  static_assert(sizeof(Slot) <= 112,
+                "Scheduler::Slot grew: it is one per pending or parked event");
+
   [[nodiscard]] static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(gen) << 32) |
            (static_cast<EventId>(slot) + 1);
   }
 
-  /// Resolves an id to its live slot index, or kNullIndex when stale.
+  /// Resolves an id to its slot index (pending or parked), or kNullIndex
+  /// when stale.
   [[nodiscard]] std::uint32_t lookup_index(EventId id) const {
     const auto biased = static_cast<std::uint32_t>(id & 0xffffffffu);
     if (biased == 0 || biased > slot_count_) return kNullIndex;
@@ -264,18 +311,15 @@ class Scheduler {
     Slot& slot = slot_at(s);
     slot.fn = std::move(fn);
     slot.cat = cat;
-    slot.live_key = (seq << kSlotBits) | s;
-    push(Entry{t, slot.live_key});
+    slot.live = Entry{t, (seq << kSlotBits) | s};
+    slot.queued = slot.live;
+    push(slot.live);
     ++live_count_;
     return make_id(s, slot.gen);
   }
 
   [[nodiscard]] static std::uint32_t slot_of(const Entry& e) {
     return static_cast<std::uint32_t>(e.key & kSlotMask);
-  }
-
-  [[nodiscard]] bool entry_dead(const Entry& e) const {
-    return slot_at(slot_of(e)).live_key != e.key;
   }
 
   // --- 4-ary heap: children of i are 4i+1 .. 4i+4 ----------------------
@@ -293,29 +337,49 @@ class Scheduler {
     h[i] = e;
   }
   /// Places `e` at or below hole `i`, moving the hole down.
-  void sift_down(std::size_t i, Entry e) const;
-  /// Removes the top entry.  Const for the same reason peek_live is.
-  void pop_top() const;
-  /// Drops tombstones off the top.  Returns false when nothing is
-  /// pending.  Logically const: only tombstones leave (observable state
-  /// is unchanged), so next_event_time() may call it.
-  bool peek_live() const;
+  void sift_down(std::size_t i, Entry e);
+  /// Removes the top entry.
+  void pop_top();
+  /// Settles the top: drops stale entries, releases parked slots and
+  /// forwards re-armed entries until the top entry is a pending event's
+  /// live key, or its time is past `until`.  Returns true iff a pending
+  /// event due at or before `until` is at the top.  Entries past
+  /// `until` stay put: a parked timer may still re-arm in place before
+  /// the clock reaches them.
+  bool peek_live(Time until = Time::max());
   /// Detaches the live top event and hands back its callback; updates
   /// now_.  Pre-condition: peek_live() returned true.
   EventFn take_top();
 
-  /// Heaps holding fewer tombstones than this are never compacted.
+  /// Counts one executed event of `cat` at now() and folds it into
+  /// order_hash_.
+  void count_executed(EventCategory cat) {
+    static_assert(kEventCategoryCount <= 8, "a category must fit 3 bits");
+    ++executed_by_[static_cast<std::size_t>(cat)];
+    ++executed_;
+    const auto word = (static_cast<std::uint64_t>(now_.nanoseconds()) << 3) |
+                      static_cast<std::uint64_t>(cat);
+    order_hash_ = ((order_hash_ << 5 | order_hash_ >> 59) ^ word) *
+                  0x9e3779b97f4a7c15ull;
+  }
+
+  /// Heaps holding fewer stale or parked entries than this are never
+  /// compacted.
   static constexpr std::size_t kCompactFloor = 32;
   void maybe_compact() {
-    if (tombstones_ > live_count_ && tombstones_ >= kCompactFloor) compact();
+    const std::size_t dead = heap_.size() - live_count_;
+    if (dead > live_count_ && dead >= kCompactFloor) compact();
   }
-  /// Sweeps every tombstone out of the heap and re-heapifies: O(size),
-  /// paid for by the more-than-size/2 cancels and re-arms that made them.
+  /// Sweeps every stale and parked entry out of the heap (releasing the
+  /// parked slots), forwards every pending one to its live key and
+  /// re-heapifies: O(size), paid for by the more-than-size/2 cancels,
+  /// parks and re-arms that made them.
   void compact();
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
+  std::uint64_t order_hash_ = 0;
   std::array<std::uint64_t, kEventCategoryCount> executed_by_{};
   std::uint64_t heap_fallbacks_ = 0;
   std::size_t live_count_ = 0;
@@ -335,10 +399,9 @@ class Scheduler {
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNullIndex;
 
-  /// Mutable so const peeks can drop tombstones (next_event_time()).
-  /// Invariant: heap_.size() == live_count_ + tombstones_.
-  mutable std::vector<Entry> heap_;
-  mutable std::size_t tombstones_ = 0;
+  /// One entry per pending event plus the stale and parked ones:
+  /// heap_.size() - live_count_ entries are dead.
+  std::vector<Entry> heap_;
 };
 
 }  // namespace mts::sim

@@ -24,41 +24,51 @@ template <auto Method, typename Owner>
 namespace detail {
 
 /// What one-shot and periodic timers share: the scheduler, the owner's
-/// callback, the pending event and its category.  Destruction cancels
-/// any pending expiry, so a dying owner can never be called back.
+/// callback, the event id and its category.  Destruction cancels any
+/// pending expiry, so a dying owner can never be called back.
 class TimerBase {
  public:
   TimerBase(Scheduler& sched, Callback cb, EventCategory cat)
       : sched_(&sched), cb_(cb), cat_(cat) {}
-  ~TimerBase() { cancel(); }
+  /// Releases the event's slot, pending or parked.
+  ~TimerBase() {
+    if (id_ != kInvalidEvent) sched_->cancel(id_);
+  }
   TimerBase(const TimerBase&) = delete;
   TimerBase& operator=(const TimerBase&) = delete;
 
-  /// Disarms; no-op if not pending.
+  /// Disarms; no-op if not pending.  The event is parked
+  /// (Scheduler::park): it keeps its id, so the next arming re-arms it in
+  /// place.
   void cancel() {
-    if (id_ != kInvalidEvent) {
-      sched_->cancel(id_);
-      id_ = kInvalidEvent;
+    if (armed_) {
+      sched_->park(id_);
+      armed_ = false;
     }
   }
 
  protected:
-  /// Arms (or re-arms) the expiry at `t`.  A re-arm *moves* the existing
-  /// heap entry (Scheduler::reschedule) and keeps its closure; only a
+  /// Arms (or re-arms) the expiry at `t`.  A re-arm of a pending or
+  /// parked event keeps its closure (Scheduler::reschedule); only a
   /// fresh arming stores `on_fire`, a `this` capture that lives inline
   /// in the event slot.  Either way the expiry orders among same-tick
   /// events exactly like a fresh schedule (it draws a new sequence
   /// number).
   template <typename F>
   void arm_at(Time t, F on_fire) {
-    if (id_ != kInvalidEvent && sched_->reschedule(id_, t)) return;
-    id_ = sched_->schedule_at(t, on_fire, cat_);
+    if (id_ == kInvalidEvent || !sched_->reschedule(id_, t)) {
+      id_ = sched_->schedule_at(t, on_fire, cat_);
+    }
+    armed_ = true;
   }
 
   Scheduler* sched_;
   Callback cb_;
+  /// The pending or parked event; stale once the scheduler released a
+  /// parked slot, which a re-arm then finds out.
   EventId id_ = kInvalidEvent;
   EventCategory cat_;
+  bool armed_ = false;
 };
 
 }  // namespace detail
@@ -66,10 +76,11 @@ class TimerBase {
 /// RAII one-shot timer bound to a member function of its owner.
 ///
 /// Protocol modules own Timers as members; destruction cancels any
-/// pending expiry.  Re-arming an armed timer moves its heap entry — the
-/// hot "restart the timeout" idiom in the MAC (backoff freezes, ACK/CTS
-/// timeouts) and TCP (RTO restarts) costs two heap sifts and nothing
-/// else.
+/// pending expiry.  Cancel parks the event and a re-arm moves it, so the
+/// hot "freeze, then resume" and "restart the timeout" idioms in the MAC
+/// (backoff freezes, ACK/CTS timeouts) and TCP (RTO restarts) touch the
+/// heap only when the new expiry is earlier than the queued one, or
+/// when the queued entry surfaces and is forwarded.
 class Timer : private detail::TimerBase {
  public:
   Timer(Scheduler& sched, Callback on_expire,
@@ -86,11 +97,12 @@ class Timer : private detail::TimerBase {
     arm_at(t, [this] { fire(); });
   }
 
-  [[nodiscard]] bool is_pending() const { return id_ != kInvalidEvent; }
+  [[nodiscard]] bool is_pending() const { return armed_; }
 
  private:
   void fire() {
     id_ = kInvalidEvent;  // not pending inside the callback; re-arm works
+    armed_ = false;
     cb_();
   }
 };
@@ -98,7 +110,7 @@ class Timer : private detail::TimerBase {
 static_assert(sizeof(Timer) <= 40,
               "sim::Timer grew: it is one per MAC, radio, TCP agent and "
               "session, so keep it to the scheduler, the owner callback, "
-              "the event id and the category");
+              "the event id, the category and the armed flag");
 
 /// Periodic timer: fires every `period` until stopped.  The first
 /// firing is one period after start() (plus optional initial jitter).
@@ -121,7 +133,7 @@ class PeriodicTimer : private detail::TimerBase {
   }
 
   void stop() { cancel(); }
-  [[nodiscard]] bool is_running() const { return id_ != kInvalidEvent; }
+  [[nodiscard]] bool is_running() const { return armed_; }
 
  private:
   void tick() {

@@ -45,18 +45,21 @@ struct Fingerprint {
   std::uint64_t delivered;
   std::uint64_t control;
   std::uint64_t pe;
+  std::uint64_t order_hash;  ///< RunMetrics::event_order_hash
 };
 
 // Captured from the pre-refactor packet plane (deep-copy value-type
 // packets) on the reference toolchain, seed 42: the zero-copy plane is
 // an optimization, not a behaviour change, so every fixed-seed run must
 // replay bit-identically.  If a compiler/libm change ever shifts these,
-// re-pin them from a build of the previous commit.
+// re-pin them from a build of the previous commit.  The order hashes
+// were captured when the scheduler first computed them, on the eager
+// cancel-and-push event queue; lazy timer re-arm left them unchanged.
 constexpr Fingerprint kPinned[] = {
-    {Protocol::kDsr, 242727, 401, 41, 0},
-    {Protocol::kAodv, 83232, 146, 120, 0},
-    {Protocol::kMts, 253295, 402, 154, 0},
-    {Protocol::kSmr, 121367, 188, 182, 0},
+    {Protocol::kDsr, 242727, 401, 41, 0, 0x76ca5172fe27e53a},
+    {Protocol::kAodv, 83232, 146, 120, 0, 0xd0adb157fbde8fb6},
+    {Protocol::kMts, 253295, 402, 154, 0, 0x84848782d86a2db2},
+    {Protocol::kSmr, 121367, 188, 182, 0, 0xe4547a11b30130b8},
 };
 
 TEST(PacketPlaneTest, FixedSeedFingerprintsMatchThePreRefactorPlane) {
@@ -67,6 +70,7 @@ TEST(PacketPlaneTest, FixedSeedFingerprintsMatchThePreRefactorPlane) {
     EXPECT_EQ(m.control_packets, fp.control) << protocol_name(fp.protocol);
     EXPECT_EQ(m.pe, fp.pe) << protocol_name(fp.protocol);
     EXPECT_EQ(m.pr, m.segments_delivered) << protocol_name(fp.protocol);
+    EXPECT_EQ(m.event_order_hash, fp.order_hash) << protocol_name(fp.protocol);
   }
 }
 

@@ -65,16 +65,18 @@ struct Fingerprint {
   std::uint64_t delivered;
   std::uint64_t control;
   std::uint64_t pe;
+  std::uint64_t order_hash;  ///< RunMetrics::event_order_hash
 };
 
 // Captured from the pre-refactor packet plane and unchanged by every
 // refactor since; perf/run.py's paper50 workload times the same
-// scenario over the paper's full 200 s.
+// scenario over the paper's full 200 s.  The order hashes were captured
+// on the eager cancel-and-push event queue, before lazy timer re-arm.
 constexpr Fingerprint kPinned50[] = {
-    {Protocol::kDsr, 200471, 151, 118, 1},
-    {Protocol::kAodv, 1786206, 1406, 241, 446},
-    {Protocol::kMts, 1908920, 1479, 514, 1065},
-    {Protocol::kSmr, 391419, 282, 457, 201},
+    {Protocol::kDsr, 200471, 151, 118, 1, 0x8ae25e58587af07d},
+    {Protocol::kAodv, 1786206, 1406, 241, 446, 0xf383923a472a162d},
+    {Protocol::kMts, 1908920, 1479, 514, 1065, 0x21ca0536e7de5cb4},
+    {Protocol::kSmr, 391419, 282, 457, 201, 0x914f1beaae899b6d},
 };
 
 TEST(ScaleTest, FiftyNodeFingerprintsMatchTheBenchBaseline) {
@@ -85,6 +87,7 @@ TEST(ScaleTest, FiftyNodeFingerprintsMatchTheBenchBaseline) {
     EXPECT_EQ(m.control_packets, fp.control) << protocol_name(fp.protocol);
     EXPECT_EQ(m.pe, fp.pe) << protocol_name(fp.protocol);
     EXPECT_EQ(m.pr, m.segments_delivered) << protocol_name(fp.protocol);
+    EXPECT_EQ(m.event_order_hash, fp.order_hash) << protocol_name(fp.protocol);
   }
 }
 

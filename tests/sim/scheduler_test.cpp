@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -389,7 +391,7 @@ TEST(SchedulerTest, BimodalNearAndFarEventsInterleaveCorrectly) {
 
 TEST(SchedulerTest, CancelAndRearmWhileParkedFar) {
   // Events cancelled or re-armed long before they are due must neither
-  // fire at their stale time nor linger: their tombstones are swept and
+  // fire at their stale time nor linger: their stale entries are swept and
   // the survivors fire in order.
   Scheduler s;
   std::vector<int> fired;
@@ -411,7 +413,7 @@ TEST(SchedulerTest, CancelAndRearmWhileParkedFar) {
 TEST(SchedulerTest, DifferentialStressAgainstReferenceModel) {
   // Randomised schedule/cancel/reschedule mix, mirrored into an ordered
   // std::map reference keyed (time, op-sequence): the scheduler must
-  // fire exactly the reference's order through every tombstone drop and
+  // fire exactly the reference's order through every stale-entry drop and
   // compaction.  Time ties are frequent by construction (small time
   // range, many events).
   Scheduler s;
@@ -466,7 +468,8 @@ TEST(SchedulerTest, DifferentialStressAgainstReferenceModel) {
 
 TEST(SchedulerTest, RearmCancelStormMatchesReferenceModel) {
   // The timer-heavy shape: 100 timers, a million operations, over 90%
-  // of them re-arms and cancels, each leaving a tombstone behind.  Fire
+  // of them re-arms and cancels; cancels and earlier re-arms leave a
+  // stale entry behind, later re-arms are forwarded when they surface.  Fire
   // order must match the std::map reference at every pop, compaction
   // must run many times, and stored entries must stay within
   // 2 * pending + 64 throughout.
@@ -517,6 +520,9 @@ TEST(SchedulerTest, RearmCancelStormMatchesReferenceModel) {
     }
     ASSERT_EQ(s.pending_count(), ref.size());
     ASSERT_LE(s.queued_entries(), 2 * s.pending_count() + 64);
+    if (op % 128 == 0) {
+      ASSERT_NO_THROW(s.check_invariants());
+    }
     if (tombs_before >= 32 && s.queued_entries() == s.pending_count()) {
       ++compactions;
     }
@@ -530,6 +536,288 @@ TEST(SchedulerTest, RearmCancelStormMatchesReferenceModel) {
   EXPECT_EQ(fired, expected);
   EXPECT_EQ(s.pending_count(), 0u);
   EXPECT_EQ(s.queued_entries(), 0u);
+}
+
+TEST(SchedulerTest, ForwardAtSameTickOrdersByRearmSequence) {
+  // T's entry stays queued at 5 ns when it is re-armed to 10 ns, and is
+  // forwarded when it surfaces.  At 10 ns it must order by the re-arm's
+  // sequence number: after A (scheduled before the re-arm), before B.
+  Scheduler s;
+  std::vector<char> order;
+  const EventId t = s.schedule_at(Time::ns(5), [&] { order.push_back('T'); });
+  s.schedule_at(Time::ns(10), [&] { order.push_back('A'); });
+  ASSERT_TRUE(s.reschedule(t, Time::ns(10)));
+  s.schedule_at(Time::ns(10), [&] { order.push_back('B'); });
+  EXPECT_EQ(s.queued_entries(), 3u);  // the later re-arm pushed nothing
+  s.check_invariants();
+  EXPECT_EQ(s.next_event_time(), Time::ns(10));  // forwarded at the top
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'T', 'B'}));
+}
+
+TEST(SchedulerTest, ParkKeepsTheIdForARearm) {
+  Scheduler s;
+  int fired = 0;
+  const EventId id = s.schedule_at(Time::ms(5), [&] { ++fired; });
+  EXPECT_TRUE(s.park(id));
+  EXPECT_FALSE(s.park(id));  // no longer pending
+  EXPECT_FALSE(s.is_pending(id));
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_TRUE(s.reschedule(id, Time::ms(7)));  // same id, same closure
+  EXPECT_TRUE(s.is_pending(id));
+  EXPECT_EQ(s.queued_entries(), 1u);
+  s.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.now(), Time::ms(7));
+}
+
+TEST(SchedulerTest, RunUntilKeepsParkedEntriesPastItsEnd) {
+  // Only entries due by run_until's end are settled: a parked event
+  // that is not yet due keeps its slot, and re-arms in place.
+  Scheduler s;
+  int fired = 0;
+  const EventId id = s.schedule_at(Time::ms(5), [&] { ++fired; });
+  s.schedule_at(Time::sec(10), [] {});
+  ASSERT_TRUE(s.park(id));
+  s.run_until(Time::ms(2));
+  EXPECT_TRUE(s.reschedule(id, Time::ms(6)));
+  EXPECT_EQ(s.queued_entries(), 2u);
+  s.run_until(Time::ms(20));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.now(), Time::ms(20));
+}
+
+TEST(SchedulerTest, CancelReleasesAParkedSlotButReportsFalse) {
+  Scheduler s;
+  const EventId id = s.schedule_at(Time::ms(5), [] {});
+  ASSERT_TRUE(s.park(id));
+  EXPECT_FALSE(s.cancel(id));
+  EXPECT_FALSE(s.reschedule(id, Time::ms(6)));  // the id went stale
+  s.check_invariants();
+  s.run();
+  EXPECT_EQ(s.executed_count(), 0u);
+}
+
+TEST(SchedulerTest, CompactionSweepsParkedSlots) {
+  // Parked entries count as dead.  Once they outnumber pending events,
+  // a compaction sweeps them and releases their slots: those ids go
+  // stale, and the survivors still fire in order.
+  Scheduler s;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 100; ++i) {
+    ids.push_back(
+        s.schedule_at(Time::ms(100 + i), [&fired, i] { fired.push_back(i); }));
+  }
+  for (int i = 0; i < 80; ++i) {
+    ASSERT_TRUE(s.park(ids[static_cast<std::size_t>(i)]));
+    s.check_invariants();
+  }
+  EXPECT_EQ(s.pending_count(), 20u);
+  EXPECT_LE(s.queued_entries(), 2 * s.pending_count() + 32);
+  // The first parks were swept; the last one is still held.
+  EXPECT_FALSE(s.reschedule(ids[0], Time::ms(500)));
+  EXPECT_TRUE(s.reschedule(ids[79], Time::ms(500)));
+  s.run();
+  std::vector<int> expected;
+  for (int i = 80; i < 100; ++i) expected.push_back(i);
+  expected.push_back(79);
+  EXPECT_EQ(fired, expected);
+}
+
+/// Drives a fixed set of handles through every way an event can be
+/// armed and disarmed, mirrored into a std::set of (t_ns, seq, handle)
+/// keys: schedule_at, cancel, park, reschedule (earlier, same tick,
+/// later; pending or parked), run_steps and run_until, with some
+/// events stepping a reserved item inline when they fire.  After every
+/// operation the fire sequence, pending_count(), each handle's
+/// is_pending() and the queue's invariants must agree with the model.
+class LazyRearmModel {
+ public:
+  /// (t_ns, seq, handle); handle -1 is a reserved item nobody re-arms.
+  using Key = std::tuple<std::int64_t, std::uint64_t, int>;
+  /// Arming horizon, ns: long against the time a step advances, so
+  /// parked entries often outlive the next re-arm of their handle.
+  static constexpr std::int64_t kHorizon = 2000;
+
+  LazyRearmModel(std::uint64_t seed, int handles)
+      : rng_(seed), handles_(static_cast<std::size_t>(handles)) {}
+
+  Scheduler s;
+  std::uint64_t inline_steps = 0;
+  std::uint64_t parked_rearms = 0;
+  std::uint64_t stale_rearms = 0;
+  std::uint64_t earlier = 0;
+  std::uint64_t same_tick = 0;
+  std::uint64_t later = 0;
+
+  void step() {
+    const auto h = static_cast<int>(rng_() % handles_.size());
+    Handle& hd = handles_[static_cast<std::size_t>(h)];
+    const auto roll = rng_() % 100;
+    if (hd.state == kIdle || roll < 10) {
+      // A parked handle's cancel releases its slot but reports false.
+      ASSERT_EQ(s.cancel(hd.id), hd.state == kPending);
+      if (hd.state == kPending) ref_.erase(hd.key);
+      const Time at = s.now() + Time::ns(rand_in(0, kHorizon));
+      hd.id = s.schedule_at(at, [this, h] { fire(h); });
+      arm(h, at);
+    } else if (roll < 20) {
+      ASSERT_EQ(s.cancel(hd.id), hd.state == kPending);
+      if (hd.state == kPending) ref_.erase(hd.key);
+      hd.state = kIdle;
+    } else if (roll < 45) {
+      ASSERT_EQ(s.park(hd.id), hd.state == kPending);
+      if (hd.state == kPending) ref_.erase(hd.key);
+      hd.state = kParked;
+    } else if (roll < 75) {
+      rearm(h);
+    } else if (roll < 88) {
+      const auto n = static_cast<std::size_t>(rand_in(1, 4));
+      const std::uint64_t before = fires_;
+      window_end_ = Time::ns(-1);  // run_steps never steps inline
+      const std::size_t done = s.run_steps(n);
+      ASSERT_EQ(done, fires_ - before);
+      ASSERT_TRUE(done == n || ref_.empty());
+    } else {
+      window_end_ = s.now() + Time::ns(rand_in(0, 300));
+      s.run_until(window_end_);
+    }
+    verify();
+  }
+
+  void drain() {
+    window_end_ = Time::max();
+    s.run();
+    verify();
+    EXPECT_TRUE(ref_.empty());
+  }
+
+ private:
+  enum State { kIdle, kPending, kParked };
+  struct Handle {
+    EventId id = kInvalidEvent;
+    State state = kIdle;
+    Key key{};
+  };
+
+  std::int64_t rand_in(std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(
+                    rng_() % static_cast<std::uint64_t>(hi - lo));
+  }
+
+  /// Records the handle's new live key: the scheduler drew `seq_`.
+  void arm(int h, Time at) {
+    Handle& hd = handles_[static_cast<std::size_t>(h)];
+    hd.state = kPending;
+    hd.key = Key{at.nanoseconds(), seq_++, h};
+    ref_.insert(hd.key);
+  }
+
+  void rearm(int h) {
+    Handle& hd = handles_[static_cast<std::size_t>(h)];
+    Time at = s.now() + Time::ns(rand_in(0, kHorizon));
+    if (hd.state == kPending) {
+      const Time live = Time::ns(std::get<0>(hd.key));
+      const auto pick = rng_() % 3;
+      if (pick == 0 && live > s.now()) {
+        at = s.now() + Time::ns(rand_in(0, (live - s.now()).nanoseconds()));
+        ++earlier;
+      } else if (pick == 1) {
+        at = live;
+        ++same_tick;
+      } else {
+        at = live + Time::ns(rand_in(1, 400));
+        ++later;
+      }
+      ASSERT_TRUE(s.reschedule(hd.id, at));
+      ref_.erase(hd.key);
+    } else if (s.reschedule(hd.id, at)) {
+      ++parked_rearms;  // the parked slot was still held
+    } else {
+      // Released once its entry surfaced or a compaction swept it:
+      // re-arm through a fresh slot, as Timer does.
+      ++stale_rearms;
+      hd.id = s.schedule_at(at, [this, h] { fire(h); });
+    }
+    arm(h, at);
+  }
+
+  /// Pops the model's first key, which must be (now, ..., h).
+  void expect_head(int h) {
+    ASSERT_FALSE(ref_.empty());
+    const Key head = *ref_.begin();
+    ASSERT_EQ(std::get<2>(head), h);
+    ASSERT_EQ(s.now().nanoseconds(), std::get<0>(head));
+    ref_.erase(ref_.begin());
+    ++fires_;
+  }
+
+  void fire(int h) {
+    expect_head(h);
+    handles_[static_cast<std::size_t>(h)].state = kIdle;
+    ASSERT_NO_THROW(s.check_invariants());
+    if (rng_() % 4 != 0) return;
+    // Step one reserved item inline iff it is the next event anyway and
+    // inside the running call's window; otherwise queue it.
+    const std::uint64_t seq = s.reserve_seqs(1);
+    ASSERT_EQ(seq, seq_++);
+    const Time at = s.now() + Time::ns(rand_in(0, 60));
+    const Key key{at.nanoseconds(), seq, -1};
+    const bool first = ref_.empty() || key < *ref_.begin();
+    const bool stepped = s.step_inline(at, seq, EventCategory::kChannel);
+    ASSERT_EQ(stepped, first && at <= window_end_);
+    if (stepped) {
+      ASSERT_EQ(s.now(), at);
+      ++inline_steps;
+    } else {
+      ref_.insert(key);
+      s.schedule_reserved(at, seq, [this] { expect_head(-1); },
+                          EventCategory::kChannel);
+    }
+  }
+
+  void verify() {
+    ASSERT_EQ(s.pending_count(), ref_.size());
+    for (const Handle& hd : handles_) {
+      ASSERT_EQ(s.is_pending(hd.id), hd.state == kPending);
+    }
+    ASSERT_NO_THROW(s.check_invariants());
+  }
+
+  std::mt19937_64 rng_;
+  std::uint64_t seq_ = 1;  // the scheduler's first sequence number
+  std::uint64_t fires_ = 0;
+  Time window_end_ = Time::ns(-1);
+  std::vector<Handle> handles_;
+  std::set<Key> ref_;
+};
+
+TEST(SchedulerTest, LazyRearmMatchesSetReferenceModel) {
+  // 48 handles: parked entries mostly surface.  256: dead entries pass
+  // the compaction floor, so compactions sweep parked slots too.
+  struct Run {
+    std::uint64_t seed;
+    int handles;
+    int ops;
+  };
+  for (const Run& run : {Run{1, 48, 20000}, Run{2, 48, 20000},
+                         Run{3, 256, 60000}}) {
+    const std::uint64_t seed = run.seed;
+    LazyRearmModel m(seed, run.handles);
+    for (int op = 0; op < run.ops; ++op) {
+      m.step();
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "seed " << seed;
+    }
+    m.drain();
+    // Every path was exercised, many times.
+    EXPECT_GT(m.earlier, 400u);
+    EXPECT_GT(m.same_tick, 400u);
+    EXPECT_GT(m.later, 400u);
+    EXPECT_GT(m.parked_rearms, 200u);
+    EXPECT_GT(m.stale_rearms, 400u);
+    EXPECT_GT(m.inline_steps, 200u);
+  }
 }
 
 /// Drives a scheduler and a std::map reference holding one entry per
@@ -676,6 +964,7 @@ TEST(SchedulerTest, WavesMatchOneEventPerItemReferenceModel) {
     } else {
       m.s.run_until(m.s.now() + Time::ns(m.rand_in(0, 300)));
     }
+    ASSERT_NO_THROW(m.s.check_invariants());
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
   m.s.run();
@@ -757,6 +1046,39 @@ TEST(SchedulerTest, InlineStepsCountAsExecutedEvents) {
   EXPECT_EQ(s.executed_count(), 2u);
   EXPECT_EQ(s.executed_count(EventCategory::kOther), 1u);
   EXPECT_EQ(s.executed_count(EventCategory::kPhy), 1u);
+}
+
+TEST(SchedulerTest, OrderHashSeesReorderingsThatCountsCannot) {
+  // Each run executes one kMac and one kPhy event, at 1 ms and 2 ms:
+  // equal totals and equal per-category counts in every run.
+  const auto run = [](EventCategory first, EventCategory second) {
+    Scheduler s;
+    s.schedule_at(Time::ms(1), [] {}, first);
+    s.schedule_at(Time::ms(2), [] {}, second);
+    s.run();
+    EXPECT_EQ(s.executed_count(EventCategory::kMac), 1u);
+    EXPECT_EQ(s.executed_count(EventCategory::kPhy), 1u);
+    return s.order_hash();
+  };
+  const std::uint64_t mac_first = run(EventCategory::kMac, EventCategory::kPhy);
+  EXPECT_EQ(run(EventCategory::kMac, EventCategory::kPhy), mac_first);
+  EXPECT_NE(run(EventCategory::kPhy, EventCategory::kMac), mac_first);
+  EXPECT_NE(mac_first, Scheduler{}.order_hash());
+}
+
+TEST(SchedulerTest, InlineStepsHashLikeQueuedEvents) {
+  Scheduler queued;
+  queued.schedule_at(Time::ns(5), [] {}, EventCategory::kChannel);
+  queued.schedule_at(Time::ns(9), [] {}, EventCategory::kPhy);
+  queued.run();
+
+  Scheduler stepped;
+  stepped.schedule_at(Time::ns(5), [&] {
+    const std::uint64_t seq = stepped.reserve_seqs(1);
+    ASSERT_TRUE(stepped.step_inline(Time::ns(9), seq, EventCategory::kPhy));
+  }, EventCategory::kChannel);
+  stepped.run();
+  EXPECT_EQ(stepped.order_hash(), queued.order_hash());
 }
 
 TEST(SchedulerTest, ScheduleReservedRejectsUnreservedAndPastKeys) {

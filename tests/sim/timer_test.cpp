@@ -202,6 +202,81 @@ TEST(TimerTest, CancelThenRearmFires) {
   EXPECT_EQ(s.now(), Time::ms(7));
 }
 
+TEST(TimerTest, FreezeAndLaterResumeTouchNoHeapEntry) {
+  // The MAC access-timer shape: arm, freeze (cancel), resume later.
+  // Each resume is at or after the queued expiry, so the one queued
+  // entry stays put until it surfaces and is forwarded.
+  Scheduler s;
+  Recorder r(s);
+  Timer t(s, bind<&Recorder::fire>(&r));
+  t.schedule_in(Time::us(300));
+  for (int i = 1; i <= 100; ++i) {
+    t.cancel();
+    EXPECT_FALSE(t.is_pending());
+    t.schedule_in(Time::us(300 + i));
+    EXPECT_TRUE(t.is_pending());
+    EXPECT_EQ(s.queued_entries(), 1u);
+  }
+  s.check_invariants();
+  s.run();
+  EXPECT_EQ(r.fires, (std::vector<Time>{Time::us(400)}));
+}
+
+TEST(TimerTest, ParkedTimerWhoseEntrySurfacedRearmsThroughAFreshSlot) {
+  Scheduler s;
+  Recorder r(s);
+  Timer t(s, bind<&Recorder::fire>(&r));
+  t.schedule_in(Time::ms(5));
+  t.cancel();  // parked: slot and id kept
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_EQ(s.queued_entries(), 1u);
+  s.run_until(Time::ms(10));  // the entry surfaces; the slot is released
+  EXPECT_EQ(s.queued_entries(), 0u);
+  // Another event recycles the released slot.  The timer's stale id
+  // must not reach it: the re-arm schedules anew.
+  bool other = false;
+  s.schedule_at(Time::ms(30), [&] { other = true; });
+  t.schedule_at(Time::ms(20));
+  EXPECT_EQ(s.pending_count(), 2u);
+  s.check_invariants();
+  s.run();
+  EXPECT_TRUE(other);
+  EXPECT_EQ(r.fires, (std::vector<Time>{Time::ms(20)}));
+}
+
+TEST(TimerTest, DestroyedParkedTimerLeaksNoSlot) {
+  Scheduler s;
+  Recorder r(s);
+  // A cancelled probe puts its slot at the head of the free list.
+  const EventId probe = s.schedule_at(Time::ms(1), [] {});
+  ASSERT_TRUE(s.cancel(probe));
+  {
+    Timer t(s, bind<&Recorder::fire>(&r));
+    t.schedule_in(Time::ms(5));  // takes the probe's slot
+    t.cancel();                  // parks it
+  }                              // and releases it on destruction
+  const EventId next = s.schedule_at(Time::ms(2), [] {});
+  EXPECT_EQ(next & 0xffffffffu, probe & 0xffffffffu);  // slot reused
+  EXPECT_EQ(s.pending_count(), 1u);
+  s.check_invariants();
+  s.run();
+  EXPECT_EQ(r.fired(), 0);
+  EXPECT_EQ(s.executed_count(), 1u);
+}
+
+TEST(PeriodicTimerTest, StopThenStartRearmsTheParkedTick) {
+  Scheduler s;
+  Recorder r(s);
+  PeriodicTimer t(s, bind<&Recorder::fire>(&r));
+  t.start(Time::ms(10));
+  t.stop();
+  EXPECT_FALSE(t.is_running());
+  t.start(Time::ms(10), Time::ms(12));
+  EXPECT_TRUE(t.is_running());
+  s.run_until(Time::ms(25));
+  EXPECT_EQ(r.fires, (std::vector<Time>{Time::ms(12), Time::ms(22)}));
+}
+
 TEST(PeriodicTimerTest, SetPeriodTakesEffectNextTick) {
   Scheduler s;
   Recorder r(s);

@@ -34,6 +34,9 @@ TEST(TrafficSessionLoadTest, HundredNodeArenaSustainsTwoHundredSessions) {
 
   const RunMetrics m = run_scenario(cfg);
   EXPECT_GE(m.sessions_started, kSessions);
+  // Captured on the eager cancel-and-push event queue: lazy timer re-arm
+  // must not reorder a single event of this timer-heavy run.
+  EXPECT_EQ(m.event_order_hash, 0x4f3b0ab9372383b0u);
   for (std::size_t c = 0; c < traffic::kUserClassCount; ++c) {
     const auto& tc = m.traffic_classes[c];
     const char* name =
