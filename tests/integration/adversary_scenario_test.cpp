@@ -189,15 +189,31 @@ security::AdversarySpec flood_spec() {
   return s;
 }
 
+security::AdversarySpec coalition_spec(security::AdversaryKind k,
+                                       std::uint32_t count) {
+  security::AdversarySpec s;
+  s.kind = k;
+  s.count = count;
+  return s;
+}
+
 struct ActiveFingerprint {
   security::AdversaryKind kind;
   Protocol protocol;
+  security::DefenseKind defense;
+  bool secrecy;  ///< secrecy game on, threshold 2
   std::uint64_t events;
+  std::uint64_t order_hash;  ///< RunMetrics::event_order_hash
   std::uint64_t delivered;
   std::uint64_t control;
   std::uint64_t captured;  ///< pooled distinct segments
   std::uint64_t aux;       ///< kind-specific: tunneled / absorbed / injected
+  std::uint64_t shares;    ///< shares_captured (0 with the game off)
+  std::uint64_t keys;      ///< keys_recovered
 };
+
+using security::AdversaryKind;
+using security::DefenseKind;
 
 /// Fixed-seed attack-effect fingerprints, captured on the reference
 /// toolchain.  These pin each attacker's *effect* — what it perturbed,
@@ -211,32 +227,73 @@ struct ActiveFingerprint {
 ///  - grayhole at p=0.3: TCP collapses far below 70% of baseline — loss
 ///    compounds through timeouts — while absorbing only a handful;
 ///  - RREQ flood: 71 forged discoveries inflate control overhead ~20x
-///    (DSR) while barely denting delivery.
+///    (DSR) while barely denting delivery;
+///  - colluding and mobile coalitions replay the traffic-analysis (and
+///    adversary-free) event stream exactly: same events, same order hash;
+///  - a 3-member blackhole sits on the only route and zeroes delivery;
+///  - with the secrecy game at threshold 2, the wormhole pair reads two
+///    shares and recovers the key, while the colluding coalition reads
+///    one and recovers nothing.
 constexpr ActiveFingerprint kActivePinned[] = {
-    {security::AdversaryKind::kWormhole, Protocol::kDsr,
-     119225, 0, 1979, 1, 198},
-    {security::AdversaryKind::kWormhole, Protocol::kMts,
-     255836, 314, 613, 314, 564},
-    {security::AdversaryKind::kGrayhole, Protocol::kDsr,
-     40868, 58, 36, 16, 17},
-    {security::AdversaryKind::kGrayhole, Protocol::kMts,
-     13828, 16, 52, 3, 4},
-    {security::AdversaryKind::kTrafficAnalysis, Protocol::kDsr,
-     283999, 466, 59, 0, 0},
-    {security::AdversaryKind::kTrafficAnalysis, Protocol::kMts,
-     288290, 453, 52, 0, 0},
-    {security::AdversaryKind::kRreqFlood, Protocol::kDsr,
-     338414, 458, 1185, 0, 71},
-    {security::AdversaryKind::kRreqFlood, Protocol::kMts,
-     364623, 456, 1957, 0, 71},
+    {AdversaryKind::kWormhole, Protocol::kDsr, DefenseKind::kNone, false,
+     119225, 0x65c5c35d34888cb5u, 0, 1979, 1, 198, 0, 0},
+    {AdversaryKind::kWormhole, Protocol::kMts, DefenseKind::kNone, false,
+     255836, 0xa0355d3ed56b18f2u, 314, 613, 314, 564, 0, 0},
+    {AdversaryKind::kGrayhole, Protocol::kDsr, DefenseKind::kNone, false,
+     40868, 0xd51f118db12fa8b7u, 58, 36, 16, 17, 0, 0},
+    {AdversaryKind::kGrayhole, Protocol::kMts, DefenseKind::kNone, false,
+     13828, 0x71019e3468b81677u, 16, 52, 3, 4, 0, 0},
+    {AdversaryKind::kTrafficAnalysis, Protocol::kDsr, DefenseKind::kNone, false,
+     283999, 0x39f6dacbf20a3c91u, 466, 59, 0, 0, 0, 0},
+    {AdversaryKind::kTrafficAnalysis, Protocol::kMts, DefenseKind::kNone, false,
+     288290, 0x40baafd86c4c3f7au, 453, 52, 0, 0, 0, 0},
+    {AdversaryKind::kRreqFlood, Protocol::kDsr, DefenseKind::kNone, false,
+     338414, 0x2b9c017dd08a2539u, 458, 1185, 0, 71, 0, 0},
+    {AdversaryKind::kRreqFlood, Protocol::kMts, DefenseKind::kNone, false,
+     364623, 0x167b18fd3bfe6237u, 456, 1957, 0, 71, 0, 0},
+    {AdversaryKind::kColluding, Protocol::kDsr, DefenseKind::kNone, false,
+     283999, 0x39f6dacbf20a3c91u, 466, 59, 467, 0, 0, 0},
+    {AdversaryKind::kColluding, Protocol::kMts, DefenseKind::kNone, false,
+     288290, 0x40baafd86c4c3f7au, 453, 52, 456, 0, 0, 0},
+    {AdversaryKind::kMobile, Protocol::kDsr, DefenseKind::kNone, false,
+     283999, 0x39f6dacbf20a3c91u, 466, 59, 467, 0, 0, 0},
+    {AdversaryKind::kMobile, Protocol::kMts, DefenseKind::kNone, false,
+     288290, 0x40baafd86c4c3f7au, 453, 52, 456, 0, 0, 0},
+    {AdversaryKind::kBlackhole, Protocol::kDsr, DefenseKind::kNone, false,
+     2074, 0x0df7bd2d8729a08cu, 0, 36, 1, 3, 0, 0},
+    {AdversaryKind::kBlackhole, Protocol::kMts, DefenseKind::kNone, false,
+     3413, 0xa9a3aa2a530c3dd6u, 0, 52, 1, 3, 0, 0},
+    // Every kind against MTS with the full defense suite.
+    {AdversaryKind::kColluding, Protocol::kMts, DefenseKind::kSuite, false,
+     307509, 0x50f507a9581f43e3u, 439, 114, 441, 0, 0, 0},
+    {AdversaryKind::kMobile, Protocol::kMts, DefenseKind::kSuite, false,
+     307509, 0x50f507a9581f43e3u, 439, 114, 441, 0, 0, 0},
+    {AdversaryKind::kBlackhole, Protocol::kMts, DefenseKind::kSuite, false,
+     13391, 0x3fbae60047f887eeu, 0, 208, 1, 24, 0, 0},
+    {AdversaryKind::kWormhole, Protocol::kMts, DefenseKind::kSuite, false,
+     314647, 0x04e8b4fd395da494u, 419, 55, 420, 661, 0, 0},
+    {AdversaryKind::kGrayhole, Protocol::kMts, DefenseKind::kSuite, false,
+     37199, 0xf0aeb7c5ccf44fbbu, 28, 72, 6, 20, 0, 0},
+    {AdversaryKind::kTrafficAnalysis, Protocol::kMts, DefenseKind::kSuite, false,
+     307509, 0x50f507a9581f43e3u, 439, 114, 0, 0, 0, 0},
+    {AdversaryKind::kRreqFlood, Protocol::kMts, DefenseKind::kSuite, false,
+     483992, 0xdb14ea790ec604a7u, 347, 660, 0, 71, 0, 0},
+    // The secrecy game on: key shares read from real wire bytes.
+    {AdversaryKind::kColluding, Protocol::kMts, DefenseKind::kNone, true,
+     288290, 0x40baafd86c4c3f7au, 453, 52, 456, 0, 1, 0},
+    {AdversaryKind::kWormhole, Protocol::kMts, DefenseKind::kNone, true,
+     255836, 0xa0355d3ed56b18f2u, 314, 613, 314, 564, 2, 1},
 };
 
-security::AdversarySpec spec_for(security::AdversaryKind k) {
+security::AdversarySpec spec_for(AdversaryKind k) {
   switch (k) {
-    case security::AdversaryKind::kWormhole: return wormhole_spec();
-    case security::AdversaryKind::kGrayhole: return grayhole_spec();
-    case security::AdversaryKind::kTrafficAnalysis: return traffic_spec();
-    case security::AdversaryKind::kRreqFlood: return flood_spec();
+    case AdversaryKind::kColluding: return coalition_spec(k, 3);
+    case AdversaryKind::kMobile: return coalition_spec(k, 2);
+    case AdversaryKind::kBlackhole: return coalition_spec(k, 3);
+    case AdversaryKind::kWormhole: return wormhole_spec();
+    case AdversaryKind::kGrayhole: return grayhole_spec();
+    case AdversaryKind::kTrafficAnalysis: return traffic_spec();
+    case AdversaryKind::kRreqFlood: return flood_spec();
     default: return {};
   }
 }
@@ -245,30 +302,41 @@ TEST(ActiveAdversaryScenarioTest, FixedSeedAttackEffectFingerprints) {
   for (const ActiveFingerprint& fp : kActivePinned) {
     ScenarioConfig cfg = active_base(fp.protocol);
     cfg.adversary = spec_for(fp.kind);
+    cfg.defense.kind = fp.defense;
+    cfg.secrecy.enabled = fp.secrecy;
+    if (fp.secrecy) cfg.secrecy.threshold = 2;
     const RunMetrics m = run_scenario(cfg);
     const std::string tag = std::string(protocol_name(fp.protocol)) + "/" +
-                            security::adversary_kind_name(fp.kind);
+                            security::adversary_kind_name(fp.kind) + "/" +
+                            security::defense_kind_name(fp.defense) +
+                            (fp.secrecy ? "/secrecy" : "");
     EXPECT_EQ(m.adversary_kind, fp.kind) << tag;
     EXPECT_EQ(m.events_executed, fp.events) << tag;
+    EXPECT_EQ(m.event_order_hash, fp.order_hash) << tag;
     EXPECT_EQ(m.segments_delivered, fp.delivered) << tag;
     EXPECT_EQ(m.control_packets, fp.control) << tag;
     EXPECT_EQ(m.coalition_captured, fp.captured) << tag;
+    EXPECT_EQ(m.shares_captured, fp.shares) << tag;
+    EXPECT_EQ(m.keys_recovered, fp.keys) << tag;
     switch (fp.kind) {
-      case security::AdversaryKind::kWormhole:
+      case AdversaryKind::kWormhole:
         EXPECT_EQ(m.wormhole_tunneled, fp.aux) << tag;
         EXPECT_EQ(m.adversary_members.size(), 2u) << tag;
         break;
-      case security::AdversaryKind::kGrayhole:
+      case AdversaryKind::kBlackhole:
+        EXPECT_EQ(m.blackhole_absorbed, fp.aux) << tag;
+        break;
+      case AdversaryKind::kGrayhole:
         EXPECT_EQ(m.grayhole_absorbed, fp.aux) << tag;
         EXPECT_EQ(m.blackhole_absorbed, fp.aux) << tag;  // same counter
         break;
-      case security::AdversaryKind::kTrafficAnalysis:
+      case AdversaryKind::kTrafficAnalysis:
         EXPECT_DOUBLE_EQ(m.endpoint_inference_accuracy, 1.0)
             << tag << ": metadata profiling should identify the flow "
             << "endpoints in this arena — relay spreading does not hide "
             << "the endpoints' volume signature";
         break;
-      case security::AdversaryKind::kRreqFlood:
+      case AdversaryKind::kRreqFlood:
         EXPECT_EQ(m.flood_injected, fp.aux) << tag;
         break;
       default:
