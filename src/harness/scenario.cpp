@@ -284,7 +284,7 @@ class Simulation final : private mac::MacListener,
       ctx.excluded.insert(f->spec.dst);
     }
     ctx.rng = master_.substream("adversary");
-    // Active-model hooks.  Passive models never touch them; active ones
+    // Active-family hooks.  Passive families never touch them; active ones
     // use the scheduler for their own event slots, the channel for
     // out-of-band injection, and the MAC-bound callback for forged
     // control traffic through the "normal routing path".
@@ -301,20 +301,17 @@ class Simulation final : private mac::MacListener,
       ++nodes_[member].counters.sent_control;
       nodes_[member].mac->enqueue(std::move(p), net::kBroadcastId);
     };
-    adversary_ = security::make_adversary(cfg_.adversary, ctx);
-    if (adversary_ != nullptr) {
-      // All models tap the channel at radiation time.  The tap itself is
-      // observational; active models react to it only through their own
-      // scheduled event slots, so passive models still leave the event
-      // stream untouched.
-      channel_->set_sniffer([a = adversary_.get()](
-                                net::NodeId sender,
-                                const mobility::Vec2& pos,
-                                const phy::Frame& f, sim::Time airtime,
-                                sim::Time now) {
-        a->on_transmission({sender, pos, airtime, now}, f);
-      });
-    }
+    adversary_ = std::make_unique<security::Adversary>(cfg_.adversary, ctx);
+    // Every family taps the channel at radiation time.  The tap itself is
+    // observational; active families react to it only through their own
+    // scheduled event slots, so passive families still leave the event
+    // stream untouched.
+    channel_->set_sniffer([a = adversary_.get()](
+                              net::NodeId sender, const mobility::Vec2& pos,
+                              const phy::Frame& f, sim::Time airtime,
+                              sim::Time now) {
+      a->on_transmission({sender, pos, airtime, now}, f);
+    });
   }
 
   void build_traffic() {
@@ -360,7 +357,7 @@ class Simulation final : private mac::MacListener,
     // MAC already ACKed the frame (upstream believes the hop succeeded),
     // then transit data silently dies here.
     if (n.insider && adversary_->absorbs(i, p, sched_.now())) {
-      adversary_->on_absorb(i, p);
+      adversary_->on_absorb(p);
       n.counters.drop(net::DropReason::kAdversary);
       return;
     }
@@ -471,19 +468,21 @@ class Simulation final : private mac::MacListener,
       m.interception_ratio = eavesdropper_->interception_ratio(m.pr);
     }
     if (adversary_ != nullptr) {
+      const security::AdversaryCounters& c = adversary_->counters();
+      const security::SegmentPool& captured = adversary_->pool();
       m.adversary_kind = adversary_->kind();
       m.adversary_count =
           static_cast<std::uint32_t>(adversary_->member_count());
-      m.coalition_captured = adversary_->captured_segments();
-      m.coalition_interception_ratio = adversary_->interception_ratio(m.pr);
-      m.fragments_missing = adversary_->fragments_missing(m.pr);
-      m.blackhole_absorbed = adversary_->absorbed_packets();
+      m.coalition_captured = captured.captured_segments();
+      m.coalition_interception_ratio = captured.interception_ratio(m.pr);
+      m.fragments_missing = captured.fragments_missing(m.pr);
+      m.blackhole_absorbed = c.absorbed;
       m.adversary_members = adversary_->members();
-      m.wormhole_tunneled = adversary_->tunneled_frames();
+      m.wormhole_tunneled = c.tunneled;
       if (m.adversary_kind == security::AdversaryKind::kGrayhole) {
-        m.grayhole_absorbed = adversary_->absorbed_packets();
+        m.grayhole_absorbed = c.absorbed;
       }
-      m.flood_injected = adversary_->injected_packets();
+      m.flood_injected = c.injected;
       if (secrecy_ != nullptr) {
         if (const auto* pool = adversary_->key_recovery(); pool != nullptr) {
           const security::SecrecyPlane::Score s = secrecy_->score(*pool);
@@ -610,10 +609,10 @@ class Simulation final : private mac::MacListener,
   /// routing, so it must be torn down first (reverse destruction).
   std::unique_ptr<traffic::TrafficPlane> traffic_;
   std::unique_ptr<security::Eavesdropper> eavesdropper_;
-  /// Declared before adversary_: pooled adversaries' capture pools hold
-  /// the plane pointer, so the plane must outlive them.
+  /// Declared before adversary_: the adversary's capture pool holds the
+  /// plane pointer, so the plane must outlive it.
   std::unique_ptr<security::SecrecyPlane> secrecy_;
-  std::unique_ptr<security::AdversaryModel> adversary_;
+  std::unique_ptr<security::Adversary> adversary_;
 };
 
 }  // namespace

@@ -1,10 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -101,7 +101,8 @@ struct AdversarySpec {
   /// active_window.  Either zero = always active.
   sim::Time active_window = sim::Time::zero();
   sim::Time active_period = sim::Time::zero();
-  /// kRreqFlood: forged route discoveries per second, per member.
+  /// kRreqFlood: forged route discoveries per second, per member.  Must
+  /// be finite and > 0, with 1 / rate between 1 ns and `Time::max()`.
   double flood_rate = 10.0;
   /// kRreqFlood: time of the first forged discovery.
   sim::Time flood_start = sim::Time::sec(1);
@@ -139,476 +140,9 @@ struct Transmission {
   sim::Time now;
 };
 
-/// Pluggable adversary.  Passive hooks: a channel tap (every frame
-/// radiated anywhere, evaluated against each member's position).
-/// Active hooks: an insider forwarding veto (blackhole/grayhole
-/// absorption), a start hook for self-scheduled activity (RREQ
-/// flooding), and — via the context — the channel's `inject` entry for
-/// out-of-band replays (wormhole).  Passive models are observers: they
-/// never perturb the simulation's RNG streams or event order, so runs
-/// with and without one are identical packet-for-packet (paired
-/// comparisons stay paired).  Active models keep that property *for the
-/// rest of the stack* by drawing only from their own RNG substream and
-/// scheduling only their own pooled event slots.
-class AdversaryModel {
- public:
-  virtual ~AdversaryModel() = default;
-
-  [[nodiscard]] virtual AdversaryKind kind() const = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-  [[nodiscard]] virtual std::size_t member_count() const = 0;
-
-  /// Called once when the simulation starts; active models arm their
-  /// injection timers here.  `sim_end` bounds self-rescheduling.
-  virtual void on_start(sim::Time /*sim_end*/) {}
-
-  /// Passive tap: called for every frame the channel radiates.
-  virtual void on_transmission(const Transmission&, const phy::Frame&) {}
-
-  /// Insider veto: should `node` silently absorb `p` instead of
-  /// forwarding it?  Only consulted for coalition members.  `now` lets
-  /// time-windowed attackers (grayhole) gate their activity.
-  [[nodiscard]] virtual bool absorbs(net::NodeId /*node*/,
-                                     const net::Packet& /*p*/,
-                                     sim::Time /*now*/) const {
-    return false;
-  }
-  /// Notification that the harness honoured an `absorbs` verdict.
-  virtual void on_absorb(net::NodeId /*node*/, const net::Packet& /*p*/) {}
-
-  /// True if this node is part of the coalition (insider models).
-  [[nodiscard]] virtual bool is_member(net::NodeId) const { return false; }
-
-  // --- metrics --------------------------------------------------------
-  [[nodiscard]] virtual std::uint64_t captured_segments() const { return 0; }
-  [[nodiscard]] virtual double interception_ratio(std::uint64_t /*pr*/) const {
-    return 0.0;
-  }
-  [[nodiscard]] virtual std::uint64_t fragments_missing(std::uint64_t pr) const {
-    return pr;
-  }
-  [[nodiscard]] virtual std::uint64_t absorbed_packets() const { return 0; }
-  /// Frames replayed through an out-of-band tunnel (kWormhole).
-  [[nodiscard]] virtual std::uint64_t tunneled_frames() const { return 0; }
-  /// Forged control packets injected (kRreqFlood).
-  [[nodiscard]] virtual std::uint64_t injected_packets() const { return 0; }
-  /// Top-k guessed (src, dst) flow endpoint pairs (kTrafficAnalysis);
-  /// empty for models that do not infer endpoints.
-  [[nodiscard]] virtual std::vector<std::pair<net::NodeId, net::NodeId>>
-  inferred_endpoints(std::size_t /*k*/) const {
-    return {};
-  }
-  /// Insider node ids (empty for external adversaries).
-  [[nodiscard]] virtual std::vector<net::NodeId> members() const { return {}; }
-  /// The coalition's key-recovery pool (secrecy game); nullptr for
-  /// models that do not capture payload bytes, or when the game is off.
-  [[nodiscard]] virtual const KeyRecoveryPool* key_recovery() const {
-    return nullptr;
-  }
-};
-
-/// Shared base for models whose metrics come from a capture pool — all
-/// three concrete families; they differ only in *how* segments land in
-/// the pool.
-class PooledAdversary : public AdversaryModel {
- public:
-  [[nodiscard]] std::uint64_t captured_segments() const override {
-    return pool_.captured_segments();
-  }
-  [[nodiscard]] double interception_ratio(std::uint64_t pr) const override {
-    return pool_.interception_ratio(pr);
-  }
-  [[nodiscard]] std::uint64_t fragments_missing(std::uint64_t pr) const override {
-    return pool_.fragments_missing(pr);
-  }
-  [[nodiscard]] const KeyRecoveryPool* key_recovery() const override {
-    return pool_.recovery();
-  }
-
-  /// Arms the secrecy game on the shared pool (called by the factory
-  /// when the scenario has a plane).
-  void attach_secrecy(const SecrecyPlane* plane) {
-    pool_.attach_secrecy(plane);
-  }
-
- protected:
-  SegmentPool pool_;
-};
-
-/// (a) Colluding insider eavesdroppers: coalition members are regular
-/// nodes; any data frame radiated within `sniff_range` of a member's
-/// current position lands in the shared pool.
-class ColludingEavesdroppers final : public PooledAdversary {
- public:
-  /// `position_of` maps a member node id to its position at a time (the
-  /// harness binds it to the node mobility models).
-  ColludingEavesdroppers(
-      std::vector<net::NodeId> members, double sniff_range,
-      std::function<mobility::Vec2(net::NodeId, sim::Time)> position_of);
-
-  [[nodiscard]] AdversaryKind kind() const override {
-    return AdversaryKind::kColluding;
-  }
-  [[nodiscard]] const char* name() const override { return "colluding"; }
-  [[nodiscard]] std::size_t member_count() const override {
-    return members_.size();
-  }
-  [[nodiscard]] bool is_member(net::NodeId n) const override {
-    return member_set_.contains(n);
-  }
-  [[nodiscard]] std::vector<net::NodeId> members() const override {
-    return members_;
-  }
-
-  void on_transmission(const Transmission& tx, const phy::Frame& f) override;
-
-  /// Raw overheard data frames per member (diagnostics).
-  [[nodiscard]] std::uint64_t frames_seen_by(net::NodeId n) const;
-
- private:
-  std::vector<net::NodeId> members_;
-  std::unordered_set<net::NodeId> member_set_;
-  double sniff_range_;
-  std::function<mobility::Vec2(net::NodeId, sim::Time)> position_of_;
-  std::unordered_map<net::NodeId, std::uint64_t> frames_seen_;
-};
-
-/// (b) Mobile external eavesdroppers: sniffers that are not part of the
-/// node population, each following its own random-waypoint trajectory
-/// over the arena, pooling captures like a coalition.
-class MobileEavesdroppers final : public PooledAdversary {
- public:
-  MobileEavesdroppers(std::uint32_t count, const mobility::Field& field,
-                      const AdversarySpec& spec, double sniff_range,
-                      sim::Rng rng);
-
-  [[nodiscard]] AdversaryKind kind() const override {
-    return AdversaryKind::kMobile;
-  }
-  [[nodiscard]] const char* name() const override { return "mobile"; }
-  [[nodiscard]] std::size_t member_count() const override {
-    return trajectories_.size();
-  }
-
-  void on_transmission(const Transmission& tx, const phy::Frame& f) override;
-
-  /// Trajectory introspection (tests: the sniffer never leaves the arena).
-  [[nodiscard]] mobility::Vec2 position_of_member(std::size_t i,
-                                                  sim::Time t) const;
-
- private:
-  std::vector<mobility::Trajectory> trajectories_;
-  double sniff_range_;
-};
-
-/// (c) Insider blackhole: members answer route discovery like honest
-/// nodes (control packets pass through untouched), then absorb every
-/// TCP data packet they are asked to relay.  Absorbed segments also land
-/// in the capture pool — a blackhole reads what it eats.
-class BlackholeAttacker final : public PooledAdversary {
- public:
-  explicit BlackholeAttacker(std::vector<net::NodeId> members);
-
-  [[nodiscard]] AdversaryKind kind() const override {
-    return AdversaryKind::kBlackhole;
-  }
-  [[nodiscard]] const char* name() const override { return "blackhole"; }
-  [[nodiscard]] std::size_t member_count() const override {
-    return members_.size();
-  }
-  [[nodiscard]] bool is_member(net::NodeId n) const override {
-    return member_set_.contains(n);
-  }
-  [[nodiscard]] std::vector<net::NodeId> members() const override {
-    return members_;
-  }
-
-  [[nodiscard]] bool absorbs(net::NodeId node, const net::Packet& p,
-                             sim::Time now) const override;
-  void on_absorb(net::NodeId node, const net::Packet& p) override;
-
-  [[nodiscard]] std::uint64_t absorbed_packets() const override {
-    return absorbed_;
-  }
-  [[nodiscard]] std::uint64_t absorbed_by(net::NodeId n) const;
-
- private:
-  std::vector<net::NodeId> members_;
-  std::unordered_set<net::NodeId> member_set_;
-  std::uint64_t absorbed_ = 0;
-  std::unordered_map<net::NodeId, std::uint64_t> per_member_;
-};
-
-/// (d) Wormhole: two colluding endpoints joined by an out-of-band
-/// zero-delay tunnel.  Every payload-carrying frame radiated within
-/// `sniff_range` of one endpoint (or transmitted by it) is replayed
-/// verbatim — same spoofed transmitter, same MAC sequence — at the other
-/// endpoint's position via the channel's injection hook, so RREQ floods,
-/// RREPs and data cross the arena in one phantom hop and route discovery
-/// collapses onto the shortcut.  MAC ACKs transmitted *by* an endpoint
-/// are tunneled too, which is exactly what makes the phantom link
-/// complete unicast handshakes.  TCP data crossing the tunnel is
-/// captured into the segment pool, and dropped (not replayed) with
-/// probability `drop_prob` — the selective-drop half of the attack.
-///
-/// Replays are deferred through pooled slots onto the scheduler (zero
-/// simulated delay, deterministic insertion order), and every random
-/// draw comes from the tunnel's own RNG substream, so the rest of the
-/// stack keeps its event/RNG streams.  A per-packet-uid filter tunnels
-/// each network packet at most once (MAC retries and far-end
-/// rebroadcasts re-entering the tap do not ping-pong).
-class WormholeAttacker final : public PooledAdversary {
- public:
-  WormholeAttacker(
-      std::array<net::NodeId, 2> endpoints, double sniff_range,
-      double drop_prob,
-      std::function<mobility::Vec2(net::NodeId, sim::Time)> position_of,
-      sim::Scheduler* sched, phy::Channel* channel, sim::Rng rng);
-
-  [[nodiscard]] AdversaryKind kind() const override {
-    return AdversaryKind::kWormhole;
-  }
-  [[nodiscard]] const char* name() const override { return "wormhole"; }
-  [[nodiscard]] std::size_t member_count() const override { return 2; }
-  [[nodiscard]] bool is_member(net::NodeId n) const override {
-    return n == ends_[0] || n == ends_[1];
-  }
-  [[nodiscard]] std::vector<net::NodeId> members() const override {
-    return {ends_[0], ends_[1]};
-  }
-
-  void on_transmission(const Transmission& tx, const phy::Frame& f) override;
-
-  [[nodiscard]] std::uint64_t tunneled_frames() const override {
-    return tunneled_;
-  }
-  /// Data packets deliberately killed at the tunnel (selective drops).
-  [[nodiscard]] std::uint64_t absorbed_packets() const override {
-    return dropped_;
-  }
-  [[nodiscard]] const std::array<net::NodeId, 2>& endpoints() const {
-    return ends_;
-  }
-  /// Live entries in the per-uid dedup window (tests: bounded over time).
-  [[nodiscard]] std::size_t dedup_entries() const {
-    return tunneled_uids_.size();
-  }
-
-  /// How long a tunneled uid is remembered.  Sized to outlive every
-  /// legitimate same-uid reappearance: MAC retries and far-end
-  /// rebroadcasts are milliseconds, and a packet parked in a routing
-  /// send buffer keeps its uid for up to the buffer's 30 s age limit
-  /// (`routing::SendBuffer`) before re-entering the air.  Thirty
-  /// seconds covers all of those — so short-run behaviour is identical to the old unbounded set —
-  /// while keeping the dedup state bounded by recent tunnel throughput
-  /// on long runs instead of growing one entry per packet forever.
-  static constexpr sim::Time kUidFreshness = sim::Time::sec(30);
-
- private:
-  void tunnel_to(std::size_t far_end, const Transmission& tx,
-                 const phy::Frame& f);
-  void fire(std::uint32_t slot);
-  /// True if `uid` was not seen within the freshness window — and
-  /// records it.  Ages expired entries out as a side effect.
-  bool remember_uid(std::uint64_t uid, sim::Time now);
-
-  /// A replay parked until its zero-delay event fires; pooled so the
-  /// closure stays {this, slot} (the frame's payload handle is a
-  /// refcount bump, and recycled slots drop it on fire).
-  struct PendingReplay {
-    phy::Frame frame;
-    net::NodeId spoof = net::kNoNode;
-    std::size_t far_end = 0;
-    sim::Time airtime;
-    std::uint32_t next_free = 0;
-  };
-
-  std::array<net::NodeId, 2> ends_;
-  double sniff_range_;
-  double drop_prob_;
-  std::function<mobility::Vec2(net::NodeId, sim::Time)> position_of_;
-  sim::Scheduler* sched_;
-  phy::Channel* channel_;
-  sim::Rng rng_;
-  /// uid -> first-seen time, aged out after kUidFreshness via the
-  /// insertion-ordered queue.  Unlike routing::FloodCache's FIFO ring
-  /// this ages by time, not by count: uids are not monotone, so a pure
-  /// FIFO cap could evict a uid whose retries are still in flight.
-  std::unordered_map<std::uint64_t, sim::Time> tunneled_uids_;
-  std::deque<std::pair<std::uint64_t, sim::Time>> tunneled_order_;
-  std::vector<PendingReplay> replay_pool_;
-  std::uint32_t replay_free_ = kNoSlot;
-  std::uint64_t tunneled_ = 0;
-  std::uint64_t dropped_ = 0;
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-};
-
-/// (e) Grayhole: probabilistic, time-windowed insider absorption.  Like
-/// the blackhole it forwards control untouched; unlike the blackhole it
-/// eats each eligible transit data packet only with probability
-/// `drop_prob`, and only while (now mod active_period) < active_window —
-/// parameters chosen to sit under a delivery-rate detector's threshold.
-/// Decisions draw from the grayhole's own RNG substream in MAC receive
-/// order, so they are deterministic for a fixed seed.
-class GrayholeAttacker final : public PooledAdversary {
- public:
-  GrayholeAttacker(std::vector<net::NodeId> members, double drop_prob,
-                   sim::Time active_window, sim::Time active_period,
-                   sim::Rng rng);
-
-  [[nodiscard]] AdversaryKind kind() const override {
-    return AdversaryKind::kGrayhole;
-  }
-  [[nodiscard]] const char* name() const override { return "grayhole"; }
-  [[nodiscard]] std::size_t member_count() const override {
-    return members_.size();
-  }
-  [[nodiscard]] bool is_member(net::NodeId n) const override {
-    return member_set_.contains(n);
-  }
-  [[nodiscard]] std::vector<net::NodeId> members() const override {
-    return members_;
-  }
-
-  [[nodiscard]] bool absorbs(net::NodeId node, const net::Packet& p,
-                             sim::Time now) const override;
-  void on_absorb(net::NodeId node, const net::Packet& p) override;
-
-  [[nodiscard]] std::uint64_t absorbed_packets() const override {
-    return absorbed_;
-  }
-  /// True while the duty cycle has the attacker dropping.
-  [[nodiscard]] bool active_at(sim::Time now) const;
-
- private:
-  std::vector<net::NodeId> members_;
-  std::unordered_set<net::NodeId> member_set_;
-  double drop_prob_;
-  sim::Time active_window_;
-  sim::Time active_period_;
-  /// absorbs() is a const query from the harness's point of view, but
-  /// each eligible packet consumes one Bernoulli draw.
-  mutable sim::Rng rng_;
-  std::uint64_t absorbed_ = 0;
-};
-
-/// (f) Traffic analysis: a passive insider coalition that never decodes
-/// payloads.  It accumulates per-node sent/received byte volumes from
-/// frame *metadata* only (transmitter id, MAC addressee, frame size) for
-/// every frame radiated within `sniff_range` of a member, then infers
-/// flow endpoints from the volume skew: a TCP source transmits large
-/// data frames and receives only small ACKs (strongly positive
-/// sent-recv skew), a sink is the mirror image, and relays cancel out.
-/// Probes the paper's core claim from a new angle — MTS's relay
-/// spreading disguises *which relays* carry the stream, but can it hide
-/// the endpoints' volume signature?
-class TrafficAnalysisAttacker final : public AdversaryModel {
- public:
-  TrafficAnalysisAttacker(
-      std::vector<net::NodeId> members, double sniff_range,
-      std::uint32_t node_count,
-      std::function<mobility::Vec2(net::NodeId, sim::Time)> position_of);
-
-  [[nodiscard]] AdversaryKind kind() const override {
-    return AdversaryKind::kTrafficAnalysis;
-  }
-  [[nodiscard]] const char* name() const override { return "traffic"; }
-  [[nodiscard]] std::size_t member_count() const override {
-    return members_.size();
-  }
-  [[nodiscard]] bool is_member(net::NodeId n) const override {
-    return member_set_.contains(n);
-  }
-  [[nodiscard]] std::vector<net::NodeId> members() const override {
-    return members_;
-  }
-
-  void on_transmission(const Transmission& tx, const phy::Frame& f) override;
-
-  [[nodiscard]] std::vector<std::pair<net::NodeId, net::NodeId>>
-  inferred_endpoints(std::size_t k) const override;
-
-  /// Diagnostics: frames profiled and a node's observed volume skew.
-  [[nodiscard]] std::uint64_t frames_profiled() const { return frames_; }
-  [[nodiscard]] std::int64_t volume_skew(net::NodeId n) const;
-
- private:
-  struct Profile {
-    std::uint64_t sent_bytes = 0;
-    std::uint64_t recv_bytes = 0;
-  };
-
-  std::vector<net::NodeId> members_;
-  std::unordered_set<net::NodeId> member_set_;
-  double sniff_range_;
-  std::function<mobility::Vec2(net::NodeId, sim::Time)> position_of_;
-  std::vector<Profile> profiles_;
-  std::uint64_t frames_ = 0;
-};
-
-/// (g) RREQ flood: insider DoS.  Each member injects forged route
-/// discoveries (the scenario protocol's RREQ kind, rotating victim
-/// destinations, ids from a reserved range) through its own MAC at
-/// `flood_rate` per second — the "normal routing path", so the flood
-/// contends for the medium, is rebroadcast by honest nodes, and lands in
-/// the control-overhead figures like genuine discovery traffic.
-class RreqFlooder final : public AdversaryModel {
- public:
-  /// `inject` is bound by the harness to the member's MAC (uid
-  /// assignment + control counters + broadcast enqueue).
-  RreqFlooder(std::vector<net::NodeId> members, net::PacketKind rreq_kind,
-              std::uint32_t node_count, double rate, sim::Time start,
-              sim::Scheduler* sched,
-              std::function<void(net::NodeId, net::Packet&&)> inject,
-              sim::Rng rng);
-
-  [[nodiscard]] AdversaryKind kind() const override {
-    return AdversaryKind::kRreqFlood;
-  }
-  [[nodiscard]] const char* name() const override { return "rreq-flood"; }
-  [[nodiscard]] std::size_t member_count() const override {
-    return members_.size();
-  }
-  [[nodiscard]] bool is_member(net::NodeId n) const override {
-    return member_set_.contains(n);
-  }
-  [[nodiscard]] std::vector<net::NodeId> members() const override {
-    return members_;
-  }
-
-  void on_start(sim::Time sim_end) override;
-
-  [[nodiscard]] std::uint64_t injected_packets() const override {
-    return injected_;
-  }
-  [[nodiscard]] sim::Time interval() const { return interval_; }
-
-  /// Forged ids start here so they never collide with a member's
-  /// genuine discovery ids in the network-wide flood dedup caches.
-  static constexpr std::uint32_t kForgedIdBase = 0x40000000u;
-
- private:
-  void tick();
-  void inject_one(net::NodeId member);
-
-  std::vector<net::NodeId> members_;
-  std::unordered_set<net::NodeId> member_set_;
-  net::PacketKind rreq_kind_;
-  std::uint32_t node_count_;
-  sim::Time interval_;
-  sim::Time start_;
-  sim::Time sim_end_;
-  sim::Scheduler* sched_;
-  std::function<void(net::NodeId, net::Packet&&)> inject_;
-  sim::Rng rng_;
-  std::uint32_t next_id_ = kForgedIdBase;
-  std::uint64_t injected_ = 0;
-};
-
-/// Context the factory needs to instantiate a model for one scenario.
-/// The shared plumbing (radio range, position oracle, scheduler, RNG,
-/// secrecy plane) lives in `SecurityContext`; only the adversary-specific
-/// hooks are declared here.
+/// Context the adversary needs for one scenario.  The shared plumbing
+/// (radio range, position oracle, scheduler, RNG, secrecy plane) lives in
+/// `SecurityContext`; only the adversary-specific hooks are declared here.
 struct AdversaryContext : SecurityContext {
   std::uint32_t node_count = 0;
   mobility::Field field;
@@ -616,7 +150,7 @@ struct AdversaryContext : SecurityContext {
   /// see their own traffic).
   std::unordered_set<net::NodeId> excluded;
 
-  // --- active-model hooks (null for passive-only scenarios) ------------
+  // --- active-family hooks (null for passive-only scenarios) -----------
   /// The medium's injection entry (wormhole far-end replay).
   phy::Channel* channel = nullptr;
   /// The scenario protocol's route-discovery kind (kRreqFlood forging).
@@ -625,8 +159,186 @@ struct AdversaryContext : SecurityContext {
   std::function<void(net::NodeId member, net::Packet&&)> inject_control;
 };
 
-/// Builds the model described by `spec`, or nullptr for kNone.
-std::unique_ptr<AdversaryModel> make_adversary(const AdversarySpec& spec,
-                                               const AdversaryContext& ctx);
+/// What an adversary did over a run; the harness reads it into
+/// `RunMetrics`.  Captured segments live in the `SegmentPool`.
+struct AdversaryCounters {
+  /// Transit data absorbed by blackhole/grayhole members, or TCP data
+  /// the wormhole dropped instead of replaying (selective drops).
+  std::uint64_t absorbed = 0;
+  /// Frames replayed through the wormhole tunnel.
+  std::uint64_t tunneled = 0;
+  /// Forged route discoveries injected by the RREQ flood.
+  std::uint64_t injected = 0;
+  /// Frames whose metadata the traffic-analysis coalition profiled.
+  std::uint64_t profiled = 0;
+};
+
+/// The scenario's adversary: one instance, one family picked by
+/// `spec.kind`, wired by the harness at three points:
+///
+///  * `on_transmission` — the channel tap, called for every frame
+///    radiated anywhere.  Colluding and mobile coalitions pool the TCP
+///    data segments radiated within `sniff_range` of a member; the
+///    wormhole replays what its endpoints hear at the far end through
+///    `Channel::inject`; traffic analysis profiles frame metadata.
+///  * `absorbs` / `on_absorb` — the insider forwarding veto between a
+///    member's MAC and its routing layer (blackhole, grayhole).
+///  * `on_start` — arms the RREQ flood's self-scheduled injections.
+///
+/// Passive families are observers: they never perturb the simulation's
+/// RNG streams or event order, so runs with and without one are
+/// identical packet-for-packet (paired comparisons stay paired).  Active
+/// families keep that property *for the rest of the stack* by drawing
+/// only from their own RNG substream and scheduling only their own
+/// pooled event slots.
+class Adversary {
+ public:
+  /// Resolves the members (RNG substream "members"; the mobile family
+  /// builds its sniffers from "mobile" instead) and validates the spec
+  /// fields the kind reads.  Payload-reading families (all but traffic
+  /// analysis and the RREQ flood) play the secrecy game when `ctx`
+  /// carries a plane.  kNone builds an inert adversary.
+  Adversary(const AdversarySpec& spec, const AdversaryContext& ctx);
+  /// Scheduled replays and flood ticks capture `this`.
+  Adversary(const Adversary&) = delete;
+  Adversary& operator=(const Adversary&) = delete;
+
+  [[nodiscard]] AdversaryKind kind() const { return kind_; }
+  /// Insider node ids in resolved order (kWormhole: anchor, far end);
+  /// empty for the external mobile sniffers.
+  [[nodiscard]] const std::vector<net::NodeId>& members() const {
+    return members_;
+  }
+  /// Insiders, or mobile sniffers.
+  [[nodiscard]] std::size_t member_count() const {
+    return kind_ == AdversaryKind::kMobile ? sniffers_.size()
+                                           : members_.size();
+  }
+  [[nodiscard]] bool is_member(net::NodeId n) const {
+    return std::find(members_.begin(), members_.end(), n) != members_.end();
+  }
+  [[nodiscard]] const AdversaryCounters& counters() const { return counters_; }
+  /// Distinct TCP data segments the coalition read.
+  [[nodiscard]] const SegmentPool& pool() const { return pool_; }
+  /// The coalition's key-recovery pool; nullptr when the secrecy game is
+  /// off or the family never reads payloads.
+  [[nodiscard]] const KeyRecoveryPool* key_recovery() const {
+    return pool_.recovery();
+  }
+
+  /// Called once when the simulation starts; the RREQ flood arms its
+  /// injection timer here.  `sim_end` bounds self-rescheduling.
+  void on_start(sim::Time sim_end);
+  /// The channel tap: called for every frame the channel radiates.
+  void on_transmission(const Transmission& tx, const phy::Frame& f);
+  /// Insider veto: should member `node` silently absorb `p` instead of
+  /// forwarding it?  Only transit TCP data dies — control keeps the
+  /// attacker attractive to route discovery.  The grayhole draws one
+  /// Bernoulli per eligible packet while its duty cycle is on.
+  [[nodiscard]] bool absorbs(net::NodeId node, const net::Packet& p,
+                             sim::Time now);
+  /// The harness honoured an `absorbs` verdict: count it, and read what
+  /// was eaten.
+  void on_absorb(const net::Packet& p);
+
+  // --- per-family introspection (tests, metrics) ------------------------
+  /// kGrayhole: true while the duty cycle has the attacker dropping.
+  [[nodiscard]] bool active_at(sim::Time now) const;
+  /// kMobile: sniffer `i`'s position (the sniffer never leaves the arena).
+  [[nodiscard]] mobility::Vec2 sniffer_position(std::size_t i,
+                                                sim::Time t) const;
+  /// kTrafficAnalysis: a node's observed sent-minus-received bytes.
+  [[nodiscard]] std::int64_t volume_skew(net::NodeId n) const;
+  /// kTrafficAnalysis: top-k guessed (src, dst) flow endpoint pairs from
+  /// the volume skew; empty for every other family.
+  [[nodiscard]] std::vector<std::pair<net::NodeId, net::NodeId>>
+  inferred_endpoints(std::size_t k) const;
+  /// kWormhole: live entries in the per-uid dedup window.
+  [[nodiscard]] std::size_t dedup_entries() const {
+    return tunneled_uids_.size();
+  }
+
+  /// kWormhole: how long a tunneled uid is remembered.  Sized to outlive
+  /// every legitimate same-uid reappearance: MAC retries and far-end
+  /// rebroadcasts are milliseconds, and a packet parked in a routing
+  /// send buffer keeps its uid for up to the buffer's 30 s age limit
+  /// (`routing::SendBuffer`) before re-entering the air.  Thirty seconds
+  /// covers all of those while keeping the dedup state bounded by recent
+  /// tunnel throughput on long runs.
+  static constexpr sim::Time kUidFreshness = sim::Time::sec(30);
+  /// kRreqFlood: forged ids start here so they never collide with a
+  /// member's genuine discovery ids in the network-wide flood dedup
+  /// caches.
+  static constexpr std::uint32_t kForgedIdBase = 0x40000000u;
+
+ private:
+  void wormhole_tap(const Transmission& tx, const phy::Frame& f);
+  void tunnel_to(std::size_t far_end, const Transmission& tx,
+                 const phy::Frame& f);
+  void fire(std::uint32_t slot);
+  /// True if `uid` was not seen within the freshness window — and
+  /// records it.  Ages expired entries out as a side effect.
+  bool remember_uid(std::uint64_t uid, sim::Time now);
+  void profile(const Transmission& tx, const phy::Frame& f);
+  void flood_tick();
+  void inject_one(net::NodeId member);
+
+  /// A wormhole replay parked until its zero-delay event fires; pooled so
+  /// the closure stays {this, slot} (the frame's payload handle is a
+  /// refcount bump, and recycled slots drop it on fire).
+  struct PendingReplay {
+    phy::Frame frame;
+    net::NodeId spoof = net::kNoNode;
+    std::size_t far_end = 0;
+    sim::Time airtime;
+    std::uint32_t next_free = 0;
+  };
+  struct Profile {
+    std::uint64_t sent_bytes = 0;
+    std::uint64_t recv_bytes = 0;
+  };
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  AdversaryKind kind_;
+  std::vector<net::NodeId> members_;
+  SegmentPool pool_;
+  AdversaryCounters counters_;
+
+  // --- plumbing ---------------------------------------------------------
+  double sniff_r2_;
+  std::function<mobility::Vec2(net::NodeId, sim::Time)> position_of_;
+  sim::Scheduler* sched_;
+  phy::Channel* channel_;
+  std::function<void(net::NodeId, net::Packet&&)> inject_;
+  /// The family's own substream ("wormhole", "grayhole" or "flood").
+  sim::Rng rng_{0};
+  std::uint32_t node_count_;
+
+  // --- kMobile ----------------------------------------------------------
+  std::vector<mobility::Trajectory> sniffers_;
+
+  // --- kWormhole / kGrayhole --------------------------------------------
+  double drop_prob_;
+  sim::Time active_window_;
+  sim::Time active_period_;
+  /// uid -> first-seen time, aged out after kUidFreshness via the
+  /// insertion-ordered queue.  Unlike routing::FloodCache's FIFO ring
+  /// this ages by time, not by count: uids are not monotone, so a pure
+  /// FIFO cap could evict a uid whose retries are still in flight.
+  std::unordered_map<std::uint64_t, sim::Time> tunneled_uids_;
+  std::deque<std::pair<std::uint64_t, sim::Time>> tunneled_order_;
+  std::vector<PendingReplay> replay_pool_;
+  std::uint32_t replay_free_ = kNoSlot;
+
+  // --- kTrafficAnalysis -------------------------------------------------
+  std::vector<Profile> profiles_;
+
+  // --- kRreqFlood -------------------------------------------------------
+  net::PacketKind rreq_kind_;
+  sim::Time interval_;
+  sim::Time flood_start_;
+  sim::Time sim_end_;
+  std::uint32_t next_id_ = kForgedIdBase;
+};
 
 }  // namespace mts::security

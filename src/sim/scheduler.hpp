@@ -288,8 +288,10 @@ class Scheduler {
   /// Slots live in fixed chunks so the pool grows without relocating
   /// existing slots (an EventFn move per slot per growth step is pure
   /// waste) and without invalidating Slot references across reentrant
-  /// schedule calls from inside callbacks.
-  static constexpr std::uint32_t kChunkBits = 12;
+  /// schedule calls from inside callbacks.  256 slots (28 KB) a chunk:
+  /// a fresh scheduler pays for one chunk on its first schedule, so the
+  /// chunk stays small.
+  static constexpr std::uint32_t kChunkBits = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
 
   [[nodiscard]] Slot& slot_at(std::uint32_t s) {

@@ -1,16 +1,17 @@
 // Unit coverage for the active half of the adversary taxonomy: wormhole
 // pair placement, grayhole drop statistics and duty cycling, traffic-
-// analysis inference, and RREQ-flood injection pacing.  Everything here
-// is deterministic for a fixed seed — the properties the integration
-// fingerprints build on.
+// analysis inference, RREQ-flood injection pacing and rate validation.
+// Everything here is deterministic for a fixed seed — the properties the
+// integration fingerprints build on.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
+#include <limits>
 
 #include "phy/channel.hpp"
 #include "phy/propagation.hpp"
 #include "security/adversary.hpp"
+#include "security/keyshare.hpp"
 #include "sim/scheduler.hpp"
 
 namespace mts::security {
@@ -91,10 +92,24 @@ TEST(WormholePairTest, ExplicitPairPassesThroughAndIsValidated) {
 
 // --- grayhole --------------------------------------------------------------
 
+/// A grayhole at member 4 of a 10-node population.
+Adversary grayhole(double drop_prob, sim::Time window, sim::Time period,
+                   std::uint64_t seed) {
+  AdversarySpec spec;
+  spec.kind = AdversaryKind::kGrayhole;
+  spec.members = {4};
+  spec.drop_prob = drop_prob;
+  spec.active_window = window;
+  spec.active_period = period;
+  AdversaryContext ctx;
+  ctx.node_count = 10;
+  ctx.rng = sim::Rng(seed);
+  return Adversary(spec, ctx);
+}
+
 TEST(GrayholeTest, DropRateConvergesToDropProb) {
   const double p = 0.3;
-  GrayholeAttacker gh({4}, p, sim::Time::zero(), sim::Time::zero(),
-                      sim::Rng(99));
+  Adversary gh = grayhole(p, sim::Time::zero(), sim::Time::zero(), 99);
   const int n = 4000;
   int absorbed = 0;
   for (int i = 0; i < n; ++i) {
@@ -110,8 +125,7 @@ TEST(GrayholeTest, DropRateConvergesToDropProb) {
 }
 
 TEST(GrayholeTest, EligibilityMatchesTheBlackholeRules) {
-  GrayholeAttacker gh({4}, 1.0, sim::Time::zero(), sim::Time::zero(),
-                      sim::Rng(1));
+  Adversary gh = grayhole(1.0, sim::Time::zero(), sim::Time::zero(), 1);
   // p = 1: every eligible packet dies, so the veto is fully visible.
   EXPECT_TRUE(gh.absorbs(4, data_packet(0, 9, 1), sim::Time::sec(1)));
   EXPECT_FALSE(gh.absorbs(5, data_packet(0, 9, 1), sim::Time::sec(1)));
@@ -123,8 +137,7 @@ TEST(GrayholeTest, EligibilityMatchesTheBlackholeRules) {
 
 TEST(GrayholeTest, DutyCycleGatesAbsorption) {
   // On for the first second of every 4-second period.
-  GrayholeAttacker gh({4}, 1.0, sim::Time::sec(1), sim::Time::sec(4),
-                      sim::Rng(5));
+  Adversary gh = grayhole(1.0, sim::Time::sec(1), sim::Time::sec(4), 5);
   EXPECT_TRUE(gh.active_at(sim::Time::ms(500)));
   EXPECT_FALSE(gh.active_at(sim::Time::ms(1500)));
   EXPECT_FALSE(gh.active_at(sim::Time::ms(3999)));
@@ -136,22 +149,21 @@ TEST(GrayholeTest, DutyCycleGatesAbsorption) {
 TEST(GrayholeTest, HalfConfiguredDutyCycleIsAConfigError) {
   // window without period (or vice versa) must not silently run
   // always-on.
-  EXPECT_THROW(GrayholeAttacker({4}, 0.5, sim::Time::sec(2), sim::Time::zero(),
-                                sim::Rng(1)),
+  EXPECT_THROW(grayhole(0.5, sim::Time::sec(2), sim::Time::zero(), 1),
                sim::ConfigError);
-  EXPECT_THROW(GrayholeAttacker({4}, 0.5, sim::Time::zero(), sim::Time::sec(4),
-                                sim::Rng(1)),
+  EXPECT_THROW(grayhole(0.5, sim::Time::zero(), sim::Time::sec(4), 1),
+               sim::ConfigError);
+  EXPECT_THROW(grayhole(1.5, sim::Time::zero(), sim::Time::zero(), 1),
                sim::ConfigError);
 }
 
 TEST(GrayholeTest, AbsorbedPacketsAreCountedAndRead) {
-  GrayholeAttacker gh({4}, 0.5, sim::Time::zero(), sim::Time::zero(),
-                      sim::Rng(1));
-  gh.on_absorb(4, data_packet(0, 9, 1));
-  gh.on_absorb(4, data_packet(0, 9, 1));  // retransmit of seq 1
-  gh.on_absorb(4, data_packet(0, 9, 2));
-  EXPECT_EQ(gh.absorbed_packets(), 3u);
-  EXPECT_EQ(gh.captured_segments(), 2u);  // distinct segments
+  Adversary gh = grayhole(0.5, sim::Time::zero(), sim::Time::zero(), 1);
+  gh.on_absorb(data_packet(0, 9, 1));
+  gh.on_absorb(data_packet(0, 9, 1));  // retransmit of seq 1
+  gh.on_absorb(data_packet(0, 9, 2));
+  EXPECT_EQ(gh.counters().absorbed, 3u);
+  EXPECT_EQ(gh.pool().captured_segments(), 2u);  // distinct segments
 }
 
 // --- traffic analysis ------------------------------------------------------
@@ -160,14 +172,20 @@ class TrafficAnalysisTest : public ::testing::Test {
  protected:
   /// Member 1 at the origin sees everything within 250 m; nodes sit on
   /// a 100 m line so the whole chain is observable.
-  TrafficAnalysisAttacker make(std::vector<net::NodeId> members) {
-    return TrafficAnalysisAttacker(std::move(members), 250.0, 4,
-                                   line_position);
+  static Adversary make(std::vector<net::NodeId> members) {
+    AdversarySpec spec;
+    spec.kind = AdversaryKind::kTrafficAnalysis;
+    spec.members = std::move(members);
+    spec.sniff_range = 250.0;
+    AdversaryContext ctx;
+    ctx.node_count = 4;
+    ctx.position_of = line_position;
+    return Adversary(spec, ctx);
   }
 
   /// One TCP exchange of the flow 0 -> 2 through relay 1: big data
   /// frames downstream, small ACKs upstream.
-  void feed(TrafficAnalysisAttacker& t, int rounds) {
+  static void feed(Adversary& t, int rounds) {
     for (int i = 0; i < rounds; ++i) {
       t.on_transmission({0, line_position(0, {}), {}, sim::Time::sec(1)},
                         metadata_frame(0, 1, 1000));
@@ -201,7 +219,7 @@ TEST_F(TrafficAnalysisTest, InferenceIsDeterministic) {
   feed(a, 7);
   feed(b, 7);
   EXPECT_EQ(a.inferred_endpoints(2), b.inferred_endpoints(2));
-  EXPECT_EQ(a.frames_profiled(), b.frames_profiled());
+  EXPECT_EQ(a.counters().profiled, b.counters().profiled);
 }
 
 TEST_F(TrafficAnalysisTest, NeverDecodesPayloads) {
@@ -213,9 +231,9 @@ TEST_F(TrafficAnalysisTest, NeverDecodesPayloads) {
   f.payload.mutable_common().kind = net::PacketKind::kTcpData;
   f.payload.mutable_tcp() = net::TcpHeader{.seq = 1, .flow_id = 1, .ts = {}};
   t.on_transmission({0, line_position(0, {}), {}, sim::Time::sec(1)}, f);
-  EXPECT_EQ(t.captured_segments(), 0u);
-  EXPECT_EQ(t.fragments_missing(100), 100u);
-  EXPECT_EQ(t.frames_profiled(), 1u);
+  EXPECT_EQ(t.pool().captured_segments(), 0u);
+  EXPECT_EQ(t.pool().fragments_missing(100), 100u);
+  EXPECT_EQ(t.counters().profiled, 1u);
 }
 
 TEST_F(TrafficAnalysisTest, OutOfRangeTransmissionsAreNotProfiled) {
@@ -223,7 +241,7 @@ TEST_F(TrafficAnalysisTest, OutOfRangeTransmissionsAreNotProfiled) {
   // 1 km from member 1: invisible.
   t.on_transmission({3, {1000.0, 1000.0}, {}, sim::Time::sec(1)},
                     metadata_frame(3, 2, 1000));
-  EXPECT_EQ(t.frames_profiled(), 0u);
+  EXPECT_EQ(t.counters().profiled, 0u);
   EXPECT_TRUE(t.inferred_endpoints(1).empty());
 }
 
@@ -234,15 +252,24 @@ struct FloodHarness {
   std::vector<net::Packet> injected;
   std::vector<net::NodeId> injectors;
 
-  RreqFlooder make(std::vector<net::NodeId> members, net::PacketKind kind,
-                   double rate) {
-    return RreqFlooder(std::move(members), kind, 10, rate, sim::Time::sec(1),
-                       &sched,
-                       [this](net::NodeId m, net::Packet&& p) {
-                         injectors.push_back(m);
-                         injected.push_back(std::move(p));
-                       },
-                       sim::Rng(3));
+  /// A flood over a 10-node population starting at t = 1 s.
+  Adversary make(std::vector<net::NodeId> members, net::PacketKind kind,
+                 double rate) {
+    AdversarySpec spec;
+    spec.kind = AdversaryKind::kRreqFlood;
+    spec.members = std::move(members);
+    spec.flood_rate = rate;
+    spec.flood_start = sim::Time::sec(1);
+    AdversaryContext ctx;
+    ctx.node_count = 10;
+    ctx.rreq_kind = kind;
+    ctx.sched = &sched;
+    ctx.inject_control = [this](net::NodeId m, net::Packet&& p) {
+      injectors.push_back(m);
+      injected.push_back(std::move(p));
+    };
+    ctx.rng = sim::Rng(3);
+    return Adversary(spec, ctx);
   }
 };
 
@@ -252,7 +279,7 @@ TEST(RreqFloodTest, InjectionCountMatchesTheConfiguredRate) {
   flood.on_start(sim::Time::sec(6));
   h.sched.run_until(sim::Time::sec(6));
   // Ticks at t = 1.0, 1.1, ..., 6.0: (6 - 1) * 10 + 1 per member.
-  EXPECT_EQ(flood.injected_packets(), 51u);
+  EXPECT_EQ(flood.counters().injected, 51u);
   EXPECT_EQ(h.injected.size(), 51u);
 }
 
@@ -262,7 +289,7 @@ TEST(RreqFloodTest, EveryMemberInjectsEachTick) {
   flood.on_start(sim::Time::sec(3));
   h.sched.run_until(sim::Time::sec(3));
   // Ticks at t = 1, 1.5, 2, 2.5, 3 -> 5 per member.
-  EXPECT_EQ(flood.injected_packets(), 15u);
+  EXPECT_EQ(flood.counters().injected, 15u);
   for (std::size_t i = 0; i < h.injectors.size(); ++i) {
     EXPECT_EQ(h.injectors[i], std::vector<net::NodeId>({2, 5, 7})[i % 3]);
   }
@@ -282,7 +309,7 @@ TEST(RreqFloodTest, ForgedPacketsAreWellFormedPerProtocol) {
     EXPECT_EQ(rh.orig, 5u);
     EXPECT_NE(rh.dst, 5u);          // never floods for itself
     EXPECT_LT(rh.dst, 10u);         // a real victim
-    EXPECT_GE(rh.bcast_id, RreqFlooder::kForgedIdBase)
+    EXPECT_GE(rh.bcast_id, Adversary::kForgedIdBase)
         << "forged ids must not collide with genuine discovery ids";
   }
 }
@@ -292,7 +319,22 @@ TEST(RreqFloodTest, FloodAfterSimEndNeverFires) {
   auto flood = h.make({5}, net::PacketKind::kAodvRreq, 10.0);
   flood.on_start(sim::Time::ms(500));  // sim ends before flood_start (1 s)
   h.sched.run_until(sim::Time::ms(500));
-  EXPECT_EQ(flood.injected_packets(), 0u);
+  EXPECT_EQ(flood.counters().injected, 0u);
+}
+
+TEST(RreqFloodTest, RateIsValidatedBeforeTheIntervalIsDerived) {
+  // 1 / rate becomes a Time in nanoseconds: zero, NaN and a rate whose
+  // interval overflows Time (1e-12/s is ~31,700 years) must be rejected
+  // before that conversion, as must a rate whose interval rounds to 0 ns.
+  for (double rate : {0.0, -1.0, std::nan(""), 1e-12, 1e10,
+                      std::numeric_limits<double>::infinity()}) {
+    FloodHarness h;
+    EXPECT_THROW(h.make({5}, net::PacketKind::kAodvRreq, rate),
+                 sim::ConfigError)
+        << "flood_rate " << rate;
+  }
+  FloodHarness h;
+  EXPECT_NO_THROW(h.make({5}, net::PacketKind::kAodvRreq, 1e-9));
 }
 
 // --- wormhole dedup aging --------------------------------------------------
@@ -304,10 +346,27 @@ struct WormholeDedupHarness {
   sim::Scheduler sched;
   phy::UnitDiskPropagation prop{250.0};
   phy::Channel channel{sched, prop};
-  WormholeAttacker worm{{3, 7},   250.0,    0.0, line_position,
-                        &sched,   &channel, sim::Rng(5)};
+  Adversary worm{spec(), context()};
 
   WormholeDedupHarness() { channel.finalize(); }
+
+  static AdversarySpec spec() {
+    AdversarySpec s;
+    s.kind = AdversaryKind::kWormhole;
+    s.members = {3, 7};
+    s.sniff_range = 250.0;
+    s.drop_prob = 0.0;
+    return s;
+  }
+  AdversaryContext context() {
+    AdversaryContext ctx;
+    ctx.node_count = 10;
+    ctx.position_of = line_position;
+    ctx.sched = &sched;
+    ctx.channel = &channel;
+    ctx.rng = sim::Rng(5);
+    return ctx;
+  }
 
   void feed(std::uint32_t uid, sim::Time now) {
     sched.run_until(now);
@@ -324,7 +383,7 @@ TEST(WormholeDedupTest, SameUidWithinTheWindowTunnelsOnce) {
   WormholeDedupHarness h;
   h.feed(42, sim::Time::sec(1));
   h.feed(42, sim::Time::sec(2));  // MAC retry / far-end re-hear
-  EXPECT_EQ(h.worm.tunneled_frames(), 1u);
+  EXPECT_EQ(h.worm.counters().tunneled, 1u);
   EXPECT_EQ(h.worm.dedup_entries(), 1u);
 }
 
@@ -336,9 +395,9 @@ TEST(WormholeDedupTest, EntriesAgeOutAfterTheFreshnessWindow) {
   // a packet genuinely re-entering the air (e.g. after a send-buffer
   // stint) is a fresh radiation a real tunnel would replay.
   const sim::Time later =
-      sim::Time::sec(1) + WormholeAttacker::kUidFreshness + sim::Time::sec(1);
+      sim::Time::sec(1) + Adversary::kUidFreshness + sim::Time::sec(1);
   h.feed(42, later);
-  EXPECT_EQ(h.worm.tunneled_frames(), 2u);
+  EXPECT_EQ(h.worm.counters().tunneled, 2u);
   EXPECT_EQ(h.worm.dedup_entries(), 1u) << "old entry evicted, new recorded";
 }
 
@@ -353,62 +412,82 @@ TEST(WormholeDedupTest, DedupStateIsBoundedOverALongRun) {
       h.feed(uid++, sim::Time::sec(sec) + sim::Time::ms(k * 10));
     }
   }
-  EXPECT_EQ(h.worm.tunneled_frames(), 2000u);
+  EXPECT_EQ(h.worm.counters().tunneled, 2000u);
   const auto window_s =
-      static_cast<std::size_t>(WormholeAttacker::kUidFreshness.to_seconds());
+      static_cast<std::size_t>(Adversary::kUidFreshness.to_seconds());
   EXPECT_LE(h.worm.dedup_entries(), (window_s + 2) * 10)
       << "dedup set must be bounded by the freshness window, not the run";
 }
 
-// --- factory ---------------------------------------------------------------
+// --- construction ----------------------------------------------------------
 
-TEST(ActiveAdversaryFactoryTest, BuildsEachActiveKind) {
-  sim::Scheduler sched;
-  phy::UnitDiskPropagation prop(250.0);
-  phy::Channel channel(sched, prop);
+class ActiveAdversaryTest : public ::testing::Test {
+ protected:
+  ActiveAdversaryTest() {
+    ctx_.node_count = 20;
+    ctx_.radio_range = 250.0;
+    ctx_.position_of = line_position;
+    ctx_.rng = sim::Rng(3);
+    ctx_.sched = &sched_;
+    ctx_.channel = &channel_;
+    ctx_.rreq_kind = net::PacketKind::kDsrRreq;
+    ctx_.inject_control = [](net::NodeId, net::Packet&&) {};
+  }
 
-  AdversaryContext ctx;
-  ctx.node_count = 20;
-  ctx.radio_range = 250.0;
-  ctx.position_of = line_position;
-  ctx.rng = sim::Rng(3);
-  ctx.sched = &sched;
-  ctx.channel = &channel;
-  ctx.rreq_kind = net::PacketKind::kDsrRreq;
-  ctx.inject_control = [](net::NodeId, net::Packet&&) {};
+  sim::Scheduler sched_;
+  phy::UnitDiskPropagation prop_{250.0};
+  phy::Channel channel_{sched_, prop_};
+  AdversaryContext ctx_;
+};
 
+TEST_F(ActiveAdversaryTest, BuildsEachActiveKind) {
   AdversarySpec spec;
   spec.kind = AdversaryKind::kWormhole;
-  auto wormhole = make_adversary(spec, ctx);
-  ASSERT_NE(wormhole, nullptr);
-  EXPECT_EQ(wormhole->kind(), AdversaryKind::kWormhole);
-  EXPECT_EQ(wormhole->member_count(), 2u);
-  EXPECT_EQ(wormhole->members().size(), 2u);
+  const Adversary wormhole(spec, ctx_);
+  EXPECT_EQ(wormhole.kind(), AdversaryKind::kWormhole);
+  EXPECT_EQ(wormhole.member_count(), 2u);
+  ASSERT_EQ(wormhole.members().size(), 2u);
+  EXPECT_TRUE(wormhole.is_member(wormhole.members()[1]));
 
   spec.kind = AdversaryKind::kGrayhole;
   spec.count = 3;
   spec.drop_prob = 0.25;
-  auto grayhole = make_adversary(spec, ctx);
-  ASSERT_NE(grayhole, nullptr);
-  EXPECT_EQ(grayhole->kind(), AdversaryKind::kGrayhole);
-  EXPECT_EQ(grayhole->member_count(), 3u);
+  const Adversary grayhole(spec, ctx_);
+  EXPECT_EQ(grayhole.kind(), AdversaryKind::kGrayhole);
+  EXPECT_EQ(grayhole.member_count(), 3u);
 
   spec.kind = AdversaryKind::kTrafficAnalysis;
-  auto traffic = make_adversary(spec, ctx);
-  ASSERT_NE(traffic, nullptr);
-  EXPECT_EQ(traffic->kind(), AdversaryKind::kTrafficAnalysis);
-  EXPECT_TRUE(traffic->inferred_endpoints(1).empty());  // saw nothing yet
+  const Adversary traffic(spec, ctx_);
+  EXPECT_EQ(traffic.kind(), AdversaryKind::kTrafficAnalysis);
+  EXPECT_TRUE(traffic.inferred_endpoints(1).empty());  // saw nothing yet
 
   spec.kind = AdversaryKind::kRreqFlood;
   spec.count = 2;
-  auto flood = make_adversary(spec, ctx);
-  ASSERT_NE(flood, nullptr);
-  EXPECT_EQ(flood->kind(), AdversaryKind::kRreqFlood);
-  EXPECT_EQ(flood->member_count(), 2u);
-  EXPECT_EQ(flood->injected_packets(), 0u);
+  const Adversary flood(spec, ctx_);
+  EXPECT_EQ(flood.kind(), AdversaryKind::kRreqFlood);
+  EXPECT_EQ(flood.member_count(), 2u);
+  EXPECT_EQ(flood.counters().injected, 0u);
 }
 
-TEST(ActiveAdversaryFactoryTest, NewKindNamesAreStable) {
+TEST_F(ActiveAdversaryTest, SecrecyGameArmsOnlyPayloadReadingKinds) {
+  const SecrecyPlane plane(SecrecySpec{.enabled = true}, sim::Rng(1));
+  ctx_.secrecy = &plane;
+  for (AdversaryKind k :
+       {AdversaryKind::kColluding, AdversaryKind::kMobile,
+        AdversaryKind::kBlackhole, AdversaryKind::kWormhole,
+        AdversaryKind::kGrayhole, AdversaryKind::kTrafficAnalysis,
+        AdversaryKind::kRreqFlood}) {
+    AdversarySpec spec;
+    spec.kind = k;
+    const Adversary a(spec, ctx_);
+    const bool reads_payloads = k != AdversaryKind::kTrafficAnalysis &&
+                                k != AdversaryKind::kRreqFlood;
+    EXPECT_EQ(a.key_recovery() != nullptr, reads_payloads)
+        << adversary_kind_name(k);
+  }
+}
+
+TEST(ActiveAdversaryNamesTest, NewKindNamesAreStable) {
   EXPECT_STREQ(adversary_kind_name(AdversaryKind::kWormhole), "wormhole");
   EXPECT_STREQ(adversary_kind_name(AdversaryKind::kGrayhole), "grayhole");
   EXPECT_STREQ(adversary_kind_name(AdversaryKind::kTrafficAnalysis),

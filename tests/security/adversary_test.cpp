@@ -4,6 +4,8 @@
 
 #include <map>
 
+#include "sim/error.hpp"
+
 namespace mts::security {
 namespace {
 
@@ -76,30 +78,41 @@ TEST(ResolveMembersTest, CountClampedToPoolSize) {
 class ColludingTest : public ::testing::Test {
  protected:
   /// Members 1 @ (0,0) and 2 @ (1000,0); sniff range 250.
-  ColludingEavesdroppers make(std::vector<net::NodeId> members) {
-    return ColludingEavesdroppers(
-        std::move(members), 250.0, [this](net::NodeId id, sim::Time) {
-          return positions_.at(id);
-        });
+  Adversary make(std::vector<net::NodeId> members) {
+    AdversarySpec spec;
+    spec.kind = AdversaryKind::kColluding;
+    spec.members = std::move(members);
+    spec.sniff_range = 250.0;
+    AdversaryContext ctx;
+    ctx.node_count = 10;
+    ctx.position_of = [this](net::NodeId id, sim::Time) {
+      return positions_.at(id);
+    };
+    return Adversary(spec, ctx);
   }
   std::map<net::NodeId, mobility::Vec2> positions_{
       {1, {0, 0}}, {2, {1000, 0}}};
 };
 
 TEST_F(ColludingTest, PoolsSegmentsAcrossMembers) {
-  auto coalition = make({1, 2});
   // Segment 10 radiated near member 1 only; segment 20 near member 2.
-  coalition.on_transmission({5, {100, 0}, {}, sim::Time::sec(1)}, data_frame(1, 10));
-  coalition.on_transmission({6, {900, 0}, {}, sim::Time::sec(2)}, data_frame(1, 20));
-  EXPECT_EQ(coalition.captured_segments(), 2u);
-  EXPECT_EQ(coalition.frames_seen_by(1), 1u);
-  EXPECT_EQ(coalition.frames_seen_by(2), 1u);
+  // Single-member coalitions show which member heard which segment.
+  auto pair = make({1, 2});
+  auto first = make({1});
+  auto second = make({2});
+  for (Adversary* a : {&pair, &first, &second}) {
+    a->on_transmission({5, {100, 0}, {}, sim::Time::sec(1)}, data_frame(1, 10));
+    a->on_transmission({6, {900, 0}, {}, sim::Time::sec(2)}, data_frame(1, 20));
+  }
+  EXPECT_EQ(pair.pool().captured_segments(), 2u);
+  EXPECT_EQ(first.pool().captured_segments(), 1u);
+  EXPECT_EQ(second.pool().captured_segments(), 1u);
 }
 
 TEST_F(ColludingTest, OutOfRangeTransmissionsAreMissed) {
   auto coalition = make({1});
   coalition.on_transmission({5, {500, 0}, {}, sim::Time::sec(1)}, data_frame(1, 10));
-  EXPECT_EQ(coalition.captured_segments(), 0u);
+  EXPECT_EQ(coalition.pool().captured_segments(), 0u);
 }
 
 TEST_F(ColludingTest, LargerCoalitionCapturesSupersetByConstruction) {
@@ -111,9 +124,9 @@ TEST_F(ColludingTest, LargerCoalitionCapturesSupersetByConstruction) {
     solo.on_transmission({9, pos, {}, sim::Time::sec(1)}, data_frame(1, seq));
     pair.on_transmission({9, pos, {}, sim::Time::sec(1)}, data_frame(1, seq));
   }
-  EXPECT_GE(pair.captured_segments(), solo.captured_segments());
-  EXPECT_EQ(solo.captured_segments(), 2u);  // seq 1 and 4 near member 1
-  EXPECT_EQ(pair.captured_segments(), 3u);  // + seq 2 near member 2
+  EXPECT_GE(pair.pool().captured_segments(), solo.pool().captured_segments());
+  EXPECT_EQ(solo.pool().captured_segments(), 2u);  // seq 1 and 4 near member 1
+  EXPECT_EQ(pair.pool().captured_segments(), 3u);  // + seq 2 near member 2
 }
 
 TEST_F(ColludingTest, RetransmissionsNotDoubleCounted) {
@@ -122,7 +135,7 @@ TEST_F(ColludingTest, RetransmissionsNotDoubleCounted) {
   coalition.on_transmission({5, {100, 0}, {}, sim::Time::sec(2)}, data_frame(1, 10));
   // Both members overhearing the same segment still pools to one.
   coalition.on_transmission({5, {100, 0}, {}, sim::Time::sec(3)}, data_frame(1, 10));
-  EXPECT_EQ(coalition.captured_segments(), 1u);
+  EXPECT_EQ(coalition.pool().captured_segments(), 1u);
 }
 
 TEST_F(ColludingTest, OwnTransmissionsAndControlIgnored) {
@@ -134,7 +147,7 @@ TEST_F(ColludingTest, OwnTransmissionsAndControlIgnored) {
   coalition.on_transmission({5, {10, 0}, {}, sim::Time::sec(1)}, ack);
   phy::Frame bare;
   coalition.on_transmission({5, {10, 0}, {}, sim::Time::sec(1)}, bare);
-  EXPECT_EQ(coalition.captured_segments(), 0u);
+  EXPECT_EQ(coalition.pool().captured_segments(), 0u);
 }
 
 TEST_F(ColludingTest, InterceptionAndFragmentMetrics) {
@@ -142,48 +155,65 @@ TEST_F(ColludingTest, InterceptionAndFragmentMetrics) {
   for (std::uint32_t s = 1; s <= 5; ++s) {
     coalition.on_transmission({9, {0, 0}, {}, sim::Time::sec(1)}, data_frame(1, s));
   }
-  EXPECT_DOUBLE_EQ(coalition.interception_ratio(20), 0.25);
-  EXPECT_EQ(coalition.fragments_missing(20), 15u);
-  EXPECT_EQ(coalition.fragments_missing(3), 0u);  // captured >= delivered
-  EXPECT_DOUBLE_EQ(coalition.interception_ratio(0), 0.0);
+  EXPECT_DOUBLE_EQ(coalition.pool().interception_ratio(20), 0.25);
+  EXPECT_EQ(coalition.pool().fragments_missing(20), 15u);
+  EXPECT_EQ(coalition.pool().fragments_missing(3), 0u);  // captured >= delivered
+  EXPECT_DOUBLE_EQ(coalition.pool().interception_ratio(0), 0.0);
 }
 
 // --- mobile eavesdroppers --------------------------------------------------
 
-TEST(MobileEavesdropperTest, StaysInsideTheArena) {
-  const mobility::Field field{1000.0, 800.0};
+Adversary mobile_sniffers(const mobility::Field& field, std::uint32_t count,
+                          double max_speed, std::uint64_t seed) {
   AdversarySpec spec;
   spec.kind = AdversaryKind::kMobile;
-  spec.max_speed = 20.0;
-  MobileEavesdroppers eve(3, field, spec, 250.0, sim::Rng(99));
+  spec.count = count;
+  spec.max_speed = max_speed;
+  spec.sniff_range = 250.0;
+  AdversaryContext ctx;
+  ctx.field = field;
+  ctx.rng = sim::Rng(seed);
+  return Adversary(spec, ctx);
+}
+
+TEST(MobileEavesdropperTest, StaysInsideTheArena) {
+  const mobility::Field field{1000.0, 800.0};
+  const Adversary eve = mobile_sniffers(field, 3, 20.0, 99);
   ASSERT_EQ(eve.member_count(), 3u);
+  EXPECT_TRUE(eve.members().empty()) << "external sniffers are not nodes";
   for (std::size_t m = 0; m < eve.member_count(); ++m) {
     for (int t = 0; t <= 300; ++t) {
-      const mobility::Vec2 p = eve.position_of_member(m, sim::Time::sec(t));
+      const mobility::Vec2 p = eve.sniffer_position(m, sim::Time::sec(t));
       EXPECT_TRUE(field.contains(p))
-          << "member " << m << " left the arena at t=" << t << ": " << p;
+          << "sniffer " << m << " left the arena at t=" << t << ": " << p;
     }
   }
 }
 
 TEST(MobileEavesdropperTest, CapturesOnlyWithinRange) {
-  const mobility::Field field{100.0, 100.0};
-  AdversarySpec spec;
-  spec.kind = AdversaryKind::kMobile;
-  MobileEavesdroppers eve(1, field, spec, 250.0, sim::Rng(5));
+  Adversary eve = mobile_sniffers({100.0, 100.0}, 1, 10.0, 5);
   const sim::Time t = sim::Time::sec(1);
-  const mobility::Vec2 at = eve.position_of_member(0, t);
+  const mobility::Vec2 at = eve.sniffer_position(0, t);
   // Radiated right on top of the sniffer: captured.
   eve.on_transmission({7, at, {}, t}, data_frame(1, 1));
   // Radiated 10 km away: missed.
   eve.on_transmission({7, {at.x + 10000.0, at.y}, {}, t}, data_frame(1, 2));
-  EXPECT_EQ(eve.captured_segments(), 1u);
+  EXPECT_EQ(eve.pool().captured_segments(), 1u);
 }
 
 // --- blackhole -------------------------------------------------------------
 
+Adversary blackhole(std::vector<net::NodeId> members) {
+  AdversarySpec spec;
+  spec.kind = AdversaryKind::kBlackhole;
+  spec.members = std::move(members);
+  AdversaryContext ctx;
+  ctx.node_count = 10;
+  return Adversary(spec, ctx);
+}
+
 TEST(BlackholeTest, AbsorbsOnlyTransitDataAtMembers) {
-  BlackholeAttacker bh({3});
+  Adversary bh = blackhole({3});
   EXPECT_TRUE(bh.absorbs(3, data_packet(0, 9, 1), sim::Time::zero()));   // transit data
   EXPECT_FALSE(bh.absorbs(4, data_packet(0, 9, 1), sim::Time::zero()));  // not a member
   EXPECT_FALSE(bh.absorbs(3, data_packet(0, 3, 1), sim::Time::zero()));  // terminates here
@@ -196,24 +226,42 @@ TEST(BlackholeTest, AbsorbsOnlyTransitDataAtMembers) {
 }
 
 TEST(BlackholeTest, CountsAndReadsWhatItEats) {
-  BlackholeAttacker bh({3, 5});
-  bh.on_absorb(3, data_packet(0, 9, 1));
-  bh.on_absorb(3, data_packet(0, 9, 1));  // TCP retransmit of seq 1
-  bh.on_absorb(5, data_packet(0, 9, 2));
-  EXPECT_EQ(bh.absorbed_packets(), 3u);
-  EXPECT_EQ(bh.absorbed_by(3), 2u);
-  EXPECT_EQ(bh.absorbed_by(5), 1u);
-  EXPECT_EQ(bh.absorbed_by(7), 0u);
-  EXPECT_EQ(bh.captured_segments(), 2u);  // distinct segments, not frames
+  // Member 3 relays seq 1 twice (a TCP retransmit), member 5 relays
+  // seq 2.  Single-member coalitions count per member; the veto and the
+  // harness's on_absorb run as in a simulation.
+  const std::vector<std::pair<net::NodeId, net::Packet>> relayed{
+      {3, data_packet(0, 9, 1)},
+      {3, data_packet(0, 9, 1)},
+      {5, data_packet(0, 9, 2)}};
+  Adversary pair = blackhole({3, 5});
+  Adversary at3 = blackhole({3});
+  Adversary at5 = blackhole({5});
+  for (Adversary* bh : {&pair, &at3, &at5}) {
+    for (const auto& [node, p] : relayed) {
+      if (bh->absorbs(node, p, sim::Time::zero())) bh->on_absorb(p);
+    }
+  }
+  EXPECT_EQ(pair.counters().absorbed, 3u);
+  EXPECT_EQ(pair.pool().captured_segments(), 2u);  // distinct segments, not frames
+  EXPECT_EQ(at3.counters().absorbed, 2u);
+  EXPECT_EQ(at3.pool().captured_segments(), 1u);
+  EXPECT_EQ(at5.counters().absorbed, 1u);
+  EXPECT_EQ(at5.pool().captured_segments(), 1u);
 }
 
-// --- factory ---------------------------------------------------------------
+// --- construction ----------------------------------------------------------
 
-TEST(AdversaryFactoryTest, NoneYieldsNull) {
-  EXPECT_EQ(make_adversary(AdversarySpec{}, AdversaryContext{}), nullptr);
+TEST(AdversaryTest, NoneIsInert) {
+  Adversary none(AdversarySpec{}, AdversaryContext{});
+  EXPECT_EQ(none.kind(), AdversaryKind::kNone);
+  EXPECT_EQ(none.member_count(), 0u);
+  EXPECT_FALSE(none.absorbs(0, data_packet(1, 2, 1), sim::Time::zero()));
+  none.on_transmission({1, {}, {}, sim::Time::sec(1)}, data_frame(1, 1));
+  EXPECT_EQ(none.pool().captured_segments(), 0u);
+  EXPECT_EQ(none.key_recovery(), nullptr);
 }
 
-TEST(AdversaryFactoryTest, BuildsEachKind) {
+TEST(AdversaryTest, BuildsEachPassiveKind) {
   AdversaryContext ctx;
   ctx.node_count = 20;
   ctx.radio_range = 250.0;
@@ -223,29 +271,40 @@ TEST(AdversaryFactoryTest, BuildsEachKind) {
   AdversarySpec spec;
   spec.kind = AdversaryKind::kColluding;
   spec.count = 4;
-  auto colluding = make_adversary(spec, ctx);
-  ASSERT_NE(colluding, nullptr);
-  EXPECT_EQ(colluding->kind(), AdversaryKind::kColluding);
-  EXPECT_EQ(colluding->member_count(), 4u);
+  const Adversary colluding(spec, ctx);
+  EXPECT_EQ(colluding.kind(), AdversaryKind::kColluding);
+  EXPECT_EQ(colluding.member_count(), 4u);
+  for (net::NodeId m : colluding.members()) EXPECT_TRUE(colluding.is_member(m));
 
   spec.kind = AdversaryKind::kMobile;
   spec.count = 2;
-  auto mobile = make_adversary(spec, ctx);
-  ASSERT_NE(mobile, nullptr);
-  EXPECT_EQ(mobile->kind(), AdversaryKind::kMobile);
-  EXPECT_EQ(mobile->member_count(), 2u);
+  const Adversary mobile(spec, ctx);
+  EXPECT_EQ(mobile.kind(), AdversaryKind::kMobile);
+  EXPECT_EQ(mobile.member_count(), 2u);
 
   spec.kind = AdversaryKind::kBlackhole;
   spec.count = 1;
-  auto blackhole = make_adversary(spec, ctx);
-  ASSERT_NE(blackhole, nullptr);
-  EXPECT_EQ(blackhole->kind(), AdversaryKind::kBlackhole);
-  EXPECT_EQ(blackhole->member_count(), 1u);
-  EXPECT_TRUE(blackhole->absorbs(blackhole->members()[0],
-                                 data_packet(0, 19, 1), sim::Time::zero()));
+  Adversary bh(spec, ctx);
+  EXPECT_EQ(bh.kind(), AdversaryKind::kBlackhole);
+  ASSERT_EQ(bh.member_count(), 1u);
+  EXPECT_TRUE(bh.absorbs(bh.members()[0], data_packet(0, 19, 1),
+                         sim::Time::zero()));
 }
 
-TEST(AdversaryFactoryTest, KindNamesAreStable) {
+TEST(AdversaryTest, EmptyCoalitionIsAConfigError) {
+  AdversaryContext ctx;
+  ctx.node_count = 2;
+  ctx.position_of = [](net::NodeId, sim::Time) { return mobility::Vec2{}; };
+  ctx.excluded = {0, 1};  // every node is a flow endpoint
+  AdversarySpec spec;
+  spec.kind = AdversaryKind::kColluding;
+  EXPECT_THROW(Adversary(spec, ctx), sim::ConfigError);
+  spec.kind = AdversaryKind::kMobile;
+  spec.count = 0;
+  EXPECT_THROW(Adversary(spec, ctx), sim::ConfigError);
+}
+
+TEST(AdversaryTest, KindNamesAreStable) {
   EXPECT_STREQ(adversary_kind_name(AdversaryKind::kNone), "none");
   EXPECT_STREQ(adversary_kind_name(AdversaryKind::kColluding), "colluding");
   EXPECT_STREQ(adversary_kind_name(AdversaryKind::kMobile), "mobile");
