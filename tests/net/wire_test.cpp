@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "net/headers.hpp"
@@ -255,6 +256,180 @@ std::vector<std::uint8_t> encode_sample(const Sample& s) {
                  s.hop);
   buf.insert(buf.end(), s.payload.begin(), s.payload.end());
   return buf;
+}
+
+// ---------------------------------------------------------------------------
+// Golden images: one fixed sample per routing alternative (in variant
+// order) plus a TCP data segment, each field a distinct non-zero value,
+// pinned byte for byte.  The random round trips below cannot see a
+// layout change that the encoder and the decoder make together (two
+// fields swapped on both sides still round-trip); these pins can.
+// ---------------------------------------------------------------------------
+
+CommonHeader golden_common(PacketKind kind) {
+  CommonHeader c;
+  c.kind = kind;
+  c.src = 0x0A0B0C01;
+  c.dst = 0x0A0B0C02;
+  c.uid = 0x1D2D3D4D;
+  c.payload_bytes = 2;
+  c.originated = sim::Time::us(0x01234567);
+  return c;
+}
+
+std::vector<Sample> golden_samples() {
+  std::vector<Sample> out;
+  const auto add = [&out](PacketKind kind, RoutingHeader routing) {
+    Sample s;
+    s.common = golden_common(kind);
+    s.routing = std::move(routing);
+    s.hop = HopState{0x2A, 0x05, 0x0103};
+    s.payload = {0xE1, 0xE2};
+    if (is_transport(kind)) {
+      s.has_tcp = true;
+      s.tcp.seq = 0x51525354;
+      s.tcp.ack = 0x61626364;
+      s.tcp.flow_id = 0x7172;
+      s.tcp.ts = sim::Time::ns(0x0102030405060708);
+      s.tcp.retransmit = true;
+    }
+    out.push_back(std::move(s));
+  };
+  const NodeId src = golden_common(PacketKind::kTcpData).src;
+  const NodeId dst = golden_common(PacketKind::kTcpData).dst;
+
+  add(PacketKind::kTcpAck, std::monostate{});
+  add(PacketKind::kAodvRreq,
+      AodvRreqHeader{0x11121314, 0x21222324, 0x31323334, 0x41424344,
+                     0x51525354, true});
+  add(PacketKind::kAodvRrep,
+      AodvRrepHeader{0x21222324, 0x31323334, 0x41424344,
+                     sim::Time::ns(0xA1A2A3A4A5A6)});
+  AodvRerrHeader rerr;
+  rerr.unreachable.push_back({0x21222324, 0x41424344});
+  rerr.unreachable.push_back({0x31323334, 0x51525354});
+  add(PacketKind::kAodvRerr, rerr);
+  add(PacketKind::kDsrRreq,
+      DsrRreqHeader{0x11121314, src, 0x31323334, {0x61626364, 0x71727374}});
+  add(PacketKind::kDsrRrep,
+      DsrRrepHeader{0x21222324, 0x31323334,
+                    {0x21222324, 0x61626364, 0x31323334}});
+  add(PacketKind::kDsrRerr,
+      DsrRerrHeader{dst, 0x21222324, 0x31323334, {0x61626364, 0x71727374}});
+  add(PacketKind::kTcpData,
+      DsrSourceRoute{{0x61626364, 0x71727374, 0x81828384}, true});
+  add(PacketKind::kMtsRreq,
+      MtsRreqHeader{0x11121314, 0x21222324, 0x31323334,
+                    {0x61626364, 0x71727374}});
+  add(PacketKind::kMtsRrep,
+      MtsRrepHeader{0x11121314, 0x21222324, 0x31323334, 0x09,
+                    {0x61626364, 0x71727374}});
+  add(PacketKind::kMtsCheck,
+      MtsCheckHeader{0x11121314, 0x9192, 0x21222324, dst, 0x09,
+                     {0x61626364, 0x71727374}});
+  add(PacketKind::kMtsCheckError,
+      MtsCheckErrorHeader{0x9192, dst, 0x21222324, src, 0x31323334,
+                          0x41424344, {0x61626364, 0x71727374}});
+  add(PacketKind::kMtsRerr,
+      MtsRerrHeader{dst, 0x31323334, 0x9192, 0x41424344, 0x51525354});
+  add(PacketKind::kTcpData, MtsDataTag{0x9192});
+  add(PacketKind::kTcpData, MtsProbeHeader{0x9192, 0x11121314, true});
+  // A plain TCP data segment (AODV's data plane) with a longer payload.
+  add(PacketKind::kTcpData, std::monostate{});
+  out.back().common.payload_bytes = 7;
+  out.back().payload = {0xD1, 0xD2, 0xD3, 0xD4, 0xD5, 0xD6, 0xD7};
+  return out;
+}
+
+std::string hex(const std::vector<std::uint8_t>& buf) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (std::uint8_t b : buf) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 0x0f];
+  }
+  return s;
+}
+
+TEST(WireGoldenTest, EveryLayoutMatchesItsPinnedImage) {
+  // Each image reads common header | TCP option | routing section |
+  // payload, hex, one line per section.
+  const char* const kImages[] = {
+      // TCP ACK (no routing option)
+      "112a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "1001717251525354616263640102030405060708"
+      "e1e2",
+      // AODV RREQ
+      "122a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "111213142122232431323334414243445152535405010000"
+      "e1e2",
+      // AODV RREP
+      "132a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "21222324313233344142434405a1a2a3a4a5a600"
+      "e1e2",
+      // AODV RERR
+      "142a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "0200000021222324414243443132333451525354"
+      "e1e2",
+      // DSR RREQ
+      "152a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "11121314313233346162636471727374"
+      "e1e2",
+      // DSR RREP
+      "162a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "0103000000000000212223246162636431323334"
+      "e1e2",
+      // DSR RERR
+      "172a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "2122232431323334010300006162636471727374"
+      "e1e2",
+      // DSR source route
+      "102a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "1001717251525354616263640102030405060708"
+      "01010103616263647172737481828384"
+      "e1e2",
+      // MTS RREQ
+      "182a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "111213142122232431323334050000006162636471727374"
+      "e1e2",
+      // MTS RREP
+      "192a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "111213142122232431323334090001036162636471727374"
+      "e1e2",
+      // MTS CHECK
+      "1a2a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "111213149192090021222324010300006162636471727374"
+      "e1e2",
+      // MTS CHECK-ERROR
+      "1b2a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "919221222324313233344142434401036162636471727374"
+      "e1e2",
+      // MTS RERR
+      "1c2a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "31323334919241424344515253540000"
+      "e1e2",
+      // MTS data tag
+      "102a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "1001717251525354616263640102030405060708"
+      "02009192"
+      "e1e2",
+      // MTS probe
+      "102a00020a0b0c010a0b0c021d2d3d4d01234567"
+      "1001717251525354616263640102030405060708"
+      "0301919211121314"
+      "e1e2",
+      // TCP data segment (no routing option)
+      "102a00070a0b0c010a0b0c021d2d3d4d01234567"
+      "1001717251525354616263640102030405060708"
+      "d1d2d3d4d5d6d7",
+  };
+  const std::vector<Sample> samples = golden_samples();
+  ASSERT_EQ(samples.size(), std::size(kImages));
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::vector<std::uint8_t> image = encode_sample(samples[i]);
+    EXPECT_EQ(hex(image), kImages[i]) << "sample " << i;
+    EXPECT_TRUE(decode_packet(image).has_value()) << "sample " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
