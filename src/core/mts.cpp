@@ -70,14 +70,6 @@ void Mts::install_hop(NodeId final_dst, std::uint16_t path_id,
   hops_[hop_key(final_dst, path_id)] = HopEntry{next_hop, now()};
 }
 
-const Mts::HopEntry* Mts::fresh_hop(NodeId final_dst,
-                                    std::uint16_t path_id) const {
-  auto it = hops_.find(hop_key(final_dst, path_id));
-  if (it == hops_.end()) return nullptr;
-  if (now() - it->second.refreshed > freshness_limit()) return nullptr;
-  return &it->second;
-}
-
 const Mts::HopEntry* Mts::any_hop(NodeId final_dst,
                                   std::uint16_t path_id) const {
   auto it = hops_.find(hop_key(final_dst, path_id));
@@ -612,7 +604,6 @@ void Mts::send_probe(NodeId dst, std::uint16_t path_id, const SourcePath& sp) {
 void Mts::handle_probe(const MtsProbeHeader& h, NodeId peer) {
   if (h.echo) {
     // We are the prober: the destination's ack closed the loop.
-    ++probe_echoes_;
     if (ctx_.defense != nullptr) {
       ctx_.defense->on_probe_echo(self(), peer, h.path_id);
     }

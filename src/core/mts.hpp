@@ -76,7 +76,6 @@ class Mts final : public routing::RoutingProtocol {
   // Acked-checking countermeasure introspection (defense wired via
   // `RoutingContext::defense`; zero everywhere when no defense is set).
   [[nodiscard]] std::uint64_t probes_sent() const { return probes_sent_; }
-  [[nodiscard]] std::uint64_t probe_echoes() const { return probe_echoes_; }
   [[nodiscard]] std::uint64_t paths_quarantined() const {
     return paths_quarantined_;
   }
@@ -148,8 +147,6 @@ class Mts final : public routing::RoutingProtocol {
 
   void install_hop(net::NodeId final_dst, std::uint16_t path_id,
                    net::NodeId next_hop);
-  [[nodiscard]] const HopEntry* fresh_hop(net::NodeId final_dst,
-                                          std::uint16_t path_id) const;
   [[nodiscard]] const HopEntry* any_hop(net::NodeId final_dst,
                                         std::uint16_t path_id) const;
   [[nodiscard]] sim::Time freshness_limit() const {
@@ -181,7 +178,6 @@ class Mts final : public routing::RoutingProtocol {
   std::uint64_t checks_recv_ = 0;
   std::uint32_t probe_seq_ = 0;
   std::uint64_t probes_sent_ = 0;
-  std::uint64_t probe_echoes_ = 0;
   std::uint64_t paths_quarantined_ = 0;
 };
 

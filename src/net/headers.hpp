@@ -271,8 +271,14 @@ using RoutingHeader =
                  MtsCheckErrorHeader, MtsRerrHeader, MtsDataTag,
                  MtsProbeHeader>;
 
-/// On-wire size contribution of the routing header (bytes).  Sizes follow
-/// the respective drafts: fixed part + 4 bytes per carried address.
-std::uint32_t routing_header_bytes(const RoutingHeader& h);
+namespace wire {
+
+/// On-wire size of a routing header/option in bytes: the wire codec's
+/// size law (`net/wire.cpp` derives it from the same layout as the
+/// encoder and the decoder), and so every MAC frame's airtime.  Sizes
+/// follow the respective drafts: fixed part + 4 bytes per address.
+[[nodiscard]] std::uint32_t routing_wire_size(const RoutingHeader& h);
+
+}  // namespace wire
 
 }  // namespace mts::net

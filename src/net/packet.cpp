@@ -4,7 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "net/wire.hpp"
 #include "sim/error.hpp"
 
 namespace mts::net {
@@ -120,13 +119,6 @@ void note_wire_cache_hit() {
 }
 
 }  // namespace detail
-
-std::uint32_t routing_header_bytes(const RoutingHeader& h) {
-  // Derived from the wire codec's size law, which the codec's encoders
-  // verify byte-for-byte — airtime accounting cannot drift from the
-  // actual wire format (tests/net/wire_test.cpp pins the legacy values).
-  return wire::routing_wire_size(h);
-}
 
 void Packet::reset() {
   hop_ = HopState{};

@@ -218,7 +218,7 @@ class Packet {
     const PacketBody& b = checked();
     std::uint32_t n = kCommonHeaderBytes + b.common.payload_bytes;
     if (b.tcp.has_value()) n += kTcpHeaderBytes;
-    n += routing_header_bytes(b.routing);
+    n += wire::routing_wire_size(b.routing);
     return n;
   }
 

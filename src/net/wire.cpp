@@ -1,7 +1,7 @@
 #include "net/wire.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <type_traits>
 
 #include "sim/error.hpp"
 
@@ -10,640 +10,496 @@ namespace mts::net::wire {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Size law.  Fixed parts + 4 bytes per carried address, matching the
-// AODV/DSR drafts; these constants are shared by the size visitor and
-// the encoders, and encode_headers() verifies the bytes written against
-// routing_wire_size(), so the two cannot drift apart.
+// Walkers.  Every header's layout is written once, as a `layout(io, ...)`
+// function template that names its fields in wire order; three walkers
+// give the field operations their meaning:
+//  - `Writer` appends big-endian bytes and `require`s the encoder's
+//    invariants (a violation is a simulator bug, not wire noise);
+//  - `Reader` fills the fields from untrusted bytes and latches failure;
+//  - `Sizer` counts bytes: the size law.
+// So the encoder, the decoder and the size law cannot disagree.
 // ---------------------------------------------------------------------------
 
-constexpr std::uint32_t kPerAddressBytes = 4;
-constexpr std::uint32_t kAodvRreqBytes = 24;
-constexpr std::uint32_t kAodvRrepBytes = 20;
-constexpr std::uint32_t kAodvRerrFixed = 4;
-constexpr std::uint32_t kAodvRerrPerEntry = 8;
-constexpr std::uint32_t kDsrRreqFixed = 8;
-constexpr std::uint32_t kDsrRrepFixed = 8;
-constexpr std::uint32_t kDsrRerrFixed = 12;
-constexpr std::uint32_t kSourceRouteFixed = 4;
-constexpr std::uint32_t kMtsListFixed = 16;  // RREQ/RREP/check/check-error
-constexpr std::uint32_t kMtsRerrBytes = 16;
-constexpr std::uint32_t kMtsDataTagBytes = 4;
-constexpr std::uint32_t kMtsProbeBytes = 8;
-
-constexpr std::uint32_t route_bytes(std::size_t n) {
-  return static_cast<std::uint32_t>(n) * kPerAddressBytes;
-}
-
-// ---------------------------------------------------------------------------
-// Byte-level primitives (big-endian).
-// ---------------------------------------------------------------------------
+/// How a layout sees a header: writable for the Reader, read-only for
+/// the Writer and the Sizer.
+template <class IO, class T>
+using Ref = std::conditional_t<IO::kFills, T&, const T&>;
 
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out)
-      : out_(out), base_(out.size()) {}
+  static constexpr bool kFills = false;
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v >> 8));
-    u8(static_cast<std::uint8_t>(v));
+  Writer(std::vector<std::uint8_t>& out, const CommonHeader& c)
+      : out_(out), c_(c) {}
+
+  void u8(std::uint8_t v) { be(v, 1); }
+  void u16(std::uint16_t v) { be(v, 2); }
+  void u32(std::uint32_t v) { be(v, 4); }
+  void pad(std::size_t n) { out_.insert(out_.end(), n, 0); }
+  void flag(bool v) { u8(v ? 1 : 0); }
+  void tag(std::uint8_t t) { u8(t); }
+  void route(const RouteVec& r) {
+    for (NodeId n : r) u32(n);
   }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
+
+  /// The routing header must belong to the packet kind.
+  void kind(PacketKind k) const {
+    sim::require(c_.kind == k,
+                 "wire: routing header does not match the packet kind");
+  }
+  void data_plane() const {
+    sim::require(is_transport(c_.kind),
+                 "wire: data-plane option on a control packet");
+  }
+  /// A field the common header implies is not sent; it must agree.
+  void from_src(NodeId v, const char* what) const {
+    sim::require(v == c_.src, what);
+  }
+  void from_dst(NodeId v, const char* what) const {
+    sim::require(v == c_.dst, what);
+  }
+  /// A route whose ends are two header fields: only the route is sent.
+  void ends(const RouteVec& r, NodeId front, NodeId back, const char* what) {
+    sim::require(r.size() >= 2 && r.front() == front && r.back() == back,
+                 what);
+    route(r);
+  }
+  /// A u8 count of the entries that follow.
+  template <class List>
+  void count8(const List& l, const char* what) {
+    sim::require(l.size() <= 0xff, what);
+    u8(static_cast<std::uint8_t>(l.size()));
+  }
+  void ns48(sim::Time t, const char* what) {
+    const std::int64_t ns = t.nanoseconds();
+    sim::require(ns >= 0 && ns < (std::int64_t{1} << 48), what);
+    be(static_cast<std::uint64_t>(ns), 6);
+  }
+  void ns64(sim::Time t) { be(static_cast<std::uint64_t>(t.nanoseconds()), 8); }
+
+  // Common-header fields.
+  void version_kind(PacketKind k) {
+    const auto kind = static_cast<std::uint32_t>(k);
+    sim::require(kind <= 0x0f, "wire: packet kind exceeds the v1 kind nibble");
+    u8(static_cast<std::uint8_t>((std::uint32_t{kWireVersion} << 4) | kind));
+  }
+  void len16(std::uint32_t v) {
+    sim::require(v <= 0xffff, "wire: payload_bytes exceeds the u16 wire field");
     u16(static_cast<std::uint16_t>(v));
   }
-  void u48(std::uint64_t v) {
-    u16(static_cast<std::uint16_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
+  /// Lossy: sub-microsecond digits are dropped.
+  void us32(sim::Time t) {
+    const std::int64_t us = t.nanoseconds() / 1000;
+    sim::require(us >= 0 && us <= 0xffffffffLL,
+                 "wire: originated outside the u32-microsecond wire range");
+    u32(static_cast<std::uint32_t>(us));
   }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
-  }
-  void pad(std::size_t n) { out_.insert(out_.end(), n, 0); }
 
-  [[nodiscard]] std::size_t written() const { return out_.size() - base_; }
+  [[nodiscard]] std::size_t size() const { return out_.size(); }
 
  private:
+  /// The low `n` bytes of `v`, most significant first.
+  void be(std::uint64_t v, int n) {
+    while (n-- > 0) out_.push_back(static_cast<std::uint8_t>(v >> (8 * n)));
+  }
+
   std::vector<std::uint8_t>& out_;
-  std::size_t base_;
+  const CommonHeader& c_;
 };
 
-/// Bounds-checked big-endian reader.  Reads past the end (or a nonzero
-/// padding byte) latch the fail flag and return zeros; decoders check
-/// `ok()` once per section instead of per field.
+/// Reads one section of a wire image.  Reading past the section end, a
+/// nonzero pad byte or an undefined flag bit latches failure (the field
+/// reads as zero); `done()` then also asks that the walk ended exactly
+/// at the section end.  Nothing here throws on untrusted bytes.
 class Reader {
  public:
-  Reader(const std::uint8_t* d, std::size_t n) : d_(d), n_(n) {}
+  static constexpr bool kFills = true;
 
-  std::uint8_t u8() {
-    if (off_ >= n_) {
-      ok_ = false;
-      return 0;
-    }
-    return d_[off_++];
-  }
-  std::uint16_t u16() {
-    const std::uint16_t hi = u8();
-    return static_cast<std::uint16_t>((hi << 8) | u8());
-  }
-  std::uint32_t u32() {
-    const std::uint32_t hi = u16();
-    return (hi << 16) | u16();
-  }
-  std::uint64_t u48() {
-    const std::uint64_t hi = u16();
-    return (hi << 32) | u32();
-  }
-  std::uint64_t u64() {
-    const std::uint64_t hi = u32();
-    return (hi << 32) | u32();
-  }
-  /// Padding must be zero on the wire; anything else is corruption (and
-  /// would break encode(decode(buf)) == buf).
+  Reader(const std::uint8_t* d, std::size_t n, const CommonHeader& c)
+      : d_(d), n_(n), c_(c) {}
+
+  void u8(std::uint8_t& v) { v = static_cast<std::uint8_t>(be(1)); }
+  void u16(std::uint16_t& v) { v = static_cast<std::uint16_t>(be(2)); }
+  void u32(std::uint32_t& v) { v = static_cast<std::uint32_t>(be(4)); }
+  /// Padding must be zero, or encode(decode(buf)) would differ from buf.
   void pad(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (u8() != 0) ok_ = false;
+    for (; n > 0; --n) {
+      if (be(1) != 0) ok_ = false;
     }
   }
-  /// A one-byte flag field with only `mask` bits defined.
-  std::uint8_t flags(std::uint8_t mask) {
-    const std::uint8_t v = u8();
-    if ((v & ~mask) != 0) ok_ = false;
+  /// A one-byte flag: any bit but bit 0 is corruption.
+  void flag(bool& v) {
+    const std::uint64_t b = be(1);
+    if (b > 1) ok_ = false;
+    v = b == 1;
+  }
+  void tag(std::uint8_t t) {
+    if (be(1) != t) ok_ = false;
+  }
+  /// A trailing route list fills the rest of the section, 4 bytes per
+  /// address: its length is the section's, DSR-option style.
+  void route(RouteVec& r) {
+    if ((n_ - off_) % 4 != 0) {
+      ok_ = false;
+      return;
+    }
+    r.resize((n_ - off_) / 4);
+    for (NodeId& n : r) u32(n);
+  }
+
+  void kind(PacketKind) const {}  // the packet kind chose this layout
+  void data_plane() const {}
+  void from_src(NodeId& v, const char*) const { v = c_.src; }
+  void from_dst(NodeId& v, const char*) const { v = c_.dst; }
+  void ends(RouteVec& r, NodeId& front, NodeId& back, const char*) {
+    route(r);
+    if (r.size() < 2) {
+      ok_ = false;
+      return;
+    }
+    front = r.front();
+    back = r.back();
+  }
+  template <class List>
+  void count8(List& l, const char*) {
+    l.resize(be(1));
+  }
+  void ns48(sim::Time& t, const char*) {
+    t = sim::Time::ns(static_cast<std::int64_t>(be(6)));
+  }
+  void ns64(sim::Time& t) {
+    t = sim::Time::ns(static_cast<std::int64_t>(be(8)));
+  }
+
+  void version_kind(PacketKind& k) {
+    const std::uint64_t b = be(1);
+    if ((b >> 4) != kWireVersion ||
+        (b & 0x0f) > static_cast<std::uint64_t>(PacketKind::kMtsRerr)) {
+      ok_ = false;
+    }
+    k = static_cast<PacketKind>(b & 0x0f);
+  }
+  void len16(std::uint32_t& v) { v = static_cast<std::uint32_t>(be(2)); }
+  void us32(sim::Time& t) { t = sim::Time::us(static_cast<std::int64_t>(be(4))); }
+
+  /// The next byte, or 0 at the section end (no tag is 0).
+  [[nodiscard]] std::uint8_t peek() const { return off_ < n_ ? d_[off_] : 0; }
+  [[nodiscard]] bool at_end() const { return off_ == n_; }
+  [[nodiscard]] bool done() const { return ok_ && off_ == n_; }
+
+ private:
+  /// The next `n` bytes as a big-endian number; 0 past the section end.
+  std::uint64_t be(int n) {
+    std::uint64_t v = 0;
+    for (; n > 0; --n) {
+      if (off_ == n_) {
+        ok_ = false;
+        return 0;
+      }
+      v = (v << 8) | d_[off_++];
+    }
     return v;
   }
 
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] std::size_t offset() const { return off_; }
-  [[nodiscard]] std::uint8_t peek() const { return off_ < n_ ? d_[off_] : 0; }
-
- private:
   const std::uint8_t* d_;
   std::size_t n_;
+  const CommonHeader& c_;
   std::size_t off_ = 0;
   bool ok_ = true;
 };
 
-// ---------------------------------------------------------------------------
-// Encoders.
-// ---------------------------------------------------------------------------
+struct Sizer {
+  static constexpr bool kFills = false;
+  std::uint32_t n = 0;
 
-void encode_common(Writer& w, const CommonHeader& c, const HopState& hop) {
-  const auto kind = static_cast<std::uint32_t>(c.kind);
-  sim::require(kind <= 0x0f, "wire: packet kind exceeds the v1 kind nibble");
-  sim::require(c.payload_bytes <= 0xffff,
-               "wire: payload_bytes exceeds the u16 wire field");
-  const std::int64_t us = c.originated.nanoseconds() / 1000;
-  sim::require(us >= 0 && us <= 0xffffffffLL,
-               "wire: originated outside the u32-microsecond wire range");
-  w.u8(static_cast<std::uint8_t>((std::uint32_t{kWireVersion} << 4) | kind));
-  w.u8(hop.ttl);
-  w.u16(static_cast<std::uint16_t>(c.payload_bytes));
-  w.u32(c.src);
-  w.u32(c.dst);
-  w.u32(c.uid);
-  w.u32(static_cast<std::uint32_t>(us));
-}
-
-void encode_tcp(Writer& w, const TcpHeader& t) {
-  w.u8(kTagTcp);
-  w.u8(t.retransmit ? 1 : 0);
-  w.u16(t.flow_id);
-  w.u32(t.seq);
-  w.u32(t.ack);
-  w.u64(static_cast<std::uint64_t>(t.ts.nanoseconds()));
-}
-
-void write_route(Writer& w, const RouteVec& route) {
-  for (NodeId n : route) w.u32(n);
-}
-
-/// Encodes the routing header/option.  The common header is consulted
-/// for the invariants that let v1 omit redundant fields (documented per
-/// alternative); violating one is a construction bug, not bad input, so
-/// these are require()s rather than soft failures.  Per-hop fields (hop
-/// counts, route cursors) come from the `HopState` cell, not the header
-/// structs — the wire layout is unchanged, only the in-memory home of
-/// those fields moved.
-struct EncodeVisitor {
-  Writer& w;
-  const CommonHeader& c;
-  const HopState& hop;
-
-  void check_kind(PacketKind expected) const {
-    sim::require(c.kind == expected,
-                 "wire: routing header does not match the packet kind");
+  void u8(std::uint8_t) { n += 1; }
+  void u16(std::uint16_t) { n += 2; }
+  void u32(std::uint32_t) { n += 4; }
+  void pad(std::size_t k) { n += static_cast<std::uint32_t>(k); }
+  void flag(bool) { n += 1; }
+  void tag(std::uint8_t) { n += 1; }
+  void route(const RouteVec& r) { n += 4 * static_cast<std::uint32_t>(r.size()); }
+  void kind(PacketKind) const {}
+  void data_plane() const {}
+  void from_src(NodeId, const char*) const {}
+  void from_dst(NodeId, const char*) const {}
+  void ends(const RouteVec& r, NodeId, NodeId, const char*) { route(r); }
+  template <class List>
+  void count8(const List&, const char*) {
+    n += 1;
   }
-  void check_data_plane() const {
-    sim::require(is_transport(c.kind),
-                 "wire: data-plane option on a control packet");
-  }
-
-  void operator()(const std::monostate&) const { check_data_plane(); }
-
-  void operator()(const AodvRreqHeader& h) const {
-    check_kind(PacketKind::kAodvRreq);
-    w.u32(h.rreq_id);
-    w.u32(h.orig);
-    w.u32(h.dst);
-    w.u32(h.orig_seq);
-    w.u32(h.dst_seq);
-    w.u8(hop.hops);
-    w.u8(h.dst_seq_known ? 1 : 0);
-    w.pad(2);
-  }
-
-  void operator()(const AodvRrepHeader& h) const {
-    check_kind(PacketKind::kAodvRrep);
-    const std::int64_t ns = h.lifetime.nanoseconds();
-    sim::require(ns >= 0 && ns < (std::int64_t{1} << 48),
-                 "wire: AODV RREP lifetime outside the u48 wire range");
-    w.u32(h.orig);
-    w.u32(h.dst);
-    w.u32(h.dst_seq);
-    w.u8(hop.hops);
-    w.u48(static_cast<std::uint64_t>(ns));
-    w.pad(1);
-  }
-
-  void operator()(const AodvRerrHeader& h) const {
-    check_kind(PacketKind::kAodvRerr);
-    sim::require(h.unreachable.size() <= 0xff,
-                 "wire: AODV RERR entry count exceeds the u8 wire field");
-    w.u8(static_cast<std::uint8_t>(h.unreachable.size()));
-    w.pad(3);
-    for (const auto& u : h.unreachable) {
-      w.u32(u.dst);
-      w.u32(u.seq);
-    }
-  }
-
-  /// v1 invariant: a DSR RREQ's originator is the packet source (the
-  /// flood rebroadcast mutates only ttl and the record).
-  void operator()(const DsrRreqHeader& h) const {
-    check_kind(PacketKind::kDsrRreq);
-    sim::require(h.orig == c.src, "wire: DSR RREQ originator != packet source");
-    w.u32(h.rreq_id);
-    w.u32(h.target);
-    write_route(w, h.record);
-  }
-
-  /// v1 invariant: the route runs orig..target inclusive, so both
-  /// endpoints live in the route list and are not re-encoded.
-  void operator()(const DsrRrepHeader& h) const {
-    check_kind(PacketKind::kDsrRrep);
-    sim::require(h.route.size() >= 2 && h.route.front() == h.orig &&
-                     h.route.back() == h.target,
-                 "wire: DSR RREP route does not span orig..target");
-    w.u16(hop.cursor);
-    w.pad(6);
-    write_route(w, h.route);
-  }
-
-  /// v1 invariant: the notified source is the packet destination.
-  void operator()(const DsrRerrHeader& h) const {
-    check_kind(PacketKind::kDsrRerr);
-    sim::require(h.notify == c.dst, "wire: DSR RERR notify != packet dest");
-    w.u32(h.from);
-    w.u32(h.to);
-    w.u16(hop.cursor);
-    w.pad(2);
-    write_route(w, h.back_path);
-  }
-
-  void operator()(const DsrSourceRoute& h) const {
-    check_data_plane();
-    w.u8(kTagSourceRoute);
-    w.u8(h.salvaged ? 1 : 0);
-    w.u16(hop.cursor);
-    write_route(w, h.route);
-  }
-
-  void operator()(const MtsRreqHeader& h) const {
-    check_kind(PacketKind::kMtsRreq);
-    w.u32(h.bcast_id);
-    w.u32(h.orig);
-    w.u32(h.dst);
-    w.u8(hop.hops);
-    w.pad(3);
-    write_route(w, h.nodes);
-  }
-
-  void operator()(const MtsRrepHeader& h) const {
-    check_kind(PacketKind::kMtsRrep);
-    w.u32(h.rrep_id);
-    w.u32(h.orig);
-    w.u32(h.dst);
-    w.u8(h.hop_count);
-    w.pad(1);
-    w.u16(hop.cursor);
-    write_route(w, h.nodes);
-  }
-
-  /// v1 invariant: checks travel checker -> source, so the receiving
-  /// source is the packet destination (relays mutate only hops_done).
-  void operator()(const MtsCheckHeader& h) const {
-    check_kind(PacketKind::kMtsCheck);
-    sim::require(h.source == c.dst, "wire: MTS check source != packet dest");
-    w.u32(h.check_id);
-    w.u16(h.path_id);
-    w.u8(h.hop_count);
-    w.pad(1);
-    w.u32(h.checker);
-    w.u16(hop.cursor);
-    w.pad(2);
-    write_route(w, h.nodes);
-  }
-
-  /// v1 invariant: a check error travels reporter -> checker.
-  void operator()(const MtsCheckErrorHeader& h) const {
-    check_kind(PacketKind::kMtsCheckError);
-    sim::require(h.checker == c.dst && h.reporter == c.src,
-                 "wire: MTS check error endpoints != packet src/dest");
-    w.u16(h.path_id);
-    w.u32(h.flow_source);
-    w.u32(h.broken_from);
-    w.u32(h.broken_to);
-    w.u16(hop.cursor);
-    write_route(w, h.nodes);
-  }
-
-  /// v1 invariant: the informed source is the packet destination.
-  void operator()(const MtsRerrHeader& h) const {
-    check_kind(PacketKind::kMtsRerr);
-    sim::require(h.source == c.dst, "wire: MTS RERR source != packet dest");
-    w.u32(h.dst);
-    w.u16(h.path_id);
-    w.u32(h.broken_from);
-    w.u32(h.broken_to);
-    w.pad(2);
-  }
-
-  void operator()(const MtsDataTag& h) const {
-    check_data_plane();
-    w.u8(kTagMtsData);
-    w.pad(1);
-    w.u16(h.path_id);
-  }
-
-  void operator()(const MtsProbeHeader& h) const {
-    check_data_plane();
-    w.u8(kTagMtsProbe);
-    w.u8(h.echo ? 1 : 0);
-    w.u16(h.path_id);
-    w.u32(h.probe_id);
-  }
+  void ns48(sim::Time, const char*) { n += 6; }
 };
 
 // ---------------------------------------------------------------------------
-// Decoders.  Every path returns false on malformed input; nothing
-// require()s on untrusted bytes.
+// Layouts, in wire order.  Per-hop fields (TTL, hop counts, route
+// cursors) live in the packet handle's `HopState` cell, not the header
+// structs; the layout says where each travels.
 // ---------------------------------------------------------------------------
 
-bool decode_common(Reader& r, CommonHeader& c, HopState& hop) {
-  const std::uint8_t b0 = r.u8();
-  if ((b0 >> 4) != kWireVersion) return false;
-  const std::uint8_t kind = b0 & 0x0f;
-  if (kind > static_cast<std::uint8_t>(PacketKind::kMtsRerr)) return false;
-  c.kind = static_cast<PacketKind>(kind);
-  hop.ttl = r.u8();
-  c.payload_bytes = r.u16();
-  c.src = r.u32();
-  c.dst = r.u32();
-  c.uid = r.u32();
-  c.originated = sim::Time::us(r.u32());
-  return r.ok();
+/// The 20-byte common header (IPv4-sized).
+template <class IO>
+void layout(IO& io, Ref<IO, CommonHeader> c, Ref<IO, HopState> hop) {
+  io.version_kind(c.kind);
+  io.u8(hop.ttl);
+  io.len16(c.payload_bytes);
+  io.u32(c.src);
+  io.u32(c.dst);
+  io.u32(c.uid);
+  io.us32(c.originated);
 }
 
-bool decode_tcp(Reader& r, std::size_t avail, TcpHeader& t) {
-  if (avail < kTcpHeaderBytes) return false;
-  if (r.u8() != kTagTcp) return false;
-  t.retransmit = (r.flags(0x01) & 0x01) != 0;
-  t.flow_id = r.u16();
-  t.seq = r.u32();
-  t.ack = r.u32();
-  t.ts = sim::Time::ns(static_cast<std::int64_t>(r.u64()));
-  return r.ok();
+/// The TCP header, tagged so the transport section describes itself.
+template <class IO>
+void layout(IO& io, Ref<IO, TcpHeader> t) {
+  io.tag(kTagTcp);
+  io.flag(t.retransmit);
+  io.u16(t.flow_id);
+  io.u32(t.seq);
+  io.u32(t.ack);
+  io.ns64(t.ts);
 }
 
-/// Reads the remaining `avail` bytes of the section as a route list; the
-/// count is implicit in the section length, DSR-option style.
-bool read_route(Reader& r, std::size_t avail, RouteVec& out) {
-  if (avail % kPerAddressBytes != 0) return false;
-  const std::size_t n = avail / kPerAddressBytes;
-  out.clear();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(r.u32());
-  return r.ok();
+/// No routing option: a bare transport segment.
+template <class IO>
+void layout(IO& io, Ref<IO, std::monostate>, Ref<IO, HopState>) {
+  io.data_plane();
 }
 
-/// Decodes the routing section of a control packet: the kind determines
-/// the alternative, and the section runs to `section_end`.
-bool decode_control(Reader& r, std::size_t section_end, const CommonHeader& c,
-                    RoutingHeader& out, HopState& hop) {
-  const std::size_t avail = section_end - r.offset();
-  switch (c.kind) {
-    case PacketKind::kAodvRreq: {
-      if (avail != kAodvRreqBytes) return false;
-      AodvRreqHeader h;
-      h.rreq_id = r.u32();
-      h.orig = r.u32();
-      h.dst = r.u32();
-      h.orig_seq = r.u32();
-      h.dst_seq = r.u32();
-      hop.hops = r.u8();
-      h.dst_seq_known = (r.flags(0x01) & 0x01) != 0;
-      r.pad(2);
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kAodvRrep: {
-      if (avail != kAodvRrepBytes) return false;
-      AodvRrepHeader h;
-      h.orig = r.u32();
-      h.dst = r.u32();
-      h.dst_seq = r.u32();
-      hop.hops = r.u8();
-      h.lifetime = sim::Time::ns(static_cast<std::int64_t>(r.u48()));
-      r.pad(1);
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kAodvRerr: {
-      if (avail < kAodvRerrFixed) return false;
-      AodvRerrHeader h;
-      const std::uint8_t count = r.u8();
-      r.pad(3);
-      if (avail != kAodvRerrFixed + std::size_t{count} * kAodvRerrPerEntry)
-        return false;
-      for (std::uint8_t i = 0; i < count; ++i) {
-        AodvRerrHeader::Unreachable u;
-        u.dst = r.u32();
-        u.seq = r.u32();
-        h.unreachable.push_back(u);
-      }
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kDsrRreq: {
-      if (avail < kDsrRreqFixed) return false;
-      DsrRreqHeader h;
-      h.rreq_id = r.u32();
-      h.target = r.u32();
-      h.orig = c.src;  // v1: not re-encoded, carried by the common header
-      if (!read_route(r, avail - kDsrRreqFixed, h.record)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kDsrRrep: {
-      if (avail < kDsrRrepFixed) return false;
-      DsrRrepHeader h;
-      hop.cursor = r.u16();
-      r.pad(6);
-      if (!read_route(r, avail - kDsrRrepFixed, h.route)) return false;
-      if (h.route.size() < 2) return false;  // must span orig..target
-      h.orig = h.route.front();
-      h.target = h.route.back();
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kDsrRerr: {
-      if (avail < kDsrRerrFixed) return false;
-      DsrRerrHeader h;
-      h.from = r.u32();
-      h.to = r.u32();
-      hop.cursor = r.u16();
-      r.pad(2);
-      h.notify = c.dst;  // v1: the RERR travels to the notified source
-      if (!read_route(r, avail - kDsrRerrFixed, h.back_path)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kMtsRreq: {
-      if (avail < kMtsListFixed) return false;
-      MtsRreqHeader h;
-      h.bcast_id = r.u32();
-      h.orig = r.u32();
-      h.dst = r.u32();
-      hop.hops = r.u8();
-      r.pad(3);
-      if (!read_route(r, avail - kMtsListFixed, h.nodes)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kMtsRrep: {
-      if (avail < kMtsListFixed) return false;
-      MtsRrepHeader h;
-      h.rrep_id = r.u32();
-      h.orig = r.u32();
-      h.dst = r.u32();
-      h.hop_count = r.u8();
-      r.pad(1);
-      hop.cursor = r.u16();
-      if (!read_route(r, avail - kMtsListFixed, h.nodes)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kMtsCheck: {
-      if (avail < kMtsListFixed) return false;
-      MtsCheckHeader h;
-      h.check_id = r.u32();
-      h.path_id = r.u16();
-      h.hop_count = r.u8();
-      r.pad(1);
-      h.checker = r.u32();
-      hop.cursor = r.u16();
-      r.pad(2);
-      h.source = c.dst;  // v1: checks travel checker -> source
-      if (!read_route(r, avail - kMtsListFixed, h.nodes)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kMtsCheckError: {
-      if (avail < kMtsListFixed) return false;
-      MtsCheckErrorHeader h;
-      h.path_id = r.u16();
-      h.flow_source = r.u32();
-      h.broken_from = r.u32();
-      h.broken_to = r.u32();
-      hop.cursor = r.u16();
-      h.reporter = c.src;  // v1: travels reporter -> checker
-      h.checker = c.dst;
-      if (!read_route(r, avail - kMtsListFixed, h.nodes)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kMtsRerr: {
-      if (avail != kMtsRerrBytes) return false;
-      MtsRerrHeader h;
-      h.dst = r.u32();
-      h.path_id = r.u16();
-      h.broken_from = r.u32();
-      h.broken_to = r.u32();
-      r.pad(2);
-      h.source = c.dst;  // v1: the RERR travels to the informed source
-      out = h;
-      return r.ok();
-    }
+template <class IO>
+void layout(IO& io, Ref<IO, AodvRreqHeader> h, Ref<IO, HopState> hop) {
+  io.kind(PacketKind::kAodvRreq);
+  io.u32(h.rreq_id);
+  io.u32(h.orig);
+  io.u32(h.dst);
+  io.u32(h.orig_seq);
+  io.u32(h.dst_seq);
+  io.u8(hop.hops);
+  io.flag(h.dst_seq_known);
+  io.pad(2);
+}
+
+template <class IO>
+void layout(IO& io, Ref<IO, AodvRrepHeader> h, Ref<IO, HopState> hop) {
+  io.kind(PacketKind::kAodvRrep);
+  io.u32(h.orig);
+  io.u32(h.dst);
+  io.u32(h.dst_seq);
+  io.u8(hop.hops);
+  io.ns48(h.lifetime, "wire: AODV RREP lifetime outside the u48 wire range");
+  io.pad(1);
+}
+
+template <class IO>
+void layout(IO& io, Ref<IO, AodvRerrHeader> h, Ref<IO, HopState>) {
+  io.kind(PacketKind::kAodvRerr);
+  io.count8(h.unreachable,
+            "wire: AODV RERR entry count exceeds the u8 wire field");
+  io.pad(3);
+  for (auto& u : h.unreachable) {
+    io.u32(u.dst);
+    io.u32(u.seq);
+  }
+}
+
+/// v1: a DSR RREQ's originator is the packet source (the flood
+/// rebroadcast mutates only ttl and the record).
+template <class IO>
+void layout(IO& io, Ref<IO, DsrRreqHeader> h, Ref<IO, HopState>) {
+  io.kind(PacketKind::kDsrRreq);
+  io.from_src(h.orig, "wire: DSR RREQ originator != packet source");
+  io.u32(h.rreq_id);
+  io.u32(h.target);
+  io.route(h.record);
+}
+
+/// v1: the route runs orig..target inclusive, so both endpoints live in
+/// the route list and are not sent again.
+template <class IO>
+void layout(IO& io, Ref<IO, DsrRrepHeader> h, Ref<IO, HopState> hop) {
+  io.kind(PacketKind::kDsrRrep);
+  io.u16(hop.cursor);
+  io.pad(6);
+  io.ends(h.route, h.orig, h.target,
+          "wire: DSR RREP route does not span orig..target");
+}
+
+/// v1: the notified source is the packet destination.
+template <class IO>
+void layout(IO& io, Ref<IO, DsrRerrHeader> h, Ref<IO, HopState> hop) {
+  io.kind(PacketKind::kDsrRerr);
+  io.from_dst(h.notify, "wire: DSR RERR notify != packet dest");
+  io.u32(h.from);
+  io.u32(h.to);
+  io.u16(hop.cursor);
+  io.pad(2);
+  io.route(h.back_path);
+}
+
+template <class IO>
+void layout(IO& io, Ref<IO, DsrSourceRoute> h, Ref<IO, HopState> hop) {
+  io.data_plane();
+  io.tag(kTagSourceRoute);
+  io.flag(h.salvaged);
+  io.u16(hop.cursor);
+  io.route(h.route);
+}
+
+template <class IO>
+void layout(IO& io, Ref<IO, MtsRreqHeader> h, Ref<IO, HopState> hop) {
+  io.kind(PacketKind::kMtsRreq);
+  io.u32(h.bcast_id);
+  io.u32(h.orig);
+  io.u32(h.dst);
+  io.u8(hop.hops);
+  io.pad(3);
+  io.route(h.nodes);
+}
+
+template <class IO>
+void layout(IO& io, Ref<IO, MtsRrepHeader> h, Ref<IO, HopState> hop) {
+  io.kind(PacketKind::kMtsRrep);
+  io.u32(h.rrep_id);
+  io.u32(h.orig);
+  io.u32(h.dst);
+  io.u8(h.hop_count);
+  io.pad(1);
+  io.u16(hop.cursor);
+  io.route(h.nodes);
+}
+
+/// v1: checks travel checker -> source, so the receiving source is the
+/// packet destination (relays mutate only the cursor).
+template <class IO>
+void layout(IO& io, Ref<IO, MtsCheckHeader> h, Ref<IO, HopState> hop) {
+  io.kind(PacketKind::kMtsCheck);
+  io.from_dst(h.source, "wire: MTS check source != packet dest");
+  io.u32(h.check_id);
+  io.u16(h.path_id);
+  io.u8(h.hop_count);
+  io.pad(1);
+  io.u32(h.checker);
+  io.u16(hop.cursor);
+  io.pad(2);
+  io.route(h.nodes);
+}
+
+/// v1: a check error travels reporter -> checker.
+template <class IO>
+void layout(IO& io, Ref<IO, MtsCheckErrorHeader> h, Ref<IO, HopState> hop) {
+  static constexpr const char* kEnds =
+      "wire: MTS check error endpoints != packet src/dest";
+  io.kind(PacketKind::kMtsCheckError);
+  io.from_dst(h.checker, kEnds);
+  io.from_src(h.reporter, kEnds);
+  io.u16(h.path_id);
+  io.u32(h.flow_source);
+  io.u32(h.broken_from);
+  io.u32(h.broken_to);
+  io.u16(hop.cursor);
+  io.route(h.nodes);
+}
+
+/// v1: the informed source is the packet destination.
+template <class IO>
+void layout(IO& io, Ref<IO, MtsRerrHeader> h, Ref<IO, HopState>) {
+  io.kind(PacketKind::kMtsRerr);
+  io.from_dst(h.source, "wire: MTS RERR source != packet dest");
+  io.u32(h.dst);
+  io.u16(h.path_id);
+  io.u32(h.broken_from);
+  io.u32(h.broken_to);
+  io.pad(2);
+}
+
+template <class IO>
+void layout(IO& io, Ref<IO, MtsDataTag> h, Ref<IO, HopState>) {
+  io.data_plane();
+  io.tag(kTagMtsData);
+  io.pad(1);
+  io.u16(h.path_id);
+}
+
+/// Deliberately the same order of size as the data tag: a probe should
+/// not stand out from the data plane it hides in.
+template <class IO>
+void layout(IO& io, Ref<IO, MtsProbeHeader> h, Ref<IO, HopState>) {
+  io.data_plane();
+  io.tag(kTagMtsProbe);
+  io.flag(h.echo);
+  io.u16(h.path_id);
+  io.u32(h.probe_id);
+}
+
+/// Reads the rest of the section as alternative `H`.
+template <class H>
+void read_as(Reader& r, RoutingHeader& out, HopState& hop) {
+  layout(r, out.emplace<H>(), hop);
+}
+
+/// A control packet's kind names its layout.  Returns false for the
+/// transport kinds, which carry tagged options instead.
+bool read_control(Reader& r, PacketKind kind, RoutingHeader& out,
+                  HopState& hop) {
+  switch (kind) {
+    case PacketKind::kAodvRreq: read_as<AodvRreqHeader>(r, out, hop); break;
+    case PacketKind::kAodvRrep: read_as<AodvRrepHeader>(r, out, hop); break;
+    case PacketKind::kAodvRerr: read_as<AodvRerrHeader>(r, out, hop); break;
+    case PacketKind::kDsrRreq: read_as<DsrRreqHeader>(r, out, hop); break;
+    case PacketKind::kDsrRrep: read_as<DsrRrepHeader>(r, out, hop); break;
+    case PacketKind::kDsrRerr: read_as<DsrRerrHeader>(r, out, hop); break;
+    case PacketKind::kMtsRreq: read_as<MtsRreqHeader>(r, out, hop); break;
+    case PacketKind::kMtsRrep: read_as<MtsRrepHeader>(r, out, hop); break;
+    case PacketKind::kMtsCheck: read_as<MtsCheckHeader>(r, out, hop); break;
+    case PacketKind::kMtsCheckError:
+      read_as<MtsCheckErrorHeader>(r, out, hop);
+      break;
+    case PacketKind::kMtsRerr: read_as<MtsRerrHeader>(r, out, hop); break;
     case PacketKind::kTcpData:
     case PacketKind::kTcpAck:
-      return false;  // transport kinds use the tagged option section
-  }
-  return false;
-}
-
-/// Decodes the tagged data-plane option of a transport packet.  Every
-/// option is terminal (the section length sizes its route list), so the
-/// option must end exactly at `section_end`.
-bool decode_data_option(Reader& r, std::size_t section_end,
-                        RoutingHeader& out, HopState& hop) {
-  const std::size_t avail = section_end - r.offset();
-  switch (r.peek()) {
-    case kTagSourceRoute: {
-      if (avail < kSourceRouteFixed) return false;
-      DsrSourceRoute h;
-      r.u8();  // tag
-      h.salvaged = (r.flags(0x01) & 0x01) != 0;
-      hop.cursor = r.u16();
-      if (!read_route(r, avail - kSourceRouteFixed, h.route)) return false;
-      out = h;
-      return r.ok();
-    }
-    case kTagMtsData: {
-      if (avail != kMtsDataTagBytes) return false;
-      MtsDataTag h;
-      r.u8();  // tag
-      r.pad(1);
-      h.path_id = r.u16();
-      out = h;
-      return r.ok();
-    }
-    case kTagMtsProbe: {
-      if (avail != kMtsProbeBytes) return false;
-      MtsProbeHeader h;
-      r.u8();  // tag
-      h.echo = (r.flags(0x01) & 0x01) != 0;
-      h.path_id = r.u16();
-      h.probe_id = r.u32();
-      out = h;
-      return r.ok();
-    }
-    default:
       return false;
   }
+  return true;
 }
 
-struct SizeVisitor {
-  std::uint32_t operator()(const std::monostate&) const { return 0; }
-  std::uint32_t operator()(const AodvRreqHeader&) const {
-    return kAodvRreqBytes;
+/// A data packet's option names its layout by its tag byte.
+bool read_option(Reader& r, RoutingHeader& out, HopState& hop) {
+  switch (r.peek()) {
+    case kTagSourceRoute: read_as<DsrSourceRoute>(r, out, hop); return true;
+    case kTagMtsData: read_as<MtsDataTag>(r, out, hop); return true;
+    case kTagMtsProbe: read_as<MtsProbeHeader>(r, out, hop); return true;
+    default: return false;
   }
-  std::uint32_t operator()(const AodvRrepHeader&) const {
-    return kAodvRrepBytes;
-  }
-  std::uint32_t operator()(const AodvRerrHeader& h) const {
-    return kAodvRerrFixed +
-           static_cast<std::uint32_t>(h.unreachable.size()) * kAodvRerrPerEntry;
-  }
-  std::uint32_t operator()(const DsrRreqHeader& h) const {
-    return kDsrRreqFixed + route_bytes(h.record.size());
-  }
-  std::uint32_t operator()(const DsrRrepHeader& h) const {
-    return kDsrRrepFixed + route_bytes(h.route.size());
-  }
-  std::uint32_t operator()(const DsrRerrHeader& h) const {
-    return kDsrRerrFixed + route_bytes(h.back_path.size());
-  }
-  std::uint32_t operator()(const DsrSourceRoute& h) const {
-    return kSourceRouteFixed + route_bytes(h.route.size());
-  }
-  std::uint32_t operator()(const MtsRreqHeader& h) const {
-    return kMtsListFixed + route_bytes(h.nodes.size());
-  }
-  std::uint32_t operator()(const MtsRrepHeader& h) const {
-    return kMtsListFixed + route_bytes(h.nodes.size());
-  }
-  std::uint32_t operator()(const MtsCheckHeader& h) const {
-    return kMtsListFixed + route_bytes(h.nodes.size());
-  }
-  std::uint32_t operator()(const MtsCheckErrorHeader& h) const {
-    return kMtsListFixed + route_bytes(h.nodes.size());
-  }
-  std::uint32_t operator()(const MtsRerrHeader&) const { return kMtsRerrBytes; }
-  std::uint32_t operator()(const MtsDataTag&) const { return kMtsDataTagBytes; }
-  /// Probe option: path id + probe id + flags.  Deliberately the same
-  /// order of magnitude as the data tag — a probe should not stand out
-  /// from the data plane it hides in.
-  std::uint32_t operator()(const MtsProbeHeader&) const {
-    return kMtsProbeBytes;
-  }
-};
+}
 
 }  // namespace
 
 std::uint32_t routing_wire_size(const RoutingHeader& h) {
-  return std::visit(SizeVisitor{}, h);
+  return std::visit(
+      [](const auto& alt) {
+        Sizer s;
+        layout(s, alt, HopState{});
+        return s.n;
+      },
+      h);
 }
 
 void encode_headers(const CommonHeader& common, const TcpHeader* tcp,
                     const RoutingHeader& routing,
                     std::vector<std::uint8_t>& out, const HopState& hop) {
-  Writer w(out);
-  encode_common(w, common, hop);
-  sim::require(w.written() == kCommonHeaderBytes,
+  Writer w(out, common);
+  const std::size_t base = w.size();
+  layout(w, common, hop);
+  sim::require(w.size() - base == kCommonHeaderBytes,
                "wire: common header layout drifted from kCommonHeaderBytes");
   if (tcp != nullptr) {
     sim::require(is_transport(common.kind),
                  "wire: TCP header on a control packet");
-    const std::size_t before = w.written();
-    encode_tcp(w, *tcp);
-    sim::require(w.written() - before == kTcpHeaderBytes,
+    layout(w, *tcp);
+    sim::require(w.size() - base == kCommonHeaderBytes + kTcpHeaderBytes,
                  "wire: TCP header layout drifted from kTcpHeaderBytes");
   }
-  const std::size_t before = w.written();
-  std::visit(EncodeVisitor{w, common, hop}, routing);
-  sim::require(w.written() - before == routing_wire_size(routing),
-               "wire: routing encoder disagrees with the size law");
+  std::visit([&](const auto& h) { layout(w, h, hop); }, routing);
 }
 
 void encode_headers(const Packet& p, std::vector<std::uint8_t>& out) {
@@ -662,31 +518,25 @@ void encode_packet(const Packet& p, std::vector<std::uint8_t>& out,
 
 std::optional<DecodedPacket> decode_packet(const std::uint8_t* data,
                                            std::size_t len) {
-  Reader r(data, len);
+  if (len < kCommonHeaderBytes) return std::nullopt;
   DecodedPacket d;
-  if (!decode_common(r, d.common, d.hop)) return std::nullopt;
-  d.payload_bytes = d.common.payload_bytes;
-  if (len < kCommonHeaderBytes + std::size_t{d.payload_bytes})
+  Reader head(data, kCommonHeaderBytes, d.common);
+  layout(head, d.common, d.hop);
+  if (!head.done() || len - kCommonHeaderBytes < d.common.payload_bytes)
     return std::nullopt;
   // Payload sits last; everything between the common header and it is
   // the routing/option section.
-  const std::size_t section_end = len - d.payload_bytes;
-  d.payload_offset = section_end;
+  d.payload_bytes = d.common.payload_bytes;
+  d.payload_offset = len - d.payload_bytes;
+  Reader r(data + kCommonHeaderBytes, d.payload_offset - kCommonHeaderBytes,
+           d.common);
   if (is_transport(d.common.kind)) {
-    if (r.offset() < section_end && r.peek() == kTagTcp) {
-      TcpHeader t;
-      if (!decode_tcp(r, section_end - r.offset(), t)) return std::nullopt;
-      d.tcp = t;
-    }
-    if (r.offset() < section_end) {
-      if (!decode_data_option(r, section_end, d.routing, d.hop))
-        return std::nullopt;
-    }
-  } else {
-    if (!decode_control(r, section_end, d.common, d.routing, d.hop))
-      return std::nullopt;
+    if (r.peek() == kTagTcp) layout(r, d.tcp.emplace());
+    if (!r.at_end() && !read_option(r, d.routing, d.hop)) return std::nullopt;
+  } else if (!read_control(r, d.common.kind, d.routing, d.hop)) {
+    return std::nullopt;
   }
-  if (!r.ok() || r.offset() != section_end) return std::nullopt;
+  if (!r.done()) return std::nullopt;
   return d;
 }
 

@@ -9,13 +9,12 @@
 /// Wire-format codec (v1): the byte-level contract for every header the
 /// network layer can put on the air.
 ///
-/// Until this codec existed, adversaries "captured" in-memory structs and
-/// airtime accounting trusted a hand-maintained size table; nothing was
-/// ever serialized, so the two could silently drift.  The codec is now
-/// the single source of truth: `routing_wire_size` drives
-/// `routing_header_bytes` (and therefore every airtime/overhead number),
-/// and `encode_*` verifies at runtime that it wrote exactly that many
-/// bytes — the size law and the byte layout cannot disagree.
+/// The codec is the single source of truth for what crosses the air:
+/// each header's layout is written once (`wire.cpp`), and the encoder,
+/// the decoder and the size law `routing_wire_size` (declared in
+/// `headers.hpp`, so `Packet::wire_bytes` and with it every airtime and
+/// overhead number can reach it) are all walks of that one layout, so
+/// they cannot disagree.
 ///
 /// Layout conventions (see docs/architecture/wire-format.md for the full
 /// byte maps):
@@ -25,13 +24,14 @@
 ///  - Control headers are discriminated by the packet kind; data-plane
 ///    options (source route, MTS data tag, MTS probe, TCP) carry a
 ///    one-byte tag because a data packet's kind does not determine them.
-///  - List lengths (route records, RERR entries) are derived from the
-///    section length, the way DSR options work, so a 4-byte-per-address
-///    list costs exactly 4 bytes per address on the wire.
+///  - Route list lengths are derived from the section length, the way
+///    DSR options work, so a route costs exactly 4 bytes per address on
+///    the wire; an AODV RERR counts its entries in a u8 that must agree
+///    with the section length.
 ///  - Some fields are not re-encoded because the common header already
 ///    carries them (e.g. a DSR RREQ's originator IS the packet source);
-///    `encode_*` requires those invariants and `decode_*` reconstitutes
-///    the struct fields from the common header.
+///    `encode_headers` requires those invariants and `decode_packet`
+///    reconstitutes the struct fields from the common header.
 ///
 /// Round-trip contract: for every packet the simulator can emit,
 /// `decode(encode(p))` reproduces the headers exactly — except
@@ -52,11 +52,6 @@ inline constexpr std::uint8_t kTagSourceRoute = 0x01;
 inline constexpr std::uint8_t kTagMtsData = 0x02;
 inline constexpr std::uint8_t kTagMtsProbe = 0x03;
 inline constexpr std::uint8_t kTagTcp = 0x10;
-
-/// On-wire size of a routing header/option in bytes.  This is the size
-/// law `routing_header_bytes` delegates to; `encode_headers` verifies it
-/// against the bytes actually written.
-[[nodiscard]] std::uint32_t routing_wire_size(const RoutingHeader& h);
 
 /// Appends the wire encoding of all headers (common + TCP option +
 /// routing option, no payload) to `out`.  `hop` supplies the per-hop

@@ -43,23 +43,23 @@ TEST(PacketTest, RoutingHeaderSizesGrowWithCarriedAddresses) {
 TEST(PacketTest, MtsHeaderSizes) {
   MtsRreqHeader rreq;
   rreq.nodes = {1, 2, 3};
-  EXPECT_EQ(routing_header_bytes(RoutingHeader{rreq}), 16u + 12u);
+  EXPECT_EQ(wire::routing_wire_size(RoutingHeader{rreq}), 16u + 12u);
 
   MtsCheckHeader check;
   check.nodes = {1, 2};
-  EXPECT_EQ(routing_header_bytes(RoutingHeader{check}), 16u + 8u);
+  EXPECT_EQ(wire::routing_wire_size(RoutingHeader{check}), 16u + 8u);
 
-  EXPECT_EQ(routing_header_bytes(RoutingHeader{MtsDataTag{}}), 4u);
-  EXPECT_EQ(routing_header_bytes(RoutingHeader{std::monostate{}}), 0u);
+  EXPECT_EQ(wire::routing_wire_size(RoutingHeader{MtsDataTag{}}), 4u);
+  EXPECT_EQ(wire::routing_wire_size(RoutingHeader{std::monostate{}}), 0u);
 }
 
 TEST(PacketTest, AodvHeaderSizes) {
-  EXPECT_EQ(routing_header_bytes(RoutingHeader{AodvRreqHeader{}}), 24u);
-  EXPECT_EQ(routing_header_bytes(RoutingHeader{AodvRrepHeader{}}), 20u);
+  EXPECT_EQ(wire::routing_wire_size(RoutingHeader{AodvRreqHeader{}}), 24u);
+  EXPECT_EQ(wire::routing_wire_size(RoutingHeader{AodvRrepHeader{}}), 20u);
   AodvRerrHeader rerr;
   rerr.unreachable.push_back({1, 2});
   rerr.unreachable.push_back({3, 4});
-  EXPECT_EQ(routing_header_bytes(RoutingHeader{rerr}), 4u + 16u);
+  EXPECT_EQ(wire::routing_wire_size(RoutingHeader{rerr}), 4u + 16u);
 }
 
 TEST(PacketTest, ControlClassification) {

@@ -1,14 +1,18 @@
 // The wire codec's contract: (1) the derived size law reproduces the
-// legacy hand-maintained table for every packet kind, (2) randomized
-// round trips are exact — decode(encode(p)) == p and
-// encode(decode(buf)) == buf — and (3) malformed buffers (truncation,
-// corruption, bad versions, nonzero padding, unknown tags) are rejected
-// rather than guessed at.
+// legacy hand-maintained table for every packet kind, (2) every layout
+// encodes to its pinned golden image, (3) randomized round trips are
+// exact — decode(encode(p)) == p and encode(decode(buf)) == buf — and
+// (4) malformed buffers (truncation, corruption, bad versions, nonzero
+// padding, unknown tags, fuzzed mutants) are rejected rather than
+// guessed at, and never make the decoder throw.
 #include "net/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -475,16 +479,6 @@ TEST(WireSizeTest, SizeLawPinsTheLegacyTable) {
   EXPECT_EQ(routing_wire_size(RoutingHeader{MtsProbeHeader{}}), 8u);
 }
 
-TEST(WireSizeTest, LegacyEntryPointDelegatesToTheCodec) {
-  sim::Rng rng(2024);
-  for (int iter = 0; iter < 50; ++iter) {
-    for (std::size_t a = 0; a < kAlternatives; ++a) {
-      const Sample s = sample_for(a, rng);
-      EXPECT_EQ(routing_header_bytes(s.routing), routing_wire_size(s.routing));
-    }
-  }
-}
-
 TEST(WireSizeTest, EncoderWritesExactlyTheLawfulByteCount) {
   sim::Rng rng(7);
   for (int iter = 0; iter < 50; ++iter) {
@@ -734,6 +728,73 @@ TEST(WireEncodeTest, ViolatedInvariantsTrip) {
   TcpHeader t;
   EXPECT_THROW(encode_headers(control, &t, RoutingHeader{MtsRreqHeader{}}, buf),
                sim::SimError);
+}
+
+// ---------------------------------------------------------------------------
+// Mutation fuzzing: `decode_packet` reads untrusted bytes.  A fixed
+// budget of mutants of the golden images, drawn from a splitmix64
+// stream so every run sees the same inputs.
+// ---------------------------------------------------------------------------
+
+TEST(WireFuzzTest, MutantsAreRejectedOrReencodeExactly) {
+  std::vector<std::vector<std::uint8_t>> corpus;
+  for (const Sample& s : golden_samples()) corpus.push_back(encode_sample(s));
+  std::uint64_t counter = 0x5EED;
+  const auto draw = [&counter](std::uint64_t bound) {
+    return sim::splitmix64(counter++) % bound;
+  };
+
+  constexpr int kMutants = 200'000;
+  int accepted = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::vector<std::uint8_t> mutant = corpus[draw(corpus.size())];
+    for (std::uint64_t ops = 1 + draw(3); ops > 0; --ops) {
+      switch (draw(4)) {
+        case 0:  // flip one bit
+          if (!mutant.empty()) {
+            mutant[draw(mutant.size())] ^=
+                static_cast<std::uint8_t>(1u << draw(8));
+          }
+          break;
+        case 1: {  // splice: this image's head, another image's tail
+          const std::vector<std::uint8_t>& other = corpus[draw(corpus.size())];
+          mutant.resize(draw(mutant.size() + 1));
+          mutant.insert(mutant.end(),
+                        other.begin() + static_cast<std::ptrdiff_t>(
+                                            draw(other.size() + 1)),
+                        other.end());
+          break;
+        }
+        case 2:  // truncate
+          mutant.resize(draw(mutant.size() + 1));
+          break;
+        default:  // extend by 1-8 bytes, zero half the time (pads, lists)
+          for (std::uint64_t n = 1 + draw(8); n > 0; --n) {
+            mutant.push_back(draw(2) == 0 ? 0 : static_cast<std::uint8_t>(draw(256)));
+          }
+          break;
+      }
+    }
+    // An exactly sized heap copy, so a sanitizer build flags any read
+    // past the end.
+    const std::size_t len = mutant.size();
+    const auto bytes = std::make_unique<std::uint8_t[]>(len);
+    std::copy(mutant.begin(), mutant.end(), bytes.get());
+
+    std::optional<DecodedPacket> d;
+    ASSERT_NO_THROW(d = decode_packet(bytes.get(), len)) << "mutant " << m;
+    if (!d.has_value()) continue;
+    ++accepted;
+    std::vector<std::uint8_t> again;
+    encode_headers(d->common, d->tcp.has_value() ? &*d->tcp : nullptr,
+                   d->routing, again, d->hop);
+    again.insert(again.end(), bytes.get() + d->payload_offset,
+                 bytes.get() + len);
+    ASSERT_EQ(again, mutant) << "mutant " << m;
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutants);
 }
 
 }  // namespace
