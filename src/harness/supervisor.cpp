@@ -1,19 +1,27 @@
 #include "harness/supervisor.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 #include <thread>
+#include <utility>
 
 #include "harness/shard_store.hpp"
 #include "sim/error.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MTS_FABRIC_HAS_FORK 1
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -138,6 +146,88 @@ std::string fmt_seconds(double s) {
 }
 
 #if defined(MTS_FABRIC_HAS_FORK)
+/// Owns one file descriptor.
+class Fd {
+ public:
+  Fd() = default;
+  explicit Fd(int fd) : fd_(fd) {}
+  Fd(Fd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  Fd& operator=(Fd&& other) noexcept {
+    if (this != &other) {
+      close_fd();
+      fd_ = std::exchange(other.fd_, -1);
+    }
+    return *this;
+  }
+  ~Fd() { close_fd(); }
+
+  [[nodiscard]] int get() const { return fd_; }
+
+ private:
+  void close_fd() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+  int fd_ = -1;
+};
+
+/// A close-on-exec pipe for one worker, which keeps the write end: the
+/// read end polls as hung up once the worker has exited, however it
+/// died.
+bool open_exit_pipe(Fd& read_end, Fd& write_end) {
+  int fds[2];
+  if (::pipe(fds) != 0) return false;
+  read_end = Fd(fds[0]);
+  write_end = Fd(fds[1]);
+  ::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
+  ::fcntl(fds[1], F_SETFD, FD_CLOEXEC);
+  return true;
+}
+
+/// `poll`'s timeout for waking at `t`: -1 (none) for
+/// `time_point::max()`, else whole milliseconds rounded up, so the wake
+/// never comes before `t`.
+int poll_timeout_ms(Clock::time_point t) {
+  if (t == Clock::time_point::max()) return -1;
+  const auto left = t - Clock::now();
+  if (left <= Clock::duration::zero()) return 0;
+  const auto ms =
+      std::chrono::ceil<std::chrono::milliseconds>(left).count();
+  return static_cast<int>(std::min<decltype(ms)>(ms, INT_MAX));
+}
+
+double seconds_of(const timeval& tv) {
+  return static_cast<double>(tv.tv_sec) +
+         static_cast<double>(tv.tv_usec) * 1e-6;
+}
+
+AttemptRecord attempt_record(std::uint32_t index, std::uint32_t attempt,
+                             bool timed_out, int status, const rusage& usage,
+                             double wall_s) {
+  AttemptRecord rec;
+  rec.index = index;
+  rec.attempt = attempt;
+  if (WIFSIGNALED(status)) rec.code = WTERMSIG(status);
+  if (WIFEXITED(status)) rec.code = WEXITSTATUS(status);
+  if (timed_out) {
+    rec.exit = WorkerExit::kTimeout;
+  } else if (WIFSIGNALED(status)) {
+    rec.exit = WorkerExit::kSignal;
+  } else if (rec.code != 0) {
+    rec.exit = WorkerExit::kExitCode;
+  }
+  rec.wall_s = wall_s;
+  rec.user_cpu_s = seconds_of(usage.ru_utime);
+  rec.sys_cpu_s = seconds_of(usage.ru_stime);
+#if defined(__APPLE__)
+  rec.max_rss_kib = usage.ru_maxrss / 1024;  // bytes there
+#else
+  rec.max_rss_kib = usage.ru_maxrss;
+#endif
+  return rec;
+}
+
 /// The worker body after fork.  `std::_Exit` everywhere: the child must
 /// never run the parent's static destructors or flush its inherited
 /// stream buffers.
@@ -291,12 +381,15 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
 #if defined(MTS_FABRIC_HAS_FORK)
   struct Running {
     pid_t pid = -1;
+    Fd exit_fd;  ///< read end of the worker's exit pipe
     std::size_t idx = 0;
     std::uint32_t attempt = 1;
+    Clock::time_point started;
     Clock::time_point deadline;
     bool timed_out = false;
   };
   std::vector<Running> running;
+  std::vector<pollfd> wait_set;
 
   auto handle_exit = [&](const Running& r, int status) {
     const WorkUnit& u = units[r.idx];
@@ -325,65 +418,127 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
     on_attempt_failure(u, r.attempt, error);
   };
 
-  while (!pending.empty() || !running.empty()) {
-    bool advanced = false;
-    // Spawn every ready unit into a free slot.
-    const auto now = Clock::now();
-    for (auto it = pending.begin();
-         it != pending.end() && running.size() < workers;) {
-      if (it->not_before > now) {
-        ++it;
+  // Forks every ready unit into a free slot.  Indices, not iterators:
+  // a failed fork re-queues its unit at the back of `pending`.
+  auto spawn_ready = [&](Clock::time_point now) {
+    bool acted = false;
+    for (std::size_t i = 0; i < pending.size() && running.size() < workers;) {
+      if (pending[i].not_before > now) {
+        ++i;
         continue;
       }
-      const WorkUnit& u = units[it->idx];
+      const Pending p = pending[i];
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+      acted = true;
+      const WorkUnit& u = units[p.idx];
       sink.unit_line(u.index + 1, total,
-                     (it->attempt == 1
+                     (p.attempt == 1
                           ? "run: "
-                          : "retry " + std::to_string(it->attempt) + ": ") +
+                          : "retry " + std::to_string(p.attempt) + ": ") +
                          short_unit_desc(cfg, u));
+      Fd exit_fd;
+      Fd write_end;
+      if (!open_exit_pipe(exit_fd, write_end)) {
+        on_attempt_failure(u, p.attempt, "pipe failed");
+        continue;
+      }
+      const Clock::time_point started = Clock::now();
       const pid_t pid = ::fork();
       if (pid == 0) {
-        worker_main(cfg, fab, store, u, it->attempt);  // never returns
+        worker_main(cfg, fab, store, u, p.attempt);  // never returns
       }
+      write_end = Fd();  // the worker now holds the only write end
       if (pid < 0) {
-        on_attempt_failure(u, it->attempt, "fork failed");
-      } else {
-        if (!spawned[u.index]) {
-          spawned[u.index] = 1;
-          ++report.units_run;
-        }
-        Running r;
-        r.pid = pid;
-        r.idx = it->idx;
-        r.attempt = it->attempt;
-        r.deadline = fab.unit_timeout_s > 0.0
-                         ? now + std::chrono::microseconds(static_cast<
-                                     std::int64_t>(fab.unit_timeout_s * 1e6))
-                         : Clock::time_point::max();
-        running.push_back(r);
-      }
-      it = pending.erase(it);
-      advanced = true;
-    }
-    // Reap exits and enforce deadlines.
-    for (auto it = running.begin(); it != running.end();) {
-      int status = 0;
-      const pid_t r = ::waitpid(it->pid, &status, WNOHANG);
-      if (r == 0) {
-        if (!it->timed_out && Clock::now() >= it->deadline) {
-          it->timed_out = true;
-          ::kill(it->pid, SIGKILL);
-        }
-        ++it;
+        on_attempt_failure(u, p.attempt, "fork failed");
         continue;
       }
-      advanced = true;
-      handle_exit(*it, r == it->pid ? status : 0);
-      it = running.erase(it);
+      if (!spawned[u.index]) {
+        spawned[u.index] = 1;
+        ++report.units_run;
+      }
+      Running r;
+      r.pid = pid;
+      r.exit_fd = std::move(exit_fd);
+      r.idx = p.idx;
+      r.attempt = p.attempt;
+      r.started = started;
+      r.deadline = fab.unit_timeout_s > 0.0
+                       ? started + std::chrono::microseconds(static_cast<
+                                       std::int64_t>(fab.unit_timeout_s * 1e6))
+                       : Clock::time_point::max();
+      running.push_back(std::move(r));
     }
-    if (!advanced) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return acted;
+  };
+
+  auto kill_overdue = [&](Clock::time_point now) {
+    bool killed = false;
+    for (Running& r : running) {
+      if (!r.timed_out && now >= r.deadline) {
+        r.timed_out = true;
+        ::kill(r.pid, SIGKILL);
+        killed = true;
+      }
     }
+    return killed;
+  };
+
+  // The one blocking reap: the worker has closed its pipe, so it has
+  // exited or is about to.
+  auto reap = [&](const Running& r) {
+    int status = 0;
+    rusage usage{};
+    pid_t got = -1;
+    do {
+      got = ::wait4(r.pid, &status, 0, &usage);
+    } while (got < 0 && errno == EINTR);
+    if (got != r.pid) status = 0;
+    report.attempts.push_back(attempt_record(
+        units[r.idx].index, r.attempt, r.timed_out, status, usage,
+        std::chrono::duration<double>(Clock::now() - r.started).count()));
+    handle_exit(r, status);
+  };
+
+  // The next time the supervisor must act without a worker exiting: a
+  // running unit's deadline, or a retry's not-before while a slot is
+  // free to run it.
+  auto next_wake = [&] {
+    Clock::time_point t = Clock::time_point::max();
+    for (const Running& r : running) {
+      if (!r.timed_out) t = std::min(t, r.deadline);
+    }
+    if (running.size() < workers) {
+      for (const Pending& p : pending) t = std::min(t, p.not_before);
+    }
+    return t;
+  };
+
+  spawn_ready(Clock::now());
+  while (!pending.empty() || !running.empty()) {
+    wait_set.clear();
+    for (const Running& r : running) {
+      wait_set.push_back(pollfd{r.exit_fd.get(), POLLIN, 0});
+    }
+    if (::poll(wait_set.data(), wait_set.size(),
+               poll_timeout_ms(next_wake())) < 0) {
+      if (errno == EINTR) continue;
+      throw std::system_error(errno, std::generic_category(), "Fabric: poll");
+    }
+    bool acted = false;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < running.size(); ++i) {
+      if (wait_set[i].revents != 0) {
+        reap(running[i]);
+        acted = true;
+      } else {
+        running[kept++] = std::move(running[i]);
+      }
+    }
+    running.resize(kept);  // closes the reaped workers' pipes
+    const Clock::time_point now = Clock::now();
+    acted = kill_overdue(now) || acted;
+    acted = spawn_ready(now) || acted;
+    if (!acted) ++report.idle_wakes;
   }
 #else
   // No fork on this platform: units run in-process (sharding, resume

@@ -56,6 +56,27 @@ struct FailedUnit {
   std::string error;
 };
 
+/// How one worker process ended.
+enum class WorkerExit {
+  kOk,        ///< exited 0 (the unit still needs a valid shard to count)
+  kExitCode,  ///< exited with a non-zero code
+  kSignal,    ///< killed by a signal it did not get from the supervisor
+  kTimeout,   ///< SIGKILLed by the supervisor past `unit_timeout_s`
+};
+
+/// One worker process, spawn to reap; the resource figures come from
+/// `wait4`.
+struct AttemptRecord {
+  std::uint32_t index = 0;    ///< unit index
+  std::uint32_t attempt = 1;  ///< 1-based
+  WorkerExit exit = WorkerExit::kOk;
+  int code = 0;               ///< exit code, or signal number
+  double wall_s = 0.0;        ///< fork to reap
+  double user_cpu_s = 0.0;
+  double sys_cpu_s = 0.0;
+  long max_rss_kib = 0;       ///< peak resident set of the worker
+};
+
 /// What a fabric invocation did and what the grid now looks like.
 struct FabricReport {
   CampaignResult result;       ///< ingested + freshly run rows
@@ -66,6 +87,13 @@ struct FabricReport {
   std::size_t units_ok = 0;       ///< units with ok rows in `result`
   std::size_t units_failed = 0;   ///< units degraded to failed rows
   std::vector<FailedUnit> failures;
+  /// One record per spawned worker, in reap order (empty on builds
+  /// without fork).  Not part of the CSV or the shards.
+  std::vector<AttemptRecord> attempts;
+  /// Supervisor wakes that reaped, spawned and killed nothing.  The
+  /// supervisor sleeps until a worker exits or the nearest unit
+  /// deadline or retry time, so a clean run reads 0.
+  std::size_t idle_wakes = 0;
   /// Every unit of the grid has rows in `result` (all shards present).
   /// False on a `--shard` slice whose peers have not finished yet.
   bool complete = false;

@@ -10,6 +10,8 @@
 #include <csignal>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "integration/campaign_fixture.hpp"
 
@@ -123,6 +125,84 @@ TEST_F(FabricTest, SigkilledWorkerIsRetriedAndTheSweepStillMatches) {
     }
     EXPECT_TRUE(found) << "seed " << want.seed << " missing after retry";
   }
+  // The telemetry tells the killed attempts from their retries.
+  ASSERT_EQ(report.attempts.size(), 6u);
+  for (const AttemptRecord& a : report.attempts) {
+    const bool speed5 = a.index < 2;
+    EXPECT_LE(a.attempt, speed5 ? 2u : 1u);
+    const bool killed = speed5 && a.attempt == 1;
+    EXPECT_EQ(a.exit, killed ? WorkerExit::kSignal : WorkerExit::kOk)
+        << "unit " << a.index << " attempt " << a.attempt;
+    EXPECT_EQ(a.code, killed ? SIGKILL : 0);
+  }
+}
+
+TEST_F(FabricTest, CleanRunRecordsEveryWorkerAndNeverWakesIdle) {
+  // Each worker lingers 50 ms, longer than any polling interval would.
+  const CampaignConfig cfg = tiny();
+  FabricConfig fab = quick_fabric();
+  fab.test_child_hook = [](const WorkUnit&, std::uint32_t) {
+    ::usleep(50'000);
+  };
+  const FabricReport report = run_campaign_fabric(cfg, fab);
+  EXPECT_EQ(report.units_ok, 4u);
+  // Every wake reaped a worker: with no timeout and no retry there is
+  // nothing else to wake for.
+  EXPECT_EQ(report.idle_wakes, 0u);
+  ASSERT_EQ(report.attempts.size(), report.units_run);
+  std::vector<int> seen(4, 0);
+  for (const AttemptRecord& a : report.attempts) {
+    ASSERT_LT(a.index, 4u);
+    ++seen[a.index];
+    EXPECT_EQ(a.attempt, 1u);
+    EXPECT_EQ(a.exit, WorkerExit::kOk);
+    EXPECT_EQ(a.code, 0);
+    EXPECT_GE(a.wall_s, 0.05);
+    EXPECT_GT(a.user_cpu_s + a.sys_cpu_s, 0.0);
+    EXPECT_GT(a.max_rss_kib, 0);
+  }
+  EXPECT_EQ(seen, std::vector<int>(4, 1));
+}
+
+TEST_F(FabricTest, RetryRunsWhenItsBackoffEndsNotWhenASlowPeerExits) {
+  // Two units on two workers.  Unit 0's first attempt dies at once and
+  // is due again 50 ms later; unit 1 holds the other worker for 1.5 s.
+  // The free slot must take the retry when its backoff ends, so the
+  // retry finishes first.
+  CampaignConfig cfg = tiny();
+  cfg.speeds = {5};
+  FabricConfig fab = quick_fabric();
+  fab.backoff_base_s = 0.05;
+  fab.test_child_hook = [](const WorkUnit& u, std::uint32_t attempt) {
+    if (u.index == 0 && attempt == 1) ::raise(SIGKILL);
+    if (u.index == 1) ::usleep(1'500'000);
+  };
+  std::ostringstream log;
+  const FabricReport report = run_campaign_fabric(cfg, fab, &log);
+  EXPECT_EQ(report.units_ok, 2u);
+  const std::size_t retry_ok = log.str().find("[unit 1/2] ok");
+  const std::size_t slow_ok = log.str().find("[unit 2/2] ok");
+  ASSERT_NE(retry_ok, std::string::npos) << log.str();
+  ASSERT_NE(slow_ok, std::string::npos) << log.str();
+  EXPECT_LT(retry_ok, slow_ok) << log.str();
+}
+
+TEST_F(FabricTest, TimedOutWorkerIsRecordedAsTimeout) {
+  CampaignConfig cfg = tiny();
+  cfg.speeds = {5};
+  cfg.repetitions = 1;
+  setenv("MTS_FABRIC_TEST_HANG_UNIT", "0", 1);
+  FabricConfig fab = quick_fabric();
+  fab.unit_timeout_s = 0.2;
+  fab.max_retries = 0;
+  const FabricReport report = run_campaign_fabric(cfg, fab);
+  EXPECT_EQ(report.units_failed, 1u);
+  ASSERT_EQ(report.attempts.size(), 1u);
+  EXPECT_EQ(report.attempts[0].exit, WorkerExit::kTimeout);
+  EXPECT_EQ(report.attempts[0].code, SIGKILL);
+  EXPECT_GE(report.attempts[0].wall_s, 0.2);
+  // One wake at the deadline (the kill), one at the hang-up (the reap).
+  EXPECT_EQ(report.idle_wakes, 0u);
 }
 
 TEST_F(FabricTest, CrashedSweepResumesAndMergesByteIdentical) {
