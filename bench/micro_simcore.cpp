@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <deque>
+#include <vector>
 
 #include "mobility/trajectory.hpp"
 #include "net/queue.hpp"
@@ -123,6 +124,38 @@ void BM_RngUniform(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_RngUniform);
+
+// A fresh stream's first draw: the 156-step cursor set-up, run alone.
+void BM_RngFirstDraw(benchmark::State& state) {
+  std::uint64_t seed = 1;
+  double acc = 0;
+  for (auto _ : state) {
+    sim::Rng rng(seed++);
+    acc += rng.uniform();
+  }
+  benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_RngFirstDraw);
+
+// N fresh streams set up together in one interleaved pass, then one draw
+// each: what a scenario build pays per block of nodes.
+void BM_RngBlockStart(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<sim::Rng> block;
+  block.reserve(n);
+  std::uint64_t seed = 1;
+  double acc = 0;
+  for (auto _ : state) {
+    block.clear();
+    for (std::size_t k = 0; k < n; ++k) block.emplace_back(seed++);
+    sim::Rng::start(block);
+    for (sim::Rng& rng : block) acc += rng.uniform();
+  }
+  benchmark::DoNotOptimize(acc);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RngBlockStart)->Arg(8);
 
 void BM_PriQueueEnqueueDequeue(benchmark::State& state) {
   net::Packet data;

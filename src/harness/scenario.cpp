@@ -126,12 +126,36 @@ class Simulation final : private mac::MacListener,
     rwp.pause = cfg_.pause;
     sim::Rng mac_rng = master_.substream("mac");
     sim::Rng proto_rng = master_.substream("routing");
+    // A stream's first draw sets up its cursors, a 156-step dependent
+    // chain.  A build draws every node's routing stream and, unless the
+    // nodes stand still, its mobility stream, so those are set up a
+    // block of nodes at a time, their chains interleaved.  The MAC
+    // streams stay lazy: a build draws none of them.
+    const bool mobile = cfg_.static_positions.empty();
+    constexpr net::NodeId kStartBlock = sim::CompactMt64::kMaxStart / 2;
+    std::vector<sim::Rng> fresh;  // the block's routing, then mobility streams
+    fresh.reserve(sim::CompactMt64::kMaxStart);
+    net::NodeId count = 0;        // nodes in the block
     for (net::NodeId i = 0; i < cfg_.node_count; ++i) {
+      const net::NodeId k = i % kStartBlock;  // i's place in the block
+      if (k == 0) {
+        count = std::min(kStartBlock, cfg_.node_count - i);
+        fresh.clear();
+        for (net::NodeId j = i; j < i + count; ++j) {
+          fresh.push_back(proto_rng.substream(j));
+        }
+        if (mobile) {
+          for (net::NodeId j = i; j < i + count; ++j) {
+            fresh.push_back(mob_rng.substream(j));
+          }
+        }
+        sim::Rng::start(fresh);
+      }
       Node& n = nodes_[i];
-      if (!cfg_.static_positions.empty()) {
-        channel_->attach(mobility::Trajectory(cfg_.static_positions[i]));
+      if (mobile) {
+        channel_->attach(mobility::Trajectory(rwp, std::move(fresh[count + k])));
       } else {
-        channel_->attach(mobility::Trajectory(rwp, mob_rng.substream(i)));
+        channel_->attach(mobility::Trajectory(cfg_.static_positions[i]));
       }
       n.radio = std::make_unique<phy::Radio>(*channel_, i);
       n.mac = std::make_unique<mac::Mac80211>(sched_, *n.radio, cfg_.mac,
@@ -148,22 +172,22 @@ class Simulation final : private mac::MacListener,
       switch (cfg_.protocol) {
         case Protocol::kDsr:
           n.routing = std::make_unique<routing::dsr::Dsr>(
-              std::move(ctx), proto_rng.substream(i));
+              std::move(ctx), std::move(fresh[k]));
           break;
         case Protocol::kAodv:
           n.routing = std::make_unique<routing::aodv::Aodv>(
-              std::move(ctx), proto_rng.substream(i));
+              std::move(ctx), std::move(fresh[k]));
           break;
         case Protocol::kMts: {
           auto mts = std::make_unique<core::Mts>(std::move(ctx), cfg_.mts,
-                                                 proto_rng.substream(i));
+                                                 std::move(fresh[k]));
           n.mts = mts.get();
           n.routing = std::move(mts);
           break;
         }
         case Protocol::kSmr:
           n.routing = std::make_unique<routing::smr::Smr>(
-              std::move(ctx), proto_rng.substream(i));
+              std::move(ctx), std::move(fresh[k]));
           break;
       }
     }

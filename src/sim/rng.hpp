@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -41,8 +42,12 @@ constexpr std::uint64_t fnv1a(std::string_view s) {
 /// x[k+1]), reading only seed words it has not rewritten yet.  So output
 /// i < 156 is temper(x[i+156] ^ twist(x[i], x[i+1])): two running cursors
 /// of the recurrence, at x[i] and x[i+156], give each of those outputs in
-/// O(1) with no state array.  The cursors are set up on the first draw,
-/// so a stream that is never drawn costs nothing but its constructor.
+/// O(1) with no state array.  Setting the cursors up walks the
+/// recurrence 156 steps, each waiting on the previous step's multiply.
+/// The first draw does it, so a stream that is never drawn costs nothing
+/// but its constructor; start() does it earlier for up to kMaxStart
+/// fresh streams at once, stepping their chains side by side so that
+/// their multiplies overlap.
 ///
 /// From output 156 on, each output reads the twisted first block.  So the
 /// 157th draw builds one heap std::mt19937_64 from the same seed, discards
@@ -55,13 +60,18 @@ class CompactMt64 {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
+  /// Most streams one start() call takes: eight chains in flight hide
+  /// the multiply's latency (docs/architecture/scale.md, "Block starts").
+  static constexpr std::size_t kMaxStart = 8;
+
   explicit CompactMt64(result_type seed) : seed_(seed) {}
   CompactMt64(const CompactMt64& o)
       : seed_(o.seed_), lo_(o.lo_), hi_(o.hi_), drawn_(o.drawn_),
+        started_(o.started_),
         tail_(o.tail_ ? std::make_unique<std::mt19937_64>(*o.tail_) : nullptr) {}
   CompactMt64(CompactMt64&& o) noexcept
       : seed_(o.seed_), lo_(o.lo_), hi_(o.hi_), drawn_(o.drawn_),
-        tail_(std::move(o.tail_)) {
+        started_(o.started_), tail_(std::move(o.tail_)) {
     o.drawn_ = kMovedFrom;
   }
   CompactMt64& operator=(const CompactMt64& o) {
@@ -74,6 +84,7 @@ class CompactMt64 {
       lo_ = o.lo_;
       hi_ = o.hi_;
       drawn_ = o.drawn_;
+      started_ = o.started_;
       tail_ = std::move(o.tail_);
       o.drawn_ = kMovedFrom;
     }
@@ -85,7 +96,10 @@ class CompactMt64 {
       if (!tail_) start_tail();
       return (*tail_)();
     }
-    if (drawn_ == 0) start_cursors();
+    if (drawn_ == 0 && !started_) {  // drawn_ first: later draws skip the flag
+      CompactMt64* const self = this;
+      start({&self, 1});
+    }
     const std::uint64_t next = step(lo_, drawn_ + 1);  // x[i+1]
     const std::uint64_t y = (lo_ & kUpperMask) | (next & kLowerMask);
     const std::uint64_t z = hi_ ^ (y >> 1) ^ ((y & 1) ? kXorMask : 0);
@@ -93,6 +107,29 @@ class CompactMt64 {
     hi_ = step(hi_, drawn_ + kBlock + 1);  // x[i+157]
     ++drawn_;
     return temper(z);
+  }
+
+  /// Sets up the cursors of up to kMaxStart fresh streams (none drawn
+  /// from or moved from) in one pass over their interleaved chains.  A
+  /// started stream copies, moves and draws exactly as an unstarted one.
+  /// A draw starts its own stream if nothing has.
+  [[gnu::noinline]] static void start(std::span<CompactMt64* const> streams) {
+    const std::size_t n = streams.size();
+    require(n <= kMaxStart, "Rng: more than 8 streams started at once");
+    std::uint64_t x[kMaxStart] = {};
+    for (std::size_t k = 0; k < n; ++k) {
+      require(streams[k]->drawn_ == 0, "Rng: start of a drawn or moved-from stream");
+      x[k] = streams[k]->seed_;
+    }
+    for (std::uint64_t i = 1; i <= kBlock; ++i) {
+      for (std::size_t k = 0; k < n; ++k) x[k] = step(x[k], i);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      CompactMt64& s = *streams[k];
+      s.lo_ = s.seed_;
+      s.hi_ = x[k];
+      s.started_ = true;
+    }
   }
 
  private:
@@ -114,15 +151,11 @@ class CompactMt64 {
     return z ^ (z >> 43);
   }
 
-  // Both set-ups run once per stream.  Out of line, they keep the draw
-  // short where every distribution inlines it; inline, they made a draw
-  // after the hand-over slower than std::mt19937_64's (see
-  // docs/architecture/scale.md, "Compact RNG substreams").
-  [[gnu::noinline]] void start_cursors() {
-    lo_ = seed_;
-    hi_ = seed_;
-    for (std::uint64_t i = 1; i <= kBlock; ++i) hi_ = step(hi_, i);
-  }
+  // start() and start_tail() each run once per stream.  Out of line,
+  // they keep the draw short where every distribution inlines it;
+  // inline, they made a draw after the hand-over slower than
+  // std::mt19937_64's (see docs/architecture/scale.md, "Compact RNG
+  // substreams").
   [[gnu::noinline]] void start_tail() {
     require(drawn_ == kBlock, "Rng: draw from a moved-from stream");
     tail_ = std::make_unique<std::mt19937_64>(seed_);
@@ -133,6 +166,7 @@ class CompactMt64 {
   std::uint64_t lo_ = 0;     ///< x[i] for the next output i < 156
   std::uint64_t hi_ = 0;     ///< x[i+156]
   std::uint32_t drawn_ = 0;  ///< outputs given, saturating at kBlock; kMovedFrom once moved from
+  bool started_ = false;     ///< lo_ and hi_ set up (in drawn_'s padding)
   std::unique_ptr<std::mt19937_64> tail_;  ///< the engine from output 156 on
 };
 
@@ -150,6 +184,17 @@ class CompactMt64 {
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : gen_(splitmix64(seed)), seed_(seed) {}
+
+  /// Starts up to 8 fresh streams in one interleaved pass
+  /// (CompactMt64::start).  They draw what they would have drawn anyway;
+  /// only the set-up moves here.
+  static void start(std::span<Rng> streams) {
+    require(streams.size() <= CompactMt64::kMaxStart,
+            "Rng: more than 8 streams started at once");
+    CompactMt64* gens[CompactMt64::kMaxStart] = {};
+    for (std::size_t k = 0; k < streams.size(); ++k) gens[k] = &streams[k].gen_;
+    CompactMt64::start({gens, streams.size()});
+  }
 
   /// Child stream derived from this stream's seed and a name.
   [[nodiscard]] Rng substream(std::string_view name) const {

@@ -18,6 +18,7 @@
 #include <new>
 
 #include "harness/scenario.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -71,6 +72,12 @@ constexpr double kMeasuredBytesPerNode = 1839.0;
 /// copy of each key in their index (24 B per ring slot, not 12) read
 /// 2,738 B.
 constexpr double kMeasuredRunBytesPerNode = 2579.0;
+
+// Every node holds three streams (mobility, MAC, routing), so a byte on
+// a stream is three on every node.  The started-cursors flag lives in
+// the padding after the draw count and must stay there.
+static_assert(sizeof(sim::CompactMt64) == 40);
+static_assert(sizeof(sim::Rng) == 48);
 
 ScenarioConfig mts_field(sim::Time sim_time) {
   ScenarioConfig cfg;

@@ -225,6 +225,146 @@ TEST(CompactMt64Test, CopyAndMoveContinueReference) {
   }
 }
 
+// --- Block starts ----------------------------------------------------------
+//
+// CompactMt64::start sets up several streams' cursors in one interleaved
+// pass.  Whatever it is handed, each stream must then give exactly the
+// reference sequence, past the hand-over too.
+
+// `n` streams with distinct seeds derived from `seed`.
+std::vector<CompactMt64> block_of(std::uint64_t seed, std::size_t n) {
+  std::vector<CompactMt64> block;
+  for (std::size_t k = 0; k < n; ++k) block.emplace_back(splitmix64(seed + k));
+  return block;
+}
+
+void start_all(std::vector<CompactMt64>& block) {
+  std::vector<CompactMt64*> ptrs;
+  for (auto& s : block) ptrs.push_back(&s);
+  CompactMt64::start(ptrs);
+}
+
+TEST(CompactMt64BlockStartTest, EveryBlockSizeMatchesReference) {
+  for (std::size_t n = 1; n <= CompactMt64::kMaxStart; ++n) {
+    for (const std::uint64_t seed : differential_seeds()) {
+      std::vector<CompactMt64> block = block_of(seed, n);
+      start_all(block);
+      for (std::size_t k = 0; k < n; ++k) {
+        std::mt19937_64 ref(splitmix64(seed + k));
+        for (int i = 0; i < kDraws; ++i) {
+          ASSERT_EQ(block[k](), ref())
+              << "block of " << n << ", seed " << seed << ", stream " << k
+              << ", draw " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(CompactMt64BlockStartTest, InterleavedDrawsMatchReference) {
+  for (const std::uint64_t seed : differential_seeds()) {
+    std::vector<CompactMt64> block = block_of(seed, CompactMt64::kMaxStart);
+    std::vector<std::mt19937_64> refs;
+    for (std::size_t k = 0; k < block.size(); ++k) refs.emplace_back(splitmix64(seed + k));
+    start_all(block);
+    for (int i = 0; i < kDraws; ++i) {
+      // Round-robin, visiting the streams in a different order each round.
+      for (std::size_t j = 0; j < block.size(); ++j) {
+        const std::size_t k = (j * 3 + static_cast<std::size_t>(i)) % block.size();
+        ASSERT_EQ(block[k](), refs[k]()) << "seed " << seed << ", stream " << k
+                                         << ", draw " << i;
+      }
+    }
+  }
+}
+
+TEST(CompactMt64BlockStartTest, StartedStreamCopiesAndMovesBeforeItsFirstDraw) {
+  for (const std::uint64_t seed : differential_seeds()) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    std::vector<CompactMt64> block = block_of(seed, 4);
+    start_all(block);
+    CompactMt64 copy(block[0]);
+    CompactMt64 assigned(0);
+    assigned = block[0];
+    CompactMt64 moved(std::move(block[1]));
+    CompactMt64 move_assigned(0);
+    move_assigned = std::move(block[2]);
+    std::mt19937_64 ref0(splitmix64(seed));
+    std::mt19937_64 ref0_again = ref0;
+    std::mt19937_64 ref1(splitmix64(seed + 1));
+    std::mt19937_64 ref2(splitmix64(seed + 2));
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(copy(), ref0());
+      ASSERT_EQ(assigned(), ref0_again());
+      ASSERT_EQ(moved(), ref1());
+      ASSERT_EQ(move_assigned(), ref2());
+    }
+    // The copied-from original is untouched by its copies' draws.
+    std::mt19937_64 ref0_original(splitmix64(seed));
+    for (int i = 0; i < kDraws; ++i) ASSERT_EQ(block[0](), ref0_original());
+  }
+}
+
+TEST(CompactMt64BlockStartTest, StartedButUndrawnStreamDrawsAsAnUnstartedOne) {
+  for (const std::uint64_t seed : differential_seeds()) {
+    CompactMt64 started(seed);
+    CompactMt64* const one = &started;
+    CompactMt64::start({&one, 1});
+    CompactMt64 lazy(seed);
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(started(), lazy()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(RngBlockStartTest, StartedStreamsDrawWhatUnstartedOnesDo) {
+  for (const std::uint64_t seed : differential_seeds()) {
+    const Rng master(seed);
+    std::vector<Rng> block;
+    for (std::uint64_t k = 0; k < CompactMt64::kMaxStart; ++k) {
+      block.push_back(master.substream(k));
+    }
+    Rng::start(block);
+    for (std::uint64_t k = 0; k < block.size(); ++k) {
+      Rng lazy = master.substream(k);
+      for (int i = 0; i < kDraws / 4; ++i) {
+        ASSERT_EQ(block[k].uniform(), lazy.uniform())
+            << "seed " << seed << ", stream " << k << ", draw " << i;
+      }
+    }
+  }
+}
+
+// Starting a stream twice over a draw would rewind its cursors; starting
+// a moved-from one would revive a stream whose successor owns the rest.
+TEST(CompactMt64BlockStartTest, StartOfANonFreshStreamThrows) {
+  for (const int before : {1, 155, 156, 157}) {
+    SCOPED_TRACE(testing::Message() << "after " << before << " draws");
+    CompactMt64 drawn(7);
+    for (int i = 0; i < before; ++i) drawn();
+    CompactMt64 fresh(8);
+    CompactMt64* const both[] = {&fresh, &drawn};
+    EXPECT_THROW(CompactMt64::start(both), SimError);
+  }
+  CompactMt64 source(7);
+  CompactMt64 taken(std::move(source));
+  CompactMt64* const moved_from = &source;  // NOLINT(bugprone-use-after-move)
+  EXPECT_THROW(CompactMt64::start({&moved_from, 1}), SimError);
+
+  Rng r(7);
+  r.uniform();
+  EXPECT_THROW(Rng::start({&r, 1}), SimError);
+  Rng s(9);
+  Rng t = std::move(s);
+  EXPECT_THROW(Rng::start({&s, 1}), SimError);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(RngBlockStartTest, MoreThanEightStreamsThrow) {
+  std::vector<Rng> block;
+  for (std::uint64_t k = 0; k <= CompactMt64::kMaxStart; ++k) block.emplace_back(k);
+  EXPECT_THROW(Rng::start(block), SimError);
+}
+
 // A moved-from stream must not quietly replay or skip part of the
 // sequence its successor now owns.
 TEST(RngDifferentialTest, DrawFromMovedFromStreamThrows) {
