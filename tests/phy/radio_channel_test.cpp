@@ -10,6 +10,7 @@
 #include "net/packet.hpp"
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
+#include "sim/error.hpp"
 #include "sim/rng.hpp"
 
 namespace mts::phy {
@@ -19,13 +20,16 @@ namespace {
 struct StubListener final : RadioListener {
   std::function<void(const Frame&)> frame;
   std::function<void(bool)> busy;
+  std::function<void()> tx_done;
   void on_frame(const Frame& f) override {
     if (frame) frame(f);
   }
   void on_medium_busy(bool b) override {
     if (busy) busy(b);
   }
-  void on_tx_done() override {}
+  void on_tx_done() override {
+    if (tx_done) tx_done();
+  }
 };
 
 /// Three radios on a line; positions chosen per test.
@@ -251,6 +255,36 @@ TEST_F(RadioChannelTest, TransmitterSeesOwnBusyPeriod) {
   EXPECT_TRUE(radios_[0]->medium_busy());
   sched_.run();
   EXPECT_FALSE(radios_[0]->transmitting());
+}
+
+TEST_F(RadioChannelTest, TxDoneReachesTheListenerBeforeTheIdleEdge) {
+  build({{0, 0}, {100, 0}});
+  std::vector<std::pair<const char*, sim::Time>> log;
+  listeners_[0]->busy = [&](bool b) {
+    log.emplace_back(b ? "busy" : "idle", sched_.now());
+  };
+  listeners_[0]->tx_done = [&] { log.emplace_back("tx_done", sched_.now()); };
+  sched_.run_until(sim::Time::us(5));
+  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  sched_.run();
+  const sim::Time end = sim::Time::us(5) + sim::Time::ms(1);
+  using Log = std::vector<std::pair<const char*, sim::Time>>;
+  EXPECT_EQ(log, (Log{{"busy", sim::Time::us(5)},
+                      {"tx_done", end},
+                      {"idle", end}}));
+}
+
+TEST_F(RadioChannelTest, TransmitWhileTransmittingThrows) {
+  build({{0, 0}, {100, 0}});
+  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  sched_.run_until(sim::Time::us(500));
+  EXPECT_THROW(radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1)),
+               sim::SimError);
+  // Once the frame is out the node may key up again.
+  sched_.run_until(sim::Time::ms(2));
+  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  sched_.run();
+  EXPECT_EQ(received_[1].size(), 2u);
 }
 
 TEST_F(RadioChannelTest, NeighborsOfReportsExact) {
