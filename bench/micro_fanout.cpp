@@ -14,7 +14,6 @@
 #include "phy/channel.hpp"
 #include "phy/frame.hpp"
 #include "phy/propagation.hpp"
-#include "phy/radio.hpp"
 #include "sim/scheduler.hpp"
 
 namespace {
@@ -51,12 +50,10 @@ void BM_BroadcastFanout(benchmark::State& state) {
   sim::Scheduler sched;
   phy::UnitDiskPropagation prop(250.0);
   phy::Channel channel(sched, prop);
-  std::vector<std::unique_ptr<phy::Radio>> radios;
   for (std::uint32_t i = 0; i <= k; ++i) {
     // All nodes inside decode range of node 0 (and of each other).
     channel.attach(mobility::Trajectory(mobility::Vec2{
         static_cast<double>(i % 8), static_cast<double>(i / 8)}));
-    radios.push_back(std::make_unique<phy::Radio>(channel, i));
   }
   channel.finalize();
 
@@ -69,7 +66,7 @@ void BM_BroadcastFanout(benchmark::State& state) {
 
   const sim::Time airtime = sim::Time::us(500);
   for (auto _ : state) {
-    radios[0]->start_transmit(f, airtime);
+    channel.transmit(0, f, airtime);
     sched.run();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);

@@ -5,7 +5,6 @@
 
 #include "phy/channel.hpp"
 #include "phy/propagation.hpp"
-#include "phy/radio.hpp"
 #include "routing/aodv/aodv.hpp"
 #include "routing/dsr/dsr.hpp"
 #include "routing/smr/smr.hpp"
@@ -37,14 +36,14 @@ const char* run_status_name(RunStatus s) {
 
 namespace {
 
-/// One node's full stack.  Construction order matters: radio before MAC,
-/// MAC before routing; destruction (reverse order) cancels all timers
-/// before anything they reference dies.
+/// One node's full stack above the channel.  Construction order
+/// matters: the channel attaches the node before its MAC is built, and
+/// the MAC comes before routing; destruction (reverse order) cancels all
+/// timers before anything they reference dies.
 struct Node {
   net::Counters counters;
   /// An insider attacker: transit data dies between its MAC and routing.
   bool insider = false;
-  std::unique_ptr<phy::Radio> radio;
   std::unique_ptr<mac::Mac80211> mac;
   std::unique_ptr<routing::RoutingProtocol> routing;
   core::Mts* mts = nullptr;  ///< non-owning view when protocol == kMts
@@ -157,8 +156,7 @@ class Simulation final : private mac::MacListener,
       } else {
         channel_->attach(mobility::Trajectory(cfg_.static_positions[i]));
       }
-      n.radio = std::make_unique<phy::Radio>(*channel_, i);
-      n.mac = std::make_unique<mac::Mac80211>(sched_, *n.radio, cfg_.mac,
+      n.mac = std::make_unique<mac::Mac80211>(*channel_, i, cfg_.mac,
                                               mac_rng.substream(i), &n.counters);
       routing::RoutingContext ctx;
       ctx.self = i;
@@ -419,7 +417,6 @@ class Simulation final : private mac::MacListener,
     m.seed = cfg_.seed;
     m.events_executed = sched_.executed_count();
     m.event_order_hash = sched_.order_hash();
-    m.heap_fallback_closures = sched_.heap_fallback_count();
     for (std::size_t c = 0; c < sim::kEventCategoryCount; ++c) {
       m.events_by_category[c] =
           sched_.executed_count(static_cast<sim::EventCategory>(c));

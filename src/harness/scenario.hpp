@@ -272,9 +272,9 @@ struct RunMetrics {
   /// (`Scheduler::order_hash`): equal counts can hide a reordering, this
   /// cannot.
   std::uint64_t event_order_hash = 0;
-  /// Scheduled closures whose captures overflowed the event core's
-  /// inline storage onto the heap.  The whole stack is written to keep
-  /// this at zero; the integration suite pins that invariant.
+  /// Always 0: an event closure that would not fit the event core's
+  /// inline storage no longer compiles (`sim::EventFn`).  Kept because
+  /// `perf/mts_perf.cpp` still reports it as `sim.heap_fallback`.
   std::uint64_t heap_fallback_closures = 0;
   /// Executed events attributed per subsystem (indexed by EventCategory);
   /// `perf/` reports them as its per-layer event counts.

@@ -9,33 +9,35 @@ namespace mts::mac {
 using phy::Frame;
 using phy::FrameType;
 
-Mac80211::Mac80211(sim::Scheduler& sched, phy::Radio& radio,
+Mac80211::Mac80211(phy::Channel& channel, net::NodeId id,
                    const MacConfig& cfg, sim::Rng rng, net::Counters* counters)
-    : sched_(&sched),
-      radio_(&radio),
+    : channel_(&channel),
+      sched_(&channel.scheduler()),
       cfg_(&cfg),
       eifs_(cfg.sifs + ack_airtime() + cfg.difs),
       rng_(rng),
       counters_(counters),
       queue_(cfg.queue_capacity),
+      id_(id),
       cw_(cfg.cw_min),
-      access_timer_(sched, sim::bind<&Mac80211::access_timer_fired>(this),
+      access_timer_(*sched_, sim::bind<&Mac80211::access_timer_fired>(this),
                     sim::EventCategory::kMac),
-      response_timer_(sched,
+      response_timer_(*sched_,
                       sim::bind<&Mac80211::response_timer_fired>(this),
                       sim::EventCategory::kMac),
-      tx_defer_timer_(sched,
+      tx_defer_timer_(*sched_,
                       sim::bind<&Mac80211::tx_defer_timer_fired>(this),
                       sim::EventCategory::kMac) {
   sim::require_config(cfg.cw_min > 0 && cfg.cw_max >= cfg.cw_min,
                       "MacConfig: bad contention window");
   sim::require_config(cfg.data_rate_bps > 0 && cfg.basic_rate_bps > 0,
                       "MacConfig: bad rates");
-  radio_->set_listener(this);
+  sim::require(id < channel.node_count(), "Mac: node not attached");
+  rx().set_listener(this);
 }
 
 bool Mac80211::enqueue(net::Packet packet, net::NodeId next_hop) {
-  radio_->set_edge_calls(true);  // work to do: carrier sense matters now
+  rx().set_edge_calls(true);  // work to do: carrier sense matters now
   auto dropped = queue_.enqueue(net::QueueItem{std::move(packet), next_hop});
   if (dropped.has_value()) {
     if (counters_ != nullptr) counters_->drop(net::DropReason::kQueueFull);
@@ -75,7 +77,7 @@ void Mac80211::kick() {
       sim::require(phase_ == AccessPhase::kNone &&
                        !access_timer_.is_pending() && !current_.has_value(),
                    "Mac: going quiet with contention pending");
-      radio_->set_edge_calls(false);
+      rx().set_edge_calls(false);
       return;
     }
     current_ = std::move(next);
@@ -84,7 +86,7 @@ void Mac80211::kick() {
   }
   state_ = State::kAccess;
 
-  if (radio_->medium_busy()) {
+  if (medium_busy()) {
     // Frozen: the idle edge re-kicks us.
     access_timer_.cancel();
     phase_ = AccessPhase::kNone;
@@ -97,9 +99,9 @@ void Mac80211::kick() {
     access_timer_.schedule_at(nav_end_);
     return;
   }
-  const sim::Time idle_start = std::max(radio_->idle_since(), nav_end_);
+  const sim::Time idle_start = std::max(rx().idle_since(), nav_end_);
   sim::Time difs_end = idle_start + cfg_->difs;
-  if (const auto garbage = radio_->undecodable_end()) {
+  if (const auto garbage = rx().undecodable_end()) {
     // EIFS (802.11 §9.2.3.4): after an undecodable reception, defer
     // long enough for the frame's possible ACK to complete — the
     // hidden-ACK protection basic access depends on.
@@ -126,7 +128,7 @@ void Mac80211::kick() {
 void Mac80211::access_timer_fired() {
   const AccessPhase phase = phase_;
   phase_ = AccessPhase::kNone;
-  if (radio_->medium_busy() || radio_->transmitting()) {
+  if (medium_busy() || transmitting()) {
     // A response frame of ours (ACK/CTS) or late energy got in the way;
     // re-contend.
     kick();
@@ -153,7 +155,7 @@ void Mac80211::response_timer_fired() {
 }
 
 void Mac80211::tx_defer_timer_fired() {
-  if (!current_.has_value() || radio_->transmitting()) return;
+  if (!current_.has_value() || transmitting()) return;
   send_data_frame();
 }
 
@@ -177,7 +179,7 @@ void Mac80211::on_medium_busy(bool busy) {
 
 void Mac80211::transmit_current() {
   sim::require(current_.has_value(), "Mac: transmit without a frame");
-  if (radio_->medium_busy() || radio_->transmitting()) {
+  if (medium_busy() || transmitting()) {
     kick();
     return;
   }
@@ -193,7 +195,8 @@ void Mac80211::transmit_current() {
               ack_airtime();
     tx_kind_ = TxKind::kRts;
     state_ = State::kWaitCts;
-    radio_->start_transmit(rts, airtime(cfg_->rts_bytes, cfg_->basic_rate_bps));
+    channel_->transmit(id_, rts,
+                       airtime(cfg_->rts_bytes, cfg_->basic_rate_bps));
     return;
   }
   send_data_frame();
@@ -213,7 +216,7 @@ void Mac80211::send_data_frame() {
   if (!broadcast) f.nav = cfg_->sifs + ack_airtime();
   tx_kind_ = broadcast ? TxKind::kBroadcast : TxKind::kData;
   if (!broadcast) state_ = State::kWaitAck;
-  radio_->start_transmit(f, airtime(f.bytes, rate));
+  channel_->transmit(id_, f, airtime(f.bytes, rate));
 }
 
 void Mac80211::on_tx_done() {
@@ -357,18 +360,18 @@ void Mac80211::response_due(const Frame& request) {
 }
 
 void Mac80211::send_response(FrameType type, net::NodeId to, sim::Time nav) {
-  if (radio_->transmitting()) return;  // rare clash; requester will retry
+  if (transmitting()) return;  // rare clash; requester will retry
   Frame f;
   f.type = type;
   f.transmitter = id();
   f.receiver = to;
   f.bytes = type == FrameType::kAck ? cfg_->ack_bytes : cfg_->cts_bytes;
   f.nav = nav;
-  // Responses interrupt any pending access timer implicitly: the radio
+  // Responses interrupt any pending access timer implicitly: the node
   // goes busy, and on_medium_busy(true) freezes the backoff.
   const TxKind saved = tx_kind_;
   tx_kind_ = TxKind::kResponse;
-  radio_->start_transmit(f, airtime(f.bytes, cfg_->basic_rate_bps));
+  channel_->transmit(id_, f, airtime(f.bytes, cfg_->basic_rate_bps));
   // If we clobbered a pending data tx marker something is wrong.
   sim::require(saved == TxKind::kNone, "Mac: response while frame on air");
 }

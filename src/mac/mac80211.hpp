@@ -8,7 +8,8 @@
 #include "net/counters.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
-#include "phy/radio.hpp"
+#include "phy/channel.hpp"
+#include "phy/receiver.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
@@ -64,7 +65,7 @@ class MacListener {
   ~MacListener() = default;
 };
 
-/// IEEE 802.11 DCF over a `phy::Radio`.
+/// IEEE 802.11 DCF for one node of a `phy::Channel`.
 ///
 /// Implements: physical + virtual (NAV) carrier sense, DIFS deferral,
 /// EIFS deferral after an undecodable reception, freezing
@@ -73,24 +74,27 @@ class MacListener {
 /// RTS/CTS, broadcast without ACK, a priority interface queue, and
 /// receive-side duplicate filtering.
 ///
-/// Carrier-sense marks live in the node's receiver record, not here: it
-/// records the last busy->idle edge and the end of the last undecodable
-/// reception (cleared by a clean decode), and `kick` derives the DIFS
-/// start and `mark + EIFS` from them when it contends.  So the MAC
-/// needs edge up-calls only while it has work — a current frame, a
-/// queued packet or an access phase: `enqueue` switches them on and
-/// `kick` switches them off once the MAC falls idle.  Decoded frames
-/// and the end of our own transmissions always reach it.
+/// The MAC keys up through `Channel::transmit` and listens to its
+/// node's receiver record in the channel.  Carrier sense lives in that
+/// record, not here: whether the node transmits or the medium is busy,
+/// the last busy->idle edge, and the end of the last undecodable
+/// reception (cleared by a clean decode).  `kick` derives the DIFS
+/// start and `mark + EIFS` from the two marks when it contends.  So
+/// the MAC needs edge up-calls only while it has work — a current
+/// frame, a queued packet or an access phase: `enqueue` switches them
+/// on and `kick` switches them off once the MAC falls idle.  Decoded
+/// frames and the end of our own transmissions always reach it.
 ///
 /// Not modelled (documented simplifications): fragmentation and rate
 /// adaptation — neither of which the paper's 2005 study models either.
 class Mac80211 : private phy::RadioListener {
  public:
-  /// `cfg` is shared, not copied: one config serves every node of a run
-  /// and must outlive the MAC.
-  Mac80211(sim::Scheduler& sched, phy::Radio& radio, const MacConfig& cfg,
+  /// Node `id` must already be attached to `channel`.  `cfg` is shared,
+  /// not copied: one config serves every node of a run and must outlive
+  /// the MAC.
+  Mac80211(phy::Channel& channel, net::NodeId id, const MacConfig& cfg,
            sim::Rng rng, net::Counters* counters);
-  Mac80211(sim::Scheduler&, phy::Radio&, const MacConfig&&, sim::Rng,
+  Mac80211(phy::Channel&, net::NodeId, const MacConfig&&, sim::Rng,
            net::Counters*) = delete;
 
   Mac80211(const Mac80211&) = delete;
@@ -103,7 +107,7 @@ class Mac80211 : private phy::RadioListener {
     promiscuous_ = promiscuous && listener != nullptr;
   }
 
-  [[nodiscard]] net::NodeId id() const { return radio_->id(); }
+  [[nodiscard]] net::NodeId id() const { return id_; }
   [[nodiscard]] const MacConfig& config() const { return *cfg_; }
 
   /// Hands a packet to the link layer.  Returns false if it was dropped
@@ -135,7 +139,7 @@ class Mac80211 : private phy::RadioListener {
   enum class TxKind : std::uint8_t { kNone, kBroadcast, kData, kRts, kResponse };
   enum class AccessPhase : std::uint8_t { kNone, kNav, kDifs, kBackoff };
 
-  // Radio-facing handlers.
+  // Receiver-facing handlers.
   void on_frame(const phy::Frame& f) final;
   void on_medium_busy(bool busy) final;
   void on_tx_done() final;
@@ -172,9 +176,15 @@ class Mac80211 : private phy::RadioListener {
   [[nodiscard]] std::uint32_t frame_bytes(const net::Packet& p) const {
     return p.wire_bytes() + cfg_->data_header_bytes;
   }
+  [[nodiscard]] phy::Receiver& rx() const { return channel_->receiver(id_); }
+  /// Physical carrier: busy while transmitting or any energy arrives.
+  [[nodiscard]] bool medium_busy() const { return rx().busy(sched_->now()); }
+  [[nodiscard]] bool transmitting() const {
+    return rx().transmitting(sched_->now());
+  }
 
+  phy::Channel* channel_;
   sim::Scheduler* sched_;
-  phy::Radio* radio_;
   const MacConfig* cfg_;
   /// EIFS deferral past an undecodable reception: SIFS + ACK + DIFS.
   sim::Time eifs_;
@@ -188,6 +198,7 @@ class Mac80211 : private phy::RadioListener {
   TxKind tx_kind_ = TxKind::kNone;
   AccessPhase phase_ = AccessPhase::kNone;
   bool promiscuous_ = false;
+  net::NodeId id_;
 
   std::uint16_t tx_seq_ = 0;
   std::uint32_t retries_ = 0;

@@ -66,10 +66,23 @@ mobility::Trajectory::Stats Channel::mobility_stats() const {
 
 void Channel::transmit(net::NodeId sender, const Frame& frame,
                        sim::Time airtime) {
+  Receiver& r = receivers_[sender];
   const sim::Time now = sched_->now();
+  sim::require(!r.transmitting(now), "Channel: transmit while transmitting");
+  const bool was_busy = r.busy(now);
+  r.key_up(now + airtime);
   const mobility::Vec2 sp = position_of(sender, now);
   if (sniffer_) sniffer_(sender, sp, frame, airtime, now);
   radiate(sender, sp, frame, airtime);
+  sched_->schedule_at(now + airtime, [this, sender] { tx_done(sender); },
+                      sim::EventCategory::kPhy);
+  if (!was_busy) r.medium_edge(false, now);
+}
+
+void Channel::tx_done(net::NodeId sender) {
+  Receiver& r = receivers_[sender];
+  if (RadioListener* l = r.listener()) l->on_tx_done();
+  r.medium_edge(/*was_busy=*/true, sched_->now());
 }
 
 void Channel::inject(net::NodeId as_sender, const mobility::Vec2& from_pos,

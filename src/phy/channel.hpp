@@ -25,8 +25,9 @@ struct ChannelConfig {
   double cs_range_factor = 2.2;
 };
 
-/// The shared wireless medium: fans a transmission out to every node
-/// within range of the transmitter at the moment the first bit leaves.
+/// The shared wireless medium: keys a node up and fans its transmission
+/// out to every node within range of it at the moment the first bit
+/// leaves.
 ///
 /// It owns two flat tables indexed by node id.  The receiver table holds
 /// each node's reception state (`Receiver`), which every wave step
@@ -64,9 +65,13 @@ class Channel {
                                      sim::Time now)>;
   void set_sniffer(Sniffer s) { sniffer_ = std::move(s); }
 
-  /// Radiates `frame` from `sender` for `airtime`.  Receivers within
-  /// decode range get a decodable reception; receivers inside the CS
-  /// range but beyond decode range get energy only.
+  /// Node `sender` keys up and radiates `frame` for `airtime`.
+  /// Pre-condition: `sender` is not already transmitting (its MAC's job
+  /// to ensure).  Half duplex: anything it was receiving is lost.
+  /// Receivers within decode range get a decodable reception; receivers
+  /// inside the CS range but beyond decode range get energy only.  At
+  /// `now + airtime` the sender's listener hears on_tx_done, then the
+  /// sender's carrier may fall idle.
   void transmit(net::NodeId sender, const Frame& frame, sim::Time airtime);
 
   /// Active-adversary injection hook: radiates a (possibly spoofed)
@@ -147,6 +152,8 @@ class Channel {
   /// a reception per radio within carrier-sense range of `sp`.
   void radiate(net::NodeId sender, const mobility::Vec2& sp,
                const Frame& frame, sim::Time airtime);
+  /// The end of `sender`'s own transmission.
+  void tx_done(net::NodeId sender);
   /// Replaces node `id`'s leg-table entry with the leg covering `t`.
   void refresh_leg(net::NodeId id, sim::Time t) const;
 

@@ -12,9 +12,7 @@ namespace mts::phy {
 /// ablation; the paper-default configuration uses basic access.
 enum class FrameType : std::uint8_t { kData, kAck, kRts, kCts };
 
-const char* frame_type_name(FrameType t);
-
-/// The unit the radio transmits: a MAC frame, possibly wrapping a
+/// The unit a node transmits: a MAC frame, possibly wrapping a
 /// network-layer packet.  Copying a Frame copies a few plain fields and
 /// bumps the payload body's refcount — broadcast fan-out to k receivers
 /// shares one packet body instead of deep-copying it k times.

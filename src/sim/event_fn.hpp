@@ -8,14 +8,15 @@
 
 namespace mts::sim {
 
-/// Move-only type-erased `void()` callable with small-buffer optimisation.
+/// Move-only type-erased `void()` callable stored in a fixed inline
+/// buffer.
 ///
-/// The scheduler stores one of these per pending event.  Closures whose
-/// captures fit `kInlineBytes` (a `this` pointer plus a few ids — every
-/// hot-path closure in the stack) live inside the event slot itself; only
-/// oversized captures fall back to the heap.  This is what keeps
-/// schedule/cancel allocation-free: `std::function` heap-allocates for
-/// anything beyond ~2 pointers on libstdc++.
+/// The scheduler stores one of these per pending event, inside the
+/// event slot itself, so schedule/cancel never allocate: `std::function`
+/// heap-allocates for anything beyond ~2 pointers on libstdc++.  A
+/// closure must fit `kInlineBytes` and move without throwing; one that
+/// does not is a compile error at the scheduling call, not a silent heap
+/// allocation.
 class EventFn {
  public:
   /// Inline capture budget.  48 bytes fits six pointers — comfortably
@@ -23,12 +24,18 @@ class EventFn {
   /// (the largest captures `this` + a node id + two Time values).
   static constexpr std::size_t kInlineBytes = 48;
 
+  /// Whether a closure of type `Fn` can be stored.
+  template <typename Fn>
+  static constexpr bool fits_inline =
+      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<Fn>;
+
   EventFn() noexcept : vt_(nullptr) {}
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, EventFn> &&
+             std::is_invocable_r_v<void, std::remove_cvref_t<F>&> &&
+             fits_inline<std::remove_cvref_t<F>>)
   // NOLINTNEXTLINE(google-explicit-constructor): mirrors std::function
   EventFn(F&& f) : vt_(nullptr) {
     using Fn = std::remove_cvref_t<F>;
@@ -37,13 +44,8 @@ class EventFn {
     if constexpr (requires(const Fn& g) { static_cast<bool>(g); }) {
       if (!static_cast<bool>(f)) return;
     }
-    if constexpr (fits_inline<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      vt_ = &kInlineVTable<Fn>;
-    } else {
-      ptr_ = new Fn(std::forward<F>(f));
-      vt_ = &kHeapVTable<Fn>;
-    }
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    vt_ = &kVTable<Fn>;
   }
 
   EventFn(EventFn&& other) noexcept : vt_(other.vt_) {
@@ -57,16 +59,10 @@ class EventFn {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-    switch (vt_->kind) {
-      case Kind::kInlineTrivial:
-        std::memcpy(buf_, other.buf_, kInlineBytes);
-        break;
-      case Kind::kInline:
-        vt_->relocate(buf_, other.buf_);
-        break;
-      case Kind::kHeap:
-        ptr_ = other.ptr_;
-        break;
+    if (vt_->trivial) {
+      std::memcpy(buf_, other.buf_, kInlineBytes);
+    } else {
+      vt_->relocate(buf_, other.buf_);
     }
 #pragma GCC diagnostic pop
     other.vt_ = nullptr;
@@ -85,75 +81,45 @@ class EventFn {
 
   ~EventFn() { reset(); }
 
-  void operator()() { vt_->invoke(target()); }
+  void operator()() { vt_->invoke(buf_); }
 
   [[nodiscard]] explicit operator bool() const noexcept {
     return vt_ != nullptr;
   }
 
-  /// True when the target lives in the inline buffer (diagnostics: the
-  /// scheduler counts heap fallbacks so tests can pin the hot path).
-  [[nodiscard]] bool is_inline() const noexcept {
-    return vt_ != nullptr && vt_->kind != Kind::kHeap;
-  }
-
   void reset() noexcept {
     if (vt_ != nullptr) {
-      if (vt_->kind != Kind::kInlineTrivial) vt_->destroy(target());
+      if (!vt_->trivial) vt_->destroy(buf_);
       vt_ = nullptr;
     }
   }
 
  private:
-  enum class Kind : unsigned char { kInlineTrivial, kInline, kHeap };
-
   struct VTable {
     void (*invoke)(void*);
-    /// Destructor for kInline (in place) and kHeap (delete); unused for
-    /// kInlineTrivial.
+    /// Destroys the target in place; unused when `trivial`.
     void (*destroy)(void*) noexcept;
-    /// Move-constructs dst from src and destroys src; only for kInline.
+    /// Move-constructs dst from src and destroys src; unused when
+    /// `trivial`.
     void (*relocate)(void* dst, void* src) noexcept;
-    Kind kind;
+    /// Trivially copyable and destructible: moved by memcpy, never
+    /// destroyed.
+    bool trivial;
   };
 
   template <typename Fn>
-  static constexpr bool fits_inline =
-      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<Fn>;
-
-  template <typename Fn>
-  static constexpr bool trivially_relocatable =
-      std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>;
-
-  template <typename Fn>
-  static constexpr VTable kInlineVTable{
+  static constexpr VTable kVTable{
       [](void* p) { (*static_cast<Fn*>(p))(); },
       [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
       [](void* dst, void* src) noexcept {
         ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
         static_cast<Fn*>(src)->~Fn();
       },
-      trivially_relocatable<Fn> ? Kind::kInlineTrivial : Kind::kInline,
+      std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>,
   };
-
-  template <typename Fn>
-  static constexpr VTable kHeapVTable{
-      [](void* p) { (*static_cast<Fn*>(p))(); },
-      [](void* p) noexcept { delete static_cast<Fn*>(p); },
-      nullptr,
-      Kind::kHeap,
-  };
-
-  [[nodiscard]] void* target() noexcept {
-    return vt_->kind != Kind::kHeap ? static_cast<void*>(buf_) : ptr_;
-  }
 
   const VTable* vt_;
-  union {
-    alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
-    void* ptr_;
-  };
+  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
 };
 
 }  // namespace mts::sim

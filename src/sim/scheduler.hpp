@@ -54,9 +54,9 @@ inline constexpr EventId kInvalidEvent = 0;
 /// Two structures back the queue, both allocation-free in steady state:
 ///
 /// 1. A slot pool of event records (chunked, recycled via a free list).
-///    Each record stores the callback as a small-buffer-optimised
-///    `EventFn` — for every closure in the stack's hot paths the capture
-///    lives inline in the slot and schedule/cancel allocate nothing.
+///    Each record stores the callback as an `EventFn`, whose capture
+///    always lives inline in the slot, so schedule/cancel allocate
+///    nothing.
 ///
 /// 2. A 4-ary min-heap of 16-byte (time, key) entries.  Sifts move a
 ///    hole instead of swapping, and a node's four children share one or
@@ -211,13 +211,6 @@ class Scheduler {
   /// slots of parked events that surface there.
   Time next_event_time();
 
-  /// Number of scheduled callbacks whose captures overflowed EventFn's
-  /// inline buffer onto the heap.  The simulation data path is expected
-  /// to keep this at zero; tests pin that invariant.
-  [[nodiscard]] std::uint64_t heap_fallback_count() const {
-    return heap_fallbacks_;
-  }
-
   /// Entries stored in the queue: one per pending event, plus stale and
   /// parked ones.  Bounded by 2 * pending_count() + kCompactFloor; tests
   /// pin that bound.
@@ -308,7 +301,6 @@ class Scheduler {
   /// bits (the tie-break), its slot index packed low.
   EventId insert(Time t, std::uint64_t seq, EventFn fn, EventCategory cat) {
     require(static_cast<bool>(fn), "Scheduler: empty callback");
-    if (!fn.is_inline()) ++heap_fallbacks_;
     const std::uint32_t s = acquire_slot();
     Slot& slot = slot_at(s);
     slot.fn = std::move(fn);
@@ -383,7 +375,6 @@ class Scheduler {
   std::uint64_t executed_ = 0;
   std::uint64_t order_hash_ = 0;
   std::array<std::uint64_t, kEventCategoryCount> executed_by_{};
-  std::uint64_t heap_fallbacks_ = 0;
   std::size_t live_count_ = 0;
   bool stopped_ = false;
   /// step_inline() refuses items later than this: run_until()'s end,

@@ -185,9 +185,8 @@ TEST(MtsTest, ConfigValidation) {
   phy::UnitDiskPropagation prop;
   phy::Channel channel(sched, prop);
   channel.attach(mobility::Trajectory(mobility::Vec2{0, 0}));
-  phy::Radio radio(channel, 0);
   const mac::MacConfig mac_cfg;
-  mac::Mac80211 mac(sched, radio, mac_cfg, sim::Rng(1), &c);
+  mac::Mac80211 mac(channel, 0, mac_cfg, sim::Rng(1), &c);
   routing::RoutingContext ctx;
   ctx.self = 0;
   ctx.sched = &sched;

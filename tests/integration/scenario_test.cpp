@@ -29,20 +29,6 @@ TEST(ScenarioTest, IdenticalSeedsGiveIdenticalResults) {
   EXPECT_DOUBLE_EQ(a.avg_delay_s, b.avg_delay_s);
 }
 
-TEST(ScenarioTest, DataPathNeverHeapAllocatesClosures) {
-  // Every scheduling closure in phy/mac/routing/tcp must fit the event
-  // core's inline capture buffer; a fallback means someone re-introduced
-  // a fat capture (e.g. a Packet or Frame copied into a lambda) on the
-  // per-packet path.
-  for (Protocol p :
-       {Protocol::kDsr, Protocol::kAodv, Protocol::kMts, Protocol::kSmr}) {
-    const RunMetrics m = run_scenario(small(p));
-    EXPECT_GT(m.events_executed, 0u);
-    EXPECT_EQ(m.heap_fallback_closures, 0u)
-        << protocol_name(p) << ": oversized closure on the event path";
-  }
-}
-
 TEST(ScenarioTest, DifferentSeedsGiveDifferentRuns) {
   const RunMetrics a = run_scenario(small(Protocol::kMts, 1));
   const RunMetrics b = run_scenario(small(Protocol::kMts, 2));

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "phy/channel.hpp"
-#include "phy/radio.hpp"
+#include "phy/receiver.hpp"
 
 namespace mts::mac {
 namespace {
@@ -18,8 +18,9 @@ class MacTest : public ::testing::Test, public MacListener {
  protected:
   struct Station {
     net::Counters counters;
-    std::unique_ptr<phy::Radio> radio;
     std::unique_ptr<Mac80211> mac;
+    /// Frames this station keyed up, counted at the channel's sniffer.
+    std::uint64_t sent = 0;
     /// Runs on each received packet before it is recorded.
     std::function<void(net::Packet&)> on_receive;
     std::vector<net::Packet> received;
@@ -35,13 +36,16 @@ class MacTest : public ::testing::Test, public MacListener {
     stations_.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       Station& st = stations_[i];
-      channel_->attach(mobility::Trajectory(positions[i]));
-      st.radio = std::make_unique<phy::Radio>(*channel_,
-                                              static_cast<net::NodeId>(i));
-      st.mac = std::make_unique<Mac80211>(sched_, *st.radio, cfg_,
+      const net::NodeId id =
+          channel_->attach(mobility::Trajectory(positions[i]));
+      st.mac = std::make_unique<Mac80211>(*channel_, id, cfg_,
                                           sim::Rng(100 + i), &st.counters);
       st.mac->set_listener(this, /*promiscuous=*/true);
     }
+    channel_->set_sniffer([this](net::NodeId sender, const mobility::Vec2&,
+                                 const phy::Frame&, sim::Time, sim::Time) {
+      ++stations_[sender].sent;
+    });
     channel_->finalize();
   }
 
@@ -81,6 +85,12 @@ class MacTest : public ::testing::Test, public MacListener {
   std::unique_ptr<phy::UnitDiskPropagation> prop_;
   std::unique_ptr<phy::Channel> channel_;
   std::vector<Station> stations_;
+
+  /// Station `i`'s receiver record: its carrier sense and reception
+  /// counts.
+  [[nodiscard]] phy::Receiver& rx(net::NodeId i) const {
+    return channel_->receiver(i);
+  }
 };
 
 TEST_F(MacTest, UnicastDeliveredAndAcked) {
@@ -120,7 +130,7 @@ TEST_F(MacTest, UnicastToAbsentNodeFailsAfterRetryLimit) {
   EXPECT_EQ(stations_[0].counters.dropped(net::DropReason::kMacRetryExceeded),
             1u);
   // Retry limit 7 => 8 transmission attempts.
-  EXPECT_EQ(stations_[0].radio->frames_sent(), 8u);
+  EXPECT_EQ(stations_[0].sent, 8u);
 }
 
 TEST_F(MacTest, BroadcastHasNoAckAndNoRetry) {
@@ -131,8 +141,8 @@ TEST_F(MacTest, BroadcastHasNoAckAndNoRetry) {
   sched_.run_until(sim::Time::ms(100));
   EXPECT_EQ(stations_[1].received.size(), 1u);
   EXPECT_EQ(stations_[2].received.size(), 1u);
-  EXPECT_EQ(stations_[0].radio->frames_sent(), 1u);  // exactly one attempt
-  EXPECT_TRUE(stations_[0].successes.empty());       // no callback either
+  EXPECT_EQ(stations_[0].sent, 1u);             // exactly one attempt
+  EXPECT_TRUE(stations_[0].successes.empty());  // no callback either
 }
 
 TEST_F(MacTest, QueueSerializesBackToBackPackets) {
@@ -171,7 +181,7 @@ TEST_F(MacTest, ReceiverDeduplicatesMacRetransmissions) {
   }
   sched_.run_until(sim::Time::sec(1));
   EXPECT_EQ(stations_[1].received.size(), 3u);
-  EXPECT_EQ(stations_[1].radio->frames_decoded(), 3u);  // RTS off: DATA only
+  EXPECT_EQ(rx(1).frames_decoded(), 3u);  // RTS off: DATA only
 }
 
 TEST_F(MacTest, DupFilterTableIsAllocatedByTheFirstUnicastReception) {
@@ -287,7 +297,7 @@ TEST_F(MacTest, RtsCtsModeDelivers) {
   sched_.run_until(sim::Time::sec(1));
   ASSERT_EQ(stations_[1].received.size(), 5u);
   // RTS + DATA frames both transmitted: more sends than basic mode.
-  EXPECT_GE(stations_[0].radio->frames_sent(), 10u);
+  EXPECT_GE(stations_[0].sent, 10u);
 }
 
 TEST_F(MacTest, RtsCtsFailsCleanlyWhenPeerAbsent) {
@@ -307,10 +317,10 @@ TEST_F(MacTest, SmallFramesBypassRtsThreshold) {
   sched_.run_until(sim::Time::ms(50));
   ASSERT_EQ(stations_[1].received.size(), 1u);
   // Just DATA (no RTS): exactly one frame from station 0.
-  EXPECT_EQ(stations_[0].radio->frames_sent(), 1u);
+  EXPECT_EQ(stations_[0].sent, 1u);
 }
 
-// --- carrier-sense marks kept by the radio -------------------------------
+// --- carrier-sense marks kept by the receiver record ---------------------
 
 /// Runs single events until `done()` holds; the marks are read at the
 /// exact tick they change.
@@ -329,19 +339,19 @@ TEST_F(MacTest, EifsDefersTheFirstTransmissionAfterAnUndecodableReception) {
                          cfg.difs;
   stations_[1].mac->enqueue(data_packet(1, net::kBroadcastId, 1, 100),
                             net::kBroadcastId);
-  phy::Radio& radio = *stations_[0].radio;
-  step_until(sched_, [&] { return radio.undecodable_end().has_value(); });
-  const sim::Time mark = *radio.undecodable_end();
+  const phy::Receiver& rec = rx(0);
+  step_until(sched_, [&] { return rec.undecodable_end().has_value(); });
+  const sim::Time mark = *rec.undecodable_end();
   EXPECT_EQ(sched_.now(), mark);
-  EXPECT_EQ(radio.idle_since(), mark);  // the same reception's end
+  EXPECT_EQ(rec.idle_since(), mark);  // the same reception's end
   stations_[0].mac->enqueue(data_packet(0, 1, 2, 100), 1);
   // DIFS alone would release the frame at mark + 50 us.
   sched_.run_until(mark + eifs - sim::Time::ns(1));
-  EXPECT_EQ(radio.frames_sent(), 0u);
-  EXPECT_FALSE(radio.transmitting());
+  EXPECT_EQ(stations_[0].sent, 0u);
+  EXPECT_FALSE(rec.transmitting(sched_.now()));
   sched_.run_until(mark + eifs);
-  EXPECT_EQ(radio.frames_sent(), 1u);
-  EXPECT_TRUE(radio.transmitting());
+  EXPECT_EQ(stations_[0].sent, 1u);
+  EXPECT_TRUE(rec.transmitting(sched_.now()));
 }
 
 TEST_F(MacTest, CleanDecodeCancelsTheEifsDeferral) {
@@ -357,21 +367,21 @@ TEST_F(MacTest, CleanDecodeCancelsTheEifsDeferral) {
       cfg.difs;
   stations_[1].mac->enqueue(data_packet(1, net::kBroadcastId, 1, 100),
                             net::kBroadcastId);
-  phy::Radio& radio = *stations_[0].radio;
-  step_until(sched_, [&] { return radio.undecodable_end().has_value(); });
-  const sim::Time mark = *radio.undecodable_end();
+  const phy::Receiver& rec = rx(0);
+  step_until(sched_, [&] { return rec.undecodable_end().has_value(); });
+  const sim::Time mark = *rec.undecodable_end();
   stations_[2].mac->enqueue(data_packet(2, net::kBroadcastId, 2, 20),
                             net::kBroadcastId);
-  step_until(sched_, [&] { return !radio.undecodable_end().has_value(); });
+  step_until(sched_, [&] { return !rec.undecodable_end().has_value(); });
   const sim::Time decoded = sched_.now();
-  ASSERT_EQ(radio.frames_decoded(), 1u);
-  EXPECT_EQ(radio.idle_since(), decoded);
+  ASSERT_EQ(rec.frames_decoded(), 1u);
+  EXPECT_EQ(rec.idle_since(), decoded);
   ASSERT_LT(decoded + cfg.difs, mark + eifs);  // the test can tell them apart
   stations_[0].mac->enqueue(data_packet(0, 2, 3, 100), 2);
   sched_.run_until(decoded + cfg.difs - sim::Time::ns(1));
-  EXPECT_EQ(radio.frames_sent(), 0u);
+  EXPECT_EQ(stations_[0].sent, 0u);
   sched_.run_until(decoded + cfg.difs);
-  EXPECT_EQ(radio.frames_sent(), 1u);
+  EXPECT_EQ(stations_[0].sent, 1u);
 }
 
 TEST_F(MacTest, IdleMacHearsNoCarrierSenseEdges) {
@@ -384,15 +394,15 @@ TEST_F(MacTest, IdleMacHearsNoCarrierSenseEdges) {
   }
   sched_.run_until(sim::Time::sec(1));
   ASSERT_EQ(stations_[1].received.size(), 5u);
-  const phy::Radio& idle = *stations_[2].radio;
+  const phy::Receiver& idle = rx(2);
   EXPECT_EQ(idle.edges_reported(), 0u);
   EXPECT_GT(idle.frames_decoded(), 0u);
   EXPECT_GT(idle.idle_since(), sim::Time::zero());  // edges were seen
   EXPECT_EQ(stations_[2].sniffed.size(), 5u);  // decoded frames still rise
   // The sender contended, so it heard edges; the receiver only ACKed.
-  const std::uint64_t sender_edges = stations_[0].radio->edges_reported();
+  const std::uint64_t sender_edges = rx(0).edges_reported();
   EXPECT_GT(sender_edges, 0u);
-  EXPECT_EQ(stations_[1].radio->edges_reported(), 0u);
+  EXPECT_EQ(rx(1).edges_reported(), 0u);
   // Once its queue ran dry the sender went quiet too: the reverse
   // exchange reaches it as decoded frames only.
   for (std::uint32_t i = 1; i <= 5; ++i) {
@@ -400,7 +410,7 @@ TEST_F(MacTest, IdleMacHearsNoCarrierSenseEdges) {
   }
   sched_.run_until(sim::Time::sec(2));
   ASSERT_EQ(stations_[0].received.size(), 5u);
-  EXPECT_EQ(stations_[0].radio->edges_reported(), sender_edges);
+  EXPECT_EQ(rx(0).edges_reported(), sender_edges);
   EXPECT_EQ(idle.edges_reported(), 0u);
 }
 
@@ -417,8 +427,8 @@ TEST_F(MacTest, BackoffFreezesOnABusyEdgeAndBanksElapsedSlots) {
   stations_[0].mac->enqueue(data_packet(0, net::kBroadcastId, 1, 100),
                             net::kBroadcastId);
   sched_.run_until(sim::Time::ms(10));
-  ASSERT_EQ(stations_[0].radio->frames_sent(), 1u);
-  const std::uint64_t edges_idle = stations_[0].radio->edges_reported();
+  ASSERT_EQ(stations_[0].sent, 1u);
+  const std::uint64_t edges_idle = rx(0).edges_reported();
 
   // The countdown starts at once (the medium has been idle for long);
   // station 1's frame lands 2.5 slots in, so two slots are banked.
@@ -427,20 +437,20 @@ TEST_F(MacTest, BackoffFreezesOnABusyEdgeAndBanksElapsedSlots) {
   sched_.run_until(start + cfg.slot * std::int64_t{5} / std::int64_t{2});
   stations_[1].mac->enqueue(data_packet(1, net::kBroadcastId, 3, 100),
                             net::kBroadcastId);
-  phy::Radio& radio = *stations_[0].radio;
-  step_until(sched_, [&] { return radio.medium_busy(); });
-  EXPECT_EQ(radio.edges_reported(), edges_idle + 1);  // the busy edge
-  step_until(sched_, [&] { return !radio.medium_busy(); });
+  const phy::Receiver& rec = rx(0);
+  step_until(sched_, [&] { return rec.busy(sched_.now()); });
+  EXPECT_EQ(rec.edges_reported(), edges_idle + 1);  // the busy edge
+  step_until(sched_, [&] { return !rec.busy(sched_.now()); });
   const sim::Time idle = sched_.now();
-  ASSERT_EQ(radio.idle_since(), idle);
-  ASSERT_FALSE(radio.undecodable_end().has_value());
+  ASSERT_EQ(rec.idle_since(), idle);
+  ASSERT_FALSE(rec.undecodable_end().has_value());
   // Resume after DIFS with the slots left over; an unfrozen countdown
   // would instead have expired mid-frame and restarted all of them.
   const sim::Time due = idle + cfg.difs + cfg.slot * (slots - 2);
   sched_.run_until(due - sim::Time::ns(1));
-  EXPECT_EQ(radio.frames_sent(), 1u);
+  EXPECT_EQ(stations_[0].sent, 1u);
   sched_.run_until(due);
-  EXPECT_EQ(radio.frames_sent(), 2u);
+  EXPECT_EQ(stations_[0].sent, 2u);
 }
 
 TEST_F(MacTest, ConfigValidation) {
@@ -448,7 +458,7 @@ TEST_F(MacTest, ConfigValidation) {
   MacConfig bad;
   bad.cw_min = 0;
   net::Counters c;
-  EXPECT_THROW(Mac80211(sched_, *stations_[0].radio, bad, sim::Rng(1), &c),
+  EXPECT_THROW(Mac80211(*channel_, 0, bad, sim::Rng(1), &c),
                sim::ConfigError);
 }
 

@@ -9,14 +9,13 @@
 
 #include "net/packet.hpp"
 #include "phy/channel.hpp"
-#include "phy/radio.hpp"
 #include "sim/error.hpp"
 #include "sim/rng.hpp"
 
 namespace mts::phy {
 namespace {
 
-/// Adapts the radio's listener interface to per-test lambdas.
+/// Adapts the receiver record's listener interface to per-test lambdas.
 struct StubListener final : RadioListener {
   std::function<void(const Frame&)> frame;
   std::function<void(bool)> busy;
@@ -32,7 +31,8 @@ struct StubListener final : RadioListener {
   }
 };
 
-/// Three radios on a line; positions chosen per test.
+/// Nodes on a channel, positions chosen per test; each node's listener
+/// logs its decoded frames and carrier-sense edges.
 class RadioChannelTest : public ::testing::Test {
  protected:
   void build(std::vector<mobility::Vec2> positions, double range = 250.0,
@@ -47,16 +47,15 @@ class RadioChannelTest : public ::testing::Test {
     for (std::size_t i = 0; i < positions.size(); ++i) {
       const net::NodeId id =
           channel_->attach(mobility::Trajectory(positions[i]));
-      radios_.push_back(std::make_unique<Radio>(*channel_, id));
       received_.emplace_back();
       busy_log_.emplace_back();
-      auto* rx = &received_.back();
+      auto* got = &received_.back();
       auto* busy = &busy_log_.back();
       listeners_.push_back(std::make_unique<StubListener>());
-      listeners_.back()->frame = [rx](const Frame& f) { rx->push_back(f); };
+      listeners_.back()->frame = [got](const Frame& f) { got->push_back(f); };
       listeners_.back()->busy = [busy](bool b) { busy->push_back(b); };
-      radios_.back()->set_listener(listeners_.back().get());
-      radios_.back()->set_edge_calls(true);
+      rx(id).set_listener(listeners_.back().get());
+      rx(id).set_edge_calls(true);
     }
     channel_->finalize();
   }
@@ -69,17 +68,27 @@ class RadioChannelTest : public ::testing::Test {
     return f;
   }
 
-  /// Radio `tx` sends a frame to radio 1 at `at` for `airtime`.
+  /// Node `tx` sends a frame to node 1 at `at` for `airtime`.
   void key_up_at(sim::Time at, net::NodeId tx, sim::Time airtime) {
     sched_.schedule_at(at, [this, tx, airtime] {
-      radios_[tx]->start_transmit(frame(tx, 1), airtime);
+      channel_->transmit(tx, frame(tx, 1), airtime);
     });
+  }
+
+  /// Node `id`'s receiver record.
+  [[nodiscard]] Receiver& rx(net::NodeId id) const {
+    return channel_->receiver(id);
+  }
+  [[nodiscard]] bool medium_busy(net::NodeId id) const {
+    return rx(id).busy(sched_.now());
+  }
+  [[nodiscard]] bool transmitting(net::NodeId id) const {
+    return rx(id).transmitting(sched_.now());
   }
 
   sim::Scheduler sched_;
   std::unique_ptr<UnitDiskPropagation> prop_;
   std::unique_ptr<Channel> channel_;
-  std::vector<std::unique_ptr<Radio>> radios_;
   std::vector<std::unique_ptr<StubListener>> listeners_;
   std::vector<std::vector<Frame>> received_;
   std::vector<std::vector<bool>> busy_log_;
@@ -87,7 +96,7 @@ class RadioChannelTest : public ::testing::Test {
 
 TEST_F(RadioChannelTest, DeliversWithinRange) {
   build({{0, 0}, {200, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run();
   ASSERT_EQ(received_[1].size(), 1u);
   EXPECT_EQ(received_[1][0].transmitter, 0u);
@@ -96,14 +105,14 @@ TEST_F(RadioChannelTest, DeliversWithinRange) {
 
 TEST_F(RadioChannelTest, NoDeliveryBeyondRange) {
   build({{0, 0}, {300, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run();
   EXPECT_TRUE(received_[1].empty());
 }
 
 TEST_F(RadioChannelTest, BroadcastReachesAllInRange) {
   build({{0, 0}, {100, 0}, {200, 0}, {600, 0}});
-  radios_[0]->start_transmit(frame(0, net::kBroadcastId), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, net::kBroadcastId), sim::Time::ms(1));
   sched_.run();
   EXPECT_EQ(received_[1].size(), 1u);
   EXPECT_EQ(received_[2].size(), 1u);
@@ -111,10 +120,10 @@ TEST_F(RadioChannelTest, BroadcastReachesAllInRange) {
 }
 
 TEST_F(RadioChannelTest, FramesAddressedElsewhereStillDecoded) {
-  // The radio hands every decodable frame up; filtering is MAC business
+  // The receiver record hands every decodable frame up; filtering is MAC business
   // (and the eavesdropper depends on it).
   build({{0, 0}, {100, 0}, {200, 0}});
-  radios_[0]->start_transmit(frame(0, 2), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 2), sim::Time::ms(1));
   sched_.run();
   EXPECT_EQ(received_[1].size(), 1u);  // overheard
   EXPECT_EQ(received_[2].size(), 1u);
@@ -123,20 +132,20 @@ TEST_F(RadioChannelTest, FramesAddressedElsewhereStillDecoded) {
 TEST_F(RadioChannelTest, OverlappingReceptionsCollide) {
   // 0 and 2 both in range of 1; equidistant -> no capture, both corrupt.
   build({{0, 0}, {100, 0}, {200, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
-  radios_[2]->start_transmit(frame(2, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(2, frame(2, 1), sim::Time::ms(1));
   sched_.run();
   EXPECT_TRUE(received_[1].empty());
-  EXPECT_EQ(radios_[1]->collisions(), 2u);
+  EXPECT_EQ(rx(1).collisions(), 2u);
 }
 
 TEST_F(RadioChannelTest, CaptureStrongerFirstFrameSurvives) {
   // Sender 0 is 50 m away (strong); interferer 2 is 200 m away.  Power
   // ratio (200/50)^4 = 256 >> 10, so 1 captures 0's frame.
   build({{0, 0}, {50, 0}, {250, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run_until(sim::Time::us(100));
-  radios_[2]->start_transmit(frame(2, 1), sim::Time::ms(1));
+  channel_->transmit(2, frame(2, 1), sim::Time::ms(1));
   sched_.run();
   ASSERT_EQ(received_[1].size(), 1u);
   EXPECT_EQ(received_[1][0].transmitter, 0u);
@@ -145,9 +154,9 @@ TEST_F(RadioChannelTest, CaptureStrongerFirstFrameSurvives) {
 TEST_F(RadioChannelTest, NoCaptureWhenComparablePower) {
   // Interferer at similar distance: both die.
   build({{0, 0}, {100, 0}, {210, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run_until(sim::Time::us(100));
-  radios_[2]->start_transmit(frame(2, 1), sim::Time::ms(1));
+  channel_->transmit(2, frame(2, 1), sim::Time::ms(1));
   sched_.run();
   EXPECT_TRUE(received_[1].empty());
 }
@@ -156,25 +165,25 @@ TEST_F(RadioChannelTest, CaptureKeepsFirstFrameAcrossTwoWeakArrivals) {
   // Receiver 1 locks onto sender 0 at 50 m; radios 2 and 3, 200 m from
   // it (256x weaker), overlap each other and the reception.
   build({{0, 0}, {50, 0}, {250, 0}, {50, 200}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   key_up_at(sim::Time::us(100), 2, sim::Time::us(200));
   key_up_at(sim::Time::us(150), 3, sim::Time::us(200));
   sched_.run();
   ASSERT_EQ(received_[1].size(), 1u);
   EXPECT_EQ(received_[1][0].transmitter, 0u);
-  EXPECT_EQ(radios_[1]->collisions(), 2u);
+  EXPECT_EQ(rx(1).collisions(), 2u);
 }
 
 TEST_F(RadioChannelTest, ComparableThirdArrivalCorruptsACapturedFrame) {
   // The same two weak arrivals, then radio 4 from 60 m (2.1x weaker).
   build({{0, 0}, {50, 0}, {250, 0}, {50, 200}, {50, -60}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   key_up_at(sim::Time::us(100), 2, sim::Time::us(200));
   key_up_at(sim::Time::us(150), 3, sim::Time::us(200));
   key_up_at(sim::Time::us(400), 4, sim::Time::us(50));
   sched_.run();
   EXPECT_TRUE(received_[1].empty());
-  EXPECT_EQ(radios_[1]->collisions(), 4u);
+  EXPECT_EQ(rx(1).collisions(), 4u);
 }
 
 TEST_F(RadioChannelTest, MuchStrongerNewcomerCorruptsAndIsCorrupt) {
@@ -182,21 +191,21 @@ TEST_F(RadioChannelTest, MuchStrongerNewcomerCorruptsAndIsCorrupt) {
   // 256x stronger.  Capture only ever protects the reception in flight:
   // the first frame is corrupted and the newcomer is noise too.
   build({{0, 0}, {200, 0}, {250, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run_until(sim::Time::us(100));
-  radios_[2]->start_transmit(frame(2, 1), sim::Time::us(100));
+  channel_->transmit(2, frame(2, 1), sim::Time::us(100));
   sched_.run();
   EXPECT_TRUE(received_[1].empty());
-  EXPECT_EQ(radios_[1]->collisions(), 2u);
+  EXPECT_EQ(rx(1).collisions(), 2u);
 }
 
 TEST_F(RadioChannelTest, LateWeakFrameNeverDecodedEvenAfterStrongEnds) {
   // The newcomer is always undecodable if the medium was busy at its
   // start (ns-2 semantics), even though the first frame ends earlier.
   build({{0, 0}, {50, 0}, {250, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::us(200));
+  channel_->transmit(0, frame(0, 1), sim::Time::us(200));
   sched_.run_until(sim::Time::us(100));
-  radios_[2]->start_transmit(frame(2, 1), sim::Time::ms(1));
+  channel_->transmit(2, frame(2, 1), sim::Time::ms(1));
   sched_.run();
   ASSERT_EQ(received_[1].size(), 1u);  // only the strong one
   EXPECT_EQ(received_[1][0].transmitter, 0u);
@@ -204,9 +213,9 @@ TEST_F(RadioChannelTest, LateWeakFrameNeverDecodedEvenAfterStrongEnds) {
 
 TEST_F(RadioChannelTest, DeafWhileTransmitting) {
   build({{0, 0}, {100, 0}});
-  radios_[1]->start_transmit(frame(1, 0), sim::Time::ms(2));
+  channel_->transmit(1, frame(1, 0), sim::Time::ms(2));
   sched_.run_until(sim::Time::us(10));
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::us(50));
+  channel_->transmit(0, frame(0, 1), sim::Time::us(50));
   sched_.run();
   // Radio 1 was mid-transmission when 0's frame arrived: nothing decoded.
   EXPECT_TRUE(received_[1].empty());
@@ -217,19 +226,19 @@ TEST_F(RadioChannelTest, DeafWhileTransmitting) {
 
 TEST_F(RadioChannelTest, HalfDuplexTransmitCorruptsOngoingReception) {
   build({{0, 0}, {100, 0}, {200, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run_until(sim::Time::us(100));
   // Radio 1 keys up mid-reception: its ongoing reception dies.
-  radios_[1]->start_transmit(frame(1, 2), sim::Time::us(50));
+  channel_->transmit(1, frame(1, 2), sim::Time::us(50));
   sched_.run();
   EXPECT_TRUE(received_[1].empty());
-  EXPECT_EQ(radios_[1]->collisions(), 1u);
+  EXPECT_EQ(rx(1).collisions(), 1u);
 }
 
 TEST_F(RadioChannelTest, EnergyBeyondDecodeRangeTriggersCarrierOnly) {
   // cs_factor 2.2: a node at 400 m senses energy but decodes nothing.
   build({{0, 0}, {400, 0}}, 250.0, 2.2);
-  radios_[0]->start_transmit(frame(0, net::kBroadcastId), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, net::kBroadcastId), sim::Time::ms(1));
   sched_.run();
   EXPECT_TRUE(received_[1].empty());
   // Carrier went busy then idle.
@@ -240,21 +249,21 @@ TEST_F(RadioChannelTest, EnergyBeyondDecodeRangeTriggersCarrierOnly) {
 
 TEST_F(RadioChannelTest, MediumBusyEdgesArePaired) {
   build({{0, 0}, {100, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run();
   ASSERT_EQ(busy_log_[1].size(), 2u);
   EXPECT_TRUE(busy_log_[1][0]);
   EXPECT_FALSE(busy_log_[1][1]);
-  EXPECT_FALSE(radios_[1]->medium_busy());
+  EXPECT_FALSE(medium_busy(1));
 }
 
 TEST_F(RadioChannelTest, TransmitterSeesOwnBusyPeriod) {
   build({{0, 0}, {100, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
-  EXPECT_TRUE(radios_[0]->transmitting());
-  EXPECT_TRUE(radios_[0]->medium_busy());
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
+  EXPECT_TRUE(transmitting(0));
+  EXPECT_TRUE(medium_busy(0));
   sched_.run();
-  EXPECT_FALSE(radios_[0]->transmitting());
+  EXPECT_FALSE(transmitting(0));
 }
 
 TEST_F(RadioChannelTest, TxDoneReachesTheListenerBeforeTheIdleEdge) {
@@ -265,7 +274,7 @@ TEST_F(RadioChannelTest, TxDoneReachesTheListenerBeforeTheIdleEdge) {
   };
   listeners_[0]->tx_done = [&] { log.emplace_back("tx_done", sched_.now()); };
   sched_.run_until(sim::Time::us(5));
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run();
   const sim::Time end = sim::Time::us(5) + sim::Time::ms(1);
   using Log = std::vector<std::pair<const char*, sim::Time>>;
@@ -276,13 +285,13 @@ TEST_F(RadioChannelTest, TxDoneReachesTheListenerBeforeTheIdleEdge) {
 
 TEST_F(RadioChannelTest, TransmitWhileTransmittingThrows) {
   build({{0, 0}, {100, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run_until(sim::Time::us(500));
-  EXPECT_THROW(radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1)),
+  EXPECT_THROW(channel_->transmit(0, frame(0, 1), sim::Time::ms(1)),
                sim::SimError);
   // Once the frame is out the node may key up again.
   sched_.run_until(sim::Time::ms(2));
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run();
   EXPECT_EQ(received_[1].size(), 2u);
 }
@@ -368,7 +377,7 @@ TEST_F(RadioChannelTest, InFlightBroadcastSiblingsSurviveReceiverMutation) {
   net::DsrRreqHeader h;
   h.orig = 0;
   f.payload.mutable_routing() = h;
-  radios_[0]->start_transmit(f, sim::Time::ms(1));
+  channel_->transmit(0, f, sim::Time::ms(1));
   sched_.run();
   // The relay saw (and kept) its mutated clone...
   ASSERT_TRUE(fwd.has_body());
@@ -392,7 +401,7 @@ TEST_F(RadioChannelTest, BroadcastIsOneWaveEvent) {
                    (50.0 + 10.0 * i) * std::sin(a)});
   }
   build(pos);
-  radios_[0]->start_transmit(frame(0, net::kBroadcastId), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, net::kBroadcastId), sim::Time::ms(1));
   EXPECT_EQ(sched_.pending_count(), 2u);
   sched_.run();
   for (std::size_t i = 1; i < pos.size(); ++i) {
@@ -413,7 +422,7 @@ TEST_F(RadioChannelTest, ProbeBetweenArrivalsInterleavesInOrder) {
     seen.emplace_back(busy_log_[1].size(), busy_log_[2].size());
   };
   sched_.schedule_at(sim::Time::ns(667), probe);
-  radios_[0]->start_transmit(frame(0, net::kBroadcastId), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, net::kBroadcastId), sim::Time::ms(1));
   sched_.schedule_at(sim::Time::ns(334), probe);
   sched_.schedule_at(sim::Time::ns(500), probe);
   sched_.schedule_at(sim::Time::ns(667), probe);
@@ -426,38 +435,40 @@ TEST_F(RadioChannelTest, ReceiverKeyingUpMidWaveGetsNoReceptionEnd) {
   // Radio 2 starts transmitting after the wave reached radio 1 but
   // before it reaches radio 2, so radio 2 is deaf to it.
   build({{0, 0}, {100, 0}, {200, 0}});
-  radios_[0]->start_transmit(frame(0, net::kBroadcastId), sim::Time::ms(1));
+  channel_->transmit(0, frame(0, net::kBroadcastId), sim::Time::ms(1));
   sched_.schedule_at(sim::Time::ns(500), [&] {
-    radios_[2]->start_transmit(frame(2, net::kBroadcastId),
+    channel_->transmit(2, frame(2, net::kBroadcastId),
                                sim::Time::us(50));
   });
   sched_.run();
   EXPECT_TRUE(received_[2].empty());
-  EXPECT_EQ(radios_[2]->collisions(), 0u);
+  EXPECT_EQ(rx(2).collisions(), 0u);
   // Arrivals: radio 0's frame at 1 and 2, radio 2's at 1 and 0.  Ends:
   // two tx-dones plus radio 1's two receptions; radio 2 (keyed up) and
   // radio 0 (transmitting) start none.
   EXPECT_EQ(sched_.executed_count(sim::EventCategory::kChannel), 4u);
   EXPECT_EQ(sched_.executed_count(sim::EventCategory::kPhy), 4u);
-  EXPECT_EQ(radios_[1]->collisions(), 2u);
+  EXPECT_EQ(rx(1).collisions(), 2u);
   EXPECT_EQ(sched_.pending_count(), 0u);
 }
 
 TEST_F(RadioChannelTest, FinishedWavePinsNoPacketBody) {
   build({{0, 0}, {100, 0}, {200, 0}, {300, 0}},
         /*range=*/250.0, /*cs_factor=*/2.2);
-  for (auto& r : radios_) r->set_listener(nullptr);
+  for (net::NodeId i = 0; i < channel_->node_count(); ++i) {
+    rx(i).set_listener(nullptr);
+  }
   const std::uint64_t before = net::packet_pool_stats().live();
   {
     Frame f = frame(0, net::kBroadcastId);
     f.payload.mutable_common().kind = net::PacketKind::kDsrRreq;
-    radios_[0]->start_transmit(f, sim::Time::ms(1));
+    channel_->transmit(0, f, sim::Time::ms(1));
   }
   // The sender dropped its handle; the in-flight wave still holds it.
   EXPECT_EQ(net::packet_pool_stats().live(), before + 1);
   sched_.run();
-  EXPECT_EQ(radios_[3]->frames_decoded(), 0u);  // 300 m: energy only
-  EXPECT_EQ(radios_[2]->frames_decoded(), 1u);
+  EXPECT_EQ(rx(3).frames_decoded(), 0u);  // 300 m: energy only
+  EXPECT_EQ(rx(2).frames_decoded(), 1u);
   EXPECT_EQ(net::packet_pool_stats().live(), before);
 }
 
@@ -474,10 +485,8 @@ TEST_F(RadioChannelTest, DeliveredFrameOutlivesWavePoolGrowth) {
   bool checked = false;
   listeners_[1]->frame = [&](const Frame& f) {
     if (checked) return;
-    for (std::size_t k = 2; k < radios_.size(); ++k) {
-      radios_[k]->start_transmit(
-          frame(static_cast<net::NodeId>(k), net::kBroadcastId),
-          sim::Time::us(50));
+    for (net::NodeId k = 2; k < channel_->node_count(); ++k) {
+      channel_->transmit(k, frame(k, net::kBroadcastId), sim::Time::us(50));
     }
     EXPECT_EQ(f.transmitter, 0u);
     EXPECT_EQ(f.receiver, 1u);
@@ -492,7 +501,7 @@ TEST_F(RadioChannelTest, DeliveredFrameOutlivesWavePoolGrowth) {
   f.seq = 7;
   f.payload.mutable_common().kind = net::PacketKind::kDsrRreq;
   f.payload.mutable_hop().ttl = 32;
-  radios_[0]->start_transmit(f, sim::Time::ms(1));
+  channel_->transmit(0, f, sim::Time::ms(1));
   sched_.run();
   EXPECT_TRUE(checked);
 }
@@ -591,10 +600,15 @@ TEST(RadioCaptureTest, LazyPowerMatchesEagerReferenceModel) {
 
 TEST_F(RadioChannelTest, StatsCountDecodes) {
   build({{0, 0}, {100, 0}});
-  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  std::vector<net::NodeId> senders;  // every key-up, seen at the sniffer
+  channel_->set_sniffer([&senders](net::NodeId sender, const mobility::Vec2&,
+                                   const Frame&, sim::Time, sim::Time) {
+    senders.push_back(sender);
+  });
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
   sched_.run();
-  EXPECT_EQ(radios_[0]->frames_sent(), 1u);
-  EXPECT_EQ(radios_[1]->frames_decoded(), 1u);
+  EXPECT_EQ(senders, std::vector<net::NodeId>{0});
+  EXPECT_EQ(rx(1).frames_decoded(), 1u);
 }
 
 }  // namespace

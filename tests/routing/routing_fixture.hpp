@@ -1,9 +1,9 @@
 #pragma once
 
-// Shared test bench for routing protocols: N full node stacks (radio +
-// 802.11 MAC + protocol under test) on a static topology, with captured
-// transport deliveries.  Tests drive the scheduler directly so they can
-// interleave injections with inspection.
+// Shared test bench for routing protocols: N full node stacks (802.11
+// MAC + protocol under test) over one channel on a static topology,
+// with captured transport deliveries.  Tests drive the scheduler
+// directly so they can interleave injections with inspection.
 
 #include <memory>
 #include <vector>
@@ -11,7 +11,6 @@
 #include "core/mts.hpp"
 #include "mac/mac80211.hpp"
 #include "phy/channel.hpp"
-#include "phy/radio.hpp"
 #include "routing/aodv/aodv.hpp"
 #include "routing/dsr/dsr.hpp"
 #include "routing/smr/smr.hpp"
@@ -21,7 +20,6 @@ namespace mts::testing {
 
 struct TestNode {
   net::Counters counters;
-  std::unique_ptr<phy::Radio> radio;
   std::unique_ptr<mac::Mac80211> mac;
   std::unique_ptr<routing::RoutingProtocol> routing;
   std::vector<net::Packet> delivered;
@@ -40,13 +38,12 @@ class RoutingBench : public mac::MacListener, public routing::DeliveryListener {
     nodes_.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       TestNode& n = nodes_[i];
-      channel_->attach(mobility::Trajectory(positions[i]));
-      n.radio = std::make_unique<phy::Radio>(*channel_,
-                                             static_cast<net::NodeId>(i));
-      n.mac = std::make_unique<mac::Mac80211>(sched, *n.radio, mac_cfg_,
+      const net::NodeId id =
+          channel_->attach(mobility::Trajectory(positions[i]));
+      n.mac = std::make_unique<mac::Mac80211>(*channel_, id, mac_cfg_,
                                               sim::Rng(1000 + i), &n.counters);
       routing::RoutingContext ctx;
-      ctx.self = static_cast<net::NodeId>(i);
+      ctx.self = id;
       ctx.sched = &sched;
       ctx.mac = n.mac.get();
       ctx.counters = &n.counters;
