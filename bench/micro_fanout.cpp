@@ -13,7 +13,6 @@
 #include "net/trace.hpp"
 #include "phy/channel.hpp"
 #include "phy/frame.hpp"
-#include "phy/propagation.hpp"
 #include "sim/scheduler.hpp"
 
 namespace {
@@ -48,14 +47,13 @@ net::Packet make_routed_packet(std::size_t hops) {
 void BM_BroadcastFanout(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   sim::Scheduler sched;
-  phy::UnitDiskPropagation prop(250.0);
-  phy::Channel channel(sched, prop);
+  std::vector<mobility::Trajectory> trajectories;
   for (std::uint32_t i = 0; i <= k; ++i) {
     // All nodes inside decode range of node 0 (and of each other).
-    channel.attach(mobility::Trajectory(mobility::Vec2{
-        static_cast<double>(i % 8), static_cast<double>(i / 8)}));
+    trajectories.emplace_back(mobility::Vec2{static_cast<double>(i % 8),
+                                             static_cast<double>(i / 8)});
   }
-  channel.finalize();
+  phy::Channel channel(sched, std::move(trajectories), 250.0);
 
   phy::Frame f;
   f.type = phy::FrameType::kData;

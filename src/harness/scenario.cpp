@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "phy/channel.hpp"
-#include "phy/propagation.hpp"
 #include "routing/aodv/aodv.hpp"
 #include "routing/dsr/dsr.hpp"
 #include "routing/smr/smr.hpp"
@@ -37,8 +36,8 @@ const char* run_status_name(RunStatus s) {
 namespace {
 
 /// One node's full stack above the channel.  Construction order
-/// matters: the channel attaches the node before its MAC is built, and
-/// the MAC comes before routing; destruction (reverse order) cancels all
+/// matters: the channel holds the node before its MAC is built, and the
+/// MAC comes before routing; destruction (reverse order) cancels all
 /// timers before anything they reference dies.
 struct Node {
   net::Counters counters;
@@ -108,88 +107,98 @@ class Simulation final : private mac::MacListener,
   }
 
   void build_nodes() {
+    // Every trajectory, then the channel over them, then each node's
+    // stack in id order.
+    std::vector<mobility::Trajectory> trajectories(
+        cfg_.static_positions.begin(), cfg_.static_positions.end());
+    if (trajectories.empty()) {
+      mobility::RandomWaypointConfig rwp;
+      rwp.field = cfg_.field;
+      rwp.min_speed = cfg_.min_speed;
+      rwp.max_speed = cfg_.max_speed;
+      rwp.pause = cfg_.pause;
+      trajectories.reserve(cfg_.node_count);
+      for_each_substream(master_.substream("mobility"),
+                         [&](net::NodeId, sim::Rng rng) {
+                           trajectories.emplace_back(rwp, std::move(rng));
+                         });
+    }
+    std::optional<phy::Fading> fading;
     if (cfg_.fading_enabled) {
-      prop_ = std::make_unique<phy::FadingPropagation>(
-          cfg_.radio_range, cfg_.fading, master_.substream("fading").seed());
-    } else {
-      prop_ = std::make_unique<phy::UnitDiskPropagation>(cfg_.radio_range);
+      fading.emplace(cfg_.fading, master_.substream("fading").seed());
     }
-    channel_ = std::make_unique<phy::Channel>(sched_, *prop_, cfg_.channel);
-    channel_->reserve(cfg_.node_count);
+    channel_ = std::make_unique<phy::Channel>(
+        sched_, std::move(trajectories), cfg_.radio_range, cfg_.channel,
+        std::move(fading));
     nodes_.resize(cfg_.node_count);
-    sim::Rng mob_rng = master_.substream("mobility");
-    mobility::RandomWaypointConfig rwp;
-    rwp.field = cfg_.field;
-    rwp.min_speed = cfg_.min_speed;
-    rwp.max_speed = cfg_.max_speed;
-    rwp.pause = cfg_.pause;
-    sim::Rng mac_rng = master_.substream("mac");
-    sim::Rng proto_rng = master_.substream("routing");
-    // A stream's first draw sets up its cursors, a 156-step dependent
-    // chain.  A build draws every node's routing stream and, unless the
-    // nodes stand still, its mobility stream, so those are set up a
-    // block of nodes at a time, their chains interleaved.  The MAC
-    // streams stay lazy: a build draws none of them.
-    const bool mobile = cfg_.static_positions.empty();
-    constexpr net::NodeId kStartBlock = sim::CompactMt64::kMaxStart / 2;
-    std::vector<sim::Rng> fresh;  // the block's routing, then mobility streams
-    fresh.reserve(sim::CompactMt64::kMaxStart);
-    net::NodeId count = 0;        // nodes in the block
-    for (net::NodeId i = 0; i < cfg_.node_count; ++i) {
-      const net::NodeId k = i % kStartBlock;  // i's place in the block
-      if (k == 0) {
-        count = std::min(kStartBlock, cfg_.node_count - i);
-        fresh.clear();
-        for (net::NodeId j = i; j < i + count; ++j) {
-          fresh.push_back(proto_rng.substream(j));
-        }
-        if (mobile) {
-          for (net::NodeId j = i; j < i + count; ++j) {
-            fresh.push_back(mob_rng.substream(j));
-          }
-        }
-        sim::Rng::start(fresh);
+    const sim::Rng mac_rng = master_.substream("mac");
+    for_each_substream(master_.substream("routing"),
+                       [&](net::NodeId i, sim::Rng routing_rng) {
+                         build_node(i, mac_rng.substream(i),
+                                    std::move(routing_rng));
+                       });
+  }
+
+  /// Node `i`'s MAC and routing protocol.
+  void build_node(net::NodeId i, sim::Rng mac_rng, sim::Rng routing_rng) {
+    Node& n = nodes_[i];
+    n.mac = std::make_unique<mac::Mac80211>(*channel_, i, cfg_.mac,
+                                            std::move(mac_rng), &n.counters);
+    routing::RoutingContext ctx;
+    ctx.self = i;
+    ctx.sched = &sched_;
+    ctx.mac = n.mac.get();
+    ctx.counters = &n.counters;
+    ctx.trace = external_trace_;
+    ctx.uids = &uids_;
+    ctx.defense = defense_.get();
+    ctx.deliver = this;
+    switch (cfg_.protocol) {
+      case Protocol::kDsr:
+        n.routing = std::make_unique<routing::dsr::Dsr>(
+            std::move(ctx), std::move(routing_rng));
+        break;
+      case Protocol::kAodv:
+        n.routing = std::make_unique<routing::aodv::Aodv>(
+            std::move(ctx), std::move(routing_rng));
+        break;
+      case Protocol::kMts: {
+        auto mts = std::make_unique<core::Mts>(std::move(ctx), cfg_.mts,
+                                               std::move(routing_rng));
+        n.mts = mts.get();
+        n.routing = std::move(mts);
+        break;
       }
-      Node& n = nodes_[i];
-      if (mobile) {
-        channel_->attach(mobility::Trajectory(rwp, std::move(fresh[count + k])));
-      } else {
-        channel_->attach(mobility::Trajectory(cfg_.static_positions[i]));
+      case Protocol::kSmr:
+        n.routing = std::make_unique<routing::smr::Smr>(
+            std::move(ctx), std::move(routing_rng));
+        break;
+    }
+  }
+
+  /// Calls `use(i, rng.substream(i))` for every node `i` in id order.
+  /// A stream's first draw sets up its cursors, a 156-step dependent
+  /// chain; a build draws every node's routing stream and, unless the
+  /// nodes stand still, its mobility stream, so those are set up
+  /// `kMaxStart` at a time, their chains interleaved.  The MAC streams
+  /// stay lazy: a build draws none of them.
+  template <typename Use>
+  void for_each_substream(const sim::Rng& rng, Use use) const {
+    std::vector<sim::Rng> block;
+    block.reserve(sim::CompactMt64::kMaxStart);
+    for (net::NodeId first = 0; first < cfg_.node_count;
+         first += sim::CompactMt64::kMaxStart) {
+      const net::NodeId end = std::min<net::NodeId>(
+          cfg_.node_count, first + sim::CompactMt64::kMaxStart);
+      block.clear();
+      for (net::NodeId i = first; i < end; ++i) {
+        block.push_back(rng.substream(i));
       }
-      n.mac = std::make_unique<mac::Mac80211>(*channel_, i, cfg_.mac,
-                                              mac_rng.substream(i), &n.counters);
-      routing::RoutingContext ctx;
-      ctx.self = i;
-      ctx.sched = &sched_;
-      ctx.mac = n.mac.get();
-      ctx.counters = &n.counters;
-      ctx.trace = external_trace_;
-      ctx.uids = &uids_;
-      ctx.defense = defense_.get();
-      ctx.deliver = this;
-      switch (cfg_.protocol) {
-        case Protocol::kDsr:
-          n.routing = std::make_unique<routing::dsr::Dsr>(
-              std::move(ctx), std::move(fresh[k]));
-          break;
-        case Protocol::kAodv:
-          n.routing = std::make_unique<routing::aodv::Aodv>(
-              std::move(ctx), std::move(fresh[k]));
-          break;
-        case Protocol::kMts: {
-          auto mts = std::make_unique<core::Mts>(std::move(ctx), cfg_.mts,
-                                                 std::move(fresh[k]));
-          n.mts = mts.get();
-          n.routing = std::move(mts);
-          break;
-        }
-        case Protocol::kSmr:
-          n.routing = std::make_unique<routing::smr::Smr>(
-              std::move(ctx), std::move(fresh[k]));
-          break;
+      sim::Rng::start(block);
+      for (net::NodeId i = first; i < end; ++i) {
+        use(i, std::move(block[i - first]));
       }
     }
-    channel_->finalize();
   }
 
   void build_flows() {
@@ -619,7 +628,6 @@ class Simulation final : private mac::MacListener,
   net::TraceHub* external_trace_;
   sim::Scheduler sched_;
   net::UidSource uids_;
-  std::unique_ptr<phy::PropagationModel> prop_;
   std::unique_ptr<phy::Channel> channel_;
   /// Declared before nodes_: every routing context holds a raw pointer,
   /// so the defense must outlive the protocols (reverse destruction).

@@ -32,7 +32,7 @@ Mac80211::Mac80211(phy::Channel& channel, net::NodeId id,
                       "MacConfig: bad contention window");
   sim::require_config(cfg.data_rate_bps > 0 && cfg.basic_rate_bps > 0,
                       "MacConfig: bad rates");
-  sim::require(id < channel.node_count(), "Mac: node not attached");
+  sim::require(id < channel.node_count(), "Mac: node not on the channel");
   rx().set_listener(this);
 }
 

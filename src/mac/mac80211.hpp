@@ -89,7 +89,7 @@ class MacListener {
 /// adaptation — neither of which the paper's 2005 study models either.
 class Mac80211 : private phy::RadioListener {
  public:
-  /// Node `id` must already be attached to `channel`.  `cfg` is shared,
+  /// Node `id` must be one of `channel`'s nodes.  `cfg` is shared,
   /// not copied: one config serves every node of a run and must outlive
   /// the MAC.
   Mac80211(phy::Channel& channel, net::NodeId id, const MacConfig& cfg,
@@ -119,7 +119,6 @@ class Mac80211 : private phy::RadioListener {
   /// frame, if any, is not touched — it will fail on its own.
   [[nodiscard]] std::vector<net::QueueItem> take_queued_for(net::NodeId hop);
 
-  [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
   /// The receive-side duplicate filter (read-only introspection).
   [[nodiscard]] const RxDupCache& rx_dup_cache() const {
     return rx_seq_cache_;

@@ -2,54 +2,65 @@
 
 #include <algorithm>
 
+#include "phy/propagation.hpp"
 #include "sim/error.hpp"
 
 namespace mts::phy {
 
-Channel::Channel(sim::Scheduler& sched, const PropagationModel& prop,
-                 ChannelConfig cfg)
-    : sched_(&sched), prop_(&prop), cfg_(cfg) {
+namespace {
+
+/// The neighbour grid's cell size, the carrier-sense range; checks the
+/// decode range first, so a bad one is reported as such.
+double cs_range(double decode_range, const ChannelConfig& cfg) {
+  sim::require_config(decode_range > 0, "Channel: decode_range <= 0");
   sim::require_config(cfg.cs_range_factor >= 1.0,
                       "Channel: cs_range_factor < 1");
+  return decode_range * cfg.cs_range_factor;
 }
 
-void Channel::reserve(std::size_t n) {
-  receivers_.reserve(n);
-  legs_.reserve(n);
-  trajectories_.reserve(n);
+double max_speed(const std::vector<mobility::Trajectory>& trajectories) {
+  double v = 0.0;
+  for (const mobility::Trajectory& tr : trajectories) {
+    v = std::max(v, tr.max_speed());
+  }
+  return v;
 }
 
-net::NodeId Channel::attach(mobility::Trajectory trajectory) {
-  // Records must not move once waves and radios hold node ids into them.
-  sim::require(index_ == nullptr, "Channel: attach after finalize()");
-  const auto id = static_cast<net::NodeId>(receivers_.size());
-  max_speed_ = std::max(max_speed_, trajectory.max_speed());
-  receivers_.emplace_back();
-  legs_.push_back(trajectory.covering_leg(sim::Time::zero()));
-  trajectories_.push_back(std::move(trajectory));
-  return id;
-}
+}  // namespace
 
-void Channel::refresh_leg(net::NodeId id, sim::Time t) const {
-  legs_[id] = trajectories_[id].covering_leg(t);
-}
-
-void Channel::finalize() {
-  const double cell = prop_->max_range() * cfg_.cs_range_factor;
-  index_ = std::make_unique<NeighborIndex>(
-      static_cast<std::uint32_t>(receivers_.size()), cell, max_speed_,
-      kIndexRebuildPeriod,
-      [this](std::uint32_t id, sim::Time t) { return position_of(id, t); });
+Channel::Channel(sim::Scheduler& sched,
+                 std::vector<mobility::Trajectory> trajectories,
+                 double decode_range, ChannelConfig cfg,
+                 std::optional<Fading> fading)
+    : sched_(&sched),
+      decode_range_(decode_range),
+      cfg_(cfg),
+      fading_(std::move(fading)),
+      trajectories_(std::move(trajectories)),
+      receivers_(trajectories_.size()),
+      index_(static_cast<std::uint32_t>(trajectories_.size()),
+             cs_range(decode_range, cfg), max_speed(trajectories_),
+             kIndexRebuildPeriod, [this](std::uint32_t id, sim::Time t) {
+               return position_of(id, t);
+             }) {
+  legs_.reserve(trajectories_.size());
+  for (const mobility::Trajectory& tr : trajectories_) {
+    legs_.push_back(tr.covering_leg(sim::Time::zero()));
+  }
   // Every live query — radiate/neighbors_of at scheduler-now, the next
   // snapshot itself — happens at or after the previous snapshot time, so
   // each rebuild retires the trajectory history behind the one before it
   // (one rebuild period of slack).  This is what keeps mobility memory
   // flat over long runs: without it every leg list grows O(sim-time).
-  index_->set_snapshot_hook([this](sim::Time prev, sim::Time /*now*/) {
+  index_.set_snapshot_hook([this](sim::Time prev, sim::Time /*now*/) {
     for (const mobility::Trajectory& tr : trajectories_) {
       tr.trim_history_before(prev);
     }
   });
+}
+
+void Channel::refresh_leg(net::NodeId id, sim::Time t) const {
+  legs_[id] = trajectories_[id].covering_leg(t);
 }
 
 mobility::Trajectory::Stats Channel::mobility_stats() const {
@@ -92,18 +103,19 @@ void Channel::inject(net::NodeId as_sender, const mobility::Vec2& from_pos,
 
 void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
                       const Frame& frame, sim::Time airtime) {
-  sim::require(index_ != nullptr, "Channel: radiate before finalize()");
   const sim::Time now = sched_->now();
-  const double decode_r = prop_->max_range();
-  const double cs_r = decode_r * cfg_.cs_range_factor;
+  const double cs_r = decode_range_ * cfg_.cs_range_factor;
   const std::uint32_t w = acquire_wave();
   Wave& wave = waves_[w];
-  for (net::NodeId id : index_->candidates(sp, cs_r, now)) {
+  for (net::NodeId id : index_.candidates(sp, cs_r, now)) {
     if (id == sender) continue;
     const mobility::Vec2 rp = position_of(id, now);
     const double d2 = mobility::distance_sq(sp, rp);
     if (d2 > cs_r * cs_r) continue;
-    const bool decodable = prop_->link_up(sender, sp, id, rp, now);
+    const double r = fading_ && fading_->is_faded(sender, id, now)
+                         ? decode_range_ * fading_->config().faded_fraction
+                         : decode_range_;
+    const bool decodable = d2 <= r * r;
     const double d = std::sqrt(d2);
     wave.arrivals.push_back(
         Wave::Arrival{now + propagation_delay(d), 0, d, id, decodable});
@@ -190,13 +202,14 @@ void Channel::step_wave(std::uint32_t w) {
 
 void Channel::neighbors_of(net::NodeId id, sim::Time t,
                            NeighborVec& out) const {
-  sim::require(index_ != nullptr, "Channel: neighbors_of before finalize()");
   out.clear();
   const mobility::Vec2 p = position_of(id, t);
   // The grid returns a superset (snapshot positions + staleness margin)
   // in bucket order; re-filter with exact positions and sort by id.
-  for (net::NodeId other : index_->candidates(p, prop_->max_range(), t)) {
-    if (other != id && prop_->in_range(p, position_of(other, t))) {
+  for (net::NodeId other : index_.candidates(p, decode_range_, t)) {
+    if (other != id &&
+        mobility::distance_sq(p, position_of(other, t)) <=
+            decode_range_ * decode_range_) {
       out.push_back(other);
     }
   }

@@ -3,14 +3,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "mobility/trajectory.hpp"
 #include "net/small_vec.hpp"
+#include "phy/fading.hpp"
 #include "phy/frame.hpp"
 #include "phy/neighbor_index.hpp"
-#include "phy/propagation.hpp"
 #include "phy/receiver.hpp"
 #include "sim/scheduler.hpp"
 
@@ -27,7 +27,10 @@ struct ChannelConfig {
 
 /// The shared wireless medium: keys a node up and fans its transmission
 /// out to every node within range of it at the moment the first bit
-/// leaves.
+/// leaves.  A receiver decodes when it lies within the decode range of
+/// the sender (a disk, the paper's 250 m TwoRayGround range), shrunk on
+/// links that the optional `Fading` holds faded; within the
+/// carrier-sense range it gets energy only.
 ///
 /// It owns two flat tables indexed by node id.  The receiver table holds
 /// each node's reception state (`Receiver`), which every wave step
@@ -40,20 +43,14 @@ class Channel {
   /// How stale the neighbour grid's position snapshot may get.
   static constexpr sim::Time kIndexRebuildPeriod = sim::Time::ms(500);
 
-  Channel(sim::Scheduler& sched, const PropagationModel& prop,
-          ChannelConfig cfg = {});
-
-  /// Sizes the node arrays for `n` attach() calls up front, so a large
-  /// population is never copied through a doubling vector.
-  void reserve(std::size_t n);
-
-  /// Registers the next node (ids are dense, in attach order) with the
-  /// trajectory giving its position, and returns its id.
-  net::NodeId attach(mobility::Trajectory trajectory);
-
-  /// Must be called once after all attach() calls and before any
-  /// transmission or neighbour query (builds the neighbour grid).
-  void finalize();
+  /// One node per trajectory, node `i` moving along `trajectories[i]`.
+  /// `decode_range` is the nominal decode range in metres.
+  Channel(sim::Scheduler& sched, std::vector<mobility::Trajectory> trajectories,
+          double decode_range, ChannelConfig cfg = {},
+          std::optional<Fading> fading = {});
+  /// The neighbour grid and the scheduled waves point back at it.
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
 
   /// Global promiscuous tap: observes every frame at radiation time with
   /// the transmitter's position and airtime.  Purely observational (no
@@ -75,8 +72,8 @@ class Channel {
   void transmit(net::NodeId sender, const Frame& frame, sim::Time airtime);
 
   /// Active-adversary injection hook: radiates a (possibly spoofed)
-  /// frame from an arbitrary position that need not match any attached
-  /// radio — the wormhole's far-end replay.  Unlike the passive sniffer
+  /// frame from an arbitrary position that need not match any node's
+  /// position — the wormhole's far-end replay.  Unlike the passive sniffer
   /// tap this perturbs the run by design: receptions are scheduled
   /// exactly as for a genuine transmission.  Injected frames are NOT fed
   /// back to the sniffer tap (an attacker does not overhear its own
@@ -94,24 +91,23 @@ class Channel {
   [[nodiscard]] std::size_t node_count() const { return receivers_.size(); }
   [[nodiscard]] sim::Scheduler& scheduler() const { return *sched_; }
 
-  /// Node `id`'s reception state.  Records never move after finalize().
+  /// Node `id`'s reception state.  Records never move.
   [[nodiscard]] Receiver& receiver(net::NodeId id) { return receivers_[id]; }
-  [[nodiscard]] double decode_range() const { return prop_->max_range(); }
 
   /// Caller-owned neighbour list: inline up to 16 entries, so the
   /// common query never touches the heap.
   using NeighborVec = net::SmallVec<net::NodeId, 16>;
 
-  /// Fills `out` with the nodes within decode range of `id` at time
-  /// `t`, ascending (any previous contents are discarded).  Exact: the
-  /// spatial index only pre-filters candidates, which are then
-  /// re-checked against live positions.
+  /// Fills `out` with the nodes within the nominal decode range of `id`
+  /// at time `t`, ascending (any previous contents are discarded); fading
+  /// does not apply.  Exact: the spatial index only pre-filters
+  /// candidates, which are then re-checked against live positions.
   void neighbors_of(net::NodeId id, sim::Time t, NeighborVec& out) const;
 
-  /// The neighbour grid; finalize() builds it.
-  [[nodiscard]] const NeighborIndex& index() const { return *index_; }
+  /// The neighbour grid.
+  [[nodiscard]] const NeighborIndex& index() const { return index_; }
 
-  /// Aggregate history counters over all attached trajectories.
+  /// Aggregate history counters over all trajectories.
   [[nodiscard]] mobility::Trajectory::Stats mobility_stats() const;
 
  private:
@@ -158,14 +154,14 @@ class Channel {
   void refresh_leg(net::NodeId id, sim::Time t) const;
 
   sim::Scheduler* sched_;
-  const PropagationModel* prop_;
+  double decode_range_;
   ChannelConfig cfg_;
+  std::optional<Fading> fading_;
   Sniffer sniffer_;
-  std::vector<Receiver> receivers_;
-  mutable std::vector<mobility::Leg> legs_;         ///< parallel to receivers_
-  std::vector<mobility::Trajectory> trajectories_;  ///< parallel to receivers_
-  std::unique_ptr<NeighborIndex> index_;
-  double max_speed_ = 0.0;
+  std::vector<mobility::Trajectory> trajectories_;
+  std::vector<Receiver> receivers_;                 ///< parallel to trajectories_
+  mutable std::vector<mobility::Leg> legs_;         ///< parallel to trajectories_
+  mutable NeighborIndex index_;
 
   /// Callbacks run by a wave can radiate and grow the pool; a deque
   /// never moves a wave, so the frame a reception end hands up stays

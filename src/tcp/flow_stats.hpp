@@ -35,14 +35,6 @@ struct FlowStats {
     return delay_samples == 0 ? 0.0
                               : delay_sum_s / static_cast<double>(delay_samples);
   }
-  /// Goodput in unique segments per second over [start, end].
-  [[nodiscard]] double throughput_segments_per_s(sim::Time start,
-                                                 sim::Time end) const {
-    const double dur = (end - start).to_seconds();
-    return dur <= 0.0
-               ? 0.0
-               : static_cast<double>(unique_segments_delivered) / dur;
-  }
   /// The paper's Fig. 10 metric: arrivals / transmissions.
   [[nodiscard]] double delivery_rate() const {
     return data_packets_sent == 0

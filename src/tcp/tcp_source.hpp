@@ -52,8 +52,6 @@ class TcpSource {
   [[nodiscard]] double cwnd() const { return cwnd_; }
   [[nodiscard]] std::uint32_t ssthresh() const { return ssthresh_; }
   [[nodiscard]] std::uint32_t snd_una() const { return snd_una_; }
-  [[nodiscard]] std::uint32_t snd_nxt() const { return snd_nxt_; }
-  [[nodiscard]] bool in_fast_recovery() const { return in_fr_; }
   [[nodiscard]] const RttEstimator& rtt() const { return rtt_; }
   [[nodiscard]] const std::vector<std::pair<sim::Time, double>>& cwnd_trace()
       const {

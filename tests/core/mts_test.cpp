@@ -182,9 +182,9 @@ TEST(MtsTest, ConfigValidation) {
   sim::Scheduler sched;
   net::Counters c;
   net::UidSource uids;
-  phy::UnitDiskPropagation prop;
-  phy::Channel channel(sched, prop);
-  channel.attach(mobility::Trajectory(mobility::Vec2{0, 0}));
+  std::vector<mobility::Trajectory> trajectories;
+  trajectories.emplace_back(mobility::Vec2{0, 0});
+  phy::Channel channel(sched, std::move(trajectories), 250.0);
   const mac::MacConfig mac_cfg;
   mac::Mac80211 mac(channel, 0, mac_cfg, sim::Rng(1), &c);
   routing::RoutingContext ctx;

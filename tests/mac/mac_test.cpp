@@ -31,13 +31,14 @@ class MacTest : public ::testing::Test, public MacListener {
 
   void build(std::vector<mobility::Vec2> positions, MacConfig cfg = {}) {
     cfg_ = cfg;  // the MACs share it, so it lives as long as they do
-    prop_ = std::make_unique<phy::UnitDiskPropagation>(250.0);
-    channel_ = std::make_unique<phy::Channel>(sched_, *prop_);
+    channel_ = std::make_unique<phy::Channel>(
+        sched_,
+        std::vector<mobility::Trajectory>(positions.begin(), positions.end()),
+        250.0);
     stations_.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       Station& st = stations_[i];
-      const net::NodeId id =
-          channel_->attach(mobility::Trajectory(positions[i]));
+      const auto id = static_cast<net::NodeId>(i);
       st.mac = std::make_unique<Mac80211>(*channel_, id, cfg_,
                                           sim::Rng(100 + i), &st.counters);
       st.mac->set_listener(this, /*promiscuous=*/true);
@@ -46,7 +47,6 @@ class MacTest : public ::testing::Test, public MacListener {
                                  const phy::Frame&, sim::Time, sim::Time) {
       ++stations_[sender].sent;
     });
-    channel_->finalize();
   }
 
   void on_mac_receive(net::NodeId self, net::Packet&& p,
@@ -82,7 +82,6 @@ class MacTest : public ::testing::Test, public MacListener {
 
   sim::Scheduler sched_;
   MacConfig cfg_;
-  std::unique_ptr<phy::UnitDiskPropagation> prop_;
   std::unique_ptr<phy::Channel> channel_;
   std::vector<Station> stations_;
 

@@ -11,7 +11,6 @@
 
 #include "mobility/trajectory.hpp"
 #include "phy/channel.hpp"
-#include "phy/propagation.hpp"
 #include "sim/rng.hpp"
 
 namespace mts::phy {
@@ -31,22 +30,24 @@ class LegTableTest : public ::testing::Test {
   static constexpr net::NodeId kFixed = 4;
   static constexpr net::NodeId kNodes = kMoving + kFixed;
 
-  LegTableTest() : prop_(250.0), channel_(sched_, prop_) {
-    rc_.field = mobility::Field{1500, 1500};
-    rc_.min_speed = 5.0;
-    rc_.max_speed = 20.0;
-    rc_.pause = sim::Time::ms(700);
+  LegTableTest()
+      : channel_(sched_, trajectories(), 250.0), twins_(trajectories()) {}
+
+  /// Node `id`'s trajectory, a fresh copy on every call.
+  static Trajectory trajectory(net::NodeId id) {
+    mobility::RandomWaypointConfig rc;
+    rc.field = mobility::Field{1500, 1500};
+    rc.min_speed = 5.0;
+    rc.max_speed = 20.0;
+    rc.pause = sim::Time::ms(700);
     const sim::Rng mob = sim::Rng(18).substream("mobility");
-    for (net::NodeId i = 0; i < kNodes; ++i) {
-      if (i < kMoving) {
-        channel_.attach(Trajectory(rc_, mob.substream(i)));
-        twins_.emplace_back(rc_, mob.substream(i));
-      } else {
-        const Vec2 p{100.0 * i, 7.5};
-        channel_.attach(Trajectory(p));
-        twins_.emplace_back(p);
-      }
-    }
+    return id < kMoving ? Trajectory(rc, mob.substream(id))
+                        : Trajectory(Vec2{100.0 * id, 7.5});
+  }
+  static std::vector<Trajectory> trajectories() {
+    std::vector<Trajectory> all;
+    for (net::NodeId id = 0; id < kNodes; ++id) all.push_back(trajectory(id));
+    return all;
   }
 
   /// Asks the channel and node `id`'s twin for the position at `t`.
@@ -74,9 +75,7 @@ class LegTableTest : public ::testing::Test {
     EXPECT_EQ(got.peak_live, want.peak_live);
   }
 
-  mobility::RandomWaypointConfig rc_;
   sim::Scheduler sched_;
-  UnitDiskPropagation prop_;
   Channel channel_;
   std::vector<Trajectory> twins_;
 };
@@ -111,11 +110,8 @@ TEST_F(LegTableTest, LegBoundariesAndTheInitialPauseMatch) {
   // ask both sides at each leg's start, arrive and depart and one tick
   // either side, in time order.  The first leg's start ends the initial
   // pause, so zero and the pause's last tick are covered too.
-  const sim::Rng mob = sim::Rng(18).substream("mobility");
   for (net::NodeId id = 0; id < kNodes; ++id) {
-    const Trajectory probe =
-        id < kMoving ? Trajectory(rc_, mob.substream(id))
-                     : Trajectory(Vec2{100.0 * id, 7.5});
+    const Trajectory probe = trajectory(id);
     (void)probe.position_at(sim::Time::sec(2000));
     std::vector<sim::Time> times{sim::Time::zero()};
     for (const mobility::Leg& leg : probe.legs()) {
@@ -140,7 +136,6 @@ TEST_F(LegTableTest, QueriesAfterSnapshotTrimsMatch) {
   // Every grid rebuild after the first trims the channel's trajectories
   // behind the previous snapshot; the twins get the same trims, after
   // the same snapshot reads, so the counters must agree too.
-  channel_.finalize();
   sim::Rng rng(3);
   Channel::NeighborVec scratch;
   sim::Time prev_snapshot = sim::Time::zero();

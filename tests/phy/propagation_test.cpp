@@ -5,31 +5,6 @@
 namespace mts::phy {
 namespace {
 
-TEST(UnitDiskTest, InRangeWithinRadius) {
-  UnitDiskPropagation p(250.0);
-  EXPECT_TRUE(p.in_range({0, 0}, {249.9, 0}));
-  EXPECT_TRUE(p.in_range({0, 0}, {250.0, 0}));  // boundary inclusive
-  EXPECT_FALSE(p.in_range({0, 0}, {250.1, 0}));
-}
-
-TEST(UnitDiskTest, Symmetric) {
-  UnitDiskPropagation p(100.0);
-  const mobility::Vec2 a{10, 20}, b{90, 70};
-  EXPECT_EQ(p.in_range(a, b), p.in_range(b, a));
-}
-
-TEST(UnitDiskTest, DiagonalDistance) {
-  UnitDiskPropagation p(250.0);
-  // 3-4-5 scaled: (150, 200) is exactly 250 away.
-  EXPECT_TRUE(p.in_range({0, 0}, {150, 200}));
-  EXPECT_FALSE(p.in_range({0, 0}, {151, 200}));
-}
-
-TEST(UnitDiskTest, MaxRangeReported) {
-  EXPECT_DOUBLE_EQ(UnitDiskPropagation(250.0).max_range(), 250.0);
-  EXPECT_DOUBLE_EQ(UnitDiskPropagation(75.0).max_range(), 75.0);
-}
-
 TEST(PropagationDelayTest, SpeedOfLight) {
   // ~300 m is about a microsecond.
   const sim::Time d = propagation_delay(299.792458);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -36,28 +37,25 @@ struct StubListener final : RadioListener {
 class RadioChannelTest : public ::testing::Test {
  protected:
   void build(std::vector<mobility::Vec2> positions, double range = 250.0,
-             double cs_factor = 1.0) {
-    prop_ = std::make_unique<UnitDiskPropagation>(range);
+             double cs_factor = 1.0, std::optional<Fading> fading = {}) {
     ChannelConfig cc;
     cc.cs_range_factor = cs_factor;
-    channel_ = std::make_unique<Channel>(sched_, *prop_, cc);
+    channel_ = std::make_unique<Channel>(
+        sched_,
+        std::vector<mobility::Trajectory>(positions.begin(), positions.end()),
+        range, cc, std::move(fading));
     // Callbacks capture element addresses: size the containers up front.
-    received_.reserve(positions.size());
-    busy_log_.reserve(positions.size());
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      const net::NodeId id =
-          channel_->attach(mobility::Trajectory(positions[i]));
-      received_.emplace_back();
-      busy_log_.emplace_back();
-      auto* got = &received_.back();
-      auto* busy = &busy_log_.back();
+    received_.resize(positions.size());
+    busy_log_.resize(positions.size());
+    for (net::NodeId id = 0; id < positions.size(); ++id) {
+      auto* got = &received_[id];
+      auto* busy = &busy_log_[id];
       listeners_.push_back(std::make_unique<StubListener>());
       listeners_.back()->frame = [got](const Frame& f) { got->push_back(f); };
       listeners_.back()->busy = [busy](bool b) { busy->push_back(b); };
       rx(id).set_listener(listeners_.back().get());
       rx(id).set_edge_calls(true);
     }
-    channel_->finalize();
   }
 
   Frame frame(net::NodeId tx, net::NodeId rx) {
@@ -87,7 +85,6 @@ class RadioChannelTest : public ::testing::Test {
   }
 
   sim::Scheduler sched_;
-  std::unique_ptr<UnitDiskPropagation> prop_;
   std::unique_ptr<Channel> channel_;
   std::vector<std::unique_ptr<StubListener>> listeners_;
   std::vector<std::vector<Frame>> received_;
@@ -296,6 +293,74 @@ TEST_F(RadioChannelTest, TransmitWhileTransmittingThrows) {
   EXPECT_EQ(received_[1].size(), 2u);
 }
 
+// --- The decode rule: a receiver decodes iff d^2 <= r^2, where r is the
+// decode range, shrunk to its faded fraction on a faded link.  Beyond r
+// but within carrier-sense range it gets energy only.
+
+TEST_F(RadioChannelTest, DecodeRangeIncludesItsBoundary) {
+  build({{0, 0}, {250.0, 0}, {-250.1, 0}}, 250.0, 2.2);
+  channel_->transmit(0, frame(0, net::kBroadcastId), sim::Time::ms(1));
+  sched_.run();
+  EXPECT_EQ(received_[1].size(), 1u);  // exactly 250.0 m
+  EXPECT_FALSE(rx(1).undecodable_end().has_value());
+  EXPECT_TRUE(received_[2].empty());  // 250.1 m: energy only
+  EXPECT_TRUE(rx(2).undecodable_end().has_value());
+  EXPECT_EQ(busy_log_[2], (std::vector<bool>{true, false}));
+}
+
+TEST_F(RadioChannelTest, DecodeRangeIsADiskOnTheDiagonal) {
+  // 3-4-5 scaled: (150, 200) is exactly 250 m from the sender.
+  build({{0, 0}, {150, 200}, {151, 200}}, 250.0, 2.2);
+  channel_->transmit(0, frame(0, net::kBroadcastId), sim::Time::ms(1));
+  sched_.run();
+  EXPECT_EQ(received_[1].size(), 1u);
+  EXPECT_TRUE(received_[2].empty());
+  EXPECT_TRUE(rx(2).undecodable_end().has_value());
+}
+
+/// A fading model that holds link (0, 1) faded, or clear, at time zero.
+Fading fading_with_link01(bool faded) {
+  for (std::uint64_t seed = 0;; ++seed) {
+    Fading f(FadingConfig{}, seed);
+    if (f.is_faded(0, 1, sim::Time::zero()) == faded) return f;
+  }
+}
+
+TEST_F(RadioChannelTest, ClearLinkDecodesAtTheNominalRange) {
+  build({{0, 0}, {200, 0}}, 250.0, 2.2, fading_with_link01(false));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
+  sched_.run();
+  EXPECT_EQ(received_[1].size(), 1u);
+}
+
+TEST_F(RadioChannelTest, FadedLinkShrinksTheDecodeRange) {
+  // 200 m: inside the nominal 250 m, beyond the faded 0.7 * 250 = 175 m.
+  build({{0, 0}, {200, 0}}, 250.0, 2.2, fading_with_link01(true));
+  channel_->transmit(0, frame(0, 1), sim::Time::ms(1));
+  sched_.run();
+  EXPECT_TRUE(received_[1].empty());
+  EXPECT_TRUE(rx(1).undecodable_end().has_value());
+  // Neighbour queries keep the nominal disk.
+  Channel::NeighborVec n;
+  channel_->neighbors_of(0, sched_.now(), n);
+  EXPECT_EQ(n, (std::vector<net::NodeId>{1}));
+}
+
+TEST(ChannelConfigTest, RangesAreChecked) {
+  sim::Scheduler sched;
+  for (const double range : {0.0, -250.0}) {
+    try {
+      (void)Channel(sched, {}, range);
+      ADD_FAILURE() << "range " << range << " accepted";
+    } catch (const sim::ConfigError& e) {
+      EXPECT_STREQ(e.what(), "Channel: decode_range <= 0");
+    }
+  }
+  ChannelConfig cc;
+  cc.cs_range_factor = 0.9;
+  EXPECT_THROW((void)Channel(sched, {}, 250.0, cc), sim::ConfigError);
+}
+
 TEST_F(RadioChannelTest, NeighborsOfReportsExact) {
   // The grid pre-filters candidates; the result is exact membership in
   // ascending id order.
@@ -321,15 +386,13 @@ TEST(ChannelTrajectoryTest, OwnedTrajectoriesMatchUntrimmedTwinsThroughRebuilds)
   rc.pause = sim::Time::ms(200);
   const sim::Rng mob = sim::Rng(42).substream("mobility");
   sim::Scheduler sched;
-  UnitDiskPropagation prop(250.0);
-  Channel channel(sched, prop);
-  channel.reserve(kNodes);
+  std::vector<mobility::Trajectory> trajectories;
   std::vector<mobility::Trajectory> twins;
   for (net::NodeId i = 0; i < kNodes; ++i) {
-    channel.attach(mobility::Trajectory(rc, mob.substream(i)));
+    trajectories.emplace_back(rc, mob.substream(i));
     twins.emplace_back(rc, mob.substream(i));
   }
-  channel.finalize();
+  Channel channel(sched, std::move(trajectories), 250.0);
 
   Channel::NeighborVec got;
   std::vector<net::NodeId> want;
@@ -340,7 +403,8 @@ TEST(ChannelTrajectoryTest, OwnedTrajectoriesMatchUntrimmedTwinsThroughRebuilds)
     want.clear();
     const mobility::Vec2 p = twins[probe].position_at(t);
     for (net::NodeId j = 0; j < kNodes; ++j) {
-      if (j != probe && prop.in_range(p, twins[j].position_at(t))) {
+      if (j != probe &&
+          mobility::distance_sq(p, twins[j].position_at(t)) <= 250.0 * 250.0) {
         want.push_back(j);
       }
     }

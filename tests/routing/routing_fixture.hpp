@@ -33,13 +33,14 @@ class RoutingBench : public mac::MacListener, public routing::DeliveryListener {
   RoutingBench(Proto proto, std::vector<mobility::Vec2> positions,
                core::MtsConfig mts_cfg = {})
       : mts_cfg_(mts_cfg) {
-    prop_ = std::make_unique<phy::UnitDiskPropagation>(250.0);
-    channel_ = std::make_unique<phy::Channel>(sched, *prop_);
+    channel_ = std::make_unique<phy::Channel>(
+        sched,
+        std::vector<mobility::Trajectory>(positions.begin(), positions.end()),
+        250.0);
     nodes_.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       TestNode& n = nodes_[i];
-      const net::NodeId id =
-          channel_->attach(mobility::Trajectory(positions[i]));
+      const auto id = static_cast<net::NodeId>(i);
       n.mac = std::make_unique<mac::Mac80211>(*channel_, id, mac_cfg_,
                                               sim::Rng(1000 + i), &n.counters);
       routing::RoutingContext ctx;
@@ -69,7 +70,6 @@ class RoutingBench : public mac::MacListener, public routing::DeliveryListener {
           break;
       }
     }
-    channel_->finalize();
     for (auto& n : nodes_) {
       n.mac->set_listener(this);
       n.routing->start();
@@ -124,7 +124,6 @@ class RoutingBench : public mac::MacListener, public routing::DeliveryListener {
   /// Shared by every node's MAC and MTS instance: declared before them.
   mac::MacConfig mac_cfg_;
   core::MtsConfig mts_cfg_;
-  std::unique_ptr<phy::UnitDiskPropagation> prop_;
   std::unique_ptr<phy::Channel> channel_;
   std::vector<TestNode> nodes_;
 };

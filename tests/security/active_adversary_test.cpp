@@ -9,7 +9,6 @@
 #include <limits>
 
 #include "phy/channel.hpp"
-#include "phy/propagation.hpp"
 #include "security/adversary.hpp"
 #include "security/keyshare.hpp"
 #include "sim/scheduler.hpp"
@@ -344,11 +343,8 @@ TEST(RreqFloodTest, RateIsValidatedBeforeTheIntervalIsDerived) {
 /// tunnel-dedup decision.  drop_prob 0 keeps the counts deterministic.
 struct WormholeDedupHarness {
   sim::Scheduler sched;
-  phy::UnitDiskPropagation prop{250.0};
-  phy::Channel channel{sched, prop};
+  phy::Channel channel{sched, {}, 250.0};
   Adversary worm{spec(), context()};
-
-  WormholeDedupHarness() { channel.finalize(); }
 
   static AdversarySpec spec() {
     AdversarySpec s;
@@ -435,8 +431,7 @@ class ActiveAdversaryTest : public ::testing::Test {
   }
 
   sim::Scheduler sched_;
-  phy::UnitDiskPropagation prop_{250.0};
-  phy::Channel channel_{sched_, prop_};
+  phy::Channel channel_{sched_, {}, 250.0};
   AdversaryContext ctx_;
 };
 
